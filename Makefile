@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-paper bench-check bench-pr5 bench-pr5-check bench-pr6 bench-pr6-check bench-pr7 bench-pr7-check bench-pr10 bench-pr10-check lint chaos chaos-partition cluster-smoke obs-smoke fuzz repro data serve sweep clean
+.PHONY: all build test race bench bench-paper bench-check bench-pr5 bench-pr5-check bench-pr6 bench-pr6-check bench-pr7 bench-pr7-check bench-pr10 bench-pr10-check lint loc chaos chaos-partition cluster-smoke obs-smoke fuzz repro data serve sweep clean
 
 all: build test
 
@@ -87,6 +87,11 @@ bench-pr10-check: bench-pr10
 lint:
 	$(GO) vet ./...
 	staticcheck ./...
+
+# The ROADMAP's size metric: lines of non-test Go code, excluding the
+# perfbench/ module and hidden (build output) directories.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.*' -exec cat {} + | wc -l
 
 # Fault-injection chaos suite under the race detector: 24 deterministic
 # schedules, the kill-and-resume torture test, and a randomized-seed

@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -170,5 +173,69 @@ func TestSLOGate(t *testing.T) {
 	}
 	if err := sloGate(report{SLONote: "burn-rate read-back failed: boom"}, 1.0, &out); err == nil {
 		t.Fatal("gate passed despite a failed read-back")
+	}
+}
+
+// TestParseDaemonGoldens feeds both daemons' checked-in exposition
+// goldens through loadgen's parsers, so the reader is pinned to what
+// the shared writer actually emits: the summed request-latency buckets
+// each golden encodes, and the router's 5m/1h burn gauges.
+func TestParseDaemonGoldens(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		golden  string
+		buckets []bucket
+		burn    map[string]map[string]float64
+	}{
+		{
+			// linesearchd_http_request_duration_seconds: /v1/plan plus
+			// the escaped-name endpoint's {0.001: 1, +Inf: 1}.
+			golden: "../../internal/service/testdata/metrics.prom",
+			buckets: []bucket{
+				{0.0001, 0}, {0.00025, 1}, {0.0005, 2}, {0.001, 5},
+				{0.0025, 5}, {0.005, 6}, {0.01, 7}, {0.025, 7},
+				{0.05, 7}, {0.1, 7}, {0.25, 7}, {0.5, 7},
+				{1, 7}, {2.5, 7}, {5, 7}, {inf, 8},
+			},
+			burn: map[string]map[string]float64{},
+		},
+		{
+			// linerouter_backend_request_duration_seconds: the healthy
+			// backend plus the escaped-name one's {0.5: 0, 1: 1, 2.5: 3,
+			// +Inf: 5}.
+			golden: "../../internal/cluster/testdata/router_metrics.prom",
+			buckets: []bucket{
+				{0.0001, 0}, {0.00025, 2}, {0.0005, 9}, {0.001, 20},
+				{0.0025, 31}, {0.005, 38}, {0.01, 40}, {0.025, 41},
+				{0.05, 41}, {0.1, 41}, {0.25, 42}, {0.5, 42},
+				{1, 43}, {2.5, 45}, {5, 42}, {inf, 47},
+			},
+			burn: map[string]map[string]float64{
+				"linerouter_slo_error_burn_rate":   {"5m": 2.5, "1h": 100.0 / 47},
+				"linerouter_slo_latency_burn_rate": {"5m": 5, "1h": 0},
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(filepath.Base(tc.golden), func(t *testing.T) {
+			data, err := os.ReadFile(tc.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := parseBuckets(bytes.NewReader(data), histogramFamilies)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.buckets) {
+				t.Errorf("buckets:\n got %v\nwant %v", got, tc.buckets)
+			}
+			burn, err := parseWindowGauges(bytes.NewReader(data), sloBurnFamilies)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(burn, tc.burn) {
+				t.Errorf("burn gauges = %v, want %v", burn, tc.burn)
+			}
+		})
 	}
 }

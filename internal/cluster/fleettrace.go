@@ -18,61 +18,6 @@ import (
 // own tracer in a stitched fleet trace.
 const routerProcess = "router"
 
-// debugTracesResponse mirrors the service's /debug/traces shape, so
-// one scraper (human or the fleet stitcher) reads routers and backends
-// identically.
-type debugTracesResponse struct {
-	Count  int                       `json:"count"`
-	Sort   string                    `json:"sort"`
-	Traces []telemetry.TraceSnapshot `json:"traces"`
-}
-
-// handleDebugTraces serves the router's own completed-trace ring,
-// byte-compatible with the backends' endpoint.
-//
-//	GET /debug/traces?n=20&sort=recent    the n most recent traces
-//	GET /debug/traces?n=20&sort=slowest   the n slowest traces
-func (r *Router) handleDebugTraces(w http.ResponseWriter, req *http.Request) {
-	q := req.URL.Query()
-	n := 20
-	if raw := q.Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 1 {
-			writeJSONError(w, http.StatusBadRequest, "parameter n must be a positive integer")
-			return
-		}
-		n = v
-	}
-	order := q.Get("sort")
-	if order == "" {
-		order = "recent"
-	}
-	traces := r.tracer.Traces()
-	total := len(traces)
-	switch order {
-	case "recent":
-		sort.Slice(traces, func(i, j int) bool { return traces[i].Start.After(traces[j].Start) })
-	case "slowest":
-		sort.Slice(traces, func(i, j int) bool {
-			if traces[i].DurationSeconds != traces[j].DurationSeconds {
-				return traces[i].DurationSeconds > traces[j].DurationSeconds
-			}
-			return traces[i].Start.After(traces[j].Start)
-		})
-	default:
-		writeJSONError(w, http.StatusBadRequest, `parameter sort must be "recent" or "slowest"`)
-		return
-	}
-	if len(traces) > n {
-		traces = traces[:n]
-	}
-	if traces == nil {
-		traces = []telemetry.TraceSnapshot{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(debugTracesResponse{Count: total, Sort: order, Traces: traces})
-}
-
 // FleetHop is one process's view of a stitched trace: the router or
 // one backend, with that process's local trace tree.
 type FleetHop struct {
@@ -125,7 +70,7 @@ func (r *Router) handleFleetTraces(w http.ResponseWriter, req *http.Request) {
 	if raw := q.Get("n"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 1 {
-			writeJSONError(w, http.StatusBadRequest, "parameter n must be a positive integer")
+			telemetry.WriteJSONError(w, http.StatusBadRequest, "parameter n must be a positive integer")
 			return
 		}
 		n = v
@@ -134,7 +79,7 @@ func (r *Router) handleFleetTraces(w http.ResponseWriter, req *http.Request) {
 	if raw := q.Get("scrape_n"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 1 {
-			writeJSONError(w, http.StatusBadRequest, "parameter scrape_n must be a positive integer")
+			telemetry.WriteJSONError(w, http.StatusBadRequest, "parameter scrape_n must be a positive integer")
 			return
 		}
 		scrapeN = v
@@ -268,7 +213,7 @@ func (r *Router) scrapeTraces(req *http.Request, b *backend, n int) ([]telemetry
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("scrape returned %s", resp.Status)
 	}
-	var body debugTracesResponse
+	var body telemetry.TracesResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, r.cfg.MaxResponseBody)).Decode(&body); err != nil {
 		return nil, fmt.Errorf("decode scrape: %w", err)
 	}
@@ -288,7 +233,7 @@ func (r *Router) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/traces", r.handleDebugTraces)
+	mux.Handle("/debug/traces", telemetry.TracesHandler(r.tracer))
 	mux.HandleFunc("/debug/fleet-traces", r.handleFleetTraces)
 	mux.Handle("/debug/events", journal.Handler(r.journal))
 	mux.HandleFunc("/metrics", r.handleMetrics)

@@ -2,12 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"linesearch/internal/telemetry"
@@ -114,31 +111,17 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleMetrics serves the router snapshot: JSON by default, the
-// Prometheus text exposition under the same content negotiation the
-// service uses (?format=prometheus, or a text/plain Accept header).
+// Prometheus text exposition under the fleet-wide content negotiation
+// (?format=prometheus, or a text/plain Accept header).
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	st := r.Stats()
-	if wantsPrometheus(req) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	if telemetry.WantsPrometheus(req) {
+		w.Header().Set("Content-Type", telemetry.PrometheusContentType)
 		writePrometheus(w, st)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
-}
-
-// wantsPrometheus mirrors the service's /metrics content negotiation
-// so one scrape config covers routers and backends alike.
-func wantsPrometheus(req *http.Request) bool {
-	switch req.URL.Query().Get("format") {
-	case "prometheus":
-		return true
-	case "json":
-		return false
-	}
-	accept := strings.ToLower(req.Header.Get("Accept"))
-	return strings.Contains(accept, "text/plain") ||
-		strings.Contains(accept, "application/openmetrics-text")
 }
 
 // topologyRequest is the PUT /admin/topology payload.
@@ -151,16 +134,16 @@ type topologyRequest struct {
 func (r *Router) handleTopology(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 1<<20))
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, "read topology body: "+err.Error())
+		telemetry.WriteJSONError(w, http.StatusBadRequest, "read topology body: "+err.Error())
 		return
 	}
 	var tr topologyRequest
 	if err := json.Unmarshal(body, &tr); err != nil {
-		writeJSONError(w, http.StatusBadRequest, "decode topology: "+err.Error())
+		telemetry.WriteJSONError(w, http.StatusBadRequest, "decode topology: "+err.Error())
 		return
 	}
 	if err := r.SetTopology(tr.Backends); err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+		telemetry.WriteJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -168,105 +151,74 @@ func (r *Router) handleTopology(w http.ResponseWriter, req *http.Request) {
 }
 
 // writePrometheus renders the router snapshot in the text exposition
-// format with linerouter_* families. The service's writer is private
-// to its package; this small sibling follows the same conventions
-// (fixed family order, sorted labels, deterministic output).
-func writePrometheus(w io.Writer, st Stats) {
-	pf := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-	family := func(name, typ, help string) {
-		pf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
+// format with linerouter_* families: fixed family order, backends in
+// name order, deterministic output.
+func writePrometheus(w io.Writer, st Stats) error {
+	p := telemetry.NewPromWriter(w)
 
-	family("linerouter_proxied_requests_total", "counter", "Client requests entering the proxy.")
-	pf("linerouter_proxied_requests_total %d\n", st.Proxied)
-	family("linerouter_retries_total", "counter", "Extra proxy attempts beyond the first.")
-	pf("linerouter_retries_total %d\n", st.Retries)
-	family("linerouter_replica_fanout_reads_total", "counter", "Pure reads fanned out to the owner pair because the primary was unavailable.")
-	pf("linerouter_replica_fanout_reads_total %d\n", st.ReplicaReads)
-	family("linerouter_proxy_errors_total", "counter", "Requests that exhausted every attempt.")
-	pf("linerouter_proxy_errors_total %d\n", st.ProxyErrors)
-	family("linerouter_warm_transfer_runs_total", "counter", "Warm-transfer rounds triggered by topology changes.")
-	pf("linerouter_warm_transfer_runs_total %d\n", st.WarmRuns)
-	family("linerouter_warm_transfer_keys_total", "counter", "Plan-cache entries moved by warm transfers.")
-	pf("linerouter_warm_transfer_keys_total %d\n", st.WarmKeys)
-	family("linerouter_warm_transfer_errors_total", "counter", "Warm-transfer export or import failures.")
-	pf("linerouter_warm_transfer_errors_total %d\n", st.WarmErrors)
+	p.Family("linerouter_proxied_requests_total", "counter", "Client requests entering the proxy.")
+	p.Int("linerouter_proxied_requests_total", st.Proxied)
+	p.Family("linerouter_retries_total", "counter", "Extra proxy attempts beyond the first.")
+	p.Int("linerouter_retries_total", st.Retries)
+	p.Family("linerouter_replica_fanout_reads_total", "counter", "Pure reads fanned out to the owner pair because the primary was unavailable.")
+	p.Int("linerouter_replica_fanout_reads_total", st.ReplicaReads)
+	p.Family("linerouter_proxy_errors_total", "counter", "Requests that exhausted every attempt.")
+	p.Int("linerouter_proxy_errors_total", st.ProxyErrors)
+	p.Family("linerouter_warm_transfer_runs_total", "counter", "Warm-transfer rounds triggered by topology changes.")
+	p.Int("linerouter_warm_transfer_runs_total", st.WarmRuns)
+	p.Family("linerouter_warm_transfer_keys_total", "counter", "Plan-cache entries moved by warm transfers.")
+	p.Int("linerouter_warm_transfer_keys_total", st.WarmKeys)
+	p.Family("linerouter_warm_transfer_errors_total", "counter", "Warm-transfer export or import failures.")
+	p.Int("linerouter_warm_transfer_errors_total", st.WarmErrors)
 
-	family("linerouter_slo_objective", "gauge", "Fraction of routed requests that must be good.")
-	pf("linerouter_slo_objective %s\n", strconv.FormatFloat(st.SLO.Objective, 'g', -1, 64))
-	family("linerouter_slo_latency_budget_seconds", "gauge", "Per-request latency budget the slow-rate burn is measured against.")
-	pf("linerouter_slo_latency_budget_seconds %s\n", strconv.FormatFloat(st.SLO.LatencyBudgetSeconds, 'g', -1, 64))
-	family("linerouter_slo_window_requests", "gauge", "Routed requests observed in each burn window.")
+	p.Family("linerouter_slo_objective", "gauge", "Fraction of routed requests that must be good.")
+	p.Float("linerouter_slo_objective", st.SLO.Objective)
+	p.Family("linerouter_slo_latency_budget_seconds", "gauge", "Per-request latency budget the slow-rate burn is measured against.")
+	p.Float("linerouter_slo_latency_budget_seconds", st.SLO.LatencyBudgetSeconds)
+	p.Family("linerouter_slo_window_requests", "gauge", "Routed requests observed in each burn window.")
 	for _, win := range st.SLO.Windows {
-		pf("linerouter_slo_window_requests{window=%q} %d\n", win.Window, win.Requests)
+		p.Int("linerouter_slo_window_requests", win.Requests, "window", win.Window)
 	}
-	family("linerouter_slo_error_burn_rate", "gauge", "Error-budget burn rate per window (1.0 = burning exactly at the allowed rate).")
+	p.Family("linerouter_slo_error_burn_rate", "gauge", "Error-budget burn rate per window (1.0 = burning exactly at the allowed rate).")
 	for _, win := range st.SLO.Windows {
-		pf("linerouter_slo_error_burn_rate{window=%q} %s\n", win.Window, strconv.FormatFloat(win.ErrorBurnRate, 'g', -1, 64))
+		p.Float("linerouter_slo_error_burn_rate", win.ErrorBurnRate, "window", win.Window)
 	}
-	family("linerouter_slo_latency_burn_rate", "gauge", "Latency-budget burn rate per window.")
+	p.Family("linerouter_slo_latency_burn_rate", "gauge", "Latency-budget burn rate per window.")
 	for _, win := range st.SLO.Windows {
-		pf("linerouter_slo_latency_burn_rate{window=%q} %s\n", win.Window, strconv.FormatFloat(win.LatencyBurnRate, 'g', -1, 64))
+		p.Float("linerouter_slo_latency_burn_rate", win.LatencyBurnRate, "window", win.Window)
 	}
 
-	family("linerouter_journal_events_total", "counter", "Structured journal events recorded, by kind.")
-	kinds := make([]string, 0, len(st.JournalEvents))
-	for kind := range st.JournalEvents {
-		kinds = append(kinds, kind)
-	}
-	sort.Strings(kinds)
-	for _, kind := range kinds {
-		pf("linerouter_journal_events_total{kind=%q} %d\n", kind, st.JournalEvents[kind])
-	}
+	p.Family("linerouter_journal_events_total", "counter", "Structured journal events recorded, by kind.")
+	p.IntsByLabel("linerouter_journal_events_total", "kind", st.JournalEvents)
 
-	family("linerouter_tracer_dropped_traces_total", "counter", "Completed traces evicted from the ring before being read.")
-	pf("linerouter_tracer_dropped_traces_total %d\n", st.Tracer.Evicted)
-	family("linerouter_tracer_truncated_traces_total", "counter", "Traces that completed with at least one span refused by the per-trace cap.")
-	pf("linerouter_tracer_truncated_traces_total %d\n", st.Tracer.TruncatedTraces)
+	p.Family("linerouter_tracer_dropped_traces_total", "counter", "Completed traces evicted from the ring before being read.")
+	p.Int("linerouter_tracer_dropped_traces_total", st.Tracer.Evicted)
+	p.Family("linerouter_tracer_truncated_traces_total", "counter", "Traces that completed with at least one span refused by the per-trace cap.")
+	p.Int("linerouter_tracer_truncated_traces_total", st.Tracer.TruncatedTraces)
 
-	family("linerouter_backend_up", "gauge", "Backend availability (1 = routable).")
+	p.Family("linerouter_backend_up", "gauge", "Backend availability (1 = routable).")
 	for _, b := range st.Backends {
-		up := 0
+		up := int64(0)
 		if b.Available {
 			up = 1
 		}
-		pf("linerouter_backend_up{backend=%q} %d\n", b.Name, up)
+		p.Int("linerouter_backend_up", up, "backend", b.Name)
 	}
-	family("linerouter_backend_requests_total", "counter", "Attempts forwarded, by backend.")
+	p.Family("linerouter_backend_requests_total", "counter", "Attempts forwarded, by backend.")
 	for _, b := range st.Backends {
-		pf("linerouter_backend_requests_total{backend=%q} %d\n", b.Name, b.Requests)
+		p.Int("linerouter_backend_requests_total", b.Requests, "backend", b.Name)
 	}
-	family("linerouter_backend_failures_total", "counter", "Failed attempts, by backend.")
+	p.Family("linerouter_backend_failures_total", "counter", "Failed attempts, by backend.")
 	for _, b := range st.Backends {
-		pf("linerouter_backend_failures_total{backend=%q} %d\n", b.Name, b.Failures)
+		p.Int("linerouter_backend_failures_total", b.Failures, "backend", b.Name)
 	}
-	family("linerouter_backend_quarantines_total", "counter", "Health-vote quarantine transitions, by backend.")
+	p.Family("linerouter_backend_quarantines_total", "counter", "Health-vote quarantine transitions, by backend.")
 	for _, b := range st.Backends {
-		pf("linerouter_backend_quarantines_total{backend=%q} %d\n", b.Name, b.Quarantines)
+		p.Int("linerouter_backend_quarantines_total", b.Quarantines, "backend", b.Name)
 	}
-	family("linerouter_backend_request_duration_seconds", "histogram", "Proxied request latency, by backend.")
+	p.Family("linerouter_backend_request_duration_seconds", "histogram", "Proxied request latency, by backend.")
 	for _, b := range st.Backends {
-		writeHistogram(pf, "linerouter_backend_request_duration_seconds", b.Name, b.Latency)
+		p.Histogram("linerouter_backend_request_duration_seconds", b.Latency, "backend", b.Name)
 	}
-}
-
-// writeHistogram emits one backend's latency histogram series.
-func writeHistogram(pf func(string, ...any), name, backendName string, h telemetry.HistogramSnapshot) {
-	bounds := make([]string, 0, len(h.Buckets))
-	for ub := range h.Buckets {
-		if ub != "+Inf" {
-			bounds = append(bounds, ub)
-		}
-	}
-	sort.Slice(bounds, func(i, j int) bool {
-		a, _ := strconv.ParseFloat(bounds[i], 64)
-		b, _ := strconv.ParseFloat(bounds[j], 64)
-		return a < b
-	})
-	for _, ub := range bounds {
-		pf("%s_bucket{backend=%q,le=%q} %d\n", name, backendName, ub, h.Buckets[ub])
-	}
-	pf("%s_bucket{backend=%q,le=\"+Inf\"} %d\n", name, backendName, h.Buckets["+Inf"])
-	pf("%s_sum{backend=%q} %s\n", name, backendName, strconv.FormatFloat(h.Sum, 'g', -1, 64))
-	pf("%s_count{backend=%q} %d\n", name, backendName, h.Count)
+	return p.Err()
 }

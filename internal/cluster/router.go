@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -222,7 +221,7 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
 	mux.HandleFunc("GET /metrics", r.handleMetrics)
 	mux.HandleFunc("PUT /admin/topology", r.handleTopology)
-	mux.HandleFunc("GET /debug/traces", r.handleDebugTraces)
+	mux.Handle("GET /debug/traces", telemetry.TracesHandler(r.tracer))
 	mux.HandleFunc("GET /debug/fleet-traces", r.handleFleetTraces)
 	mux.Handle("GET /debug/events", journal.Handler(r.journal))
 	return mux
@@ -387,7 +386,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 		var err error
 		body, err = io.ReadAll(http.MaxBytesReader(w, req.Body, maxRequestBody))
 		if err != nil {
-			writeJSONError(w, http.StatusBadRequest, "read request body: "+err.Error())
+			telemetry.WriteJSONError(w, http.StatusBadRequest, "read request body: "+err.Error())
 			return
 		}
 	}
@@ -399,7 +398,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 	cands := r.candidates(key)
 	if len(cands) == 0 {
 		r.proxyErrs.Add(1)
-		writeJSONError(w, http.StatusServiceUnavailable, "no backends configured")
+		telemetry.WriteJSONError(w, http.StatusServiceUnavailable, "no backends configured")
 		return
 	}
 
@@ -423,7 +422,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 				backoff := r.cfg.RetryBackoff << (attempt - 1)
 				select {
 				case <-req.Context().Done():
-					writeJSONError(w, http.StatusServiceUnavailable, "request cancelled during retry")
+					telemetry.WriteJSONError(w, http.StatusServiceUnavailable, "request cancelled during retry")
 					return
 				case <-time.After(backoff):
 				}
@@ -450,7 +449,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 		relay(w, lastResp)
 		return
 	}
-	writeJSONError(w, http.StatusBadGateway,
+	telemetry.WriteJSONError(w, http.StatusBadGateway,
 		fmt.Sprintf("all %d attempt(s) failed: %v", attempts, lastErr))
 }
 
@@ -609,15 +608,4 @@ func relay(w http.ResponseWriter, resp *bufferedResponse) {
 	h.Set("Content-Length", strconv.Itoa(len(resp.body)))
 	w.WriteHeader(resp.status)
 	w.Write(resp.body)
-}
-
-// writeJSONError emits the service's uniform error payload shape so
-// router-originated errors look like backend errors to clients.
-func writeJSONError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

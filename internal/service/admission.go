@@ -3,6 +3,8 @@ package service
 import (
 	"net/http"
 	"sync/atomic"
+
+	"linesearch/internal/telemetry"
 )
 
 // Admission classes: every route belongs to exactly one, and each class
@@ -68,7 +70,7 @@ func (s *Service) admit(class string, next http.Handler) http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !lim.tryAcquire() {
-			s.writeError(w, http.StatusTooManyRequests,
+			telemetry.WriteJSONError(w, http.StatusTooManyRequests,
 				"server is at its in-flight limit for "+class+" requests, retry shortly")
 			return
 		}

@@ -3,66 +3,10 @@ package service
 import (
 	"net/http"
 	"net/http/pprof"
-	"sort"
-	"strconv"
 
 	"linesearch/internal/telemetry"
 	"linesearch/internal/telemetry/journal"
 )
-
-// debugTracesResponse answers GET /debug/traces.
-type debugTracesResponse struct {
-	// Count is how many completed traces the ring currently holds
-	// (before the n cut).
-	Count  int                       `json:"count"`
-	Sort   string                    `json:"sort"`
-	Traces []telemetry.TraceSnapshot `json:"traces"`
-}
-
-// handleDebugTraces serves the completed-trace ring buffer as JSON.
-//
-//	GET /debug/traces?n=20&sort=recent    the n most recent traces
-//	GET /debug/traces?n=20&sort=slowest   the n slowest traces
-func (s *Service) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	n := 20
-	if raw := q.Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 1 {
-			s.writeError(w, http.StatusBadRequest, "parameter n must be a positive integer")
-			return
-		}
-		n = v
-	}
-	order := q.Get("sort")
-	if order == "" {
-		order = "recent"
-	}
-
-	traces := s.tracer.Traces()
-	total := len(traces)
-	switch order {
-	case "recent":
-		sort.Slice(traces, func(i, j int) bool { return traces[i].Start.After(traces[j].Start) })
-	case "slowest":
-		sort.Slice(traces, func(i, j int) bool {
-			if traces[i].DurationSeconds != traces[j].DurationSeconds {
-				return traces[i].DurationSeconds > traces[j].DurationSeconds
-			}
-			return traces[i].Start.After(traces[j].Start)
-		})
-	default:
-		s.writeError(w, http.StatusBadRequest, `parameter sort must be "recent" or "slowest"`)
-		return
-	}
-	if len(traces) > n {
-		traces = traces[:n]
-	}
-	if traces == nil {
-		traces = []telemetry.TraceSnapshot{}
-	}
-	s.writeJSON(w, http.StatusOK, debugTracesResponse{Count: total, Sort: order, Traces: traces})
-}
 
 // DebugHandler returns the operator debug surface: net/http/pprof, the
 // trace ring and the metrics/health endpoints, meant for a separate
@@ -76,7 +20,7 @@ func (s *Service) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/traces", s.handleDebugTraces)
+	mux.Handle("/debug/traces", telemetry.TracesHandler(s.tracer))
 	mux.Handle("/debug/events", journal.Handler(s.journal))
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)

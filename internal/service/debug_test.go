@@ -35,7 +35,7 @@ func TestDebugTracesColdPlanRequest(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("debug/traces status %d: %s", w.Code, w.Body.String())
 	}
-	var resp debugTracesResponse
+	var resp telemetry.TracesResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestDebugTracesParamValidation(t *testing.T) {
 	}
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest("GET", "/debug/traces?n=2", nil))
-	var resp debugTracesResponse
+	var resp telemetry.TracesResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -755,11 +755,6 @@ func parseIndexList(raw string) ([]int, error) {
 
 // --- HTTP handlers ----------------------------------------------------
 
-// errorBody is the uniform error payload.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 // writeJSON marshals v and writes it with the given status. Marshal
 // errors turn into a 500 (they indicate a server bug, not bad input).
 func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -777,27 +772,17 @@ func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write([]byte("\n"))
 }
 
-// writeError writes the uniform error payload. Shed and transiently
-// failing responses carry Retry-After: the condition is momentary, and
-// well-behaved clients back off instead of hammering.
-func (s *Service) writeError(w http.ResponseWriter, status int, msg string) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	s.writeJSON(w, status, errorBody{Error: msg})
-}
-
 // handleQuery serves one GET endpoint backed by eval.
 func (s *Service) handleQuery(op string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		q, err := parseQuery(op, r.URL.Query())
 		if err != nil {
-			s.writeError(w, statusOf(err), err.Error())
+			telemetry.WriteJSONError(w, statusOf(err), err.Error())
 			return
 		}
 		res, err := s.eval(r.Context(), q)
 		if err != nil {
-			s.writeError(w, statusOf(err), err.Error())
+			telemetry.WriteJSONError(w, statusOf(err), err.Error())
 			return
 		}
 		s.writeJSON(w, http.StatusOK, res)
@@ -830,15 +815,15 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var req BatchRequest
 	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid batch body: "+err.Error())
+		telemetry.WriteJSONError(w, http.StatusBadRequest, "invalid batch body: "+err.Error())
 		return
 	}
 	if len(req.Queries) == 0 {
-		s.writeError(w, http.StatusBadRequest, "empty batch")
+		telemetry.WriteJSONError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	if len(req.Queries) > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusBadRequest,
+		telemetry.WriteJSONError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch of %d queries exceeds the limit %d", len(req.Queries), s.cfg.MaxBatch))
 		return
 	}
@@ -858,7 +843,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	span.End()
 	if err != nil {
 		// The client went away or the request timed out mid-batch.
-		s.writeError(w, http.StatusServiceUnavailable, "batch cancelled: "+err.Error())
+		telemetry.WriteJSONError(w, http.StatusServiceUnavailable, "batch cancelled: "+err.Error())
 		return
 	}
 	resp := BatchResponse{Results: items}
@@ -879,8 +864,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.Snapshot(s.cache.Stats(), s.sweeps.Stats(), s.resilience())
 	snap.Traces = s.tracer.Stats()
 	snap.JournalEvents = s.journal.Counts()
-	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", prometheusContentType)
+	if telemetry.WantsPrometheus(r) {
+		w.Header().Set("Content-Type", telemetry.PrometheusContentType)
 		w.WriteHeader(http.StatusOK)
 		writePrometheus(w, snap)
 		return

@@ -1,10 +1,8 @@
 package service
 
 import (
-	"fmt"
 	"log/slog"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,30 +11,18 @@ import (
 	"linesearch/internal/telemetry"
 )
 
-// latencyBuckets are the histogram upper bounds in seconds. The last
-// implicit bucket is +Inf.
-var latencyBuckets = [...]float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
-}
-
 // endpointMetrics aggregates one endpoint's counters: requests by
-// status class and a latency histogram. All fields are atomics so the
-// hot path never takes a lock.
+// status class and a latency histogram whose count is the request
+// total. All fields are atomics so the hot path never takes a lock.
 type endpointMetrics struct {
-	requests atomic.Int64
 	status2x atomic.Int64
 	status4x atomic.Int64
 	status5x atomic.Int64
-
-	latencySumMicros atomic.Int64 // sum in microseconds to stay integral
-	latencyCount     atomic.Int64
-	buckets          [len(latencyBuckets) + 1]atomic.Int64
+	latency  *telemetry.Histogram
 }
 
 // observe records one finished request.
 func (m *endpointMetrics) observe(status int, d time.Duration) {
-	m.requests.Add(1)
 	switch {
 	case status >= 500:
 		m.status5x.Add(1)
@@ -45,17 +31,7 @@ func (m *endpointMetrics) observe(status int, d time.Duration) {
 	default:
 		m.status2x.Add(1)
 	}
-	secs := d.Seconds()
-	m.latencySumMicros.Add(d.Microseconds())
-	m.latencyCount.Add(1)
-	idx := len(latencyBuckets)
-	for i, ub := range latencyBuckets {
-		if secs <= ub {
-			idx = i
-			break
-		}
-	}
-	m.buckets[idx].Add(1)
+	m.latency.Observe(d)
 }
 
 // Metrics is the service-wide registry. Endpoints are registered at
@@ -74,7 +50,7 @@ type Metrics struct {
 func NewMetrics(endpoints ...string) *Metrics {
 	m := &Metrics{start: time.Now(), endpoints: make(map[string]*endpointMetrics, len(endpoints))}
 	for _, e := range endpoints {
-		m.endpoints[e] = &endpointMetrics{}
+		m.endpoints[e] = &endpointMetrics{latency: telemetry.NewHistogram()}
 	}
 	return m
 }
@@ -103,19 +79,12 @@ func (m *Metrics) Observe(endpoint string, status int, d time.Duration) {
 	em.observe(status, d)
 }
 
-// EndpointSnapshot is the exported per-endpoint state.
+// EndpointSnapshot is the exported per-endpoint state. Requests is
+// the latency histogram's count.
 type EndpointSnapshot struct {
-	Requests int64            `json:"requests"`
-	Status   map[string]int64 `json:"status"`
-	Latency  LatencySnapshot  `json:"latency_seconds"`
-}
-
-// LatencySnapshot is an exported histogram: cumulative bucket counts
-// keyed by upper bound, plus count and sum for mean latency.
-type LatencySnapshot struct {
-	Count   int64            `json:"count"`
-	Sum     float64          `json:"sum"`
-	Buckets map[string]int64 `json:"buckets"`
+	Requests int64                       `json:"requests"`
+	Status   map[string]int64            `json:"status"`
+	Latency  telemetry.HistogramSnapshot `json:"latency_seconds"`
 }
 
 // ResilienceStats groups the admission-control and fault-injection
@@ -205,34 +174,17 @@ func (m *Metrics) Snapshot(cache CacheStats, sweeps sweep.ManagerStats, res Resi
 		DroppedObservations: m.dropped.Load(),
 		Runtime:             collectRuntime(),
 	}
-	names := make([]string, 0, len(m.endpoints))
-	for name := range m.endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		em := m.endpoints[name]
-		es := EndpointSnapshot{
-			Requests: em.requests.Load(),
+	for name, em := range m.endpoints {
+		lat := em.latency.Snapshot()
+		out.Endpoints[name] = EndpointSnapshot{
+			Requests: lat.Count,
 			Status: map[string]int64{
 				"2xx": em.status2x.Load(),
 				"4xx": em.status4x.Load(),
 				"5xx": em.status5x.Load(),
 			},
-			Latency: LatencySnapshot{
-				Count:   em.latencyCount.Load(),
-				Sum:     float64(em.latencySumMicros.Load()) / 1e6,
-				Buckets: make(map[string]int64, len(latencyBuckets)+1),
-			},
+			Latency: lat,
 		}
-		var cum int64
-		for i, ub := range latencyBuckets {
-			cum += em.buckets[i].Load()
-			es.Latency.Buckets[fmt.Sprintf("%g", ub)] = cum
-		}
-		cum += em.buckets[len(latencyBuckets)].Load()
-		es.Latency.Buckets["+Inf"] = cum
-		out.Endpoints[name] = es
 	}
 	return out
 }

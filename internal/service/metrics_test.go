@@ -200,3 +200,53 @@ func TestMetricsSnapshotMarshals(t *testing.T) {
 		}
 	}
 }
+
+// The serving hot path: observing a request on a registered endpoint
+// allocates nothing.
+func TestMetricsObserveZeroAllocs(t *testing.T) {
+	m := NewMetrics(endpointNames...)
+	allocs := testing.AllocsPerRun(1000, func() {
+		m.Observe("/v1/plan", 200, 300*time.Microsecond)
+	})
+	if allocs != 0 {
+		t.Errorf("Observe allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+// The JSON requests total is read from the latency histogram, so it
+// must equal latency_seconds.count and the sum of the status classes.
+func TestMetricsJSONRequestsConsistent(t *testing.T) {
+	m := NewMetrics("/a", "/b", "/idle")
+	for i, status := range []int{200, 201, 404, 429, 500, 503, 200} {
+		m.Observe("/a", status, time.Duration(i+1)*time.Millisecond)
+	}
+	m.Observe("/b", 200, 3*time.Second)
+	data, err := json.Marshal(m.Snapshot(CacheStats{}, sweep.ManagerStats{}, ResilienceStats{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Endpoints map[string]struct {
+			Requests int64            `json:"requests"`
+			Status   map[string]int64 `json:"status"`
+			Latency  struct {
+				Count int64 `json:"count"`
+			} `json:"latency_seconds"`
+		} `json:"endpoints"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{"/a": 7, "/b": 1, "/idle": 0}
+	for name, n := range want {
+		ep := snap.Endpoints[name]
+		var classes int64
+		for _, c := range ep.Status {
+			classes += c
+		}
+		if ep.Requests != n || ep.Latency.Count != n || classes != n {
+			t.Errorf("%s: requests %d, latency_seconds.count %d, status sum %d; want all %d",
+				name, ep.Requests, ep.Latency.Count, classes, n)
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"log/slog"
 	"net/http"
 	"time"
+
+	"linesearch/internal/telemetry"
 )
 
 // statusRecorder captures the status code a handler writes so the
@@ -98,7 +100,7 @@ func (s *Service) recoverPanics(next http.Handler) http.Handler {
 					panic(v)
 				}
 				s.logger.ErrorContext(r.Context(), "panic in handler", "path", r.URL.Path, "panic", v)
-				s.writeError(w, http.StatusInternalServerError, "internal error")
+				telemetry.WriteJSONError(w, http.StatusInternalServerError, "internal error")
 			}
 		}()
 		next.ServeHTTP(w, r)

@@ -1,295 +1,131 @@
 package service
 
 import (
-	"fmt"
 	"io"
-	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 
 	"linesearch/internal/telemetry"
 )
-
-// prometheusContentType is the Prometheus text exposition format
-// version served by /metrics under content negotiation.
-const prometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// wantsPrometheus decides the /metrics representation: the explicit
-// ?format= override wins, otherwise any Accept header asking for
-// text/plain or OpenMetrics (what a Prometheus scraper sends) selects
-// the text exposition; the default stays JSON for compatibility with
-// pre-PR 5 consumers.
-func wantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus":
-		return true
-	case "json":
-		return false
-	}
-	accept := strings.ToLower(r.Header.Get("Accept"))
-	return strings.Contains(accept, "text/plain") ||
-		strings.Contains(accept, "application/openmetrics-text")
-}
-
-// escapeLabel escapes a label value per the exposition format:
-// backslash, double quote and newline.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return v
-}
-
-// fmtFloat renders a sample value; integral floats print without an
-// exponent so the output diffs cleanly.
-func fmtFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// promWriter accumulates one exposition document. Families are
-// written in a fixed order with stable intra-family sorting, so equal
-// snapshots produce byte-equal output (golden-tested).
-type promWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (p *promWriter) printf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
-}
-
-// family emits the HELP/TYPE header of a metric family.
-func (p *promWriter) family(name, typ, help string) {
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// sample emits one sample line. labels come as alternating key, value
-// pairs, already ordered.
-func (p *promWriter) sample(name string, value string, labels ...string) {
-	if len(labels) == 0 {
-		p.printf("%s %s\n", name, value)
-		return
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i := 0; i < len(labels); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(labels[i])
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(labels[i+1]))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	p.printf("%s %s\n", b.String(), value)
-}
-
-// histogram emits one histogram series from cumulative buckets keyed
-// by upper bound ("+Inf" included), count and sum. extraLabels apply
-// to every sample of the series.
-func (p *promWriter) histogram(name string, buckets map[string]int64, count int64, sum float64, extraLabels ...string) {
-	// Order the finite bounds numerically; "+Inf" closes the series.
-	bounds := make([]string, 0, len(buckets))
-	for ub := range buckets {
-		if ub != "+Inf" {
-			bounds = append(bounds, ub)
-		}
-	}
-	sort.Slice(bounds, func(i, j int) bool {
-		a, _ := strconv.ParseFloat(bounds[i], 64)
-		b, _ := strconv.ParseFloat(bounds[j], 64)
-		return a < b
-	})
-	for _, ub := range bounds {
-		p.sample(name+"_bucket", strconv.FormatInt(buckets[ub], 10), append(append([]string{}, extraLabels...), "le", ub)...)
-	}
-	inf := buckets["+Inf"]
-	p.sample(name+"_bucket", strconv.FormatInt(inf, 10), append(append([]string{}, extraLabels...), "le", "+Inf")...)
-	p.sample(name+"_sum", fmtFloat(sum), extraLabels...)
-	p.sample(name+"_count", strconv.FormatInt(count, 10), extraLabels...)
-}
 
 // writePrometheus renders the full metrics snapshot in the Prometheus
 // text exposition format. Ordering is deterministic: fixed family
 // order, endpoints and label values sorted.
 func writePrometheus(w io.Writer, snap Snapshot) error {
-	p := &promWriter{w: w}
+	p := telemetry.NewPromWriter(w)
 
-	p.family("linesearchd_uptime_seconds", "gauge", "Seconds since the service started.")
-	p.sample("linesearchd_uptime_seconds", fmtFloat(snap.UptimeSeconds))
+	p.Family("linesearchd_uptime_seconds", "gauge", "Seconds since the service started.")
+	p.Float("linesearchd_uptime_seconds", snap.UptimeSeconds)
 
 	endpoints := make([]string, 0, len(snap.Endpoints))
-	for name := range snap.Endpoints {
-		endpoints = append(endpoints, name)
+	for ep := range snap.Endpoints {
+		endpoints = append(endpoints, ep)
 	}
 	sort.Strings(endpoints)
-
-	p.family("linesearchd_http_requests_total", "counter", "Requests served, by endpoint and status class.")
+	p.Family("linesearchd_http_requests_total", "counter", "Requests served, by endpoint and status class.")
 	for _, ep := range endpoints {
-		es := snap.Endpoints[ep]
-		classes := make([]string, 0, len(es.Status))
-		for c := range es.Status {
-			classes = append(classes, c)
-		}
-		sort.Strings(classes)
-		for _, c := range classes {
-			p.sample("linesearchd_http_requests_total", strconv.FormatInt(es.Status[c], 10),
-				"endpoint", ep, "class", c)
-		}
+		p.IntsByLabel("linesearchd_http_requests_total", "class", snap.Endpoints[ep].Status, "endpoint", ep)
 	}
 
-	p.family("linesearchd_http_request_duration_seconds", "histogram", "Request latency, by endpoint.")
+	p.Family("linesearchd_http_request_duration_seconds", "histogram", "Request latency, by endpoint.")
 	for _, ep := range endpoints {
-		es := snap.Endpoints[ep]
-		p.histogram("linesearchd_http_request_duration_seconds",
-			es.Latency.Buckets, es.Latency.Count, es.Latency.Sum, "endpoint", ep)
+		p.Histogram("linesearchd_http_request_duration_seconds", snap.Endpoints[ep].Latency, "endpoint", ep)
 	}
 
-	p.family("linesearchd_dropped_observations_total", "counter", "Metric observations dropped because their endpoint was never registered.")
-	p.sample("linesearchd_dropped_observations_total", strconv.FormatInt(snap.DroppedObservations, 10))
+	p.Family("linesearchd_dropped_observations_total", "counter", "Metric observations dropped because their endpoint was never registered.")
+	p.Int("linesearchd_dropped_observations_total", snap.DroppedObservations)
 
-	p.family("linesearchd_plan_cache_operations_total", "counter", "Plan cache outcomes.")
-	for _, kv := range []struct {
-		op string
-		v  int64
-	}{
-		{"evictions", snap.Cache.Evictions},
-		{"hits", snap.Cache.Hits},
-		{"imports", snap.Cache.Imports},
-		{"inflight_waits", snap.Cache.InflightWaits},
-		{"misses", snap.Cache.Misses},
-		{"warmed", snap.Cache.Warmed},
-	} {
-		p.sample("linesearchd_plan_cache_operations_total", strconv.FormatInt(kv.v, 10), "op", kv.op)
-	}
-	p.family("linesearchd_plan_cache_size", "gauge", "Plans currently cached.")
-	p.sample("linesearchd_plan_cache_size", strconv.Itoa(snap.Cache.Size))
-	p.family("linesearchd_plan_cache_capacity", "gauge", "Plan cache capacity.")
-	p.sample("linesearchd_plan_cache_capacity", strconv.Itoa(snap.Cache.Capacity))
+	p.Family("linesearchd_plan_cache_operations_total", "counter", "Plan cache outcomes.")
+	p.IntsByLabel("linesearchd_plan_cache_operations_total", "op", map[string]int64{
+		"evictions":      snap.Cache.Evictions,
+		"hits":           snap.Cache.Hits,
+		"imports":        snap.Cache.Imports,
+		"inflight_waits": snap.Cache.InflightWaits,
+		"misses":         snap.Cache.Misses,
+		"warmed":         snap.Cache.Warmed,
+	})
+	p.Family("linesearchd_plan_cache_size", "gauge", "Plans currently cached.")
+	p.Int("linesearchd_plan_cache_size", int64(snap.Cache.Size))
+	p.Family("linesearchd_plan_cache_capacity", "gauge", "Plan cache capacity.")
+	p.Int("linesearchd_plan_cache_capacity", int64(snap.Cache.Capacity))
 
-	p.family("linesearchd_sweep_jobs_total", "counter", "Sweep job lifecycle events.")
-	for _, kv := range []struct {
-		ev string
-		v  int64
-	}{
-		{"cancelled", snap.Sweeps.Cancelled},
-		{"completed", snap.Sweeps.Completed},
-		{"failed", snap.Sweeps.Failed},
-		{"resumed", snap.Sweeps.Resumed},
-		{"submitted", snap.Sweeps.Submitted},
-	} {
-		p.sample("linesearchd_sweep_jobs_total", strconv.FormatInt(kv.v, 10), "event", kv.ev)
-	}
-	p.family("linesearchd_sweep_cells_total", "counter", "Sweep cell outcomes.")
-	for _, kv := range []struct {
-		ev string
-		v  int64
-	}{
-		{"computed", snap.Sweeps.CellsComputed},
-		{"errors", snap.Sweeps.CellErrors},
-		{"quarantined", snap.Sweeps.CellsQuarantined},
-		{"resumed", snap.Sweeps.CellsResumed},
-		{"retries", snap.Sweeps.CellRetries},
-	} {
-		p.sample("linesearchd_sweep_cells_total", strconv.FormatInt(kv.v, 10), "outcome", kv.ev)
-	}
-	p.family("linesearchd_sweep_checkpoint_failures_total", "counter", "Failed sweep checkpoint writes.")
-	p.sample("linesearchd_sweep_checkpoint_failures_total", strconv.FormatInt(snap.Sweeps.CheckpointFailures, 10))
-	p.family("linesearchd_sweep_running_jobs", "gauge", "Sweep jobs currently executing.")
-	p.sample("linesearchd_sweep_running_jobs", strconv.Itoa(snap.Sweeps.RunningJobs))
-	p.family("linesearchd_sweep_pending_jobs", "gauge", "Sweep jobs waiting for a slot.")
-	p.sample("linesearchd_sweep_pending_jobs", strconv.Itoa(snap.Sweeps.PendingJobs))
+	p.Family("linesearchd_sweep_jobs_total", "counter", "Sweep job lifecycle events.")
+	p.IntsByLabel("linesearchd_sweep_jobs_total", "event", map[string]int64{
+		"cancelled": snap.Sweeps.Cancelled,
+		"completed": snap.Sweeps.Completed,
+		"failed":    snap.Sweeps.Failed,
+		"resumed":   snap.Sweeps.Resumed,
+		"submitted": snap.Sweeps.Submitted,
+	})
+	p.Family("linesearchd_sweep_cells_total", "counter", "Sweep cell outcomes.")
+	p.IntsByLabel("linesearchd_sweep_cells_total", "outcome", map[string]int64{
+		"computed":    snap.Sweeps.CellsComputed,
+		"errors":      snap.Sweeps.CellErrors,
+		"quarantined": snap.Sweeps.CellsQuarantined,
+		"resumed":     snap.Sweeps.CellsResumed,
+		"retries":     snap.Sweeps.CellRetries,
+	})
+	p.Family("linesearchd_sweep_checkpoint_failures_total", "counter", "Failed sweep checkpoint writes.")
+	p.Int("linesearchd_sweep_checkpoint_failures_total", snap.Sweeps.CheckpointFailures)
+	p.Family("linesearchd_sweep_running_jobs", "gauge", "Sweep jobs currently executing.")
+	p.Int("linesearchd_sweep_running_jobs", int64(snap.Sweeps.RunningJobs))
+	p.Family("linesearchd_sweep_pending_jobs", "gauge", "Sweep jobs waiting for a slot.")
+	p.Int("linesearchd_sweep_pending_jobs", int64(snap.Sweeps.PendingJobs))
 	if len(snap.Sweeps.CellLatency.Buckets) > 0 {
-		p.family("linesearchd_sweep_cell_latency_seconds", "histogram", "Per-cell sweep evaluation latency.")
-		p.histogram("linesearchd_sweep_cell_latency_seconds",
-			snap.Sweeps.CellLatency.Buckets, snap.Sweeps.CellLatency.Count, snap.Sweeps.CellLatency.Sum)
+		p.Family("linesearchd_sweep_cell_latency_seconds", "histogram", "Per-cell sweep evaluation latency.")
+		p.Histogram("linesearchd_sweep_cell_latency_seconds", snap.Sweeps.CellLatency)
 	}
 
-	classes := make([]string, 0, len(snap.Resilience.Shed))
-	for c := range snap.Resilience.Shed {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	p.family("linesearchd_shed_requests_total", "counter", "Requests shed by per-class admission control.")
-	for _, c := range classes {
-		p.sample("linesearchd_shed_requests_total", strconv.FormatInt(snap.Resilience.Shed[c], 10), "class", c)
-	}
-	classes = classes[:0]
-	for c := range snap.Resilience.Inflight {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	p.family("linesearchd_inflight_requests", "gauge", "In-flight requests per admission class.")
-	for _, c := range classes {
-		p.sample("linesearchd_inflight_requests", strconv.FormatInt(snap.Resilience.Inflight[c], 10), "class", c)
-	}
-	p.family("linesearchd_fault_points_armed", "gauge", "Fault points currently armed in this process.")
-	p.sample("linesearchd_fault_points_armed", strconv.Itoa(snap.Resilience.FaultPointsArmed))
-	p.family("linesearchd_faults_injected_total", "counter", "Faults injected by armed fault points.")
-	p.sample("linesearchd_faults_injected_total", strconv.FormatInt(snap.Resilience.FaultsInjected, 10))
+	p.Family("linesearchd_shed_requests_total", "counter", "Requests shed by per-class admission control.")
+	p.IntsByLabel("linesearchd_shed_requests_total", "class", snap.Resilience.Shed)
+	p.Family("linesearchd_inflight_requests", "gauge", "In-flight requests per admission class.")
+	p.IntsByLabel("linesearchd_inflight_requests", "class", snap.Resilience.Inflight)
+	p.Family("linesearchd_fault_points_armed", "gauge", "Fault points currently armed in this process.")
+	p.Int("linesearchd_fault_points_armed", int64(snap.Resilience.FaultPointsArmed))
+	p.Family("linesearchd_faults_injected_total", "counter", "Faults injected by armed fault points.")
+	p.Int("linesearchd_faults_injected_total", snap.Resilience.FaultsInjected)
 
-	writeTracerStats(p, snap.Traces)
-	writeJournalStats(p, snap.JournalEvents)
+	ts := snap.Traces
+	p.Family("linesearchd_trace_requests_total", "counter", "Requests seen by the tracer.")
+	p.Int("linesearchd_trace_requests_total", ts.RequestsSeen)
+	p.Family("linesearchd_traces_sampled_total", "counter", "Requests sampled into a trace.")
+	p.Int("linesearchd_traces_sampled_total", ts.Sampled)
+	p.Family("linesearchd_traces_finished_total", "counter", "Traces completed into the ring buffer.")
+	p.Int("linesearchd_traces_finished_total", ts.Finished)
+	p.Family("linesearchd_trace_spans_dropped_total", "counter", "Spans dropped by the per-trace cap.")
+	p.Int("linesearchd_trace_spans_dropped_total", ts.SpansDropped)
+	p.Family("linesearchd_traces_evicted_total", "counter", "Completed traces evicted from the ring buffer.")
+	p.Int("linesearchd_traces_evicted_total", ts.Evicted)
+	p.Family("linesearchd_traces_buffered", "gauge", "Completed traces currently retained.")
+	p.Int("linesearchd_traces_buffered", int64(ts.Buffered))
+	p.Family("linesearchd_tracer_dropped_traces_total", "counter", "Completed traces lost to ring eviction before being read.")
+	p.Int("linesearchd_tracer_dropped_traces_total", ts.Evicted)
+	p.Family("linesearchd_tracer_truncated_traces_total", "counter", "Traces that completed with at least one span refused by the per-trace cap.")
+	p.Int("linesearchd_tracer_truncated_traces_total", ts.TruncatedTraces)
 
-	p.family("linesearchd_goroutines", "gauge", "Live goroutines.")
-	p.sample("linesearchd_goroutines", strconv.Itoa(snap.Runtime.Goroutines))
-	p.family("linesearchd_gomaxprocs", "gauge", "GOMAXPROCS.")
-	p.sample("linesearchd_gomaxprocs", strconv.Itoa(snap.Runtime.GOMAXPROCS))
-	p.family("linesearchd_heap_alloc_bytes", "gauge", "Bytes of live heap objects.")
-	p.sample("linesearchd_heap_alloc_bytes", strconv.FormatUint(snap.Runtime.HeapAllocBytes, 10))
-	p.family("linesearchd_heap_sys_bytes", "gauge", "Heap bytes obtained from the OS.")
-	p.sample("linesearchd_heap_sys_bytes", strconv.FormatUint(snap.Runtime.HeapSysBytes, 10))
-	p.family("linesearchd_heap_objects", "gauge", "Live heap objects.")
-	p.sample("linesearchd_heap_objects", strconv.FormatUint(snap.Runtime.HeapObjects, 10))
-	p.family("linesearchd_alloc_bytes_total", "counter", "Cumulative bytes allocated.")
-	p.sample("linesearchd_alloc_bytes_total", strconv.FormatUint(snap.Runtime.TotalAllocBytes, 10))
-	p.family("linesearchd_gc_runs_total", "counter", "Completed GC cycles.")
-	p.sample("linesearchd_gc_runs_total", strconv.FormatUint(uint64(snap.Runtime.GCRuns), 10))
-	p.family("linesearchd_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause.")
-	p.sample("linesearchd_gc_pause_seconds_total", fmtFloat(snap.Runtime.GCPauseTotalSeconds))
-	p.family("linesearchd_gc_last_pause_seconds", "gauge", "Most recent GC pause.")
-	p.sample("linesearchd_gc_last_pause_seconds", fmtFloat(snap.Runtime.LastGCPauseSeconds))
+	// JournalEvents always holds every kind, so the family is
+	// exhaustive even before the first event.
+	p.Family("linesearchd_journal_events_total", "counter", "Structured journal events recorded, by kind.")
+	p.IntsByLabel("linesearchd_journal_events_total", "kind", snap.JournalEvents)
 
-	return p.err
-}
+	rt := snap.Runtime
+	p.Family("linesearchd_goroutines", "gauge", "Live goroutines.")
+	p.Int("linesearchd_goroutines", int64(rt.Goroutines))
+	p.Family("linesearchd_gomaxprocs", "gauge", "GOMAXPROCS.")
+	p.Int("linesearchd_gomaxprocs", int64(rt.GOMAXPROCS))
+	p.Family("linesearchd_heap_alloc_bytes", "gauge", "Bytes of live heap objects.")
+	p.Int("linesearchd_heap_alloc_bytes", int64(rt.HeapAllocBytes))
+	p.Family("linesearchd_heap_sys_bytes", "gauge", "Heap bytes obtained from the OS.")
+	p.Int("linesearchd_heap_sys_bytes", int64(rt.HeapSysBytes))
+	p.Family("linesearchd_heap_objects", "gauge", "Live heap objects.")
+	p.Int("linesearchd_heap_objects", int64(rt.HeapObjects))
+	p.Family("linesearchd_alloc_bytes_total", "counter", "Cumulative bytes allocated.")
+	p.Int("linesearchd_alloc_bytes_total", int64(rt.TotalAllocBytes))
+	p.Family("linesearchd_gc_runs_total", "counter", "Completed GC cycles.")
+	p.Int("linesearchd_gc_runs_total", int64(rt.GCRuns))
+	p.Family("linesearchd_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause.")
+	p.Float("linesearchd_gc_pause_seconds_total", rt.GCPauseTotalSeconds)
+	p.Family("linesearchd_gc_last_pause_seconds", "gauge", "Most recent GC pause.")
+	p.Float("linesearchd_gc_last_pause_seconds", rt.LastGCPauseSeconds)
 
-// writeTracerStats emits the request-tracer counters.
-func writeTracerStats(p *promWriter, ts telemetry.TracerStats) {
-	p.family("linesearchd_trace_requests_total", "counter", "Requests seen by the tracer.")
-	p.sample("linesearchd_trace_requests_total", strconv.FormatInt(ts.RequestsSeen, 10))
-	p.family("linesearchd_traces_sampled_total", "counter", "Requests sampled into a trace.")
-	p.sample("linesearchd_traces_sampled_total", strconv.FormatInt(ts.Sampled, 10))
-	p.family("linesearchd_traces_finished_total", "counter", "Traces completed into the ring buffer.")
-	p.sample("linesearchd_traces_finished_total", strconv.FormatInt(ts.Finished, 10))
-	p.family("linesearchd_trace_spans_dropped_total", "counter", "Spans dropped by the per-trace cap.")
-	p.sample("linesearchd_trace_spans_dropped_total", strconv.FormatInt(ts.SpansDropped, 10))
-	p.family("linesearchd_traces_evicted_total", "counter", "Completed traces evicted from the ring buffer.")
-	p.sample("linesearchd_traces_evicted_total", strconv.FormatInt(ts.Evicted, 10))
-	p.family("linesearchd_traces_buffered", "gauge", "Completed traces currently retained.")
-	p.sample("linesearchd_traces_buffered", strconv.Itoa(ts.Buffered))
-	p.family("linesearchd_tracer_dropped_traces_total", "counter", "Completed traces lost to ring eviction before being read.")
-	p.sample("linesearchd_tracer_dropped_traces_total", strconv.FormatInt(ts.Evicted, 10))
-	p.family("linesearchd_tracer_truncated_traces_total", "counter", "Traces that completed with at least one span refused by the per-trace cap.")
-	p.sample("linesearchd_tracer_truncated_traces_total", strconv.FormatInt(ts.TruncatedTraces, 10))
-}
-
-// writeJournalStats emits one counter sample per journal event kind;
-// the map always holds every kind, so the family is exhaustive even
-// before the first event.
-func writeJournalStats(p *promWriter, counts map[string]int64) {
-	p.family("linesearchd_journal_events_total", "counter", "Structured journal events recorded, by kind.")
-	kinds := make([]string, 0, len(counts))
-	for kind := range counts {
-		kinds = append(kinds, kind)
-	}
-	sort.Strings(kinds)
-	for _, kind := range kinds {
-		p.sample("linesearchd_journal_events_total", strconv.FormatInt(counts[kind], 10), "kind", kind)
-	}
+	return p.Err()
 }

@@ -34,7 +34,7 @@ func goldenSnapshot() Snapshot {
 			"/v1/plan": {
 				Requests: 7,
 				Status:   map[string]int64{"2xx": 5, "4xx": 2, "5xx": 0},
-				Latency: LatencySnapshot{
+				Latency: telemetry.HistogramSnapshot{
 					Count: 7,
 					Sum:   0.042,
 					Buckets: map[string]int64{
@@ -48,7 +48,7 @@ func goldenSnapshot() Snapshot {
 			`/odd"name\x`: { // exercises label escaping
 				Requests: 1,
 				Status:   map[string]int64{"2xx": 1},
-				Latency: LatencySnapshot{
+				Latency: telemetry.HistogramSnapshot{
 					Count:   1,
 					Sum:     0.001,
 					Buckets: map[string]int64{"0.001": 1, "+Inf": 1},
@@ -251,15 +251,15 @@ func TestMetricsContentNegotiation(t *testing.T) {
 
 	// A Prometheus scraper's Accept header selects the text format.
 	w := serve("/metrics", "application/openmetrics-text;version=1.0.0,text/plain;version=0.0.4;q=0.5,*/*;q=0.1")
-	if ct := w.Header().Get("Content-Type"); ct != prometheusContentType {
-		t.Errorf("scrape Content-Type = %q, want %q", ct, prometheusContentType)
+	if ct := w.Header().Get("Content-Type"); ct != telemetry.PrometheusContentType {
+		t.Errorf("scrape Content-Type = %q, want %q", ct, telemetry.PrometheusContentType)
 	}
 	if !strings.Contains(w.Body.String(), "linesearchd_uptime_seconds") {
 		t.Errorf("text exposition missing uptime:\n%s", w.Body.String())
 	}
 
 	// Explicit overrides beat the Accept header both ways.
-	if ct := serve("/metrics?format=prometheus", "").Header().Get("Content-Type"); ct != prometheusContentType {
+	if ct := serve("/metrics?format=prometheus", "").Header().Get("Content-Type"); ct != telemetry.PrometheusContentType {
 		t.Errorf("?format=prometheus Content-Type = %q", ct)
 	}
 	if ct := serve("/metrics?format=json", "text/plain").Header().Get("Content-Type"); ct != "application/json" {

@@ -6,6 +6,7 @@ import (
 	"regexp"
 
 	"linesearch/internal/sweep"
+	"linesearch/internal/telemetry"
 )
 
 // Replica endpoints: the wire surface of sweep-checkpoint replication.
@@ -40,7 +41,7 @@ type ReplicaDigestResponse struct {
 // instead of silently dropping replicated checkpoints.
 func (s *Service) replicasEnabled(w http.ResponseWriter) bool {
 	if s.cfg.Replicas == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "replication is not enabled on this backend")
+		telemetry.WriteJSONError(w, http.StatusServiceUnavailable, "replication is not enabled on this backend")
 		return false
 	}
 	return true
@@ -55,21 +56,21 @@ func (s *Service) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	if !jobIDPattern.MatchString(id) {
-		s.writeError(w, http.StatusBadRequest, "invalid job id")
+		telemetry.WriteJSONError(w, http.StatusBadRequest, "invalid job id")
 		return
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplicaBody))
 	var cp sweep.Checkpoint
 	if err := dec.Decode(&cp); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid checkpoint body: "+err.Error())
+		telemetry.WriteJSONError(w, http.StatusBadRequest, "invalid checkpoint body: "+err.Error())
 		return
 	}
 	if cp.ID != id {
-		s.writeError(w, http.StatusBadRequest, "checkpoint id "+cp.ID+" does not match path id "+id)
+		telemetry.WriteJSONError(w, http.StatusBadRequest, "checkpoint id "+cp.ID+" does not match path id "+id)
 		return
 	}
 	if err := s.cfg.Replicas.Put(cp); err != nil {
-		s.writeError(w, http.StatusBadRequest, "checkpoint rejected: "+err.Error())
+		telemetry.WriteJSONError(w, http.StatusBadRequest, "checkpoint rejected: "+err.Error())
 		return
 	}
 	s.writeJSON(w, http.StatusOK, s.cfg.Replicas.Stats())
@@ -85,23 +86,23 @@ func (s *Service) handleReplicaGet(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	if !jobIDPattern.MatchString(id) {
-		s.writeError(w, http.StatusBadRequest, "invalid job id")
+		telemetry.WriteJSONError(w, http.StatusBadRequest, "invalid job id")
 		return
 	}
 	cp, err := s.cfg.Replicas.Get(id)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "replica read failed: "+err.Error())
+		telemetry.WriteJSONError(w, http.StatusInternalServerError, "replica read failed: "+err.Error())
 		return
 	}
 	if cp == nil {
 		cp, err = sweep.LoadCheckpoint(s.sweeps.Dir(), id)
 		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, "checkpoint read failed: "+err.Error())
+			telemetry.WriteJSONError(w, http.StatusInternalServerError, "checkpoint read failed: "+err.Error())
 			return
 		}
 	}
 	if cp == nil {
-		s.writeError(w, http.StatusNotFound, "no checkpoint for job "+id)
+		telemetry.WriteJSONError(w, http.StatusNotFound, "no checkpoint for job "+id)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, cp)

@@ -232,7 +232,7 @@ func (s *Service) Handler() http.Handler {
 	mux.Handle("GET /v1/replica/digest", s.instrument("/v1/replica/digest", s.admit(classCache, http.HandlerFunc(s.handleReplicaDigest))))
 	mux.Handle("GET /healthz", s.instrument("/healthz", http.HandlerFunc(s.handleHealthz)))
 	mux.Handle("GET /metrics", s.instrument("/metrics", http.HandlerFunc(s.handleMetrics)))
-	mux.Handle("GET /debug/traces", s.instrument("/debug/traces", http.HandlerFunc(s.handleDebugTraces)))
+	mux.Handle("GET /debug/traces", s.instrument("/debug/traces", telemetry.TracesHandler(s.tracer)))
 	mux.Handle("GET /debug/events", s.instrument("/debug/events", journal.Handler(s.journal)))
 
 	var h http.Handler = mux

@@ -157,14 +157,14 @@ func (c *PlanCache) Import(ctx context.Context, snap CacheSnapshot) (ImportStats
 //	GET /v1/cache/snapshot?limit=64    the limit hottest entries (0 = all)
 func (s *Service) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 	if err := faultpoint.Hit(fpSnapshotExport); err != nil {
-		s.writeError(w, statusOf(err), err.Error())
+		telemetry.WriteJSONError(w, statusOf(err), err.Error())
 		return
 	}
 	limit := defaultSnapshotLimit
 	if raw := r.URL.Query().Get("limit"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 0 {
-			s.writeError(w, http.StatusBadRequest, "parameter limit must be a non-negative integer")
+			telemetry.WriteJSONError(w, http.StatusBadRequest, "parameter limit must be a non-negative integer")
 			return
 		}
 		limit = v
@@ -180,12 +180,12 @@ func (s *Service) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 // checkpoint: the evidence survives for the operator.
 func (s *Service) handleCacheImport(w http.ResponseWriter, r *http.Request) {
 	if err := faultpoint.Hit(fpSnapshotImport); err != nil {
-		s.writeError(w, statusOf(err), err.Error())
+		telemetry.WriteJSONError(w, statusOf(err), err.Error())
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotBody))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "read snapshot body: "+err.Error())
+		telemetry.WriteJSONError(w, http.StatusBadRequest, "read snapshot body: "+err.Error())
 		return
 	}
 	var snap CacheSnapshot
@@ -199,7 +199,7 @@ func (s *Service) handleCacheImport(w http.ResponseWriter, r *http.Request) {
 			s.rejectSnapshot(r.Context(), w, body, err)
 			return
 		}
-		s.writeError(w, statusOf(err), err.Error())
+		telemetry.WriteJSONError(w, statusOf(err), err.Error())
 		return
 	}
 	telemetry.SpanFrom(r.Context()).SetInt("warmed", int64(stats.Warmed))
@@ -218,7 +218,7 @@ func (s *Service) rejectSnapshot(ctx context.Context, w http.ResponseWriter, bod
 		s.logger.WarnContext(ctx, "rejected cache snapshot quarantined", "path", dst, "reason", msg)
 		msg += " (payload quarantined to " + dst + ")"
 	}
-	s.writeError(w, statusOf(err), msg)
+	telemetry.WriteJSONError(w, statusOf(err), msg)
 }
 
 // quarantineSnapshot writes the rejected payload to

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"linesearch/internal/sweep"
+	"linesearch/internal/telemetry"
 )
 
 // maxSweepSpecBytes bounds the POST /v1/sweeps body.
@@ -49,7 +50,7 @@ func (s *Service) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var spec sweep.Spec
 	if err := dec.Decode(&spec); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid sweep spec: "+err.Error())
+		telemetry.WriteJSONError(w, http.StatusBadRequest, "invalid sweep spec: "+err.Error())
 		return
 	}
 	job, err := s.sweeps.Submit(spec)
@@ -58,7 +59,7 @@ func (s *Service) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		if strings.Contains(err.Error(), "shut down") {
 			status = http.StatusServiceUnavailable
 		}
-		s.writeError(w, status, err.Error())
+		telemetry.WriteJSONError(w, status, err.Error())
 		return
 	}
 	st := job.Status()
@@ -79,7 +80,7 @@ func (s *Service) sweepByID(w http.ResponseWriter, r *http.Request) (*sweep.Job,
 	id := r.PathValue("id")
 	job, ok := s.sweeps.Get(id)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, "no sweep with id "+id)
+		telemetry.WriteJSONError(w, http.StatusNotFound, "no sweep with id "+id)
 		return nil, false
 	}
 	return job, true
@@ -103,14 +104,14 @@ func (s *Service) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 	}
 	st := job.Status()
 	if st.State != sweep.StateDone {
-		s.writeError(w, http.StatusConflict,
+		telemetry.WriteJSONError(w, http.StatusConflict,
 			"sweep "+st.ID+" is "+string(st.State)+"; poll GET /v1/sweeps/"+st.ID+" until done")
 		return
 	}
 	ds, err := job.Dataset()
 	if err != nil {
 		s.logger.Error("sweep dataset", "job", st.ID, "err", err)
-		s.writeError(w, http.StatusInternalServerError, "internal: cannot assemble dataset")
+		telemetry.WriteJSONError(w, http.StatusInternalServerError, "internal: cannot assemble dataset")
 		return
 	}
 	// trace.WriteJSON is the canonical encoder (it nulls non-finite
@@ -118,7 +119,7 @@ func (s *Service) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	if err := ds.WriteJSON(&buf); err != nil {
 		s.logger.Error("sweep dataset encode", "job", st.ID, "err", err)
-		s.writeError(w, http.StatusInternalServerError, "internal: cannot encode dataset")
+		telemetry.WriteJSONError(w, http.StatusInternalServerError, "internal: cannot encode dataset")
 		return
 	}
 	resp := SweepResultResponse{

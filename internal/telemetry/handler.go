@@ -1,0 +1,80 @@
+package telemetry
+
+import (
+	"encoding/json"
+	"net/http"
+	"sort"
+	"strconv"
+)
+
+// WriteJSONError writes the fleet's uniform error payload,
+// {"error": msg}. Shed and transiently failing responses (429, 503)
+// carry Retry-After: the condition is momentary, and well-behaved
+// clients back off instead of hammering.
+func WriteJSONError(w http.ResponseWriter, status int, msg string) {
+	w.Header().Set("Content-Type", "application/json")
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+}
+
+// TracesResponse answers GET /debug/traces on every process, so one
+// reader (a human, or the router's fleet stitcher) reads routers and
+// backends identically.
+type TracesResponse struct {
+	// Count is how many completed traces the ring currently holds
+	// (before the n cut).
+	Count  int             `json:"count"`
+	Sort   string          `json:"sort"`
+	Traces []TraceSnapshot `json:"traces"`
+}
+
+// TracesHandler serves the tracer's completed-trace ring as JSON.
+// Shared by the backend service and the router.
+//
+//	GET /debug/traces?n=20&sort=recent    the n most recent traces
+//	GET /debug/traces?n=20&sort=slowest   the n slowest traces
+func TracesHandler(t *Tracer) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		n := 20
+		if raw := q.Get("n"); raw != "" {
+			v, err := strconv.Atoi(raw)
+			if err != nil || v < 1 {
+				WriteJSONError(w, http.StatusBadRequest, "parameter n must be a positive integer")
+				return
+			}
+			n = v
+		}
+		order := q.Get("sort")
+		if order == "" {
+			order = "recent"
+		}
+		traces := t.Traces()
+		total := len(traces)
+		switch order {
+		case "recent":
+			sort.Slice(traces, func(i, j int) bool { return traces[i].Start.After(traces[j].Start) })
+		case "slowest":
+			sort.Slice(traces, func(i, j int) bool {
+				if traces[i].DurationSeconds != traces[j].DurationSeconds {
+					return traces[i].DurationSeconds > traces[j].DurationSeconds
+				}
+				return traces[i].Start.After(traces[j].Start)
+			})
+		default:
+			WriteJSONError(w, http.StatusBadRequest, `parameter sort must be "recent" or "slowest"`)
+			return
+		}
+		if len(traces) > n {
+			traces = traces[:n]
+		}
+		if traces == nil {
+			traces = []TraceSnapshot{}
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(TracesResponse{Count: total, Sort: order, Traces: traces})
+	}
+}

@@ -305,7 +305,7 @@ func Handler(j *Journal) http.HandlerFunc {
 		if raw := q.Get("kind"); raw != "" {
 			k, ok := ParseKind(raw)
 			if !ok {
-				httpError(w, http.StatusBadRequest, "unknown event kind "+strconv.Quote(raw))
+				telemetry.WriteJSONError(w, http.StatusBadRequest, "unknown event kind "+strconv.Quote(raw))
 				return
 			}
 			kindFilter = &k
@@ -315,7 +315,7 @@ func Handler(j *Journal) http.HandlerFunc {
 		if raw := q.Get("since"); raw != "" {
 			v, err := strconv.ParseUint(raw, 10, 64)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, "parameter since must be a non-negative integer")
+				telemetry.WriteJSONError(w, http.StatusBadRequest, "parameter since must be a non-negative integer")
 				return
 			}
 			since = v
@@ -324,7 +324,7 @@ func Handler(j *Journal) http.HandlerFunc {
 		if raw := q.Get("n"); raw != "" {
 			v, err := strconv.Atoi(raw)
 			if err != nil || v < 1 {
-				httpError(w, http.StatusBadRequest, "parameter n must be a positive integer")
+				telemetry.WriteJSONError(w, http.StatusBadRequest, "parameter n must be a positive integer")
 				return
 			}
 			n = v
@@ -357,11 +357,4 @@ func Handler(j *Journal) http.HandlerFunc {
 			Count: count, Recorded: recorded, Evicted: evicted, Events: filtered,
 		})
 	}
-}
-
-// httpError mirrors the service's uniform error payload shape.
-func httpError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
