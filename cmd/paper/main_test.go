@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -88,4 +89,55 @@ func TestRunExportFailsOnUnwritableDir(t *testing.T) {
 	if err == nil {
 		t.Error("export into unwritable path succeeded")
 	}
+}
+
+// TestDatasetsMatchCheckedIn regenerates every experiment's datasets and
+// compares them byte for byte with the checked-in data/csv and
+// data/json, so any change to an evaluator that moves a published
+// number fails here rather than silently drifting from the data.
+func TestDatasetsMatchCheckedIn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates every experiment")
+	}
+	dir := t.TempDir()
+	if err := run([]string{"-csv", filepath.Join(dir, "csv"), "-json", filepath.Join(dir, "json")}, io.Discard); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, format := range []string{"csv", "json"} {
+		want := filepath.Join("..", "..", "data", format)
+		got := filepath.Join(dir, format)
+		wantNames := datasetNames(t, want)
+		if gotNames := datasetNames(t, got); strings.Join(gotNames, " ") != strings.Join(wantNames, " ") {
+			t.Fatalf("%s: regenerated %v, checked in %v", format, gotNames, wantNames)
+		}
+		for _, name := range wantNames {
+			a, err := os.ReadFile(filepath.Join(want, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(filepath.Join(got, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("%s/%s differs from the checked-in dataset (rerun `make data` only if the change is intended)", format, name)
+			}
+		}
+	}
+}
+
+// datasetNames lists the regular files in dir, sorted.
+func datasetNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if e.Type().IsRegular() {
+			names = append(names, e.Name())
+		}
+	}
+	return names
 }

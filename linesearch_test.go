@@ -178,6 +178,39 @@ func TestTimeline(t *testing.T) {
 	}
 }
 
+// TestMonteCarloGolden pins Searcher.MonteCarlo's statistics with exact
+// float equality: every trial's draws are a pure function of (seed,
+// trial index), and the mean is summed in index order, so any change to
+// the driver that moves a bit shows here.
+func TestMonteCarloGolden(t *testing.T) {
+	cases := []struct {
+		strategy string
+		n, f     int
+		seed     int64
+		want     Stats
+	}{
+		{"proportional", 3, 1, 1, Stats{Trials: 500, Mean: 2.628111994014759, Min: 1.6671536981376853, Max: 5.214275518335862, Median: 2.2830154111454553, P95: 4.702368121860537, P99: 5.1172037710408835}},
+		{"proportional", 3, 1, 42, Stats{Trials: 500, Mean: 2.661714269468194, Min: 1.6667653857722904, Max: 5.22895196862842, Median: 2.350346735474378, P95: 4.657392821030384, P99: 5.166430011177613}},
+		{"byzantine", 4, 1, 1, Stats{Trials: 500, Mean: 4.134383900546514, Min: 2.7363748344684535, Max: 6.192754629669409, Median: 3.951610292227875, P95: 5.947759715850359, P99: 6.135963145764882}},
+		{"byzantine", 4, 1, 42, Stats{Trials: 500, Mean: 4.093482493497255, Min: 2.736482630877719, Max: 6.194928146855874, Median: 3.863134616347699, P95: 5.894672805160608, P99: 6.110155318628473}},
+		{"twogroup", 4, 0, 1, Stats{Trials: 500, Mean: 1, Min: 1, Max: 1, Median: 1, P95: 1, P99: 1}},
+		{"twogroup", 4, 0, 42, Stats{Trials: 500, Mean: 1, Min: 1, Max: 1, Median: 1, P95: 1, P99: 1}},
+	}
+	for _, c := range cases {
+		s, err := NewWithStrategy(c.strategy, c.n, c.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.MonteCarlo(c.want.Trials, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s(%d, %d) seed %d:\n got %+v\nwant %+v", c.strategy, c.n, c.f, c.seed, got, c.want)
+		}
+	}
+}
+
 func TestMonteCarlo(t *testing.T) {
 	s := mustSearcher(t, 5, 2)
 	stats, err := s.MonteCarlo(800, 11)
