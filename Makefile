@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-paper bench-check bench-pr5 bench-pr5-check bench-pr6 bench-pr6-check bench-pr7 bench-pr7-check bench-pr10 bench-pr10-check lint loc chaos chaos-partition cluster-smoke obs-smoke fuzz repro data serve sweep clean
+.PHONY: all build test race bench bench-paper bench-check lint loc chaos chaos-partition cluster-smoke obs-smoke fuzz repro data serve sweep clean
 
 all: build test
 
@@ -16,70 +16,23 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Compiled-kernel benchmarks (cold compile, hot eval, batch sizes
-# 1/100/10000, one sweep cell) with their pre-kernel sim references.
-# Writes the machine-readable report to BENCH_pr3.json; compare against
-# a baseline with `make bench-check` or cmd/benchjson -compare.
+# Allocation-gated micro benchmarks: the compiled kernel (cold compile,
+# hot eval, batch sizes 1/100/10000, the Byzantine vote rule, one sweep
+# cell) with its sim references, the discrete-event engine (dispatch,
+# p-faulty search, Monte Carlo, the expected-time series), and the
+# telemetry plane (untraced and traced requests, traceparent parsing
+# and propagation, histogram observation, the event journal live and
+# nil). Writes the machine-readable report to BENCH.json.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/compiled | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_pr3.json
-
-# Fail when BENCH_pr3.json regresses allocs/op more than 2x against the
-# checked-in baseline.
-bench-check: bench
-	$(GO) run ./cmd/benchjson -compare BENCH_baseline.json BENCH_pr3.json
-
-# Telemetry-overhead benchmarks: the untraced request fast path (must
-# stay 0 allocs/op), traced requests, traceparent parsing, histogram
-# observation, and the compiled hot paths through the ctx-aware entry
-# points. Writes BENCH_pr5.json.
-bench-pr5:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/telemetry ./internal/compiled | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_pr5.json
-
-# Fail when the compiled hot paths regress allocs/op against the PR 3
-# report (benchjson compares only the benchmarks both reports share).
-bench-pr5-check: bench-pr5
-	$(GO) run ./cmd/benchjson -compare BENCH_pr3.json BENCH_pr5.json
-
-# Byzantine-era benchmarks: the crash hot paths plus the vote-rule
-# batch path (BenchmarkByzantineBatch). Writes BENCH_pr6.json.
-bench-pr6:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/telemetry ./internal/compiled | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_pr6.json
-
-# Fail when the crash-fault kernel regresses allocs/op against the PR 5
-# report — the vote rule must not cost the crash path anything.
-bench-pr6-check: bench-pr6
-	$(GO) run ./cmd/benchjson -compare BENCH_pr5.json BENCH_pr6.json
-
-# Stochastic-engine-era benchmarks: the crash hot paths plus the
-# discrete-event scheduler (dispatch must stay 0 allocs/event in steady
-# state), the p-faulty search sampler, the Monte-Carlo driver and the
-# expected-time series. Writes BENCH_pr7.json.
-bench-pr7:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/telemetry ./internal/compiled ./internal/engine | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_pr7.json
-
-# Fail when the deterministic kernel regresses allocs/op against the
-# PR 6 report — the stochastic engine must not cost the crash path
-# anything.
-bench-pr7-check: bench-pr7
-	$(GO) run ./cmd/benchjson -compare BENCH_pr6.json BENCH_pr7.json
-
-# Observability-era benchmarks: the PR 7 set plus the event journal
-# (live Record and the nil-journal disabled path, both 0 allocs/op) and
-# outbound traceparent propagation on the untraced hot path. Writes
-# BENCH_pr10.json.
-bench-pr10:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/telemetry ./internal/telemetry/journal ./internal/compiled ./internal/engine | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_pr10.json
+		| $(GO) run ./cmd/benchjson -o BENCH.json
 
-# Fail when the untraced request path or the kernels regress allocs/op
-# against the PR 7 report — the observability plane must be free when
-# it is off.
-bench-pr10-check: bench-pr10
-	$(GO) run ./cmd/benchjson -compare BENCH_pr7.json BENCH_pr10.json
+# Fail when any benchmark in BENCH.json allocates more than 2x its
+# allocs/op in the checked-in BENCH_baseline.json. The 0-allocs/op
+# contracts (untraced request, hot kernels, dispatch, nil journal) stay
+# at 0 only if they stay at 0.
+bench-check: bench
+	$(GO) run ./cmd/benchjson -compare BENCH_baseline.json BENCH.json
 
 # Static analysis beyond go vet. staticcheck is installed by CI; run
 # `go install honnef.co/go/tools/cmd/staticcheck@2025.1` to get it

@@ -131,13 +131,13 @@ func BenchmarkTheorem2Root(b *testing.B) {
 // BenchmarkMonteCarlo measures 1000 random-fault searches against
 // A(5, 2).
 func BenchmarkMonteCarlo(b *testing.B) {
-	plan, err := sim.FromStrategy(strategy.Proportional{}, 5, 2)
+	s, err := New(5, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.MonteCarlo(sim.MCConfig{Trials: 1000, Seed: int64(i)}); err != nil {
+		if _, err := s.MonteCarlo(1000, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,12 +4,12 @@
 //
 // Convert (reads the benchmark log from stdin):
 //
-//	go test -bench . -benchmem ./internal/compiled | benchjson -o BENCH_pr3.json
+//	go test -bench . -benchmem ./internal/compiled | benchjson -o BENCH.json
 //
 // Compare (exits 1 when any benchmark's allocs/op grew by more than the
 // allowed factor over the baseline):
 //
-//	benchjson -compare BENCH_baseline.json BENCH_pr3.json
+//	benchjson -compare BENCH_baseline.json BENCH.json
 //
 // The report is deliberately timestamp-free and sorted by name so that
 // reruns with identical allocation behaviour diff cleanly in git.

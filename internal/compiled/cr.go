@@ -2,8 +2,8 @@ package compiled
 
 import (
 	"math"
-	"sync"
 
+	"linesearch/internal/numeric"
 	"linesearch/internal/sim"
 )
 
@@ -11,8 +11,8 @@ import (
 // sim.Plan.EmpiricalCR — same candidate targets, same deterministic
 // winner — but evaluates every candidate through the compiled kernel:
 // one evaluator (and thus zero allocations) per worker instead of a
-// fresh []Visit and sort per target. This is the sweep engine's and
-// MeasureCR's hot path.
+// fresh []Visit and sort per target. It is the one production CR
+// evaluator: sweep cells, MeasureCR and the paper experiments.
 func (p *Plan) CR(opts sim.CROptions) (sim.CRResult, error) {
 	opts = opts.WithDefaults()
 	candidates, err := p.src.CRCandidates(opts)
@@ -21,36 +21,16 @@ func (p *Plan) CR(opts sim.CROptions) (sim.CRResult, error) {
 	}
 
 	ratios := make([]float64, len(candidates))
-	workers := opts.Parallelism
-	if workers > len(candidates) {
-		workers = len(candidates)
+	evals := make([]*Evaluator, min(opts.Parallelism, len(candidates)))
+	for w := range evals {
+		evals[w] = p.evals.get()
 	}
-	if workers <= 1 {
-		e := p.evals.get()
-		for i, x := range candidates {
-			ratios[i] = e.SearchTime(x) / math.Abs(x)
-		}
+	_ = numeric.Chunked(len(candidates), len(evals), func(w, i int) error {
+		ratios[i] = evals[w].SearchTime(candidates[i]) / math.Abs(candidates[i])
+		return nil
+	})
+	for _, e := range evals {
 		p.evals.put(e)
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(candidates) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, len(candidates))
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				e := p.evals.get()
-				for i := lo; i < hi; i++ {
-					ratios[i] = e.SearchTime(candidates[i]) / math.Abs(candidates[i])
-				}
-				p.evals.put(e)
-			}(lo, hi)
-		}
-		wg.Wait()
 	}
 
 	res := sim.CRResult{Sup: math.Inf(-1), Candidates: len(candidates)}

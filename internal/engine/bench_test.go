@@ -74,7 +74,10 @@ func BenchmarkEngineSearchPFaulty(b *testing.B) {
 }
 
 // BenchmarkEngineMonteCarlo is the full sampled-estimate path: worker
-// fan-out, per-trial stream splits, reduction.
+// fan-out, per-trial stream splits, reduction. Parallelism is pinned
+// because every worker builds its own Engine: at the GOMAXPROCS default
+// allocs/op would scale with the machine's core count, and the
+// allocation gate compares against one checked-in baseline.
 func BenchmarkEngineMonteCarlo(b *testing.B) {
 	tr := halfLineTraj(b, 1, 2)
 	specs := []RobotSpec{
@@ -85,7 +88,7 @@ func BenchmarkEngineMonteCarlo(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := MonteCarlo(ctx, specs, Options{}, MCConfig{X: 9.5, Trials: 256, Seed: int64(i)})
+		res, err := MonteCarlo(ctx, specs, Options{}, MCConfig{X: 9.5, Trials: 256, Seed: int64(i), Parallelism: 2})
 		if err != nil {
 			b.Fatal(err)
 		}

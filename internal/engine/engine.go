@@ -118,9 +118,6 @@ type Options struct {
 	// time). A capped run reports Truncated with DetectTime +Inf.
 	// 0 defaults to DefaultMaxEvents.
 	MaxEvents int
-	// Record retains the full event timeline on the Result. Off by
-	// default: Monte-Carlo loops must not pay for timeline storage.
-	Record bool
 }
 
 // DefaultMaxEvents is the default per-run event cap.
@@ -134,11 +131,9 @@ type Engine struct {
 	robots    []RobotSpec
 	votes     int
 	maxEvents int
-	record    bool
 
-	q        eventQueue
-	st       []robotState
-	timeline []Event
+	q  eventQueue
+	st []robotState
 }
 
 // robotState is the per-run mutable state of one robot's machine. The
@@ -194,7 +189,6 @@ func New(robots []RobotSpec, opts Options) (*Engine, error) {
 		robots:    append([]RobotSpec(nil), robots...),
 		votes:     votes,
 		maxEvents: maxEvents,
-		record:    opts.Record,
 		st:        make([]robotState, len(robots)),
 	}, nil
 }
@@ -215,9 +209,6 @@ type Result struct {
 	// cap firing.
 	Events    int
 	Truncated bool
-	// Timeline holds every dispatched event in dispatch order when the
-	// engine was built with Options.Record.
-	Timeline []Event
 }
 
 // visitDedupeTol collapses the twin visit times a turning point at the
@@ -237,7 +228,6 @@ const visitDedupeTol = 1e-9
 // is motion with no observer and the target is never found.
 func (e *Engine) Search(x float64, stream Stream) (Result, error) {
 	e.q.reset()
-	e.timeline = e.timeline[:0]
 	live := 0
 	for i := range e.robots {
 		r := &e.robots[i]
@@ -279,9 +269,6 @@ func (e *Engine) Search(x float64, stream Stream) (Result, error) {
 			res.Truncated = true
 			break
 		}
-		if e.record {
-			e.timeline = append(e.timeline, ev)
-		}
 		switch ev.Kind {
 		case EventStart:
 			r := &e.robots[ev.Robot]
@@ -292,7 +279,7 @@ func (e *Engine) Search(x float64, stream Stream) (Result, error) {
 			e.scheduleNextVisit(ev.Robot, x, &live)
 
 		case EventFaultActivation, EventFalseClaim:
-			// Timeline-only markers.
+			// Markers: dispatched and counted, no effect on detection.
 
 		case EventTurn:
 			e.scheduleNextTurn(ev.Robot)
@@ -317,14 +304,8 @@ func (e *Engine) Search(x float64, stream Stream) (Result, error) {
 		case EventDetect:
 			res.Detected = true
 			res.DetectTime = ev.T
-			if e.record {
-				res.Timeline = append([]Event(nil), e.timeline...)
-			}
 			return res, nil
 		}
-	}
-	if e.record {
-		res.Timeline = append([]Event(nil), e.timeline...)
 	}
 	return res, nil
 }
@@ -372,7 +353,7 @@ const visitHorizonMax = 1e15
 // scheduleNextVisit pushes the robot's next visit event of x. Reliable
 // and Delay robots act only on their first visit; PFaulty robots walk
 // their full (deduplicated) visit stream, fetched on demand; liars get
-// their first visit for the false-claim timeline. A claim-capable robot
+// their first visit for the false-claim marker. A claim-capable robot
 // whose stream runs out is retired from the live count.
 func (e *Engine) scheduleNextVisit(robot int, x float64, live *int) {
 	r := &e.robots[robot]

@@ -312,48 +312,6 @@ func TestRunIsPureFunctionOfStream(t *testing.T) {
 	}
 }
 
-func TestRecordTimelineShape(t *testing.T) {
-	trajs := zigzagFleet(t, 2)
-	eng, err := New([]RobotSpec{
-		{Traj: trajs[0]},
-		{Traj: trajs[1], Kind: fault.Crash},
-	}, Options{Record: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Search(2, NewStream(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Timeline) == 0 || len(res.Timeline) != res.Events {
-		t.Fatalf("timeline %d events, dispatched %d", len(res.Timeline), res.Events)
-	}
-	counts := map[EventKind]int{}
-	lastT := math.Inf(-1)
-	for _, ev := range res.Timeline {
-		counts[ev.Kind]++
-		if ev.T < lastT {
-			t.Fatalf("timeline not time-ordered: %g after %g", ev.T, lastT)
-		}
-		lastT = ev.T
-	}
-	if counts[EventStart] != 2 {
-		t.Errorf("start events = %d, want 2", counts[EventStart])
-	}
-	if counts[EventFaultActivation] != 1 {
-		t.Errorf("fault-activation events = %d, want 1 (one crash robot)", counts[EventFaultActivation])
-	}
-	if counts[EventClaim] != 1 || counts[EventDetect] != 1 {
-		t.Errorf("claim/detect = %d/%d, want 1/1", counts[EventClaim], counts[EventDetect])
-	}
-	if res.Timeline[len(res.Timeline)-1].Kind != EventDetect {
-		t.Error("timeline does not end at the detect event")
-	}
-	if counts[EventTurn] == 0 {
-		t.Error("no turn events recorded")
-	}
-}
-
 func TestVoteThresholdWaitsForSecondClaim(t *testing.T) {
 	trajs := zigzagFleet(t, 3)
 	eng, err := New([]RobotSpec{

@@ -25,8 +25,8 @@ const (
 	// succeeds) or late (delay robots).
 	EventClaim
 	// EventFalseClaim is a Byzantine liar's fabricated announcement at a
-	// non-target position. The detection rule ignores it; it exists for
-	// timelines.
+	// non-target position. The detection rule ignores it; it counts
+	// toward Result.Events like every dispatched event.
 	EventFalseClaim
 	// EventDetect marks the detection rule accepting the target: the
 	// VotesRequired-th distinct truthful claim.

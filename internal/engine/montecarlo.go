@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"linesearch/internal/numeric"
 	"linesearch/internal/telemetry"
@@ -88,10 +87,14 @@ func MonteCarlo(ctx context.Context, robots []RobotSpec, opts Options, cfg MCCon
 	if err := cfg.validate(); err != nil {
 		return MCResult{}, err
 	}
-	// Validate the fleet once up front so workers cannot race on a
-	// construction error.
-	if _, err := New(robots, opts); err != nil {
-		return MCResult{}, err
+	// One Engine per worker, built up front so a construction error
+	// surfaces before any trial runs.
+	workers := min(cfg.Parallelism, cfg.Trials)
+	engines := make([]*Engine, workers)
+	for w := range engines {
+		if engines[w], err = New(robots, opts); err != nil {
+			return MCResult{}, err
+		}
 	}
 
 	root := NewStream(cfg.Seed)
@@ -99,62 +102,24 @@ func MonteCarlo(ctx context.Context, robots []RobotSpec, opts Options, cfg MCCon
 	counts := make([]struct {
 		undetected, truncated int
 		events                int64
-	}, cfg.Parallelism)
-
-	workers := cfg.Parallelism
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-	chunk := (cfg.Trials + workers - 1) / workers
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > cfg.Trials {
-			hi = cfg.Trials
+	}, workers)
+	err = numeric.Chunked(cfg.Trials, workers, func(w, i int) error {
+		res, err := engines[w].Search(cfg.X, root.Split(uint64(i)))
+		if err != nil {
+			return err
 		}
-		if lo >= hi {
-			break
+		times[i] = res.DetectTime
+		counts[w].events += int64(res.Events)
+		if !res.Detected {
+			counts[w].undetected++
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			eng, err := New(robots, opts)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			for i := lo; i < hi; i++ {
-				res, err := eng.Search(cfg.X, root.Split(uint64(i)))
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				times[i] = res.DetectTime
-				counts[w].events += int64(res.Events)
-				if !res.Detected {
-					counts[w].undetected++
-				}
-				if res.Truncated {
-					counts[w].truncated++
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return MCResult{}, firstErr
+		if res.Truncated {
+			counts[w].truncated++
+		}
+		return nil
+	})
+	if err != nil {
+		return MCResult{}, err
 	}
 
 	res = MCResult{Trials: cfg.Trials, Min: math.Inf(1), Max: math.Inf(-1)}

@@ -2,8 +2,8 @@ package engine
 
 // Splittable deterministic RNG.
 //
-// The engine's reproducibility contract is the one sim.MCConfig states:
-// results depend only on (seed, trial index), never on scheduling. The
+// The engine's reproducibility contract: results depend only on (seed,
+// trial index), never on scheduling. The
 // classic trap is a single generator consumed in event-pop order — two
 // runs that interleave robots differently then draw different coins. The
 // fix is structural: streams form a tree. The root is keyed by the user

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+
 	"linesearch/internal/adversary"
+	"linesearch/internal/compiled"
 	"linesearch/internal/sim"
 	"linesearch/internal/strategy"
 )
@@ -14,4 +17,14 @@ func ladderGame(n, f int) (adversary.GameResult, error) {
 		return adversary.GameResult{}, err
 	}
 	return adversary.Play(plan)
+}
+
+// kernelCR measures a plan's empirical competitive ratio through the
+// compiled kernel, the evaluator the API and the sweeps use.
+func kernelCR(plan *sim.Plan, opts sim.CROptions) (sim.CRResult, error) {
+	kernel, err := compiled.Compile(plan)
+	if err != nil {
+		return sim.CRResult{}, fmt.Errorf("compiling plan: %w", err)
+	}
+	return kernel.CR(opts)
 }

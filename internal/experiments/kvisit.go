@@ -46,7 +46,7 @@ func KVisit() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := plan.EmpiricalCR(sim.CROptions{XMax: 2000})
+		res, err := kernelCR(plan, sim.CROptions{XMax: 2000})
 		if err != nil {
 			return nil, err
 		}

@@ -72,7 +72,7 @@ func measureCR(st strategy.Strategy, n, f int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := plan.EmpiricalCR(sim.CROptions{XMax: 2000})
+	res, err := kernelCR(plan, sim.CROptions{XMax: 2000})
 	if err != nil {
 		return 0, err
 	}

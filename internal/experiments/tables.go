@@ -121,7 +121,7 @@ func Verify() (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("no closed form for (%d, %d)", n, f)
 		}
-		res, err := plan.EmpiricalCR(sim.CROptions{XMax: 2000})
+		res, err := kernelCR(plan, sim.CROptions{XMax: 2000})
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +182,7 @@ func BetaSweep() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := plan.EmpiricalCR(sim.CROptions{XMax: 500})
+			res, err := kernelCR(plan, sim.CROptions{XMax: 500})
 			if err != nil {
 				return nil, err
 			}

@@ -66,7 +66,7 @@ func TurnCost() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := derived.EmpiricalCR(sim.CROptions{XMax: xmax, GridPoints: 512})
+			res, err := kernelCR(derived, sim.CROptions{XMax: xmax, GridPoints: 512})
 			if err != nil {
 				return nil, err
 			}

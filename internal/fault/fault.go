@@ -114,32 +114,8 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // Set is a concrete per-robot fault assignment: Set[i] is robot i's
-// behaviour. It replaces the raw []bool crash vector that used to
-// thread through internal/sim.
+// behaviour.
 type Set []Kind
-
-// FromBools converts a legacy crash vector (true = faulty) into a Set.
-// It is the thin compatibility adapter for callers still holding
-// []bool assignments.
-func FromBools(faulty []bool) Set {
-	s := make(Set, len(faulty))
-	for i, b := range faulty {
-		if b {
-			s[i] = Crash
-		}
-	}
-	return s
-}
-
-// Bools converts the set back into a legacy crash vector (true for any
-// faulty kind). Lossy: the distinction between kinds is dropped.
-func (s Set) Bools() []bool {
-	out := make([]bool, len(s))
-	for i, k := range s {
-		out[i] = k.Faulty()
-	}
-	return out
-}
 
 // NumFaulty counts the robots with a non-reliable kind.
 func (s Set) NumFaulty() int {

@@ -35,25 +35,6 @@ func TestKindPredicates(t *testing.T) {
 	}
 }
 
-func TestSetBoolsRoundTrip(t *testing.T) {
-	in := []bool{true, false, true, false}
-	s := FromBools(in)
-	if s.NumFaulty() != 2 || s.Count(Crash) != 2 {
-		t.Fatalf("FromBools(%v) = %v", in, s)
-	}
-	out := s.Bools()
-	for i := range in {
-		if out[i] != in[i] {
-			t.Fatalf("Bools round trip: got %v want %v", out, in)
-		}
-	}
-	// Byzantine kinds flatten to true as well.
-	s2 := Set{Reliable, ByzantineLiar, ByzantineSilent}
-	if got := s2.Bools(); !got[1] || !got[2] || got[0] {
-		t.Errorf("Bools(%v) = %v", s2, got)
-	}
-}
-
 func TestSetRobotsAndString(t *testing.T) {
 	s := Set{Reliable, ByzantineLiar, Crash, Reliable, ByzantineLiar}
 	liars := s.Robots(ByzantineLiar)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"linesearch/internal/numeric"
 )
@@ -90,7 +89,8 @@ type CRResult struct {
 // corner on both half lines, plus a geometric safety grid. Candidates
 // are evaluated by a worker pool (CROptions.Parallelism); the result is
 // deterministic: the first candidate in generation order achieving the
-// supremum is the witness.
+// supremum is the witness. This is the test oracle for
+// compiled.Plan.CR, which every production caller uses.
 func (p *Plan) EmpiricalCR(opts CROptions) (CRResult, error) {
 	opts = opts.WithDefaults()
 	candidates, err := p.CRCandidates(opts)
@@ -99,36 +99,10 @@ func (p *Plan) EmpiricalCR(opts CROptions) (CRResult, error) {
 	}
 
 	ratios := make([]float64, len(candidates))
-	workers := opts.Parallelism
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	if workers == 1 {
-		for i, x := range candidates {
-			ratios[i] = p.SearchTime(x) / math.Abs(x)
-		}
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(candidates) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(candidates) {
-				hi = len(candidates)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					ratios[i] = p.SearchTime(candidates[i]) / math.Abs(candidates[i])
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
+	_ = numeric.Chunked(len(candidates), opts.Parallelism, func(_, i int) error {
+		ratios[i] = p.SearchTime(candidates[i]) / math.Abs(candidates[i])
+		return nil
+	})
 
 	res := CRResult{Sup: math.Inf(-1), Candidates: len(candidates)}
 	for i, r := range ratios {

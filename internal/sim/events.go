@@ -151,22 +151,6 @@ func (p *Plan) Timeline(x float64, set fault.Set, tmax float64) ([]Event, error)
 	return events, nil
 }
 
-// TimelineBools is the thin []bool compatibility adapter for Timeline:
-// true entries become the model's worst faulty kind.
-func (p *Plan) TimelineBools(x float64, faulty []bool, tmax float64) ([]Event, error) {
-	if len(faulty) != len(p.trajs) {
-		return nil, fmt.Errorf("sim: fault vector has %d entries for %d robots", len(faulty), len(p.trajs))
-	}
-	set := make(fault.Set, len(faulty))
-	worst := p.model.WorstKind()
-	for i, b := range faulty {
-		if b {
-			set[i] = worst
-		}
-	}
-	return p.Timeline(x, set, tmax)
-}
-
 // isCorner reports whether consecutive displacements constitute a
 // direction reversal (ignoring waiting legs, which have displacement 0).
 func isCorner(prev, next float64) bool {

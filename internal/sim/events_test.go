@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"linesearch/internal/fault"
 	"linesearch/internal/numeric"
 	"linesearch/internal/strategy"
 )
@@ -12,8 +13,8 @@ import (
 func TestTimelineBasicStructure(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
 	x := 2.0
-	faulty := p.WorstFaultSet(x)
-	events, err := p.TimelineBools(x, faulty, 100)
+	faulty := p.WorstFaultAssignment(x)
+	events, err := p.Timeline(x, faulty, 100)
 	if err != nil {
 		t.Fatalf("Timeline: %v", err)
 	}
@@ -59,12 +60,12 @@ func TestTimelineBasicStructure(t *testing.T) {
 func TestTimelineDetectMatchesDetectionTime(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
 	x := -1.7
-	faulty := p.WorstFaultSet(x)
-	want, err := p.DetectionTimeBools(x, faulty)
+	faulty := p.WorstFaultAssignment(x)
+	want, err := p.DetectionTime(x, faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := p.TimelineBools(x, faulty, want+10)
+	events, err := p.Timeline(x, faulty, want+10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestTimelineDetectMatchesDetectionTime(t *testing.T) {
 			if !numeric.AlmostEqual(e.T, want, 1e-12) {
 				t.Errorf("detect at %v, want %v", e.T, want)
 			}
-			if faulty[e.Robot] {
+			if faulty[e.Robot].Faulty() {
 				t.Errorf("faulty robot %d credited with detection", e.Robot)
 			}
 		}
@@ -88,7 +89,7 @@ func TestTimelineDetectMatchesDetectionTime(t *testing.T) {
 func TestTimelineNoDetectBeyondHorizon(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
 	x := 100.0
-	events, err := p.TimelineBools(x, make([]bool, 3), 5) // horizon too short
+	events, err := p.Timeline(x, make(fault.Set, 3), 5) // horizon too short
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +102,10 @@ func TestTimelineNoDetectBeyondHorizon(t *testing.T) {
 
 func TestTimelineValidation(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	if _, err := p.TimelineBools(1, []bool{true}, 10); err == nil {
-		t.Error("short fault vector accepted")
+	if _, err := p.Timeline(1, fault.Set{fault.Crash}, 10); err == nil {
+		t.Error("short fault assignment accepted")
 	}
-	if _, err := p.TimelineBools(1, make([]bool, 3), -1); err == nil {
+	if _, err := p.Timeline(1, make(fault.Set, 3), -1); err == nil {
 		t.Error("negative horizon accepted")
 	}
 }
@@ -113,7 +114,7 @@ func TestTimelineWaitingRobotsStartLate(t *testing.T) {
 	// In A(3,1) robots depart the origin at (beta-1)*|tau'_i|; starts
 	// must carry those staggered times, all at x = 0.
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	events, err := p.TimelineBools(50, make([]bool, 3), 10)
+	events, err := p.Timeline(50, make(fault.Set, 3), 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,11 @@
 // per-target visit times, the worst-case search time (the visit of the
 // DetectionRank-th distinct robot — the adversary makes the earliest
 // visitors faulty, and Byzantine detection additionally waits for
-// enough truthful confirmations to outvote possible liars), empirical
-// competitive ratios, full event timelines including false claims, and
-// Monte-Carlo statistics under random fault assignments.
+// enough truthful confirmations to outvote possible liars), detection
+// times under concrete fault assignments, the competitive-ratio
+// candidate targets, and full event timelines including false claims.
+// Its EmpiricalCR is the reference the compiled kernel's CR is tested
+// against; production measures CR through internal/compiled.
 //
 // Nothing here is time-stepped; every quantity comes from the
 // trajectories' closed-form visit queries, so results are exact up to
@@ -114,10 +116,40 @@ func (p *Plan) FirstVisits(x float64) []Visit {
 			visits = append(visits, Visit{Robot: i, T: t})
 		}
 	}
+	sortVisits(visits)
+	return visits
+}
+
+// FirstVisitsAtSpeeds is FirstVisits for a fleet in which robot i runs
+// its trajectory at speeds[i] times unit speed (nil means unit speeds):
+// each first-visit time is divided by its robot's speed, and the visits
+// are sorted by that scaled time, ties broken by robot index. At a
+// uniform speed scaling cannot reorder arrivals, so the order is
+// exactly FirstVisits'. speeds must be nil or have one entry per robot.
+func (p *Plan) FirstVisitsAtSpeeds(x float64, speeds []float64) []Visit {
+	visits := p.FirstVisits(x)
+	if speeds == nil {
+		return visits
+	}
+	uniform := true
+	for _, v := range speeds {
+		uniform = uniform && v == speeds[0]
+	}
+	for i := range visits {
+		visits[i].T /= speeds[visits[i].Robot]
+	}
+	if !uniform {
+		sortVisits(visits)
+	}
+	return visits
+}
+
+// sortVisits orders visits by time, ties broken by robot index.
+func sortVisits(visits []Visit) {
 	if len(visits) < 2 {
 		// Nothing to order (in particular every n == 1 plan): skip the
 		// sort and its closure allocation.
-		return visits
+		return
 	}
 	sort.Slice(visits, func(a, b int) bool {
 		if visits[a].T != visits[b].T {
@@ -125,7 +157,6 @@ func (p *Plan) FirstVisits(x float64) []Visit {
 		}
 		return visits[a].Robot < visits[b].Robot
 	})
-	return visits
 }
 
 // KthDistinctVisit returns the time of the k-th distinct robot's first
@@ -183,12 +214,6 @@ func (p *Plan) WorstFaultAssignment(x float64) fault.Set {
 	return set
 }
 
-// WorstFaultSet is the legacy []bool form of WorstFaultAssignment
-// (true = faulty), kept for callers that do not care about kinds.
-func (p *Plan) WorstFaultSet(x float64) []bool {
-	return p.WorstFaultAssignment(x).Bools()
-}
-
 // DetectionTime returns the time a target at x is found given a
 // concrete fault assignment, under the plan's detection rule: the
 // VotesRequired-th first visit by a reliable robot (1 vote in the crash
@@ -212,22 +237,6 @@ func (p *Plan) DetectionTime(x float64, set fault.Set) (float64, error) {
 		}
 	}
 	return math.Inf(1), nil
-}
-
-// DetectionTimeBools is the thin []bool compatibility adapter for
-// DetectionTime: true entries become the model's worst faulty kind.
-func (p *Plan) DetectionTimeBools(x float64, faulty []bool) (float64, error) {
-	if len(faulty) != len(p.trajs) {
-		return 0, fmt.Errorf("sim: fault vector has %d entries for %d robots", len(faulty), len(p.trajs))
-	}
-	set := make(fault.Set, len(faulty))
-	worst := p.model.WorstKind()
-	for i, b := range faulty {
-		if b {
-			set[i] = worst
-		}
-	}
-	return p.DetectionTime(x, set)
 }
 
 // Ratio returns SearchTime(x) / |x|, the quantity whose supremum over

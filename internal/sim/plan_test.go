@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"linesearch/internal/fault"
 	"linesearch/internal/geom"
 	"linesearch/internal/numeric"
 	"linesearch/internal/strategy"
@@ -110,17 +111,11 @@ func TestSearchTimeInfiniteWhenUndetectable(t *testing.T) {
 func TestWorstFaultSetMatchesSearchTime(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 5, 2)
 	for _, x := range []float64{1, -1.5, 3.7, -42, 500} {
-		faulty := p.WorstFaultSet(x)
-		var count int
-		for _, b := range faulty {
-			if b {
-				count++
-			}
-		}
-		if count != 2 {
+		faulty := p.WorstFaultAssignment(x)
+		if count := faulty.Count(fault.Crash); count != 2 {
 			t.Errorf("x=%v: worst fault set has %d faults, want 2", x, count)
 		}
-		detect, err := p.DetectionTimeBools(x, faulty)
+		detect, err := p.DetectionTime(x, faulty)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,11 +133,11 @@ func TestRandomFaultsNeverWorseThanAdversary(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			x = -x
 		}
-		faulty := make([]bool, 5)
+		faulty := make(fault.Set, 5)
 		for _, i := range rng.Perm(5)[:3] {
-			faulty[i] = true
+			faulty[i] = fault.Crash
 		}
-		detect, err := p.DetectionTimeBools(x, faulty)
+		detect, err := p.DetectionTime(x, faulty)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +150,7 @@ func TestRandomFaultsNeverWorseThanAdversary(t *testing.T) {
 func TestDetectionTimeNoFaults(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
 	visits := p.FirstVisits(2.5)
-	detect, err := p.DetectionTimeBools(2.5, make([]bool, 3))
+	detect, err := p.DetectionTime(2.5, make(fault.Set, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +168,7 @@ func TestDetectionTimeAllVisitorsFaulty(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only robot 0 reaches x = 3; make it faulty.
-	detect, err := p.DetectionTimeBools(3, []bool{true, false})
+	detect, err := p.DetectionTime(3, fault.Set{fault.Crash, fault.Reliable})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +179,7 @@ func TestDetectionTimeAllVisitorsFaulty(t *testing.T) {
 
 func TestDetectionTimeRejectsBadFaultVector(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	if _, err := p.DetectionTimeBools(1, []bool{true}); err == nil {
+	if _, err := p.DetectionTime(1, fault.Set{fault.Crash}); err == nil {
 		t.Error("short fault vector accepted")
 	}
 }

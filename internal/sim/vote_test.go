@@ -216,7 +216,7 @@ func TestByzantineTimelineShowsLies(t *testing.T) {
 
 func TestCrashTimelineHasNoClaimEvents(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	events, err := p.TimelineBools(2, p.WorstFaultSet(2), 100)
+	events, err := p.Timeline(2, p.WorstFaultAssignment(2), 100)
 	if err != nil {
 		t.Fatal(err)
 	}

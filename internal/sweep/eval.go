@@ -219,50 +219,20 @@ func EvalCell(ctx context.Context, p CellParams) Cell {
 }
 
 // evalExpected adds the stochastic objective to a cell: the supremum of
-// E[T(x)]/|x| over the candidate targets, through the engine's analytic
-// series. The per-visit miss probability comes from the plan's model
-// (pfaulty fault-model axis) or the cell's p-axis entry; speeds from
-// the cell's speed vector (one entry broadcasts). Each target is
-// evaluated under the plan's worst-case crash assignment, the
-// stochastic analogue of the deterministic supremum.
+// E[T(x)]/|x| over the candidate targets, each evaluated exactly as
+// the public API's ExpectedSearchTime evaluates it (engine's
+// ExpectedSearchTime: the f earliest arrivals at the cell's speeds
+// crash, every other robot misses each visit with the cell's p).
 func evalExpected(ctx context.Context, plan *sim.Plan, p CellParams, cell *Cell) error {
 	_, span := telemetry.StartSpan(ctx, "cell.expected")
 	defer span.End()
-	pVal := 0.0
-	if m := plan.Model(); m.Kind == fault.ModelPFaulty {
-		pVal = m.P
-	}
-	if p.HasP {
-		pVal = p.P
-	}
-	span.SetFloat("p", pVal)
-	trajs := plan.Trajectories()
-	specs := make([]engine.RobotSpec, len(trajs))
-	for i, tr := range trajs {
-		specs[i] = engine.RobotSpec{Traj: tr}
-		switch {
-		case len(p.Speeds) == 1:
-			specs[i].Speed = p.Speeds[0]
-		case len(p.Speeds) > 1:
-			specs[i].Speed = p.Speeds[i]
-		}
-	}
-	sup, argx, finite := math.Inf(-1), 0.0, 0
+	miss := missProbability(plan, p)
+	span.SetFloat("p", miss)
 	targets := expectedTargets(plan, p)
 	span.SetInt("targets", int64(len(targets)))
+	sup, argx, finite := math.Inf(-1), 0.0, 0
 	for _, x := range targets {
-		set := plan.WorstFaultAssignment(x)
-		for i := range specs {
-			switch {
-			case set[i].Faulty():
-				specs[i].Kind, specs[i].P = fault.Crash, 0
-			case pVal > 0:
-				specs[i].Kind, specs[i].P = fault.PFaulty, pVal
-			default:
-				specs[i].Kind, specs[i].P = fault.Reliable, 0
-			}
-		}
-		et, err := engine.ExpectedDetectionTime(specs, 1, x, engine.ExpectedOpts{})
+		et, err := engine.ExpectedSearchTime(plan, x, miss, p.Speeds)
 		if err != nil {
 			return err
 		}
@@ -280,6 +250,19 @@ func evalExpected(ctx context.Context, plan *sim.Plan, p CellParams, cell *Cell)
 		cell.ExpectedArgX = argx
 	}
 	return nil
+}
+
+// missProbability returns a cell's per-visit miss probability: the
+// p-axis entry when the spec has one, else the plan's own p under the
+// pfaulty fault model, else 0.
+func missProbability(plan *sim.Plan, p CellParams) float64 {
+	if p.HasP {
+		return p.P
+	}
+	if m := plan.Model(); m.Kind == fault.ModelPFaulty {
+		return m.P
+	}
+	return 0
 }
 
 // expectedTargets returns the stochastic objective's candidate grid:

@@ -34,6 +34,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"sort"
 
 	"linesearch/internal/adversary"
@@ -41,6 +43,7 @@ import (
 	"linesearch/internal/compiled"
 	"linesearch/internal/engine"
 	"linesearch/internal/fault"
+	"linesearch/internal/numeric"
 	"linesearch/internal/sim"
 	"linesearch/internal/strategy"
 )
@@ -194,18 +197,12 @@ func (s *Searcher) SearchTimeWithSpeeds(x float64, speeds []float64) (float64, e
 	// The k-th distinct visit is the k-th order statistic of the
 	// per-robot first-visit times; speed only rescales each robot's
 	// clock, so the statistic survives the scaling directly.
-	times := make([]float64, 0, s.n)
-	for i, tr := range s.plan.Trajectories() {
-		if t, ok := tr.FirstVisit(x); ok {
-			times = append(times, t/sp[i])
-		}
-	}
+	visits := s.plan.FirstVisitsAtSpeeds(x, sp)
 	rank := s.plan.DetectionRank()
-	if len(times) < rank {
+	if len(visits) < rank {
 		return math.Inf(1), nil
 	}
-	sort.Float64s(times)
-	return times[rank-1], nil
+	return visits[rank-1].T, nil
 }
 
 // ExpectedSearchTime returns the expected time to find a target at x
@@ -238,17 +235,7 @@ func (s *Searcher) ExpectedSearchTime(x, p float64, speeds []float64) (float64, 
 	if p == 0 && m.Kind == fault.ModelPFaulty {
 		p = m.P
 	}
-	specs := make([]engine.RobotSpec, s.n)
-	for i, tr := range s.plan.Trajectories() {
-		specs[i] = engine.RobotSpec{Traj: tr, Speed: sp[i]}
-		if p > 0 {
-			specs[i].Kind, specs[i].P = fault.PFaulty, p
-		}
-	}
-	for _, i := range s.worstCrashSet(x, sp) {
-		specs[i].Kind, specs[i].P = fault.Crash, 0
-	}
-	return engine.ExpectedDetectionTime(specs, 1, x, engine.ExpectedOpts{})
+	return engine.ExpectedSearchTime(s.plan, x, p, sp)
 }
 
 // ExpectedCompetitiveRatio returns the asymptotic expected competitive
@@ -261,46 +248,6 @@ func (s *Searcher) ExpectedCompetitiveRatio() (ratio float64, ok bool) {
 		return ps.ExpectedCR(s.n, s.f), true
 	}
 	return 0, false
-}
-
-// worstCrashSet returns the robots the adversary crashes against a
-// target at x: the f earliest distinct visitors under the given speed
-// vector. At uniform speeds the scaling cannot reorder arrivals, so
-// the plan's precomputed assignment answers directly.
-func (s *Searcher) worstCrashSet(x float64, sp []float64) []int {
-	uniform := true
-	for _, v := range sp {
-		if v != sp[0] {
-			uniform = false
-			break
-		}
-	}
-	out := make([]int, 0, s.f)
-	if uniform {
-		for i, k := range s.plan.WorstFaultAssignment(x) {
-			if k.Faulty() {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	type arrival struct {
-		t float64
-		i int
-	}
-	arr := make([]arrival, s.n)
-	for i, tr := range s.plan.Trajectories() {
-		t, ok := tr.FirstVisit(x)
-		if !ok {
-			t = math.Inf(1)
-		}
-		arr[i] = arrival{t: t / sp[i], i: i}
-	}
-	sort.Slice(arr, func(a, b int) bool { return arr[a].t < arr[b].t })
-	for _, a := range arr[:s.f] {
-		out = append(out, a.i)
-	}
-	return out
 }
 
 // speedVector expands a speed parameter into one entry per robot: nil
@@ -399,11 +346,11 @@ func (s *Searcher) DetectionTime(x float64, faulty []int) (float64, error) {
 	if err := s.checkTarget(x); err != nil {
 		return 0, err
 	}
-	vec, err := s.faultVector(faulty)
+	set, err := s.faultSet(faulty)
 	if err != nil {
 		return 0, err
 	}
-	return s.plan.DetectionTimeBools(x, vec)
+	return s.plan.DetectionTime(x, set)
 }
 
 // WorstFaultSet returns the indices of the robots an adversary would
@@ -412,10 +359,9 @@ func (s *Searcher) DetectionTime(x float64, faulty []int) (float64, error) {
 // silent at the target — lying elsewhere never delays detection
 // further (see TimelineFaults for explicit liar placement).
 func (s *Searcher) WorstFaultSet(x float64) []int {
-	vec := s.plan.WorstFaultSet(x)
 	var out []int
-	for i, b := range vec {
-		if b {
+	for i, k := range s.plan.WorstFaultAssignment(x) {
+		if k.Faulty() {
 			out = append(out, i)
 		}
 	}
@@ -464,68 +410,61 @@ type Event struct {
 }
 
 // Timeline reconstructs the chronological event log of a search for a
-// target at x with the given faulty robots, up to time tmax.
+// target at x with the given faulty robots, up to time tmax (finite and
+// positive).
 func (s *Searcher) Timeline(x float64, faulty []int, tmax float64) ([]Event, error) {
-	if err := s.checkTarget(x); err != nil {
+	if err := s.checkTimeline(x, tmax); err != nil {
 		return nil, err
 	}
-	if math.IsNaN(tmax) || math.IsInf(tmax, 0) || tmax < 0 {
-		return nil, fmt.Errorf("linesearch: timeline horizon must be finite and non-negative, got %g", tmax)
-	}
-	vec, err := s.faultVector(faulty)
+	set, err := s.faultSet(faulty)
 	if err != nil {
 		return nil, err
 	}
-	events, err := s.plan.TimelineBools(x, vec, tmax)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Event, len(events))
-	for i, e := range events {
-		out[i] = Event{T: e.T, Robot: e.Robot, Kind: e.Kind.String(), X: e.X}
-	}
-	return out, nil
+	return s.timeline(x, set, tmax)
 }
 
 // TimelineFaults reconstructs the event log of a search for a target at
-// x under an explicit per-robot fault assignment: robots in silent stay
-// quiet at the target (valid in both models), robots in liars
-// additionally plant a false claim at the mirror position (Byzantine
-// plans only). The two lists must be disjoint and their total size must
-// not exceed the fault budget f.
+// x under an explicit per-robot fault assignment, up to time tmax
+// (finite and positive): robots in silent stay quiet at the target
+// (valid in both models), robots in liars additionally plant a false
+// claim at the mirror position (Byzantine plans only). The two lists
+// must be disjoint and their total size must not exceed the fault
+// budget f.
 func (s *Searcher) TimelineFaults(x float64, silent, liars []int, tmax float64) ([]Event, error) {
-	if err := s.checkTarget(x); err != nil {
+	if err := s.checkTimeline(x, tmax); err != nil {
 		return nil, err
-	}
-	if math.IsNaN(tmax) || math.IsInf(tmax, 0) || tmax < 0 {
-		return nil, fmt.Errorf("linesearch: timeline horizon must be finite and non-negative, got %g", tmax)
 	}
 	m := s.plan.Model()
 	if len(liars) > 0 && !m.Admits(fault.ByzantineLiar) {
 		return nil, fmt.Errorf("linesearch: lying robots need the byzantine fault model, plan uses %s", m)
 	}
 	set := make(fault.Set, s.n)
-	assign := func(idxs []int, k fault.Kind) error {
-		for _, idx := range idxs {
-			if idx < 0 || idx >= s.n {
-				return fmt.Errorf("linesearch: faulty robot index %d out of range [0, %d)", idx, s.n)
-			}
-			if set[idx] != fault.Reliable {
-				return fmt.Errorf("linesearch: robot %d assigned two fault kinds", idx)
-			}
-			set[idx] = k
-		}
-		return nil
-	}
-	if err := assign(silent, m.WorstKind()); err != nil {
+	if err := s.markFaulty(set, silent, m.WorstKind(), errTwoKinds); err != nil {
 		return nil, err
 	}
-	if err := assign(liars, fault.ByzantineLiar); err != nil {
+	if err := s.markFaulty(set, liars, fault.ByzantineLiar, errTwoKinds); err != nil {
 		return nil, err
 	}
 	if err := set.Validate(s.n, m); err != nil {
 		return nil, fmt.Errorf("linesearch: %w", err)
 	}
+	return s.timeline(x, set, tmax)
+}
+
+// checkTimeline validates a timeline query's target and horizon.
+func (s *Searcher) checkTimeline(x, tmax float64) error {
+	if err := s.checkTarget(x); err != nil {
+		return err
+	}
+	if math.IsNaN(tmax) || math.IsInf(tmax, 0) || tmax <= 0 {
+		return fmt.Errorf("linesearch: timeline horizon must be finite and positive, got %g", tmax)
+	}
+	return nil
+}
+
+// timeline runs the plan's event-log reconstruction and converts its
+// events to the public form.
+func (s *Searcher) timeline(x float64, set fault.Set, tmax float64) ([]Event, error) {
 	events, err := s.plan.Timeline(x, set, tmax)
 	if err != nil {
 		return nil, err
@@ -546,26 +485,77 @@ type Stats struct {
 	Median, P95, P99 float64
 }
 
+// Monte-Carlo fault injection draws each trial's target log-uniformly
+// from [mcXMin, mcXMax] on a uniformly random side.
+const (
+	mcXMin, mcXMax = 1, 1e4
+	// mcSeedMix decorrelates per-trial generators derived from the same
+	// base seed (the 64-bit golden-ratio constant of splitmix64,
+	// reinterpreted as a signed value).
+	mcSeedMix = int64(-7046029254386353131) // 0x9E3779B97F4A7C15
+)
+
 // MonteCarlo runs trials random searches (random fault set of size f,
 // random target with 1 <= |x| <= 1e4) and reports ratio statistics.
 // Random faults are far kinder than the adversary: the mean sits well
-// below the worst-case competitive ratio.
+// below the worst-case competitive ratio. Trials run on a worker pool;
+// every trial seeds its own generator from (seed, trial index), so the
+// result depends only on (trials, seed).
 func (s *Searcher) MonteCarlo(trials int, seed int64) (Stats, error) {
-	res, err := s.plan.MonteCarlo(sim.MCConfig{Trials: trials, Seed: seed})
+	if trials < 1 {
+		return Stats{}, fmt.Errorf("linesearch: Monte-Carlo trials must be positive, got %d", trials)
+	}
+	ratios := make([]float64, trials)
+	err := numeric.Chunked(trials, runtime.GOMAXPROCS(0), func(_, i int) error {
+		r, err := s.trial(seed, i)
+		ratios[i] = r
+		return err
+	})
 	if err != nil {
 		return Stats{}, err
 	}
-	st := Stats{Trials: res.Trials, Mean: res.Mean, Min: res.Min, Max: res.Max}
-	if st.Median, err = res.Quantile(0.5); err != nil {
-		return Stats{}, err
+	st := Stats{Trials: trials, Min: math.Inf(1), Max: math.Inf(-1)}
+	var sum numeric.KahanSum
+	for _, r := range ratios {
+		sum.Add(r)
+		st.Min = math.Min(st.Min, r)
+		st.Max = math.Max(st.Max, r)
 	}
-	if st.P95, err = res.Quantile(0.95); err != nil {
-		return Stats{}, err
-	}
-	if st.P99, err = res.Quantile(0.99); err != nil {
-		return Stats{}, err
-	}
+	st.Mean = sum.Value() / float64(trials)
+	sort.Float64s(ratios)
+	quantile := func(q float64) float64 { return ratios[int(q*float64(trials-1))] }
+	st.Median, st.P95, st.P99 = quantile(0.5), quantile(0.95), quantile(0.99)
 	return st, nil
+}
+
+// trial runs one random search with a generator derived from the base
+// seed and the trial index, returning detection time over distance.
+// The fault assignment is a uniformly random set of exactly f robots;
+// under the Byzantine model each faulty robot additionally flips a fair
+// coin between silence and lying (the detection rule treats both the
+// same). Crash-model trials draw no coin, so their random stream is
+// the same as before the Byzantine model existed.
+func (s *Searcher) trial(seed int64, idx int) (float64, error) {
+	rng := rand.New(rand.NewSource(seed ^ (int64(idx+1) * mcSeedMix)))
+	logMin, logMax := math.Log(mcXMin), math.Log(mcXMax)
+	x := math.Exp(logMin + rng.Float64()*(logMax-logMin))
+	if rng.Intn(2) == 0 {
+		x = -x
+	}
+	m := s.plan.Model()
+	set := make(fault.Set, s.n)
+	for _, i := range rng.Perm(s.n)[:m.F] {
+		kind := m.WorstKind()
+		if m.Kind == fault.ModelByzantine && rng.Intn(2) == 0 {
+			kind = fault.ByzantineLiar
+		}
+		set[i] = kind
+	}
+	detect, err := s.plan.DetectionTime(x, set)
+	if err != nil {
+		return 0, err
+	}
+	return detect / math.Abs(x), nil
 }
 
 // VerifyLowerBound plays the Theorem 2 adversary against this plan and
@@ -580,19 +570,37 @@ func (s *Searcher) VerifyLowerBound() (alpha, ratio float64, err error) {
 	return res.Alpha, res.Ratio, nil
 }
 
-// faultVector converts an index list into a dense fault vector.
-func (s *Searcher) faultVector(faulty []int) ([]bool, error) {
-	vec := make([]bool, s.n)
-	for _, idx := range faulty {
-		if idx < 0 || idx >= s.n {
-			return nil, fmt.Errorf("linesearch: faulty robot index %d out of range [0, %d)", idx, s.n)
-		}
-		if vec[idx] {
-			return nil, fmt.Errorf("linesearch: duplicate faulty robot index %d", idx)
-		}
-		vec[idx] = true
+// Formats of the error for a robot index listed twice: once in a
+// single faulty list, or in both the silent and the liar lists.
+const (
+	errDuplicateFaulty = "linesearch: duplicate faulty robot index %d"
+	errTwoKinds        = "linesearch: robot %d assigned two fault kinds"
+)
+
+// faultSet builds the fault assignment in which the listed robots take
+// the plan's worst faulty kind and every other robot is reliable.
+func (s *Searcher) faultSet(faulty []int) (fault.Set, error) {
+	set := make(fault.Set, s.n)
+	if err := s.markFaulty(set, faulty, s.plan.Model().WorstKind(), errDuplicateFaulty); err != nil {
+		return nil, err
 	}
-	return vec, nil
+	return set, nil
+}
+
+// markFaulty assigns kind k to every listed robot index in set. An index
+// outside [0, n) is an error, as is one already assigned a faulty kind,
+// reported with the duplicate format dup.
+func (s *Searcher) markFaulty(set fault.Set, idxs []int, k fault.Kind, dup string) error {
+	for _, idx := range idxs {
+		if idx < 0 || idx >= s.n {
+			return fmt.Errorf("linesearch: faulty robot index %d out of range [0, %d)", idx, s.n)
+		}
+		if set[idx] != fault.Reliable {
+			return fmt.Errorf(dup, idx)
+		}
+		set[idx] = k
+	}
+	return nil
 }
 
 // BoundsInfo bundles the closed-form guarantees for a pair (n, f).

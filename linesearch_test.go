@@ -521,3 +521,69 @@ func FuzzSearchTime(fz *testing.F) {
 		}
 	})
 }
+
+// TestTimelineRejectsNonPositiveHorizon: both timeline entry points
+// reject a horizon that is not finite and positive with a public error,
+// tmax = 0 included (an empty event log is not a useful answer).
+func TestTimelineRejectsNonPositiveHorizon(t *testing.T) {
+	s, err := NewWithStrategy("byzantine", 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "linesearch: timeline horizon must be finite and positive, got "
+	cases := []struct {
+		tmax float64
+		want string
+	}{
+		{0, prefix + "0"},
+		{math.Copysign(0, -1), prefix + "-0"},
+		{-1, prefix + "-1"},
+		{math.NaN(), prefix + "NaN"},
+		{math.Inf(1), prefix + "+Inf"},
+		{math.Inf(-1), prefix + "-Inf"},
+	}
+	for _, c := range cases {
+		if _, err := s.Timeline(2, []int{0}, c.tmax); err == nil || err.Error() != c.want {
+			t.Errorf("Timeline(tmax=%g): error %v, want %q", c.tmax, err, c.want)
+		}
+		if _, err := s.TimelineFaults(2, []int{0}, nil, c.tmax); err == nil || err.Error() != c.want {
+			t.Errorf("TimelineFaults(tmax=%g): error %v, want %q", c.tmax, err, c.want)
+		}
+	}
+	if _, err := s.Timeline(2, []int{0}, 1e-9); err != nil {
+		t.Errorf("tiny positive horizon rejected: %v", err)
+	}
+}
+
+// TestFaultIndexErrors pins the error text for malformed fault lists.
+func TestFaultIndexErrors(t *testing.T) {
+	s, err := NewWithStrategy("byzantine", 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		call func() error
+		want string
+	}{
+		{"detection out of range", func() error { _, err := s.DetectionTime(2, []int{4}); return err },
+			"linesearch: faulty robot index 4 out of range [0, 4)"},
+		{"detection negative", func() error { _, err := s.DetectionTime(2, []int{-1}); return err },
+			"linesearch: faulty robot index -1 out of range [0, 4)"},
+		{"detection duplicate", func() error { _, err := s.DetectionTime(2, []int{1, 1}); return err },
+			"linesearch: duplicate faulty robot index 1"},
+		{"timeline duplicate", func() error { _, err := s.Timeline(2, []int{2, 2}, 50); return err },
+			"linesearch: duplicate faulty robot index 2"},
+		{"silent out of range", func() error { _, err := s.TimelineFaults(2, []int{9}, nil, 50); return err },
+			"linesearch: faulty robot index 9 out of range [0, 4)"},
+		{"silent duplicate", func() error { _, err := s.TimelineFaults(2, []int{1, 1}, nil, 50); return err },
+			"linesearch: robot 1 assigned two fault kinds"},
+		{"silent and liar", func() error { _, err := s.TimelineFaults(2, []int{1}, []int{1}, 50); return err },
+			"linesearch: robot 1 assigned two fault kinds"},
+	}
+	for _, c := range cases {
+		if err := c.call(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+}
