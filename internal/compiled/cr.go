@@ -25,6 +25,7 @@ func (p *Plan) CR(opts sim.CROptions) (sim.CRResult, error) {
 	for w := range evals {
 		evals[w] = p.evals.get()
 	}
+	// Evaluating a candidate cannot fail, so Chunked returns nil.
 	_ = numeric.Chunked(len(candidates), len(evals), func(w, i int) error {
 		ratios[i] = evals[w].SearchTime(candidates[i]) / math.Abs(candidates[i])
 		return nil

@@ -47,13 +47,15 @@ func FromPlan(p *sim.Plan, set fault.Set, opts Options) (*Engine, error) {
 func ExpectedSearchTime(p *sim.Plan, x, miss float64, speeds []float64) (float64, error) {
 	n := p.N()
 	switch len(speeds) {
-	case 0, n:
+	case 0:
+		speeds = nil
 	case 1:
 		one := speeds[0]
 		speeds = make([]float64, n)
 		for i := range speeds {
 			speeds[i] = one
 		}
+	case n:
 	default:
 		return 0, fmt.Errorf("engine: speed vector has %d entries for %d robots", len(speeds), n)
 	}

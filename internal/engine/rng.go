@@ -3,12 +3,12 @@ package engine
 // Splittable deterministic RNG.
 //
 // The engine's reproducibility contract: results depend only on (seed,
-// trial index), never on scheduling. The
-// classic trap is a single generator consumed in event-pop order — two
-// runs that interleave robots differently then draw different coins. The
-// fix is structural: streams form a tree. The root is keyed by the user
-// seed; each trial splits off a child keyed by its index; each robot
-// splits a grandchild keyed by its index. A robot's detection coins come
+// trial index), never on scheduling. The classic trap is a single
+// generator consumed in event-pop order — two runs that interleave
+// robots differently then draw different coins. The fix is structural:
+// streams form a tree. The root is keyed by the user seed; each trial
+// splits off a child keyed by its index; each robot splits a grandchild
+// keyed by its index. A robot's detection coins come
 // only from its own stream, and its visit events are processed in
 // strictly increasing time order, so the j-th coin of robot i in trial k
 // is a pure function of (seed, k, i, j) — independent of parallelism,
@@ -18,8 +18,9 @@ package engine
 // 64-bit Weyl sequence with a finalizer mix. It is tiny, allocation-free
 // and statistically strong for simulation use; splitting re-keys the
 // Weyl increment through the finalizer so child streams are pairwise
-// decorrelated. The golden-ratio constant is the same one sim's
-// trialSeedMix uses, keeping the two packages' seeding idioms aligned.
+// decorrelated. The golden-ratio constant is the same one
+// Searcher.MonteCarlo's mcSeedMix uses, keeping the seeding idioms
+// aligned.
 
 // splitmix64 constants.
 const (

@@ -2,11 +2,11 @@ package numeric
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestChunkedIdenticalAcrossWorkers: items that write only their own
@@ -80,9 +80,9 @@ func TestChunkedInlineStopsAtFirstError(t *testing.T) {
 }
 
 // TestChunkedFirstErrorWins: worker 0 fails as soon as every other
-// worker is inside its first item. Those in-flight items finish
-// (one of them with a later error of its own), but the earlier error is
-// the one returned and no worker starts a second item.
+// worker is inside its first item. Those in-flight items finish (one of
+// them with a later error of its own), but the earlier error is the one
+// returned and no worker starts a second item.
 func TestChunkedFirstErrorWins(t *testing.T) {
 	const n, workers = 40, 4
 	errFirst, errLate := errors.New("first"), errors.New("late")
@@ -90,6 +90,7 @@ func TestChunkedFirstErrorWins(t *testing.T) {
 	inFlight.Add(workers - 1)
 	failed := make(chan struct{})
 	var started atomic.Int32
+	base := runtime.NumGoroutine()
 	err := Chunked(n, workers, func(w, i int) error {
 		started.Add(1)
 		if w == 0 {
@@ -99,8 +100,11 @@ func TestChunkedFirstErrorWins(t *testing.T) {
 		}
 		inFlight.Done()
 		<-failed
-		// Give the failing worker time to record its error.
-		time.Sleep(20 * time.Millisecond)
+		// Worker 0 records its error before its goroutine exits; wait
+		// for that exit.
+		for runtime.NumGoroutine() > base+workers-1 {
+			runtime.Gosched()
+		}
 		if w == 1 {
 			return errLate
 		}
