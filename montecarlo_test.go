@@ -29,25 +29,54 @@ func TestMonteCarloDeterministicBySeed(t *testing.T) {
 }
 
 // TestMonteCarloDeterministicAcrossParallelism: the per-trial seeding
-// makes the run independent of the worker count, including more
-// workers than trials.
+// makes the run independent of the worker count.
 func TestMonteCarloDeterministicAcrossParallelism(t *testing.T) {
 	s := mustSearcher(t, 5, 2)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, trials := range []int{3, 400} {
-		var base Stats
-		for i, procs := range []int{1, 2, 7, 64} {
-			runtime.GOMAXPROCS(procs)
-			res, err := s.MonteCarlo(trials, 3)
-			if err != nil {
-				t.Fatalf("trials=%d GOMAXPROCS=%d: %v", trials, procs, err)
-			}
-			if i == 0 {
-				base = res
-			} else if res != base {
-				t.Errorf("trials=%d GOMAXPROCS=%d: %+v differs from serial %+v", trials, procs, res, base)
-			}
+	var base Stats
+	for i, procs := range []int{1, 2, 7, 32} {
+		runtime.GOMAXPROCS(procs)
+		res, err := s.MonteCarlo(400, 3)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
+		if i == 0 {
+			base = res
+		} else if res != base {
+			t.Errorf("GOMAXPROCS=%d: %+v differs from serial %+v", procs, res, base)
+		}
+	}
+}
+
+// TestMonteCarloEdgeCases: a single trial gives a point distribution,
+// and more workers than trials still matches the serial run.
+func TestMonteCarloEdgeCases(t *testing.T) {
+	s := mustSearcher(t, 3, 1)
+	one, err := s.MonteCarlo(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Trials != 1 || one.Min != one.Max || one.Mean != one.Min ||
+		one.Median != one.Min || one.P95 != one.Min || one.P99 != one.Min {
+		t.Errorf("one trial: want every statistic equal, got %+v", one)
+	}
+	if one.Min < 1-1e-9 || math.IsNaN(one.Min) {
+		t.Errorf("one trial: ratio %v below 1", one.Min)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	serial, err := s.MonteCarlo(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GOMAXPROCS(64)
+	over, err := s.MonteCarlo(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if over.Trials != 3 || over != serial {
+		t.Errorf("workers > trials: %+v differs from serial %+v", over, serial)
 	}
 }
 
