@@ -7,7 +7,8 @@
 //	go test -bench . -benchmem ./internal/compiled | benchjson -o BENCH.json
 //
 // Compare (exits 1 when any benchmark's allocs/op grew by more than the
-// allowed factor over the baseline):
+// allowed factor over the baseline, or a baseline benchmark is missing
+// from the new report):
 //
 //	benchjson -compare BENCH_baseline.json BENCH.json
 //
@@ -144,17 +145,21 @@ func Parse(r io.Reader) (Report, error) {
 
 // Compare returns one message per benchmark whose allocs/op in next
 // exceeds factor times the baseline's (floored at 1 alloc/op, so a
-// 0→1 step is not a failure). Benchmarks present in only one report
-// are ignored: the baseline may predate newly added benchmarks.
+// 0→1 step is not a failure), and one per baseline benchmark missing
+// from next: a renamed or deleted benchmark must leave the baseline
+// too, or it would silently drop out of the gate. A benchmark with no
+// baseline entry is allowed — the baseline may predate it.
 func Compare(base, next Report, factor float64) []string {
-	baseline := make(map[string]Benchmark, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		baseline[b.Name] = b
+	current := make(map[string]Benchmark, len(next.Benchmarks))
+	for _, n := range next.Benchmarks {
+		current[n.Name] = n
 	}
 	var regressions []string
-	for _, n := range next.Benchmarks {
-		old, ok := baseline[n.Name]
+	for _, old := range base.Benchmarks {
+		n, ok := current[old.Name]
 		if !ok {
+			regressions = append(regressions, fmt.Sprintf(
+				"%s: in the baseline but missing from the new report", old.Name))
 			continue
 		}
 		limit := factor * float64(max(old.AllocsPerOp, 1))

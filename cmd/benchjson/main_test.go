@@ -61,7 +61,6 @@ func TestCompare(t *testing.T) {
 	base := Report{Benchmarks: []Benchmark{
 		{Name: "BenchmarkA", AllocsPerOp: 10},
 		{Name: "BenchmarkZero", AllocsPerOp: 0},
-		{Name: "BenchmarkGone", AllocsPerOp: 5},
 	}}
 	next := Report{Benchmarks: []Benchmark{
 		{Name: "BenchmarkA", AllocsPerOp: 20},    // exactly 2x: allowed
@@ -88,5 +87,23 @@ func TestCompare(t *testing.T) {
 		if !found {
 			t.Errorf("no regression reported for %s: %v", want, regs)
 		}
+	}
+}
+
+// TestCompareMissingBaseline: a baseline benchmark absent from the new
+// report fails the gate, so a renamed or deleted benchmark cannot drop
+// out of it unnoticed.
+func TestCompareMissingBaseline(t *testing.T) {
+	base := Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkA", AllocsPerOp: 10},
+		{Name: "BenchmarkGone", AllocsPerOp: 5},
+	}}
+	next := Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkA", AllocsPerOp: 10},
+		{Name: "BenchmarkNew", AllocsPerOp: 999},
+	}}
+	regs := Compare(base, next, 2)
+	if len(regs) != 1 || !strings.HasPrefix(regs[0], "BenchmarkGone:") {
+		t.Fatalf("regressions = %v, want exactly one for BenchmarkGone", regs)
 	}
 }

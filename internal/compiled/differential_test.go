@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"linesearch/internal/compiled"
+	"linesearch/internal/fault"
 	"linesearch/internal/geom"
 	"linesearch/internal/sim"
 	"linesearch/internal/stepsim"
@@ -70,9 +71,14 @@ func stepWorld(t *testing.T, plan *sim.Plan, tmax float64) *stepsim.World {
 // compiled kernel, the exact closed-form engine (internal/sim) and the
 // independent discrete-time engine (internal/stepsim) must agree to
 // 1e-9. Every k of KthDistinctVisit is cross-checked between compiled
-// and sim as well.
+// and sim as well, and so is sim.Plan.DetectionTime: under a random
+// crash set against stepsim's earliest reliable visitor, and under the
+// worst-case assignment against the compiled search time.
 func TestDifferentialCompiledSimStepsim(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
+	// Crash sets draw from their own stream so the case sequence above
+	// stays the same.
+	setRng := rand.New(rand.NewSource(20260807))
 	names := []string{"auto", "proportional", "doubling", "twogroup",
 		"cone:2.5", "cone:4", "uniform:3"}
 
@@ -132,6 +138,34 @@ func TestDifferentialCompiledSimStepsim(t *testing.T) {
 				if e := relErr(tSim, tStep); e > diffTol {
 					t.Fatalf("%s: stepsim %v vs sim %v (rel err %g)", label, tStep, tSim, e)
 				}
+
+				// Detection under given faults: a random crash set of
+				// size f is found by the earliest reliable visitor.
+				set := make(fault.Set, n)
+				for _, r := range setRng.Perm(n)[:f] {
+					set[r] = fault.Crash
+				}
+				tDet, err := plan.DetectionTime(x, set)
+				if err != nil {
+					t.Fatalf("%s: DetectionTime: %v", label, err)
+				}
+				tStepDet := math.Inf(1)
+				for _, v := range w.FirstVisits(x, tmax) {
+					if set[v.Robot] == fault.Reliable {
+						tStepDet = v.T
+						break
+					}
+				}
+				if e := relErr(tDet, tStepDet); e > diffTol {
+					t.Fatalf("%s crashed %v: DetectionTime %v vs stepsim %v (rel err %g)", label, set, tDet, tStepDet, e)
+				}
+			}
+			worst, err := plan.DetectionTime(x, plan.WorstFaultAssignment(x))
+			if err != nil {
+				t.Fatalf("%s: DetectionTime: %v", label, err)
+			}
+			if e := relErr(worst, tCompiled); e > diffTol {
+				t.Fatalf("%s: worst-case DetectionTime %v vs compiled %v (rel err %g)", label, worst, tCompiled, e)
 			}
 			cases++
 		}

@@ -15,9 +15,8 @@
 // announcement.
 //
 // The taxonomy is deliberately open-ended: the probabilistically faulty
-// model of arXiv:2002.07797 (detection fails with probability p) and
-// delay faults slot in as new Kind values without touching the Set and
-// Model machinery.
+// model of arXiv:2002.07797 (detection fails with probability p) slots
+// in as a new Kind value without touching the Set and Model machinery.
 package fault
 
 import (
@@ -47,17 +46,11 @@ const (
 	// PFaulty robots (arXiv:2002.07797) follow their trajectory and try
 	// to announce, but each visit of the target independently fails to
 	// detect it with probability p. The parameter p lives in the model
-	// (Model.P) or the engine's per-robot spec, not in the kind itself.
-	// In worst-case (adversarial-coin) analyses a p-faulty robot never
-	// confirms, so Confirms reports false; the stochastic engine in
-	// internal/engine draws the per-visit coins.
+	// (Model.P), not in the kind itself. In worst-case (adversarial-coin)
+	// analyses a p-faulty robot never confirms, so Confirms reports
+	// false; the expected-time series in internal/sim averages over the
+	// per-visit coins.
 	PFaulty
-	// Delay robots detect the target reliably but report it late: their
-	// "target found" claim arrives a latency after the visit. Only the
-	// discrete-event engine, which orders claims on an event queue,
-	// gives delayed claims their distinct semantics; worst-case analyses
-	// treat an unbounded delay as silence.
-	Delay
 
 	numKinds = iota
 )
@@ -70,7 +63,6 @@ var kindNames = [numKinds]string{
 	ByzantineSilent: "silent",
 	ByzantineLiar:   "liar",
 	PFaulty:         "pfaulty",
-	Delay:           "delay",
 }
 
 // String returns the canonical name of the kind.
@@ -91,19 +83,13 @@ func (k Kind) Byzantine() bool { return k == ByzantineSilent || k == ByzantineLi
 // Confirms reports whether a robot of this kind truthfully announces a
 // target it visits, in the worst case. Only reliable robots do: crash
 // and Byzantine-silent robots say nothing, liars never tell the truth,
-// a p-faulty robot's coins can all fail, and a delayed claim can arrive
-// arbitrarily late. The stochastic engine refines this for PFaulty and
-// Delay robots, whose claims are probabilistic or late rather than
-// absent.
+// and a p-faulty robot's coins can all fail. The expected-time series
+// refines this for PFaulty robots, whose claims are probabilistic
+// rather than absent.
 func (k Kind) Confirms() bool { return k == Reliable }
 
-// Stochastic reports whether the kind's behaviour involves randomness
-// or event timing only the discrete-event engine can evaluate: per-visit
-// detection coins (PFaulty) or late claims (Delay).
-func (k Kind) Stochastic() bool { return k == PFaulty || k == Delay }
-
 // ParseKind resolves a canonical kind name ("reliable", "crash",
-// "silent", "liar").
+// "silent", "liar", "pfaulty").
 func ParseKind(s string) (Kind, error) {
 	for k, name := range kindNames {
 		if s == name {

@@ -167,26 +167,6 @@ func (m Model) Validate(n int) error {
 	return nil
 }
 
-// AmbientSet returns the model's ambient assignment over n robots with
-// the given robots consumed from the fault budget. In the probabilistic
-// model every robot outside the budget is p-faulty and the budgeted
-// robots crash; in the deterministic models the budgeted robots get
-// WorstKind and everyone else is reliable.
-func (m Model) AmbientSet(n int, faulty ...int) Set {
-	set := make(Set, n)
-	if m.Kind == ModelPFaulty {
-		for i := range set {
-			set[i] = PFaulty
-		}
-	}
-	for _, i := range faulty {
-		if i >= 0 && i < n {
-			set[i] = m.WorstKind()
-		}
-	}
-	return set
-}
-
 // WithF returns the model with a different fault budget. An explicit
 // vote threshold is preserved; the default threshold keeps tracking the
 // new budget.

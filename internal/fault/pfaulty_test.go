@@ -11,7 +11,6 @@ func TestStochasticKindNames(t *testing.T) {
 		name string
 	}{
 		{PFaulty, "pfaulty"},
-		{Delay, "delay"},
 	}
 	for _, c := range cases {
 		if got := c.kind.String(); got != c.name {
@@ -29,14 +28,6 @@ func TestStochasticKindNames(t *testing.T) {
 		}
 		if c.kind.Confirms() {
 			t.Errorf("%v.Confirms() = true, want false (worst case)", c.kind)
-		}
-		if !c.kind.Stochastic() {
-			t.Errorf("%v.Stochastic() = false, want true", c.kind)
-		}
-	}
-	for _, k := range []Kind{Reliable, Crash, ByzantineSilent, ByzantineLiar} {
-		if k.Stochastic() {
-			t.Errorf("%v.Stochastic() = true, want false", k)
 		}
 	}
 }
@@ -61,8 +52,8 @@ func TestPFaultyModel(t *testing.T) {
 	if !m.Admits(Crash) || !m.Admits(PFaulty) {
 		t.Errorf("pfaulty model must admit crash and pfaulty kinds")
 	}
-	if m.Admits(ByzantineLiar) || m.Admits(Delay) {
-		t.Errorf("pfaulty model must not admit byzantine or delay kinds")
+	if m.Admits(ByzantineLiar) {
+		t.Errorf("pfaulty model must not admit byzantine kinds")
 	}
 	if got := m.String(); !strings.Contains(got, "pfaulty(f=1,p=0.3") {
 		t.Errorf("String() = %q, want pfaulty(f=1,p=0.3)", got)

@@ -5,7 +5,9 @@
 // visitors faulty, and Byzantine detection additionally waits for
 // enough truthful confirmations to outvote possible liars), detection
 // times under concrete fault assignments, the competitive-ratio
-// candidate targets, and full event timelines including false claims.
+// candidate targets, full event timelines including false claims, and
+// the exact expected detection time under per-visit detection failures
+// (the p-faulty model of arXiv:2002.07797).
 // Its EmpiricalCR is the reference the compiled kernel's CR is tested
 // against; production measures CR through internal/compiled.
 //

@@ -149,3 +149,31 @@ func TestOptimalGamma(t *testing.T) {
 		t.Errorf("ratio(4.1, 0.5) = %g, want +Inf (R >= 1)", r)
 	}
 }
+
+// TestPFaultyStrategyDefaultGamma checks that the parameter-free family
+// member tunes its excursion growth to the fleet's collective coin.
+func TestPFaultyStrategyDefaultGamma(t *testing.T) {
+	st, err := Parse("pfaulty:0.6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := st.(PFaultySearch)
+	trajs, err := ps.Build(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, ok := trajs[0].TailOf().(*trajectory.HalfZigZag)
+	if !ok {
+		t.Fatalf("tail is %T, want *trajectory.HalfZigZag", trajs[0].TailOf())
+	}
+	pEff := ps.EffectiveP(4, 2) // 0.36
+	want := OptimalGamma(pEff)
+	if got := tail.Gamma(); math.Abs(got-want) > 1e-9*want {
+		t.Errorf("default gamma = %g, want OptimalGamma(%g) = %g", got, pEff, want)
+	}
+	// The tuned growth must stay inside the convergent range for the
+	// collective coin.
+	if r := pEff * pEff * tail.Gamma(); r >= 1 {
+		t.Errorf("tuned growth is divergent: P^2*gamma = %g", r)
+	}
+}

@@ -7,7 +7,6 @@ import (
 
 	"linesearch/internal/analysis"
 	"linesearch/internal/compiled"
-	"linesearch/internal/engine"
 	"linesearch/internal/fault"
 	"linesearch/internal/faultpoint"
 	"linesearch/internal/sim"
@@ -63,8 +62,8 @@ type Cell struct {
 	Speeds  []float64 `json:"speeds,omitempty"`
 	SpeedID int       `json:"speed_id,omitempty"`
 	// ExpectedRatio is the stochastic objective: sup E[T(x)]/x over the
-	// candidate targets, evaluated through the engine's analytic series
-	// with the worst-case crash assignment per target. ExpectedArgX
+	// candidate targets, evaluated through sim's exact expected-time
+	// series with the worst-case crash assignment per target. ExpectedArgX
 	// witnesses the supremum; Diverged marks cells whose expectation is
 	// infinite somewhere in the target range.
 	ExpectedRatio *float64 `json:"expected_ratio,omitempty"`
@@ -220,9 +219,9 @@ func EvalCell(ctx context.Context, p CellParams) Cell {
 
 // evalExpected adds the stochastic objective to a cell: the supremum of
 // E[T(x)]/|x| over the candidate targets, each evaluated exactly as
-// the public API's ExpectedSearchTime evaluates it (engine's
-// ExpectedSearchTime: the f earliest arrivals at the cell's speeds
-// crash, every other robot misses each visit with the cell's p).
+// the public API's ExpectedSearchTime evaluates it
+// (sim.Plan.ExpectedSearchTime: the f earliest arrivals at the cell's
+// speeds crash, every other robot misses each visit with the cell's p).
 func evalExpected(ctx context.Context, plan *sim.Plan, p CellParams, cell *Cell) error {
 	_, span := telemetry.StartSpan(ctx, "cell.expected")
 	defer span.End()
@@ -232,7 +231,7 @@ func evalExpected(ctx context.Context, plan *sim.Plan, p CellParams, cell *Cell)
 	span.SetInt("targets", int64(len(targets)))
 	sup, argx, finite := math.Inf(-1), 0.0, 0
 	for _, x := range targets {
-		et, err := engine.ExpectedSearchTime(plan, x, miss, p.Speeds)
+		et, err := plan.ExpectedSearchTime(x, miss, p.Speeds)
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"linesearch"
-	"linesearch/internal/engine"
 	"linesearch/internal/sim"
 )
 
@@ -55,7 +54,7 @@ func TestExpectedObjectiveMatchesPublicAPI(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := engine.ExpectedSearchTime(plan, x, missProbability(plan, p), p.Speeds)
+				got, err := plan.ExpectedSearchTime(x, missProbability(plan, p), p.Speeds)
 				if err != nil {
 					t.Fatal(err)
 				}

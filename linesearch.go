@@ -41,7 +41,6 @@ import (
 	"linesearch/internal/adversary"
 	"linesearch/internal/analysis"
 	"linesearch/internal/compiled"
-	"linesearch/internal/engine"
 	"linesearch/internal/fault"
 	"linesearch/internal/numeric"
 	"linesearch/internal/sim"
@@ -56,8 +55,9 @@ import (
 // trajectory is flattened into binary-searchable turning-point arrays,
 // and all visit-time queries — SearchTime, KthVisitTime, SearchTimes,
 // MeasureCR — run through that allocation-free kernel. The exact
-// closed-form engine (internal/sim) remains the reference for event
-// timelines, fault analysis and the differential tests.
+// closed-form engine (internal/sim) evaluates event timelines, fault
+// analysis and the expected-time series, and remains the reference for
+// the differential tests.
 type Searcher struct {
 	n, f        int
 	minDistance float64
@@ -235,7 +235,7 @@ func (s *Searcher) ExpectedSearchTime(x, p float64, speeds []float64) (float64, 
 	if p == 0 && m.Kind == fault.ModelPFaulty {
 		p = m.P
 	}
-	return engine.ExpectedSearchTime(s.plan, x, p, sp)
+	return s.plan.ExpectedSearchTime(x, p, sp)
 }
 
 // ExpectedCompetitiveRatio returns the asymptotic expected competitive
