@@ -18,12 +18,15 @@ race:
 
 # Allocation-gated micro benchmarks: the compiled kernel (cold compile,
 # hot eval, batch sizes 1/100/10000, the Byzantine vote rule, one sweep
-# cell) with its sim references, the expected-time series, and the
+# cell) with its sim references, the expected-time series, the
 # telemetry plane (untraced and traced requests, traceparent parsing
 # and propagation, histogram observation, the event journal live and
-# nil). Writes the machine-readable report to BENCH.json.
+# nil), and the service handler (hot and cold /v1/plan, a 64-query
+# batch). The root package's -bench regex keeps its paper-experiment
+# benchmarks out. Writes the machine-readable report to BENCH.json.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/telemetry ./internal/telemetry/journal ./internal/compiled ./internal/sim | tee /dev/stderr \
+	{ $(GO) test -run '^$$' -bench . -benchmem ./internal/telemetry ./internal/telemetry/journal ./internal/compiled ./internal/sim && \
+	  $(GO) test -run '^$$' -bench '^Benchmark(ServicePlanHot|ServicePlanCold|Batch)$$' -benchmem . ; } | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH.json
 
 # Fail when any benchmark in BENCH.json allocates more than 2x its

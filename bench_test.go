@@ -104,15 +104,16 @@ func BenchmarkSearchTime(b *testing.B) {
 }
 
 // BenchmarkEmpiricalCR measures a full empirical competitive-ratio
-// search over A(3, 1) with default options.
+// search over A(3, 1) with default options, through the production
+// path (Searcher.MeasureCR, i.e. compiled.Plan.CR).
 func BenchmarkEmpiricalCR(b *testing.B) {
-	plan, err := sim.FromStrategy(strategy.Proportional{}, 3, 1)
+	s, err := New(3, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.EmpiricalCR(sim.CROptions{}); err != nil {
+		if _, _, err := s.MeasureCR(); err != nil {
 			b.Fatal(err)
 		}
 	}

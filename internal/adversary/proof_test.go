@@ -7,6 +7,10 @@ import (
 	"linesearch/internal/sim"
 )
 
+// This file replays the Theorem 2 proof against concrete plans. It is a
+// test oracle: the tests check production plans and the Lemma 6
+// classification against it.
+
 // Lemma7Bound returns 2x + y: by Lemma 7, a robot following a positive
 // or negative trajectory for x cannot reach both +y and -y before this
 // time, for any x, y >= 1.

@@ -114,22 +114,6 @@ func ProportionalityRatio(beta float64, n int) (float64, error) {
 	return math.Pow(kappa, 2/float64(n)), nil
 }
 
-// DetectionTime returns T_{f+1}, the time at which the (f+1)-st distinct
-// robot of S_beta(n) first visits the turning point tau0 > 0 of robot
-// a_0 (Lemma 4, Equation 13):
-//
-//	T_{f+1} = tau0 * ((beta+1)^((2f+2)/n) * (beta-1)^(1-(2f+2)/n) + 1).
-func DetectionTime(tau0, beta float64, n, f int) (float64, error) {
-	if tau0 <= 0 {
-		return 0, fmt.Errorf("analysis: Lemma 4 requires tau0 > 0, got %g", tau0)
-	}
-	cr, err := ConeCR(beta, n, f)
-	if err != nil {
-		return 0, err
-	}
-	return tau0 * cr, nil
-}
-
 // ConeCR returns the competitive ratio of the proportional schedule
 // S_beta(n) with f faulty robots (Lemma 5, Equation 14):
 //
@@ -170,22 +154,6 @@ func KthVisitCR(beta float64, n, k int) (float64, error) {
 	}
 	e := 2 * float64(k) / float64(n)
 	return numeric.Pow(beta+1, e)*numeric.Pow(beta-1, 1-e) + 1, nil
-}
-
-// OptimalBetaForK returns the cone slope minimising KthVisitCR for the
-// k-th-visitor objective: 4k/n - 1, by the same derivative computation
-// as below Lemma 5. It is only a valid cone slope (> 1) when n < 2k;
-// for n >= 2k the objective decreases toward the beta -> 1 boundary
-// (the schedule degenerates) and an error is returned.
-func OptimalBetaForK(n, k int) (float64, error) {
-	if n < 1 || k < 1 {
-		return 0, fmt.Errorf("analysis: OptimalBetaForK requires n, k >= 1, got n=%d, k=%d", n, k)
-	}
-	beta := 4*float64(k)/float64(n) - 1
-	if !(beta > 1) {
-		return 0, fmt.Errorf("analysis: no interior optimum for n=%d, k=%d (needs n < 2k)", n, k)
-	}
-	return beta, nil
 }
 
 // UpperBoundCR returns the competitive ratio of the paper's algorithm

@@ -211,26 +211,6 @@ func TestConeCRMinimisedAtOptimalBeta(t *testing.T) {
 	}
 }
 
-func TestDetectionTimeScalesLinearly(t *testing.T) {
-	// Lemma 4: T_{f+1} is linear in tau0; the ratio is the CR.
-	cr, err := ConeCR(5.0/3, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tau0 := range []float64{1, 2.5, 100} {
-		got, err := DetectionTime(tau0, 5.0/3, 3, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !numeric.AlmostEqual(got, tau0*cr, 1e-12) {
-			t.Errorf("DetectionTime(%v) = %v, want %v", tau0, got, tau0*cr)
-		}
-	}
-	if _, err := DetectionTime(0, 5.0/3, 3, 1); err == nil {
-		t.Error("tau0 = 0 accepted")
-	}
-}
-
 // TestUpperBoundCRTable1 checks Table 1's third column to the paper's
 // printed precision.
 func TestUpperBoundCRTable1(t *testing.T) {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"testing"
 
 	"linesearch/internal/numeric"
@@ -51,6 +52,23 @@ func TestKthVisitCRValidation(t *testing.T) {
 	if _, err := KthVisitCR(2, 5, 0); err == nil {
 		t.Error("k = 0 accepted")
 	}
+}
+
+// OptimalBetaForK is the extension finding EXPERIMENTS.md reports for
+// the kvisit experiment, checked below against KthVisitCR: the cone
+// slope minimising KthVisitCR for the k-th-visitor objective is
+// 4k/n - 1, by the same derivative computation as below Lemma 5. It is only a valid cone slope (> 1) when n < 2k;
+// for n >= 2k the objective decreases toward the beta -> 1 boundary
+// (the schedule degenerates) and an error is returned.
+func OptimalBetaForK(n, k int) (float64, error) {
+	if n < 1 || k < 1 {
+		return 0, fmt.Errorf("analysis: OptimalBetaForK requires n, k >= 1, got n=%d, k=%d", n, k)
+	}
+	beta := 4*float64(k)/float64(n) - 1
+	if !(beta > 1) {
+		return 0, fmt.Errorf("analysis: no interior optimum for n=%d, k=%d (needs n < 2k)", n, k)
+	}
+	return beta, nil
 }
 
 func TestOptimalBetaForK(t *testing.T) {

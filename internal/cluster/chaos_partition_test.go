@@ -96,7 +96,7 @@ func submitSpec(t *testing.T, n *replicaNode, spec sweep.Spec) string {
 	if st := j.Status(); st.State != sweep.StateDone {
 		t.Fatalf("sweep finished %s: %+v", st.State, st)
 	}
-	return j.ID()
+	return j.Status().ID
 }
 
 // TestPartitionKillHomeMidSweepZeroLoss is the acceptance test: a

@@ -79,28 +79,6 @@ type ReplicatorConfig struct {
 	Apply func(sweep.Checkpoint) error
 }
 
-// ReplicatorStats are the replication counters, exported on /metrics.
-type ReplicatorStats struct {
-	// Replicated counts checkpoints accepted by a peer; Failed counts
-	// sends that errored after reaching for a live peer.
-	Replicated int64 `json:"replicated"`
-	Failed     int64 `json:"failed"`
-	// Hinted counts checkpoints spooled for a down peer; HintsDropped
-	// counts spool overflow evictions; HintsReplayed counts hints
-	// delivered after the peer came back.
-	Hinted        int64 `json:"hinted"`
-	HintsDropped  int64 `json:"hints_dropped"`
-	HintsReplayed int64 `json:"hints_replayed"`
-	// HintsPending is the current spool size across peers.
-	HintsPending int `json:"hints_pending"`
-	// AntiEntropyRuns counts completed anti-entropy sweeps;
-	// RepairsPushed/RepairsPulled count checkpoints moved to heal
-	// divergence.
-	AntiEntropyRuns int64 `json:"anti_entropy_runs"`
-	RepairsPushed   int64 `json:"repairs_pushed"`
-	RepairsPulled   int64 `json:"repairs_pulled"`
-}
-
 // Replicator streams fsynced sweep checkpoints to the next RF-1 ring
 // owners, spools hints for peers that are down, and runs anti-entropy
 // digest comparisons to repair divergence after partitions. It is the
@@ -210,14 +188,6 @@ func (r *Replicator) SetMembers(alive []string) {
 	}
 	r.ring = fresh
 	r.urls = urls
-}
-
-// Owners returns the ring members owning the sweep key right now, up
-// to RF, in preference order — the home first.
-func (r *Replicator) Owners() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring.Owners(SweepsRingKey, r.cfg.RF)
 }
 
 // Replicate pushes one fsynced checkpoint to the RF-1 non-self owners
@@ -530,25 +500,4 @@ func (r *Replicator) AntiEntropy(ctx context.Context) int {
 	}
 	r.aeRuns.Add(1)
 	return repairs
-}
-
-// Stats snapshots the replication counters.
-func (r *Replicator) Stats() ReplicatorStats {
-	r.mu.Lock()
-	pending := 0
-	for _, spool := range r.hints {
-		pending += len(spool.order)
-	}
-	r.mu.Unlock()
-	return ReplicatorStats{
-		Replicated:      r.replicated.Load(),
-		Failed:          r.failed.Load(),
-		Hinted:          r.hinted.Load(),
-		HintsDropped:    r.hintsDropped.Load(),
-		HintsReplayed:   r.hintsReplayed.Load(),
-		HintsPending:    pending,
-		AntiEntropyRuns: r.aeRuns.Load(),
-		RepairsPushed:   r.repairsPushed.Load(),
-		RepairsPulled:   r.repairsPulled.Load(),
-	}
 }

@@ -133,7 +133,7 @@ func runSweep(t *testing.T, n *replicaNode) string {
 	if st := j.Status(); st.State != sweep.StateDone {
 		t.Fatalf("sweep finished %s: %+v", st.State, st)
 	}
-	return j.ID()
+	return j.Status().ID
 }
 
 func TestReplicatorStreamsToOwner(t *testing.T) {
@@ -289,4 +289,56 @@ func TestReplicatorValidation(t *testing.T) {
 	if _, err := NewReplicator(ReplicatorConfig{Self: "not a url", LocalDigest: digest, LoadLocal: load, Apply: apply}); err == nil {
 		t.Fatal("NewReplicator accepted a bad Self URL")
 	}
+}
+
+// ReplicatorStats snapshots the replication counters the tests assert
+// on. Production code keeps the counters but does not export them.
+type ReplicatorStats struct {
+	// Replicated counts checkpoints accepted by a peer; Failed counts
+	// sends that errored after reaching for a live peer.
+	Replicated int64 `json:"replicated"`
+	Failed     int64 `json:"failed"`
+	// Hinted counts checkpoints spooled for a down peer; HintsDropped
+	// counts spool overflow evictions; HintsReplayed counts hints
+	// delivered after the peer came back.
+	Hinted        int64 `json:"hinted"`
+	HintsDropped  int64 `json:"hints_dropped"`
+	HintsReplayed int64 `json:"hints_replayed"`
+	// HintsPending is the current spool size across peers.
+	HintsPending int `json:"hints_pending"`
+	// AntiEntropyRuns counts completed anti-entropy sweeps;
+	// RepairsPushed/RepairsPulled count checkpoints moved to heal
+	// divergence.
+	AntiEntropyRuns int64 `json:"anti_entropy_runs"`
+	RepairsPushed   int64 `json:"repairs_pushed"`
+	RepairsPulled   int64 `json:"repairs_pulled"`
+}
+
+// Stats snapshots the replication counters.
+func (r *Replicator) Stats() ReplicatorStats {
+	r.mu.Lock()
+	pending := 0
+	for _, spool := range r.hints {
+		pending += len(spool.order)
+	}
+	r.mu.Unlock()
+	return ReplicatorStats{
+		Replicated:      r.replicated.Load(),
+		Failed:          r.failed.Load(),
+		Hinted:          r.hinted.Load(),
+		HintsDropped:    r.hintsDropped.Load(),
+		HintsReplayed:   r.hintsReplayed.Load(),
+		HintsPending:    pending,
+		AntiEntropyRuns: r.aeRuns.Load(),
+		RepairsPushed:   r.repairsPushed.Load(),
+		RepairsPulled:   r.repairsPulled.Load(),
+	}
+}
+
+// Owners returns the ring members owning the sweep key right now, up
+// to RF, in preference order — the home first.
+func (r *Replicator) Owners() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ring.Owners(SweepsRingKey, r.cfg.RF)
 }

@@ -78,16 +78,6 @@ func (r *Ring) Add(member string) {
 	r.rebuild()
 }
 
-// Remove deletes a member (unknown members are a no-op) and rebuilds
-// the point set.
-func (r *Ring) Remove(member string) {
-	if !r.members[member] {
-		return
-	}
-	delete(r.members, member)
-	r.rebuild()
-}
-
 // rebuild regenerates the sorted point slice from the member set.
 func (r *Ring) rebuild() {
 	r.points = r.points[:0]

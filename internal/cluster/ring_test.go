@@ -182,3 +182,13 @@ func TestRingEdgeCases(t *testing.T) {
 		t.Fatalf("ring not empty after removing sole member")
 	}
 }
+
+// Remove deletes a member (unknown members are a no-op) and rebuilds
+// the point set.
+func (r *Ring) Remove(member string) {
+	if !r.members[member] {
+		return
+	}
+	delete(r.members, member)
+	r.rebuild()
+}

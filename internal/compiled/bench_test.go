@@ -143,13 +143,14 @@ func BenchmarkSweepCellCompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepCellSim is the same cell through sim.EmpiricalCR.
+// BenchmarkSweepCellSim is the same cell through the reference search
+// over sim.Plan.SearchTime.
 func BenchmarkSweepCellSim(b *testing.B) {
 	plan, _ := benchPlan(b)
 	opts := sim.CROptions{GridPoints: 256, Parallelism: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.EmpiricalCR(opts); err != nil {
+		if _, err := simCR(plan, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

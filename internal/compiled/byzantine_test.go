@@ -15,7 +15,7 @@ import (
 // TestDifferentialByzantineVote is the vote-rule kernel's correctness
 // anchor: >= 1000 randomized Byzantine (n, f, votes, base, x) cases
 // where the compiled kernel, the exact engine (internal/sim) and the
-// independent discrete-time engine (internal/stepsim, evaluated at the
+// independent discrete-time engine (stepsim_test.go, evaluated at the
 // equivalent crash budget rank-1) must agree to 1e-9.
 func TestDifferentialByzantineVote(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
@@ -71,7 +71,7 @@ func TestDifferentialByzantineVote(t *testing.T) {
 				// worst case at budget rank-1.
 				tmax := 1.1*tSim + 1
 				w := stepWorld(t, plan, tmax)
-				tStep, err := w.SearchTime(x, plan.DetectionRank()-1, tmax)
+				tStep, err := w.searchTime(x, plan.DetectionRank()-1, tmax)
 				if err != nil {
 					t.Fatalf("%s: stepsim: %v", label, err)
 				}

@@ -142,33 +142,6 @@ func CompileOptions(p *sim.Plan, opts Options) (*Plan, error) {
 	return cp, nil
 }
 
-// N returns the number of robots.
-func (p *Plan) N() int { return len(p.robots) }
-
-// F returns the fault budget.
-func (p *Plan) F() int { return p.f }
-
-// DetectionRank returns the distinct-visitor rank at which detection is
-// guaranteed, mirroring sim.Plan.DetectionRank.
-func (p *Plan) DetectionRank() int { return p.rank }
-
-// Source returns the sim.Plan this plan was compiled from.
-func (p *Plan) Source() *sim.Plan { return p.src }
-
-// Corners returns the total number of materialised corner points across
-// distinct trajectories — a memory-footprint observability hook.
-func (p *Plan) Corners() int {
-	seen := make(map[*ctraj]bool, len(p.robots))
-	total := 0
-	for _, ct := range p.robots {
-		if !seen[ct] {
-			seen[ct] = true
-			total += len(ct.times)
-		}
-	}
-	return total
-}
-
 // compileTrajectory flattens one trajectory.
 func compileTrajectory(tr *trajectory.Trajectory, opts Options) (*ctraj, error) {
 	if err := tr.Validate(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"linesearch/internal/compiled"
+	"linesearch/internal/fault"
 	"linesearch/internal/geom"
 	"linesearch/internal/sim"
 	"linesearch/internal/strategy"
@@ -32,13 +33,7 @@ func TestCompileRejectsNil(t *testing.T) {
 }
 
 func TestAccessors(t *testing.T) {
-	plan, cp := compilePair(t, strategy.Proportional{}, 5, 2)
-	if cp.N() != 5 || cp.F() != 2 {
-		t.Errorf("N, F = %d, %d", cp.N(), cp.F())
-	}
-	if cp.Source() != plan {
-		t.Error("Source does not return the compiled-from plan")
-	}
+	_, cp := compilePair(t, strategy.Proportional{}, 5, 2)
 	if cp.Corners() == 0 {
 		t.Error("no corners materialised")
 	}
@@ -70,7 +65,7 @@ func TestHaltNeverVisitsBeyond(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := sim.NewPlan([]*trajectory.Trajectory{tr}, 0)
+	plan, err := sim.NewPlanModel([]*trajectory.Trajectory{tr}, fault.CrashModel(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +190,26 @@ func TestSearchTimeZeroAllocs(t *testing.T) {
 	}
 }
 
+// simCR is the reference competitive-ratio search: every candidate of
+// plan.CRCandidates evaluated through the exact sim.Plan.SearchTime, the
+// first candidate attaining the supremum being the witness.
+func simCR(plan *sim.Plan, opts sim.CROptions) (sim.CRResult, error) {
+	candidates, err := plan.CRCandidates(opts)
+	if err != nil {
+		return sim.CRResult{}, err
+	}
+	res := sim.CRResult{Sup: math.Inf(-1), Candidates: len(candidates)}
+	for _, x := range candidates {
+		if r := plan.SearchTime(x) / math.Abs(x); r > res.Sup {
+			res.Sup, res.ArgX = r, x
+		}
+	}
+	return res, nil
+}
+
 // TestCRMatchesSim checks that the compiled competitive-ratio search
-// reproduces sim.EmpiricalCR exactly: same supremum, same witness, same
-// candidate count.
+// reproduces the reference search exactly: same supremum, same witness,
+// same candidate count.
 func TestCRMatchesSim(t *testing.T) {
 	for _, tc := range []struct {
 		st   strategy.Strategy
@@ -210,7 +222,7 @@ func TestCRMatchesSim(t *testing.T) {
 	} {
 		plan, cp := compilePair(t, tc.st, tc.n, tc.f)
 		opts := sim.CROptions{GridPoints: 512}
-		want, err := plan.EmpiricalCR(opts)
+		want, err := simCR(plan, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,18 +1,22 @@
 package compiled
 
 import (
+	"context"
 	"math"
 
 	"linesearch/internal/numeric"
 	"linesearch/internal/sim"
 )
 
-// CR measures the plan's empirical competitive ratio exactly like
-// sim.Plan.EmpiricalCR — same candidate targets, same deterministic
-// winner — but evaluates every candidate through the compiled kernel:
-// one evaluator (and thus zero allocations) per worker instead of a
-// fresh []Visit and sort per target. It is the one production CR
-// evaluator: sweep cells, MeasureCR and the paper experiments.
+// CR measures the plan's empirical competitive ratio over the sim
+// plan's CRCandidates: the supremum of SearchTime(x)/|x|, the first
+// candidate attaining it being the witness. It evaluates every
+// candidate through the compiled kernel, one evaluator (and thus zero
+// allocations) per worker instead of a fresh []Visit and sort per
+// target. It is the one production CR evaluator: sweep cells,
+// MeasureCR and the paper experiments. The tests pin it to the same
+// search over sim.Plan.SearchTime (EmpiricalCR in internal/sim's
+// tests, simCR in this package's).
 func (p *Plan) CR(opts sim.CROptions) (sim.CRResult, error) {
 	opts = opts.WithDefaults()
 	candidates, err := p.src.CRCandidates(opts)
@@ -26,7 +30,7 @@ func (p *Plan) CR(opts sim.CROptions) (sim.CRResult, error) {
 		evals[w] = p.evals.get()
 	}
 	// Evaluating a candidate cannot fail, so Chunked returns nil.
-	_ = numeric.Chunked(len(candidates), len(evals), func(w, i int) error {
+	_ = numeric.Chunked(context.Background(), len(candidates), len(evals), func(w, i int) error {
 		ratios[i] = evals[w].SearchTime(candidates[i]) / math.Abs(candidates[i])
 		return nil
 	})

@@ -8,9 +8,7 @@ import (
 
 	"linesearch/internal/compiled"
 	"linesearch/internal/fault"
-	"linesearch/internal/geom"
 	"linesearch/internal/sim"
-	"linesearch/internal/stepsim"
 	"linesearch/internal/strategy"
 )
 
@@ -40,26 +38,19 @@ func resolveStrategy(name string, n, f int) (strategy.Strategy, error) {
 }
 
 // stepWorld rebuilds the plan inside the independent discrete-time
-// engine: each robot is reduced to its polyline corners up to tmax.
-func stepWorld(t *testing.T, plan *sim.Plan, tmax float64) *stepsim.World {
+// engine (stepsim_test.go): each robot is reduced to its polyline
+// corners up to tmax.
+func stepWorld(t *testing.T, plan *sim.Plan, tmax float64) *stepEngine {
 	t.Helper()
-	robots := make([]*stepsim.Robot, 0, plan.N())
+	robots := make([]*stepRobot, 0, plan.N())
 	for i, tr := range plan.Trajectories() {
-		segs := tr.SegmentsUntil(tmax)
-		if len(segs) == 0 {
-			t.Fatalf("robot %d has no segments until %g", i, tmax)
-		}
-		corners := []geom.Point{segs[0].From}
-		for _, s := range segs {
-			corners = append(corners, s.To)
-		}
-		r, err := stepsim.NewRobot(corners)
+		r, err := newStepRobot(cornersUntil(tr, tmax))
 		if err != nil {
 			t.Fatalf("robot %d: %v", i, err)
 		}
 		robots = append(robots, r)
 	}
-	w, err := stepsim.NewWorld(robots, tmax/64)
+	w, err := newStepEngine(robots, tmax/64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +60,7 @@ func stepWorld(t *testing.T, plan *sim.Plan, tmax float64) *stepsim.World {
 // TestDifferentialCompiledSimStepsim is the kernel's correctness
 // anchor: >= 1000 randomized (n, f, strategy, x) cases evaluated by the
 // compiled kernel, the exact closed-form engine (internal/sim) and the
-// independent discrete-time engine (internal/stepsim) must agree to
+// independent discrete-time engine (stepsim_test.go) must agree to
 // 1e-9. Every k of KthDistinctVisit is cross-checked between compiled
 // and sim as well, and so is sim.Plan.DetectionTime: under a random
 // crash set against stepsim's earliest reliable visitor, and under the
@@ -131,7 +122,7 @@ func TestDifferentialCompiledSimStepsim(t *testing.T) {
 			if !math.IsInf(tSim, 1) {
 				tmax := 1.1*tSim + 1
 				w := stepWorld(t, plan, tmax)
-				tStep, err := w.SearchTime(x, f, tmax)
+				tStep, err := w.searchTime(x, f, tmax)
 				if err != nil {
 					t.Fatalf("%s: stepsim: %v", label, err)
 				}
@@ -150,7 +141,7 @@ func TestDifferentialCompiledSimStepsim(t *testing.T) {
 					t.Fatalf("%s: DetectionTime: %v", label, err)
 				}
 				tStepDet := math.Inf(1)
-				for _, v := range w.FirstVisits(x, tmax) {
+				for _, v := range w.firstVisits(x, tmax) {
 					if set[v.Robot] == fault.Reliable {
 						tStepDet = v.T
 						break

@@ -11,9 +11,9 @@ import (
 
 // Evaluator answers queries against one compiled plan using fixed
 // scratch buffers, so steady-state evaluation performs zero heap
-// allocations. An Evaluator is NOT safe for concurrent use; get one per
-// goroutine from Plan.Evaluator and return it with Release, or use the
-// Plan-level convenience methods, which do that internally.
+// allocations. An Evaluator is NOT safe for concurrent use: the
+// Plan-level methods take one from the plan's pool per call, and
+// Plan.CR holds one per worker.
 type Evaluator struct {
 	plan *Plan
 	// buf is the fixed-size selection buffer: per-query first-visit
@@ -53,26 +53,6 @@ func newEvaluator(p *Plan) *Evaluator {
 		e.hints[i] = -1
 	}
 	return e
-}
-
-// Evaluator returns a scratch evaluator for this plan. Callers that
-// issue many queries from one goroutine should hold one evaluator for
-// the whole run and Release it at the end.
-func (p *Plan) Evaluator() *Evaluator { return p.evals.get() }
-
-// Release returns the evaluator to its plan's pool. The evaluator must
-// not be used afterwards.
-func (e *Evaluator) Release() { e.plan.evals.put(e) }
-
-// FirstVisit returns robot i's earliest time standing on x, with ok
-// reporting whether the robot ever visits x.
-func (e *Evaluator) FirstVisit(i int, x float64) (float64, bool) {
-	if i < 0 || i >= len(e.plan.robots) {
-		return 0, false
-	}
-	t, idx, ok := e.plan.robots[i].firstVisit(x, e.hints[i])
-	e.hints[i] = idx
-	return t, ok
 }
 
 // KthDistinctVisit returns the time of the k-th distinct robot's first

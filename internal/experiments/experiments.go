@@ -76,16 +76,3 @@ func Run(id string) (*Result, error) {
 	}
 	return res, nil
 }
-
-// RunAll executes every registered experiment in ID order.
-func RunAll() ([]*Result, error) {
-	out := make([]*Result, 0, len(registry))
-	for _, id := range IDs() {
-		res, err := Run(id)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}

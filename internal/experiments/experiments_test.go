@@ -337,13 +337,3 @@ func TestOrdinal(t *testing.T) {
 		}
 	}
 }
-
-func TestRunAll(t *testing.T) {
-	results, err := RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(IDs()) {
-		t.Errorf("RunAll returned %d results for %d experiments", len(results), len(IDs()))
-	}
-}

@@ -86,3 +86,14 @@ func TestCountAssignments(t *testing.T) {
 		t.Errorf("countAssignments should saturate, got %d", got)
 	}
 }
+
+// NumFaulty counts the robots with a non-reliable kind.
+func (s Set) NumFaulty() int {
+	n := 0
+	for _, k := range s {
+		if k.Faulty() {
+			n++
+		}
+	}
+	return n
+}

@@ -55,7 +55,7 @@ const (
 	numKinds = iota
 )
 
-// kindNames are the canonical wire names, used by String, ParseKind and
+// kindNames are the canonical wire names, used by String and
 // the service's faulty-robot lists.
 var kindNames = [numKinds]string{
 	Reliable:        "reliable",
@@ -76,10 +76,6 @@ func (k Kind) String() string {
 // Faulty reports whether the kind counts against a fault budget.
 func (k Kind) Faulty() bool { return k != Reliable }
 
-// Byzantine reports whether the kind belongs to the Byzantine
-// adversary (it may coordinate silence and lies).
-func (k Kind) Byzantine() bool { return k == ByzantineSilent || k == ByzantineLiar }
-
 // Confirms reports whether a robot of this kind truthfully announces a
 // target it visits, in the worst case. Only reliable robots do: crash
 // and Byzantine-silent robots say nothing, liars never tell the truth,
@@ -88,53 +84,9 @@ func (k Kind) Byzantine() bool { return k == ByzantineSilent || k == ByzantineLi
 // rather than absent.
 func (k Kind) Confirms() bool { return k == Reliable }
 
-// ParseKind resolves a canonical kind name ("reliable", "crash",
-// "silent", "liar", "pfaulty").
-func ParseKind(s string) (Kind, error) {
-	for k, name := range kindNames {
-		if s == name {
-			return Kind(k), nil
-		}
-	}
-	return 0, fmt.Errorf("fault: unknown fault kind %q (known: %s)", s, strings.Join(kindNames[:], ", "))
-}
-
 // Set is a concrete per-robot fault assignment: Set[i] is robot i's
 // behaviour.
 type Set []Kind
-
-// NumFaulty counts the robots with a non-reliable kind.
-func (s Set) NumFaulty() int {
-	n := 0
-	for _, k := range s {
-		if k.Faulty() {
-			n++
-		}
-	}
-	return n
-}
-
-// Count counts the robots of exactly kind k.
-func (s Set) Count(k Kind) int {
-	n := 0
-	for _, kk := range s {
-		if kk == k {
-			n++
-		}
-	}
-	return n
-}
-
-// Robots returns the indices assigned kind k, in increasing order.
-func (s Set) Robots(k Kind) []int {
-	var out []int
-	for i, kk := range s {
-		if kk == k {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // Clone returns an independent copy.
 func (s Set) Clone() Set { return append(Set(nil), s...) }

@@ -1,46 +1,37 @@
 package fault
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-func TestKindStringAndParse(t *testing.T) {
-	for _, k := range []Kind{Reliable, Crash, ByzantineSilent, ByzantineLiar} {
-		got, err := ParseKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+func TestKindString(t *testing.T) {
+	for k, want := range map[Kind]string{
+		Reliable: "reliable", Crash: "crash", ByzantineSilent: "silent", ByzantineLiar: "liar", Kind(99): "Kind(99)",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("Kind(%d).String() = %q, want %q", uint8(k), got, want)
 		}
-	}
-	if _, err := ParseKind("nonsense"); err == nil || !strings.Contains(err.Error(), "unknown fault kind") {
-		t.Errorf("ParseKind(nonsense) error = %v", err)
 	}
 }
 
 func TestKindPredicates(t *testing.T) {
 	cases := []struct {
-		k                           Kind
-		faulty, byzantine, confirms bool
+		k                Kind
+		faulty, confirms bool
 	}{
-		{Reliable, false, false, true},
-		{Crash, true, false, false},
-		{ByzantineSilent, true, true, false},
-		{ByzantineLiar, true, true, false},
+		{Reliable, false, true},
+		{Crash, true, false},
+		{ByzantineSilent, true, false},
+		{ByzantineLiar, true, false},
 	}
 	for _, tc := range cases {
-		if tc.k.Faulty() != tc.faulty || tc.k.Byzantine() != tc.byzantine || tc.k.Confirms() != tc.confirms {
-			t.Errorf("%s: Faulty=%v Byzantine=%v Confirms=%v, want %v %v %v",
-				tc.k, tc.k.Faulty(), tc.k.Byzantine(), tc.k.Confirms(), tc.faulty, tc.byzantine, tc.confirms)
+		if tc.k.Faulty() != tc.faulty || tc.k.Confirms() != tc.confirms {
+			t.Errorf("%s: Faulty=%v Confirms=%v, want %v %v",
+				tc.k, tc.k.Faulty(), tc.k.Confirms(), tc.faulty, tc.confirms)
 		}
 	}
 }
 
-func TestSetRobotsAndString(t *testing.T) {
+func TestSetString(t *testing.T) {
 	s := Set{Reliable, ByzantineLiar, Crash, Reliable, ByzantineLiar}
-	liars := s.Robots(ByzantineLiar)
-	if len(liars) != 2 || liars[0] != 1 || liars[1] != 4 {
-		t.Errorf("Robots(liar) = %v", liars)
-	}
 	if got := s.String(); got != "1:liar,2:crash,4:liar" {
 		t.Errorf("String() = %q", got)
 	}

@@ -16,13 +16,6 @@ func TestStochasticKindNames(t *testing.T) {
 		if got := c.kind.String(); got != c.name {
 			t.Errorf("%d.String() = %q, want %q", c.kind, got, c.name)
 		}
-		parsed, err := ParseKind(c.name)
-		if err != nil {
-			t.Fatalf("ParseKind(%q): %v", c.name, err)
-		}
-		if parsed != c.kind {
-			t.Errorf("ParseKind(%q) = %v, want %v", c.name, parsed, c.kind)
-		}
 		if !c.kind.Faulty() {
 			t.Errorf("%v.Faulty() = false, want true", c.kind)
 		}

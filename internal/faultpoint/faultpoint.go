@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,9 +121,6 @@ func New(seed int64) *Registry {
 	}
 }
 
-// Enabled reports whether any point is armed (the slow path is active).
-func (r *Registry) Enabled() bool { return r.armed.Load() > 0 }
-
 // Arm installs rule at name, resetting the point's counters so After
 // and Times count from this arming.
 func (r *Registry) Arm(name string, rule Rule) {
@@ -139,17 +135,6 @@ func (r *Registry) Arm(name string, rule Rule) {
 		r.armed.Add(1)
 	}
 	*pt = point{rule: rule, armed: true}
-}
-
-// Disarm removes the rule at name; unknown names are a no-op. The
-// point's counters survive for Snapshot.
-func (r *Registry) Disarm(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if pt := r.points[name]; pt != nil && pt.armed {
-		pt.armed = false
-		r.armed.Add(-1)
-	}
 }
 
 // Reset disarms every point, forgets all counters and restores the
@@ -243,18 +228,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// Names returns the sorted names of every point the registry has seen.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.points))
-	for name := range r.points {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // injectedError is the default ModeError payload: transient, so the
 // resilience layers retry it the way the algorithm tolerates a faulty
 // robot.
@@ -289,26 +262,17 @@ func IsTransient(err error) bool {
 // instrumented code paths all hit this one.
 var std = New(1)
 
-// Default returns the process-wide registry.
-func Default() *Registry { return std }
-
 // Hit checks name against the process-wide registry.
 func Hit(name string) error { return std.Hit(name) }
 
 // Arm arms name on the process-wide registry.
 func Arm(name string, rule Rule) { std.Arm(name, rule) }
 
-// Disarm disarms name on the process-wide registry.
-func Disarm(name string) { std.Disarm(name) }
-
 // Reset clears the process-wide registry.
 func Reset() { std.Reset() }
 
 // Seed re-seeds the process-wide registry's PRNG.
 func Seed(seed int64) { std.Seed(seed) }
-
-// Enabled reports whether the process-wide registry has armed points.
-func Enabled() bool { return std.Enabled() }
 
 // Stats snapshots the process-wide registry.
 func Stats() Snapshot { return std.Snapshot() }

@@ -68,20 +68,9 @@ func (c Cone) OnBoundary(p Point, tol float64) bool {
 	return math.Abs(p.T-c.BoundaryTime(p.X)) <= tol*math.Max(1, math.Abs(p.T))
 }
 
-// NextTurn computes the next boundary point reached by a robot that
-// leaves the boundary point p (p must satisfy p.T = beta*|p.X|, p.X != 0)
-// and crosses the cone at unit speed toward the opposite wall.
-//
-// By Lemma 1 the new turning position is -kappa * p.X with kappa the
-// expansion factor, reached at time beta * kappa * |p.X|.
-func (c Cone) NextTurn(p Point) Point {
-	k := c.ExpansionFactor()
-	nx := -k * p.X
-	return Point{X: nx, T: c.beta * math.Abs(nx)}
-}
-
-// PrevTurn inverts NextTurn: the boundary point from which a robot would
-// have departed to arrive at boundary point p.
+// PrevTurn inverts Lemma 1's turn map: it returns the boundary point
+// from which a robot crossing the cone at unit speed would have departed
+// to arrive at boundary point p.
 func (c Cone) PrevTurn(p Point) Point {
 	k := c.ExpansionFactor()
 	px := -p.X / k

@@ -148,3 +148,15 @@ func TestPrevTurnInvertsNextTurn(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// NextTurn computes the next boundary point reached by a robot that
+// leaves the boundary point p (p must satisfy p.T = beta*|p.X|, p.X != 0)
+// and crosses the cone at unit speed toward the opposite wall.
+//
+// By Lemma 1 the new turning position is -kappa * p.X with kappa the
+// expansion factor, reached at time beta * kappa * |p.X|.
+func (c Cone) NextTurn(p Point) Point {
+	k := c.ExpansionFactor()
+	nx := -k * p.X
+	return Point{X: nx, T: c.beta * math.Abs(nx)}
+}

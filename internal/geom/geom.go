@@ -98,13 +98,3 @@ func (s Segment) VisitTimes(x float64) []float64 {
 	}
 	return []float64{s.From.T + frac*s.Duration()}
 }
-
-// Covers reports whether position x lies within the segment's swept
-// interval [min(From.X, To.X), max(From.X, To.X)].
-func (s Segment) Covers(x float64) bool {
-	lo, hi := s.From.X, s.To.X
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return x >= lo && x <= hi
-}

@@ -70,7 +70,7 @@ func TestSegmentPositionAt(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PositionAt(%v): %v", tt.t, err)
 		}
-		if !numeric.Close(got, tt.want) {
+		if !numeric.AlmostEqual(got, tt.want, 1e-9) {
 			t.Errorf("PositionAt(%v) = %v, want %v", tt.t, got, tt.want)
 		}
 	}
@@ -109,7 +109,7 @@ func TestSegmentVisitTimes(t *testing.T) {
 			continue
 		}
 		for i := range got {
-			if !numeric.Close(got[i], tt.want[i]) {
+			if !numeric.AlmostEqual(got[i], tt.want[i], 1e-9) {
 				t.Errorf("VisitTimes(%v) = %v, want %v", tt.x, got, tt.want)
 			}
 		}
@@ -149,7 +149,7 @@ func TestSegmentVisitWithinCoverProperty(t *testing.T) {
 		t0 = math.Abs(math.Mod(t0, 100))
 		dt := math.Abs(math.Mod(dtRaw, 50))
 		dx := math.Mod(dxRaw, 2*dt+1e-9) // may exceed unit speed slightly; clamp
-		dx = numeric.Clamp(dx, -dt, dt)
+		dx = math.Max(-dt, math.Min(dx, dt))
 		s := Segment{From: Point{x0, t0}, To: Point{x0 + dx, t0 + dt}}
 		// Pick a query position from the swept interval via q in [0,1].
 		frac := math.Abs(math.Mod(q, 1))
@@ -169,4 +169,14 @@ func TestSegmentVisitWithinCoverProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// Covers reports whether position x lies within the segment's swept
+// interval [min(From.X, To.X), max(From.X, To.X)].
+func (s Segment) Covers(x float64) bool {
+	lo, hi := s.From.X, s.To.X
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return x >= lo && x <= hi
 }

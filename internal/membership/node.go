@@ -163,21 +163,6 @@ func (n *Node) Close() {
 	n.wg.Wait()
 }
 
-// Self returns the node's current self entry (the incarnation moves
-// as suspicions are refuted).
-func (n *Node) Self() Member {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.self
-}
-
-// View snapshots the member table, self included.
-func (n *Node) View() View {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.viewLocked()
-}
-
 func (n *Node) viewLocked() View {
 	out := make([]Member, 0, len(n.members)+1)
 	out = append(out, n.self)

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 
 	"linesearch/internal/faultpoint"
 )
@@ -25,7 +24,7 @@ const GossipPath = "/gossip"
 //	membership.send.<to>             everything sent TO member <to> (a dead or isolated node)
 //	membership.link.<from>.<to>      one directed link (asymmetric partitions)
 //
-// <from>/<to> are member Addrs (host:port). Both the HTTP and the
+// <from>/<to> are member Addrs (host:port). Both the HTTP and the test
 // loopback transport hit the same points, so a schedule written
 // against in-process nodes replays against a real fleet unchanged.
 const (
@@ -120,48 +119,4 @@ func Handler(n *Node) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(reply)
 	})
-}
-
-// Loopback is an in-process transport connecting Nodes by URL: the
-// deterministic fabric the partition chaos schedules run on. A
-// message crosses a Loopback link only if the shared fault points let
-// it; there is no network, no goroutine hop, no timing jitter.
-type Loopback struct {
-	mu    sync.Mutex
-	nodes map[string]*Node
-}
-
-// NewLoopback returns an empty fabric.
-func NewLoopback() *Loopback {
-	return &Loopback{nodes: make(map[string]*Node)}
-}
-
-// Join registers n under url (its Self.URL).
-func (l *Loopback) Join(url string, n *Node) {
-	l.mu.Lock()
-	l.nodes[url] = n
-	l.mu.Unlock()
-}
-
-// Leave unregisters url — a hard kill: every future exchange to it
-// fails like a refused connection.
-func (l *Loopback) Leave(url string) {
-	l.mu.Lock()
-	delete(l.nodes, url)
-	l.mu.Unlock()
-}
-
-// Exchange implements Transport by calling the target node's Handle
-// inline.
-func (l *Loopback) Exchange(ctx context.Context, url string, msg Message) (Message, error) {
-	if err := hitLink(msg.From.Addr, addrOf(url)); err != nil {
-		return Message{}, err
-	}
-	l.mu.Lock()
-	n := l.nodes[url]
-	l.mu.Unlock()
-	if n == nil {
-		return Message{}, fmt.Errorf("membership: no node at %s", url)
-	}
-	return n.Handle(ctx, msg), nil
 }

@@ -1,7 +1,7 @@
 // Package numeric provides the small numerical substrate used by every
-// analytic module in this repository: floating-point comparison helpers,
-// compensated summation, geometric sequences, and guarded power/log
-// evaluation for the closed forms of the paper.
+// analytic module in this repository: floating-point comparison,
+// compensated summation, grids, root finding, guarded power evaluation
+// for the closed forms of the paper, and the one worker pool.
 //
 // All routines operate on float64 and are deterministic; none of them
 // allocate except where documented.
@@ -11,11 +11,6 @@ import (
 	"errors"
 	"math"
 )
-
-// DefaultTol is the tolerance used by the convenience comparison helpers.
-// It is appropriate for quantities of magnitude O(1..100), which covers
-// every competitive ratio and expansion factor in the paper.
-const DefaultTol = 1e-9
 
 // ErrNoConvergence is returned by iterative routines that exhaust their
 // iteration budget before meeting their tolerance.
@@ -35,38 +30,6 @@ func AlmostEqual(a, b, tol float64) bool {
 	}
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 	return math.Abs(a-b) <= tol*scale
-}
-
-// Close is AlmostEqual with DefaultTol.
-func Close(a, b float64) bool { return AlmostEqual(a, b, DefaultTol) }
-
-// Clamp limits v to the interval [lo, hi]. It panics if lo > hi, which is
-// always a programming error.
-func Clamp(v, lo, hi float64) float64 {
-	if lo > hi {
-		panic("numeric: Clamp with lo > hi")
-	}
-	switch {
-	case v < lo:
-		return lo
-	case v > hi:
-		return hi
-	default:
-		return v
-	}
-}
-
-// Sign returns -1, 0 or +1 according to the sign of v. Signed zeros both
-// map to 0.
-func Sign(v float64) int {
-	switch {
-	case v > 0:
-		return 1
-	case v < 0:
-		return -1
-	default:
-		return 0
-	}
 }
 
 // Pow evaluates base**exp with the conventions needed by the paper's
@@ -112,38 +75,6 @@ func (k *KahanSum) Add(v float64) {
 
 // Value returns the compensated total.
 func (k *KahanSum) Value() float64 { return k.sum + k.c }
-
-// Sum returns the compensated sum of vs.
-func Sum(vs ...float64) float64 {
-	var k KahanSum
-	for _, v := range vs {
-		k.Add(v)
-	}
-	return k.Value()
-}
-
-// GeometricSum returns 1 + q + q^2 + ... + q^(m-1), computed in closed
-// form where numerically safe and by compensated summation otherwise.
-// m must be >= 0.
-func GeometricSum(q float64, m int) float64 {
-	if m < 0 {
-		panic("numeric: GeometricSum with negative length")
-	}
-	if m == 0 {
-		return 0
-	}
-	if math.Abs(q-1) < 1e-8 {
-		// Near q = 1 the closed form loses all precision; sum directly.
-		var k KahanSum
-		term := 1.0
-		for i := 0; i < m; i++ {
-			k.Add(term)
-			term *= q
-		}
-		return k.Value()
-	}
-	return (math.Pow(q, float64(m)) - 1) / (q - 1)
-}
 
 // Linspace returns num points evenly spaced over [lo, hi] inclusive.
 // num must be >= 2.

@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -14,12 +15,18 @@ import (
 // independent of the worker count. With one worker (or n <= 1) the loop
 // runs inline on the caller's goroutine.
 //
-// The first error returned by any item wins: Chunked returns it once
-// every worker has stopped, and no worker starts a new item after it.
-func Chunked(n, workers int, item func(w, i int) error) error {
+// The first error wins: either one returned by an item, or ctx.Err()
+// when a worker finds ctx done before starting its next item. Chunked
+// returns it once every worker has stopped, and no worker starts a new
+// item after it. So Chunked returns ctx.Err() only when some item did
+// not run; items already running when ctx ends are left to finish.
+func Chunked(ctx context.Context, n, workers int, item func(w, i int) error) error {
 	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			if err := item(0, i); err != nil {
 				return err
 			}
@@ -38,7 +45,11 @@ func Chunked(n, workers int, item func(w, i int) error) error {
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi && !stopped.Load(); i++ {
-				if err := item(w, i); err != nil {
+				err := ctx.Err()
+				if err == nil {
+					err = item(w, i)
+				}
+				if err != nil {
 					once.Do(func() {
 						firstErr = err
 						stopped.Store(true)

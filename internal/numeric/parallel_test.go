@@ -1,25 +1,28 @@
 package numeric
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestChunkedIdenticalAcrossWorkers: items that write only their own
 // slot produce the same output at every worker count, including more
-// workers than items, and every index is visited exactly once.
+// workers than items and a count below 1 (which runs inline), and every
+// index is visited exactly once.
 func TestChunkedIdenticalAcrossWorkers(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100} {
 		var want []int
-		for _, workers := range []int{1, 3, 64} {
+		for _, workers := range []int{-1, 0, 1, 3, 64} {
 			out := make([]int, n)
 			visits := make([]atomic.Int32, n)
-			err := Chunked(n, workers, func(w, i int) error {
-				if w < 0 || w >= workers {
+			err := Chunked(context.Background(), n, workers, func(w, i int) error {
+				if w < 0 || w >= max(workers, 1) {
 					t.Errorf("n=%d workers=%d: worker index %d out of range", n, workers, w)
 				}
 				visits[i].Add(1)
@@ -47,7 +50,7 @@ func TestChunkedIdenticalAcrossWorkers(t *testing.T) {
 // the w-th block of ceil(n/workers) indices.
 func TestChunkedChunksAreContiguous(t *testing.T) {
 	owner := make([]int, 10)
-	if err := Chunked(10, 4, func(w, i int) error { owner[i] = w; return nil }); err != nil {
+	if err := Chunked(context.Background(), 10, 4, func(w, i int) error { owner[i] = w; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{0, 0, 0, 1, 1, 1, 2, 2, 2, 3}; !slices.Equal(owner, want) {
@@ -61,7 +64,7 @@ func TestChunkedChunksAreContiguous(t *testing.T) {
 func TestChunkedInlineStopsAtFirstError(t *testing.T) {
 	errA, errB := errors.New("a"), errors.New("b")
 	var ran []int
-	err := Chunked(10, 1, func(_, i int) error {
+	err := Chunked(context.Background(), 10, 1, func(_, i int) error {
 		ran = append(ran, i)
 		switch i {
 		case 3:
@@ -91,7 +94,7 @@ func TestChunkedFirstErrorWins(t *testing.T) {
 	failed := make(chan struct{})
 	var started atomic.Int32
 	base := runtime.NumGoroutine()
-	err := Chunked(n, workers, func(w, i int) error {
+	err := Chunked(context.Background(), n, workers, func(w, i int) error {
 		started.Add(1)
 		if w == 0 {
 			inFlight.Wait()
@@ -116,4 +119,93 @@ func TestChunkedFirstErrorWins(t *testing.T) {
 	if got := started.Load(); got != workers {
 		t.Errorf("%d items started, want %d (one per worker)", got, workers)
 	}
+}
+
+// TestChunkedBoundsConcurrency: no more than workers items run at once.
+func TestChunkedBoundsConcurrency(t *testing.T) {
+	const workers = 3
+	var cur, peak atomic.Int64
+	err := Chunked(context.Background(), 50, workers, func(_, _ int) error {
+		c := cur.Add(1)
+		for {
+			m := peak.Load()
+			if c <= m || peak.CompareAndSwap(m, c) {
+				break
+			}
+		}
+		time.Sleep(time.Millisecond)
+		cur.Add(-1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got > workers {
+		t.Errorf("observed %d concurrent items, limit %d", got, workers)
+	}
+}
+
+// TestChunkedCancellation: once ctx is done no item starts, items in
+// flight finish, and Chunked reports ctx.Err() because some item did
+// not run. Inline, the item that cancels is the last to run; with
+// workers, worker 0 cancels once every other worker is inside its
+// first item, so exactly one item per worker runs. A cancel after the
+// last item has started is not reported: every item ran.
+func TestChunkedCancellation(t *testing.T) {
+	t.Run("inline", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var ran []int
+		err := Chunked(ctx, 1000, 1, func(_, i int) error {
+			ran = append(ran, i)
+			if i == 2 {
+				cancel()
+			}
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("error %v, want %v", err, context.Canceled)
+		}
+		if want := []int{0, 1, 2}; !slices.Equal(ran, want) {
+			t.Errorf("ran %v, want %v", ran, want)
+		}
+	})
+	t.Run("workers", func(t *testing.T) {
+		const n, workers = 40, 4
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var inFlight sync.WaitGroup
+		inFlight.Add(workers - 1)
+		var started atomic.Int32
+		err := Chunked(ctx, n, workers, func(w, _ int) error {
+			started.Add(1)
+			if w == 0 {
+				inFlight.Wait()
+				cancel()
+				return nil
+			}
+			inFlight.Done()
+			<-ctx.Done()
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("error %v, want %v", err, context.Canceled)
+		}
+		if got := started.Load(); got != workers {
+			t.Errorf("%d items started, want %d (one per worker)", got, workers)
+		}
+	})
+	t.Run("after the last item started", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		err := Chunked(ctx, 3, 1, func(_, i int) error {
+			if i == 2 {
+				cancel()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("error %v after every item ran, want nil", err)
+		}
+	})
 }

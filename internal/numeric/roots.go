@@ -69,61 +69,3 @@ func BracketUp(f func(float64) float64, lo, step float64) (a, b float64, err err
 	}
 	return 0, 0, fmt.Errorf("numeric: BracketUp found no sign change from %g: %w", lo, ErrNoConvergence)
 }
-
-// Newton refines a root of f starting from x0 using the analytic
-// derivative df. It falls back to returning an error rather than
-// diverging: steps that leave [lo, hi] are rejected.
-func Newton(f, df func(float64) float64, x0, lo, hi, tol float64) (float64, error) {
-	x := Clamp(x0, lo, hi)
-	for i := 0; i < maxIterations; i++ {
-		fx := f(x)
-		if math.Abs(fx) <= tol {
-			return x, nil
-		}
-		d := df(x)
-		if d == 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-			return 0, fmt.Errorf("numeric: Newton derivative unusable at %g", x)
-		}
-		next := x - fx/d
-		if next < lo || next > hi || math.IsNaN(next) {
-			// Bisection-style fallback keeps the iterate inside the bracket.
-			next = Clamp(next, lo, hi)
-			if next == x {
-				return x, ErrNoConvergence
-			}
-		}
-		if math.Abs(next-x) <= tol*math.Max(1, math.Abs(next)) {
-			return next, nil
-		}
-		x = next
-	}
-	return x, ErrNoConvergence
-}
-
-// GoldenMinimize finds the minimizer of a strictly unimodal f over
-// [lo, hi] by golden-section search, to within tol of the true argmin.
-func GoldenMinimize(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	const invPhi = 0.6180339887498949 // (sqrt(5)-1)/2
-	a, b := lo, hi
-	c := b - (b-a)*invPhi
-	d := a + (b-a)*invPhi
-	fc, fd := f(c), f(d)
-	for i := 0; i < maxIterations; i++ {
-		if b-a <= tol {
-			return a + (b-a)/2, nil
-		}
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - (b-a)*invPhi
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + (b-a)*invPhi
-			fd = f(d)
-		}
-	}
-	return a + (b-a)/2, ErrNoConvergence
-}

@@ -105,64 +105,3 @@ func TestBracketUpNoSignChange(t *testing.T) {
 		t.Error("expected error when no sign change exists")
 	}
 }
-
-func TestNewtonConvergesQuadratically(t *testing.T) {
-	f := func(x float64) float64 { return x*x*x - 8 }
-	df := func(x float64) float64 { return 3 * x * x }
-	root, err := Newton(f, df, 3, 0.1, 10, 1e-14)
-	if err != nil {
-		t.Fatalf("Newton: %v", err)
-	}
-	if !AlmostEqual(root, 2, 1e-12) {
-		t.Errorf("root = %.15g, want 2", root)
-	}
-}
-
-func TestNewtonRejectsZeroDerivative(t *testing.T) {
-	f := func(x float64) float64 { return x*x + 1 } // no root; df(0)=0
-	df := func(x float64) float64 { return 2 * x }
-	if _, err := Newton(f, df, 0, -1, 1, 1e-12); err == nil {
-		t.Error("expected error for zero derivative")
-	}
-}
-
-func TestGoldenMinimizeParabola(t *testing.T) {
-	argmin, err := GoldenMinimize(func(x float64) float64 { return (x - 3.25) * (x - 3.25) }, 0, 10, 1e-10)
-	if err != nil {
-		t.Fatalf("GoldenMinimize: %v", err)
-	}
-	if !AlmostEqual(argmin, 3.25, 1e-8) {
-		t.Errorf("argmin = %.12g, want 3.25", argmin)
-	}
-}
-
-func TestGoldenMinimizeSwappedBounds(t *testing.T) {
-	argmin, err := GoldenMinimize(func(x float64) float64 { return math.Abs(x - 1) }, 5, -5, 1e-10)
-	if err != nil {
-		t.Fatalf("GoldenMinimize: %v", err)
-	}
-	if !AlmostEqual(argmin, 1, 1e-8) {
-		t.Errorf("argmin = %.12g, want 1", argmin)
-	}
-}
-
-// TestGoldenMinimizeMatchesTheorem1Optimum checks the solver against the
-// paper's analytically optimal beta* = (4f+4)/n - 1 for F(beta) =
-// (beta+1)^e (beta-1)^(1-e) + 1 with e = (2f+2)/n.
-func TestGoldenMinimizeMatchesTheorem1Optimum(t *testing.T) {
-	cases := []struct{ n, f int }{{3, 1}, {4, 2}, {5, 2}, {5, 3}, {11, 5}, {41, 20}}
-	for _, c := range cases {
-		e := float64(2*c.f+2) / float64(c.n)
-		obj := func(beta float64) float64 {
-			return math.Pow(beta+1, e)*math.Pow(beta-1, 1-e) + 1
-		}
-		got, err := GoldenMinimize(obj, 1+1e-9, 50, 1e-10)
-		if err != nil {
-			t.Fatalf("(%d,%d): %v", c.n, c.f, err)
-		}
-		want := float64(4*c.f+4)/float64(c.n) - 1
-		if !AlmostEqual(got, want, 1e-6) {
-			t.Errorf("(%d,%d): argmin beta = %.9g, want %.9g", c.n, c.f, got, want)
-		}
-	}
-}

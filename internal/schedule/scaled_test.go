@@ -25,8 +25,8 @@ func TestNewScaledDefaultsMatchNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.MinDistance() != 1 {
-		t.Errorf("MinDistance = %v, want 1", a.MinDistance())
+	if a.dmin != 1 {
+		t.Errorf("MinDistance = %v, want 1", a.dmin)
 	}
 }
 
@@ -43,8 +43,8 @@ func TestScaledScheduleIsExactDilation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scaled.MinDistance() != c {
-		t.Fatalf("MinDistance = %v", scaled.MinDistance())
+	if scaled.dmin != c {
+		t.Fatalf("MinDistance = %v", scaled.dmin)
 	}
 	for i := range base.Trajectories() {
 		bt := base.Trajectories()[i]

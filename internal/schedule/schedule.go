@@ -200,47 +200,17 @@ func SlowStartLegs(cone geom.Cone, x float64) []geom.Segment {
 	return []geom.Segment{{From: geom.Point{X: 0, T: 0}, To: cone.BoundaryPoint(x)}}
 }
 
-// N returns the number of robots.
-func (s *Schedule) N() int { return s.n }
-
-// F returns the fault budget the schedule was designed for.
-func (s *Schedule) F() int { return s.f }
-
 // Beta returns the cone slope.
 func (s *Schedule) Beta() float64 { return s.beta }
 
 // Ratio returns the proportionality ratio r of Lemma 2.
 func (s *Schedule) Ratio() float64 { return s.r }
 
-// MinDistance returns the minimal target distance the schedule was
-// scaled for (1 unless built with NewScaled).
-func (s *Schedule) MinDistance() float64 { return s.dmin }
-
 // Cone returns the confining cone C_beta.
 func (s *Schedule) Cone() geom.Cone { return s.cone }
-
-// ExpansionFactor returns kappa = (beta+1)/(beta-1).
-func (s *Schedule) ExpansionFactor() float64 { return s.cone.ExpansionFactor() }
 
 // Trajectories returns the robots' trajectories, indexed by robot.
 // The slice is a copy; the trajectories themselves are immutable.
 func (s *Schedule) Trajectories() []*trajectory.Trajectory {
 	return append([]*trajectory.Trajectory(nil), s.trajs...)
-}
-
-// TurningPoint returns the k-th merged positive turning point tau_k =
-// dmin * r^k (k >= 0) together with the robot that owns it (robot
-// k mod n).
-func (s *Schedule) TurningPoint(k int) (geom.Point, int) {
-	if k < 0 {
-		panic("schedule: negative merged turning-point index")
-	}
-	x := s.dmin * math.Pow(s.r, float64(k))
-	return s.cone.BoundaryPoint(x), k % s.n
-}
-
-// AnalyticCR returns the closed-form competitive ratio of this schedule
-// (Lemma 5 at the schedule's beta).
-func (s *Schedule) AnalyticCR() (float64, error) {
-	return analysis.ConeCR(s.beta, s.n, s.f)
 }

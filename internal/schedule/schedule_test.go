@@ -38,16 +38,16 @@ func TestNewValidation(t *testing.T) {
 
 func TestNewOptimalAccessors(t *testing.T) {
 	s := mustOptimal(t, 3, 1)
-	if s.N() != 3 || s.F() != 1 {
-		t.Errorf("N, F = %d, %d; want 3, 1", s.N(), s.F())
+	if s.n != 3 || s.f != 1 {
+		t.Errorf("n, f = %d, %d; want 3, 1", s.n, s.f)
 	}
-	if !numeric.Close(s.Beta(), 5.0/3) {
+	if !numeric.AlmostEqual(s.Beta(), 5.0/3, 1e-9) {
 		t.Errorf("Beta = %v, want 5/3", s.Beta())
 	}
-	if !numeric.Close(s.ExpansionFactor(), 4) {
-		t.Errorf("ExpansionFactor = %v, want 4", s.ExpansionFactor())
+	if !numeric.AlmostEqual(s.cone.ExpansionFactor(), 4, 1e-9) {
+		t.Errorf("ExpansionFactor = %v, want 4", s.cone.ExpansionFactor())
 	}
-	if !numeric.Close(s.Ratio(), math.Pow(4, 2.0/3)) {
+	if !numeric.AlmostEqual(s.Ratio(), math.Pow(4, 2.0/3), 1e-9) {
 		t.Errorf("Ratio = %v, want 4^(2/3)", s.Ratio())
 	}
 	if got := len(s.Trajectories()); got != 3 {
@@ -63,7 +63,7 @@ func TestRobotZeroAnchorsAtOne(t *testing.T) {
 			t.Fatalf("(%d,%d): robot 0 tail is not a zig-zag", p[0], p[1])
 		}
 		a := tail.Anchor()
-		if !numeric.Close(a.X, 1) || !numeric.Close(a.T, s.Beta()) {
+		if !numeric.AlmostEqual(a.X, 1, 1e-9) || !numeric.AlmostEqual(a.T, s.Beta(), 1e-9) {
 			t.Errorf("(%d,%d): robot 0 anchor %v, want (1, beta)", p[0], p[1], a)
 		}
 	}
@@ -339,4 +339,21 @@ func TestSuboptimalBetaSchedulesAreValid(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TurningPoint returns the k-th merged positive turning point tau_k =
+// dmin * r^k (k >= 0) together with the robot that owns it (robot
+// k mod n).
+func (s *Schedule) TurningPoint(k int) (geom.Point, int) {
+	if k < 0 {
+		panic("schedule: negative merged turning-point index")
+	}
+	x := s.dmin * math.Pow(s.r, float64(k))
+	return s.cone.BoundaryPoint(x), k % s.n
+}
+
+// AnalyticCR returns the closed-form competitive ratio of this schedule
+// (Lemma 5 at the schedule's beta).
+func (s *Schedule) AnalyticCR() (float64, error) {
+	return analysis.ConeCR(s.beta, s.n, s.f)
 }

@@ -176,15 +176,9 @@ func NewPlanCache(capacity int, build BuildFunc) *PlanCache {
 	}
 }
 
-// Get returns the Searcher for key, building and caching it on a miss.
-// Safe for concurrent use.
-func (c *PlanCache) Get(key PlanKey) (*Plan, error) {
-	plan, _, err := c.GetCtx(context.Background(), key)
-	return plan, err
-}
-
-// GetCtx is Get with trace plumbing: when ctx carries a sampled trace,
-// a cache miss records a "plan.build" stage span around the expensive
+// GetCtx returns the plan for key, building and caching it on a miss.
+// Safe for concurrent use. When ctx carries a sampled trace, a cache
+// miss records a "plan.build" stage span around the expensive
 // construction (in-flight waiters record "plan.build.wait" instead).
 // hit reports whether the plan came straight from the cache, so
 // callers can annotate their own spans.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -261,4 +262,10 @@ func TestCacheInflightDedupBuildError(t *testing.T) {
 	if st := c.Stats(); st.Size != 1 {
 		t.Errorf("size = %d after successful rebuild, want 1", st.Size)
 	}
+}
+
+// Get is GetCtx without a trace, for tests that only need the plan.
+func (c *PlanCache) Get(key PlanKey) (*Plan, error) {
+	plan, _, err := c.GetCtx(context.Background(), key)
+	return plan, err
 }

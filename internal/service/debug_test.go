@@ -21,9 +21,10 @@ func countSpans(s telemetry.SpanSnapshot) int {
 
 // A cold /v1/plan request must produce a full trace: the root request
 // span with the evaluation stages nested under it (eval, the plan
-// build, the geometry pass — at least 3 spans under the root).
+// build, the geometry pass — at least 3 spans under the root), and a
+// batch's fan-out span must report the workers it actually ran.
 func TestDebugTracesColdPlanRequest(t *testing.T) {
-	svc := newTestService(t, Config{})
+	svc := newTestService(t, Config{BatchWorkers: 8})
 	h := svc.Handler()
 
 	if code, body := doReq(t, h, "GET", "/v1/plan?n=3&f=1", ""); code != http.StatusOK {
@@ -71,6 +72,50 @@ func TestDebugTracesColdPlanRequest(t *testing.T) {
 			t.Errorf("trace missing stage %q (got %v)", want, names)
 		}
 	}
+
+	// A batch smaller than the worker limit reports the goroutines it
+	// ran on its fan-out span, not the configured limit.
+	body := `{"queries":[{"op":"lowerbound","n":3,"f":1},{"op":"lowerbound","n":4,"f":1}]}`
+	if code, resp := doReq(t, h, "POST", "/v1/batch", body); code != http.StatusOK {
+		t.Fatalf("batch status %d: %v", code, resp)
+	}
+	fanout := findSpan(t, h, "/v1/batch", "batch.fanout")
+	if got := fanout.Attrs["workers"]; got != float64(2) {
+		t.Errorf("batch.fanout workers = %v, want 2 (BatchWorkers %d, 2 queries)", got, svc.cfg.BatchWorkers)
+	}
+}
+
+// findSpan fetches /debug/traces and returns the first span called name
+// in the most recent trace of the request route.
+func findSpan(t *testing.T, h http.Handler, route, name string) telemetry.SpanSnapshot {
+	t.Helper()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/debug/traces", nil))
+	var resp telemetry.TracesResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	var find func(telemetry.SpanSnapshot) (telemetry.SpanSnapshot, bool)
+	find = func(s telemetry.SpanSnapshot) (telemetry.SpanSnapshot, bool) {
+		if s.Name == name {
+			return s, true
+		}
+		for _, c := range s.Children {
+			if got, ok := find(c); ok {
+				return got, true
+			}
+		}
+		return telemetry.SpanSnapshot{}, false
+	}
+	for _, tr := range resp.Traces {
+		if tr.Name == route {
+			if s, ok := find(tr.Root); ok {
+				return s
+			}
+		}
+	}
+	t.Fatalf("no %s span in a %s trace", name, route)
+	return telemetry.SpanSnapshot{}
 }
 
 func TestDebugTracesParamValidation(t *testing.T) {

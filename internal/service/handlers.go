@@ -13,6 +13,7 @@ import (
 
 	"linesearch"
 	"linesearch/internal/faultpoint"
+	"linesearch/internal/numeric"
 	"linesearch/internal/telemetry"
 )
 
@@ -831,14 +832,16 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	items := make([]BatchItem, len(req.Queries))
 	ctx, span := telemetry.StartSpan(r.Context(), "batch.fanout")
 	span.SetInt("queries", int64(len(req.Queries)))
-	span.SetInt("workers", int64(s.cfg.BatchWorkers))
-	err := forEach(ctx, len(req.Queries), s.cfg.BatchWorkers, func(i int) {
+	workers := min(s.cfg.BatchWorkers, len(req.Queries))
+	span.SetInt("workers", int64(workers))
+	err := numeric.Chunked(ctx, len(req.Queries), workers, func(_, i int) error {
 		res, err := s.eval(ctx, req.Queries[i])
 		if err != nil {
 			items[i] = BatchItem{OK: false, Error: err.Error()}
-			return
+			return nil
 		}
 		items[i] = BatchItem{OK: true, Result: res}
+		return nil
 	})
 	span.End()
 	if err != nil {

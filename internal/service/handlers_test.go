@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -397,6 +398,39 @@ func TestBatchValidation(t *testing.T) {
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (want 400), body %v", tt.name, code, body)
 		}
+	}
+}
+
+// TestBatchCancelledMidFanout: a batch whose context ends while the
+// fan-out is running starts no further query and answers 503. The
+// first query's plan build cancels the request; with one worker the
+// second query never starts.
+func TestBatchCancelledMidFanout(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var builds atomic.Int64
+	h := newTestService(t, Config{
+		BatchWorkers: 1,
+		// No timeout handler: it would answer the cancellation itself.
+		RequestTimeout: -1,
+		Build: func(k PlanKey) (*Plan, error) {
+			builds.Add(1)
+			cancel()
+			return defaultBuild(k)
+		},
+	}).Handler()
+	body := `{"queries":[{"op":"plan","n":3,"f":1},{"op":"plan","n":4,"f":1}]}`
+	r := httptest.NewRequest("POST", "/v1/batch", strings.NewReader(body)).WithContext(ctx)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, r)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Errorf("status %d, want 503", w.Code)
+	}
+	if !strings.Contains(w.Body.String(), "batch cancelled") {
+		t.Errorf("body %q does not say the batch was cancelled", w.Body.String())
+	}
+	if b := builds.Load(); b != 1 {
+		t.Errorf("%d plans built, want 1: a query started after the cancellation", b)
 	}
 }
 

@@ -148,11 +148,11 @@ func TestReplicaGetFallsBackToHome(t *testing.T) {
 	}
 	<-j.Done()
 
-	code, body := doReq(t, svc.Handler(), "GET", "/v1/replica/checkpoints/"+j.ID(), "")
+	code, body := doReq(t, svc.Handler(), "GET", "/v1/replica/checkpoints/"+j.Status().ID, "")
 	if code != 200 {
 		t.Fatalf("GET home checkpoint = %d, want 200", code)
 	}
-	if body["id"] != j.ID() {
-		t.Fatalf("GET returned job %v, want %s", body["id"], j.ID())
+	if body["id"] != j.Status().ID {
+		t.Fatalf("GET returned job %v, want %s", body["id"], j.Status().ID)
 	}
 }

@@ -184,18 +184,8 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Tracer exposes the request tracer (for the debug surface and tests).
-func (s *Service) Tracer() *telemetry.Tracer { return s.tracer }
-
-// Journal exposes the structured event journal (for the debug surface
-// and process wiring).
-func (s *Service) Journal() *journal.Journal { return s.journal }
-
 // Cache exposes the plan cache (stats are also on /metrics).
 func (s *Service) Cache() *PlanCache { return s.cache }
-
-// Sweeps exposes the sweep-job manager (for shutdown and tests).
-func (s *Service) Sweeps() *sweep.Manager { return s.sweeps }
 
 // Close shuts the background job engine down: running sweeps are
 // cancelled cooperatively and checkpointed so a restarted daemon

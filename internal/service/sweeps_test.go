@@ -395,7 +395,7 @@ func TestSweepSubmitIdempotentOverHTTP(t *testing.T) {
 	if a.ID != b.ID {
 		t.Errorf("idempotent resubmit created %s and %s", a.ID, b.ID)
 	}
-	if got := len(svc.Sweeps().List()); got != 1 {
+	if got := len(svc.sweeps.List()); got != 1 {
 		t.Errorf("manager has %d jobs, want 1", got)
 	}
 	pollUntilTerminal(t, srv, a.ID)

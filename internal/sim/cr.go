@@ -81,40 +81,6 @@ type CRResult struct {
 	Candidates int
 }
 
-// EmpiricalCR measures the plan's competitive ratio over targets with
-// XMin <= |x| <= XMax by direct evaluation. By Lemma 3 the ratio
-// function is decreasing between turning points and jumps upward just
-// past them, so the supremum is attained in the right-limit at turning
-// points; the search therefore evaluates just beyond every trajectory
-// corner on both half lines, plus a geometric safety grid. Candidates
-// are evaluated by a worker pool (CROptions.Parallelism); the result is
-// deterministic: the first candidate in generation order achieving the
-// supremum is the witness. This is the test oracle for
-// compiled.Plan.CR, which every production caller uses.
-func (p *Plan) EmpiricalCR(opts CROptions) (CRResult, error) {
-	opts = opts.WithDefaults()
-	candidates, err := p.CRCandidates(opts)
-	if err != nil {
-		return CRResult{}, err
-	}
-
-	ratios := make([]float64, len(candidates))
-	// Evaluating a candidate cannot fail, so Chunked returns nil.
-	_ = numeric.Chunked(len(candidates), opts.Parallelism, func(_, i int) error {
-		ratios[i] = p.SearchTime(candidates[i]) / math.Abs(candidates[i])
-		return nil
-	})
-
-	res := CRResult{Sup: math.Inf(-1), Candidates: len(candidates)}
-	for i, r := range ratios {
-		if r > res.Sup {
-			res.Sup = r
-			res.ArgX = candidates[i]
-		}
-	}
-	return res, nil
-}
-
 // CRCandidates generates the deterministic candidate list the
 // competitive-ratio search evaluates: just beyond every trajectory
 // corner within range, then the geometric safety grid on both half

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"linesearch/internal/fault"
 	"linesearch/internal/geom"
 	"linesearch/internal/strategy"
 	"linesearch/internal/trajectory"
@@ -149,7 +150,7 @@ func TestExpectedUnreachableAndStarved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewPlan([]*trajectory.Trajectory{tr, left}, 1)
+	plan, err := NewPlanModel([]*trajectory.Trajectory{tr, left}, fault.CrashModel(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestExpectedUnreachableAndStarved(t *testing.T) {
 }
 
 func TestExpectedRejectsUnsupportedRegimes(t *testing.T) {
-	plan, err := NewPlan([]*trajectory.Trajectory{halfLineTraj(t, 1, 2), halfLineTraj(t, 1, 3)}, 1)
+	plan, err := NewPlanModel([]*trajectory.Trajectory{halfLineTraj(t, 1, 2), halfLineTraj(t, 1, 3)}, fault.CrashModel(1))
 	if err != nil {
 		t.Fatal(err)
 	}

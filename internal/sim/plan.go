@@ -7,9 +7,9 @@
 // times under concrete fault assignments, the competitive-ratio
 // candidate targets, full event timelines including false claims, and
 // the exact expected detection time under per-visit detection failures
-// (the p-faulty model of arXiv:2002.07797).
-// Its EmpiricalCR is the reference the compiled kernel's CR is tested
-// against; production measures CR through internal/compiled.
+// (the p-faulty model of arXiv:2002.07797). Production measures the
+// competitive ratio through internal/compiled over this package's
+// CRCandidates; the direct EmpiricalCR reference lives in the tests.
 //
 // Nothing here is time-stepped; every quantity comes from the
 // trajectories' closed-form visit queries, so results are exact up to
@@ -31,13 +31,6 @@ import (
 type Plan struct {
 	trajs []*trajectory.Trajectory
 	model fault.Model
-}
-
-// NewPlan wraps trajectories and a crash fault budget — the source
-// paper's model. It requires at least one robot, 0 <= f < n, and valid
-// trajectories.
-func NewPlan(trajs []*trajectory.Trajectory, f int) (*Plan, error) {
-	return NewPlanModel(trajs, fault.CrashModel(f))
 }
 
 // NewPlanModel wraps trajectories and an explicit fault model. The

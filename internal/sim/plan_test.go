@@ -23,20 +23,20 @@ func mustPlan(t *testing.T, st strategy.Strategy, n, f int) *Plan {
 }
 
 func TestNewPlanValidation(t *testing.T) {
-	if _, err := NewPlan(nil, 0); err == nil {
+	if _, err := NewPlanModel(nil, fault.CrashModel(0)); err == nil {
 		t.Error("empty plan accepted")
 	}
 	tr := trajectory.Must(nil, trajectory.MustRay(geom.Point{X: 0, T: 0}, trajectory.Right))
-	if _, err := NewPlan([]*trajectory.Trajectory{tr}, 1); err == nil {
+	if _, err := NewPlanModel([]*trajectory.Trajectory{tr}, fault.CrashModel(1)); err == nil {
 		t.Error("f >= n accepted")
 	}
-	if _, err := NewPlan([]*trajectory.Trajectory{tr}, -1); err == nil {
+	if _, err := NewPlanModel([]*trajectory.Trajectory{tr}, fault.CrashModel(-1)); err == nil {
 		t.Error("negative f accepted")
 	}
-	if _, err := NewPlan([]*trajectory.Trajectory{nil}, 0); err == nil {
+	if _, err := NewPlanModel([]*trajectory.Trajectory{nil}, fault.CrashModel(0)); err == nil {
 		t.Error("nil trajectory accepted")
 	}
-	p, err := NewPlan([]*trajectory.Trajectory{tr}, 0)
+	p, err := NewPlanModel([]*trajectory.Trajectory{tr}, fault.CrashModel(0))
 	if err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestSearchTimeInfiniteWhenUndetectable(t *testing.T) {
 	// A single halting robot with f = 0 never reaches x = 5.
 	legs := []geom.Segment{{From: geom.Point{X: 0, T: 0}, To: geom.Point{X: 4, T: 4}}}
 	tr := trajectory.Must(legs, nil)
-	p, err := NewPlan([]*trajectory.Trajectory{tr, tr}, 1)
+	p, err := NewPlanModel([]*trajectory.Trajectory{tr, tr}, fault.CrashModel(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,13 @@ func TestWorstFaultSetMatchesSearchTime(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 5, 2)
 	for _, x := range []float64{1, -1.5, 3.7, -42, 500} {
 		faulty := p.WorstFaultAssignment(x)
-		if count := faulty.Count(fault.Crash); count != 2 {
+		count := 0
+		for _, k := range faulty {
+			if k == fault.Crash {
+				count++
+			}
+		}
+		if count != 2 {
 			t.Errorf("x=%v: worst fault set has %d faults, want 2", x, count)
 		}
 		detect, err := p.DetectionTime(x, faulty)
@@ -163,7 +169,7 @@ func TestDetectionTimeAllVisitorsFaulty(t *testing.T) {
 	legs := []geom.Segment{{From: geom.Point{X: 0, T: 0}, To: geom.Point{X: 4, T: 4}}}
 	tr := trajectory.Must(legs, nil)
 	ray := trajectory.Must(nil, trajectory.MustRay(geom.Point{X: 0, T: 0}, trajectory.Left))
-	p, err := NewPlan([]*trajectory.Trajectory{tr, ray}, 1)
+	p, err := NewPlanModel([]*trajectory.Trajectory{tr, ray}, fault.CrashModel(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +208,7 @@ func TestFromStrategyPropagatesBuildErrors(t *testing.T) {
 // an empty list rather than a nil-deref or a spurious entry.
 func TestFirstVisitsSingleRobot(t *testing.T) {
 	tr := trajectory.Must(nil, trajectory.MustRay(geom.Point{X: 0, T: 0}, trajectory.Right))
-	p, err := NewPlan([]*trajectory.Trajectory{tr}, 0)
+	p, err := NewPlanModel([]*trajectory.Trajectory{tr}, fault.CrashModel(0))
 	if err != nil {
 		t.Fatal(err)
 	}

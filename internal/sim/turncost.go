@@ -12,7 +12,7 @@ import (
 // cost time units at each direction reversal — the turn-cost model of
 // Demaine, Fekete and Gal ("Online searching with turn cost", cited as
 // [19] in the paper), applied to parallel faulty search. All existing
-// queries (SearchTime, EmpiricalCR, Timeline, ...) work on the derived
+// queries (SearchTime, CRCandidates, Timeline, ...) work on the derived
 // plan unchanged.
 //
 // Because the pauses break the self-similar structure of the analytic
@@ -67,20 +67,4 @@ func delayAtTurns(tr *trajectory.Trajectory, cost, horizon float64) (*trajectory
 		return nil, err
 	}
 	return trajectory.New(legs, halt)
-}
-
-// TurnsBefore counts the direction reversals robot makes strictly
-// before time t (corners of its trajectory, excluding waiting phases).
-func (p *Plan) TurnsBefore(robot int, t float64) (int, error) {
-	if robot < 0 || robot >= len(p.trajs) {
-		return 0, fmt.Errorf("sim: robot %d out of range [0, %d)", robot, len(p.trajs))
-	}
-	segs := p.trajs[robot].SegmentsUntil(t)
-	turns := 0
-	for i := 1; i < len(segs); i++ {
-		if segs[i].From.T < t && isCorner(segs[i-1].Displacement(), segs[i].Displacement()) {
-			turns++
-		}
-	}
-	return turns, nil
 }

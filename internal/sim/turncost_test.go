@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -135,4 +136,20 @@ func TestTurnsBeforeIgnoresWaits(t *testing.T) {
 	if got != 1 {
 		t.Errorf("turns after first corner = %d, want 1", got)
 	}
+}
+
+// TurnsBefore counts the direction reversals robot makes strictly
+// before time t (corners of its trajectory, excluding waiting phases).
+func (p *Plan) TurnsBefore(robot int, t float64) (int, error) {
+	if robot < 0 || robot >= len(p.trajs) {
+		return 0, fmt.Errorf("sim: robot %d out of range [0, %d)", robot, len(p.trajs))
+	}
+	segs := p.trajs[robot].SegmentsUntil(t)
+	turns := 0
+	for i := 1; i < len(segs); i++ {
+		if segs[i].From.T < t && isCorner(segs[i-1].Displacement(), segs[i].Displacement()) {
+			turns++
+		}
+	}
+	return turns, nil
 }

@@ -34,7 +34,7 @@ func TestByzantineSearchTimeIsRankVisit(t *testing.T) {
 	if got := p.DetectionRank(); got != 3 {
 		t.Fatalf("DetectionRank = %d, want 3", got)
 	}
-	crash, err := NewPlan(p.Trajectories(), 2)
+	crash, err := NewPlanModel(p.Trajectories(), fault.CrashModel(2))
 	if err != nil {
 		t.Fatal(err)
 	}

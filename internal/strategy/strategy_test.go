@@ -272,7 +272,7 @@ func TestDoublingTurningPoints(t *testing.T) {
 	}
 	want := []float64{1, -2, 4, -8, 16}
 	for k, w := range want {
-		if got := tail.TurningPoint(k).X; !numeric.Close(got, w) {
+		if got := tail.TurningPoint(k).X; !numeric.AlmostEqual(got, w, 1e-9) {
 			t.Errorf("turning %d = %v, want %v", k, got, w)
 		}
 	}

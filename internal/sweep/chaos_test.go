@@ -167,7 +167,7 @@ func runChaosSchedule(t *testing.T, seed int64, ref map[int]Cell) {
 		// The checkpoint on disk, if any, must be checksum-valid and
 		// its healthy cells must match the reference; unhealthy cells
 		// must carry their error.
-		cp, err := readCheckpoint(dir, j.ID(), spec.Hash())
+		cp, err := readCheckpoint(dir, j.id, spec.Hash())
 		if err != nil {
 			t.Fatalf("checkpoint after failed job is not readable: %v", err)
 		}
@@ -275,7 +275,7 @@ func TestKillAndResumeTorture(t *testing.T) {
 		assertCellMatchesRef(t, c, ref)
 	}
 	// The final checkpoint of the finished job reads back checksum-valid.
-	if cp, err := readCheckpoint(dir, j2.ID(), spec.Hash()); err != nil || cp == nil {
+	if cp, err := readCheckpoint(dir, j2.id, spec.Hash()); err != nil || cp == nil {
 		t.Fatalf("final checkpoint: %v, %v", cp, err)
 	}
 }

@@ -140,8 +140,9 @@ func (c *Cell) stampAxes(p CellParams) {
 // EvalCell is the production evaluator: resolve the strategy, realise
 // its plan, compile it, measure the empirical competitive ratio over
 // the spec's target range through the compiled kernel (identical
-// candidates and result as sim.EmpiricalCR, no per-target allocation),
-// and cross-check against the strategy's closed form.
+// candidates and result as the direct search over sim.Plan.SearchTime,
+// no per-target allocation), and cross-check against the strategy's
+// closed form.
 func EvalCell(ctx context.Context, p CellParams) Cell {
 	if err := faultpoint.Hit(fpSweepEval); err != nil {
 		return failedCell(p, err)

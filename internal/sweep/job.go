@@ -80,12 +80,6 @@ func newJob(base context.Context, spec Spec, cp *Checkpoint) *Job {
 	return j
 }
 
-// ID returns the job's identifier (deterministic in the spec).
-func (j *Job) ID() string { return j.id }
-
-// Spec returns the job's normalised spec.
-func (j *Job) Spec() Spec { return j.spec }
-
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 

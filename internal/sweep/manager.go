@@ -291,16 +291,6 @@ func (m *Manager) List() []Status {
 	return out
 }
 
-// Cancel requests cancellation of a job.
-func (m *Manager) Cancel(id string) bool {
-	j, ok := m.Get(id)
-	if !ok {
-		return false
-	}
-	j.Cancel()
-	return true
-}
-
 // Close cancels every job, waits for them to checkpoint and exit, and
 // rejects further submissions.
 func (m *Manager) Close() {

@@ -141,9 +141,9 @@ func TestManagerOnCheckpoint(t *testing.T) {
 	if err := last.Verify(); err != nil {
 		t.Fatalf("hook received an unverifiable checkpoint: %v", err)
 	}
-	if last.ID != j.ID() || len(last.Cells) != st.TotalCells {
+	if last.ID != j.id || len(last.Cells) != st.TotalCells {
 		t.Fatalf("hook checkpoint = id %s, %d cells; want job %s with %d cells",
-			last.ID, len(last.Cells), j.ID(), st.TotalCells)
+			last.ID, len(last.Cells), j.id, st.TotalCells)
 	}
 }
 
@@ -191,8 +191,8 @@ func TestManagerReplicaRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
 	}
-	if j2.ID() != j.ID() {
-		t.Fatalf("resubmit produced a different job id: %s vs %s", j2.ID(), j.ID())
+	if j2.id != j.id {
+		t.Fatalf("resubmit produced a different job id: %s vs %s", j2.id, j.id)
 	}
 	second := waitJob(t, j2)
 	if second.State != StateDone {

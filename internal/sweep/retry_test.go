@@ -184,7 +184,7 @@ func TestQuarantineFailsJobAndResumeRetries(t *testing.T) {
 
 	// The checkpoint survived the failure, is checksum-valid, and
 	// carries the quarantined cell.
-	cp, err := readCheckpoint(dir, j1.ID(), spec0(t, spec).Hash())
+	cp, err := readCheckpoint(dir, j1.id, spec0(t, spec).Hash())
 	if err != nil || cp == nil {
 		t.Fatalf("checkpoint after failed job: %v, %v", cp, err)
 	}

@@ -23,7 +23,7 @@ func waitJob(t *testing.T, j *Job) Status {
 	select {
 	case <-j.Done():
 	case <-time.After(60 * time.Second):
-		t.Fatalf("job %s did not finish: %+v", j.ID(), j.Status())
+		t.Fatalf("job %s did not finish: %+v", j.id, j.Status())
 	}
 	return j.Status()
 }
@@ -255,7 +255,7 @@ func TestCancelMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	if !m.Cancel(j.ID()) {
+	if !m.Cancel(j.id) {
 		t.Fatal("Cancel did not find the job")
 	}
 	close(release)
@@ -266,10 +266,10 @@ func TestCancelMidRun(t *testing.T) {
 	if st.DoneCells >= st.TotalCells {
 		t.Errorf("cancelled job completed all %d cells", st.TotalCells)
 	}
-	if _, err := readCheckpoint(m.Dir(), j.ID(), j.Spec().Hash()); err != nil {
+	if _, err := readCheckpoint(m.Dir(), j.id, j.spec.Hash()); err != nil {
 		t.Errorf("no checkpoint after cancel: %v", err)
 	}
-	if !m.Cancel(j.ID()) {
+	if !m.Cancel(j.id) {
 		t.Error("second Cancel reports unknown job")
 	}
 	if m.Cancel("sw-missing") {
@@ -354,4 +354,14 @@ func TestParseLists(t *testing.T) {
 	if vs, err := ParseInts("  "); err != nil || vs != nil {
 		t.Errorf("blank list = %v, %v", vs, err)
 	}
+}
+
+// Cancel requests cancellation of a job.
+func (m *Manager) Cancel(id string) bool {
+	j, ok := m.Get(id)
+	if !ok {
+		return false
+	}
+	j.Cancel()
+	return true
 }

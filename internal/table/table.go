@@ -33,23 +33,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row formatting each value with the corresponding
-// verb; values beyond the verbs are stringified with %v.
-func (t *Table) AddRowf(verbs []string, values ...any) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		verb := "%v"
-		if i < len(verbs) {
-			verb = verbs[i]
-		}
-		cells[i] = fmt.Sprintf(verb, v)
-	}
-	t.AddRow(cells...)
-}
-
-// Len returns the number of data rows.
-func (t *Table) Len() int { return len(t.rows) }
-
 // Render returns the formatted table. Every column is padded to its
 // widest cell; a dashed separator follows the header.
 func (t *Table) Render() string {

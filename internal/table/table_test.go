@@ -35,8 +35,8 @@ func TestAddRowPadsShortRows(t *testing.T) {
 	if !strings.Contains(out, "1") {
 		t.Errorf("missing cell:\n%s", out)
 	}
-	if tb.Len() != 1 {
-		t.Errorf("Len = %d", tb.Len())
+	if len(tb.rows) != 1 {
+		t.Errorf("%d rows, want 1", len(tb.rows))
 	}
 }
 
@@ -48,21 +48,6 @@ func TestAddRowPanicsOnTooManyCells(t *testing.T) {
 		}
 	}()
 	tb.AddRow("1", "2")
-}
-
-func TestAddRowf(t *testing.T) {
-	tb := New("n", "cr")
-	tb.AddRowf([]string{"%d", "%.2f"}, 3, 5.2333)
-	out := tb.Render()
-	if !strings.Contains(out, "5.23") {
-		t.Errorf("formatted cell missing:\n%s", out)
-	}
-	// Missing verbs fall back to %v.
-	tb2 := New("a", "b")
-	tb2.AddRowf([]string{"%d"}, 1, "x")
-	if !strings.Contains(tb2.Render(), "x") {
-		t.Error("fallback verb failed")
-	}
 }
 
 func TestRenderPanicsWithoutColumns(t *testing.T) {

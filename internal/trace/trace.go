@@ -1,6 +1,6 @@
-// Package trace exports experiment data: trajectory sampling for
-// plotting, and CSV / JSON encoders for the series every `cmd/paper`
-// subcommand can emit alongside its ASCII rendering.
+// Package trace exports experiment data: the CSV / JSON encoders for
+// the series every `cmd/paper` subcommand can emit alongside its ASCII
+// rendering.
 package trace
 
 import (
@@ -10,57 +10,7 @@ import (
 	"io"
 	"math"
 	"strconv"
-
-	"linesearch/internal/geom"
-	"linesearch/internal/trajectory"
 )
-
-// Sample is one (time, position) reading of a robot.
-type Sample struct {
-	T float64 `json:"t"`
-	X float64 `json:"x"`
-}
-
-// SampleTrajectory reads the robot's position at count evenly spaced
-// times in [t0, t1]. count must be >= 2 and the interval must start at
-// or after the trajectory's start time.
-func SampleTrajectory(tr *trajectory.Trajectory, t0, t1 float64, count int) ([]Sample, error) {
-	if count < 2 {
-		return nil, fmt.Errorf("trace: need at least 2 samples, got %d", count)
-	}
-	if t1 <= t0 {
-		return nil, fmt.Errorf("trace: empty interval [%g, %g]", t0, t1)
-	}
-	out := make([]Sample, 0, count)
-	step := (t1 - t0) / float64(count-1)
-	for i := 0; i < count; i++ {
-		ti := t0 + float64(i)*step
-		if i == count-1 {
-			ti = t1
-		}
-		x, err := tr.PositionAt(ti)
-		if err != nil {
-			return nil, fmt.Errorf("trace: sample at t=%g: %w", ti, err)
-		}
-		out = append(out, Sample{T: ti, X: x})
-	}
-	return out, nil
-}
-
-// CornerPoints returns the exact polyline corners of the trajectory up
-// to tmax: the lossless representation for space–time plots.
-func CornerPoints(tr *trajectory.Trajectory, tmax float64) []geom.Point {
-	segs := tr.SegmentsUntil(tmax)
-	if len(segs) == 0 {
-		return nil
-	}
-	pts := make([]geom.Point, 0, len(segs)+1)
-	pts = append(pts, segs[0].From)
-	for _, s := range segs {
-		pts = append(pts, s.To)
-	}
-	return pts
-}
 
 // Dataset is a named columnar table of float64 series, the common
 // currency of the experiment exporters.

@@ -5,83 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"linesearch/internal/geom"
-	"linesearch/internal/numeric"
-	"linesearch/internal/trajectory"
 )
-
-func demoTrajectory(t *testing.T) *trajectory.Trajectory {
-	t.Helper()
-	cone := geom.MustCone(3)
-	legs := []geom.Segment{
-		{From: geom.Point{X: 0, T: 0}, To: geom.Point{X: 0, T: 2}},
-		{From: geom.Point{X: 0, T: 2}, To: geom.Point{X: 1, T: 3}},
-	}
-	tr, err := trajectory.New(legs, trajectory.MustZigZag(cone, cone.BoundaryPoint(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
-func TestSampleTrajectory(t *testing.T) {
-	tr := demoTrajectory(t)
-	samples, err := SampleTrajectory(tr, 0, 6, 7)
-	if err != nil {
-		t.Fatalf("SampleTrajectory: %v", err)
-	}
-	if len(samples) != 7 {
-		t.Fatalf("got %d samples, want 7", len(samples))
-	}
-	if samples[0].T != 0 || samples[6].T != 6 {
-		t.Errorf("endpoints %v, %v", samples[0], samples[6])
-	}
-	// t=3 is the anchor (x=1); t=6 is the first turn (x=-2).
-	if !numeric.Close(samples[3].X, 1) {
-		t.Errorf("sample at t=3: x=%v, want 1", samples[3].X)
-	}
-	if !numeric.Close(samples[6].X, -2) {
-		t.Errorf("sample at t=6: x=%v, want -2", samples[6].X)
-	}
-	// Unit speed: consecutive samples differ by at most the time step.
-	for i := 1; i < len(samples); i++ {
-		dt := samples[i].T - samples[i-1].T
-		if dx := samples[i].X - samples[i-1].X; dx > dt+1e-9 || dx < -dt-1e-9 {
-			t.Errorf("superluminal between samples %d and %d", i-1, i)
-		}
-	}
-}
-
-func TestSampleTrajectoryValidation(t *testing.T) {
-	tr := demoTrajectory(t)
-	if _, err := SampleTrajectory(tr, 0, 6, 1); err == nil {
-		t.Error("count < 2 accepted")
-	}
-	if _, err := SampleTrajectory(tr, 6, 0, 5); err == nil {
-		t.Error("inverted interval accepted")
-	}
-}
-
-func TestCornerPoints(t *testing.T) {
-	tr := demoTrajectory(t)
-	pts := CornerPoints(tr, 11)
-	// Legs: (0,0)->(0,2)->(1,3); tail corners (1,3)->(-2,6)->(4,12)
-	// (the segment starting at t=6 <= 11 is included in full).
-	if len(pts) != 5 {
-		t.Fatalf("got %d corners: %v", len(pts), pts)
-	}
-	if pts[0] != (geom.Point{X: 0, T: 0}) {
-		t.Errorf("first corner %v", pts[0])
-	}
-	last := pts[len(pts)-1]
-	if !numeric.Close(last.X, 4) || !numeric.Close(last.T, 12) {
-		t.Errorf("last corner %v, want (4, 12)", last)
-	}
-	if got := CornerPoints(tr, -1); got != nil {
-		t.Errorf("corners before start: %v", got)
-	}
-}
 
 func TestDatasetRoundTrip(t *testing.T) {
 	d := &Dataset{Name: "demo", Columns: []string{"x", "y"}}

@@ -54,9 +54,6 @@ func MustHalfZigZag(anchor geom.Point, first, gamma float64) *HalfZigZag {
 // Anchor implements Tail.
 func (h *HalfZigZag) Anchor() geom.Point { return h.anchor }
 
-// First returns the signed first excursion displacement.
-func (h *HalfZigZag) First() float64 { return h.first }
-
 // Gamma returns the excursion growth factor.
 func (h *HalfZigZag) Gamma() float64 { return h.gamma }
 

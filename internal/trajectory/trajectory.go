@@ -18,10 +18,6 @@ import (
 	"linesearch/internal/geom"
 )
 
-// ErrNeverVisited is a sentinel used by callers that want to distinguish
-// "never visits x" from other failures.
-var ErrNeverVisited = errors.New("trajectory: position never visited")
-
 // contiguityTol absorbs rounding when checking that consecutive legs and
 // the tail anchor meet exactly.
 const contiguityTol = 1e-9

@@ -88,7 +88,7 @@ func TestTrajectoryWithStartupAndZigZag(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PositionAt(%v): %v", tt.t, err)
 		}
-		if !numeric.Close(got, tt.want) {
+		if !numeric.AlmostEqual(got, tt.want, 1e-9) {
 			t.Errorf("PositionAt(%v) = %v, want %v", tt.t, got, tt.want)
 		}
 	}
@@ -102,7 +102,7 @@ func TestTrajectoryFirstVisitPrefersLegs(t *testing.T) {
 	// x = 0.5 is first visited on the start-up leg at t = 2.5, long
 	// before the zig-zag sweeps back over it.
 	got, ok := tr.FirstVisit(0.5)
-	if !ok || !numeric.Close(got, 2.5) {
+	if !ok || !numeric.AlmostEqual(got, 2.5, 1e-9) {
 		t.Errorf("FirstVisit(0.5) = %v, %v; want 2.5, true", got, ok)
 	}
 
@@ -114,7 +114,7 @@ func TestTrajectoryFirstVisitPrefersLegs(t *testing.T) {
 
 	// x = -1 is only reached by the zig-zag: from (1,3) heading left.
 	got, ok = tr.FirstVisit(-1)
-	if !ok || !numeric.Close(got, 5) {
+	if !ok || !numeric.AlmostEqual(got, 5, 1e-9) {
 		t.Errorf("FirstVisit(-1) = %v, %v; want 5, true", got, ok)
 	}
 }
@@ -129,7 +129,7 @@ func TestFiniteTrajectoryHalts(t *testing.T) {
 	if _, ok := tr.FirstVisit(5); ok {
 		t.Error("finite trajectory claims to visit unreached position")
 	}
-	if v, ok := tr.FirstVisit(3); !ok || !numeric.Close(v, 3) {
+	if v, ok := tr.FirstVisit(3); !ok || !numeric.AlmostEqual(v, 3, 1e-9) {
 		t.Errorf("FirstVisit(3) = %v, %v; want 3, true", v, ok)
 	}
 }

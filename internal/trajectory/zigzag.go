@@ -35,20 +35,8 @@ func NewZigZag(cone geom.Cone, anchor geom.Point) (*ZigZag, error) {
 	return &ZigZag{cone: cone, anchor: anchor}, nil
 }
 
-// MustZigZag is NewZigZag for statically known inputs; panics on error.
-func MustZigZag(cone geom.Cone, anchor geom.Point) *ZigZag {
-	z, err := NewZigZag(cone, anchor)
-	if err != nil {
-		panic(err)
-	}
-	return z
-}
-
 // Anchor implements Tail.
 func (z *ZigZag) Anchor() geom.Point { return z.anchor }
-
-// Cone returns the confining cone.
-func (z *ZigZag) Cone() geom.Cone { return z.cone }
 
 // Validate implements Tail.
 func (z *ZigZag) Validate() error {

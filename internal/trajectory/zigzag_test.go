@@ -40,7 +40,7 @@ func TestTurningPointsMatchLemma1(t *testing.T) {
 	}
 	for k, w := range want {
 		got := z.TurningPoint(k)
-		if !numeric.Close(got.X, w.X) || !numeric.Close(got.T, w.T) {
+		if !numeric.AlmostEqual(got.X, w.X, 1e-9) || !numeric.AlmostEqual(got.T, w.T, 1e-9) {
 			t.Errorf("TurningPoint(%d) = %v, want %v", k, got, w)
 		}
 	}
@@ -51,7 +51,7 @@ func TestTurningPointsNegativeAnchor(t *testing.T) {
 	z := MustZigZag(cone, cone.BoundaryPoint(-1))
 	want := []float64{-1, 2, -4, 8}
 	for k, w := range want {
-		if got := z.TurningPoint(k).X; !numeric.Close(got, w) {
+		if got := z.TurningPoint(k).X; !numeric.AlmostEqual(got, w, 1e-9) {
 			t.Errorf("TurningPoint(%d).X = %v, want %v", k, got, w)
 		}
 	}
@@ -67,10 +67,10 @@ func TestTurningPointBackwardExtension(t *testing.T) {
 	}
 	for _, tt := range want {
 		got := z.TurningPoint(tt.k)
-		if !numeric.Close(got.X, tt.x) {
+		if !numeric.AlmostEqual(got.X, tt.x, 1e-9) {
 			t.Errorf("TurningPoint(%d).X = %v, want %v", tt.k, got.X, tt.x)
 		}
-		if !numeric.Close(got.T, 3*math.Abs(tt.x)) {
+		if !numeric.AlmostEqual(got.T, 3*math.Abs(tt.x), 1e-9) {
 			t.Errorf("TurningPoint(%d).T = %v, want boundary time %v", tt.k, got.T, 3*math.Abs(tt.x))
 		}
 	}
@@ -95,7 +95,7 @@ func TestZigZagPositionAt(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PositionAt(%v): %v", tt.t, err)
 		}
-		if !numeric.Close(got, tt.want) {
+		if !numeric.AlmostEqual(got, tt.want, 1e-9) {
 			t.Errorf("PositionAt(%v) = %v, want %v", tt.t, got, tt.want)
 		}
 	}
@@ -179,7 +179,7 @@ func TestZigZagFirstVisit(t *testing.T) {
 		if !ok {
 			t.Fatalf("FirstVisit(%v): not found", tt.x)
 		}
-		if !numeric.Close(got, tt.want) {
+		if !numeric.AlmostEqual(got, tt.want, 1e-9) {
 			t.Errorf("FirstVisit(%v) = %v, want %v", tt.x, got, tt.want)
 		}
 	}
@@ -212,7 +212,7 @@ func TestZigZagVisitsUntil(t *testing.T) {
 		t.Fatalf("VisitsUntil(1, 40) = %v, want %v", got, want)
 	}
 	for i := range want {
-		if !numeric.Close(got[i], want[i]) {
+		if !numeric.AlmostEqual(got[i], want[i], 1e-9) {
 			t.Errorf("visit %d = %v, want %v", i, got[i], want[i])
 		}
 	}
@@ -248,4 +248,13 @@ func TestZigZagSegmentsUntil(t *testing.T) {
 			t.Errorf("segment %d speed = %v, want 1", i, s.Speed())
 		}
 	}
+}
+
+// MustZigZag is NewZigZag for statically known inputs; panics on error.
+func MustZigZag(cone geom.Cone, anchor geom.Point) *ZigZag {
+	z, err := NewZigZag(cone, anchor)
+	if err != nil {
+		panic(err)
+	}
+	return z
 }
