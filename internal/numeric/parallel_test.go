@@ -145,6 +145,41 @@ func TestChunkedBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// TestChunkedProcessesEverything: with more items than workers and a
+// split that leaves a short last chunk, every item's result lands.
+func TestChunkedProcessesEverything(t *testing.T) {
+	const n = 100
+	out := make([]int, n)
+	if err := Chunked(context.Background(), n, 7, func(_, i int) error { out[i] = i * i; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range out {
+		if v != i*i {
+			t.Fatalf("out[%d] = %d", i, v)
+		}
+	}
+}
+
+// TestChunkedZeroItems: n = 0 calls nothing and reports no error.
+func TestChunkedZeroItems(t *testing.T) {
+	if err := Chunked(context.Background(), 0, 4, func(_, _ int) error { t.Error("called"); return nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChunkedWorkerFloor: a worker count below 1 still runs every item.
+func TestChunkedWorkerFloor(t *testing.T) {
+	for _, workers := range []int{0, -3} {
+		var count atomic.Int64
+		if err := Chunked(context.Background(), 5, workers, func(_, _ int) error { count.Add(1); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if count.Load() != 5 {
+			t.Errorf("workers=%d: processed %d of 5", workers, count.Load())
+		}
+	}
+}
+
 // TestChunkedCancellation: once ctx is done no item starts, items in
 // flight finish, and Chunked reports ctx.Err() because some item did
 // not run. Inline, the item that cancels is the last to run; with
