@@ -51,10 +51,13 @@ loc:
 
 # Fault-injection chaos suite under the race detector: 24 deterministic
 # schedules, the kill-and-resume torture test, and a randomized-seed
-# soak (seeds are logged, so failures replay deterministically).
+# soak (seeds are logged, so failures replay deterministically), then
+# the fault-point framework's own tests. Only the sweep tests define
+# -chaos.soak, so the two packages run separately.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|KillAndResume|FaultInjection|FaultPoint' \
-		./internal/sweep ./internal/faultpoint -chaos.soak=45s
+		./internal/sweep -chaos.soak=45s
+	$(GO) test -race -count=1 ./internal/faultpoint
 
 # Partition chaos suite under the race detector: SWIM gossip under
 # split-brain and asymmetric link faults, replication hinted handoff

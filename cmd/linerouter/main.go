@@ -8,7 +8,7 @@
 // Usage:
 //
 //	linerouter -backends http://127.0.0.1:8081,http://127.0.0.1:8082 \
-//	           [-addr :8090] [-attempts 3] [-vnodes 160] \
+//	           [-addr :8090] [-attempts 3] \
 //	           [-health-interval 2s] [-quarantine-votes 3] \
 //	           [-slow-threshold 0] [-warm-keys 64] [-log text|json] [-quiet] \
 //	           [-trace-sample 1] [-trace-buffer 256] [-debug-addr ""] \
@@ -82,7 +82,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	addr := fs.String("addr", ":8090", "listen address (host:port; port 0 picks an ephemeral port)")
 	backends := fs.String("backends", "", "comma-separated linesearchd base URLs (required)")
 	attempts := fs.Int("attempts", 3, "attempts per retryable request, first included")
-	vnodes := fs.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per backend on the hash ring")
 	healthInterval := fs.Duration("health-interval", 2*time.Second, "backend health probe cadence (negative disables)")
 	quarantineVotes := fs.Int("quarantine-votes", 3, "consecutive failed health votes that quarantine a backend")
 	slowThreshold := fs.Duration("slow-threshold", 0, "mean proxied latency per probe window that draws a failed vote (0 disables)")
@@ -151,7 +150,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	jrnl := journal.New(0)
 	router, err := cluster.New(cluster.Config{
 		Backends:         initial,
-		VNodes:           *vnodes,
 		Attempts:         *attempts,
 		HealthInterval:   *healthInterval,
 		QuarantineVotes:  *quarantineVotes,

@@ -34,6 +34,11 @@ const deadExportsAllowlist = "testdata/dead_exports.txt"
 // exactly, so a new dead export fails here, and so does an allowlist
 // entry that has since been deleted or gained a caller.
 //
+// Options get the same treatment: an exported field of an exported
+// struct type whose name ends in Config is dead when no non-test code
+// outside its own package names it, because then no caller can set
+// it and it is a constant in disguise.
+//
 // The module's packages are type-checked from source; the standard
 // library is imported from the compiler's export data (one
 // `go list -export` call), which is much faster than re-checking
@@ -87,6 +92,7 @@ func TestNoDeadExports(t *testing.T) {
 		}),
 	}
 	used := map[types.Object]bool{}
+	namedOutside := map[types.Object]bool{} // struct fields named outside their package
 	var ifaces []*types.Interface
 	var checked []*types.Package
 	for _, p := range pkgs {
@@ -107,6 +113,9 @@ func TestNoDeadExports(t *testing.T) {
 		checked = append(checked, pkg)
 		for _, obj := range info.Uses {
 			used[origin(obj)] = true
+			if v, ok := obj.(*types.Var); ok && v.IsField() && v.Pkg() != pkg {
+				namedOutside[origin(v)] = true
+			}
 		}
 		for _, tv := range info.Types { // interface literals, e.g. in type assertions
 			if it, ok := tv.Type.(*types.Interface); ok && tv.IsType() {
@@ -136,6 +145,28 @@ func TestNoDeadExports(t *testing.T) {
 			for i := 0; i < named.NumMethods(); i++ {
 				if m := named.Method(i); m.Exported() && !used[m] {
 					dead[m] = pkg.Path() + "." + name + "." + m.Name()
+				}
+			}
+		}
+	}
+
+	// Every exported field of an exported ...Config struct that no
+	// non-test code outside its package names.
+	deadFields := map[string]bool{}
+	for _, pkg := range checked {
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !namedOutside[f] {
+					dead[f] = pkg.Path() + "." + name + "." + f.Name()
+					deadFields[dead[f]] = true
 				}
 			}
 		}
@@ -179,7 +210,12 @@ func TestNoDeadExports(t *testing.T) {
 	}
 	sort.Strings(got)
 	for _, name := range got {
-		if _, ok := allow[name]; !ok {
+		if _, ok := allow[name]; ok {
+			continue
+		}
+		if deadFields[name] {
+			t.Errorf("%s is a config field that no non-test code outside its package sets or reads: make it a constant, or add it to %s with a reason", name, deadExportsAllowlist)
+		} else {
 			t.Errorf("%s is exported but no non-test code uses it: delete it, move it into the _test.go file that uses it, or add it to %s with a reason", name, deadExportsAllowlist)
 		}
 	}

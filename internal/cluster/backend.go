@@ -43,7 +43,7 @@ type backend struct {
 // host are kept: the router joins request paths onto it. The breaker
 // records its open/half-open/close transitions into jrnl under the
 // backend's name.
-func newBackend(raw string, threshold int, cooldown time.Duration, jrnl *journal.Journal) (*backend, error) {
+func newBackend(raw string, cooldown time.Duration, jrnl *journal.Journal) (*backend, error) {
 	u, err := url.Parse(raw)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: backend url %q: %w", raw, err)
@@ -54,7 +54,7 @@ func newBackend(raw string, threshold int, cooldown time.Duration, jrnl *journal
 	return &backend{
 		name:    u.Host,
 		base:    &url.URL{Scheme: u.Scheme, Host: u.Host},
-		breaker: newBreaker(threshold, cooldown, u.Host, jrnl),
+		breaker: newBreaker(failureThreshold, cooldown, u.Host, jrnl),
 		hist:    telemetry.NewHistogram(),
 	}, nil
 }

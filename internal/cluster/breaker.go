@@ -35,15 +35,8 @@ type breaker struct {
 	halfOpenLogged bool      // one half-open event per open cycle
 }
 
-// newBreaker returns a closed breaker (threshold < 1 and cooldown <= 0
-// get defaults).
+// newBreaker returns a closed breaker.
 func newBreaker(threshold int, cooldown time.Duration, name string, jrnl *journal.Journal) *breaker {
-	if threshold < 1 {
-		threshold = 3
-	}
-	if cooldown <= 0 {
-		cooldown = 2 * time.Second
-	}
 	return &breaker{threshold: threshold, cooldown: cooldown, name: name, jrnl: jrnl}
 }
 

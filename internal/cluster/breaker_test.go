@@ -159,7 +159,7 @@ func TestBreakerHalfOpenProbeRacesSuccess(t *testing.T) {
 }
 
 // TestBreakerRetryAfterExactlyAtCap pins the cap boundary: a
-// Retry-After equal to MaxRetryAfter passes through uncapped, one
+// Retry-After equal to maxRetryAfter passes through uncapped, one
 // second over is clamped, and the breaker honors the exact duration to
 // the nanosecond.
 func TestBreakerRetryAfterExactlyAtCap(t *testing.T) {

@@ -214,7 +214,7 @@ func (r *Router) scrapeTraces(req *http.Request, b *backend, n int) ([]telemetry
 		return nil, fmt.Errorf("scrape returned %s", resp.Status)
 	}
 	var body telemetry.TracesResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, r.cfg.MaxResponseBody)).Decode(&body); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxResponseBody)).Decode(&body); err != nil {
 		return nil, fmt.Errorf("decode scrape: %w", err)
 	}
 	return body.Traces, nil

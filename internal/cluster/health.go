@@ -79,7 +79,7 @@ func (r *Router) probe(b *backend) {
 
 // probeOnce issues one GET /healthz against b.
 func (r *Router) probeOnce(b *backend) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base.String()+"/healthz", nil)
 	if err != nil {

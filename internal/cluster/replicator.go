@@ -34,6 +34,14 @@ const fpReplicate = "cluster.replicate"
 // maxReplicaResponse bounds one fetched checkpoint or digest.
 const maxReplicaResponse = 16 << 20
 
+// replicaTimeout bounds one replication request.
+const replicaTimeout = 5 * time.Second
+
+// hintLimit bounds each peer's handoff spool, in checkpoints. Hints
+// are latest-wins per job, so the spool holds at most one entry per
+// job; overflow drops the oldest job's hint.
+const hintLimit = 64
+
 // ReplicatorConfig tunes a Replicator. Self and the three local
 // accessors are required; everything else defaults.
 type ReplicatorConfig struct {
@@ -44,18 +52,6 @@ type ReplicatorConfig struct {
 	// the paper's f+1 rule with f = RF-1 (default 2: survive any one
 	// crash).
 	RF int
-	// HintLimit bounds the per-peer handoff spool, in checkpoints.
-	// Hints are latest-wins per job, so the spool holds at most one
-	// entry per job; overflow drops the oldest job's hint and counts it
-	// (default 64).
-	HintLimit int
-	// VNodes is the placement ring's virtual-node count (default
-	// DefaultVNodes; must match the router's so owner walks agree).
-	VNodes int
-	// Timeout bounds one replication request (default 5s).
-	Timeout time.Duration
-	// Client performs the requests (default: a client with Timeout).
-	Client *http.Client
 	// Logger receives structured replication logs (default
 	// slog.Default()).
 	Logger *slog.Logger
@@ -91,9 +87,10 @@ type ReplicatorConfig struct {
 // backend a sweep fails over to is exactly the one holding its
 // replica. Create with NewReplicator; safe for concurrent use.
 type Replicator struct {
-	cfg    ReplicatorConfig
-	client *http.Client
-	logger *slog.Logger
+	cfg       ReplicatorConfig
+	client    *http.Client
+	logger    *slog.Logger
+	hintLimit int // the hintLimit constant; tests lower it
 
 	mu    sync.Mutex
 	ring  *Ring
@@ -132,25 +129,17 @@ func NewReplicator(cfg ReplicatorConfig) (*Replicator, error) {
 	if cfg.RF < 2 {
 		cfg.RF = 2
 	}
-	if cfg.HintLimit < 1 {
-		cfg.HintLimit = 64
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: cfg.Timeout}
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
 	return &Replicator{
-		cfg:    cfg,
-		client: cfg.Client,
-		logger: cfg.Logger,
-		ring:   NewRing(cfg.VNodes),
-		urls:   make(map[string]string),
-		hints:  make(map[string]hintSpool),
+		cfg:       cfg,
+		client:    &http.Client{Timeout: replicaTimeout},
+		logger:    cfg.Logger,
+		hintLimit: hintLimit,
+		ring:      NewRing(DefaultVNodes),
+		urls:      make(map[string]string),
+		hints:     make(map[string]hintSpool),
 	}, nil
 }
 
@@ -172,7 +161,7 @@ func memberName(raw string) (string, error) {
 func (r *Replicator) SetMembers(alive []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fresh := NewRing(r.cfg.VNodes)
+	fresh := NewRing(DefaultVNodes)
 	urls := make(map[string]string, len(alive)+1)
 	for _, raw := range append([]string{r.cfg.Self}, alive...) {
 		name, err := memberName(raw)
@@ -261,7 +250,7 @@ func (r *Replicator) push(ctx context.Context, baseURL string, cp sweep.Checkpoi
 	if err != nil {
 		return fmt.Errorf("cluster: marshal checkpoint: %w", err)
 	}
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
 		baseURL+"/v1/replica/checkpoints/"+url.PathEscape(cp.ID), bytes.NewReader(blob))
@@ -285,7 +274,7 @@ func (r *Replicator) push(ctx context.Context, baseURL string, cp sweep.Checkpoi
 }
 
 // hint spools a checkpoint for a currently unreachable peer,
-// latest-wins per job, bounded by HintLimit per peer.
+// latest-wins per job, bounded by hintLimit per peer.
 func (r *Replicator) hint(ctx context.Context, peer string, cp sweep.Checkpoint) {
 	r.mu.Lock()
 	spool, ok := r.hints[peer]
@@ -294,7 +283,7 @@ func (r *Replicator) hint(ctx context.Context, peer string, cp sweep.Checkpoint)
 	}
 	var dropped string
 	if _, held := spool.byJob[cp.ID]; !held {
-		if len(spool.order) >= r.cfg.HintLimit {
+		if len(spool.order) >= r.hintLimit {
 			dropped = spool.order[0]
 			spool.order = spool.order[1:]
 			delete(spool.byJob, dropped)
@@ -353,7 +342,7 @@ func (r *Replicator) peerDigest(ctx context.Context, baseURL string) (map[string
 	if err := faultpoint.Hit(fpReplicate + "." + name); err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/replica/digest", nil)
 	if err != nil {
@@ -393,7 +382,7 @@ func (r *Replicator) peerDigest(ctx context.Context, baseURL string) (map[string
 
 // fetch GETs one checkpoint from a peer.
 func (r *Replicator) fetch(ctx context.Context, baseURL, id string) (*sweep.Checkpoint, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		baseURL+"/v1/replica/checkpoints/"+url.PathEscape(id), nil)

@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -205,13 +208,61 @@ func TestReplicatorHintedHandoff(t *testing.T) {
 	}
 }
 
+// TestRouterWalkStartsWithReplicaOwners pins the placement agreement
+// sweep failover rests on: for fleets of 2–6 backends, the router's
+// candidate walk for every sweep API request starts with exactly the
+// replicator's owners, so a sweep resubmitted after its home dies lands
+// on a backend that holds its replica.
+func TestRouterWalkStartsWithReplicaOwners(t *testing.T) {
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	rng := rand.New(rand.NewSource(1))
+	for fleet := 0; fleet < 200; fleet++ {
+		size := 2 + fleet%5
+		urls := make([]string, size)
+		for i := range urls {
+			urls[i] = fmt.Sprintf("http://10.%d.%d.%d:%d", rng.Intn(256), rng.Intn(256), rng.Intn(256), 1024+rng.Intn(60000))
+		}
+		router, err := New(Config{Backends: urls, HealthInterval: -1, Logger: logger})
+		if err != nil {
+			t.Fatalf("fleet %v: New: %v", urls, err)
+		}
+		rep, err := NewReplicator(ReplicatorConfig{
+			Self:        urls[rng.Intn(size)],
+			RF:          size,
+			Logger:      logger,
+			LocalDigest: func() map[string]sweep.CheckpointInfo { return nil },
+			LoadLocal:   func(string) (*sweep.Checkpoint, error) { return nil, nil },
+			Apply:       func(sweep.Checkpoint) error { return nil },
+		})
+		if err != nil {
+			t.Fatalf("fleet %v: NewReplicator: %v", urls, err)
+		}
+		rep.SetMembers(urls)
+		owners := rep.Owners()
+		for _, req := range []*http.Request{
+			httptest.NewRequest(http.MethodPost, "/v1/sweeps", nil),
+			httptest.NewRequest(http.MethodGet, "/v1/sweeps/sw-1/result", nil),
+		} {
+			key, _ := routingPolicy(req)
+			var walk []string
+			for _, b := range router.candidates(key) {
+				walk = append(walk, b.name)
+			}
+			if len(walk) < len(owners) || !slices.Equal(walk[:len(owners)], owners) {
+				t.Fatalf("fleet %v, %s %s: router walk %v does not start with replica owners %v",
+					urls, req.Method, req.URL.Path, walk, owners)
+			}
+		}
+		router.Close()
+	}
+}
+
 // TestReplicatorHintSpoolBounded pins the handoff bound: latest-wins
 // per job, oldest job evicted at the limit.
 func TestReplicatorHintSpoolBounded(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	rep, err := NewReplicator(ReplicatorConfig{
 		Self:        "http://127.0.0.1:1",
-		HintLimit:   2,
 		Logger:      logger,
 		LocalDigest: func() map[string]sweep.CheckpointInfo { return nil },
 		LoadLocal:   func(string) (*sweep.Checkpoint, error) { return nil, nil },
@@ -220,6 +271,7 @@ func TestReplicatorHintSpoolBounded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewReplicator: %v", err)
 	}
+	rep.hintLimit = 2
 	cp := func(id string, cells int) sweep.Checkpoint {
 		c := sweep.Checkpoint{ID: id}
 		for i := 0; i < cells; i++ {

@@ -32,36 +32,48 @@ const fpForward = "cluster.forward"
 // itself caps batch bodies at 1 MiB, so this is generous.
 const maxRequestBody = 8 << 20
 
+// maxResponseBody caps a buffered backend response.
+const maxResponseBody = 32 << 20
+
+// Retry, breaker and health-probe policy.
+const (
+	// maxRetryAfter caps how long an honored Retry-After header may
+	// cool a backend down: a confused shard must not quarantine itself
+	// for an hour.
+	maxRetryAfter = 5 * time.Second
+	// retryBackoff is the base sleep before re-trying the same backend
+	// (failover to a different backend is immediate), doubled per
+	// attempt.
+	retryBackoff = 25 * time.Millisecond
+	// failureThreshold is how many consecutive failures open a
+	// backend's circuit breaker.
+	failureThreshold = 3
+	// healthTimeout bounds one health probe.
+	healthTimeout = time.Second
+)
+
 // Config tunes the router. The zero value of every field gets a
 // sensible default; Backends must name at least one URL.
 type Config struct {
 	// Backends are the linesearchd base URLs (e.g. http://127.0.0.1:8081).
 	Backends []string
 	// VNodes is the ring's virtual-node count per backend (default
-	// DefaultVNodes).
+	// DefaultVNodes). Any other value breaks sweep-replica placement:
+	// every backend's Replicator places SweepsRingKey on a
+	// DefaultVNodes ring, so the router's failover walk would no longer
+	// reach the backends that hold a sweep's replicas.
 	VNodes int
 	// Attempts bounds the total tries per retryable request, the first
 	// included (default 3). Non-idempotent requests always get exactly
 	// one attempt: a failed sweep submission must surface, not silently
 	// duplicate.
 	Attempts int
-	// MaxRetryAfter caps how long an honored Retry-After header may
-	// cool a backend down (default 5s) — a confused shard must not
-	// quarantine itself for an hour.
-	MaxRetryAfter time.Duration
-	// RetryBackoff is the base sleep before re-trying the same backend
-	// (failover to a different backend is immediate); doubled per
-	// attempt (default 25ms).
-	RetryBackoff time.Duration
-	// FailureThreshold and BreakerCooldown tune the per-backend
-	// circuit breaker (defaults 3 and 2s).
-	FailureThreshold int
-	BreakerCooldown  time.Duration
+	// BreakerCooldown is how long a backend's circuit breaker stays
+	// open after failureThreshold consecutive failures (default 2s).
+	BreakerCooldown time.Duration
 	// HealthInterval is the probe cadence (default 2s; negative
 	// disables the background loop — tests drive ProbeAll directly).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one probe (default 1s).
-	HealthTimeout time.Duration
 	// QuarantineVotes is how many consecutive failed health votes
 	// quarantine a backend (default 3): the quorum-style detection rule
 	// — one flaky probe is not a crash.
@@ -74,8 +86,6 @@ type Config struct {
 	// transfers per donor backend (default 64; negative disables warm
 	// transfer).
 	WarmKeys int
-	// MaxResponseBody caps a buffered backend response (default 32 MiB).
-	MaxResponseBody int64
 	// Logger receives structured router logs (default slog.Default()).
 	Logger *slog.Logger
 	// Client performs backend requests (default: 15s timeout).
@@ -136,26 +146,17 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Attempts < 1 {
 		cfg.Attempts = 3
 	}
-	if cfg.MaxRetryAfter <= 0 {
-		cfg.MaxRetryAfter = 5 * time.Second
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 25 * time.Millisecond
+	if cfg.BreakerCooldown <= 0 {
+		cfg.BreakerCooldown = 2 * time.Second
 	}
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = 2 * time.Second
-	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = time.Second
 	}
 	if cfg.QuarantineVotes < 1 {
 		cfg.QuarantineVotes = 3
 	}
 	if cfg.WarmKeys == 0 {
 		cfg.WarmKeys = 64
-	}
-	if cfg.MaxResponseBody <= 0 {
-		cfg.MaxResponseBody = 32 << 20
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -181,7 +182,7 @@ func New(cfg Config) (*Router, error) {
 		stop:     make(chan struct{}),
 	}
 	for _, raw := range cfg.Backends {
-		b, err := newBackend(raw, cfg.FailureThreshold, cfg.BreakerCooldown, cfg.Journal)
+		b, err := newBackend(raw, cfg.BreakerCooldown, cfg.Journal)
 		if err != nil {
 			return nil, err
 		}
@@ -260,7 +261,7 @@ func routingPolicy(req *http.Request) (key string, retryable bool) {
 	case strings.HasPrefix(p, "/v1/sweeps"):
 		// Sweep jobs are process-local state: pin the whole sweep API to
 		// one stable home backend so submit, status and result agree.
-		return "sweeps", req.Method == http.MethodGet
+		return SweepsRingKey, req.Method == http.MethodGet
 	case p == "/v1/batch":
 		// A batch names many plan keys; any backend can serve it, and
 		// evaluation is pure so the buffered body may be replayed.
@@ -419,7 +420,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 			if b == prev {
 				// Same backend again (single-shard fleet): give it a
 				// moment instead of hammering.
-				backoff := r.cfg.RetryBackoff << (attempt - 1)
+				backoff := retryBackoff << (attempt - 1)
 				select {
 				case <-req.Context().Done():
 					telemetry.WriteJSONError(w, http.StatusServiceUnavailable, "request cancelled during retry")
@@ -569,7 +570,7 @@ func (r *Router) forward(req *http.Request, b *backend, body []byte) (*bufferedR
 	if err != nil {
 		return fail(err)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, r.cfg.MaxResponseBody))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody))
 	resp.Body.Close()
 	elapsed := time.Since(start)
 	b.hist.Observe(elapsed)
@@ -581,7 +582,7 @@ func (r *Router) forward(req *http.Request, b *backend, body []byte) (*bufferedR
 	br := &bufferedResponse{status: resp.StatusCode, header: resp.Header.Clone(), body: data}
 	if retryableStatus(resp.StatusCode) {
 		b.failures.Add(1)
-		b.breaker.failure(time.Now(), parseRetryAfter(resp.Header.Get("Retry-After"), r.cfg.MaxRetryAfter))
+		b.breaker.failure(time.Now(), parseRetryAfter(resp.Header.Get("Retry-After"), maxRetryAfter))
 		return br, fmt.Errorf("%w: %s from %s", errBackendStatus, resp.Status, b.name)
 	}
 	b.breaker.success()

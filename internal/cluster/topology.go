@@ -27,7 +27,7 @@ func (r *Router) SetTopology(backendURLs []string) error {
 	}
 	next := make(map[string]*backend, len(backendURLs))
 	for _, raw := range backendURLs {
-		b, err := newBackend(raw, r.cfg.FailureThreshold, r.cfg.BreakerCooldown, r.journal)
+		b, err := newBackend(raw, r.cfg.BreakerCooldown, r.journal)
 		if err != nil {
 			return err
 		}
@@ -134,7 +134,7 @@ func (r *Router) fetchSnapshot(ctx context.Context, b *backend) (service.CacheSn
 	if resp.StatusCode != http.StatusOK {
 		return snap, fmt.Errorf("export returned %s", resp.Status)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, r.cfg.MaxResponseBody))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody))
 	if err != nil {
 		return snap, err
 	}

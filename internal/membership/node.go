@@ -13,6 +13,23 @@ import (
 	"linesearch/internal/telemetry/journal"
 )
 
+// Protocol constants.
+const (
+	// probeSeed seeds the probe-selection PRNG; the probe schedule is a
+	// pure function of it, which is what makes partition chaos
+	// schedules replayable.
+	probeSeed = 1
+	// probeTimeout bounds one direct or indirect probe.
+	probeTimeout = time.Second
+	// suspectTicks is how many ticks a suspect gets to refute before
+	// it is confirmed dead: the waiting room between "missed a probe"
+	// and "crashed", sized like the paper's rule: never condemn on a
+	// single missed confirmation.
+	suspectTicks = 3
+	// indirectProbes is how many helpers an indirect probe round asks.
+	indirectProbes = 2
+)
+
 // Config tunes a Node. Self.Addr is required; everything else has a
 // sensible default.
 type Config struct {
@@ -26,20 +43,6 @@ type Config struct {
 	Seeds []string
 	// Transport delivers gossip exchanges (required).
 	Transport Transport
-	// Seed seeds the probe-selection PRNG (default 1); the probe
-	// schedule is a pure function of it, which is what makes partition
-	// chaos schedules replayable.
-	Seed int64
-	// ProbeTimeout bounds one direct or indirect probe (default 1s).
-	ProbeTimeout time.Duration
-	// SuspectTicks is how many ticks a suspect gets to refute before it
-	// is confirmed dead (default 3) — the waiting room between "missed
-	// a probe" and "crashed", sized like the paper's rule: never condemn
-	// on a single missed confirmation.
-	SuspectTicks int
-	// IndirectProbes is how many helpers an indirect probe round asks
-	// (default 2).
-	IndirectProbes int
 	// Interval is the background tick cadence for Start (default 1s;
 	// tests leave Start unused and drive Tick directly).
 	Interval time.Duration
@@ -99,18 +102,6 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg.Self.Role = RoleShard
 	}
 	cfg.Self.Status = Alive
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
-	}
-	if cfg.SuspectTicks <= 0 {
-		cfg.SuspectTicks = 3
-	}
-	if cfg.IndirectProbes <= 0 {
-		cfg.IndirectProbes = 2
-	}
 	if cfg.Interval == 0 {
 		cfg.Interval = time.Second
 	}
@@ -127,7 +118,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:     cfg,
 		logger:  cfg.Logger,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     rand.New(rand.NewSource(probeSeed)),
 		self:    cfg.Self,
 		members: make(map[string]*memberState),
 		stop:    make(chan struct{}),
@@ -174,7 +165,7 @@ func (n *Node) viewLocked() View {
 }
 
 // Tick runs one protocol period: expire suspects, probe one member
-// (direct, then indirectly through up to IndirectProbes helpers), and
+// (direct, then indirectly through up to indirectProbes helpers), and
 // spread state through the piggybacked lists. Production calls it on
 // the Start cadence; tests call it directly, so a schedule of ticks
 // is a deterministic replay.
@@ -203,7 +194,7 @@ func (n *Node) Tick(ctx context.Context) {
 // expireSuspectsLocked confirms suspects whose timeout lapsed.
 func (n *Node) expireSuspectsLocked() {
 	for _, ms := range n.members {
-		if ms.Status == Suspect && n.tick-ms.suspectedAt >= uint64(n.cfg.SuspectTicks) {
+		if ms.Status == Suspect && n.tick-ms.suspectedAt >= suspectTicks {
 			ms.Status = Dead
 			n.version++
 			n.logger.Info("membership: member confirmed dead",
@@ -215,7 +206,7 @@ func (n *Node) expireSuspectsLocked() {
 }
 
 // pickProbeLocked selects this tick's probe target via randomized
-// round-robin over the non-dead members, plus up to IndirectProbes
+// round-robin over the non-dead members, plus up to indirectProbes
 // distinct helpers. With no eligible member it returns a random seed
 // URL instead (or nothing at all for a seedless singleton).
 func (n *Node) pickProbeLocked() (target *Member, helpers []Member, seed string) {
@@ -261,7 +252,7 @@ func (n *Node) pickProbeLocked() (target *Member, helpers []Member, seed string)
 		return nil, nil, seed
 	}
 	for _, ms := range n.members {
-		if len(helpers) >= n.cfg.IndirectProbes {
+		if len(helpers) >= indirectProbes {
 			break
 		}
 		if ms.Addr != target.Addr && ms.Status == Alive {
@@ -304,7 +295,7 @@ func (n *Node) probe(ctx context.Context, target Member, helpers []Member, msg M
 
 // exchange sends one message with the probe timeout applied.
 func (n *Node) exchange(ctx context.Context, url string, msg Message) (Message, error) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	return n.cfg.Transport.Exchange(ctx, url, msg)
 }

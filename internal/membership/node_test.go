@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"testing"
 
 	"linesearch/internal/faultpoint"
@@ -23,18 +24,27 @@ type testFleet struct {
 // newTestFleet builds n shard nodes named m0..m<n-1>. Every node gets
 // its own PRNG seed derived from base so probe schedules differ but
 // replay exactly.
+// newSeededNode is NewNode with the probe-selection PRNG seeded per
+// node, so a schedule over several nodes replays exactly.
+func newSeededNode(cfg Config, seed int64) (*Node, error) {
+	n, err := NewNode(cfg)
+	if err == nil {
+		n.rng = rand.New(rand.NewSource(seed))
+	}
+	return n, err
+}
+
 func newTestFleet(t *testing.T, n int, base int64) *testFleet {
 	t.Helper()
 	f := &testFleet{fabric: NewLoopback()}
 	seeds := []string{"mem://m0"}
 	for i := 0; i < n; i++ {
-		node, err := NewNode(Config{
+		node, err := newSeededNode(Config{
 			Self:      Member{Addr: fmt.Sprintf("m%d", i), URL: fmt.Sprintf("mem://m%d", i)},
 			Seeds:     seeds,
 			Transport: f.fabric,
-			Seed:      base + int64(i),
 			Logger:    quiet,
-		})
+		}, base+int64(i))
 		if err != nil {
 			t.Fatalf("NewNode: %v", err)
 		}
@@ -95,13 +105,12 @@ func TestNewNodeValidation(t *testing.T) {
 
 func TestObserverExcludedFromShards(t *testing.T) {
 	f := newTestFleet(t, 3, 7)
-	obs, err := NewNode(Config{
+	obs, err := newSeededNode(Config{
 		Self:      Member{Addr: "router0", URL: "mem://router0", Role: RoleObserver},
 		Seeds:     []string{"mem://m0"},
 		Transport: f.fabric,
-		Seed:      99,
 		Logger:    quiet,
-	})
+	}, 99)
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
@@ -215,24 +224,22 @@ func TestOnChangeFiresOnAliveSetChanges(t *testing.T) {
 	defer faultpoint.Reset()
 	fabric := NewLoopback()
 	var changes []string
-	watched, err := NewNode(Config{
+	watched, err := newSeededNode(Config{
 		Self:      Member{Addr: "m0", URL: "mem://m0"},
 		Transport: fabric,
-		Seed:      5,
 		Logger:    quiet,
 		OnChange:  func(v View) { changes = append(changes, v.Fingerprint()) },
-	})
+	}, 5)
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
 	fabric.Join("mem://m0", watched)
-	peer, err := NewNode(Config{
+	peer, err := newSeededNode(Config{
 		Self:      Member{Addr: "m1", URL: "mem://m1"},
 		Seeds:     []string{"mem://m0"},
 		Transport: fabric,
-		Seed:      6,
 		Logger:    quiet,
-	})
+	}, 6)
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
@@ -270,12 +277,11 @@ func TestProbeScheduleDeterministic(t *testing.T) {
 		fabric := NewLoopback()
 		var order []string
 		rec := recordingTransport{fabric: fabric, order: &order}
-		n, err := NewNode(Config{
+		n, err := newSeededNode(Config{
 			Self:      Member{Addr: "m0", URL: "mem://m0"},
 			Transport: &rec,
-			Seed:      77,
 			Logger:    quiet,
-		})
+		}, 77)
 		if err != nil {
 			t.Fatalf("NewNode: %v", err)
 		}
@@ -287,7 +293,7 @@ func TestProbeScheduleDeterministic(t *testing.T) {
 		}
 		n.merge(peers)
 		for _, p := range peers {
-			pn, _ := NewNode(Config{Self: p, Transport: fabric, Seed: 1, Logger: quiet})
+			pn, _ := NewNode(Config{Self: p, Transport: fabric, Logger: quiet})
 			fabric.Join(p.URL, pn)
 		}
 		for i := 0; i < 9; i++ {

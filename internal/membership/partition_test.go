@@ -118,14 +118,13 @@ func TestPartitionRoutersConverge(t *testing.T) {
 	var fps [2]string
 	for i := 0; i < 2; i++ {
 		i := i
-		obs, err := NewNode(Config{
+		obs, err := newSeededNode(Config{
 			Self:      Member{Addr: fmt.Sprintf("r%d", i), URL: fmt.Sprintf("mem://r%d", i), Role: RoleObserver},
 			Seeds:     []string{"mem://m0", "mem://m3"},
 			Transport: f.fabric,
-			Seed:      700 + int64(i),
 			Logger:    quiet,
 			OnChange:  func(v View) { fps[i] = v.Fingerprint() },
-		})
+		}, 700+int64(i))
 		if err != nil {
 			t.Fatalf("NewNode: %v", err)
 		}

@@ -19,35 +19,39 @@ const (
 	classCache  = "cache"  // the plan-cache snapshot export/import API
 )
 
+// In-flight bounds per admission class. Requests beyond a bound are
+// shed with a 429 and Retry-After. The cache class also serves the
+// replica API; an import builds plans, so a storm of them must not
+// starve the serving path.
+const (
+	maxInflightQuery  = 256
+	maxInflightBatch  = 8
+	maxInflightSweeps = 16
+	maxInflightCache  = 4
+)
+
 // classLimiter bounds the in-flight requests of one admission class.
 // Admission is non-blocking: a full class sheds the request immediately
 // with a 429 rather than queueing it into the request timeout.
 type classLimiter struct {
-	name     string
-	slots    chan struct{} // nil means unlimited
+	slots    chan struct{}
 	inflight atomic.Int64
 	shed     atomic.Int64
 }
 
 // newClassLimiter returns a limiter admitting up to limit concurrent
-// requests; limit < 1 means unlimited.
-func newClassLimiter(name string, limit int) *classLimiter {
-	l := &classLimiter{name: name}
-	if limit > 0 {
-		l.slots = make(chan struct{}, limit)
-	}
-	return l
+// requests.
+func newClassLimiter(limit int) *classLimiter {
+	return &classLimiter{slots: make(chan struct{}, limit)}
 }
 
 // tryAcquire claims a slot without blocking; false means shed.
 func (l *classLimiter) tryAcquire() bool {
-	if l.slots != nil {
-		select {
-		case l.slots <- struct{}{}:
-		default:
-			l.shed.Add(1)
-			return false
-		}
+	select {
+	case l.slots <- struct{}{}:
+	default:
+		l.shed.Add(1)
+		return false
 	}
 	l.inflight.Add(1)
 	return true
@@ -56,18 +60,13 @@ func (l *classLimiter) tryAcquire() bool {
 // release returns the slot claimed by a successful tryAcquire.
 func (l *classLimiter) release() {
 	l.inflight.Add(-1)
-	if l.slots != nil {
-		<-l.slots
-	}
+	<-l.slots
 }
 
 // admit wraps a handler with the class's in-flight bound. Shed requests
 // get a 429 with Retry-After and never reach the handler.
 func (s *Service) admit(class string, next http.Handler) http.Handler {
 	lim := s.limiters[class]
-	if lim == nil {
-		return next
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !lim.tryAcquire() {
 			telemetry.WriteJSONError(w, http.StatusTooManyRequests,

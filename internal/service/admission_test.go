@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	"linesearch/internal/faultpoint"
@@ -26,7 +25,6 @@ func TestAdmissionShedsQueriesAt429(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	svc := newTestService(t, Config{
-		MaxInflightQuery: 1,
 		Build: func(k PlanKey) (*Plan, error) {
 			close(entered)
 			<-release
@@ -34,6 +32,7 @@ func TestAdmissionShedsQueriesAt429(t *testing.T) {
 		},
 	})
 	defer svc.Close()
+	svc.limiters[classQuery] = newClassLimiter(1)
 	h := svc.Handler()
 
 	done := make(chan int)
@@ -74,30 +73,12 @@ func TestAdmissionShedsQueriesAt429(t *testing.T) {
 	}
 }
 
-// TestAdmissionNegativeMeansUnlimited: a negative bound disables the
-// limiter instead of admitting nothing.
-func TestAdmissionNegativeMeansUnlimited(t *testing.T) {
-	svc := newTestService(t, Config{MaxInflightQuery: -1, MaxInflightBatch: -1, MaxInflightSweeps: -1})
-	defer svc.Close()
-	h := svc.Handler()
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if w := doRaw(h, "GET", "/v1/lowerbound?n=3&f=1"); w.Code != http.StatusOK {
-				t.Errorf("unlimited query shed: %d", w.Code)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestAdmissionClassesAreIndependent: a saturated sweeps class does not
 // shed queries.
 func TestAdmissionClassesAreIndependent(t *testing.T) {
-	svc := newTestService(t, Config{MaxInflightSweeps: 1})
+	svc := newTestService(t, Config{})
 	defer svc.Close()
+	svc.limiters[classSweeps] = newClassLimiter(1)
 	// Hold the sweeps slot directly; the query class must be unaffected.
 	if !svc.limiters[classSweeps].tryAcquire() {
 		t.Fatal("could not take the sweeps slot")

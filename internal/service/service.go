@@ -52,21 +52,6 @@ type Config struct {
 	// RequestTimeout is the per-request wall-clock budget (default
 	// 15s; negative disables the timeout handler).
 	RequestTimeout time.Duration
-	// MaxInflightQuery bounds the concurrent in-flight GET evaluation
-	// requests (default 256; negative means unlimited). Requests beyond
-	// the bound are shed with a 429 and Retry-After.
-	MaxInflightQuery int
-	// MaxInflightBatch bounds the concurrent in-flight batch requests
-	// (default 8; negative means unlimited).
-	MaxInflightBatch int
-	// MaxInflightSweeps bounds the concurrent in-flight sweep API
-	// requests (default 16; negative means unlimited).
-	MaxInflightSweeps int
-	// MaxInflightCache bounds the concurrent in-flight cache snapshot
-	// export/import requests (default 4; negative means unlimited) —
-	// an import builds plans, so a storm of them must not starve the
-	// serving path.
-	MaxInflightCache int
 	// SnapshotDir is where rejected cache-snapshot imports are
 	// quarantined for the operator, mirroring the sweep checkpoint
 	// .corrupt convention. Empty disables persistence (imports are
@@ -153,18 +138,6 @@ func New(cfg Config) *Service {
 	if cfg.Sweeps == nil {
 		cfg.Sweeps = sweep.NewManager(sweep.Config{Logger: cfg.Logger, Tracer: cfg.Tracer, Journal: cfg.Journal})
 	}
-	if cfg.MaxInflightQuery == 0 {
-		cfg.MaxInflightQuery = 256
-	}
-	if cfg.MaxInflightBatch == 0 {
-		cfg.MaxInflightBatch = 8
-	}
-	if cfg.MaxInflightSweeps == 0 {
-		cfg.MaxInflightSweeps = 16
-	}
-	if cfg.MaxInflightCache == 0 {
-		cfg.MaxInflightCache = 4
-	}
 	s := &Service{
 		cfg:     cfg,
 		cache:   NewPlanCache(cfg.CacheSize, cfg.Build),
@@ -174,10 +147,10 @@ func New(cfg Config) *Service {
 		journal: cfg.Journal,
 		sweeps:  cfg.Sweeps,
 		limiters: map[string]*classLimiter{
-			classQuery:  newClassLimiter(classQuery, cfg.MaxInflightQuery),
-			classBatch:  newClassLimiter(classBatch, cfg.MaxInflightBatch),
-			classSweeps: newClassLimiter(classSweeps, cfg.MaxInflightSweeps),
-			classCache:  newClassLimiter(classCache, cfg.MaxInflightCache),
+			classQuery:  newClassLimiter(maxInflightQuery),
+			classBatch:  newClassLimiter(maxInflightBatch),
+			classSweeps: newClassLimiter(maxInflightSweeps),
+			classCache:  newClassLimiter(maxInflightCache),
 		},
 	}
 	s.metrics.SetLogger(cfg.Logger)

@@ -28,13 +28,15 @@ func chaosSpec() Spec {
 		FaultModels: []string{"crash", "byzantine"}}
 }
 
-// chaosConfig is the manager config chaos schedules run under: tight
+// newChaosManager builds the manager chaos schedules run under: tight
 // backoff so retries drain fast, checkpoint after every cell so the
-// torn-write fault points get plenty of traffic.
-func chaosConfig(dir string, seed int64) Config {
-	return Config{Dir: dir, Workers: 2, CheckpointEvery: 1, Logger: quiet(),
-		MaxAttempts: 4, RetryBaseDelay: time.Millisecond,
-		RetryMaxDelay: 4 * time.Millisecond, Seed: seed}
+// torn-write fault points get plenty of traffic, and jitter seeded per
+// schedule. A nil eval runs the production evaluator.
+func newChaosManager(dir string, seed int64, eval EvalFunc) *Manager {
+	m := NewManager(Config{Dir: dir, Workers: 2, CheckpointEvery: 1, Logger: quiet(), Eval: eval})
+	m.retry = retryPolicy{maxAttempts: 4, baseDelay: time.Millisecond, maxDelay: 4 * time.Millisecond}
+	m.rng = rand.New(rand.NewSource(seed))
+	return m
 }
 
 // chaosReference computes the fault-free answer the chaos runs must
@@ -42,7 +44,7 @@ func chaosConfig(dir string, seed int64) Config {
 func chaosReference(t *testing.T) map[int]Cell {
 	t.Helper()
 	faultpoint.Reset()
-	m := NewManager(chaosConfig(t.TempDir(), 1))
+	m := newChaosManager(t.TempDir(), 1, nil)
 	defer m.Close()
 	j, err := m.Submit(chaosSpec())
 	if err != nil {
@@ -130,7 +132,7 @@ func runChaosSchedule(t *testing.T, seed int64, ref map[int]Cell) {
 	t.Logf("schedule %d: %s", seed, desc)
 
 	dir := t.TempDir()
-	m := NewManager(chaosConfig(dir, seed))
+	m := newChaosManager(dir, seed, nil)
 	spec := spec0(t, chaosSpec())
 	j, err := m.Submit(chaosSpec())
 	if err != nil {
@@ -230,12 +232,10 @@ func TestKillAndResumeTorture(t *testing.T) {
 
 	// First life: every evaluation is slowed so the cancel lands with
 	// the job genuinely mid-flight.
-	cfg := chaosConfig(dir, 1)
-	cfg.Eval = func(ctx context.Context, p CellParams) Cell {
+	m1 := newChaosManager(dir, 1, func(ctx context.Context, p CellParams) Cell {
 		time.Sleep(2 * time.Millisecond)
 		return EvalCell(ctx, p)
-	}
-	m1 := NewManager(cfg)
+	})
 	j1, err := m1.Submit(chaosSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestKillAndResumeTorture(t *testing.T) {
 
 	// Second life: a fresh manager on the same directory resumes from
 	// the checkpoint and finishes clean.
-	m2 := NewManager(chaosConfig(dir, 2))
+	m2 := newChaosManager(dir, 2, nil)
 	defer m2.Close()
 	j2, err := m2.Submit(chaosSpec())
 	if err != nil {

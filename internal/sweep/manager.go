@@ -17,6 +17,27 @@ import (
 	"linesearch/internal/telemetry/journal"
 )
 
+// maxCells rejects grids larger than this at submit.
+const maxCells = 100000
+
+// The retry policy for transiently failing cells: a cell is evaluated
+// at most maxAttempts times before quarantine, and the backoff before
+// retry k grows from retryBaseDelay, doubling per retry, capped at
+// retryMaxDelay. retrySeed seeds the jitter PRNG, keeping backoff
+// schedules reproducible.
+const (
+	maxAttempts    = 3
+	retryBaseDelay = 50 * time.Millisecond
+	retryMaxDelay  = 2 * time.Second
+	retrySeed      = 1
+)
+
+// retryPolicy is a manager's cell retry budget and backoff window.
+type retryPolicy struct {
+	maxAttempts         int
+	baseDelay, maxDelay time.Duration
+}
+
 // Config tunes a Manager. The zero value gets sensible defaults.
 type Config struct {
 	// Dir holds checkpoints (<id>.checkpoint.json) and result datasets
@@ -28,22 +49,9 @@ type Config struct {
 	// MaxActiveJobs bounds how many jobs execute at once; excess
 	// submissions queue in the pending state (default 2).
 	MaxActiveJobs int
-	// MaxCells rejects grids larger than this at submit (default 100000).
-	MaxCells int
 	// CheckpointEvery is the flush cadence in completed cells (default
 	// 32; 1 checkpoints after every cell).
 	CheckpointEvery int
-	// MaxAttempts bounds how many times a transiently failing cell is
-	// evaluated before quarantine (default 3; 1 disables retries).
-	MaxAttempts int
-	// RetryBaseDelay is the backoff before the first retry (default
-	// 50ms); each further retry doubles it.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the backoff (default 2s).
-	RetryMaxDelay time.Duration
-	// Seed seeds the retry-jitter PRNG (default 1), keeping backoff
-	// schedules reproducible in tests.
-	Seed int64
 	// Logger receives job lifecycle logs (default slog.Default()).
 	Logger *slog.Logger
 	// Tracer samples per-cell traces into the shared debug ring buffer.
@@ -109,6 +117,10 @@ type Manager struct {
 	cancel context.CancelFunc
 	slots  chan struct{}
 
+	// maxCells and retry hold the package constants; tests lower them.
+	maxCells int
+	retry    retryPolicy
+
 	mu     sync.Mutex
 	jobs   map[string]*Job
 	order  []string // submission order, for List
@@ -150,23 +162,8 @@ func NewManager(cfg Config) *Manager {
 	if cfg.MaxActiveJobs <= 0 {
 		cfg.MaxActiveJobs = 2
 	}
-	if cfg.MaxCells <= 0 {
-		cfg.MaxCells = 100000
-	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 32
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.RetryBaseDelay <= 0 {
-		cfg.RetryBaseDelay = 50 * time.Millisecond
-	}
-	if cfg.RetryMaxDelay <= 0 {
-		cfg.RetryMaxDelay = 2 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -180,8 +177,10 @@ func NewManager(cfg Config) *Manager {
 		ctx:         ctx,
 		cancel:      cancel,
 		slots:       make(chan struct{}, cfg.MaxActiveJobs),
+		maxCells:    maxCells,
+		retry:       retryPolicy{maxAttempts, retryBaseDelay, retryMaxDelay},
 		jobs:        make(map[string]*Job),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		rng:         rand.New(rand.NewSource(retrySeed)),
 		cellLatency: telemetry.NewHistogram(cellLatencyBuckets...),
 	}
 	if n, err := cleanupOrphans(cfg.Dir); err != nil {
@@ -203,8 +202,8 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if cells := spec.CellCount(); cells > m.cfg.MaxCells {
-		return nil, fmt.Errorf("sweep: grid of %d cells exceeds the limit %d", cells, m.cfg.MaxCells)
+	if cells := spec.CellCount(); cells > m.maxCells {
+		return nil, fmt.Errorf("sweep: grid of %d cells exceeds the limit %d", cells, m.maxCells)
 	}
 	id := spec.JobID()
 
@@ -433,7 +432,7 @@ func (m *Manager) finalize(j *Job, interrupted bool) {
 	}
 	if q := j.quarantined(); q > 0 {
 		err := fmt.Errorf("sweep: %d cells quarantined after %d attempts each; checkpoint retained, resume retries them",
-			q, m.cfg.MaxAttempts)
+			q, m.retry.maxAttempts)
 		m.cfg.Logger.Error("sweep failed", "job", j.id, "quarantined", q)
 		m.failed.Add(1)
 		j.finish(StateFailed, err, nil)

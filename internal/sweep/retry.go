@@ -10,7 +10,7 @@ import (
 
 // evalResilient drives one cell through the retry policy: transient
 // failures (injected faults, evaluator panics) are retried with capped
-// exponential backoff plus jitter, up to Config.MaxAttempts total
+// exponential backoff plus jitter, up to the manager's maxAttempts total
 // attempts; a cell that exhausts the budget is quarantined, which
 // fails the job loudly at finalize. Permanent failures (infeasible
 // pairs, out-of-regime strategies) are data and return immediately;
@@ -47,12 +47,12 @@ func (m *Manager) evalAttempts(ctx context.Context, p CellParams) Cell {
 	for attempt := 1; ; attempt++ {
 		cell = m.evalSafely(ctx, p)
 		cell.Attempts = attempt
-		if cell.OK() || cell.cancelled || !cell.transient || attempt >= m.cfg.MaxAttempts {
+		if cell.OK() || cell.cancelled || !cell.transient || attempt >= m.retry.maxAttempts {
 			break
 		}
 		m.cellRetries.Add(1)
 		m.cfg.Logger.Warn("sweep cell retry", "cell", p.Index,
-			"attempt", attempt, "of", m.cfg.MaxAttempts, "err", cell.Err)
+			"attempt", attempt, "of", m.retry.maxAttempts, "err", cell.Err)
 		select {
 		case <-time.After(m.backoff(attempt)):
 		case <-ctx.Done():
@@ -90,19 +90,16 @@ func (m *Manager) evalSafely(ctx context.Context, p CellParams) (cell Cell) {
 }
 
 // backoff returns the delay before retry number attempt (1-based):
-// capped exponential growth from RetryBaseDelay with jitter drawn
+// capped exponential growth from the base delay with jitter drawn
 // uniformly from the upper half of the window, so synchronized
 // failures don't retry in lockstep.
 func (m *Manager) backoff(attempt int) time.Duration {
-	d := m.cfg.RetryBaseDelay
-	for i := 1; i < attempt && d < m.cfg.RetryMaxDelay; i++ {
+	d := m.retry.baseDelay
+	for i := 1; i < attempt && d < m.retry.maxDelay; i++ {
 		d *= 2
 	}
-	if d > m.cfg.RetryMaxDelay {
-		d = m.cfg.RetryMaxDelay
-	}
-	if d <= 1 {
-		return d
+	if d > m.retry.maxDelay {
+		d = m.retry.maxDelay
 	}
 	m.rngMu.Lock()
 	j := m.rng.Int63n(int64(d)/2 + 1)

@@ -18,11 +18,11 @@ type transientErr struct{ msg string }
 func (e transientErr) Error() string   { return e.msg }
 func (e transientErr) Transient() bool { return true }
 
-// retryConfig is a fast-backoff manager config for retry tests.
-func retryConfig(dir string, eval EvalFunc) Config {
-	return Config{Dir: dir, Workers: 2, CheckpointEvery: 1, Logger: quiet(),
-		MaxAttempts: 3, RetryBaseDelay: time.Millisecond, RetryMaxDelay: 4 * time.Millisecond,
-		Eval: eval}
+// newRetryManager builds a fast-backoff manager for retry tests.
+func newRetryManager(dir string, eval EvalFunc) *Manager {
+	m := NewManager(Config{Dir: dir, Workers: 2, CheckpointEvery: 1, Logger: quiet(), Eval: eval})
+	m.retry = retryPolicy{maxAttempts: 3, baseDelay: time.Millisecond, maxDelay: 4 * time.Millisecond}
+	return m
 }
 
 // flakyEval fails each cell transiently failuresPerCell times before
@@ -50,10 +50,10 @@ func (e *flakyEval) eval(ctx context.Context, p CellParams) Cell {
 }
 
 func TestRetryRecoversTransientFailures(t *testing.T) {
-	// Every cell fails twice before succeeding; with MaxAttempts 3 the
+	// Every cell fails twice before succeeding; with maxAttempts 3 the
 	// job must complete with every cell on its third attempt.
 	fe := &flakyEval{failuresPerCell: 2}
-	m := NewManager(retryConfig(t.TempDir(), fe.eval))
+	m := newRetryManager(t.TempDir(), fe.eval)
 	defer m.Close()
 	j, err := m.Submit(Spec{N: []int{3, 5}, F: []int{1}, XMax: 20, GridPoints: 8})
 	if err != nil {
@@ -86,7 +86,7 @@ func TestPermanentErrorsAreNotRetried(t *testing.T) {
 		*(n.(*int))++
 		return failedCell(p, errors.New("infeasible: permanently out of regime"))
 	}
-	m := NewManager(retryConfig(t.TempDir(), eval))
+	m := newRetryManager(t.TempDir(), eval)
 	defer m.Close()
 	j, err := m.Submit(Spec{N: []int{3}, F: []int{1}, XMax: 20})
 	if err != nil {
@@ -121,7 +121,7 @@ func TestPanicsAreTransientAndRetried(t *testing.T) {
 		}
 		return EvalCell(ctx, p)
 	}
-	m := NewManager(retryConfig(t.TempDir(), eval))
+	m := newRetryManager(t.TempDir(), eval)
 	defer m.Close()
 	j, err := m.Submit(Spec{N: []int{3}, F: []int{1}, XMax: 20})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestQuarantineFailsJobAndResumeRetries(t *testing.T) {
 		}
 		return EvalCell(ctx, p)
 	}
-	m1 := NewManager(retryConfig(dir, evalBroken))
+	m1 := newRetryManager(dir, evalBroken)
 	j1, err := m1.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestQuarantineFailsJobAndResumeRetries(t *testing.T) {
 		t.Errorf("quarantined = %d, want 1", st1.QuarantinedCells)
 	}
 	if n, ok := broken.Load(0); !ok || *(n.(*int)) != 3 {
-		t.Errorf("broken cell evaluated %v times, want MaxAttempts=3", n)
+		t.Errorf("broken cell evaluated %v times, want maxAttempts=3", n)
 	}
 	if got := m1.Stats().CellsQuarantined; got != 1 {
 		t.Errorf("CellsQuarantined = %d, want 1", got)
@@ -200,7 +200,7 @@ func TestQuarantineFailsJobAndResumeRetries(t *testing.T) {
 
 	// Healed infrastructure: resume retries only the quarantined cell.
 	var second countingEval
-	m2 := NewManager(retryConfig(dir, second.eval))
+	m2 := newRetryManager(dir, second.eval)
 	defer m2.Close()
 	j2, err := m2.Submit(spec0(t, spec))
 	if err != nil {
@@ -241,7 +241,7 @@ func TestCancellationIsNotRetriedOrRecorded(t *testing.T) {
 		<-ctx.Done()
 		return failedCell(p, ctx.Err())
 	}
-	m := NewManager(retryConfig(t.TempDir(), eval))
+	m := newRetryManager(t.TempDir(), eval)
 	defer m.Close()
 	j, err := m.Submit(Spec{N: []int{3, 5, 7}, F: []int{1, 2}, XMax: 20})
 	if err != nil {
@@ -271,8 +271,8 @@ func TestEvalCellFaultPoint(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	// Exactly the first two evaluations fail; retries then drain clean.
 	faultpoint.Arm("sweep.eval", faultpoint.Rule{Times: 2})
-	m := NewManager(Config{Dir: t.TempDir(), Workers: 1, Logger: quiet(),
-		MaxAttempts: 3, RetryBaseDelay: time.Millisecond, RetryMaxDelay: 2 * time.Millisecond})
+	m := NewManager(Config{Dir: t.TempDir(), Workers: 1, Logger: quiet()})
+	m.retry = retryPolicy{maxAttempts: 3, baseDelay: time.Millisecond, maxDelay: 2 * time.Millisecond}
 	defer m.Close()
 	j, err := m.Submit(Spec{N: []int{3}, F: []int{1}, XMax: 20})
 	if err != nil {
@@ -288,12 +288,12 @@ func TestEvalCellFaultPoint(t *testing.T) {
 }
 
 func TestBackoffCappedAndJittered(t *testing.T) {
-	m := NewManager(Config{Dir: t.TempDir(), Logger: quiet(),
-		RetryBaseDelay: 10 * time.Millisecond, RetryMaxDelay: 40 * time.Millisecond})
+	m := NewManager(Config{Dir: t.TempDir(), Logger: quiet()})
+	m.retry.baseDelay, m.retry.maxDelay = 10*time.Millisecond, 40*time.Millisecond
 	defer m.Close()
 	for attempt := 1; attempt <= 10; attempt++ {
 		// Expected window: full backoff in [base*2^(a-1)/2, base*2^(a-1)],
-		// capped at RetryMaxDelay.
+		// capped at the max delay.
 		full := 10 * time.Millisecond << (attempt - 1)
 		if full > 40*time.Millisecond || full <= 0 {
 			full = 40 * time.Millisecond

@@ -224,7 +224,8 @@ func TestSubmitIdempotent(t *testing.T) {
 }
 
 func TestSubmitRejectsOversizedGrid(t *testing.T) {
-	m := NewManager(Config{Dir: t.TempDir(), MaxCells: 10, Logger: quiet()})
+	m := NewManager(Config{Dir: t.TempDir(), Logger: quiet()})
+	m.maxCells = 10
 	defer m.Close()
 	_, err := m.Submit(Spec{N: []int{1, 2, 3, 4}, F: []int{0, 1, 2}}) // 12 cells
 	if err == nil || !strings.Contains(err.Error(), "exceeds the limit") {

@@ -55,7 +55,8 @@ func TestTraceparentUntraced(t *testing.T) {
 // trace, while an uncapped trace counts zero — the loss that used to
 // vanish into the per-span counter is now visible per trace.
 func TestTruncatedTracesCounted(t *testing.T) {
-	tr := New(Config{MaxSpans: 2})
+	tr := New(Config{})
+	tr.maxSpans = 2
 	ctx, root := tr.StartRequest(context.Background(), "req", "")
 	if root == nil {
 		t.Fatal("request not sampled")

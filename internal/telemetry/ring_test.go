@@ -86,7 +86,8 @@ func TestRingConcurrent(t *testing.T) {
 // annotation within a single trace (the batch fan-out shape) under
 // -race.
 func TestConcurrentSpansOneTrace(t *testing.T) {
-	tr := New(Config{SampleRate: 1, MaxSpans: 4096})
+	tr := New(Config{SampleRate: 1})
+	tr.maxSpans = 4096
 	ctx, root := tr.StartRequest(context.Background(), "batch", "")
 	var wg sync.WaitGroup
 	const workers, items = 8, 50

@@ -34,23 +34,21 @@ type Config struct {
 	// Capacity is the number of completed traces retained in the ring
 	// buffer (default DefaultCapacity).
 	Capacity int
-	// MaxSpans caps the spans of one trace (default DefaultMaxSpans);
-	// further StartSpan calls on that trace return nil and are counted
-	// as dropped.
-	MaxSpans int
 }
 
-// Defaults for Config's zero fields.
 const (
+	// DefaultCapacity is the ring size a zero Config.Capacity gets.
 	DefaultCapacity = 256
-	DefaultMaxSpans = 512
+	// maxSpansPerTrace caps the spans of one trace; further StartSpan
+	// calls on that trace return nil and are counted as dropped.
+	maxSpansPerTrace = 512
 )
 
 // Tracer samples requests and collects their completed traces. Safe
 // for concurrent use; a nil *Tracer is valid and never samples.
 type Tracer struct {
 	every    uint64 // sample every n-th request; 0 disables
-	maxSpans int
+	maxSpans int    // maxSpansPerTrace; tests change it
 	ring     *traceRing
 
 	counter      atomic.Uint64
@@ -76,11 +74,7 @@ func New(cfg Config) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	maxSpans := cfg.MaxSpans
-	if maxSpans <= 0 {
-		maxSpans = DefaultMaxSpans
-	}
-	return &Tracer{every: every, maxSpans: maxSpans, ring: newTraceRing(capacity)}
+	return &Tracer{every: every, maxSpans: maxSpansPerTrace, ring: newTraceRing(capacity)}
 }
 
 // TracerStats are the tracer's own counters, exported on /metrics.

@@ -153,7 +153,8 @@ func TestTraceparentAdoption(t *testing.T) {
 }
 
 func TestMaxSpansCap(t *testing.T) {
-	tr := New(Config{SampleRate: 1, MaxSpans: 3})
+	tr := New(Config{SampleRate: 1})
+	tr.maxSpans = 3
 	ctx, root := tr.StartRequest(context.Background(), "r", "")
 	var spans []*Span
 	for i := 0; i < 5; i++ {
