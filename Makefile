@@ -17,12 +17,12 @@ race:
 	$(GO) test -race ./...
 
 # Allocation-gated micro benchmarks: the compiled kernel (cold compile,
-# hot eval, batch sizes 1/100/10000, the Byzantine vote rule, one sweep
-# cell) with its sim references, the expected-time series, the
-# telemetry plane (untraced and traced requests, traceparent parsing
-# and propagation, histogram observation, the event journal live and
-# nil), and the service handler (hot and cold /v1/plan, a 64-query
-# batch). The root package's -bench regex keeps its paper-experiment
+# hot eval, hot eval on wide plans n = 101/1001/10001, batch sizes
+# 1/100/10000, the Byzantine vote rule, one sweep cell) with its sim
+# references, the expected-time series, the telemetry plane (untraced
+# and traced requests, traceparent parsing and propagation, histogram
+# observation, the event journal live and nil), and the service
+# handler (hot and cold /v1/plan, a 64-query batch). The root package's -bench regex keeps its paper-experiment
 # benchmarks out. Writes the machine-readable report to BENCH.json.
 bench:
 	{ $(GO) test -run '^$$' -bench . -benchmem ./internal/telemetry ./internal/telemetry/journal ./internal/compiled ./internal/sim && \
@@ -89,11 +89,13 @@ bench-paper:
 	$(GO) test -bench . -benchmem .
 
 # Short fuzzing smoke: the public SearchTime entry point, the
-# Byzantine vote-rule kernel against the exact engine, and the
+# Byzantine vote-rule kernel against the exact engine, the kernel's
+# k-th-visit selection against its partial-selection oracle, and the
 # expected-time series at miss probability 0 against the worst case.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSearchTime -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzByzantineVote -fuzztime 30s ./internal/compiled
+	$(GO) test -run '^$$' -fuzz FuzzSelectKth -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzExpectedMatchesWorstCase -fuzztime 30s ./internal/sim
 
 # Regenerate every table and figure as text on stdout.

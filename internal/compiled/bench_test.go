@@ -74,6 +74,34 @@ func BenchmarkSearchTimeHot(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchTimeLargeN is BenchmarkSearchTimeHot on wide
+// proportional plans A(n, n/2), where rank f+1 sits mid-buffer: each
+// query gathers n first visits and selects among them, so its cost
+// must stay linear in n.
+func BenchmarkSearchTimeLargeN(b *testing.B) {
+	for _, n := range []int{101, 1001, 10001} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			plan, err := sim.FromStrategy(strategy.Proportional{}, n, n/2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cp, err := compiled.Compile(plan)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := cp.Evaluator()
+			defer e.Release()
+			xs := benchTargets(64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if e.SearchTime(xs[i%len(xs)]) <= 0 {
+					b.Fatal("bad search time")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCompiledBatch measures EvalMany over sorted curve grids of
 // increasing size; per-op cost should be linear in the batch with zero
 // allocations.
@@ -106,7 +134,9 @@ func BenchmarkCompiledBatchCtx(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = cp.EvalManyCtx(ctx, xs, dst)
+				if _, err := cp.EvalManyCtx(ctx, xs, dst); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

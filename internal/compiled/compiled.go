@@ -1,8 +1,8 @@
 // Package compiled is the hot-path evaluation kernel: it flattens a
 // sim.Plan's trajectories into flat turning-time/position arrays once,
 // then answers first-visit queries by binary search and k-th-distinct
-// -visit queries with a zero-allocation partial selection — no per-query
-// []Visit slice, no sort.
+// -visit queries with a zero-allocation introselect in a fixed buffer —
+// no per-query []Visit slice, O(n) expected and O(n log n) worst case.
 //
 // The flattening exploits the structure Theorem 3 gives every schedule
 // in this repository: turning points form a geometric sequence inside

@@ -1,9 +1,12 @@
 package compiled_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sort"
 	"testing"
+	"time"
 
 	"linesearch/internal/compiled"
 	"linesearch/internal/fault"
@@ -187,6 +190,74 @@ func TestSearchTimeZeroAllocs(t *testing.T) {
 		dst = e.EvalMany(xs, dst)
 	}); avg != 0 {
 		t.Errorf("EvalMany allocates %v per op, want 0", avg)
+	}
+	ctx := context.Background()
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := cp.EvalManyCtx(ctx, xs, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("untraced EvalManyCtx allocates %v per op, want 0", avg)
+	}
+}
+
+// TestLargePlanMatchesSim checks the kernel against the sorting
+// reference engine bit for bit on plans wide enough that selection
+// partitions its buffer: at the crash rank f+1 for a spread of targets,
+// and at every rank k for one target.
+func TestLargePlanMatchesSim(t *testing.T) {
+	for _, n := range []int{41, 101, 1001} {
+		plan, cp := compilePair(t, strategy.Proportional{}, n, n/2)
+		for _, x := range []float64{1, -1.5, 7.5, -40, 1e3, -1e5} {
+			if got, want := cp.SearchTime(x), plan.SearchTime(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("n=%d: SearchTime(%g) = %v, sim %v", n, x, got, want)
+			}
+		}
+		if n > 101 {
+			continue
+		}
+		for k := 1; k <= n; k++ {
+			got, err := cp.KthDistinctVisit(-7.5, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plan.KthDistinctVisit(-7.5, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("n=%d: KthDistinctVisit(-7.5, %d) = %v, sim %v", n, k, got, want)
+			}
+		}
+	}
+}
+
+// TestEvalManyCtxStopsWhenCancelled checks that a curve evaluation on
+// a wide plan gives up with the context's error instead of finishing:
+// at once for a context cancelled up front, and part-way through for
+// one cancelled mid-evaluation.
+func TestEvalManyCtxStopsWhenCancelled(t *testing.T) {
+	_, cp := compilePair(t, strategy.Proportional{}, 1001, 500)
+	xs := make([]float64, 10000)
+	for i := range xs {
+		xs[i] = float64(i) + 1
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	got, err := cp.EvalManyCtx(ctx, xs, nil)
+	if !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("cancelled context: got %d results, err %v; want nil, context.Canceled", len(got), err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("cancelled context took %v to return", d)
+	}
+
+	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if _, err := cp.EvalManyCtx(ctx, xs, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline mid-evaluation: err %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"linesearch/internal/telemetry"
@@ -17,9 +19,9 @@ import (
 type Evaluator struct {
 	plan *Plan
 	// buf is the fixed-size selection buffer: per-query first-visit
-	// times of the robots that ever reach the target. The k-th distinct
-	// visit is extracted by partial selection (k rounds of min-finding),
-	// never a full sort.
+	// times of the robots that ever reach the target. selectKth extracts
+	// the k-th distinct visit in place: O(m) expected and O(m log m)
+	// worst case for the m robots that visit.
 	buf []float64
 	// hints caches each robot's last covering corner index; consecutive
 	// queries for nearby (in particular sorted) targets then re-enter
@@ -64,24 +66,27 @@ func (e *Evaluator) KthDistinctVisit(x float64, k int) (float64, error) {
 	if k < 1 || k > n {
 		return 0, fmt.Errorf("compiled: visitor index k=%d out of range [1, %d]", k, n)
 	}
-	m := e.gatherVisits(x)
-	if m < k {
-		return math.Inf(1), nil
-	}
-	return selectKth(e.buf[:m], k), nil
+	return e.kth(x, k), nil
 }
 
 // SearchTime returns the worst-case detection time for a target at x:
 // the first visit of the DetectionRank-th distinct robot ((f+1)-st in
 // the crash model, (f+votes)-th under the Byzantine voting rule), +Inf
 // if fewer robots ever visit. Matches sim.Plan.SearchTime.
-func (e *Evaluator) SearchTime(x float64) float64 {
-	k := e.plan.rank
-	m := e.gatherVisits(x)
-	if m < k {
+func (e *Evaluator) SearchTime(x float64) float64 { return e.kth(x, e.plan.rank) }
+
+// kth returns the k-th distinct first-visit time at x, +Inf if fewer
+// than k robots visit. A buffer selectKth would not partition goes to
+// minSelect directly, which inlines here, so small plans pay no call.
+func (e *Evaluator) kth(x float64, k int) float64 {
+	switch m := e.gatherVisits(x); {
+	case m < k:
 		return math.Inf(1)
+	case m <= selectCutoff:
+		return minSelect(e.buf[:m], k)
+	default:
+		return selectKth(e.buf[:m], k)
 	}
-	return selectKth(e.buf[:m], k)
 }
 
 // EvalMany computes SearchTime for every target in xs, writing into dst
@@ -116,19 +121,56 @@ func (e *Evaluator) gatherVisits(x float64) int {
 	return m
 }
 
-// selectKth returns the k-th smallest value of buf (1-based) by partial
-// selection, reordering buf in place. O(k*n), zero allocations; for the
-// search-time workload k = f+1 <= n this beats a full sort and never
-// touches the heap.
+const selectCutoff = 16 // widest window selectKth finishes by minSelect
+
+// selectKth returns the k-th smallest value of buf (1-based), reordering
+// buf in place, in O(m) expected and O(m log m) worst-case time for
+// m = len(buf). Hoare-partition quickselect with a median-of-three pivot
+// narrows a window around index k-1 to at most selectCutoff entries for
+// minSelect; a window still wider after 2·bits.Len(m) rounds goes to
+// slices.Sort (pdqsort). Only comparisons decide the answer, so it is
+// bit-identical to a full sort's on input free of NaN and −0.
 func selectKth(buf []float64, k int) float64 {
+	lo, hi, target := 0, len(buf)-1, k-1
+	for depth := 2 * bits.Len(uint(len(buf))); hi-lo >= selectCutoff; depth-- {
+		if depth == 0 {
+			slices.Sort(buf[lo : hi+1])
+			return buf[target]
+		}
+		a, b, c := buf[lo], buf[lo+(hi-lo)/2], buf[hi]
+		pivot := max(min(a, b), min(max(a, b), c))
+		i, j := lo-1, hi+1
+		for {
+			for i++; buf[i] < pivot; i++ {
+			}
+			for j--; pivot < buf[j]; j-- {
+			}
+			if i >= j {
+				break
+			}
+			buf[i], buf[j] = buf[j], buf[i]
+		}
+		// Now buf[lo..j] <= pivot <= buf[j+1..hi] with lo <= j < hi.
+		if target <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
+	return minSelect(buf[lo:hi+1], target-lo+1)
+}
+
+// minSelect returns the k-th smallest value of buf (1-based) by k rounds
+// of min-finding, reordering buf in place: O(len(buf)·k).
+func minSelect(buf []float64, k int) float64 {
 	for i := 0; i < k; i++ {
-		min := i
+		least := i
 		for j := i + 1; j < len(buf); j++ {
-			if buf[j] < buf[min] {
-				min = j
+			if buf[j] < buf[least] {
+				least = j
 			}
 		}
-		buf[i], buf[min] = buf[min], buf[i]
+		buf[i], buf[least] = buf[least], buf[i]
 	}
 	return buf[k-1]
 }
@@ -162,15 +204,23 @@ func (p *Plan) EvalMany(xs []float64, dst []float64) []float64 {
 	return dst
 }
 
-// EvalManyCtx is EvalMany with trace plumbing: when ctx carries a
-// sampled telemetry trace, the batch pass records a "kernel.evalmany"
-// span annotated with the target count. The untraced path takes the
-// nil-span fast path — no allocations, no locking — so batch hot loops
-// can call this unconditionally.
-func (p *Plan) EvalManyCtx(ctx context.Context, xs []float64, dst []float64) []float64 {
+const ctxCheckEvery = 256 // targets EvalManyCtx evaluates between context checks
+
+// EvalManyCtx is EvalMany that returns ctx.Err() once ctx is done,
+// checked every ctxCheckEvery targets, so an abandoned request frees its
+// worker. A sampled telemetry trace in ctx gets a "kernel.evalmany" span
+// with the target count; the untraced path allocates nothing and takes
+// no lock, so batch hot loops can call this unconditionally.
+func (p *Plan) EvalManyCtx(ctx context.Context, xs []float64, dst []float64) ([]float64, error) {
 	_, span := telemetry.StartSpan(ctx, "kernel.evalmany")
 	span.SetInt("targets", int64(len(xs)))
-	dst = p.EvalMany(xs, dst)
-	span.End()
-	return dst
+	defer span.End()
+	dst = slices.Grow(dst[:0], len(xs))[:len(xs)]
+	for lo := 0; lo < len(xs); lo += ctxCheckEvery {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		p.EvalMany(xs[lo:min(lo+ctxCheckEvery, len(xs))], dst[lo:])
+	}
+	return dst, nil
 }

@@ -99,16 +99,16 @@ func badRequest(format string, args ...any) error {
 }
 
 // statusOf maps an evaluation error to an HTTP status. Transient
-// failures (injected faults, and any evaluator error that opts into the
-// Transient() contract) are the server's fault and map to a 503 the
-// client should retry; everything else a query can make the library
-// reject is the client's fault.
+// failures (injected faults, Transient() evaluator errors, and a request
+// context cancelled or timed out mid-evaluation) are the server's fault
+// and map to a 503 the client should retry; everything else a query can
+// make the library reject is the client's fault.
 func statusOf(err error) int {
 	var ae *apiError
 	if errors.As(err, &ae) {
 		return ae.status
 	}
-	if faultpoint.IsTransient(err) {
+	if faultpoint.IsTransient(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusBadRequest

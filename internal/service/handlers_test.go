@@ -434,6 +434,37 @@ func TestBatchCancelledMidFanout(t *testing.T) {
 	}
 }
 
+// TestSearchTimesCancelledIs503 checks that a searchtimes request whose
+// context is cancelled before the kernel runs stops with the context
+// error and answers 503, a server-side condition the client may retry,
+// not a 400.
+func TestSearchTimesCancelledIs503(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h := newTestService(t, Config{
+		// No timeout handler: it would answer the cancellation itself.
+		RequestTimeout: -1,
+		Build: func(k PlanKey) (*Plan, error) {
+			cancel()
+			return defaultBuild(k)
+		},
+	}).Handler()
+	r := httptest.NewRequest("GET", "/v1/searchtimes?n=41&f=20&xs=1,2,3", nil).WithContext(ctx)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, r)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Errorf("status %d, want 503: %s", w.Code, w.Body.String())
+	}
+	if !strings.Contains(w.Body.String(), context.Canceled.Error()) {
+		t.Errorf("body %q does not name the cancellation", w.Body.String())
+	}
+	for _, err := range []error{context.Canceled, fmt.Errorf("eval: %w", context.DeadlineExceeded)} {
+		if got := statusOf(err); got != http.StatusServiceUnavailable {
+			t.Errorf("statusOf(%v) = %d, want 503", err, got)
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	h := newTestService(t, Config{}).Handler()
 	// Two identical plan queries: one miss then one hit.

@@ -155,17 +155,17 @@ func (s *Searcher) SearchTimes(xs []float64) ([]float64, error) {
 	return s.SearchTimesContext(context.Background(), xs)
 }
 
-// SearchTimesContext is SearchTimes with trace plumbing: when ctx
-// carries a sampled telemetry trace, the kernel pass records a stage
-// span. An untraced context adds no allocations or locking over
-// SearchTimes.
+// SearchTimesContext is SearchTimes that returns ctx.Err() once ctx is
+// done, and records a kernel stage span when ctx carries a sampled
+// telemetry trace. An untraced context adds no allocations or locking
+// over SearchTimes.
 func (s *Searcher) SearchTimesContext(ctx context.Context, xs []float64) ([]float64, error) {
 	for _, x := range xs {
 		if err := s.checkTarget(x); err != nil {
 			return nil, err
 		}
 	}
-	return s.kernel.EvalManyCtx(ctx, xs, nil), nil
+	return s.kernel.EvalManyCtx(ctx, xs, nil)
 }
 
 // KthVisitTime returns the time at which the k-th distinct robot first
