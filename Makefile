@@ -90,13 +90,17 @@ bench-paper:
 
 # Short fuzzing smoke: the public SearchTime entry point, the
 # Byzantine vote-rule kernel against the exact engine, the kernel's
-# k-th-visit selection against its partial-selection oracle, and the
-# expected-time series at miss probability 0 against the worst case.
+# k-th-visit selection against its partial-selection oracle, the
+# expected-time series at miss probability 0 against the worst case,
+# and the two inbound peer decoders replication and gossip feed (a
+# pushed replica checkpoint, a gossip POST).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSearchTime -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzByzantineVote -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzSelectKth -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzExpectedMatchesWorstCase -fuzztime 30s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzReplicaCheckpoint -fuzztime 30s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz FuzzGossipHandler -fuzztime 30s ./internal/membership
 
 # Regenerate every table and figure as text on stdout.
 repro:

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"linesearch/internal/analysis"
+	"linesearch/internal/compiled"
 	"linesearch/internal/fault"
 	"linesearch/internal/sim"
 	"linesearch/internal/trajectory"
@@ -176,15 +177,16 @@ func Play(p *sim.Plan) (GameResult, error) {
 }
 
 // PlayLadder is Play with an explicit ladder, allowing weaker alphas or
-// cross-checks against other n.
+// cross-checks against other n. The plan is evaluated through the
+// compiled kernel, the production search-time evaluator.
 func PlayLadder(p *sim.Plan, ladder Ladder) (GameResult, error) {
+	kernel, err := compiled.Compile(p)
+	if err != nil {
+		return GameResult{}, fmt.Errorf("adversary: compiling plan: %w", err)
+	}
 	res := GameResult{Alpha: ladder.Alpha, Ratio: math.Inf(-1)}
 	for _, x := range ladder.Targets() {
-		ratio, err := p.Ratio(x)
-		if err != nil {
-			return GameResult{}, fmt.Errorf("adversary: evaluating target %g: %w", x, err)
-		}
-		if ratio > res.Ratio {
+		if ratio := kernel.SearchTime(x) / math.Abs(x); ratio > res.Ratio {
 			res.Ratio = ratio
 			res.Target = x
 		}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -104,8 +103,10 @@ func (r *Router) handleFleetTraces(w http.ResponseWriter, req *http.Request) {
 	for i, b := range backends {
 		i, b := i, b
 		go func() {
-			traces, err := r.scrapeTraces(req, b, scrapeN)
-			results[i] = scraped{process: b.name, traces: traces, err: err}
+			var body telemetry.TracesResponse
+			url := fmt.Sprintf("%s/debug/traces?n=%d&sort=recent", b.base, scrapeN)
+			_, err := telemetry.CallJSON(req.Context(), r.client, http.MethodGet, url, nil, &body, maxResponseBody)
+			results[i] = scraped{process: b.name, traces: body.Traces, err: err}
 			done <- i
 		}()
 	}
@@ -195,29 +196,6 @@ func (r *Router) handleFleetTraces(w http.ResponseWriter, req *http.Request) {
 	resp.Traces = merged
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// scrapeTraces fetches one backend's recent completed traces.
-func (r *Router) scrapeTraces(req *http.Request, b *backend, n int) ([]telemetry.TraceSnapshot, error) {
-	url := fmt.Sprintf("%s/debug/traces?n=%d&sort=recent", b.base, n)
-	out, err := http.NewRequestWithContext(req.Context(), http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.client.Do(out)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("scrape returned %s", resp.Status)
-	}
-	var body telemetry.TracesResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxResponseBody)).Decode(&body); err != nil {
-		return nil, fmt.Errorf("decode scrape: %w", err)
-	}
-	return body.Traces, nil
 }
 
 // DebugHandler returns the router's operator debug surface for a

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"linesearch/internal/telemetry"
 	"linesearch/internal/telemetry/journal"
 )
 
@@ -49,7 +50,10 @@ func (r *Router) ProbeAll() {
 // the backend (the quorum-style detection rule); any healthy vote
 // resets the count and lifts the quarantine.
 func (r *Router) probe(b *backend) {
-	ok := r.probeOnce(b)
+	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
+	_, err := telemetry.CallJSON(ctx, r.client, http.MethodGet, b.base.String()+"/healthz", nil, nil, 4096)
+	cancel()
+	ok := err == nil
 	if ok && r.cfg.SlowThreshold > 0 {
 		snap := b.hist.Snapshot()
 		dc := snap.Count - b.lastCount
@@ -75,20 +79,4 @@ func (r *Router) probe(b *backend) {
 		r.journal.Record(context.Background(), journal.QuarantineEnter, b.name,
 			fmt.Sprintf("%d failed votes", b.votes.Load()))
 	}
-}
-
-// probeOnce issues one GET /healthz against b.
-func (r *Router) probeOnce(b *backend) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base.String()+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }

@@ -1,20 +1,17 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/url"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"linesearch/internal/faultpoint"
+	"linesearch/internal/service"
 	"linesearch/internal/sweep"
 	"linesearch/internal/telemetry"
 	"linesearch/internal/telemetry/journal"
@@ -96,15 +93,6 @@ type Replicator struct {
 	ring  *Ring
 	urls  map[string]string    // ring member (host:port) -> base URL
 	hints map[string]hintSpool // ring member -> pending handoffs
-
-	replicated    atomic.Int64
-	failed        atomic.Int64
-	hinted        atomic.Int64
-	hintsDropped  atomic.Int64
-	hintsReplayed atomic.Int64
-	aeRuns        atomic.Int64
-	repairsPushed atomic.Int64
-	repairsPulled atomic.Int64
 }
 
 // hintSpool is one peer's pending handoffs: latest checkpoint per job,
@@ -209,13 +197,11 @@ func (r *Replicator) Replicate(ctx context.Context, cp sweep.Checkpoint) int {
 	accepted := 0
 	for _, target := range sortedByKey(targets) {
 		if err := r.push(ctx, target.url, cp); err != nil {
-			r.failed.Add(1)
 			r.logger.Warn("checkpoint replication failed; hinting",
 				"job", cp.ID, "peer", target.name, "err", err)
 			r.hint(ctx, target.name, cp)
 			continue
 		}
-		r.replicated.Add(1)
 		accepted++
 		r.replayHints(ctx, target.name, target.url)
 	}
@@ -236,6 +222,19 @@ func sortedByKey(m map[string]string) []namedTarget {
 
 // push PUTs one checkpoint to a peer's replica endpoint.
 func (r *Replicator) push(ctx context.Context, baseURL string, cp sweep.Checkpoint) error {
+	if err := r.hitPeer(baseURL); err != nil {
+		return err
+	}
+	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
+	defer cancel()
+	_, err := telemetry.CallJSON(ctx, r.client, http.MethodPut,
+		baseURL+"/v1/replica/checkpoints/"+url.PathEscape(cp.ID), cp, nil, maxReplicaResponse)
+	return err
+}
+
+// hitPeer fires the replication fault points for one send to baseURL
+// and rejects a peer that is not in the member set.
+func (r *Replicator) hitPeer(baseURL string) error {
 	name, _ := memberName(baseURL)
 	if err := faultpoint.Hit(fpReplicate); err != nil {
 		return err
@@ -245,30 +244,6 @@ func (r *Replicator) push(ctx context.Context, baseURL string, cp sweep.Checkpoi
 	}
 	if baseURL == "" {
 		return fmt.Errorf("cluster: peer %s is not in the member set", name)
-	}
-	blob, err := json.Marshal(cp)
-	if err != nil {
-		return fmt.Errorf("cluster: marshal checkpoint: %w", err)
-	}
-	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		baseURL+"/v1/replica/checkpoints/"+url.PathEscape(cp.ID), bytes.NewReader(blob))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tp := telemetry.Traceparent(ctx); tp != "" {
-		req.Header.Set("Traceparent", tp)
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, maxReplicaResponse))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: peer %s answered %d", name, resp.StatusCode)
 	}
 	return nil
 }
@@ -287,13 +262,11 @@ func (r *Replicator) hint(ctx context.Context, peer string, cp sweep.Checkpoint)
 			dropped = spool.order[0]
 			spool.order = spool.order[1:]
 			delete(spool.byJob, dropped)
-			r.hintsDropped.Add(1)
 		}
 		spool.order = append(spool.order, cp.ID)
 	}
 	spool.byJob[cp.ID] = cp
 	r.hints[peer] = spool
-	r.hinted.Add(1)
 	r.mu.Unlock()
 	if dropped != "" {
 		r.logger.Warn("hint spool full; dropped oldest", "peer", peer, "job", dropped)
@@ -328,43 +301,20 @@ func (r *Replicator) replayHints(ctx context.Context, peer, baseURL string) {
 			r.hint(ctx, peer, cp)
 			continue
 		}
-		r.hintsReplayed.Add(1)
 		r.cfg.Journal.Record(ctx, journal.HintReplay, peer, "job "+cp.ID)
 	}
 }
 
 // peerDigest fetches a peer's combined home+replica digest.
 func (r *Replicator) peerDigest(ctx context.Context, baseURL string) (map[string]sweep.CheckpointInfo, error) {
-	name, _ := memberName(baseURL)
-	if err := faultpoint.Hit(fpReplicate); err != nil {
-		return nil, err
-	}
-	if err := faultpoint.Hit(fpReplicate + "." + name); err != nil {
+	if err := r.hitPeer(baseURL); err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/replica/digest", nil)
-	if err != nil {
-		return nil, err
-	}
-	if tp := telemetry.Traceparent(ctx); tp != "" {
-		req.Header.Set("Traceparent", tp)
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxReplicaResponse))
-		return nil, fmt.Errorf("cluster: peer %s digest answered %d", name, resp.StatusCode)
-	}
-	var body struct {
-		Home    map[string]sweep.CheckpointInfo `json:"home"`
-		Replica map[string]sweep.CheckpointInfo `json:"replica"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxReplicaResponse)).Decode(&body); err != nil {
+	var body service.ReplicaDigestResponse
+	if _, err := telemetry.CallJSON(ctx, r.client, http.MethodGet,
+		baseURL+"/v1/replica/digest", nil, &body, maxReplicaResponse); err != nil {
 		return nil, err
 	}
 	merged := make(map[string]sweep.CheckpointInfo, len(body.Home)+len(body.Replica))
@@ -380,33 +330,17 @@ func (r *Replicator) peerDigest(ctx context.Context, baseURL string) (map[string
 	return merged, nil
 }
 
-// fetch GETs one checkpoint from a peer.
+// fetch GETs one checkpoint from a peer (a peer that lacks it is nil, nil).
 func (r *Replicator) fetch(ctx context.Context, baseURL, id string) (*sweep.Checkpoint, error) {
 	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		baseURL+"/v1/replica/checkpoints/"+url.PathEscape(id), nil)
-	if err != nil {
-		return nil, err
-	}
-	if tp := telemetry.Traceparent(ctx); tp != "" {
-		req.Header.Set("Traceparent", tp)
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxReplicaResponse))
+	var cp sweep.Checkpoint
+	status, err := telemetry.CallJSON(ctx, r.client, http.MethodGet,
+		baseURL+"/v1/replica/checkpoints/"+url.PathEscape(id), nil, &cp, maxReplicaResponse)
+	if status == http.StatusNotFound {
 		return nil, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxReplicaResponse))
-		return nil, fmt.Errorf("cluster: peer checkpoint answered %d", resp.StatusCode)
-	}
-	var cp sweep.Checkpoint
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxReplicaResponse)).Decode(&cp); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	if err := cp.Verify(); err != nil {
@@ -465,7 +399,6 @@ func (r *Replicator) AntiEntropy(ctx context.Context) int {
 				r.logger.Warn("anti-entropy push failed", "peer", target.name, "job", id, "err", err)
 				continue
 			}
-			r.repairsPushed.Add(1)
 			repairs++
 			r.cfg.Journal.Record(ctx, journal.AntiEntropyRepair, target.name, "pushed job "+id)
 		}
@@ -482,11 +415,9 @@ func (r *Replicator) AntiEntropy(ctx context.Context) int {
 				r.logger.Warn("anti-entropy apply failed", "peer", target.name, "job", id, "err", err)
 				continue
 			}
-			r.repairsPulled.Add(1)
 			repairs++
 			r.cfg.Journal.Record(ctx, journal.AntiEntropyRepair, target.name, "pulled job "+id)
 		}
 	}
-	r.aeRuns.Add(1)
 	return repairs
 }

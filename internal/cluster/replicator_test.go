@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"linesearch/internal/faultpoint"
@@ -55,6 +56,8 @@ type replicaNode struct {
 	mgr   *sweep.Manager
 	rep   *Replicator
 	jrnl  *journal.Journal
+	// accepted sums Replicate's return values: checkpoints a peer took.
+	accepted atomic.Int64
 }
 
 func (n *replicaNode) close() {
@@ -79,7 +82,7 @@ func newReplicaNode(t *testing.T, tweaks ...func(*sweep.Config)) *replicaNode {
 		ReplicaDir: n.store.Dir(),
 		OnCheckpoint: func(cp sweep.Checkpoint) {
 			if n.rep != nil {
-				n.rep.Replicate(context.Background(), cp)
+				n.accepted.Add(int64(n.rep.Replicate(context.Background(), cp)))
 			}
 		},
 	}
@@ -162,8 +165,8 @@ func TestReplicatorStreamsToOwner(t *testing.T) {
 	if got.Checksum != home.Checksum {
 		t.Fatalf("replica checksum %s != home %s", got.Checksum, home.Checksum)
 	}
-	if st := a.rep.Stats(); st.Replicated == 0 {
-		t.Fatalf("replicator recorded no pushes: %+v", st)
+	if a.accepted.Load() == 0 {
+		t.Fatal("Replicate reported no peer accepting a push")
 	}
 }
 
@@ -186,13 +189,13 @@ func TestReplicatorHintedHandoff(t *testing.T) {
 	if got, _ := b.store.Get(id); got != nil {
 		t.Fatal("checkpoint reached the downed peer")
 	}
-	st := a.rep.Stats()
-	if st.Hinted == 0 || st.HintsPending == 0 {
-		t.Fatalf("no hints spooled while peer was down: %+v", st)
+	if journalled(a, journal.HintSpool) == 0 || hintsPending(a.rep) == 0 {
+		t.Fatalf("no hints spooled while peer was down: %d journalled, %d pending",
+			journalled(a, journal.HintSpool), hintsPending(a.rep))
 	}
 
 	faultpoint.Reset()
-	if rep := a.rep.AntiEntropy(context.Background()); rep == 0 && a.rep.Stats().HintsReplayed == 0 {
+	if rep := a.rep.AntiEntropy(context.Background()); rep == 0 && journalled(a, journal.HintReplay) == 0 {
 		t.Fatal("anti-entropy neither replayed hints nor repaired")
 	}
 	got, err := b.store.Get(id)
@@ -203,8 +206,8 @@ func TestReplicatorHintedHandoff(t *testing.T) {
 	if home == nil || got.Checksum != home.Checksum {
 		t.Fatalf("replica did not converge to the home checksum")
 	}
-	if st := a.rep.Stats(); st.HintsPending != 0 {
-		t.Fatalf("hints still pending after replay: %+v", st)
+	if pending := hintsPending(a.rep); pending != 0 {
+		t.Fatalf("%d hints still pending after replay", pending)
 	}
 }
 
@@ -261,9 +264,11 @@ func TestRouterWalkStartsWithReplicaOwners(t *testing.T) {
 // per job, oldest job evicted at the limit.
 func TestReplicatorHintSpoolBounded(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	jrnl := journal.New(0)
 	rep, err := NewReplicator(ReplicatorConfig{
 		Self:        "http://127.0.0.1:1",
 		Logger:      logger,
+		Journal:     jrnl,
 		LocalDigest: func() map[string]sweep.CheckpointInfo { return nil },
 		LoadLocal:   func(string) (*sweep.Checkpoint, error) { return nil, nil },
 		Apply:       func(sweep.Checkpoint) error { return nil },
@@ -283,9 +288,9 @@ func TestReplicatorHintSpoolBounded(t *testing.T) {
 	rep.hint(context.Background(), "peer", cp("job-1", 2)) // latest-wins: still one entry
 	rep.hint(context.Background(), "peer", cp("job-2", 1))
 	rep.hint(context.Background(), "peer", cp("job-3", 1)) // evicts job-1
-	st := rep.Stats()
-	if st.HintsPending != 2 || st.HintsDropped != 1 {
-		t.Fatalf("spool = %+v, want 2 pending / 1 dropped", st)
+	pending, dropped := hintsPending(rep), jrnl.Counts()["hint_drop"]
+	if pending != 2 || dropped != 1 {
+		t.Fatalf("spool = %d pending / %d dropped, want 2 / 1", pending, dropped)
 	}
 	hints := rep.takeHints("peer")
 	if len(hints) != 2 || hints[0].ID != "job-2" || hints[1].ID != "job-3" {
@@ -316,7 +321,8 @@ func TestReplicatorAntiEntropyPulls(t *testing.T) {
 		t.Fatal("test setup leaked the checkpoint to a")
 	}
 	if repairs := a.rep.AntiEntropy(context.Background()); repairs == 0 {
-		t.Fatalf("anti-entropy found nothing to pull: %+v", a.rep.Stats())
+		t.Fatalf("anti-entropy found nothing to pull (%d repairs journalled)",
+			journalled(a, journal.AntiEntropyRepair))
 	}
 	got, err := a.store.Get(id)
 	if err != nil || got == nil {
@@ -343,48 +349,21 @@ func TestReplicatorValidation(t *testing.T) {
 	}
 }
 
-// ReplicatorStats snapshots the replication counters the tests assert
-// on. Production code keeps the counters but does not export them.
-type ReplicatorStats struct {
-	// Replicated counts checkpoints accepted by a peer; Failed counts
-	// sends that errored after reaching for a live peer.
-	Replicated int64 `json:"replicated"`
-	Failed     int64 `json:"failed"`
-	// Hinted counts checkpoints spooled for a down peer; HintsDropped
-	// counts spool overflow evictions; HintsReplayed counts hints
-	// delivered after the peer came back.
-	Hinted        int64 `json:"hinted"`
-	HintsDropped  int64 `json:"hints_dropped"`
-	HintsReplayed int64 `json:"hints_replayed"`
-	// HintsPending is the current spool size across peers.
-	HintsPending int `json:"hints_pending"`
-	// AntiEntropyRuns counts completed anti-entropy sweeps;
-	// RepairsPushed/RepairsPulled count checkpoints moved to heal
-	// divergence.
-	AntiEntropyRuns int64 `json:"anti_entropy_runs"`
-	RepairsPushed   int64 `json:"repairs_pushed"`
-	RepairsPulled   int64 `json:"repairs_pulled"`
-}
-
-// Stats snapshots the replication counters.
-func (r *Replicator) Stats() ReplicatorStats {
+// hintsPending is the replicator's current handoff spool size across
+// peers.
+func hintsPending(r *Replicator) int {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	pending := 0
 	for _, spool := range r.hints {
 		pending += len(spool.order)
 	}
-	r.mu.Unlock()
-	return ReplicatorStats{
-		Replicated:      r.replicated.Load(),
-		Failed:          r.failed.Load(),
-		Hinted:          r.hinted.Load(),
-		HintsDropped:    r.hintsDropped.Load(),
-		HintsReplayed:   r.hintsReplayed.Load(),
-		HintsPending:    pending,
-		AntiEntropyRuns: r.aeRuns.Load(),
-		RepairsPushed:   r.repairsPushed.Load(),
-		RepairsPulled:   r.repairsPulled.Load(),
-	}
+	return pending
+}
+
+// journalled is how many events of kind the node's journal recorded.
+func journalled(n *replicaNode, kind journal.Kind) int64 {
+	return n.jrnl.Counts()[kind.String()]
 }
 
 // Owners returns the ring members owning the sweep key right now, up

@@ -239,9 +239,9 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 		span.SetStr("method", req.Method)
 		req = req.WithContext(ctx)
 	}
-	rec := &sloRecorder{ResponseWriter: w}
+	rec := &telemetry.StatusRecorder{ResponseWriter: w}
 	r.proxy(rec, req)
-	status := rec.status
+	status := rec.Status
 	if status == 0 {
 		status = http.StatusOK
 	}

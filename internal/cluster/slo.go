@@ -144,25 +144,3 @@ func (m *sloMonitor) snapshot() SLOStats {
 	}
 	return st
 }
-
-// sloRecorder captures the status the proxy handler finally wrote, so
-// the monitor observes the client-visible outcome (after retries,
-// failover and replica reads), not any individual backend attempt.
-type sloRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *sloRecorder) WriteHeader(status int) {
-	if r.status == 0 {
-		r.status = status
-	}
-	r.ResponseWriter.WriteHeader(status)
-}
-
-func (r *sloRecorder) Write(p []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(p)
-}

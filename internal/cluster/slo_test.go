@@ -134,25 +134,6 @@ func TestSLODefaults(t *testing.T) {
 	}
 }
 
-// TestSLORecorderCapturesFinalStatus proves the recorder reports what
-// the client saw: explicit WriteHeader, implicit 200 on first Write,
-// and first-write-wins on duplicate WriteHeader calls.
-func TestSLORecorderCapturesFinalStatus(t *testing.T) {
-	w := httptest.NewRecorder()
-	rec := &sloRecorder{ResponseWriter: w}
-	rec.WriteHeader(http.StatusBadGateway)
-	rec.WriteHeader(http.StatusOK) // late second header must not win
-	if rec.status != http.StatusBadGateway {
-		t.Errorf("status = %d, want first WriteHeader", rec.status)
-	}
-	w = httptest.NewRecorder()
-	rec = &sloRecorder{ResponseWriter: w}
-	rec.Write([]byte("ok"))
-	if rec.status != http.StatusOK {
-		t.Errorf("implicit status = %d, want 200", rec.status)
-	}
-}
-
 // TestRouterSLOEndToEnd checks the wiring: routed requests move the
 // monitor, and the burn surfaces on /healthz and the Prometheus
 // exposition.

@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -119,29 +116,8 @@ func (r *Router) fetchSnapshot(ctx context.Context, b *backend) (service.CacheSn
 	}
 	var snap service.CacheSnapshot
 	url := fmt.Sprintf("%s/v1/cache/snapshot?limit=%d", b.base, r.cfg.WarmKeys)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return snap, err
-	}
-	if tp := telemetry.Traceparent(ctx); tp != "" {
-		req.Header.Set("Traceparent", tp)
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return snap, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return snap, fmt.Errorf("export returned %s", resp.Status)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody))
-	if err != nil {
-		return snap, err
-	}
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return snap, fmt.Errorf("decode export: %w", err)
-	}
-	return snap, nil
+	_, err := telemetry.CallJSON(ctx, r.client, http.MethodGet, url, nil, &snap, maxResponseBody)
+	return snap, err
 }
 
 // pushSnapshot imports a sealed sub-snapshot into its new owner.
@@ -152,26 +128,7 @@ func (r *Router) pushSnapshot(ctx context.Context, b *backend, snap service.Cach
 		span.SetInt("entries", int64(len(snap.Entries)))
 		defer span.End()
 	}
-	blob, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, b.base.String()+"/v1/cache/snapshot", bytes.NewReader(blob))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tp := telemetry.Traceparent(ctx); tp != "" {
-		req.Header.Set("Traceparent", tp)
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("import returned %s: %s", resp.Status, body)
-	}
-	return nil
+	_, err := telemetry.CallJSON(ctx, r.client, http.MethodPut,
+		b.base.String()+"/v1/cache/snapshot", snap, nil, 4096)
+	return err
 }

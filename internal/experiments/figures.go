@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"linesearch/internal/adversary"
+	"linesearch/internal/compiled"
 	"linesearch/internal/geom"
 	"linesearch/internal/numeric"
 	"linesearch/internal/plot"
@@ -183,9 +185,13 @@ func Figure4() (*Result, error) {
 
 	// The tower profile: K(x) over two expansion periods.
 	xs := numeric.Linspace(1, s.Ratio()*s.Ratio()*s.Ratio(), 400)
-	ks, err := plan.RatioSeries(xs)
+	kernel, err := compiled.Compile(plan)
 	if err != nil {
 		return nil, err
+	}
+	ks := kernel.EvalMany(xs, nil)
+	for i, x := range xs {
+		ks[i] /= math.Abs(x)
 	}
 	profile, err := plot.Line(
 		[]plot.Series{{Name: "K(x) = T_{f+1}(x) / x", X: xs, Y: ks}},

@@ -1,15 +1,14 @@
 package membership
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
 	"linesearch/internal/faultpoint"
+	"linesearch/internal/telemetry"
 )
 
 // GossipPath is the HTTP route a fleet member serves gossip on,
@@ -77,27 +76,10 @@ func (t *HTTPTransport) Exchange(ctx context.Context, url string, msg Message) (
 	if err := hitLink(msg.From.Addr, addrOf(url)); err != nil {
 		return Message{}, err
 	}
-	blob, err := json.Marshal(msg)
-	if err != nil {
-		return Message{}, fmt.Errorf("membership: marshal message: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(url, "/")+GossipPath, bytes.NewReader(blob))
-	if err != nil {
-		return Message{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := t.client.Do(req)
-	if err != nil {
-		return Message{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Message{}, fmt.Errorf("membership: gossip to %s returned %s", url, resp.Status)
-	}
 	var reply Message
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxGossipBody)).Decode(&reply); err != nil {
-		return Message{}, fmt.Errorf("membership: decode gossip reply: %w", err)
+	if _, err := telemetry.CallJSON(ctx, t.client, http.MethodPost,
+		strings.TrimSuffix(url, "/")+GossipPath, msg, &reply, maxGossipBody); err != nil {
+		return Message{}, fmt.Errorf("membership: gossip: %w", err)
 	}
 	return reply, nil
 }

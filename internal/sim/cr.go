@@ -140,20 +140,6 @@ func (p *Plan) cornerPositions(xmin, xmax float64) []float64 {
 	return out
 }
 
-// RatioSeries evaluates SearchTime(x)/|x| at each of the given target
-// positions, for plotting the "tower" profile of Figure 4.
-func (p *Plan) RatioSeries(xs []float64) ([]float64, error) {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		r, err := p.Ratio(x)
-		if err != nil {
-			return nil, fmt.Errorf("sim: ratio at x=%g: %w", x, err)
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
 // VisitorsBy returns how many distinct robots have visited position x
 // by time t (inclusive). The target at x is guaranteed found by time t
 // exactly when this count reaches f+1 — the set of such (x, t) pairs is

@@ -167,30 +167,6 @@ func TestEmpiricalCRReportsWitness(t *testing.T) {
 	}
 }
 
-func TestRatioSeries(t *testing.T) {
-	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	xs := []float64{1, 1.5, 2, -3}
-	ks, err := p.RatioSeries(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ks) != len(xs) {
-		t.Fatalf("got %d ratios for %d targets", len(ks), len(xs))
-	}
-	for i, x := range xs {
-		want, err := p.Ratio(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ks[i] != want {
-			t.Errorf("series[%d] = %v, want %v", i, ks[i], want)
-		}
-	}
-	if _, err := p.RatioSeries([]float64{0}); err == nil {
-		t.Error("series through origin accepted")
-	}
-}
-
 // TestRatioDecreasesBetweenTurningPoints checks Lemma 3 on the realised
 // A(3, 1): within an interval free of turning points, K is decreasing.
 func TestRatioDecreasesBetweenTurningPoints(t *testing.T) {

@@ -1,8 +1,11 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sync"
 	"testing"
 )
@@ -10,7 +13,7 @@ import (
 // stampedCheckpoint builds a verified checkpoint the way the home
 // writer does: write it to a scratch dir so it carries a real version,
 // timestamp and checksum.
-func stampedCheckpoint(t *testing.T, id string, cells int) Checkpoint {
+func stampedCheckpoint(t testing.TB, id string, cells int) Checkpoint {
 	t.Helper()
 	spec := Spec{N: []int{3}, F: []int{1}}
 	if err := spec.Validate(); err != nil {
@@ -110,6 +113,57 @@ func TestReplicaStoreRejectsCorrupt(t *testing.T) {
 // TestManagerOnCheckpoint pins the replication hook contract: the
 // callback fires with the stamped on-disk content (valid checksum,
 // current version) for the terminal checkpoint of a finished job.
+// wireJobID is the job-id rule the service's replica endpoints enforce
+// before a pushed checkpoint reaches the store.
+var wireJobID = regexp.MustCompile(`^[A-Za-z0-9_-]{1,128}$`)
+
+// FuzzReplicaCheckpoint feeds arbitrary bytes through a replica
+// owner's inbound path: decode a pushed checkpoint body, Verify it,
+// then Put and Get it in a temp directory. A body that fails Verify
+// must be rejected by Put; one that passes must round-trip with its
+// checksum intact. A failing body is then re-stamped and retried, so
+// the fuzzer reaches the store's write path instead of stopping at
+// SHA-256.
+func FuzzReplicaCheckpoint(f *testing.F) {
+	valid, err := json.Marshal(stampedCheckpoint(f, "job-a", 2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(bytes.Replace(valid, []byte(`"n":3`), []byte(`"n":4`), 1)) // stale checksum
+	f.Add([]byte(`{"version":2,"id":"job-b","cells":[{"index":0,"beta":-0,"arg_x":1e308}]}`))
+	f.Add([]byte(`{"version":2,"id":"../escape","updated_at":"2024-01-01T00:00:00+05:00"}`))
+	f.Add([]byte(`{"version":1}`))
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var cp Checkpoint
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&cp); err != nil {
+			return
+		}
+		store := NewReplicaStore(t.TempDir(), quiet())
+		if cp.Verify() != nil {
+			if store.Put(cp) == nil {
+				t.Fatal("Put accepted a checkpoint that fails Verify")
+			}
+			cp.Version = checkpointVersion
+			cp.Checksum = cp.checksum()
+		}
+		if err := store.Put(cp); err != nil {
+			if wireJobID.MatchString(cp.ID) {
+				t.Fatalf("Put rejected verified checkpoint %q: %v", cp.ID, err)
+			}
+			return
+		}
+		got, err := store.Get(cp.ID)
+		if err != nil || got == nil {
+			t.Fatalf("Get(%q) after Put = %v, %v", cp.ID, got, err)
+		}
+		if got.Checksum != cp.Checksum {
+			t.Fatalf("round trip changed the checksum: %s -> %s", cp.Checksum, got.Checksum)
+		}
+	})
+}
+
 func TestManagerOnCheckpoint(t *testing.T) {
 	var mu sync.Mutex
 	var got []Checkpoint

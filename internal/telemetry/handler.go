@@ -7,6 +7,56 @@ import (
 	"strconv"
 )
 
+// StatusRecorder captures the status a handler writes: the first
+// WriteHeader wins, and a Write or Flush before any implies 200. Both
+// daemons wrap every response in one to count, log and score the
+// client-visible outcome. It forwards Flush to the wrapped writer
+// (streaming and long-poll responses must not silently lose flush
+// support) and exposes Unwrap for http.ResponseController.
+type StatusRecorder struct {
+	http.ResponseWriter
+	// Status is the recorded code, 0 until the handler writes.
+	Status int
+}
+
+func (r *StatusRecorder) WriteHeader(status int) {
+	if r.Status == 0 {
+		r.Status = status
+	}
+	r.ResponseWriter.WriteHeader(status)
+}
+
+func (r *StatusRecorder) Write(b []byte) (int, error) {
+	if r.Status == 0 {
+		r.Status = http.StatusOK
+	}
+	return r.ResponseWriter.Write(b)
+}
+
+// Flush forwards to the underlying writer when it supports flushing.
+// Data reaching the wire implies a 200 if no status was set, matching
+// Write.
+func (r *StatusRecorder) Flush() {
+	if f, ok := r.ResponseWriter.(http.Flusher); ok {
+		if r.Status == 0 {
+			r.Status = http.StatusOK
+		}
+		f.Flush()
+	}
+}
+
+// Unwrap exposes the wrapped writer so http.ResponseController finds
+// optional interfaces (Flusher, Hijacker, ...) the recorder does not
+// re-implement.
+func (r *StatusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
+// The recorder must keep advertising Flusher: dropping it silently
+// breaks streaming responses behind the middleware.
+var _ interface {
+	http.ResponseWriter
+	http.Flusher
+} = (*StatusRecorder)(nil)
+
 // WriteJSONError writes the fleet's uniform error payload,
 // {"error": msg}. Shed and transiently failing responses (429, 503)
 // carry Retry-After: the condition is momentary, and well-behaved

@@ -14,8 +14,8 @@
 // The design follows the telemetry package's rule: always on, always
 // cheap. Record on a nil journal is a no-op, recording costs one
 // atomic sequence increment, one per-kind counter increment and one
-// striped-mutex ring insert, and nothing is allocated beyond the event
-// itself.
+// telemetry.StripedRing insert, and nothing is allocated beyond the
+// event itself.
 package journal
 
 import (
@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -166,42 +165,22 @@ type Event struct {
 // DefaultCapacity is the event ring's default retention.
 const DefaultCapacity = 1024
 
-// stripes is the ring's stripe count; events are recorded from every
-// serving goroutine, so insertion must not funnel through one mutex.
-const stripes = 8
-
 // Journal is a bounded ring of events plus per-kind counters. Create
 // with New; all methods are safe for concurrent use and nil-receiver
 // safe, so components hold a *Journal unconditionally.
 type Journal struct {
-	next   atomic.Uint64
 	seq    atomic.Uint64
 	counts [numKinds]atomic.Int64
-	rings  [stripes]stripe
-}
-
-type stripe struct {
-	mu      sync.Mutex
-	buf     []Event
-	pos     int
-	evicted int64
+	ring   *telemetry.StripedRing[Event]
 }
 
 // New returns a journal retaining about capacity events (<= 0 uses
-// DefaultCapacity), distributed evenly over the stripes.
+// DefaultCapacity).
 func New(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	per := (capacity + stripes - 1) / stripes
-	if per < 1 {
-		per = 1
-	}
-	j := &Journal{}
-	for i := range j.rings {
-		j.rings[i].buf = make([]Event, 0, per)
-	}
-	return j
+	return &Journal{ring: telemetry.NewStripedRing[Event](capacity)}
 }
 
 // Record appends one event, stamping it with ctx's active trace id.
@@ -212,24 +191,14 @@ func (j *Journal) Record(ctx context.Context, kind Kind, member, detail string) 
 		return
 	}
 	j.counts[kind].Add(1)
-	e := Event{
+	j.ring.Add(Event{
 		Seq:     j.seq.Add(1),
 		Time:    time.Now(),
 		Kind:    kind,
 		Member:  member,
 		TraceID: telemetry.TraceIDFrom(ctx),
 		Detail:  detail,
-	}
-	s := &j.rings[j.next.Add(1)%stripes]
-	s.mu.Lock()
-	if len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, e)
-	} else {
-		s.buf[s.pos] = e
-		s.pos = (s.pos + 1) % len(s.buf)
-		s.evicted++
-	}
-	s.mu.Unlock()
+	})
 }
 
 // Events snapshots every retained event, ordered by Seq (oldest
@@ -238,13 +207,7 @@ func (j *Journal) Events() []Event {
 	if j == nil {
 		return nil
 	}
-	var out []Event
-	for i := range j.rings {
-		s := &j.rings[i]
-		s.mu.Lock()
-		out = append(out, s.buf...)
-		s.mu.Unlock()
-	}
+	out := j.ring.Snapshot()
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
 }
@@ -270,13 +233,7 @@ func (j *Journal) Stats() (recorded, evicted int64, buffered int) {
 	if j == nil {
 		return 0, 0, 0
 	}
-	for i := range j.rings {
-		s := &j.rings[i]
-		s.mu.Lock()
-		evicted += s.evicted
-		buffered += len(s.buf)
-		s.mu.Unlock()
-	}
+	evicted, buffered = j.ring.Stats()
 	return int64(j.seq.Load()), evicted, buffered
 }
 

@@ -8,18 +8,18 @@ import (
 )
 
 func TestRingEvictsOldestPerStripe(t *testing.T) {
-	r := newTraceRing(ringStripes) // one slot per stripe
+	r := NewStripedRing[TraceSnapshot](ringStripes) // one slot per stripe
 	for i := 0; i < 3*ringStripes; i++ {
-		r.add(TraceSnapshot{TraceID: fmt.Sprint(i)})
+		r.Add(TraceSnapshot{TraceID: fmt.Sprint(i)})
 	}
-	evicted, buffered := r.stats()
+	evicted, buffered := r.Stats()
 	if buffered != ringStripes {
 		t.Errorf("buffered = %d, want %d", buffered, ringStripes)
 	}
 	if evicted != 2*ringStripes {
 		t.Errorf("evicted = %d, want %d", evicted, 2*ringStripes)
 	}
-	if got := len(r.snapshot()); got != ringStripes {
+	if got := len(r.Snapshot()); got != ringStripes {
 		t.Errorf("snapshot length = %d", got)
 	}
 }

@@ -49,7 +49,7 @@ const (
 type Tracer struct {
 	every    uint64 // sample every n-th request; 0 disables
 	maxSpans int    // maxSpansPerTrace; tests change it
-	ring     *traceRing
+	ring     *StripedRing[TraceSnapshot]
 
 	counter      atomic.Uint64
 	started      atomic.Int64
@@ -74,7 +74,7 @@ func New(cfg Config) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{every: every, maxSpans: maxSpansPerTrace, ring: newTraceRing(capacity)}
+	return &Tracer{every: every, maxSpans: maxSpansPerTrace, ring: NewStripedRing[TraceSnapshot](capacity)}
 }
 
 // TracerStats are the tracer's own counters, exported on /metrics.
@@ -102,7 +102,7 @@ func (t *Tracer) Stats() TracerStats {
 	if t == nil {
 		return TracerStats{}
 	}
-	evicted, buffered := t.ring.stats()
+	evicted, buffered := t.ring.Stats()
 	return TracerStats{
 		RequestsSeen:    t.started.Load(),
 		Sampled:         t.sampled.Load(),
@@ -299,7 +299,7 @@ func (s *Span) End() {
 	}
 	t.mu.Unlock()
 	if completing {
-		t.tracer.ring.add(snap)
+		t.tracer.ring.Add(snap)
 		t.tracer.finished.Add(1)
 		if snap.DroppedSpans > 0 {
 			t.tracer.truncated.Add(1)
@@ -379,7 +379,7 @@ func (t *Tracer) Traces() []TraceSnapshot {
 	if t == nil {
 		return nil
 	}
-	return t.ring.snapshot()
+	return t.ring.Snapshot()
 }
 
 // newTraceID returns 16 random bytes in lowercase hex (the W3C trace
