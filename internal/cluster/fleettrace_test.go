@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"linesearch/internal/faultpoint"
 )
 
 // sampledTraceparent is a fixed, sampled W3C header; its trace id is
@@ -52,6 +54,11 @@ func TestFleetTraceStitching(t *testing.T) {
 	f.router.mu.RUnlock()
 	pb.down.Store(true)
 	defer pb.down.Store(false)
+	// Hold every evaluation briefly, so the second fan-out leg reaches
+	// its backend before the first answer ends the client request and
+	// cancels it.
+	defer faultpoint.Reset()
+	faultpoint.Arm("service.eval", faultpoint.Rule{Mode: faultpoint.ModeLatency, Delay: 50 * time.Millisecond})
 
 	out, err := http.NewRequest("GET", f.frontend.URL+query, nil)
 	if err != nil {
