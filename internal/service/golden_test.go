@@ -1,0 +1,88 @@
+package service
+
+import (
+	"bytes"
+	"fmt"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// goldenRequests covers every GET op under both fault models (the
+// Byzantine one with and without an explicit vote threshold), /v1/plan
+// at the default horizon (implicit and spelled out) and at explicit
+// ones, a few rejected queries, and one mixed batch. The batch comes
+// last, so its plan items embed answers for keys the GETs already
+// cached, next to one key it builds itself.
+var goldenRequests = []struct{ method, target, body string }{
+	{"GET", "/v1/plan?n=3&f=1", ""},
+	{"GET", "/v1/plan?n=3&f=1&horizon=50", ""},
+	{"GET", "/v1/plan?n=3&f=1&model=crash", ""},
+	{"GET", "/v1/plan?n=3&f=1&horizon=20", ""},
+	{"GET", "/v1/plan?n=7&f=3", ""},
+	{"GET", "/v1/plan?n=5&f=2&mindist=0.5", ""},
+	{"GET", "/v1/plan?n=5&f=2&mindist=0.5&horizon=7.25", ""},
+	{"GET", "/v1/plan?n=4&f=1&strategy=doubling", ""},
+	{"GET", "/v1/plan?n=5&f=1&model=byzantine", ""},
+	{"GET", "/v1/plan?n=5&f=1&model=byzantine&votes=3", ""},
+	{"GET", "/v1/plan?n=5&f=1&model=byzantine&votes=3&horizon=30", ""},
+	{"GET", "/v1/plan?n=2&f=2", ""},
+	{"GET", "/v1/plan?n=3&f=1&bogus=1", ""},
+	{"GET", "/v1/searchtime?n=3&f=1&x=7.5", ""},
+	{"GET", "/v1/searchtime?n=7&f=3&x=-12.25&k=2", ""},
+	{"GET", "/v1/searchtime?n=3&f=1&x=7.5&objective=expected&p=0.25", ""},
+	{"GET", "/v1/searchtime?n=5&f=1&x=7&model=byzantine", ""},
+	{"GET", "/v1/searchtime?n=5&f=1&x=7&model=byzantine&votes=3", ""},
+	{"GET", "/v1/searchtimes?n=5&f=2&xs=1,-2,3.5,40", ""},
+	{"GET", "/v1/searchtimes?n=5&f=1&xs=1,-2,3.5&model=byzantine&votes=3", ""},
+	{"GET", "/v1/timeline?n=3&f=1&x=2&faulty=0", ""},
+	{"GET", "/v1/timeline?n=5&f=1&x=7&model=byzantine&liars=0&tmax=500", ""},
+	{"GET", "/v1/timeline?n=5&f=1&x=-3&model=byzantine&votes=3", ""},
+	{"GET", "/v1/lowerbound?n=5&f=2", ""},
+	{"GET", "/v1/lowerbound?n=11&f=5", ""},
+	{"GET", "/v1/lowerbound?n=2&f=2", ""},
+	{"POST", "/v1/batch", `{"queries":[` +
+		`{"op":"plan","n":3,"f":1},` +
+		`{"op":"plan","n":3,"f":1,"horizon":20},` +
+		`{"op":"plan","n":9,"f":4},` +
+		`{"op":"plan","n":5,"f":1,"model":"byzantine","votes":3},` +
+		`{"op":"searchtime","n":3,"f":1,"x":7.5},` +
+		`{"op":"searchtimes","n":5,"f":2,"xs":[1,-2]},` +
+		`{"op":"timeline","n":3,"f":1,"x":2,"faulty":[0]},` +
+		`{"op":"lowerbound","n":5,"f":2},` +
+		`{"op":"plan","n":2,"f":2}]}`},
+}
+
+// TestResponsesGolden pins the status, Content-Type and body of every
+// golden request, each sent twice so that both the cache-miss and the
+// cache-hit path are pinned. Regenerate with -update and review the
+// diff: a changed byte is a wire-format change.
+func TestResponsesGolden(t *testing.T) {
+	h := newTestService(t, Config{}).Handler()
+	var buf bytes.Buffer
+	for _, req := range goldenRequests {
+		for pass := 1; pass <= 2; pass++ {
+			r := httptest.NewRequest(req.method, req.target, strings.NewReader(req.body))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			fmt.Fprintf(&buf, "=== %s %s (pass %d)\n", req.method, req.target, pass)
+			fmt.Fprintf(&buf, "status: %d\ncontent-type: %s\n", w.Code, w.Header().Get("Content-Type"))
+			buf.Write(w.Body.Bytes())
+		}
+	}
+	path := filepath.Join("testdata", "responses.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("responses differ from golden %s (regenerate with -update and review):\ngot:\n%s", path, buf.String())
+	}
+}
