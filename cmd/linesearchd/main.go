@@ -301,9 +301,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if requestTimeout > 0 {
 		// A slow-reading or slow-writing client must not hold a
 		// connection much past the request budget: give the full body
-		// read and the response write the budget plus slack, so the
-		// in-handler timeout (which produces the clean 503 body) always
-		// fires first.
+		// read and the response write the budget plus slack, so a
+		// handler stopped by the request deadline writes its clean 503
+		// body first.
 		srv.ReadTimeout = requestTimeout + 5*time.Second
 		srv.WriteTimeout = requestTimeout + 5*time.Second
 	}

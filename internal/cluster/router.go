@@ -570,7 +570,7 @@ func (r *Router) forward(req *http.Request, b *backend, body []byte) (*bufferedR
 	if err != nil {
 		return fail(err)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody))
+	data, err := readBody(resp, out.Method)
 	resp.Body.Close()
 	elapsed := time.Since(start)
 	b.hist.Observe(elapsed)
@@ -579,7 +579,8 @@ func (r *Router) forward(req *http.Request, b *backend, body []byte) (*bufferedR
 		return fail(fmt.Errorf("read backend response: %w", err))
 	}
 	span.SetInt("status", int64(resp.StatusCode))
-	br := &bufferedResponse{status: resp.StatusCode, header: resp.Header.Clone(), body: data}
+	// The response is ours alone, so its header map is kept, not copied.
+	br := &bufferedResponse{status: resp.StatusCode, header: resp.Header, body: data}
 	if retryableStatus(resp.StatusCode) {
 		b.failures.Add(1)
 		b.breaker.failure(time.Now(), parseRetryAfter(resp.Header.Get("Retry-After"), maxRetryAfter))
@@ -587,6 +588,20 @@ func (r *Router) forward(req *http.Request, b *backend, body []byte) (*bufferedR
 	}
 	b.breaker.success()
 	return br, nil
+}
+
+// readBody reads a backend body for relay. A declared Content-Length
+// within maxResponseBody is read into one buffer of exactly that size;
+// a body without a length (or over the limit) is read to EOF, bounded
+// by maxResponseBody. A HEAD answer declares the GET body's length but
+// carries no body.
+func readBody(resp *http.Response, method string) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxResponseBody && method != http.MethodHead {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxResponseBody))
 }
 
 // hopByHop are connection-level headers a proxy must not relay.

@@ -732,3 +732,34 @@ func TestRouterReplicaReadStaysOff(t *testing.T) {
 		t.Fatal("a DELETE is never replica-readable")
 	}
 }
+
+// TestReadBody covers the relay read: a declared length is read
+// exactly, a body without one is read to EOF, a short body is an error
+// (the router fails over), and a HEAD answer's declared length is not
+// waited for.
+func TestReadBody(t *testing.T) {
+	resp := func(body string, length int64) *http.Response {
+		return &http.Response{Body: io.NopCloser(strings.NewReader(body)), ContentLength: length}
+	}
+	for _, tc := range []struct {
+		name, body, method string
+		length             int64
+		want               string
+		wantErr            bool
+	}{
+		{"declared", `{"n":3}`, http.MethodGet, 7, `{"n":3}`, false},
+		{"empty", "", http.MethodGet, 0, "", false},
+		{"unknown length", `{"n":3}`, http.MethodPost, -1, `{"n":3}`, false},
+		{"short body", `{"n"`, http.MethodGet, 7, "", true},
+		{"head", "", http.MethodHead, 7, "", false},
+	} {
+		got, err := readBody(resp(tc.body, tc.length), tc.method)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+			continue
+		}
+		if !tc.wantErr && string(got) != tc.want {
+			t.Errorf("%s: body %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}

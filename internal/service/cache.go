@@ -145,16 +145,32 @@ type PlanCache struct {
 }
 
 // cacheEntry is the list payload: key (for eviction) plus value.
+// body is the encoded default-horizon /v1/plan answer for the entry,
+// stored on its first cache hit rather than by the miss that built it:
+// a cold workload asks most keys once, and encoding on the build would
+// only grow the heap for them.
 type cacheEntry struct {
 	key  PlanKey
 	plan *Plan
+	body atomic.Pointer[[]byte]
 }
 
-// inflightBuild tracks one in-progress plan construction.
+// inflightBuild tracks one in-progress plan construction. entry is
+// set when the build succeeds; panicked holds a recovered build panic.
 type inflightBuild struct {
-	done chan struct{}
-	plan *Plan
-	err  error
+	done     chan struct{}
+	entry    *cacheEntry
+	err      error
+	panicked any
+}
+
+// result returns a finished build's outcome. A build panic is re-raised
+// on the caller's goroutine, where the handler's recovery answers it.
+func (b *inflightBuild) result() (*cacheEntry, error) {
+	if b.panicked != nil {
+		panic(b.panicked)
+	}
+	return b.entry, b.err
 }
 
 // NewPlanCache returns an LRU cache holding up to capacity plans
@@ -176,67 +192,92 @@ func NewPlanCache(capacity int, build BuildFunc) *PlanCache {
 	}
 }
 
-// GetCtx returns the plan for key, building and caching it on a miss.
-// Safe for concurrent use. When ctx carries a sampled trace, a cache
-// miss records a "plan.build" stage span around the expensive
+// get returns the cache entry for key, building and caching the plan
+// on a miss. Safe for concurrent use. hit reports whether the entry
+// came straight from the cache, so callers can annotate their own
+// spans.
+//
+// Waiting honours ctx: a miss starts the build on its own goroutine,
+// an in-flight waiter joins it, and either returns ctx's error if ctx
+// ends first. The build itself always runs to completion and
+// is cached, so the next request for the key hits. When ctx carries a
+// sampled trace, a miss records a "plan.build" stage span around the
 // construction (in-flight waiters record "plan.build.wait" instead).
-// hit reports whether the plan came straight from the cache, so
-// callers can annotate their own spans.
-func (c *PlanCache) GetCtx(ctx context.Context, key PlanKey) (plan *Plan, hit bool, err error) {
+func (c *PlanCache) get(ctx context.Context, key PlanKey) (e *cacheEntry, hit bool, err error) {
 	c.mu.Lock()
 	if elem, ok := c.items[key]; ok {
 		c.ll.MoveToFront(elem)
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return elem.Value.(*cacheEntry).plan, true, nil
+		return elem.Value.(*cacheEntry), true, nil
 	}
-	if call, ok := c.inflight[key]; ok {
+	call, ok := c.inflight[key]
+	if ok {
 		c.mu.Unlock()
 		c.waits.Add(1)
 		_, span := telemetry.StartSpan(ctx, "plan.build.wait")
-		<-call.done
-		span.End()
-		return call.plan, false, call.err
+		defer span.End()
+	} else {
+		call = &inflightBuild{done: make(chan struct{})}
+		c.inflight[key] = call
+		c.mu.Unlock()
+		c.misses.Add(1)
+		_, span := telemetry.StartSpan(ctx, "plan.build")
+		go c.fill(key, call, span)
 	}
-	call := &inflightBuild{done: make(chan struct{})}
-	c.inflight[key] = call
-	c.mu.Unlock()
-	c.misses.Add(1)
+	select {
+	case <-call.done:
+		e, err = call.result()
+		return e, false, err
+	case <-ctx.Done():
+		return nil, false, fmt.Errorf("wait for plan %v: %w", key, ctx.Err())
+	}
+}
 
-	_, span := telemetry.StartSpan(ctx, "plan.build")
+// fill builds the plan for an in-flight call, caches it on success and
+// releases the call's waiters. It annotates and ends span.
+func (c *PlanCache) fill(key PlanKey, call *inflightBuild, span *telemetry.Span) {
 	span.SetStr("plan", key.String())
-	call.plan, call.err = c.build(key)
-	if call.err != nil {
-		span.SetStr("error", call.err.Error())
+	plan, panicked, err := c.buildSafely(key)
+	switch {
+	case panicked != nil:
+		span.SetStr("error", fmt.Sprint("panic: ", panicked))
+	case err != nil:
+		span.SetStr("error", err.Error())
 	}
 	span.End()
 
 	c.mu.Lock()
 	delete(c.inflight, key)
-	if call.err == nil {
-		c.insertLocked(key, call.plan)
+	if panicked == nil && err == nil {
+		call.entry = c.insertLocked(key, plan)
 	}
+	call.err, call.panicked = err, panicked
 	c.mu.Unlock()
 	close(call.done)
-	return call.plan, false, call.err
+}
+
+// buildSafely runs the builder, returning a panic as a value so that a
+// failed build still releases its waiters.
+func (c *PlanCache) buildSafely(key PlanKey) (plan *Plan, panicked any, err error) {
+	defer func() { panicked = recover() }()
+	plan, err = c.build(key)
+	return plan, nil, err
 }
 
 // insertLocked adds a built plan, evicting the least recently used
-// entry when full. Callers hold c.mu.
-func (c *PlanCache) insertLocked(key PlanKey, plan *Plan) {
-	if elem, ok := c.items[key]; ok {
-		// A racing builder for the same key already inserted; refresh.
-		c.ll.MoveToFront(elem)
-		elem.Value.(*cacheEntry).plan = plan
-		return
-	}
+// entry when full, and returns its entry. Callers hold c.mu and have
+// registered the build in c.inflight, so no other entry for key exists.
+func (c *PlanCache) insertLocked(key PlanKey, plan *Plan) *cacheEntry {
 	for c.ll.Len() >= c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 		c.evictions.Add(1)
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, plan: plan})
+	e := &cacheEntry{key: key, plan: plan}
+	c.items[key] = c.ll.PushFront(e)
+	return e
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -271,7 +312,8 @@ func (c *PlanCache) Warm(ctx context.Context, key PlanKey) (built bool, err erro
 	if call, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
 		<-call.done
-		return false, call.err
+		_, err := call.result()
+		return false, err
 	}
 	call := &inflightBuild{done: make(chan struct{})}
 	c.inflight[key] = call
@@ -279,19 +321,7 @@ func (c *PlanCache) Warm(ctx context.Context, key PlanKey) (built bool, err erro
 	c.warmed.Add(1)
 
 	_, span := telemetry.StartSpan(ctx, "plan.warm")
-	span.SetStr("plan", key.String())
-	call.plan, call.err = c.build(key)
-	if call.err != nil {
-		span.SetStr("error", call.err.Error())
-	}
-	span.End()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if call.err == nil {
-		c.insertLocked(key, call.plan)
-	}
-	c.mu.Unlock()
-	close(call.done)
-	return call.err == nil, call.err
+	c.fill(key, call, span)
+	_, err = call.result()
+	return err == nil, err
 }

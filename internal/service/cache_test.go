@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -264,8 +266,84 @@ func TestCacheInflightDedupBuildError(t *testing.T) {
 	}
 }
 
-// Get is GetCtx without a trace, for tests that only need the plan.
+// Get is get without a trace or deadline, for tests that only need
+// the plan.
 func (c *PlanCache) Get(key PlanKey) (*Plan, error) {
-	plan, _, err := c.GetCtx(context.Background(), key)
-	return plan, err
+	e, _, err := c.get(context.Background(), key)
+	if err != nil {
+		return nil, err
+	}
+	return e.plan, nil
+}
+
+// TestPlanBodyStoredOnFirstHit: the encoded default-horizon /v1/plan
+// answer is kept on the cache entry from its first hit on (a miss
+// stores nothing, so keys asked once cost no body), an explicit other
+// horizon never stores it, and every answer is the same bytes.
+func TestPlanBodyStoredOnFirstHit(t *testing.T) {
+	svc := newTestService(t, Config{})
+	h := svc.Handler()
+	body := func() []byte {
+		t.Helper()
+		e, _, err := svc.cache.get(context.Background(), PlanKey{N: 3, F: 1, MinDist: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := e.body.Load(); b != nil {
+			return *b
+		}
+		return nil
+	}
+	get := func(target string) string {
+		t.Helper()
+		r := httptest.NewRequest("GET", target, nil)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", target, w.Code, w.Body.String())
+		}
+		return w.Body.String()
+	}
+
+	first := get("/v1/plan?n=3&f=1")
+	if b := body(); b != nil {
+		t.Fatalf("the miss stored a body: %s", b)
+	}
+	get("/v1/plan?n=3&f=1&horizon=20")
+	if b := body(); b != nil {
+		t.Fatalf("an explicit horizon stored a body: %s", b)
+	}
+	second := get("/v1/plan?n=3&f=1")
+	stored := body()
+	if stored == nil {
+		t.Fatal("the first default-horizon hit stored no body")
+	}
+	third := get("/v1/plan?n=3&f=1&horizon=50")
+	if second != first || third != first || string(stored)+"\n" != first {
+		t.Errorf("answers differ:\nmiss   %s\nhit    %s\nstored %s\nexplicit default %s", first, second, stored, third)
+	}
+}
+
+// TestBuildPanicIs500: a panicking build runs off the request
+// goroutine, so its panic is handed back and re-raised there; the
+// handler's recovery answers 500, the in-flight slot is released and
+// the key is not poisoned.
+func TestBuildPanicIs500(t *testing.T) {
+	var builds atomic.Int64
+	svc := newTestService(t, Config{Build: func(k PlanKey) (*Plan, error) {
+		if builds.Add(1) == 1 {
+			panic("boom")
+		}
+		return defaultBuild(k)
+	}})
+	h := svc.Handler()
+	if code, body := doReq(t, h, "GET", "/v1/plan?n=3&f=1", ""); code != http.StatusInternalServerError {
+		t.Fatalf("panicking build: status %d, body %v", code, body)
+	}
+	if code, body := doReq(t, h, "GET", "/v1/plan?n=3&f=1", ""); code != http.StatusOK {
+		t.Fatalf("rebuild after the panic: status %d, body %v", code, body)
+	}
+	if b := builds.Load(); b != 2 {
+		t.Errorf("%d builds, want 2", b)
+	}
 }

@@ -381,19 +381,56 @@ func (s *Service) evalOp(ctx context.Context, q Query) (any, error) {
 	return nil, badRequest("unknown op %q", q.Op)
 }
 
-// plan fetches the cached (or freshly built) plan for q, annotating
-// the surrounding span with the cache outcome.
-func (s *Service) plan(ctx context.Context, q Query) (*Plan, error) {
-	plan, hit, err := s.cache.GetCtx(ctx, q.key())
+// entry fetches the cache entry for q's plan (building it on a miss),
+// annotating the surrounding span with the cache outcome.
+func (s *Service) entry(ctx context.Context, q Query) (*cacheEntry, bool, error) {
+	e, hit, err := s.cache.get(ctx, q.key())
 	telemetry.SpanFrom(ctx).SetBool("cache_hit", hit)
-	return plan, err
+	return e, hit, err
 }
 
-func (s *Service) evalPlan(ctx context.Context, q Query) (any, error) {
-	plan, err := s.plan(ctx, q)
+// plan fetches the cached (or freshly built) plan for q.
+func (s *Service) plan(ctx context.Context, q Query) (*Plan, error) {
+	e, _, err := s.entry(ctx, q)
 	if err != nil {
 		return nil, err
 	}
+	return e.plan, nil
+}
+
+// evalPlan answers a plan query. The default-horizon answer depends on
+// the cache key alone, so the entry keeps its encoding: the first hit
+// stores it and later hits (GET or batch item) return the stored bytes
+// as a json.RawMessage without re-deriving geometry and bounds.
+func (s *Service) evalPlan(ctx context.Context, q Query) (any, error) {
+	e, hit, err := s.entry(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	defaultHorizon := q.Horizon == 0 || q.Horizon == 50*q.MinDist
+	if defaultHorizon {
+		if body := e.body.Load(); body != nil {
+			return json.RawMessage(*body), nil
+		}
+	}
+	res, err := planResult(ctx, q, e.plan)
+	if err != nil {
+		return nil, err
+	}
+	if !defaultHorizon || !hit {
+		return res, nil
+	}
+	body, err := json.Marshal(res)
+	if err != nil {
+		return nil, err
+	}
+	e.body.Store(&body)
+	return json.RawMessage(body), nil
+}
+
+// planResult derives a plan answer: the turning-point geometry up to
+// q's horizon and the pair-level closed-form bounds.
+func planResult(ctx context.Context, q Query, plan *Plan) (PlanResult, error) {
 	horizon := q.Horizon
 	if horizon == 0 {
 		horizon = 50 * q.MinDist
@@ -402,7 +439,7 @@ func (s *Service) evalPlan(ctx context.Context, q Query) (any, error) {
 	pts, err := plan.Searcher.TurningPoints(horizon)
 	if err != nil {
 		geom.End()
-		return nil, err
+		return PlanResult{}, err
 	}
 	robots := make([][]pointJSON, len(pts))
 	for i, ps := range pts {
@@ -424,7 +461,7 @@ func (s *Service) evalPlan(ctx context.Context, q Query) (any, error) {
 	geom.SetInt("robots", int64(len(robots)))
 	geom.End()
 	if err != nil {
-		return nil, err
+		return PlanResult{}, err
 	}
 	res := PlanResult{
 		N:                q.N,
@@ -756,16 +793,20 @@ func parseIndexList(raw string) ([]int, error) {
 
 // --- HTTP handlers ----------------------------------------------------
 
-// writeJSON marshals v and writes it with the given status. Marshal
-// errors turn into a 500 (they indicate a server bug, not bad input).
+// writeJSON marshals v and writes it with the given status; an
+// already encoded json.RawMessage is written as it is. Marshal errors
+// turn into a 500 (they indicate a server bug, not bad input).
 func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		s.logger.Error("marshal response", "err", err)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, `{"error":"internal: cannot encode response"}`)
-		return
+	data, encoded := v.(json.RawMessage)
+	if !encoded {
+		var err error
+		if data, err = json.Marshal(v); err != nil {
+			s.logger.Error("marshal response", "err", err)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusInternalServerError)
+			fmt.Fprintf(w, `{"error":"internal: cannot encode response"}`)
+			return
+		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -499,17 +499,66 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestRequestTimeout pins the deadline contract: a request whose plan
+// build outlives the budget answers 503 at its deadline, and so does a
+// herd waiter at its own; /metrics counts both as 5xx; and the build
+// still finishes and is cached, so the next request is a hit.
 func TestRequestTimeout(t *testing.T) {
-	slow := func(k PlanKey) (*Plan, error) {
-		time.Sleep(200 * time.Millisecond)
-		return defaultBuild(k)
+	const budget = 50 * time.Millisecond
+	var builds atomic.Int64
+	release := make(chan struct{})
+	released := false
+	unblock := func() {
+		if !released {
+			released = true
+			close(release)
+		}
 	}
-	h := newTestService(t, Config{RequestTimeout: 10 * time.Millisecond, Build: slow}).Handler()
-	r := httptest.NewRequest("GET", "/v1/plan?n=3&f=1", nil)
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, r)
-	if w.Code != http.StatusServiceUnavailable {
-		t.Errorf("status %d, want 503", w.Code)
+	defer unblock()
+	svc := newTestService(t, Config{RequestTimeout: budget, Build: func(k PlanKey) (*Plan, error) {
+		builds.Add(1)
+		<-release // the build runs far past the budget
+		return defaultBuild(k)
+	}})
+	h := svc.Handler()
+
+	for _, who := range []string{"miss", "herd waiter"} {
+		start := time.Now()
+		r := httptest.NewRequest("GET", "/v1/plan?n=3&f=1", nil)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		elapsed := time.Since(start)
+		if w.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d, want 503: %s", who, w.Code, w.Body.String())
+		}
+		if elapsed < budget || elapsed > 8*budget {
+			t.Errorf("%s: answered after %v, want its own deadline (budget %v)", who, elapsed, budget)
+		}
+	}
+
+	_, m := doReq(t, h, "GET", "/metrics", "")
+	status := m["endpoints"].(map[string]any)["/v1/plan"].(map[string]any)["status"].(map[string]any)
+	if status["5xx"] != 2.0 || status["2xx"] != 0.0 {
+		t.Errorf("/v1/plan status classes = %v, want both timeouts counted as 5xx", status)
+	}
+	if st := svc.Cache().Stats(); st.Misses != 1 || st.InflightWaits != 1 {
+		t.Errorf("cache stats = %+v, want one miss and one in-flight wait", st)
+	}
+
+	unblock()
+	for deadline := time.Now().Add(10 * time.Second); svc.Cache().Stats().Size == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the timed-out build was never cached")
+		}
+	}
+	if code, body := doReq(t, h, "GET", "/v1/plan?n=3&f=1", ""); code != http.StatusOK {
+		t.Fatalf("after the build: status %d, body %v", code, body)
+	}
+	if st := svc.Cache().Stats(); st.Hits != 1 {
+		t.Errorf("cache stats = %+v, want the request after the build to hit", st)
+	}
+	if b := builds.Load(); b != 1 {
+		t.Errorf("%d builds, want 1", b)
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
 	"time"
@@ -64,5 +65,19 @@ func (s *Service) recoverPanics(next http.Handler) http.Handler {
 			}
 		}()
 		next.ServeHTTP(w, r)
+	})
+}
+
+// withDeadline bounds every request by budget with a deadline on the
+// request context. The plan-cache wait, the kernel's batched
+// evaluation, the batch fan-out and the snapshot import stop at it,
+// and the handler answers 503. Unlike http.TimeoutHandler it starts no
+// goroutine and buffers no response, so the access log and metrics see
+// the status the client gets.
+func withDeadline(next http.Handler, budget time.Duration) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), budget)
+		defer cancel()
+		next.ServeHTTP(w, r.WithContext(ctx))
 	})
 }

@@ -1,0 +1,99 @@
+package service
+
+import (
+	"errors"
+	"fmt"
+	"net/http"
+	"net/url"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// encodeQuery renders a parsed query back into the URL parameters of
+// its op: required parameters always, optional ones when they differ
+// from parseQuery's defaults. Floats use the shortest exact form, so
+// a parse of the encoding reproduces every bit.
+func encodeQuery(q Query) url.Values {
+	v := url.Values{}
+	v.Set("n", strconv.Itoa(q.N))
+	v.Set("f", strconv.Itoa(q.F))
+	float := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+	floats := func(xs []float64) string {
+		parts := make([]string, len(xs))
+		for i, x := range xs {
+			parts[i] = float(x)
+		}
+		return strings.Join(parts, ",")
+	}
+	ints := func(is []int) string {
+		parts := make([]string, len(is))
+		for i, x := range is {
+			parts[i] = strconv.Itoa(x)
+		}
+		return strings.Join(parts, ",")
+	}
+	set := func(name string, present bool, value string) {
+		if present {
+			v.Set(name, value)
+		}
+	}
+	set("strategy", q.Strategy != "", q.Strategy)
+	set("mindist", q.MinDist != 1, float(q.MinDist))
+	set("x", q.X != 0 || q.Op == OpSearchTime || q.Op == OpTimeline, float(q.X))
+	set("xs", q.Xs != nil, floats(q.Xs))
+	set("k", q.K != 0, strconv.Itoa(q.K))
+	set("faulty", q.Faulty != nil, ints(q.Faulty))
+	set("tmax", q.Tmax != 0, float(q.Tmax))
+	set("horizon", q.Horizon != 0, float(q.Horizon))
+	set("model", q.Model != "", q.Model)
+	set("votes", q.Votes != 0, strconv.Itoa(q.Votes))
+	set("liars", q.Liars != nil, ints(q.Liars))
+	set("objective", q.Objective != "", q.Objective)
+	set("p", q.P != 0, float(q.P))
+	set("speeds", q.Speeds != nil, floats(q.Speeds))
+	return v
+}
+
+// FuzzParseQuery feeds an arbitrary op and raw query string through
+// the GET endpoints' parser. It must not panic; it either rejects with
+// a 400 apiError or returns a Query that normalize handles without
+// panicking and that survives a round trip through encodeQuery.
+func FuzzParseQuery(f *testing.F) {
+	for _, req := range goldenRequests {
+		u, err := url.Parse(req.target)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(strings.TrimPrefix(u.Path, "/v1/"), u.RawQuery)
+	}
+	f.Add(OpTimeline, "n=3&f=1&x=2&faulty=0,%202&liars=-1")
+	f.Add(OpSearchTime, "n=3&f=1&x=NaN&speeds=Inf,1e308")
+	f.Add(OpSearchTimes, "n=3&f=1&xs=-0,1e-320,0x1p-3")
+	f.Add("nosuchop", "n=3&f=1")
+	f.Fuzz(func(t *testing.T, op, raw string) {
+		// The handlers read parameters as r.URL.Query() does, which
+		// drops malformed pairs instead of failing.
+		v := (&url.URL{RawQuery: raw}).Query()
+		q, err := parseQuery(op, v)
+		if err != nil {
+			var ae *apiError
+			if !errors.As(err, &ae) || ae.status != http.StatusBadRequest {
+				t.Fatalf("parseQuery(%q, %q) = %v, want a 400 apiError", op, raw, err)
+			}
+			return
+		}
+		normalized := q
+		_ = normalized.normalize()
+
+		back, err := parseQuery(op, encodeQuery(q))
+		if err != nil {
+			t.Fatalf("re-encoded %+v (%s) is rejected: %v", q, encodeQuery(q).Encode(), err)
+		}
+		// %#v compares floats by their printed form, so NaN equals NaN
+		// and -0 differs from 0.
+		if got, want := fmt.Sprintf("%#v", back), fmt.Sprintf("%#v", q); got != want {
+			t.Fatalf("round trip of %q changed the query:\n got %s\nwant %s", raw, got, want)
+		}
+	})
+}

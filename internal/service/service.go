@@ -3,7 +3,12 @@
 // LRU cache of constructed plans with in-flight deduplication, a bounded
 // worker pool for batch evaluation, and built-in observability
 // (per-endpoint request counters, latency histograms and cache counters
-// on /metrics, structured access logs, request timeouts).
+// on /metrics, structured access logs).
+//
+// Every request carries its time budget as a deadline on the request
+// context. The plan-cache wait, batched kernel evaluation, the batch
+// fan-out and the snapshot import stop at it with a 503; a plan build
+// that outlives it still finishes and is cached.
 //
 // Endpoints:
 //
@@ -25,7 +30,9 @@
 // Everything query-derived that the library rejects maps to a 400; the
 // construction of a Searcher (strategy selection, schedule synthesis,
 // plan building) is the expensive step and is cached per
-// (n, f, strategy, mindist) tuple.
+// (n, f, strategy, mindist, model, votes) key. From a key's first cache
+// hit on, its entry also keeps the encoded default-horizon /v1/plan
+// answer, which later hits write without deriving it again.
 package service
 
 import (
@@ -49,8 +56,9 @@ type Config struct {
 	BatchWorkers int
 	// MaxBatch is the largest accepted batch (default 1024).
 	MaxBatch int
-	// RequestTimeout is the per-request wall-clock budget (default
-	// 15s; negative disables the timeout handler).
+	// RequestTimeout is the per-request wall-clock budget, carried as
+	// a deadline on the request context (default 15s; negative
+	// disables the deadline).
 	RequestTimeout time.Duration
 	// SnapshotDir is where rejected cache-snapshot imports are
 	// quarantined for the operator, mirroring the sweep checkpoint
@@ -201,7 +209,7 @@ func (s *Service) Handler() http.Handler {
 	var h http.Handler = mux
 	h = s.recoverPanics(h)
 	if s.cfg.RequestTimeout > 0 {
-		h = http.TimeoutHandler(h, s.cfg.RequestTimeout, `{"error":"request timed out"}`)
+		h = withDeadline(h, s.cfg.RequestTimeout)
 	}
 	return h
 }

@@ -16,12 +16,13 @@ import (
 	"linesearch/internal/service"
 )
 
+// newBenchService builds the handler with the daemon's default request
+// deadline, so the benchmarks measure the path linesearchd serves.
 func newBenchService(b *testing.B, cacheSize int) http.Handler {
 	b.Helper()
 	svc := service.New(service.Config{
-		CacheSize:      cacheSize,
-		RequestTimeout: -1,
-		Logger:         slog.New(slog.NewTextHandler(io.Discard, nil)),
+		CacheSize: cacheSize,
+		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	return svc.Handler()
 }
@@ -60,6 +61,19 @@ func BenchmarkServicePlanHot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		req := httptest.NewRequest(http.MethodGet, "/v1/plan?n=5&f=2", nil)
 		serveBench(b, h, req)
+	}
+}
+
+// BenchmarkServiceSearchTimeHot measures one worst-case searchtime
+// query on a cached plan: parse, cache hit, kernel, encode.
+func BenchmarkServiceSearchTimeHot(b *testing.B) {
+	h := newBenchService(b, 8)
+	const target = "/v1/searchtime?n=7&f=3&x=7.5"
+	serveBench(b, h, httptest.NewRequest(http.MethodGet, target, nil))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveBench(b, h, httptest.NewRequest(http.MethodGet, target, nil))
 	}
 }
 
