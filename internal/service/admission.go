@@ -30,6 +30,13 @@ const (
 	maxInflightCache  = 4
 )
 
+// maxConcurrentBuilds bounds the plan builds running at once. A build
+// keeps running after its requester times out or disconnects, so the
+// in-flight bounds above do not cover it; the plan cache does (see
+// PlanCache.claim). It matches the query bound, which capped builds
+// while every request waited for its own.
+const maxConcurrentBuilds = maxInflightQuery
+
 // classLimiter bounds the in-flight requests of one admission class.
 // Admission is non-blocking: a full class sheds the request immediately
 // with a 429 rather than queueing it into the request timeout.

@@ -139,6 +139,8 @@ type PlanCache struct {
 	ll       *list.List // front = most recently used
 	items    map[PlanKey]*list.Element
 	inflight map[PlanKey]*inflightBuild
+	// buildSlots holds one token per running build; see claim.
+	buildSlots chan struct{}
 
 	hits, misses, evictions, waits atomic.Int64
 	imports, warmed                atomic.Int64
@@ -184,11 +186,12 @@ func NewPlanCache(capacity int, build BuildFunc) *PlanCache {
 		build = defaultBuild
 	}
 	return &PlanCache{
-		build:    build,
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[PlanKey]*list.Element),
-		inflight: make(map[PlanKey]*inflightBuild),
+		build:      build,
+		capacity:   capacity,
+		ll:         list.New(),
+		items:      make(map[PlanKey]*list.Element),
+		inflight:   make(map[PlanKey]*inflightBuild),
+		buildSlots: make(chan struct{}, maxConcurrentBuilds),
 	}
 }
 
@@ -197,33 +200,29 @@ func NewPlanCache(capacity int, build BuildFunc) *PlanCache {
 // came straight from the cache, so callers can annotate their own
 // spans.
 //
-// Waiting honours ctx: a miss starts the build on its own goroutine,
-// an in-flight waiter joins it, and either returns ctx's error if ctx
-// ends first. The build itself always runs to completion and
-// is cached, so the next request for the key hits. When ctx carries a
-// sampled trace, a miss records a "plan.build" stage span around the
-// construction (in-flight waiters record "plan.build.wait" instead).
+// Waiting honours ctx: a miss claims a build slot and starts the build
+// on its own goroutine, an in-flight waiter joins it, and either
+// returns ctx's error if ctx ends first. The build itself always runs
+// to completion and is cached, so the next request for the key hits.
+// When ctx carries a sampled trace, a miss records a "plan.build" stage
+// span around the construction (in-flight waiters record
+// "plan.build.wait" instead).
 func (c *PlanCache) get(ctx context.Context, key PlanKey) (e *cacheEntry, hit bool, err error) {
-	c.mu.Lock()
-	if elem, ok := c.items[key]; ok {
-		c.ll.MoveToFront(elem)
-		c.mu.Unlock()
+	e, call, fresh, err := c.claim(ctx, key, true)
+	switch {
+	case err != nil:
+		return nil, false, err
+	case e != nil:
 		c.hits.Add(1)
-		return elem.Value.(*cacheEntry), true, nil
-	}
-	call, ok := c.inflight[key]
-	if ok {
-		c.mu.Unlock()
-		c.waits.Add(1)
-		_, span := telemetry.StartSpan(ctx, "plan.build.wait")
-		defer span.End()
-	} else {
-		call = &inflightBuild{done: make(chan struct{})}
-		c.inflight[key] = call
-		c.mu.Unlock()
+		return e, true, nil
+	case fresh:
 		c.misses.Add(1)
 		_, span := telemetry.StartSpan(ctx, "plan.build")
 		go c.fill(key, call, span)
+	default:
+		c.waits.Add(1)
+		_, span := telemetry.StartSpan(ctx, "plan.build.wait")
+		defer span.End()
 	}
 	select {
 	case <-call.done:
@@ -234,11 +233,68 @@ func (c *PlanCache) get(ctx context.Context, key PlanKey) (e *cacheEntry, hit bo
 	}
 }
 
-// fill builds the plan for an in-flight call, caches it on success and
-// releases the call's waiters. It annotates and ends span.
+// claim looks key up and returns its cached entry, or else the
+// in-flight build to join, or else a newly registered build (fresh)
+// that holds a build slot and that the caller must fill. touch moves a
+// cached entry to the front of the LRU order.
+//
+// A build outlives a requester that stops waiting for it, so the slots
+// rather than admission control bound how many builds run at once.
+// When every slot is taken, claim waits for one until ctx ends, then
+// looks again: the key may have been built or started meanwhile.
+func (c *PlanCache) claim(ctx context.Context, key PlanKey, touch bool) (e *cacheEntry, call *inflightBuild, fresh bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	slot := false
+	for {
+		if elem, ok := c.items[key]; ok {
+			if touch {
+				c.ll.MoveToFront(elem)
+			}
+			e = elem.Value.(*cacheEntry)
+		} else {
+			call = c.inflight[key]
+		}
+		if e != nil || call != nil {
+			if slot {
+				<-c.buildSlots
+			}
+			return e, call, false, nil
+		}
+		if !slot {
+			select {
+			case c.buildSlots <- struct{}{}:
+				slot = true
+			default:
+			}
+		}
+		if slot {
+			break
+		}
+		c.mu.Unlock()
+		select {
+		case c.buildSlots <- struct{}{}:
+			slot = true
+		case <-ctx.Done():
+			err = fmt.Errorf("wait for a build slot for plan %v: %w", key, ctx.Err())
+		}
+		c.mu.Lock()
+		if err != nil {
+			return nil, nil, false, err
+		}
+	}
+	call = &inflightBuild{done: make(chan struct{})}
+	c.inflight[key] = call
+	return nil, call, true, nil
+}
+
+// fill builds the plan for a build registered by claim, gives back its
+// build slot, caches the plan on success and releases the call's
+// waiters. It annotates and ends span.
 func (c *PlanCache) fill(key PlanKey, call *inflightBuild, span *telemetry.Span) {
 	span.SetStr("plan", key.String())
 	plan, panicked, err := c.buildSafely(key)
+	<-c.buildSlots
 	switch {
 	case panicked != nil:
 		span.SetStr("error", fmt.Sprint("panic: ", panicked))
@@ -304,20 +360,17 @@ func (c *PlanCache) Stats() CacheStats {
 // plan (false when the entry was already cached, or another builder —
 // a concurrent request or import — got there first).
 func (c *PlanCache) Warm(ctx context.Context, key PlanKey) (built bool, err error) {
-	c.mu.Lock()
-	if _, ok := c.items[key]; ok {
-		c.mu.Unlock()
+	e, call, fresh, err := c.claim(ctx, key, false)
+	switch {
+	case err != nil:
+		return false, err
+	case e != nil:
 		return false, nil
-	}
-	if call, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
+	case !fresh:
 		<-call.done
 		_, err := call.result()
 		return false, err
 	}
-	call := &inflightBuild{done: make(chan struct{})}
-	c.inflight[key] = call
-	c.mu.Unlock()
 	c.warmed.Add(1)
 
 	_, span := telemetry.StartSpan(ctx, "plan.warm")

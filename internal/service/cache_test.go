@@ -266,6 +266,69 @@ func TestCacheInflightDedupBuildError(t *testing.T) {
 	}
 }
 
+// TestCacheBoundsAbandonedBuilds: a build outlives the requester that
+// gave up on it, so misses for distinct keys whose requesters all time
+// out must still never run more than maxConcurrentBuilds builds at
+// once. Misses beyond the bound fail at their deadline without
+// starting a build, and a finished build frees its slot.
+func TestCacheBoundsAbandonedBuilds(t *testing.T) {
+	var running, peak, builds atomic.Int64
+	release := make(chan struct{})
+	c := NewPlanCache(2*maxConcurrentBuilds, func(k PlanKey) (*Plan, error) {
+		n := running.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		builds.Add(1)
+		<-release
+		running.Add(-1)
+		return &Plan{}, nil
+	})
+	getWithin := func(k PlanKey, d time.Duration) error {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		_, _, err := c.get(ctx, k)
+		return err
+	}
+
+	const misses = maxConcurrentBuilds + 32
+	var wg sync.WaitGroup
+	wg.Add(misses)
+	for i := 0; i < misses; i++ {
+		go func(i int) {
+			defer wg.Done()
+			k := PlanKey{N: 3, F: 1, MinDist: float64(i + 1)}
+			if err := getWithin(k, 20*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("miss %d: err %v, want its deadline", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for deadline := time.Now().Add(10 * time.Second); running.Load() < maxConcurrentBuilds; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d builds running, want %d", running.Load(), maxConcurrentBuilds)
+		}
+	}
+	if st := c.Stats(); st.Misses != maxConcurrentBuilds {
+		t.Errorf("misses = %d, want one per build slot (%d)", st.Misses, maxConcurrentBuilds)
+	}
+
+	close(release)
+	for deadline := time.Now().Add(10 * time.Second); c.Stats().Size < maxConcurrentBuilds; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("size %d, want every abandoned build cached", c.Stats().Size)
+		}
+	}
+	if err := getWithin(PlanKey{N: 3, F: 1, MinDist: misses + 1}, 10*time.Second); err != nil {
+		t.Errorf("a miss after the builds finished: %v", err)
+	}
+	if p := peak.Load(); p != maxConcurrentBuilds {
+		t.Errorf("peak concurrent builds = %d, want %d", p, maxConcurrentBuilds)
+	}
+	if b := builds.Load(); b != maxConcurrentBuilds+1 {
+		t.Errorf("%d builds, want %d", b, maxConcurrentBuilds+1)
+	}
+}
+
 // Get is get without a trace or deadline, for tests that only need
 // the plan.
 func (c *PlanCache) Get(key PlanKey) (*Plan, error) {

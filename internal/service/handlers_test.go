@@ -501,8 +501,9 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestRequestTimeout pins the deadline contract: a request whose plan
 // build outlives the budget answers 503 at its deadline, and so does a
-// herd waiter at its own; /metrics counts both as 5xx; and the build
-// still finishes and is cached, so the next request is a hit.
+// herd waiter at its own; a waiter whose client leaves answers 503 too;
+// /metrics counts all three as 5xx; and the build still finishes and
+// is cached, so the next request is a hit.
 func TestRequestTimeout(t *testing.T) {
 	const budget = 50 * time.Millisecond
 	var builds atomic.Int64
@@ -536,13 +537,24 @@ func TestRequestTimeout(t *testing.T) {
 		}
 	}
 
+	// A client that leaves while waiting (the router cancelling the
+	// losing leg of a replica read) is answered and counted like any
+	// other cancelled evaluation: 503, naming the cancellation.
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(budget/5, cancel)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/plan?n=3&f=1", nil).WithContext(ctx))
+	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), context.Canceled.Error()) {
+		t.Errorf("client gone: status %d, body %s; want 503 naming the cancellation", w.Code, w.Body.String())
+	}
+
 	_, m := doReq(t, h, "GET", "/metrics", "")
 	status := m["endpoints"].(map[string]any)["/v1/plan"].(map[string]any)["status"].(map[string]any)
-	if status["5xx"] != 2.0 || status["2xx"] != 0.0 {
-		t.Errorf("/v1/plan status classes = %v, want both timeouts counted as 5xx", status)
+	if status["5xx"] != 3.0 || status["2xx"] != 0.0 {
+		t.Errorf("/v1/plan status classes = %v, want both timeouts and the cancellation counted as 5xx", status)
 	}
-	if st := svc.Cache().Stats(); st.Misses != 1 || st.InflightWaits != 1 {
-		t.Errorf("cache stats = %+v, want one miss and one in-flight wait", st)
+	if st := svc.Cache().Stats(); st.Misses != 1 || st.InflightWaits != 2 {
+		t.Errorf("cache stats = %+v, want one miss and two in-flight waits", st)
 	}
 
 	unblock()

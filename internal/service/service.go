@@ -8,7 +8,8 @@
 // Every request carries its time budget as a deadline on the request
 // context. The plan-cache wait, batched kernel evaluation, the batch
 // fan-out and the snapshot import stop at it with a 503; a plan build
-// that outlives it still finishes and is cached.
+// that outlives it still finishes and is cached. Since builds outlive
+// their requests, the plan cache bounds how many run at once.
 //
 // Endpoints:
 //
