@@ -144,8 +144,8 @@ func Parse(r io.Reader) (Report, error) {
 }
 
 // Compare returns one message per benchmark whose allocs/op in next
-// exceeds factor times the baseline's (floored at 1 alloc/op, so a
-// 0→1 step is not a failure), and one per baseline benchmark missing
+// exceeds factor times the baseline's (so a 0-allocs/op baseline
+// stays at 0), and one per baseline benchmark missing
 // from next: a renamed or deleted benchmark must leave the baseline
 // too, or it would silently drop out of the gate. A benchmark with no
 // baseline entry is allowed — the baseline may predate it.
@@ -162,7 +162,7 @@ func Compare(base, next Report, factor float64) []string {
 				"%s: in the baseline but missing from the new report", old.Name))
 			continue
 		}
-		limit := factor * float64(max(old.AllocsPerOp, 1))
+		limit := factor * float64(old.AllocsPerOp)
 		if float64(n.AllocsPerOp) > limit {
 			regressions = append(regressions, fmt.Sprintf(
 				"%s: allocs/op %d exceeds %.3gx baseline %d",

@@ -64,7 +64,7 @@ func TestCompare(t *testing.T) {
 	}}
 	next := Report{Benchmarks: []Benchmark{
 		{Name: "BenchmarkA", AllocsPerOp: 20},    // exactly 2x: allowed
-		{Name: "BenchmarkZero", AllocsPerOp: 2},  // 0 -> 2 with floor 1: allowed at 2x
+		{Name: "BenchmarkZero", AllocsPerOp: 0},  // a 0-alloc baseline held at 0
 		{Name: "BenchmarkNew", AllocsPerOp: 999}, // no baseline: ignored
 	}}
 	if regs := Compare(base, next, 2); len(regs) != 0 {
@@ -72,7 +72,7 @@ func TestCompare(t *testing.T) {
 	}
 
 	next.Benchmarks[0].AllocsPerOp = 21 // just past 2x
-	next.Benchmarks[1].AllocsPerOp = 3  // past the 0-alloc floor
+	next.Benchmarks[1].AllocsPerOp = 1  // 0 -> 1 breaks a 0-alloc contract
 	regs := Compare(base, next, 2)
 	if len(regs) != 2 {
 		t.Fatalf("regressions = %v, want 2", regs)

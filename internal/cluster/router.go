@@ -269,29 +269,8 @@ func routingPolicy(req *http.Request) (key string, retryable bool) {
 	case p == "/v1/cache/snapshot":
 		return "", req.Method == http.MethodGet
 	default:
-		return planKeyFromQuery(req.URL.Query()).Hash(), req.Method == http.MethodGet
+		return service.PlanKeyOf(req.URL.Query()).Hash(), req.Method == http.MethodGet
 	}
-}
-
-// planKeyFromQuery mirrors the service's cache-key normalization
-// (mindist defaults to 1, model=crash collapses to the default) so
-// the router and every backend agree on each request's plan key.
-// Unparseable values keep their zero value: the backend will reject
-// the request with a 400, and all the router needs is determinism.
-func planKeyFromQuery(v url.Values) service.PlanKey {
-	k := service.PlanKey{Strategy: v.Get("strategy"), Model: v.Get("model")}
-	k.N, _ = strconv.Atoi(v.Get("n"))
-	k.F, _ = strconv.Atoi(v.Get("f"))
-	k.Votes, _ = strconv.Atoi(v.Get("votes"))
-	if md, err := strconv.ParseFloat(v.Get("mindist"), 64); err == nil && md != 0 {
-		k.MinDist = md
-	} else {
-		k.MinDist = 1
-	}
-	if k.Model == "crash" {
-		k.Model = ""
-	}
-	return k
 }
 
 // candidates returns the backends to try for key in preference order:

@@ -657,6 +657,68 @@ func TestRoutingPolicy(t *testing.T) {
 	}
 }
 
+// TestRingKeyMatchesBackendCacheKey: for every GET in the table the
+// router's ring key is the hash of the key the backend caches the plan
+// under, across the key's defaults (mindist omitted, 0 or explicit;
+// model omitted, crash or byzantine) and votes. Invalid numbers still
+// route deterministically; the backend answers those with a 400.
+func TestRingKeyMatchesBackendCacheKey(t *testing.T) {
+	svc := service.New(service.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	srv := httptest.NewServer(svc.Handler())
+	defer svc.Close()
+	defer srv.Close()
+	getJSON := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, resp.StatusCode, body)
+		}
+		if v != nil {
+			if err := json.Unmarshal(body, v); err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+		}
+	}
+	for _, path := range []string{
+		"/v1/plan?n=5&f=2",
+		"/v1/plan?n=5&f=2&mindist=0",
+		"/v1/plan?n=5&f=2&mindist=0.5",
+		"/v1/plan?n=5&f=2&model=crash",
+		"/v1/searchtime?n=5&f=2&x=3&model=crash&mindist=0",
+		"/v1/plan?n=5&f=2&model=byzantine",
+		"/v1/plan?n=5&f=1&model=byzantine&votes=2",
+		"/v1/timeline?n=5&f=1&x=2&model=byzantine&votes=2&mindist=0.5",
+		"/v1/searchtimes?n=5&f=2&xs=1,-2,3&strategy=doubling",
+	} {
+		getJSON(path, nil)
+		var snap service.CacheSnapshot
+		getJSON("/v1/cache/snapshot?limit=1", &snap)
+		if len(snap.Entries) != 1 {
+			t.Fatalf("%s: snapshot has %d entries, want the most recent one", path, len(snap.Entries))
+		}
+		cached := snap.Entries[0].Key
+		if ring, _ := routingPolicy(httptest.NewRequest("GET", path, nil)); ring != cached.Hash() {
+			t.Errorf("%s: ring key %.12s, backend caches under %v (%.12s)", path, ring, cached, cached.Hash())
+		}
+	}
+	for _, path := range []string{
+		"/v1/plan?n=5&f=2&mindist=NaN",
+		"/v1/plan?n=5&f=2&mindist=Inf",
+		"/v1/plan?n=abc&f=2",
+	} {
+		k1, _ := routingPolicy(httptest.NewRequest("GET", path, nil))
+		k2, _ := routingPolicy(httptest.NewRequest("GET", path, nil))
+		if k1 == "" || k1 != k2 {
+			t.Errorf("%s: ring keys %q and %q, want one stable plan-key hash", path, k1, k2)
+		}
+	}
+}
+
 // TestRouterReplicaReadFanout pins the replica-read path: when a pure
 // read's primary owner is unavailable (quarantined or breaker-open),
 // the router fans the request out to the key's owner pair and relays

@@ -46,30 +46,19 @@ const (
 	tailFallback
 )
 
-// Options tunes compilation. The zero value selects defaults.
-type Options struct {
-	// CoverageFactor is the target position range of the corner arrays
-	// relative to each zig-zag's anchor magnitude: turning points are
-	// materialised until the envelope covers |x| <= CoverageFactor *
-	// |anchor|. Default 1e8 — far beyond the service's maximum query
-	// horizon, so fallbacks happen only for pathological targets.
-	CoverageFactor float64
-	// MaxCorners caps the per-trajectory corner count (a guard for
-	// near-degenerate cones whose expansion factor is barely above 1).
-	// Default 4096. Queries beyond a capped envelope fall back to the
-	// exact trajectory closed form.
-	MaxCorners int
-}
-
-func (o Options) withDefaults() Options {
-	if o.CoverageFactor == 0 {
-		o.CoverageFactor = 1e8
-	}
-	if o.MaxCorners == 0 {
-		o.MaxCorners = 4096
-	}
-	return o
-}
+// Compilation bounds. coverageFactor is the target position range of
+// the corner arrays relative to each zig-zag's anchor magnitude:
+// turning points are materialised until the envelope covers
+// |x| <= coverageFactor * |anchor|, far beyond the service's maximum
+// query horizon, so fallbacks happen only for pathological targets.
+// maxCorners caps the per-trajectory corner count (a guard for
+// near-degenerate cones whose expansion factor is barely above 1).
+// Queries beyond a capped envelope fall back to the exact trajectory
+// closed form.
+const (
+	coverageFactor = 1e8
+	maxCorners     = 4096
+)
 
 // ctraj is one robot's compiled trajectory: corner arrays plus the
 // coverage envelope and the tail descriptor. Robots sharing a source
@@ -112,17 +101,17 @@ type Plan struct {
 }
 
 // Compile flattens every trajectory of p into the binary-searchable
-// corner representation using default options.
+// corner representation.
 func Compile(p *sim.Plan) (*Plan, error) {
-	return CompileOptions(p, Options{})
+	return compile(p, maxCorners)
 }
 
-// CompileOptions is Compile with explicit tuning.
-func CompileOptions(p *sim.Plan, opts Options) (*Plan, error) {
+// compile is Compile with the per-trajectory corner cap as a
+// parameter, so tests can force the fallback path.
+func compile(p *sim.Plan, cornerCap int) (*Plan, error) {
 	if p == nil {
 		return nil, fmt.Errorf("compiled: nil plan")
 	}
-	opts = opts.withDefaults()
 	trajs := p.Trajectories()
 	cp := &Plan{robots: make([]*ctraj, len(trajs)), f: p.F(), rank: p.DetectionRank(), src: p}
 	shared := make(map[*trajectory.Trajectory]*ctraj, len(trajs))
@@ -131,7 +120,7 @@ func CompileOptions(p *sim.Plan, opts Options) (*Plan, error) {
 			cp.robots[i] = ct
 			continue
 		}
-		ct, err := compileTrajectory(tr, opts)
+		ct, err := compileTrajectory(tr, cornerCap)
 		if err != nil {
 			return nil, fmt.Errorf("compiled: robot %d: %w", i, err)
 		}
@@ -142,8 +131,9 @@ func CompileOptions(p *sim.Plan, opts Options) (*Plan, error) {
 	return cp, nil
 }
 
-// compileTrajectory flattens one trajectory.
-func compileTrajectory(tr *trajectory.Trajectory, opts Options) (*ctraj, error) {
+// compileTrajectory flattens one trajectory, materialising at most
+// cornerCap corners.
+func compileTrajectory(tr *trajectory.Trajectory, cornerCap int) (*ctraj, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
@@ -189,10 +179,10 @@ func compileTrajectory(tr *trajectory.Trajectory, opts Options) (*ctraj, error) 
 		ct.rayX, ct.rayT, ct.rayDir = a.X, a.T, float64(tail.Dir())
 	case *trajectory.ZigZag:
 		appendCorner(tail.TurningPoint(0))
-		cover := opts.CoverageFactor * abs(tail.Anchor().X)
+		cover := coverageFactor * abs(tail.Anchor().X)
 		lo, hi := minSlice(ct.pos), maxSlice(ct.pos)
 		k := 1
-		for (hi < cover || lo > -cover) && len(ct.times) < opts.MaxCorners {
+		for (hi < cover || lo > -cover) && len(ct.times) < cornerCap {
 			p := tail.TurningPoint(k)
 			appendCorner(p)
 			if p.X < lo {

@@ -175,7 +175,7 @@ func TestDifferentialCappedCompilation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := compiled.CompileOptions(plan, compiled.Options{MaxCorners: 8})
+	cp, err := compiled.CompileCapped(plan, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,14 @@
 package compiled
 
+import "linesearch/internal/sim"
+
 // Test hooks: the external tests and benchmarks reach the kernel's
 // per-goroutine evaluator and its internals through these.
+
+// CompileCapped is Compile with at most cornerCap corners per
+// trajectory, forcing the fallback path on targets beyond the capped
+// envelope.
+func CompileCapped(p *sim.Plan, cornerCap int) (*Plan, error) { return compile(p, cornerCap) }
 
 // DetectionRank returns the distinct-visitor rank at which detection is
 // guaranteed, mirroring sim.Plan.DetectionRank.

@@ -16,12 +16,12 @@ import (
 // workers than items and a count below 1 (which runs inline), and every
 // index is visited exactly once.
 func TestChunkedIdenticalAcrossWorkers(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 100} {
+	for _, n := range []int{0, 1, 2, 7, 100, 1001} {
 		var want []int
 		for _, workers := range []int{-1, 0, 1, 3, 64} {
 			out := make([]int, n)
 			visits := make([]atomic.Int32, n)
-			err := Chunked(context.Background(), n, workers, func(w, i int) error {
+			err := ForEach(context.Background(), n, workers, func(w, i int) error {
 				if w < 0 || w >= max(workers, 1) {
 					t.Errorf("n=%d workers=%d: worker index %d out of range", n, workers, w)
 				}
@@ -46,15 +46,30 @@ func TestChunkedIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestChunkedChunksAreContiguous pins the static split: worker w owns
-// the w-th block of ceil(n/workers) indices.
-func TestChunkedChunksAreContiguous(t *testing.T) {
-	owner := make([]int, 10)
-	if err := Chunked(context.Background(), 10, 4, func(w, i int) error { owner[i] = w; return nil }); err != nil {
+// TestChunkedHandsOutWorkOnDemand: item 0 blocks until every other
+// index has run. A pool that split the range into fixed chunks would
+// strand the rest of item 0's chunk behind it; handing out indices on
+// demand lets the other worker run them all.
+func TestChunkedHandsOutWorkOnDemand(t *testing.T) {
+	const n, workers = 10, 2
+	var others sync.WaitGroup
+	others.Add(n - 1)
+	allRan := make(chan struct{})
+	go func() { others.Wait(); close(allRan) }()
+	err := ForEach(context.Background(), n, workers, func(_, i int) error {
+		if i != 0 {
+			others.Done()
+			return nil
+		}
+		select {
+		case <-allRan:
+			return nil
+		case <-time.After(5 * time.Second):
+			return errors.New("item 0 waited 5s for the other items: work is not handed out on demand")
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
-	}
-	if want := []int{0, 0, 0, 1, 1, 1, 2, 2, 2, 3}; !slices.Equal(owner, want) {
-		t.Errorf("owners %v, want %v", owner, want)
 	}
 }
 
@@ -64,7 +79,7 @@ func TestChunkedChunksAreContiguous(t *testing.T) {
 func TestChunkedInlineStopsAtFirstError(t *testing.T) {
 	errA, errB := errors.New("a"), errors.New("b")
 	var ran []int
-	err := Chunked(context.Background(), 10, 1, func(_, i int) error {
+	err := ForEach(context.Background(), 10, 1, func(_, i int) error {
 		ran = append(ran, i)
 		switch i {
 		case 3:
@@ -94,7 +109,7 @@ func TestChunkedFirstErrorWins(t *testing.T) {
 	failed := make(chan struct{})
 	var started atomic.Int32
 	base := runtime.NumGoroutine()
-	err := Chunked(context.Background(), n, workers, func(w, i int) error {
+	err := ForEach(context.Background(), n, workers, func(w, i int) error {
 		started.Add(1)
 		if w == 0 {
 			inFlight.Wait()
@@ -125,7 +140,7 @@ func TestChunkedFirstErrorWins(t *testing.T) {
 func TestChunkedBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
-	err := Chunked(context.Background(), 50, workers, func(_, _ int) error {
+	err := ForEach(context.Background(), 50, workers, func(_, _ int) error {
 		c := cur.Add(1)
 		for {
 			m := peak.Load()
@@ -145,12 +160,12 @@ func TestChunkedBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestChunkedProcessesEverything: with more items than workers and a
-// split that leaves a short last chunk, every item's result lands.
+// TestChunkedProcessesEverything: with more items than workers, every
+// item's result lands.
 func TestChunkedProcessesEverything(t *testing.T) {
 	const n = 100
 	out := make([]int, n)
-	if err := Chunked(context.Background(), n, 7, func(_, i int) error { out[i] = i * i; return nil }); err != nil {
+	if err := ForEach(context.Background(), n, 7, func(_, i int) error { out[i] = i * i; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range out {
@@ -162,7 +177,7 @@ func TestChunkedProcessesEverything(t *testing.T) {
 
 // TestChunkedZeroItems: n = 0 calls nothing and reports no error.
 func TestChunkedZeroItems(t *testing.T) {
-	if err := Chunked(context.Background(), 0, 4, func(_, _ int) error { t.Error("called"); return nil }); err != nil {
+	if err := ForEach(context.Background(), 0, 4, func(_, _ int) error { t.Error("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,7 +186,7 @@ func TestChunkedZeroItems(t *testing.T) {
 func TestChunkedWorkerFloor(t *testing.T) {
 	for _, workers := range []int{0, -3} {
 		var count atomic.Int64
-		if err := Chunked(context.Background(), 5, workers, func(_, _ int) error { count.Add(1); return nil }); err != nil {
+		if err := ForEach(context.Background(), 5, workers, func(_, _ int) error { count.Add(1); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if count.Load() != 5 {
@@ -181,7 +196,7 @@ func TestChunkedWorkerFloor(t *testing.T) {
 }
 
 // TestChunkedCancellation: once ctx is done no item starts, items in
-// flight finish, and Chunked reports ctx.Err() because some item did
+// flight finish, and ForEach reports ctx.Err() because some item did
 // not run. Inline, the item that cancels is the last to run; with
 // workers, worker 0 cancels once every other worker is inside its
 // first item, so exactly one item per worker runs. A cancel after the
@@ -191,7 +206,7 @@ func TestChunkedCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		var ran []int
-		err := Chunked(ctx, 1000, 1, func(_, i int) error {
+		err := ForEach(ctx, 1000, 1, func(_, i int) error {
 			ran = append(ran, i)
 			if i == 2 {
 				cancel()
@@ -212,7 +227,7 @@ func TestChunkedCancellation(t *testing.T) {
 		var inFlight sync.WaitGroup
 		inFlight.Add(workers - 1)
 		var started atomic.Int32
-		err := Chunked(ctx, n, workers, func(w, _ int) error {
+		err := ForEach(ctx, n, workers, func(w, _ int) error {
 			started.Add(1)
 			if w == 0 {
 				inFlight.Wait()
@@ -233,7 +248,7 @@ func TestChunkedCancellation(t *testing.T) {
 	t.Run("after the last item started", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		err := Chunked(ctx, 3, 1, func(_, i int) error {
+		err := ForEach(ctx, 3, 1, func(_, i int) error {
 			if i == 2 {
 				cancel()
 			}

@@ -237,9 +237,7 @@ func (q *Query) normalize() error {
 	default:
 		return badRequest("unknown op %q (known: plan, searchtime, searchtimes, timeline, lowerbound)", q.Op)
 	}
-	if q.MinDist == 0 {
-		q.MinDist = 1
-	}
+	q.keyDefaults()
 	if math.IsNaN(q.MinDist) || math.IsInf(q.MinDist, 0) || q.MinDist <= 0 {
 		return badRequest("mindist must be a positive finite number, got %g", q.MinDist)
 	}
@@ -275,10 +273,6 @@ func (q *Query) normalize() error {
 	}
 	switch q.Model {
 	case "", "byzantine":
-	case "crash":
-		// Crash is the default model: normalise so an explicit
-		// model=crash shares the default's cache entry and response shape.
-		q.Model = ""
 	default:
 		return badRequest("unknown fault model %q (want crash or byzantine)", q.Model)
 	}
@@ -338,10 +332,38 @@ func (q *Query) normalize() error {
 	return nil
 }
 
+// keyDefaults applies the plan-cache key's defaults: mindist 0 selects
+// 1, and crash, the default model, is spelled "" so an explicit
+// model=crash shares the default's cache entry and response shape.
+func (q *Query) keyDefaults() {
+	if q.MinDist == 0 {
+		q.MinDist = 1
+	}
+	if q.Model == "crash" {
+		q.Model = ""
+	}
+}
+
 // key returns the plan-cache key for the query.
 func (q Query) key() PlanKey {
 	return PlanKey{N: q.N, F: q.F, Strategy: q.Strategy, MinDist: q.MinDist,
 		Model: q.Model, Votes: q.Votes}
+}
+
+// PlanKeyOf returns the plan-cache key a GET with URL parameters v is
+// cached under, so a router's ring key and every backend's cache key
+// agree. It parses only the key's parameters, with the GET parser's
+// rules and the cache's defaults; a target list is never parsed. An
+// invalid value keeps its zero: the backend answers such a request
+// with a 400, and all a ring key needs is determinism.
+func PlanKeyOf(v url.Values) PlanKey {
+	q := Query{Strategy: v.Get("strategy"), Model: v.Get("model")}
+	q.N, _ = intParam(v, "n", 0)
+	q.F, _ = intParam(v, "f", -1)
+	q.MinDist, _ = floatParam(v, "mindist", 1)
+	q.Votes, _ = intParam(v, "votes", 0)
+	q.keyDefaults()
+	return q.key()
 }
 
 // eval answers one query. It is the single evaluation path shared by
@@ -875,7 +897,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	span.SetInt("queries", int64(len(req.Queries)))
 	workers := min(s.cfg.BatchWorkers, len(req.Queries))
 	span.SetInt("workers", int64(workers))
-	err := numeric.Chunked(ctx, len(req.Queries), workers, func(_, i int) error {
+	err := numeric.ForEach(ctx, len(req.Queries), workers, func(_, i int) error {
 		res, err := s.eval(ctx, req.Queries[i])
 		if err != nil {
 			items[i] = BatchItem{OK: false, Error: err.Error()}

@@ -205,8 +205,8 @@ func (p *Plan) EmpiricalCR(opts CROptions) (CRResult, error) {
 	}
 
 	ratios := make([]float64, len(candidates))
-	// Evaluating a candidate cannot fail, so Chunked returns nil.
-	_ = numeric.Chunked(context.Background(), len(candidates), opts.Parallelism, func(_, i int) error {
+	// Evaluating a candidate cannot fail, so ForEach returns nil.
+	_ = numeric.ForEach(context.Background(), len(candidates), opts.Parallelism, func(_, i int) error {
 		ratios[i] = p.SearchTime(candidates[i]) / math.Abs(candidates[i])
 		return nil
 	})

@@ -88,7 +88,7 @@ func (b Byzantine) base(n, fEff int) (Strategy, error) {
 			return nil, fmt.Errorf("strategy: no base strategy for byzantine effective budget f'=%d with n=%d robots: %w", fEff, n, err)
 		}
 	}
-	return withMinDistance(st, b.MinDistance), nil
+	return WithMinDistance(st, b.MinDistance), nil
 }
 
 // Build implements Strategy.
@@ -119,9 +119,13 @@ func (b Byzantine) AnalyticCR(n, f int) (float64, bool) {
 	return st.AnalyticCR(n, fEff)
 }
 
-// withMinDistance forwards a minimal-distance hint to the strategies
-// that honour one; d in {0, 1} is the paper's normalisation (no-op).
-func withMinDistance(st Strategy, d float64) Strategy {
+// WithMinDistance returns st rescaled for a known minimal target
+// distance d. Every strategy honours it except the distance-free
+// two-group sweep, which comes back unchanged, as does every strategy
+// at d in {0, 1}, the paper's normalisation. It is the one place the
+// hint is applied: NewSearcher and the Byzantine wrapper's base both
+// go through it.
+func WithMinDistance(st Strategy, d float64) Strategy {
 	if d == 0 || d == 1 {
 		return st
 	}
@@ -136,6 +140,12 @@ func withMinDistance(st Strategy, d float64) Strategy {
 		s.MinDistance = d
 		return s
 	case UniformCone:
+		s.MinDistance = d
+		return s
+	case PFaultySearch:
+		s.MinDistance = d
+		return s
+	case Byzantine:
 		s.MinDistance = d
 		return s
 	default:

@@ -64,15 +64,29 @@ func (cp Checkpoint) checksum() string {
 // Verify checks a decoded checkpoint's integrity: the wire version
 // and the content checksum. It is what a replica owner runs on every
 // checkpoint pushed to it before trusting a byte of it.
-func (cp Checkpoint) Verify() error {
+func (cp Checkpoint) Verify() error { return cp.verify(cp.ID, nil) }
+
+// verify is Verify naming the checkpoint id in its errors. A checksum
+// failure means damaged bytes; damaged, when set, is called then and
+// its note goes into the error.
+func (cp Checkpoint) verify(id string, damaged func() string) error {
 	if cp.Version != checkpointVersion {
-		return fmt.Errorf("sweep: checkpoint %s has version %d, want %d", cp.ID, cp.Version, checkpointVersion)
+		return fmt.Errorf("sweep: checkpoint %s has version %d, want %d", id, cp.Version, checkpointVersion)
 	}
 	if want := cp.checksum(); cp.Checksum != want {
-		return fmt.Errorf("sweep: checkpoint %s failed its checksum: file has %.12s, content hashes to %.12s",
-			cp.ID, cp.Checksum, want)
+		return fmt.Errorf("sweep: checkpoint %s failed its checksum%s: file has %.12s, content hashes to %.12s",
+			id, noteOf(damaged), cp.Checksum, want)
 	}
 	return nil
+}
+
+// noteOf runs a damage hook and formats its note as " (note)"; a nil
+// hook adds nothing.
+func noteOf(damaged func() string) string {
+	if damaged == nil {
+		return ""
+	}
+	return " (" + damaged() + ")"
 }
 
 // checkpointPath returns the checkpoint file for a job ID.
@@ -169,28 +183,14 @@ func readCheckpoint(dir, id, wantHash string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("sweep: read checkpoint: %w", err)
 	}
 	path := checkpointPath(dir, id)
-	blob, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sweep: read checkpoint: %w", err)
-	}
-	var cp Checkpoint
-	if err := json.Unmarshal(blob, &cp); err != nil {
-		return nil, fmt.Errorf("sweep: decode checkpoint %s (%s): %w", id, quarantineCorrupt(path), err)
-	}
-	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("sweep: checkpoint %s has version %d, want %d", id, cp.Version, checkpointVersion)
-	}
-	if want := cp.checksum(); cp.Checksum != want {
-		return nil, fmt.Errorf("sweep: checkpoint %s failed its checksum (%s): file has %.12s, content hashes to %.12s",
-			id, quarantineCorrupt(path), cp.Checksum, want)
+	cp, err := decodeCheckpoint(path, id, func() string { return quarantineCorrupt(path) })
+	if cp == nil || err != nil {
+		return nil, err
 	}
 	if cp.SpecHash != wantHash {
 		return nil, fmt.Errorf("sweep: checkpoint %s was written for a different spec (hash %.12s, want %.12s)", id, cp.SpecHash, wantHash)
 	}
-	return &cp, nil
+	return cp, nil
 }
 
 // LoadCheckpoint loads and verifies (version, checksum) the checkpoint
@@ -200,7 +200,16 @@ func readCheckpoint(dir, id, wantHash string) (*Checkpoint, error) {
 // file is an error but is left in place (the home read path owns
 // quarantining).
 func LoadCheckpoint(dir, id string) (*Checkpoint, error) {
-	blob, err := os.ReadFile(checkpointPath(dir, id))
+	return decodeCheckpoint(checkpointPath(dir, id), id, nil)
+}
+
+// decodeCheckpoint reads, decodes and verifies the checkpoint file at
+// path, naming it id in errors: the one decode step behind
+// readCheckpoint, LoadCheckpoint and ScanCheckpoints. A missing file is
+// (nil, nil). damaged, when set, is called on undecodable or
+// checksum-mismatched bytes, and its note goes into the error.
+func decodeCheckpoint(path, id string, damaged func() string) (*Checkpoint, error) {
+	blob, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
@@ -209,9 +218,9 @@ func LoadCheckpoint(dir, id string) (*Checkpoint, error) {
 	}
 	var cp Checkpoint
 	if err := json.Unmarshal(blob, &cp); err != nil {
-		return nil, fmt.Errorf("sweep: decode checkpoint %s: %w", id, err)
+		return nil, fmt.Errorf("sweep: decode checkpoint %s%s: %w", id, noteOf(damaged), err)
 	}
-	if err := cp.Verify(); err != nil {
+	if err := cp.verify(id, damaged); err != nil {
 		return nil, err
 	}
 	return &cp, nil
@@ -279,12 +288,8 @@ func ScanCheckpoints(dir string) map[string]CheckpointInfo {
 		return out
 	}
 	for _, path := range matches {
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		var cp Checkpoint
-		if err := json.Unmarshal(blob, &cp); err != nil || cp.Verify() != nil {
+		cp, err := decodeCheckpoint(path, filepath.Base(path), nil)
+		if cp == nil || err != nil {
 			continue
 		}
 		out[cp.ID] = cp.info()

@@ -285,12 +285,11 @@ func (j *Job) quarantined() int {
 	return n
 }
 
-// record stores one completed cell and reports how many cells are done.
-func (j *Job) record(c Cell) int {
+// record stores one completed cell.
+func (j *Job) record(c Cell) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.results[c.Index] = c
-	return len(j.results)
 }
 
 // pendingCells returns the cells not yet completed (the resume set

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"linesearch/internal/numeric"
 	"linesearch/internal/telemetry"
 	"linesearch/internal/telemetry/journal"
 )
@@ -64,9 +65,13 @@ type Config struct {
 	// write (cadence flushes and terminal states) with the exact
 	// stamped content now on disk. The fleet wiring points it at the
 	// cluster replicator, which streams the checkpoint to the other
-	// f ring owners. Called synchronously from the job goroutine, so
-	// implementations must bound their own latency (the replicator
-	// spools hints instead of waiting out dead peers).
+	// f ring owners. A cadence flush calls it synchronously on the
+	// worker goroutine whose cell triggered the flush, the terminal
+	// write on the job goroutine. Calls for one job never overlap,
+	// and each carries at least as many cells as the one before. The
+	// job's other workers wait while it runs, so implementations must
+	// bound their own latency (the replicator spools hints instead of
+	// waiting out dead peers).
 	OnCheckpoint func(Checkpoint)
 	// ReplicaDir, when set, is consulted on Submit when the home
 	// checkpoint is missing: a job whose previous home crashed resumes
@@ -333,9 +338,9 @@ func (m *Manager) Stats() ManagerStats {
 	return st
 }
 
-// runJob drives one job to a terminal state: wait for a slot, fan the
-// pending cells over the worker pool, checkpoint on a cadence, and
-// export datasets on completion.
+// runJob drives one job to a terminal state: wait for a slot, run the
+// pending cells on the shared worker pool, checkpoint on a cadence,
+// and export datasets on completion.
 func (m *Manager) runJob(j *Job) {
 	defer m.wg.Done()
 
@@ -349,61 +354,52 @@ func (m *Manager) runJob(j *Job) {
 	j.setRunning()
 
 	pending := j.pendingCells()
-	feed := make(chan CellParams)
-	out := make(chan Cell)
-	workers := m.cfg.Workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range feed {
-				out <- m.evalResilient(j.ctx, p)
-			}
-		}()
-	}
-	go func() {
-		defer close(feed)
-		for _, p := range pending {
-			select {
-			case feed <- p:
-			case <-j.ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-
-	sinceFlush := 0
-	for cell := range out {
+	// flushMu orders recording and the cadence flush across workers,
+	// so checkpoints never overlap and never lose a recorded cell.
+	var (
+		flushMu    sync.Mutex
+		sinceFlush int
+	)
+	// The pool's only error is the job's cancellation, which finalize
+	// reads from j.ctx.
+	_ = numeric.ForEach(j.ctx, len(pending), m.cfg.Workers, func(_, i int) error {
+		cell := m.evalResilient(j.ctx, pending[i])
 		if cell.cancelled {
 			// A shutdown artifact, not a result: leave the cell
 			// unrecorded so resume recomputes it.
-			continue
+			return nil
 		}
 		if !cell.OK() {
 			m.cellErrors.Add(1)
 		}
 		m.cellsComputed.Add(1)
+		flushMu.Lock()
+		defer flushMu.Unlock()
 		j.record(cell)
-		sinceFlush++
-		if sinceFlush >= m.cfg.CheckpointEvery {
+		if sinceFlush++; sinceFlush >= m.cfg.CheckpointEvery {
 			sinceFlush = 0
-			if stamped, err := writeCheckpoint(m.cfg.Dir, j.checkpoint()); err != nil {
-				m.checkpointFailures.Add(1)
-				m.cfg.Logger.Error("sweep checkpoint failed", "job", j.id, "err", err)
-			} else if m.cfg.OnCheckpoint != nil {
-				m.cfg.OnCheckpoint(stamped)
-			}
+			_ = m.flush(j, "sweep checkpoint failed")
 		}
-	}
+		return nil
+	})
 	m.finalize(j, j.ctx.Err() != nil)
+}
+
+// flush writes the job's checkpoint and hands the stamped copy to
+// OnCheckpoint: the one checkpoint writer behind both the cadence
+// flush and the terminal write. A failed write is counted, logged as
+// msg and returned, and OnCheckpoint does not fire for it.
+func (m *Manager) flush(j *Job, msg string) error {
+	stamped, err := writeCheckpoint(m.cfg.Dir, j.checkpoint())
+	if err != nil {
+		m.checkpointFailures.Add(1)
+		m.cfg.Logger.Error(msg, "job", j.id, "err", err)
+		return err
+	}
+	if m.cfg.OnCheckpoint != nil {
+		m.cfg.OnCheckpoint(stamped)
+	}
+	return nil
 }
 
 // finalize writes the last checkpoint and moves the job to its terminal
@@ -411,16 +407,10 @@ func (m *Manager) runJob(j *Job) {
 // with quarantined cells fail loudly instead of passing a silently
 // degraded dataset off as done.
 func (m *Manager) finalize(j *Job, interrupted bool) {
-	stamped, err := writeCheckpoint(m.cfg.Dir, j.checkpoint())
-	if err != nil {
-		m.checkpointFailures.Add(1)
-		m.cfg.Logger.Error("sweep final checkpoint failed", "job", j.id, "err", err)
+	if err := m.flush(j, "sweep final checkpoint failed"); err != nil {
 		m.failed.Add(1)
 		j.finish(StateFailed, err, nil)
 		return
-	}
-	if m.cfg.OnCheckpoint != nil {
-		m.cfg.OnCheckpoint(stamped)
 	}
 	if interrupted {
 		m.cancelled.Add(1)

@@ -313,6 +313,44 @@ func TestStatusProgressMonotonic(t *testing.T) {
 	}
 }
 
+// TestSlowCellDoesNotStrandOthers: with two workers, cell 0 waits
+// until every other cell has been evaluated. Cells are handed out on
+// demand, so the second worker evaluates them all and the job still
+// finishes done; a static split of the cell range would strand the
+// rest of cell 0's share behind it.
+func TestSlowCellDoesNotStrandOthers(t *testing.T) {
+	spec := Spec{N: []int{3, 5, 7}, F: []int{1, 2}, XMax: 20, GridPoints: 8}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var others sync.WaitGroup
+	others.Add(spec.CellCount() - 1)
+	allDone := make(chan struct{})
+	go func() { others.Wait(); close(allDone) }()
+	eval := func(ctx context.Context, p CellParams) Cell {
+		if p.Index != 0 {
+			defer others.Done()
+			return EvalCell(ctx, p)
+		}
+		select {
+		case <-allDone:
+		case <-time.After(10 * time.Second):
+			t.Errorf("cell 0 waited 10s for the other cells: cells are not handed out on demand")
+		}
+		return EvalCell(ctx, p)
+	}
+	m := NewManager(Config{Dir: t.TempDir(), Workers: 2, Logger: quiet(), Eval: eval})
+	defer m.Close()
+	j, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitJob(t, j)
+	if st.State != StateDone || st.DoneCells != st.TotalCells {
+		t.Fatalf("state %s with %d/%d cells, error %q", st.State, st.DoneCells, st.TotalCells, st.Error)
+	}
+}
+
 func TestManagerCloseCancelsJobs(t *testing.T) {
 	slow := func(ctx context.Context, p CellParams) Cell {
 		select {

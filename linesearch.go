@@ -506,7 +506,7 @@ func (s *Searcher) MonteCarlo(trials int, seed int64) (Stats, error) {
 		return Stats{}, fmt.Errorf("linesearch: Monte-Carlo trials must be positive, got %d", trials)
 	}
 	ratios := make([]float64, trials)
-	err := numeric.Chunked(context.Background(), trials, runtime.GOMAXPROCS(0), func(_, i int) error {
+	err := numeric.ForEach(context.Background(), trials, runtime.GOMAXPROCS(0), func(_, i int) error {
 		r, err := s.trial(seed, i)
 		ratios[i] = r
 		return err

@@ -117,7 +117,7 @@ func NewSearcher(n, f int, opts ...Option) (*Searcher, error) {
 		}
 		st = strategy.Byzantine{Votes: cfg.votes, Base: st}
 	}
-	st = applyMinDistance(st, cfg.minDistance)
+	st = strategy.WithMinDistance(st, cfg.minDistance)
 
 	s, err := newSearcher(st, n, f)
 	if err != nil {
@@ -125,36 +125,6 @@ func NewSearcher(n, f int, opts ...Option) (*Searcher, error) {
 	}
 	s.minDistance = cfg.minDistance
 	return s, nil
-}
-
-// applyMinDistance rescales the strategies that support a minimal
-// target distance; the others are distance-free already.
-func applyMinDistance(st strategy.Strategy, d float64) strategy.Strategy {
-	if d == 1 {
-		return st
-	}
-	switch s := st.(type) {
-	case strategy.Proportional:
-		s.MinDistance = d
-		return s
-	case strategy.Cone:
-		s.MinDistance = d
-		return s
-	case strategy.Doubling:
-		s.MinDistance = d
-		return s
-	case strategy.UniformCone:
-		s.MinDistance = d
-		return s
-	case strategy.Byzantine:
-		s.MinDistance = d
-		return s
-	case strategy.PFaultySearch:
-		s.MinDistance = d
-		return s
-	default:
-		return st
-	}
 }
 
 // RobotsNeeded returns the smallest fleet size n that tolerates f

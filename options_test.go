@@ -80,6 +80,34 @@ func TestNewSearcherWithMinDistanceValidation(t *testing.T) {
 	}
 }
 
+// TestMinDistanceScalesEveryStrategy: a minimal distance d rescales the
+// schedule, so robot 0's first turning point moves out d times, under
+// the Byzantine wrapper as under the plain strategy.
+func TestMinDistanceScalesEveryStrategy(t *testing.T) {
+	const d = 5.0
+	firstTurn := func(name string, md float64) Point {
+		t.Helper()
+		s, err := NewSearcher(3, 1, WithStrategy(name), WithMinDistance(md))
+		if err != nil {
+			t.Fatalf("%s mindist %g: %v", name, md, err)
+		}
+		pts, err := s.TurningPoints(100 * md)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts[0]) < 2 {
+			t.Fatalf("%s mindist %g: robot 0 has no turning point: %v", name, md, pts[0])
+		}
+		return pts[0][1]
+	}
+	for _, name := range []string{"doubling", "pfaulty", "byzantine:doubling", "byzantine:pfaulty", "byzantine:cone:2.5"} {
+		unit, scaled := firstTurn(name, 1), firstTurn(name, d)
+		if math.Abs(scaled.T-d*unit.T) > 1e-9*scaled.T || math.Abs(scaled.X-d*unit.X) > 1e-9*math.Abs(scaled.X) {
+			t.Errorf("%s: first turning point at mindist %g is %+v, want %g x %+v", name, d, scaled, d, unit)
+		}
+	}
+}
+
 func TestNewSearcherMinDistanceWithTwoGroup(t *testing.T) {
 	// The two-group sweep ignores the hint but must still work.
 	s, err := NewSearcher(6, 2, WithMinDistance(50))
