@@ -23,11 +23,13 @@ race:
 # and traced requests, traceparent parsing and propagation, histogram
 # observation, the event journal live and nil), and the service
 # handler with the daemon's default request deadline (hot and cold
-# /v1/plan, a hot /v1/searchtime, a 64-query batch). The root
-# package's -bench regex keeps its paper-experiment benchmarks out. Writes the machine-readable report to BENCH.json.
+# /v1/plan, a hot /v1/searchtime, a 64-query batch of small plans and
+# one shaped like perfbench's curve-batch). The root package's -bench
+# regex keeps its paper-experiment benchmarks out. Writes the
+# machine-readable report to BENCH.json.
 bench:
 	{ $(GO) test -run '^$$' -bench . -benchmem ./internal/telemetry ./internal/telemetry/journal ./internal/compiled ./internal/sim && \
-	  $(GO) test -run '^$$' -bench '^Benchmark(ServicePlanHot|ServicePlanCold|ServiceSearchTimeHot|Batch)$$' -benchmem . ; } | tee /dev/stderr \
+	  $(GO) test -run '^$$' -bench '^Benchmark(ServicePlanHot|ServicePlanCold|ServiceSearchTimeHot|Batch|BatchWide)$$' -benchmem . ; } | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH.json
 
 # Fail when any benchmark in BENCH.json allocates more than 2x its
@@ -93,15 +95,16 @@ bench-paper:
 # Byzantine vote-rule kernel against the exact engine, the kernel's
 # k-th-visit selection against its partial-selection oracle, the
 # expected-time series at miss probability 0 against the worst case,
-# the GET endpoints' query-string parser, and the two inbound peer
-# decoders replication and gossip feed (a pushed replica checkpoint, a
-# gossip POST).
+# the GET endpoints' query-string parser, the batch body against its
+# struct encoding, and the two inbound peer decoders replication and
+# gossip feed (a pushed replica checkpoint, a gossip POST).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSearchTime -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzByzantineVote -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzSelectKth -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzExpectedMatchesWorstCase -fuzztime 30s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 30s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzBatch -fuzztime 30s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzReplicaCheckpoint -fuzztime 30s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzGossipHandler -fuzztime 30s ./internal/membership
 

@@ -414,6 +414,11 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 			relay(w, resp)
 			return
 		}
+		if errors.Is(err, errBodyTooLarge) {
+			r.proxyErrs.Add(1)
+			telemetry.WriteJSONError(w, http.StatusBadGateway, err.Error())
+			return
+		}
 		lastErr = err
 		if errors.Is(err, errBackendStatus) {
 			lastResp = resp
@@ -553,6 +558,10 @@ func (r *Router) forward(req *http.Request, b *backend, body []byte) (*bufferedR
 	resp.Body.Close()
 	elapsed := time.Since(start)
 	b.hist.Observe(elapsed)
+	if errors.Is(err, errBodyTooLarge) {
+		span.SetStr("error", err.Error())
+		return nil, err
+	}
 	if err != nil {
 		// Died mid-body: the client saw nothing yet, so fail over.
 		return fail(fmt.Errorf("read backend response: %w", err))
@@ -569,18 +578,31 @@ func (r *Router) forward(req *http.Request, b *backend, body []byte) (*bufferedR
 	return br, nil
 }
 
-// readBody reads a backend body for relay. A declared Content-Length
-// within maxResponseBody is read into one buffer of exactly that size;
-// a body without a length (or over the limit) is read to EOF, bounded
-// by maxResponseBody. A HEAD answer declares the GET body's length but
-// carries no body.
+// errBodyTooLarge marks a backend answer over maxResponseBody. Every
+// backend would send the same bytes, so it neither charges the breaker
+// nor fails over: the client gets a 502 that names the limit.
+var errBodyTooLarge = fmt.Errorf("backend response exceeds the relay limit of %d bytes", maxResponseBody)
+
+// readBody reads a backend body for relay into one buffer. Backends
+// declare every JSON answer's length, which is read into a buffer of
+// exactly that size; a body without a length is read to EOF. A declared
+// length over maxResponseBody, or any byte past it, is errBodyTooLarge.
+// A HEAD answer declares the GET body's length but carries no body.
 func readBody(resp *http.Response, method string) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= maxResponseBody && method != http.MethodHead {
-		data := make([]byte, n)
-		_, err := io.ReadFull(resp.Body, data)
+	n := resp.ContentLength
+	if method == http.MethodHead || n < 0 {
+		data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
+		if len(data) > maxResponseBody {
+			return nil, errBodyTooLarge
+		}
 		return data, err
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxResponseBody))
+	if n > maxResponseBody {
+		return nil, errBodyTooLarge
+	}
+	data := make([]byte, n)
+	_, err := io.ReadFull(resp.Body, data)
+	return data, err
 }
 
 // hopByHop are connection-level headers a proxy must not relay.

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -814,6 +815,7 @@ func TestReadBody(t *testing.T) {
 		{"unknown length", `{"n":3}`, http.MethodPost, -1, `{"n":3}`, false},
 		{"short body", `{"n"`, http.MethodGet, 7, "", true},
 		{"head", "", http.MethodHead, 7, "", false},
+		{"declared over the limit", `{"n":3}`, http.MethodGet, maxResponseBody + 1, "", true},
 	} {
 		got, err := readBody(resp(tc.body, tc.length), tc.method)
 		if (err != nil) != tc.wantErr {
@@ -823,5 +825,72 @@ func TestReadBody(t *testing.T) {
 		if !tc.wantErr && string(got) != tc.want {
 			t.Errorf("%s: body %q, want %q", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestRouterRejectsOversizedBody pins the relay limit: a backend answer
+// over maxResponseBody, whether its length is declared or it arrives
+// chunked, reaches the client as a 502 naming the limit, never as a
+// truncated 200. Every backend would send the same bytes, so the router
+// neither fails over nor charges the breaker.
+func TestRouterRejectsOversizedBody(t *testing.T) {
+	chunk := bytes.Repeat([]byte("x"), 1<<20)
+	for _, framing := range []string{"declared", "chunked"} {
+		t.Run(framing, func(t *testing.T) {
+			var calls atomic.Int64
+			huge := func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				w.Header().Set("Content-Type", "application/json")
+				if framing == "declared" {
+					w.Header().Set("Content-Length", fmt.Sprint(maxResponseBody+10))
+				} else {
+					w.(http.Flusher).Flush() // commits the answer to chunked framing
+				}
+				for sent := 0; sent < maxResponseBody; sent += len(chunk) {
+					if _, err := w.Write(chunk); err != nil {
+						return
+					}
+				}
+				w.Write([]byte("0123456789"))
+			}
+			var urls []string
+			for i := 0; i < 2; i++ {
+				srv := httptest.NewServer(http.HandlerFunc(huge))
+				t.Cleanup(srv.Close)
+				urls = append(urls, srv.URL)
+			}
+			router, err := New(Config{
+				Backends:       urls,
+				HealthInterval: -1,
+				Logger:         slog.New(slog.NewTextHandler(io.Discard, nil)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(router.Close)
+			front := httptest.NewServer(router.Handler())
+			t.Cleanup(front.Close)
+
+			resp, err := http.Get(front.URL + "/v1/plan?n=200001&f=100000")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadGateway {
+				t.Errorf("status %d (%d body bytes), want 502", resp.StatusCode, len(body))
+			}
+			if limit := fmt.Sprint(maxResponseBody); !strings.Contains(string(body), limit) {
+				t.Errorf("body %.200q does not name the limit %s", body, limit)
+			}
+			if n := calls.Load(); n != 1 {
+				t.Errorf("%d backend calls, want 1 (no failover)", n)
+			}
+			for _, b := range router.backends {
+				if n := b.failures.Load(); n != 0 {
+					t.Errorf("backend %s charged %d failures", b.name, n)
+				}
+			}
+		})
 	}
 }

@@ -1,0 +1,103 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"testing"
+)
+
+// BatchItem and BatchResponse are the batch answer's shape as a struct
+// encoding/json renders. The handler splices per-item encodings into
+// the envelope instead; a body decoded into this shape must re-encode
+// to the same bytes.
+type BatchItem struct {
+	OK     bool   `json:"ok"`
+	Result any    `json:"result,omitempty"`
+	Error  string `json:"error,omitempty"`
+}
+
+type BatchResponse struct {
+	Results []BatchItem `json:"results"`
+	Errors  int         `json:"errors"`
+}
+
+// reencodeBatch decodes a batch answer into BatchResponse, keeping each
+// result as raw JSON, and encodes it back the way json.Encoder would.
+func reencodeBatch(body []byte) ([]byte, BatchResponse, error) {
+	var wire struct {
+		Results []struct {
+			OK     bool            `json:"ok"`
+			Result json.RawMessage `json:"result"`
+			Error  string          `json:"error"`
+		} `json:"results"`
+		Errors int `json:"errors"`
+	}
+	if err := json.Unmarshal(body, &wire); err != nil {
+		return nil, BatchResponse{}, err
+	}
+	resp := BatchResponse{Results: make([]BatchItem, len(wire.Results)), Errors: wire.Errors}
+	for i, it := range wire.Results {
+		resp.Results[i] = BatchItem{OK: it.OK, Error: it.Error}
+		if it.Result != nil {
+			resp.Results[i].Result = it.Result
+		}
+	}
+	out, err := json.Marshal(resp)
+	return append(out, '\n'), resp, err
+}
+
+// FuzzBatch posts arbitrary bytes to /v1/batch. The handler must not
+// panic, and a 200 must declare its exact length, re-encode byte for
+// byte through BatchResponse, and count one error per ok=false item.
+// Inputs whose queries ask for more than 64 robots or 1,000 targets
+// are skipped, so every input stays cheap.
+func FuzzBatch(f *testing.F) {
+	for _, req := range goldenRequests {
+		if req.method == http.MethodPost {
+			f.Add([]byte(req.body))
+		}
+	}
+	// Strategy errors echo the name and list cone:<beta>, so the error
+	// strings carry <, >, & and quotes that encoding/json escapes.
+	f.Add([]byte(`{"queries":[{"op":"plan","n":3,"f":1,"strategy":"a<b>&\"c\""},{"op":"lowerbound","n":5,"f":2}]}`))
+	f.Add([]byte(`{"queries":[{"op":"searchtimes","n":5,"f":2,"xs":[1,-2,1e300]},{"op":"bogus"}]}`))
+	h := newTestService(f, Config{}).Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req BatchRequest
+		if json.Unmarshal(body, &req) == nil {
+			for _, q := range req.Queries {
+				if q.N > 64 || len(q.Xs) > 1000 {
+					t.Skip("query too expensive for a fuzz input")
+				}
+			}
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			return
+		}
+		got := w.Body.Bytes()
+		if cl := w.Header().Get("Content-Length"); cl != strconv.Itoa(len(got)) {
+			t.Fatalf("Content-Length %q for a %d-byte body", cl, len(got))
+		}
+		want, resp, err := reencodeBatch(got)
+		if err != nil {
+			t.Fatalf("200 body does not decode: %v\n%s", err, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("body differs from its BatchResponse encoding:\n got %s\nwant %s", got, want)
+		}
+		failed := 0
+		for _, it := range resp.Results {
+			if !it.OK {
+				failed++
+			}
+		}
+		if resp.Errors != failed {
+			t.Fatalf("errors = %d, but %d items have ok=false", resp.Errors, failed)
+		}
+	})
+}

@@ -815,25 +815,53 @@ func parseIndexList(raw string) ([]int, error) {
 
 // --- HTTP handlers ----------------------------------------------------
 
+// newline ends every JSON answer, as json.Encoder would.
+var newline = []byte("\n")
+
 // writeJSON marshals v and writes it with the given status; an
 // already encoded json.RawMessage is written as it is. Marshal errors
 // turn into a 500 (they indicate a server bug, not bad input).
 func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
-	data, encoded := v.(json.RawMessage)
-	if !encoded {
-		var err error
-		if data, err = json.Marshal(v); err != nil {
-			s.logger.Error("marshal response", "err", err)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusInternalServerError)
-			fmt.Fprintf(w, `{"error":"internal: cannot encode response"}`)
-			return
-		}
+	data, err := encodeJSON(v)
+	if err != nil {
+		s.encodeFailed(w, err)
+		return
 	}
+	writeParts(w, status, [][]byte{data, newline})
+}
+
+// encodeJSON returns v's encoding: a json.RawMessage as it is, any
+// other value through json.Marshal.
+func encodeJSON(v any) ([]byte, error) {
+	if data, ok := v.(json.RawMessage); ok {
+		return data, nil
+	}
+	return json.Marshal(v)
+}
+
+// encodeFailed answers a result that cannot be encoded with a 500.
+func (s *Service) encodeFailed(w http.ResponseWriter, err error) {
+	s.logger.Error("marshal response", "err", err)
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusInternalServerError)
+	fmt.Fprintf(w, `{"error":"internal: cannot encode response"}`)
+}
+
+// writeParts writes the concatenation of parts as a JSON answer with
+// the given status. It declares the exact Content-Length, so net/http
+// never chunks the body and a router reads it into one buffer.
+func writeParts(w http.ResponseWriter, status int, parts [][]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(status)
-	w.Write(data)
-	w.Write([]byte("\n"))
+	for _, p := range parts {
+		w.Write(p)
+	}
 }
 
 // handleQuery serves one GET endpoint backed by eval.
@@ -858,22 +886,31 @@ type BatchRequest struct {
 	Queries []Query `json:"queries"`
 }
 
-// BatchItem is one element of a batch response. Failed queries report
-// ok=false and an error; the batch as a whole still returns 200.
-type BatchItem struct {
-	OK     bool   `json:"ok"`
-	Result any    `json:"result,omitempty"`
-	Error  string `json:"error,omitempty"`
+// batchItem is one batch answer, encoded by the worker that evaluated
+// it: the result's JSON when ok, else its error message as a JSON
+// string.
+type batchItem struct {
+	ok   bool
+	body []byte
 }
 
-// BatchResponse answers POST /v1/batch.
-type BatchResponse struct {
-	Results []BatchItem `json:"results"`
-	Errors  int         `json:"errors"`
-}
+// The batch envelope's fixed bytes. A response is
+// {"results":[{"ok":true,"result":…},{"ok":false,"error":"…"}],"errors":N}
+// followed by a newline: the encoding a struct of
+// {Results []{OK, Result any, Error string}; Errors int} gets from
+// encoding/json, which re-emits an embedded json.RawMessage compacted
+// and HTML-escaped, as json.Marshal already wrote it.
+var (
+	batchOpen   = []byte(`{"results":[`)
+	batchOK     = []byte(`{"ok":true,"result":`)
+	batchFailed = []byte(`{"ok":false,"error":`)
+	batchNext   = []byte(`},`)
+)
 
 // handleBatch fans a list of queries out over the worker pool and
-// reports per-query results.
+// reports per-query results. Each worker encodes its own item (a cached
+// plan body is used as it is), and the response splices those bytes
+// into the envelope without re-encoding them.
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
@@ -892,7 +929,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	items := make([]BatchItem, len(req.Queries))
+	items := make([]batchItem, len(req.Queries))
 	ctx, span := telemetry.StartSpan(r.Context(), "batch.fanout")
 	span.SetInt("queries", int64(len(req.Queries)))
 	workers := min(s.cfg.BatchWorkers, len(req.Queries))
@@ -900,25 +937,42 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	err := numeric.ForEach(ctx, len(req.Queries), workers, func(_, i int) error {
 		res, err := s.eval(ctx, req.Queries[i])
 		if err != nil {
-			items[i] = BatchItem{OK: false, Error: err.Error()}
+			// Marshalling a string cannot fail.
+			items[i].body, _ = json.Marshal(err.Error())
 			return nil
 		}
-		items[i] = BatchItem{OK: true, Result: res}
-		return nil
+		items[i].ok = true
+		items[i].body, err = encodeJSON(res)
+		return err
 	})
 	span.End()
 	if err != nil {
-		// The client went away or the request timed out mid-batch.
-		telemetry.WriteJSONError(w, http.StatusServiceUnavailable, "batch cancelled: "+err.Error())
+		if ctx.Err() != nil {
+			// The client went away or the request timed out mid-batch.
+			telemetry.WriteJSONError(w, http.StatusServiceUnavailable, "batch cancelled: "+err.Error())
+		} else {
+			s.encodeFailed(w, err)
+		}
 		return
 	}
-	resp := BatchResponse{Results: items}
-	for _, it := range items {
-		if !it.OK {
-			resp.Errors++
+	parts := make([][]byte, 0, 3*len(items)+2)
+	parts = append(parts, batchOpen)
+	errs := 0
+	for i, it := range items {
+		if i > 0 {
+			parts = append(parts, batchNext)
+		}
+		if it.ok {
+			parts = append(parts, batchOK, it.body)
+		} else {
+			parts = append(parts, batchFailed, it.body)
+			errs++
 		}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	tail := append(make([]byte, 0, 32), `}],"errors":`...)
+	tail = strconv.AppendInt(tail, int64(errs), 10)
+	parts = append(parts, append(tail, "}\n"...))
+	writeParts(w, http.StatusOK, parts)
 }
 
 // handleMetrics exports the counters. The default is the expvar-style

@@ -17,7 +17,7 @@ import (
 )
 
 // newTestService builds a service with a quiet logger.
-func newTestService(t *testing.T, cfg Config) *Service {
+func newTestService(t testing.TB, cfg Config) *Service {
 	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -699,5 +699,47 @@ func TestBatchLargeOrdered(t *testing.T) {
 	}
 	if body["errors"].(float64) != 20 {
 		t.Errorf("errors = %v", body["errors"])
+	}
+}
+
+// TestAnswersDeclareLength pins that every JSON answer carries its
+// exact Content-Length over real HTTP, so large plans, curves and
+// batches are never chunked and a router reads each into one buffer.
+func TestAnswersDeclareLength(t *testing.T) {
+	srv := httptest.NewServer(newTestService(t, Config{}).Handler())
+	defer srv.Close()
+	xs := make([]string, 300)
+	for i := range xs {
+		xs[i] = fmt.Sprint(1 + i)
+	}
+	batch := `{"queries":[{"op":"plan","n":41,"f":21},{"op":"plan","n":41,"f":21},` +
+		`{"op":"plan","n":2,"f":2},{"op":"searchtime","n":41,"f":21,"x":7.5}]}`
+	for _, tc := range []struct{ name, method, target, body string }{
+		{"plan miss", "GET", "/v1/plan?n=41&f=21", ""},
+		{"plan hit", "GET", "/v1/plan?n=41&f=21", ""},
+		{"searchtimes", "GET", "/v1/searchtimes?n=41&f=21&xs=" + strings.Join(xs, ","), ""},
+		{"timeline", "GET", "/v1/timeline?n=41&f=21&x=7.5", ""},
+		{"batch", "POST", "/v1/batch", batch},
+	} {
+		req, err := http.NewRequest(tc.method, srv.URL+tc.target, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: read: %v", tc.name, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, resp.StatusCode, body)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				tc.name, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
 	}
 }

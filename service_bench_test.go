@@ -119,3 +119,52 @@ func BenchmarkBatch(b *testing.B) {
 		serveBench(b, h, req)
 	}
 }
+
+// BenchmarkBatchWide measures a 64-query batch shaped like perfbench's
+// curve-batch entries: six warm proportional plans with n from 21 to
+// 41, and per ten queries five searchtimes, two plans (whose stored
+// bodies run to several KB), one lowerbound and two 16-target curves.
+// Two warm-up passes store every plan body, so the timed batches
+// measure fan-out, evaluation and response encoding.
+func BenchmarkBatchWide(b *testing.B) {
+	h := newBenchService(b, 32)
+	keys := [][2]int{{21, 10}, {21, 14}, {31, 16}, {31, 24}, {41, 21}, {41, 30}}
+	var queries []map[string]any
+	for i := 0; i < 64; i++ {
+		k := keys[i%len(keys)]
+		q := map[string]any{"n": k[0], "f": k[1]}
+		switch i % 10 {
+		case 0, 1, 2, 3, 4:
+			q["op"] = "searchtime"
+			q["x"] = 1.5 + float64(i)
+		case 5, 6:
+			q["op"] = "plan"
+		case 7:
+			q["op"] = "lowerbound"
+		case 8, 9:
+			q["op"] = "searchtimes"
+			xs := make([]float64, 16)
+			for j := range xs {
+				xs[j] = float64(j*61%997) - 498.5
+			}
+			q["xs"] = xs
+		}
+		queries = append(queries, q)
+	}
+	body, err := json.Marshal(map[string]any{"queries": queries})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		serveBench(b, h, req)
+	}
+	post()
+	post()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+}
