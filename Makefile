@@ -18,7 +18,8 @@ race:
 
 # Allocation-gated micro benchmarks: the compiled kernel (cold compile,
 # hot eval, hot eval on wide plans n = 101/1001/10001, batch sizes
-# 1/100/10000, the Byzantine vote rule, one sweep cell) with its sim
+# 1/100/10000, perfbench curve-batch's six plans with their phase
+# tables built, the Byzantine vote rule, one sweep cell) with its sim
 # references, the expected-time series, the telemetry plane (untraced
 # and traced requests, traceparent parsing and propagation, histogram
 # observation, the event journal live and nil), and the service
@@ -94,6 +95,7 @@ bench-paper:
 # Short fuzzing smoke: the public SearchTime entry point, the
 # Byzantine vote-rule kernel against the exact engine, the kernel's
 # k-th-visit selection against its partial-selection oracle, the
+# phase-table answer of self-similar plans against the scan, the
 # expected-time series at miss probability 0 against the worst case,
 # the GET endpoints' query-string parser, the batch body against its
 # struct encoding, and the two inbound peer decoders replication and
@@ -102,6 +104,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSearchTime -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzByzantineVote -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzSelectKth -fuzztime 30s ./internal/compiled
+	$(GO) test -run '^$$' -fuzz FuzzSelfSimilarKth -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzExpectedMatchesWorstCase -fuzztime 30s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 30s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzBatch -fuzztime 30s ./internal/service

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"linesearch/internal/compiled"
@@ -184,4 +186,47 @@ func BenchmarkSweepCellSim(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEvalManyCurve is the kernel under perfbench's curve-batch
+// workload: one op evaluates a 1000-target curve (sorted, |x| drawn
+// uniformly in [1, 1000] with a random sign) on each of its six warm
+// plans, A(21,10), A(21,14), A(31,16), A(31,24), A(41,21) and
+// A(41,30). The plans' phase tables are built before the timer starts,
+// as they are on a warm daemon.
+func BenchmarkEvalManyCurve(b *testing.B) {
+	keys := [][2]int{{21, 10}, {21, 14}, {31, 16}, {31, 24}, {41, 21}, {41, 30}}
+	rng := rand.New(rand.NewPCG(1, 2))
+	evals := make([]*compiled.Evaluator, len(keys))
+	curves := make([][]float64, len(keys))
+	for i, key := range keys {
+		plan, err := sim.FromStrategy(strategy.Proportional{}, key[0], key[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		cp, err := compiled.Compile(plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		xs := make([]float64, 1000)
+		for j := range xs {
+			xs[j] = 1 + 999*rng.Float64()
+			if rng.IntN(2) == 0 {
+				xs[j] = -xs[j]
+			}
+		}
+		slices.Sort(xs)
+		evals[i], curves[i] = cp.Evaluator(), xs
+		defer evals[i].Release()
+		evals[i].EvalMany(xs, nil) // scans its first targets, then builds the table
+	}
+	dst := make([]float64, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, e := range evals {
+			dst = e.EvalMany(curves[j], dst)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)*1000), "ns/target")
 }

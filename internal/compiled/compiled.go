@@ -19,10 +19,24 @@
 // so compiled results agree with the reference engine bit-for-bit on
 // covered targets; the differential test in this package enforces
 // agreement to 1e-9 across randomized plans.
+//
+// Proportional and cone plans (and the Byzantine rule over them) are
+// self-similar: scaling space and time by sigma = kappa^(2/n) maps
+// robot i onto robot i+1, so the k-th visitor of x is named by x's
+// phase within one period of ln|x|. Compile detects that structure
+// without allocating; each (plan, rank) then lazily builds a phase
+// table (phase.go) that names the certainly-earlier robots and the few
+// candidates of each phase region. A query evaluates only the
+// candidates, with the scan's own arithmetic, so it returns the scan's
+// answer bit for bit in O(1) instead of O(n). Plans without the
+// structure, small fleets, targets outside the table's range and every
+// query before the table exists scan all robots.
 package compiled
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"linesearch/internal/geom"
 	"linesearch/internal/sim"
@@ -85,9 +99,10 @@ type ctraj struct {
 }
 
 // Plan is a compiled search plan: one compiled trajectory per robot
-// plus the fault model's budget and detection rank. It is immutable and
-// safe for concurrent use; per-query scratch lives in Evaluators (see
-// eval.go).
+// plus the fault model's budget and detection rank. It is safe for
+// concurrent use: the corners never change after Compile, the phase
+// tables (see phase.go) are built once per rank and published
+// atomically, and per-query scratch lives in Evaluators (see eval.go).
 type Plan struct {
 	robots []*ctraj
 	f      int
@@ -98,6 +113,12 @@ type Plan struct {
 	rank  int
 	src   *sim.Plan
 	evals evaluatorPool
+	// sym is the fleet's self-similarity, detected at compile time;
+	// table is the phase table of rank, otherRanks (allocated on first
+	// use) those of every other rank, indexed by rank.
+	sym        symmetry
+	table      rankTable
+	otherRanks atomic.Pointer[[]rankTable]
 }
 
 // Compile flattens every trajectory of p into the binary-searchable
@@ -128,6 +149,7 @@ func compile(p *sim.Plan, cornerCap int) (*Plan, error) {
 		cp.robots[i] = ct
 	}
 	cp.evals.plan = cp
+	cp.sym = detectSymmetry(cp.robots)
 	return cp, nil
 }
 
@@ -184,6 +206,9 @@ func compileTrajectory(tr *trajectory.Trajectory, cornerCap int) (*ctraj, error)
 		k := 1
 		for (hi < cover || lo > -cover) && len(ct.times) < cornerCap {
 			p := tail.TurningPoint(k)
+			if math.IsInf(p.X, 0) || math.IsInf(p.T, 0) {
+				break // beyond float64: the source's closed form answers
+			}
 			appendCorner(p)
 			if p.X < lo {
 				lo = p.X

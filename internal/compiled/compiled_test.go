@@ -235,9 +235,11 @@ func TestLargePlanMatchesSim(t *testing.T) {
 // TestEvalManyCtxStopsWhenCancelled checks that a curve evaluation on
 // a wide plan gives up with the context's error instead of finishing:
 // at once for a context cancelled up front, and part-way through for
-// one cancelled mid-evaluation.
+// one cancelled mid-evaluation. The plan is the uniform-spacing
+// ablation, which has no self-similarity, so every target scans all
+// 1001 robots and 10000 targets take far longer than the deadline.
 func TestEvalManyCtxStopsWhenCancelled(t *testing.T) {
-	_, cp := compilePair(t, strategy.Proportional{}, 1001, 500)
+	_, cp := compilePair(t, strategy.UniformCone{Beta: 1.002}, 1001, 500)
 	xs := make([]float64, 10000)
 	for i := range xs {
 		xs[i] = float64(i) + 1

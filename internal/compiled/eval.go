@@ -27,6 +27,9 @@ type Evaluator struct {
 	// queries for nearby (in particular sorted) targets then re-enter
 	// the binary search on a narrowed window.
 	hints []int
+	// period and shift cache the last phase-table query's period m and
+	// m mod n, sparing sorted targets an integer division each.
+	period, shift int
 }
 
 // evaluatorPool recycles Evaluators so the Plan-level methods stay
@@ -76,9 +79,21 @@ func (e *Evaluator) KthDistinctVisit(x float64, k int) (float64, error) {
 func (e *Evaluator) SearchTime(x float64) float64 { return e.kth(x, e.plan.rank) }
 
 // kth returns the k-th distinct first-visit time at x, +Inf if fewer
-// than k robots visit. A buffer selectKth would not partition goes to
-// minSelect directly, which inlines here, so small plans pay no call.
+// than k robots visit. A self-similar plan answers from rank k's phase
+// table once it is built; every other query scans all robots. A buffer
+// selectKth would not partition goes to minSelect directly, which
+// inlines here, so small plans pay no call.
 func (e *Evaluator) kth(x float64, k int) float64 {
+	if t := e.phaseTable(k); t != nil {
+		if v, ok := e.tableKth(t, x, k); ok {
+			return v
+		}
+	}
+	return e.scan(x, k)
+}
+
+// scan is kth over every robot: gather each first visit, then select.
+func (e *Evaluator) scan(x float64, k int) float64 {
 	switch m := e.gatherVisits(x); {
 	case m < k:
 		return math.Inf(1)

@@ -47,3 +47,53 @@ func (e *Evaluator) FirstVisit(i int, x float64) (float64, bool) {
 	e.hints[i] = idx
 	return t, ok
 }
+
+// PhaseGrid describes where a self-similar plan's phase tables answer:
+// |x| in [Lo, Hi], periods of LogSigma in ln|x| starting at LogBase,
+// and per side (0: x > 0) the phase of the one fleet turning point a
+// period holds, with a zone of Zone periods around it.
+type PhaseGrid struct {
+	Lo, Hi, LogBase, LogSigma, Zone float64
+	Turn                            [2]float64
+}
+
+// Grid returns the plan's phase grid; ok is false without a symmetry.
+func (p *Plan) Grid() (PhaseGrid, bool) {
+	s := &p.sym
+	return PhaseGrid{Lo: s.lo, Hi: s.hi, LogBase: s.logBase, LogSigma: s.logSigma, Zone: s.zone, Turn: s.turn}, s.ok
+}
+
+// BuildTable builds and installs rank k's phase table now, whatever the
+// plan's size and scan count, and reports whether its certificate held.
+func (e *Evaluator) BuildTable(k int) bool {
+	if !e.plan.sym.ok {
+		return false
+	}
+	rt := e.plan.tableSlot(k)
+	if rt.table.Load() != nil {
+		return true
+	}
+	t, ok := e.buildTable(k)
+	if ok {
+		rt.table.Store(t)
+	}
+	return ok
+}
+
+// TableKth answers the k-th first visit at x from rank k's installed
+// phase table (see BuildTable); ok is false without one or when x is
+// outside the table's range.
+func (e *Evaluator) TableKth(x float64, k int) (float64, bool) {
+	t := e.plan.tableSlot(k).table.Load()
+	if t == nil {
+		return 0, false
+	}
+	return e.tableKth(t, x, k)
+}
+
+// ScanKth answers the k-th first visit at x by scanning every robot,
+// the oracle of the phase tables.
+func (e *Evaluator) ScanKth(x float64, k int) float64 { return e.scan(x, k) }
+
+// HasTable reports whether rank k's phase table has been built.
+func (p *Plan) HasTable(k int) bool { return p.tableSlot(k).table.Load() != nil }

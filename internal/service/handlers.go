@@ -575,9 +575,11 @@ func (s *Service) evalSearchTimes(ctx context.Context, q Query) (any, error) {
 		res.Model = m
 		res.DetectionRank = plan.Searcher.DetectionRank()
 	}
+	// Each finite time points into times itself, so the answer holds no
+	// per-target allocation.
 	for i, t := range times {
-		res.Times[i] = finitePtr(t)
-		if res.Times[i] != nil {
+		if !math.IsNaN(t) && !math.IsInf(t, 0) {
+			res.Times[i] = &times[i]
 			res.Detected++
 		}
 	}
@@ -787,9 +789,10 @@ func floatParam(v url.Values, name string, def float64) (float64, error) {
 // parseFloatList parses "1.5,-2,40" into a float list; noun names the
 // entries in the rejection message.
 func parseFloatList(raw, noun string) ([]float64, error) {
-	parts := strings.Split(raw, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
+	out := make([]float64, 0, strings.Count(raw, ",")+1)
+	for rest, more := raw, true; more; {
+		var p string
+		p, rest, more = strings.Cut(rest, ",")
 		x, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return nil, badRequest("invalid %s %q", noun, p)
@@ -801,9 +804,10 @@ func parseFloatList(raw, noun string) ([]float64, error) {
 
 // parseIndexList parses "0,2,5" into an index list.
 func parseIndexList(raw string) ([]int, error) {
-	parts := strings.Split(raw, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
+	out := make([]int, 0, strings.Count(raw, ",")+1)
+	for rest, more := raw, true; more; {
+		var p string
+		p, rest, more = strings.Cut(rest, ",")
 		idx, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
 			return nil, badRequest("invalid robot index %q", p)

@@ -38,6 +38,9 @@ func NewZigZag(cone geom.Cone, anchor geom.Point) (*ZigZag, error) {
 // Anchor implements Tail.
 func (z *ZigZag) Anchor() geom.Point { return z.anchor }
 
+// Cone returns the cone the tail zig-zags in.
+func (z *ZigZag) Cone() geom.Cone { return z.cone }
+
 // Validate implements Tail.
 func (z *ZigZag) Validate() error {
 	if z.anchor.X == 0 || !z.cone.OnBoundary(z.anchor, 1e-9) {
@@ -51,7 +54,14 @@ func (z *ZigZag) Validate() error {
 // is how Definition 4 derives the start-up turning points tau'_i.
 func (z *ZigZag) TurningPoint(k int) geom.Point {
 	kappa := z.cone.ExpansionFactor()
-	mag := math.Abs(z.anchor.X) * math.Pow(kappa, float64(k))
+	grow := math.Pow(kappa, float64(k))
+	mag := math.Abs(z.anchor.X) * grow
+	if math.IsInf(grow, 0) || grow == 0 {
+		// kappa^k alone leaves the float64 range although the turning
+		// point may not (a tiny or huge anchor): apply it in two halves.
+		h := k / 2
+		mag = math.Pow(kappa, float64(h)) * (math.Abs(z.anchor.X) * math.Pow(kappa, float64(k-h)))
+	}
 	x := mag
 	// Sign alternates each turn; even k keeps the anchor's side.
 	if k%2 != 0 {
@@ -114,6 +124,15 @@ func (z *ZigZag) segmentIndexAt(t float64) (int, error) {
 func (z *ZigZag) FirstVisit(x float64) (float64, bool) {
 	for k := 0; k < maxTailSegments; k++ {
 		s := z.segment(k)
+		if math.IsInf(s.To.X, 0) || math.IsInf(s.To.T, 0) {
+			// The next turn lies beyond the float64 range: the robot
+			// sweeps on from s.From at unit speed and never returns.
+			dir := math.Copysign(1, s.To.X-s.From.X)
+			if ahead := (x - s.From.X) * dir; ahead >= 0 {
+				return s.From.T + ahead, true
+			}
+			return 0, false
+		}
 		if vs := s.VisitTimes(x); len(vs) > 0 {
 			return vs[0], true
 		}
