@@ -16,8 +16,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Allocation-gated micro benchmarks: the compiled kernel (cold compile,
-# hot eval, hot eval on wide plans n = 101/1001/10001, batch sizes
+# Allocation-gated micro benchmarks: the compiled kernel (cold compile
+# at n = 5/101/1001, hot eval, hot eval on wide plans n = 101/1001/10001,
+# one target far past every robot's corners on A(1001,1000), batch sizes
 # 1/100/10000, perfbench curve-batch's six plans with their phase
 # tables built, the Byzantine vote rule, one sweep cell) with its sim
 # references, the expected-time series, the telemetry plane (untraced
@@ -92,7 +93,8 @@ obs-smoke:
 bench-paper:
 	$(GO) test -bench . -benchmem .
 
-# Short fuzzing smoke: the public SearchTime entry point, the
+# Short fuzzing smoke: the public SearchTime entry point, the zig-zag
+# tail's closed-form first visit against the segment walk, the
 # Byzantine vote-rule kernel against the exact engine, the kernel's
 # k-th-visit selection against its partial-selection oracle, the
 # phase-table answer of self-similar plans against the scan, the
@@ -102,6 +104,7 @@ bench-paper:
 # gossip feed (a pushed replica checkpoint, a gossip POST).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSearchTime -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz FuzzZigZagFirstVisit -fuzztime 30s ./internal/trajectory
 	$(GO) test -run '^$$' -fuzz FuzzByzantineVote -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzSelectKth -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzSelfSimilarKth -fuzztime 30s ./internal/compiled

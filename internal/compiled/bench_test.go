@@ -50,14 +50,22 @@ func benchTargets(size int) []float64 {
 }
 
 // BenchmarkCompileCold measures plan flattening (the one-time cost paid
-// at Searcher construction).
+// at Searcher construction) on proportional plans A(n, n/2). Its
+// allocations do not grow with n: one arena holds every robot's corners.
 func BenchmarkCompileCold(b *testing.B) {
-	plan, _ := benchPlan(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := compiled.Compile(plan); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{5, 101, 1001} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			plan, err := sim.FromStrategy(strategy.Proportional{}, n, n/2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := compiled.Compile(plan); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -101,6 +109,31 @@ func BenchmarkSearchTimeLargeN(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSearchTimeFar measures one query far beyond every robot's
+// compiled corners, A(1001, 1000) at x = 1e300, where each of the 1001
+// robots answers through its zig-zag tail's closed form.
+func BenchmarkSearchTimeFar(b *testing.B) {
+	plan, err := sim.FromStrategy(strategy.Proportional{}, 1001, 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cp, err := compiled.Compile(plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := cp.Evaluator()
+	defer e.Release()
+	for range 16 { // past the phase table's build, which cannot answer here
+		e.SearchTime(1e300)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if t := e.SearchTime(1e300); !(t > 0) || math.IsInf(t, 0) {
+			b.Fatalf("bad search time %v", t)
+		}
 	}
 }
 

@@ -7,12 +7,14 @@
 // The flattening exploits the structure Theorem 3 gives every schedule
 // in this repository: turning points form a geometric sequence inside
 // the cone C_beta, so a finite corner array covers an exponentially
-// large target range. Each robot's corner list is paired with its
-// running coverage envelope (cumulative min/max position); the envelope
-// is monotone in the corner index, so "which segment first reaches x"
-// is a binary search. Targets beyond the compiled envelope fall back to
-// the exact closed-form query on the source trajectory, so compiled
-// answers are defined for every input the simulator accepts.
+// large target range. A plan's corners live in one arena of four flat
+// arrays (times, positions and the running coverage envelope, i.e.
+// cumulative min/max position), counted before the one allocation; each
+// robot is a view into it plus its trajectory's tail. The envelope is
+// monotone in the corner index, so "which segment first reaches x" is a
+// binary search. Past the corners every robot answers through its
+// tail's closed-form FirstVisit (none for a robot that halts), so
+// compiled answers are defined for every input the simulator accepts.
 //
 // All crossing times are computed with the same arithmetic as
 // internal/sim (identical segment endpoints, identical interpolation),
@@ -43,41 +45,20 @@ import (
 	"linesearch/internal/trajectory"
 )
 
-// tailKind discriminates the infinite continuation of a compiled
-// trajectory for queries beyond the corner arrays.
-type tailKind uint8
-
-const (
-	// tailNone: the robot halts at (or before) the last corner; targets
-	// outside the envelope are never visited.
-	tailNone tailKind = iota
-	// tailRay: one-way unit-speed sweep from the last corner; targets
-	// ahead of the anchor are visited in closed form.
-	tailRay
-	// tailFallback: an infinite zig-zag (or unknown tail) extending past
-	// the compiled horizon; out-of-envelope queries use the source
-	// trajectory's exact closed form.
-	tailFallback
-)
-
-// Compilation bounds. coverageFactor is the target position range of
-// the corner arrays relative to each zig-zag's anchor magnitude:
-// turning points are materialised until the envelope covers
-// |x| <= coverageFactor * |anchor|, far beyond the service's maximum
-// query horizon, so fallbacks happen only for pathological targets.
-// maxCorners caps the per-trajectory corner count (a guard for
-// near-degenerate cones whose expansion factor is barely above 1).
-// Queries beyond a capped envelope fall back to the exact trajectory
-// closed form.
+// Compilation bounds: a zig-zag's turning points are materialised until
+// its envelope covers |x| <= coverageFactor*|anchor| on both sides, far
+// beyond the service's query horizon, or it has maxCorners corners (a
+// guard for cones whose expansion factor is barely above 1). Targets
+// beyond a robot's envelope, capped or not, are answered by its tail.
 const (
 	coverageFactor = 1e8
 	maxCorners     = 4096
 )
 
-// ctraj is one robot's compiled trajectory: corner arrays plus the
-// coverage envelope and the tail descriptor. Robots sharing a source
-// trajectory (the doubling baseline) share one ctraj.
-type ctraj struct {
+// robot is one robot's view of its plan's corner arena plus the tail
+// that answers targets beyond the corners. Robots sharing a source
+// trajectory (the doubling baseline) share one view.
+type robot struct {
 	// times and pos are the trajectory's corner points (finite legs
 	// followed by materialised tail turning points); times never
 	// decrease and motion between consecutive corners is uniform.
@@ -89,22 +70,18 @@ type ctraj struct {
 	// index whose envelope contains x" binary-searchable.
 	cumMin []float64
 	cumMax []float64
-
-	tail tailKind
-	// rayX, rayT, rayDir describe the tailRay continuation (the exact
-	// anchor floats of the source Ray, so closed forms match sim).
-	rayX, rayT, rayDir float64
-	// src answers out-of-envelope queries for tailFallback.
-	src *trajectory.Trajectory
+	// tail answers targets outside the envelope; nil when the robot
+	// halts, so it never visits them.
+	tail trajectory.Tail
 }
 
-// Plan is a compiled search plan: one compiled trajectory per robot
-// plus the fault model's budget and detection rank. It is safe for
-// concurrent use: the corners never change after Compile, the phase
-// tables (see phase.go) are built once per rank and published
-// atomically, and per-query scratch lives in Evaluators (see eval.go).
+// Plan is a compiled search plan: one robot view per robot plus the
+// fault model's budget and detection rank. It is safe for concurrent
+// use: the corners never change after Compile, the phase tables (see
+// phase.go) are built once per rank and published atomically, and
+// per-query scratch lives in Evaluators (see eval.go).
 type Plan struct {
-	robots []*ctraj
+	robots []robot
 	f      int
 	// rank is the distinct-visitor rank at which the source plan's
 	// detection rule fires: f+1 in the crash model, f+votes under the
@@ -128,132 +105,166 @@ func Compile(p *sim.Plan) (*Plan, error) {
 }
 
 // compile is Compile with the per-trajectory corner cap as a
-// parameter, so tests can force the fallback path.
+// parameter, so tests can force targets past the corners. It counts
+// every distinct trajectory's corners, allocates one arena for all of
+// them and fills it robot by robot; sim.NewPlanModel has already
+// validated every trajectory.
 func compile(p *sim.Plan, cornerCap int) (*Plan, error) {
 	if p == nil {
 		return nil, fmt.Errorf("compiled: nil plan")
 	}
 	trajs := p.Trajectories()
-	cp := &Plan{robots: make([]*ctraj, len(trajs)), f: p.F(), rank: p.DetectionRank(), src: p}
-	shared := make(map[*trajectory.Trajectory]*ctraj, len(trajs))
+	cp := &Plan{robots: make([]robot, len(trajs)), f: p.F(), rank: p.DetectionRank(), src: p}
+	// A trajectory's finite part is counted exactly and a zig-zag's
+	// turns are bounded by zigzagTurns, both as arena.compile keeps them.
+	size, kappa, turns := 0, 0.0, 0
 	for i, tr := range trajs {
-		if ct, ok := shared[tr]; ok {
-			cp.robots[i] = ct
+		if i > 0 && tr == trajs[i-1] {
 			continue
 		}
-		ct, err := compileTrajectory(tr, cornerCap)
-		if err != nil {
-			return nil, fmt.Errorf("compiled: robot %d: %w", i, err)
+		var c cursor
+		prefix(tr, func(p geom.Point) { c.keep(p) })
+		if z, ok := tr.TailOf().(*trajectory.ZigZag); ok {
+			if k := z.Cone().ExpansionFactor(); k != kappa {
+				kappa, turns = k, zigzagTurns(k, cornerCap)
+			}
+			c.n = min(c.n+turns, max(cornerCap, c.n))
 		}
-		shared[tr] = ct
-		cp.robots[i] = ct
+		size += c.n
+	}
+	buf := make([]float64, 4*size)
+	a := arena{
+		times:  buf[:0:size],
+		pos:    buf[size : size : 2*size],
+		cumMin: buf[2*size : 2*size : 3*size],
+		cumMax: buf[3*size : 3*size : 4*size],
+	}
+	for i, tr := range trajs {
+		if i > 0 && tr == trajs[i-1] {
+			cp.robots[i] = cp.robots[i-1]
+			continue
+		}
+		cp.robots[i] = a.compile(tr, cornerCap)
 	}
 	cp.evals.plan = cp
 	cp.sym = detectSymmetry(cp.robots)
 	return cp, nil
 }
 
-// compileTrajectory flattens one trajectory, materialising at most
-// cornerCap corners.
-func compileTrajectory(tr *trajectory.Trajectory, cornerCap int) (*ctraj, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	ct := &ctraj{src: tr}
-
-	appendCorner := func(p geom.Point) {
-		if n := len(ct.times); n > 0 {
-			if prev := ct.times[n-1]; p.T < prev {
-				// Tail anchors may precede the final leg corner by up
-				// to the trajectory contiguity tolerance; clamp to keep
-				// the times array monotone.
-				p.T = prev
-			}
-			if ct.times[n-1] == p.T && ct.pos[n-1] == p.X {
-				return // exact duplicate (leg junction repeated by the tail anchor)
-			}
-		}
-		ct.times = append(ct.times, p.T)
-		ct.pos = append(ct.pos, p.X)
-	}
-
-	legs := tr.Legs()
-	if len(legs) > 0 {
-		appendCorner(legs[0].From)
-		for _, leg := range legs {
-			appendCorner(leg.To)
+// prefix calls add with each corner of tr's finite part: the first
+// leg's start, every leg's end and the tail's anchor.
+func prefix(tr *trajectory.Trajectory, add func(geom.Point)) {
+	if tr.NumLegs() > 0 {
+		add(tr.Leg(0).From)
+		for i := range tr.NumLegs() {
+			add(tr.Leg(i).To)
 		}
 	}
+	if tail := tr.TailOf(); tail != nil {
+		add(tail.Anchor())
+	}
+}
 
-	switch tail := tr.TailOf().(type) {
-	case nil:
-		ct.tail = tailNone
+// cursor tracks the corners kept of one trajectory and their running
+// envelope. A corner's time is clamped to the previous corner's (a tail
+// anchor may precede the final leg's end by up to the trajectory
+// contiguity tolerance), and a corner repeating the previous one
+// exactly (the leg junction a tail anchor repeats) is dropped.
+type cursor struct {
+	n      int
+	last   geom.Point
+	lo, hi float64
+}
+
+// keep returns p as clamped and reports whether it is a new corner.
+func (c *cursor) keep(p geom.Point) (geom.Point, bool) {
+	if c.n == 0 {
+		c.lo, c.hi = p.X, p.X
+	} else {
+		if p.T < c.last.T {
+			p.T = c.last.T
+		}
+		if p == c.last {
+			return p, false
+		}
+		if p.X < c.lo {
+			c.lo = p.X
+		}
+		if p.X > c.hi {
+			c.hi = p.X
+		}
+	}
+	c.n++
+	c.last = p
+	return p, true
+}
+
+// zigzagTurns bounds the turning points past the anchor arena.compile
+// materialises for a zig-zag of expansion factor kappa. Turn k lies at
+// |x_0|*kappa^k, computed with the same math.Pow, and a product with
+// |x_0| never reverses a comparison with coverageFactor*|x_0|: the
+// first k with kappa^k >= coverageFactor covers one side and k+1 the
+// other. Past cornerCap the cap binds instead.
+func zigzagTurns(kappa float64, cornerCap int) int {
+	k := max(int(math.Log(coverageFactor)/math.Log(kappa))-1, 1)
+	for k < cornerCap && math.Pow(kappa, float64(k)) < coverageFactor {
+		k++
+	}
+	return k + 1
+}
+
+// arena is a plan's four corner arrays, sized before the first corner
+// is written; each robot's view is the run of corners arena.compile
+// appended for it.
+type arena struct {
+	times, pos, cumMin, cumMax []float64
+}
+
+// compile appends tr's corners to the arena and returns its view:
+// the finite part, then for a zig-zag tail its turning points until
+// the envelope covers coverageFactor times the anchor's distance on
+// both sides, stopping at cornerCap corners or where a turning point
+// leaves the float64 range.
+func (a *arena) compile(tr *trajectory.Trajectory, cornerCap int) robot {
+	start := len(a.times)
+	var c cursor
+	add := func(p geom.Point) {
+		if p, ok := c.keep(p); ok {
+			a.times = append(a.times, p.T)
+			a.pos = append(a.pos, p.X)
+			a.cumMin = append(a.cumMin, c.lo)
+			a.cumMax = append(a.cumMax, c.hi)
+		}
+	}
+	prefix(tr, add)
+
+	tail := tr.TailOf()
+	switch t := tail.(type) {
 	case *trajectory.Halt:
 		// A halting robot never extends coverage beyond its anchor,
-		// which is already the last corner (or becomes it here for a
-		// tail-only trajectory).
-		appendCorner(tail.Anchor())
-		ct.tail = tailNone
-	case *trajectory.Ray:
-		a := tail.Anchor()
-		appendCorner(a)
-		ct.tail = tailRay
-		ct.rayX, ct.rayT, ct.rayDir = a.X, a.T, float64(tail.Dir())
+		// which is already its last corner.
+		tail = nil
 	case *trajectory.ZigZag:
-		appendCorner(tail.TurningPoint(0))
-		cover := coverageFactor * abs(tail.Anchor().X)
-		lo, hi := minSlice(ct.pos), maxSlice(ct.pos)
-		k := 1
-		for (hi < cover || lo > -cover) && len(ct.times) < cornerCap {
-			p := tail.TurningPoint(k)
+		cover := coverageFactor * math.Abs(t.Anchor().X)
+		for k := 1; c.n < cornerCap && (c.hi < cover || c.lo > -cover); k++ {
+			p := t.TurningPoint(k)
 			if math.IsInf(p.X, 0) || math.IsInf(p.T, 0) {
-				break // beyond float64: the source's closed form answers
+				break // beyond float64: the tail's closed form answers
 			}
-			appendCorner(p)
-			if p.X < lo {
-				lo = p.X
-			}
-			if p.X > hi {
-				hi = p.X
-			}
-			k++
+			add(p)
 		}
-		// Queries beyond the materialised horizon (capped or not) use
-		// the exact closed form; on covered targets the arrays answer.
-		ct.tail = tailFallback
-	default:
-		// Unknown tail implementation: the corner arrays accelerate the
-		// finite prefix, everything else goes to the source trajectory.
-		// Materialise the anchor when the tail exposes one so tail-only
-		// trajectories (e.g. the half-line zig-zag) still compile.
-		if a, ok := tr.TailOf().(interface{ Anchor() geom.Point }); ok {
-			appendCorner(a.Anchor())
-		}
-		ct.tail = tailFallback
 	}
-
-	if len(ct.times) == 0 {
-		return nil, fmt.Errorf("compiled: trajectory produced no corners")
+	return robot{
+		times:  a.times[start:],
+		pos:    a.pos[start:],
+		cumMin: a.cumMin[start:],
+		cumMax: a.cumMax[start:],
+		tail:   tail,
 	}
-
-	ct.cumMin = make([]float64, len(ct.pos))
-	ct.cumMax = make([]float64, len(ct.pos))
-	lo, hi := ct.pos[0], ct.pos[0]
-	for i, x := range ct.pos {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-		ct.cumMin[i] = lo
-		ct.cumMax[i] = hi
-	}
-	return ct, nil
 }
 
 // covered reports whether the envelope at corner index i contains x.
-func (ct *ctraj) covered(i int, x float64) bool {
+func (ct *robot) covered(i int, x float64) bool {
 	return ct.cumMin[i] <= x && x <= ct.cumMax[i]
 }
 
@@ -262,24 +273,14 @@ func (ct *ctraj) covered(i int, x float64) bool {
 // value for none); for sorted or nearby targets it narrows the binary
 // search to a few corners. The returned index is the new hint; ok
 // reports whether the robot ever visits x.
-func (ct *ctraj) firstVisit(x float64, hint int) (t float64, idx int, ok bool) {
+func (ct *robot) firstVisit(x float64, hint int) (t float64, idx int, ok bool) {
 	last := len(ct.times) - 1
 	if !ct.covered(last, x) {
-		switch ct.tail {
-		case tailRay:
-			// Same closed form as trajectory.Ray.FirstVisit, on the
-			// exact anchor floats.
-			ahead := (x - ct.rayX) * ct.rayDir
-			if ahead < 0 {
-				return 0, hint, false
-			}
-			return ct.rayT + ahead, hint, true
-		case tailFallback:
-			t, ok := ct.src.FirstVisit(x)
-			return t, hint, ok
-		default:
+		if ct.tail == nil {
 			return 0, hint, false
 		}
+		t, ok := ct.tail.FirstVisit(x)
+		return t, hint, ok
 	}
 
 	// Find the minimal corner index whose envelope contains x. The
@@ -309,36 +310,9 @@ func (ct *ctraj) firstVisit(x float64, hint int) (t float64, idx int, ok bool) {
 	}
 	// x entered the envelope on the segment lo-1 -> lo, which therefore
 	// crosses it exactly once; interpolate with the same arithmetic as
-	// geom.Segment.VisitTimes. The displacement cannot be zero: a
+	// geom.Segment.FirstVisit. The displacement cannot be zero: a
 	// stationary segment never extends the envelope.
 	x0, x1 := ct.pos[lo-1], ct.pos[lo]
 	frac := (x - x0) / (x1 - x0)
 	return ct.times[lo-1] + frac*(ct.times[lo]-ct.times[lo-1]), lo, true
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func minSlice(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxSlice(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -54,8 +54,8 @@ func TestTwoGroupRayClosedForm(t *testing.T) {
 	}
 }
 
-// TestHaltNeverVisitsBeyond checks tailNone: a finite trajectory visits
-// nothing outside its swept envelope.
+// TestHaltNeverVisitsBeyond checks a halting robot, which keeps no
+// tail: a finite trajectory visits nothing outside its swept envelope.
 func TestHaltNeverVisitsBeyond(t *testing.T) {
 	halt, err := trajectory.NewHalt(geom.Point{X: 2, T: 5})
 	if err != nil {
@@ -349,5 +349,25 @@ func TestSharedTrajectoriesCompileOnce(t *testing.T) {
 	if cpShared.Corners() != cpSingle.Corners() {
 		t.Errorf("shared-trajectory plan materialises %d corners, single robot %d",
 			cpShared.Corners(), cpSingle.Corners())
+	}
+}
+
+// TestCompileAllocsIndependentOfN pins the arena layout: Compile makes
+// the same few allocations whatever the fleet size, since every
+// robot's corners share one arena sized before it is filled.
+func TestCompileAllocsIndependentOfN(t *testing.T) {
+	allocs := func(n int) float64 {
+		plan, err := sim.FromStrategy(strategy.Proportional{}, n, n/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := compiled.Compile(plan); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(5), allocs(401); small != large {
+		t.Errorf("Compile allocates %v times at n = 5 and %v at n = 401, want equal", small, large)
 	}
 }

@@ -8,8 +8,10 @@ import (
 
 	"linesearch/internal/compiled"
 	"linesearch/internal/fault"
+	"linesearch/internal/geom"
 	"linesearch/internal/sim"
 	"linesearch/internal/strategy"
+	"linesearch/internal/trajectory"
 )
 
 // diffTol is the required agreement between the three engines. The
@@ -166,28 +168,90 @@ func TestDifferentialCompiledSimStepsim(t *testing.T) {
 	}
 }
 
-// TestDifferentialCappedCompilation forces the corner cap low so the
-// fallback path (targets beyond the compiled envelope) is exercised and
-// must still agree with the reference engine.
+// TestDifferentialCappedCompilation forces the corner cap low so most
+// targets lie beyond the compiled corners, where every robot answers
+// through its tail's closed form, and checks every rank against the
+// reference engine. The plans cover each tail: zig-zags (proportional,
+// a wide cone, the doubling baseline), rays (two-group), half-line
+// zig-zags (p-faulty), and one mixed fleet adding a robot that halts.
 func TestDifferentialCappedCompilation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	plan, err := sim.FromStrategy(strategy.Proportional{}, 3, 1)
+	type namedPlan struct {
+		name string
+		plan *sim.Plan
+	}
+	var plans []namedPlan
+	for _, c := range []struct {
+		name string
+		n, f int
+	}{
+		{"proportional", 3, 1}, {"cone:1.5", 5, 2}, {"doubling", 4, 1}, {"twogroup", 6, 2}, {"pfaulty", 5, 2},
+	} {
+		st, err := strategy.Parse(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := sim.FromStrategy(st, c.n, c.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, namedPlan{fmt.Sprintf("%s(%d,%d)", c.name, c.n, c.f), plan})
+	}
+	plans = append(plans, namedPlan{"mixed", mixedTailPlan(t)})
+	for _, np := range plans {
+		name, plan := np.name, np.plan
+		cp, err := compiled.CompileCapped(plan, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 500; i++ {
+			x := math.Pow(10, 6*rng.Float64()) // up to 1e6, far past 8 corners
+			if rng.Intn(2) == 0 {
+				x = -x
+			}
+			for k := 1; k <= plan.N(); k++ {
+				want, _ := plan.KthDistinctVisit(x, k)
+				got, _ := cp.KthDistinctVisit(x, k)
+				if e := relErr(want, got); e > diffTol {
+					t.Fatalf("%s x=%g k=%d: capped compiled %v vs sim %v (rel err %g)", name, x, k, got, want, e)
+				}
+			}
+		}
+	}
+}
+
+// mixedTailPlan is a four-robot fleet with one robot per tail kind: a
+// zig-zag, a ray sweeping left, a half-line zig-zag sweeping right, and
+// a robot that walks to x = 50 and halts.
+func mixedTailPlan(t *testing.T) *sim.Plan {
+	t.Helper()
+	cone := geom.MustCone(2)
+	zz, err := trajectory.NewZigZag(cone, cone.BoundaryPoint(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := compiled.CompileCapped(plan, 8)
+	ray, err := trajectory.NewRay(geom.Point{X: 0, T: 0}, trajectory.Left)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 500; i++ {
-		x := math.Pow(10, 6*rng.Float64()) // up to 1e6, far past 8 corners
-		if rng.Intn(2) == 0 {
-			x = -x
-		}
-		want := plan.SearchTime(x)
-		got := cp.SearchTime(x)
-		if e := relErr(want, got); e > diffTol {
-			t.Fatalf("x=%g: capped compiled %v vs sim %v (rel err %g)", x, got, want, e)
-		}
+	half, err := trajectory.NewHalfZigZag(geom.Point{X: 0, T: 0}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	end := geom.Point{X: 50, T: 50}
+	halt, err := trajectory.NewHalt(end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trajs := []*trajectory.Trajectory{
+		trajectory.Must([]geom.Segment{{From: geom.Point{X: 0, T: 0}, To: geom.Point{X: 1, T: 1}}, {From: geom.Point{X: 1, T: 1}, To: cone.BoundaryPoint(1)}}, zz),
+		trajectory.Must(nil, ray),
+		trajectory.Must(nil, half),
+		trajectory.Must([]geom.Segment{{From: geom.Point{X: 0, T: 0}, To: end}}, halt),
+	}
+	plan, err := sim.NewPlanModel(trajs, fault.CrashModel(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }

@@ -125,8 +125,8 @@ func (e *Evaluator) EvalMany(xs []float64, dst []float64) []float64 {
 // that reaches x and returns their count.
 func (e *Evaluator) gatherVisits(x float64) int {
 	m := 0
-	for i, ct := range e.plan.robots {
-		t, idx, ok := ct.firstVisit(x, e.hints[i])
+	for i := range e.plan.robots {
+		t, idx, ok := e.plan.robots[i].firstVisit(x, e.hints[i])
 		e.hints[i] = idx
 		if ok {
 			e.buf[m] = t

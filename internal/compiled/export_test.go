@@ -6,8 +6,7 @@ import "linesearch/internal/sim"
 // per-goroutine evaluator and its internals through these.
 
 // CompileCapped is Compile with at most cornerCap corners per
-// trajectory, forcing the fallback path on targets beyond the capped
-// envelope.
+// trajectory, so targets beyond the capped envelope reach the tails.
 func CompileCapped(p *sim.Plan, cornerCap int) (*Plan, error) { return compile(p, cornerCap) }
 
 // DetectionRank returns the distinct-visitor rank at which detection is
@@ -15,14 +14,13 @@ func CompileCapped(p *sim.Plan, cornerCap int) (*Plan, error) { return compile(p
 func (p *Plan) DetectionRank() int { return p.rank }
 
 // Corners returns the total number of materialised corner points across
-// distinct trajectories — a memory-footprint observability hook.
+// distinct trajectories — a memory-footprint observability hook. Robots
+// sharing a trajectory share their view of the arena.
 func (p *Plan) Corners() int {
-	seen := make(map[*ctraj]bool, len(p.robots))
 	total := 0
-	for _, ct := range p.robots {
-		if !seen[ct] {
-			seen[ct] = true
-			total += len(ct.times)
+	for i := range p.robots {
+		if i == 0 || &p.robots[i].times[0] != &p.robots[i-1].times[0] {
+			total += len(p.robots[i].times)
 		}
 	}
 	return total

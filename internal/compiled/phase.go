@@ -85,15 +85,16 @@ type symmetry struct {
 // strictly inside its anchor's distance, and its first positive turning
 // point u_i satisfies ln u_i = ln u_0 + i*ln(kappa^(2/n)) modulo whole
 // periods 2*ln(kappa), to symTol. It allocates nothing.
-func detectSymmetry(robots []*ctraj) symmetry {
+func detectSymmetry(robots []robot) symmetry {
 	n := len(robots)
 	if n < 2 {
 		return symmetry{}
 	}
 	var kappa, logKappa, logSigma, logU0, lo float64
 	hi := math.Inf(1)
-	for i, ct := range robots {
-		z, ok := ct.src.TailOf().(*trajectory.ZigZag)
+	for i := range robots {
+		ct := &robots[i]
+		z, ok := ct.tail.(*trajectory.ZigZag)
 		if !ok {
 			return symmetry{}
 		}
@@ -110,15 +111,15 @@ func detectSymmetry(robots []*ctraj) symmetry {
 		// origin, so every |x| >= |anchor| is first reached on the
 		// zig-zag.
 		for j, t := range ct.times {
-			if t < a.T && !(abs(ct.pos[j]) < abs(a.X)) {
+			if t < a.T && !(math.Abs(ct.pos[j]) < math.Abs(a.X)) {
 				return symmetry{}
 			}
 		}
 		last := len(ct.pos) - 1
-		if !(abs(a.X) > 1e-290) || math.IsInf(ct.times[last], 0) {
+		if !(math.Abs(a.X) > 1e-290) || math.IsInf(ct.times[last], 0) {
 			return symmetry{}
 		}
-		lo = max(lo, abs(a.X))
+		lo = max(lo, math.Abs(a.X))
 		hi = min(hi, ct.cumMax[last], -ct.cumMin[last])
 		u := a.X // first positive turning point
 		if u < 0 {
@@ -131,7 +132,7 @@ func detectSymmetry(robots []*ctraj) symmetry {
 		}
 		period := 2 * logKappa
 		off := logU - logU0 - float64(i)*logSigma
-		if off -= period * math.Round(off/period); !(abs(off) <= symTol) {
+		if off -= period * math.Round(off/period); !(math.Abs(off) <= symTol) {
 			return symmetry{}
 		}
 	}
@@ -177,7 +178,7 @@ func (s *symmetry) at(side int, frac float64) float64 {
 // side's turning point, 1 the zone around it, 2 above). ok is false
 // outside [lo, hi], where the table does not answer.
 func (s *symmetry) locate(x float64) (m, side, region int, ok bool) {
-	ax := abs(x)
+	ax := math.Abs(x)
 	if !(ax >= s.lo && ax <= s.hi) {
 		return 0, 0, 0, false
 	}
@@ -331,14 +332,15 @@ func (e *Evaluator) buildTable(k int) (*phaseTable, bool) {
 		turn := s.turn[side]
 		delays := func(dst []float64, f1, f2 float64) bool {
 			x1, x2 := s.at(side, f1), s.at(side, f2)
-			for i, ct := range e.plan.robots {
+			for i := range e.plan.robots {
+				ct := &e.plan.robots[i]
 				t1, _, ok1 := ct.firstVisit(x1, -1)
 				t2, _, ok2 := ct.firstVisit(x2, -1)
 				if !ok1 || !ok2 {
 					return false
 				}
-				d1, d2 := t1-abs(x1), t2-abs(x2)
-				if abs(d1-d2) > 1e-3*certTol*max(t1, t2) {
+				d1, d2 := t1-math.Abs(x1), t2-math.Abs(x2)
+				if math.Abs(d1-d2) > 1e-3*certTol*max(t1, t2) {
 					return false
 				}
 				dst[i] = d1
@@ -350,12 +352,12 @@ func (e *Evaluator) buildTable(k int) (*phaseTable, bool) {
 		}
 		// A robot's delay errs by a fraction of its own first-visit time,
 		// which is at most the period's largest |x| plus the delay.
-		top := abs(s.at(side, 1))
+		top := math.Abs(s.at(side, 1))
 		for r, pair := range [3][2][]float64{{below, below}, {below, above}, {above, above}} {
 			for i := range n {
 				d0, d1 := min(pair[0][i], pair[1][i]), max(pair[0][i], pair[1][i])
-				lo[i] = d0 - certTol*(top+abs(d0))
-				hi[i] = d1 + certTol*(top+abs(d1))
+				lo[i] = d0 - certTol*(top+math.Abs(d0))
+				hi[i] = d1 + certTol*(top+math.Abs(d1))
 			}
 			if !e.certify(&t.regions[side][r], lo, hi, k) {
 				return nil, false

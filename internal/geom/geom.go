@@ -80,21 +80,21 @@ func (s Segment) PositionAt(t float64) (float64, error) {
 	return s.From.X + frac*s.Displacement(), nil
 }
 
-// VisitTimes returns every time in [From.T, To.T] at which the segment
-// passes through position x. A uniform-motion segment crosses x at most
-// once unless it is stationary at x, in which case the arrival time
-// From.T is reported.
-func (s Segment) VisitTimes(x float64) []float64 {
+// FirstVisit returns the time in [From.T, To.T] at which the segment
+// passes through position x, with ok false when it never does. A
+// uniform-motion segment crosses x at most once unless it is stationary
+// at x, in which case the arrival time From.T is reported.
+func (s Segment) FirstVisit(x float64) (t float64, ok bool) {
 	disp := s.Displacement()
 	if disp == 0 {
 		if s.From.X == x {
-			return []float64{s.From.T}
+			return s.From.T, true
 		}
-		return nil
+		return 0, false
 	}
 	frac := (x - s.From.X) / disp
 	if frac < 0 || frac > 1 {
-		return nil
+		return 0, false
 	}
-	return []float64{s.From.T + frac*s.Duration()}
+	return s.From.T + frac*s.Duration(), true
 }

@@ -90,39 +90,34 @@ func TestSegmentPositionAtInstantaneous(t *testing.T) {
 	}
 }
 
-func TestSegmentVisitTimes(t *testing.T) {
+func TestSegmentFirstVisit(t *testing.T) {
 	s := Segment{From: Point{X: 0, T: 0}, To: Point{X: 4, T: 4}}
 	tests := []struct {
 		x    float64
-		want []float64
+		want float64
+		ok   bool
 	}{
-		{2, []float64{2}},
-		{0, []float64{0}},
-		{4, []float64{4}},
-		{5, nil},
-		{-0.5, nil},
+		{2, 2, true},
+		{0, 0, true},
+		{4, 4, true},
+		{5, 0, false},
+		{-0.5, 0, false},
 	}
 	for _, tt := range tests {
-		got := s.VisitTimes(tt.x)
-		if len(got) != len(tt.want) {
-			t.Errorf("VisitTimes(%v) = %v, want %v", tt.x, got, tt.want)
-			continue
-		}
-		for i := range got {
-			if !numeric.AlmostEqual(got[i], tt.want[i], 1e-9) {
-				t.Errorf("VisitTimes(%v) = %v, want %v", tt.x, got, tt.want)
-			}
+		got, ok := s.FirstVisit(tt.x)
+		if ok != tt.ok || (ok && !numeric.AlmostEqual(got, tt.want, 1e-9)) {
+			t.Errorf("FirstVisit(%v) = %v, %v; want %v, %v", tt.x, got, ok, tt.want, tt.ok)
 		}
 	}
 }
 
-func TestSegmentVisitTimesStationary(t *testing.T) {
+func TestSegmentFirstVisitStationary(t *testing.T) {
 	s := Segment{From: Point{X: 2, T: 1}, To: Point{X: 2, T: 9}}
-	if got := s.VisitTimes(2); len(got) != 1 || got[0] != 1 {
-		t.Errorf("VisitTimes(2) = %v, want [1]", got)
+	if got, ok := s.FirstVisit(2); !ok || got != 1 {
+		t.Errorf("FirstVisit(2) = %v, %v; want 1, true", got, ok)
 	}
-	if got := s.VisitTimes(3); got != nil {
-		t.Errorf("VisitTimes(3) = %v, want nil", got)
+	if _, ok := s.FirstVisit(3); ok {
+		t.Errorf("FirstVisit(3) reports a visit, want none")
 	}
 }
 
@@ -154,16 +149,16 @@ func TestSegmentVisitWithinCoverProperty(t *testing.T) {
 		// Pick a query position from the swept interval via q in [0,1].
 		frac := math.Abs(math.Mod(q, 1))
 		x := x0 + frac*dx
-		vs := s.VisitTimes(x)
+		v, ok := s.FirstVisit(x)
 		if !s.Covers(x) {
-			return len(vs) == 0
+			return !ok
 		}
-		if len(vs) != 1 {
+		if !ok {
 			return false
 		}
 		// The reported visit time must be inside the segment and the
 		// position there must be x.
-		pos, err := s.PositionAt(vs[0])
+		pos, err := s.PositionAt(v)
 		return err == nil && numeric.AlmostEqual(pos, x, 1e-6)
 	}
 	if err := quick.Check(f, nil); err != nil {

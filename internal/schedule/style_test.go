@@ -81,12 +81,11 @@ func TestSlowStartMovesAtReducedSpeed(t *testing.T) {
 		}
 	}
 	// Single prefix leg: no waiting.
-	legs := tr.Legs()
-	if len(legs) != 1 {
-		t.Fatalf("slow start has %d prefix legs, want 1", len(legs))
+	if n := tr.NumLegs(); n != 1 {
+		t.Fatalf("slow start has %d prefix legs, want 1", n)
 	}
-	if legs[0].Speed() >= 1 {
-		t.Errorf("slow start speed %v, want < 1", legs[0].Speed())
+	if v := tr.Leg(0).Speed(); v >= 1 {
+		t.Errorf("slow start speed %v, want < 1", v)
 	}
 }
 

@@ -179,6 +179,21 @@ func TestConeStrategy(t *testing.T) {
 	}
 }
 
+// rayDirection reads a ray trajectory's sweep direction from where it
+// stands one time unit after its anchor.
+func rayDirection(t *testing.T, tr *trajectory.Trajectory) trajectory.Direction {
+	t.Helper()
+	a := tr.TailOf().Anchor()
+	x, err := tr.PositionAt(a.T + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x > a.X {
+		return trajectory.Right
+	}
+	return trajectory.Left
+}
+
 func TestTwoGroupBuild(t *testing.T) {
 	trajs, err := TwoGroup{}.Build(6, 2)
 	if err != nil {
@@ -186,11 +201,10 @@ func TestTwoGroupBuild(t *testing.T) {
 	}
 	var right, left int
 	for _, tr := range trajs {
-		ray, ok := tr.TailOf().(*trajectory.Ray)
-		if !ok {
+		if _, ok := tr.TailOf().(*trajectory.Ray); !ok {
 			t.Fatal("two-group trajectory is not a ray")
 		}
-		switch ray.Dir() {
+		switch rayDirection(t, tr) {
 		case trajectory.Right:
 			right++
 		case trajectory.Left:
@@ -213,7 +227,7 @@ func TestTwoGroupOddN(t *testing.T) {
 	}
 	var left int
 	for _, tr := range trajs {
-		if tr.TailOf().(*trajectory.Ray).Dir() == trajectory.Left {
+		if rayDirection(t, tr) == trajectory.Left {
 			left++
 		}
 	}

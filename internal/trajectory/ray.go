@@ -62,9 +62,6 @@ func MustRay(anchor geom.Point, dir Direction) *Ray {
 // Anchor implements Tail.
 func (r *Ray) Anchor() geom.Point { return r.anchor }
 
-// Dir returns the sweep direction.
-func (r *Ray) Dir() Direction { return r.dir }
-
 // Validate implements Tail.
 func (r *Ray) Validate() error {
 	if r.dir != Right && r.dir != Left {

@@ -125,10 +125,11 @@ func (tr *Trajectory) Start() geom.Point {
 	return tr.tail.Anchor()
 }
 
-// Legs returns a copy of the finite prefix legs.
-func (tr *Trajectory) Legs() []geom.Segment {
-	return append([]geom.Segment(nil), tr.legs...)
-}
+// NumLegs returns the number of finite prefix legs.
+func (tr *Trajectory) NumLegs() int { return len(tr.legs) }
+
+// Leg returns the i-th finite prefix leg, 0 <= i < NumLegs().
+func (tr *Trajectory) Leg(i int) geom.Segment { return tr.legs[i] }
 
 // TailOf returns the trajectory's infinite tail, or nil for a finite
 // trajectory.
@@ -158,8 +159,8 @@ func (tr *Trajectory) PositionAt(t float64) (float64, error) {
 // with ok reporting whether such a time exists.
 func (tr *Trajectory) FirstVisit(x float64) (float64, bool) {
 	for _, leg := range tr.legs {
-		if vs := leg.VisitTimes(x); len(vs) > 0 {
-			return vs[0], true
+		if t, ok := leg.FirstVisit(x); ok {
+			return t, true
 		}
 	}
 	if tr.tail != nil {
@@ -177,10 +178,8 @@ func (tr *Trajectory) VisitsUntil(x, tmax float64) []float64 {
 		if leg.From.T > tmax {
 			break
 		}
-		for _, v := range leg.VisitTimes(x) {
-			if v <= tmax {
-				out = append(out, v)
-			}
+		if v, ok := leg.FirstVisit(x); ok && v <= tmax {
+			out = append(out, v)
 		}
 	}
 	if tr.tail != nil {

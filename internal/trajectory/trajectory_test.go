@@ -211,13 +211,23 @@ func TestSegmentsUntilContiguousAndValid(t *testing.T) {
 	}
 }
 
-func TestLegsReturnsCopy(t *testing.T) {
-	legs := []geom.Segment{{From: geom.Point{X: 0, T: 0}, To: geom.Point{X: 1, T: 1}}}
+// TestLegReadsOwnCopy checks NumLegs and Leg read the legs New was
+// given, and that New keeps its own copy of them.
+func TestLegReadsOwnCopy(t *testing.T) {
+	legs := []geom.Segment{
+		{From: geom.Point{X: 0, T: 0}, To: geom.Point{X: 1, T: 1}},
+		{From: geom.Point{X: 1, T: 1}, To: geom.Point{X: -1, T: 3}},
+	}
 	tr := Must(legs, nil)
-	got := tr.Legs()
-	got[0].To.X = 99
-	if tr.Legs()[0].To.X != 1 {
-		t.Error("Legs() exposed internal state")
+	legs[0].To.X = 99
+	if tr.NumLegs() != 2 {
+		t.Fatalf("NumLegs() = %d, want 2", tr.NumLegs())
+	}
+	if got := tr.Leg(0).To.X; got != 1 {
+		t.Errorf("Leg(0).To.X = %v after the caller's slice changed, want 1", got)
+	}
+	if got := tr.Leg(1); got != legs[1] {
+		t.Errorf("Leg(1) = %v, want %v", got, legs[1])
 	}
 }
 

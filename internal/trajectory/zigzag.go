@@ -118,12 +118,37 @@ func (z *ZigZag) segmentIndexAt(t float64) (int, error) {
 	return 0, fmt.Errorf("trajectory: zig-zag segment not found for t=%g", t)
 }
 
-// FirstVisit implements Tail. The first segment whose swept interval
-// contains x yields the visit; segments sweep geometrically growing
-// intervals so the scan terminates in O(log |x/x0|) steps.
+// FirstVisit implements Tail: a segment-by-segment walk started next
+// to the answer. Segment k sweeps through the apex from TurningPoint(k)
+// to TurningPoint(k+1), so x is first reached on the segment arriving
+// at the first turning point j on x's side with |x_j| >= |x|, and
+// Lemma 1's |x_j| = |x_0|*kappa^j names j from a logarithm. Once x_{j-2}
+// is checked to fall short of x, no segment before j-3 ends within
+// rounding of x or beyond float64, so the walk from there answers as
+// the walk from k = 0 would, in a few segments.
 func (z *ZigZag) FirstVisit(x float64) (float64, bool) {
-	for k := 0; k < maxTailSegments; k++ {
-		s := z.segment(k)
+	ax := math.Abs(x)
+	// Turning points on x's side have j's parity; the apex counts as the
+	// anchor's (even) side.
+	p := 0
+	if x != 0 && (x < 0) != (z.anchor.X < 0) {
+		p = 1
+	}
+	// t_k = beta*|x_k| leaves float64 first, and such a turn reaches
+	// every target.
+	j, y := p, math.Min(ax, math.MaxFloat64/z.cone.Beta())
+	if e := (math.Log(y) - math.Log(math.Abs(z.anchor.X))) / math.Log(z.cone.ExpansionFactor()); e > float64(p) {
+		j += 2 * int(math.Ceil((math.Min(e, 1<<52)-float64(p))/2))
+	}
+	for ; j-2 >= p; j -= 2 {
+		if q := z.TurningPoint(j - 2); math.Abs(q.X) < ax && !math.IsInf(q.T, 0) {
+			break
+		}
+	}
+	k0 := max(j-3, 0)
+	from := z.TurningPoint(k0)
+	for k := k0; k < k0+maxTailSegments; k++ {
+		s := geom.Segment{From: from, To: z.TurningPoint(k + 1)}
 		if math.IsInf(s.To.X, 0) || math.IsInf(s.To.T, 0) {
 			// The next turn lies beyond the float64 range: the robot
 			// sweeps on from s.From at unit speed and never returns.
@@ -133,15 +158,16 @@ func (z *ZigZag) FirstVisit(x float64) (float64, bool) {
 			}
 			return 0, false
 		}
-		if vs := s.VisitTimes(x); len(vs) > 0 {
-			return vs[0], true
+		if t, ok := s.FirstVisit(x); ok {
+			return t, true
 		}
-		if math.Min(math.Abs(s.From.X), math.Abs(s.To.X)) > math.Abs(x) {
+		if math.Min(math.Abs(s.From.X), math.Abs(s.To.X)) > ax {
 			// Both endpoints are already beyond |x| on both sides; every
 			// later segment sweeps a superset interval, so if x were
 			// coverable it would have been covered.
 			return 0, false
 		}
+		from = s.To
 	}
 	return 0, false
 }
@@ -154,10 +180,8 @@ func (z *ZigZag) VisitsUntil(x, tmax float64) []float64 {
 		if s.From.T > tmax {
 			break
 		}
-		for _, v := range s.VisitTimes(x) {
-			if v <= tmax {
-				out = append(out, v)
-			}
+		if v, ok := s.FirstVisit(x); ok && v <= tmax {
+			out = append(out, v)
 		}
 	}
 	return dedupeAscending(out)

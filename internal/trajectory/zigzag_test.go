@@ -2,6 +2,7 @@ package trajectory
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -202,6 +203,111 @@ func TestZigZagFirstVisitAlwaysExists(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// walkFirstVisit is the segment-by-segment walk from k = 0, the oracle
+// of ZigZag.FirstVisit, which starts the same walk next to the answer.
+// done is false when it gave up after maxTailSegments segments.
+func walkFirstVisit(z *ZigZag, x float64) (t float64, ok, done bool) {
+	for k := 0; k < maxTailSegments; k++ {
+		s := z.segment(k)
+		if math.IsInf(s.To.X, 0) || math.IsInf(s.To.T, 0) {
+			dir := math.Copysign(1, s.To.X-s.From.X)
+			if ahead := (x - s.From.X) * dir; ahead >= 0 {
+				return s.From.T + ahead, true, true
+			}
+			return 0, false, true
+		}
+		if t, ok := s.FirstVisit(x); ok {
+			return t, true, true
+		}
+		if math.Min(math.Abs(s.From.X), math.Abs(s.To.X)) > math.Abs(x) {
+			return 0, false, true
+		}
+	}
+	return 0, false, false
+}
+
+// checkFirstVisitMatchesWalk compares FirstVisit with the walk bit for
+// bit at x and at the anchor's turning point turn moved by ulps.
+func checkFirstVisitMatchesWalk(t *testing.T, z *ZigZag, x float64, turn int, ulps int) {
+	t.Helper()
+	tp := z.TurningPoint(turn).X
+	for i := 0; i < ulps; i++ {
+		tp = math.Nextafter(tp, math.Inf(1))
+	}
+	for i := 0; i > ulps; i-- {
+		tp = math.Nextafter(tp, math.Inf(-1))
+	}
+	for _, x := range []float64{x, tp} {
+		want, wantOK, done := walkFirstVisit(z, x)
+		if !done {
+			continue
+		}
+		got, gotOK := z.FirstVisit(x)
+		if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("beta=%v anchor=%v x=%v: FirstVisit = %v, %v; walk %v, %v",
+				z.cone.Beta(), z.anchor.X, x, got, gotOK, want, wantOK)
+		}
+	}
+}
+
+// TestZigZagFirstVisitMatchesWalk pins the closed form to the walk on
+// random cones, anchors from 1e-300 to 1e300 and targets from 1e-300 to
+// the largest float64 and infinity, and on every turning point of the
+// first few hundred moved by up to 2 ulps either way.
+func TestZigZagFirstVisitMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	betas := []float64{1.000001, 1.01, 1.5, 2, 3, 7, 10, 64}
+	for i := 0; i < 5000; i++ {
+		beta := betas[rng.Intn(len(betas))]
+		if rng.Intn(2) == 0 {
+			beta = 1 + 9*rng.Float64()
+		}
+		cone := geom.MustCone(beta)
+		a := math.Pow(10, 600*rng.Float64()-300)
+		if rng.Intn(2) == 0 {
+			a = -a
+		}
+		z, err := NewZigZag(cone, cone.BoundaryPoint(a))
+		if err != nil {
+			continue
+		}
+		x := math.Pow(10, 616*rng.Float64()-300)
+		switch rng.Intn(20) {
+		case 0:
+			x = 0
+		case 1:
+			x = math.MaxFloat64
+		case 2:
+			x = math.Inf(1)
+		}
+		if rng.Intn(2) == 0 {
+			x = -x
+		}
+		checkFirstVisitMatchesWalk(t, z, x, rng.Intn(400), rng.Intn(5)-2)
+	}
+}
+
+// FuzzZigZagFirstVisit checks the closed-form FirstVisit against the
+// walk, bit for bit, at a target and at a turning point moved by a few
+// ulps.
+func FuzzZigZagFirstVisit(fz *testing.F) {
+	fz.Add(3.0, 1.0, 7.5, uint16(3), int8(0))
+	fz.Add(1.000001, -1e-300, 1e300, uint16(40), int8(1))
+	fz.Add(2.0, 1e12, -1e-12, uint16(1), int8(-1))
+	fz.Add(64.0, -2.5, math.MaxFloat64, uint16(900), int8(2))
+	fz.Fuzz(func(t *testing.T, beta, a, x float64, turn uint16, ulps int8) {
+		if !(beta > 1 && beta <= 64) || a == 0 || math.IsNaN(a) || math.IsInf(a, 0) {
+			return
+		}
+		cone := geom.MustCone(beta)
+		z, err := NewZigZag(cone, cone.BoundaryPoint(a))
+		if err != nil {
+			return
+		}
+		checkFirstVisitMatchesWalk(t, z, x, int(turn)%2000, int(ulps)%4)
+	})
 }
 
 func TestZigZagVisitsUntil(t *testing.T) {
