@@ -23,14 +23,15 @@ race:
 # tables built, the Byzantine vote rule, one sweep cell) with its sim
 # references, the expected-time series, the telemetry plane (untraced
 # and traced requests, traceparent parsing and propagation, histogram
-# observation, the event journal live and nil), and the service
-# handler with the daemon's default request deadline (hot and cold
-# /v1/plan, a hot /v1/searchtime, a 64-query batch of small plans and
-# one shaped like perfbench's curve-batch). The root package's -bench
+# observation, the event journal live and nil), the router relaying a
+# 40 KB and a 120 KB answer, and the service handler with the daemon's
+# default request deadline (hot and cold /v1/plan, a hot
+# /v1/searchtime, a 64-query batch of small plans and one shaped like
+# perfbench's curve-batch). The root package's -bench
 # regex keeps its paper-experiment benchmarks out. Writes the
 # machine-readable report to BENCH.json.
 bench:
-	{ $(GO) test -run '^$$' -bench . -benchmem ./internal/telemetry ./internal/telemetry/journal ./internal/compiled ./internal/sim && \
+	{ $(GO) test -run '^$$' -bench . -benchmem ./internal/telemetry ./internal/telemetry/journal ./internal/compiled ./internal/sim ./internal/cluster && \
 	  $(GO) test -run '^$$' -bench '^Benchmark(ServicePlanHot|ServicePlanCold|ServiceSearchTimeHot|Batch|BatchWide)$$' -benchmem . ; } | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH.json
 

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"linesearch/internal/bufpool"
 	"linesearch/internal/faultpoint"
 	"linesearch/internal/service"
 	"linesearch/internal/telemetry"
@@ -311,13 +312,35 @@ func (r *Router) candidates(key string) []*backend {
 	return append(avail, rest...)
 }
 
+// readRequestBody reads a proxied request body, capped at
+// maxRequestBody. A declared Content-Length is read into a buffer of
+// exactly that size; a body without one is read to EOF. The buffer is
+// never pooled: the transport may still be writing it to a backend
+// after client.Do has returned an early response, so reusing it could
+// change bytes that are being sent.
+func readRequestBody(w http.ResponseWriter, req *http.Request) ([]byte, error) {
+	limited := http.MaxBytesReader(w, req.Body, maxRequestBody)
+	n := req.ContentLength
+	if n < 0 {
+		return io.ReadAll(limited)
+	}
+	if n > maxRequestBody {
+		return nil, &http.MaxBytesError{Limit: maxRequestBody}
+	}
+	body := make([]byte, n)
+	_, err := io.ReadFull(limited, body)
+	return body, err
+}
+
 // bufferedResponse is one backend response held in memory so a
 // mid-stream failure can still fail over: nothing reaches the client
-// until a whole response arrived.
+// until a whole response arrived. body lies in buf when buf is not
+// nil; relay returns buf to relayBufs once body is written.
 type bufferedResponse struct {
 	status int
 	header http.Header
 	body   []byte
+	buf    *bytes.Buffer
 }
 
 // retryableStatus reports whether a backend status should fail over:
@@ -364,7 +387,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 	var body []byte
 	if req.Body != nil && req.Method != http.MethodGet {
 		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, req.Body, maxRequestBody))
+		body, err = readRequestBody(w, req)
 		if err != nil {
 			telemetry.WriteJSONError(w, http.StatusBadRequest, "read request body: "+err.Error())
 			return
@@ -554,7 +577,7 @@ func (r *Router) forward(req *http.Request, b *backend, body []byte) (*bufferedR
 	if err != nil {
 		return fail(err)
 	}
-	data, err := readBody(resp, out.Method)
+	data, buf, err := readBody(resp, out.Method)
 	resp.Body.Close()
 	elapsed := time.Since(start)
 	b.hist.Observe(elapsed)
@@ -568,7 +591,7 @@ func (r *Router) forward(req *http.Request, b *backend, body []byte) (*bufferedR
 	}
 	span.SetInt("status", int64(resp.StatusCode))
 	// The response is ours alone, so its header map is kept, not copied.
-	br := &bufferedResponse{status: resp.StatusCode, header: resp.Header, body: data}
+	br := &bufferedResponse{status: resp.StatusCode, header: resp.Header, body: data, buf: buf}
 	if retryableStatus(resp.StatusCode) {
 		b.failures.Add(1)
 		b.breaker.failure(time.Now(), parseRetryAfter(resp.Header.Get("Retry-After"), maxRetryAfter))
@@ -583,26 +606,43 @@ func (r *Router) forward(req *http.Request, b *backend, body []byte) (*bufferedR
 // nor fails over: the client gets a 502 that names the limit.
 var errBodyTooLarge = fmt.Errorf("backend response exceeds the relay limit of %d bytes", maxResponseBody)
 
+// relayBufs holds the buffers backend answers are read into for relay.
+// Only relay returns a buffer, after writing it; an answer that is not
+// relayed (a losing replica read, a retryable status superseded by a
+// later attempt) is left to the garbage collector.
+var relayBufs bufpool.Pool
+
 // readBody reads a backend body for relay into one buffer. Backends
-// declare every JSON answer's length, which is read into a buffer of
-// exactly that size; a body without a length is read to EOF. A declared
-// length over maxResponseBody, or any byte past it, is errBodyTooLarge.
-// A HEAD answer declares the GET body's length but carries no body.
-func readBody(resp *http.Response, method string) ([]byte, error) {
+// declare every JSON answer's length, which is read into exactly that
+// many bytes: of a buffer from relayBufs, returned as buf, when the
+// length is at most bufpool.MaxPooled, else of a fresh slice. A body
+// without a length is read to EOF into a fresh slice. A declared length
+// over maxResponseBody, or any byte past it, is errBodyTooLarge. A HEAD
+// answer declares the GET body's length but carries no body.
+func readBody(resp *http.Response, method string) (data []byte, buf *bytes.Buffer, err error) {
 	n := resp.ContentLength
 	if method == http.MethodHead || n < 0 {
-		data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
+		data, err = io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
 		if len(data) > maxResponseBody {
-			return nil, errBodyTooLarge
+			return nil, nil, errBodyTooLarge
 		}
-		return data, err
+		return data, nil, err
 	}
 	if n > maxResponseBody {
-		return nil, errBodyTooLarge
+		return nil, nil, errBodyTooLarge
 	}
-	data := make([]byte, n)
-	_, err := io.ReadFull(resp.Body, data)
-	return data, err
+	if n > bufpool.MaxPooled {
+		data = make([]byte, n)
+	} else {
+		buf = relayBufs.Get()
+		buf.Grow(int(n))
+		data = buf.AvailableBuffer()[:n]
+	}
+	if _, err = io.ReadFull(resp.Body, data); err != nil {
+		relayBufs.Put(buf)
+		return nil, nil, err
+	}
+	return data, buf, nil
 }
 
 // hopByHop are connection-level headers a proxy must not relay.
@@ -611,7 +651,8 @@ var hopByHop = []string{
 	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
 }
 
-// relay writes a buffered backend response to the client byte-for-byte.
+// relay writes a buffered backend response to the client byte-for-byte
+// and returns its buffer to relayBufs: Write does not retain the bytes.
 func relay(w http.ResponseWriter, resp *bufferedResponse) {
 	h := w.Header()
 	for k, vs := range resp.header {
@@ -625,4 +666,5 @@ func relay(w http.ResponseWriter, resp *bufferedResponse) {
 	h.Set("Content-Length", strconv.Itoa(len(resp.body)))
 	w.WriteHeader(resp.status)
 	w.Write(resp.body)
+	relayBufs.Put(resp.buf)
 }

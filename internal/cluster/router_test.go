@@ -817,7 +817,7 @@ func TestReadBody(t *testing.T) {
 		{"head", "", http.MethodHead, 7, "", false},
 		{"declared over the limit", `{"n":3}`, http.MethodGet, maxResponseBody + 1, "", true},
 	} {
-		got, err := readBody(resp(tc.body, tc.length), tc.method)
+		got, buf, err := readBody(resp(tc.body, tc.length), tc.method)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
 			continue
@@ -825,6 +825,7 @@ func TestReadBody(t *testing.T) {
 		if !tc.wantErr && string(got) != tc.want {
 			t.Errorf("%s: body %q, want %q", tc.name, got, tc.want)
 		}
+		relayBufs.Put(buf)
 	}
 }
 

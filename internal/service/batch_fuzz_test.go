@@ -64,6 +64,10 @@ func FuzzBatch(f *testing.F) {
 	// strings carry <, >, & and quotes that encoding/json escapes.
 	f.Add([]byte(`{"queries":[{"op":"plan","n":3,"f":1,"strategy":"a<b>&\"c\""},{"op":"lowerbound","n":5,"f":2}]}`))
 	f.Add([]byte(`{"queries":[{"op":"searchtimes","n":5,"f":2,"xs":[1,-2,1e300]},{"op":"bogus"}]}`))
+	// A body is one object: trailing data is a 400, a newline is not.
+	f.Add([]byte(`{"queries":[{"op":"lowerbound","n":5,"f":2}]} garbage`))
+	f.Add([]byte(`{"queries":[{"op":"lowerbound","n":5,"f":2}]}{"queries":[]}`))
+	f.Add([]byte(`{"queries":[{"op":"lowerbound","n":5,"f":2}]}` + "\n"))
 	h := newTestService(f, Config{}).Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req BatchRequest

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,6 +13,7 @@ import (
 	"strings"
 
 	"linesearch"
+	"linesearch/internal/bufpool"
 	"linesearch/internal/faultpoint"
 	"linesearch/internal/numeric"
 	"linesearch/internal/telemetry"
@@ -822,25 +824,32 @@ func parseIndexList(raw string) ([]int, error) {
 // newline ends every JSON answer, as json.Encoder would.
 var newline = []byte("\n")
 
-// writeJSON marshals v and writes it with the given status; an
-// already encoded json.RawMessage is written as it is. Marshal errors
-// turn into a 500 (they indicate a server bug, not bad input).
+// Each role that encodes or reads a whole answer keeps its own pool
+// (see bufpool): a pooled buffer grows only to the answers of its role.
+var (
+	answerBufs    bufpool.Pool // GET answers, encoded by writeJSON
+	batchBodies   bufpool.Pool // batch request bodies
+	batchItemBufs bufpool.Pool // one per batch worker: its items' encodings
+	envelopeBufs  bufpool.Pool // whole batch answers
+)
+
+// writeJSON writes v as a JSON answer with the given status. An
+// already encoded json.RawMessage is written as it is; any other value
+// is encoded into a pooled buffer by json.Encoder, which writes
+// json.Marshal's bytes and a newline, and written in one Write. Encode
+// errors turn into a 500 (they indicate a server bug, not bad input).
 func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := encodeJSON(v)
-	if err != nil {
+	if data, ok := v.(json.RawMessage); ok {
+		writeParts(w, status, data, newline)
+		return
+	}
+	buf := answerBufs.Get()
+	defer answerBufs.Put(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		s.encodeFailed(w, err)
 		return
 	}
-	writeParts(w, status, [][]byte{data, newline})
-}
-
-// encodeJSON returns v's encoding: a json.RawMessage as it is, any
-// other value through json.Marshal.
-func encodeJSON(v any) ([]byte, error) {
-	if data, ok := v.(json.RawMessage); ok {
-		return data, nil
-	}
-	return json.Marshal(v)
+	writeParts(w, status, buf.Bytes())
 }
 
 // encodeFailed answers a result that cannot be encoded with a 500.
@@ -854,7 +863,7 @@ func (s *Service) encodeFailed(w http.ResponseWriter, err error) {
 // writeParts writes the concatenation of parts as a JSON answer with
 // the given status. It declares the exact Content-Length, so net/http
 // never chunks the body and a router reads it into one buffer.
-func writeParts(w http.ResponseWriter, status int, parts [][]byte) {
+func writeParts(w http.ResponseWriter, status int, parts ...[]byte) {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
@@ -890,12 +899,17 @@ type BatchRequest struct {
 	Queries []Query `json:"queries"`
 }
 
-// batchItem is one batch answer, encoded by the worker that evaluated
-// it: the result's JSON when ok, else its error message as a JSON
-// string.
+// maxBatchBody caps a batch request body.
+const maxBatchBody = 1 << 20
+
+// batchItem is one batch answer: the result's JSON when ok, else its
+// error message as a JSON string. The bytes are raw (a stored plan
+// body) or lie at [start, end) of worker w's buffer.
 type batchItem struct {
-	ok   bool
-	body []byte
+	ok         bool
+	raw        []byte
+	w          int
+	start, end int
 }
 
 // The batch envelope's fixed bytes. A response is
@@ -909,17 +923,43 @@ var (
 	batchOK     = []byte(`{"ok":true,"result":`)
 	batchFailed = []byte(`{"ok":false,"error":`)
 	batchNext   = []byte(`},`)
+	batchClose  = []byte(`}],"errors":`)
 )
 
-// handleBatch fans a list of queries out over the worker pool and
-// reports per-query results. Each worker encodes its own item (a cached
-// plan body is used as it is), and the response splices those bytes
-// into the envelope without re-encoding them.
-func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
+// decodeBatch decodes a batch request body: one JSON object with no
+// unknown fields, followed by nothing but JSON whitespace.
+func decodeBatch(body []byte) (BatchRequest, error) {
 	var req BatchRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	off := dec.InputOffset()
+	if rest := bytes.TrimLeft(body[off:], " \t\r\n"); len(rest) > 0 {
+		return req, fmt.Errorf("unexpected data after the JSON object at offset %d", len(body)-len(rest))
+	}
+	return req, nil
+}
+
+// handleBatch fans a list of queries out over the worker pool and
+// reports per-query results. The body is read into a pooled buffer and
+// decoded from it. Each worker encodes its items into its own pooled
+// buffer (a cached plan body is used as it is), and the answer is
+// assembled around those bytes into one pooled buffer and written in
+// one Write.
+func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
+	in := batchBodies.Get()
+	defer batchBodies.Put(in)
+	if n := r.ContentLength; n > 0 && n <= maxBatchBody {
+		in.Grow(int(n) + bytes.MinRead) // ReadFrom's EOF probe fits too
+	}
+	_, err := in.ReadFrom(http.MaxBytesReader(w, r.Body, maxBatchBody))
+	var req BatchRequest
+	if err == nil {
+		req, err = decodeBatch(in.Bytes())
+	}
+	if err != nil {
 		telemetry.WriteJSONError(w, http.StatusBadRequest, "invalid batch body: "+err.Error())
 		return
 	}
@@ -938,16 +978,38 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	span.SetInt("queries", int64(len(req.Queries)))
 	workers := min(s.cfg.BatchWorkers, len(req.Queries))
 	span.SetInt("workers", int64(workers))
-	err := numeric.ForEach(ctx, len(req.Queries), workers, func(_, i int) error {
+	// Worker wk alone touches bufs[wk] until ForEach returns.
+	bufs := make([]*bytes.Buffer, workers)
+	defer func() {
+		for _, b := range bufs {
+			batchItemBufs.Put(b)
+		}
+	}()
+	err = numeric.ForEach(ctx, len(req.Queries), workers, func(wk, i int) error {
+		var v any
 		res, err := s.eval(ctx, req.Queries[i])
 		if err != nil {
-			// Marshalling a string cannot fail.
-			items[i].body, _ = json.Marshal(err.Error())
+			v = err.Error()
+		} else {
+			items[i].ok = true
+			v = res
+		}
+		if raw, ok := v.(json.RawMessage); ok {
+			items[i].raw = raw
 			return nil
 		}
-		items[i].ok = true
-		items[i].body, err = encodeJSON(res)
-		return err
+		buf := bufs[wk]
+		if buf == nil {
+			buf = batchItemBufs.Get()
+			bufs[wk] = buf
+		}
+		start := buf.Len()
+		if err := json.NewEncoder(buf).Encode(v); err != nil {
+			return err
+		}
+		buf.Truncate(buf.Len() - 1) // Encode's newline
+		items[i].w, items[i].start, items[i].end = wk, start, buf.Len()
+		return nil
 	})
 	span.End()
 	if err != nil {
@@ -959,24 +1021,37 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	parts := make([][]byte, 0, 3*len(items)+2)
-	parts = append(parts, batchOpen)
+	body := func(it batchItem) []byte {
+		if it.raw != nil {
+			return it.raw
+		}
+		return bufs[it.w].Bytes()[it.start:it.end]
+	}
+	size := len(batchOpen) + len(batchClose) + 22 // 22: the count and "}\n"
+	for _, it := range items {
+		size += len(batchNext) + len(batchFailed) + len(body(it)) // the longer prefix
+	}
+	env := envelopeBufs.Get()
+	defer envelopeBufs.Put(env)
+	env.Grow(size)
+	env.Write(batchOpen)
 	errs := 0
 	for i, it := range items {
 		if i > 0 {
-			parts = append(parts, batchNext)
+			env.Write(batchNext)
 		}
 		if it.ok {
-			parts = append(parts, batchOK, it.body)
+			env.Write(batchOK)
 		} else {
-			parts = append(parts, batchFailed, it.body)
+			env.Write(batchFailed)
 			errs++
 		}
+		env.Write(body(it))
 	}
-	tail := append(make([]byte, 0, 32), `}],"errors":`...)
-	tail = strconv.AppendInt(tail, int64(errs), 10)
-	parts = append(parts, append(tail, "}\n"...))
-	writeParts(w, http.StatusOK, parts)
+	env.Write(batchClose)
+	env.Write(strconv.AppendInt(env.AvailableBuffer(), int64(errs), 10))
+	env.WriteString("}\n")
+	writeParts(w, http.StatusOK, env.Bytes())
 }
 
 // handleMetrics exports the counters. The default is the expvar-style

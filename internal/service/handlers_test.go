@@ -401,6 +401,36 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
+// TestBatchRejectsTrailingData: a batch body is exactly one JSON
+// object. Anything but JSON whitespace after it is a 400 naming the
+// body as invalid; a trailing newline or blank is fine.
+func TestBatchRejectsTrailingData(t *testing.T) {
+	h := newTestService(t, Config{}).Handler()
+	const batch = `{"queries":[{"op":"lowerbound","n":5,"f":2}]}`
+	for _, tt := range []struct {
+		name, body string
+		want       int
+	}{
+		{"garbage", batch + ` garbage`, http.StatusBadRequest},
+		{"second object", batch + `{"queries":[]}`, http.StatusBadRequest},
+		{"closing brace", batch + `}`, http.StatusBadRequest},
+		{"whitespace then data", batch + "\n\t 1", http.StatusBadRequest},
+		{"trailing newline", batch + "\n", http.StatusOK},
+		{"trailing whitespace", batch + " \r\n\t ", http.StatusOK},
+	} {
+		code, body := doReq(t, h, "POST", "/v1/batch", tt.body)
+		if code != tt.want {
+			t.Errorf("%s: status %d, want %d (body %v)", tt.name, code, tt.want, body)
+			continue
+		}
+		if code == http.StatusBadRequest {
+			if msg, _ := body["error"].(string); !strings.HasPrefix(msg, "invalid batch body: ") {
+				t.Errorf("%s: error %q does not name the batch body", tt.name, msg)
+			}
+		}
+	}
+}
+
 // TestBatchCancelledMidFanout: a batch whose context ends while the
 // fan-out is running starts no further query and answers 503. The
 // first query's plan build cancels the request; with one worker the
