@@ -24,6 +24,9 @@ type FleetHop struct {
 	DurationSeconds float64                 `json:"duration_seconds"`
 	SpanCount       int                     `json:"span_count"`
 	Trace           telemetry.TraceSnapshot `json:"trace"`
+	// ref is a router hop's trace, rendered into Trace only when the
+	// hop's stitched trace survives the n cut.
+	ref telemetry.TraceRef
 }
 
 // FleetTrace is one trace id's hops merged across the fleet. Hops are
@@ -116,30 +119,25 @@ func (r *Router) handleFleetTraces(w http.ResponseWriter, req *http.Request) {
 
 	resp := fleetTracesResponse{Scraped: make([]string, 0, len(backends))}
 	byID := make(map[string]*FleetTrace)
-	add := func(process string, traces []telemetry.TraceSnapshot) {
-		for _, tr := range traces {
-			if wantID != "" && tr.TraceID != wantID {
-				continue
-			}
-			ft, ok := byID[tr.TraceID]
-			if !ok {
-				ft = &FleetTrace{TraceID: tr.TraceID, Start: tr.Start}
-				byID[tr.TraceID] = ft
-			}
-			if tr.Start.Before(ft.Start) {
-				ft.Start = tr.Start
-			}
-			ft.Hops = append(ft.Hops, FleetHop{
-				Process:         process,
-				DurationSeconds: tr.DurationSeconds,
-				SpanCount:       tr.SpanCount,
-				Trace:           tr,
-			})
+	add := func(id string, start time.Time, hop FleetHop) {
+		if wantID != "" && id != wantID {
+			return
 		}
+		ft, ok := byID[id]
+		if !ok {
+			ft = &FleetTrace{TraceID: id, Start: start}
+			byID[id] = ft
+		}
+		if start.Before(ft.Start) {
+			ft.Start = start
+		}
+		ft.Hops = append(ft.Hops, hop)
 	}
 	// The router's ring first: its hop sorts to the front of every
 	// stitched trace, and its root span bounds the whole request.
-	add(routerProcess, r.tracer.Traces())
+	for _, ref := range r.tracer.Refs() {
+		add(ref.ID, ref.Start, FleetHop{Process: routerProcess, DurationSeconds: ref.Duration.Seconds(), ref: ref})
+	}
 	for _, res := range results {
 		if res.err != nil {
 			if resp.Errors == nil {
@@ -149,7 +147,9 @@ func (r *Router) handleFleetTraces(w http.ResponseWriter, req *http.Request) {
 			continue
 		}
 		resp.Scraped = append(resp.Scraped, res.process)
-		add(res.process, res.traces)
+		for _, tr := range res.traces {
+			add(tr.TraceID, tr.Start, FleetHop{Process: res.process, DurationSeconds: tr.DurationSeconds, SpanCount: tr.SpanCount, Trace: tr})
+		}
 	}
 
 	merged := make([]FleetTrace, 0, len(byID))
@@ -192,6 +192,14 @@ func (r *Router) handleFleetTraces(w http.ResponseWriter, req *http.Request) {
 	resp.Count = len(merged)
 	if len(merged) > n {
 		merged = merged[:n]
+	}
+	for _, ft := range merged {
+		for i, hop := range ft.Hops {
+			if hop.Process == routerProcess {
+				ft.Hops[i].Trace = hop.ref.Snapshot()
+				ft.Hops[i].SpanCount = ft.Hops[i].Trace.SpanCount
+			}
+		}
 	}
 	resp.Traces = merged
 	w.Header().Set("Content-Type", "application/json")

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"testing"
 )
@@ -50,8 +49,10 @@ func reencodeBatch(body []byte) ([]byte, BatchResponse, error) {
 }
 
 // FuzzBatch posts arbitrary bytes to /v1/batch. The handler must not
-// panic, and a 200 must declare its exact length, re-encode byte for
-// byte through BatchResponse, and count one error per ok=false item.
+// panic, and must answer the same bytes again after a batch that sets
+// every optional field. A 200 must declare its exact length, re-encode
+// byte for byte through BatchResponse, and count one error per
+// ok=false item.
 // Inputs whose queries ask for more than 64 robots or 1,000 targets
 // are skipped, so every input stays cheap.
 func FuzzBatch(f *testing.F) {
@@ -78,8 +79,12 @@ func FuzzBatch(f *testing.F) {
 				}
 			}
 		}
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		w := postBatch(h, string(body))
+		// A batch in between leaves its query list for reuse.
+		postBatch(h, staleBatch)
+		if again := postBatch(h, string(body)); again.Code != w.Code || !bytes.Equal(again.Body.Bytes(), w.Body.Bytes()) {
+			t.Fatalf("the same batch answered twice differs:\n got %d %s\nwant %d %s", again.Code, again.Body, w.Code, w.Body)
+		}
 		if w.Code != http.StatusOK {
 			return
 		}

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 
 	"linesearch"
 	"linesearch/internal/bufpool"
@@ -926,28 +927,36 @@ var (
 	batchClose  = []byte(`}],"errors":`)
 )
 
-// decodeBatch decodes a batch request body: one JSON object with no
-// unknown fields, followed by nothing but JSON whitespace.
-func decodeBatch(body []byte) (BatchRequest, error) {
-	var req BatchRequest
+// batchRequests recycles decoded batch requests and their query lists.
+var batchRequests = sync.Pool{New: func() any { return new(BatchRequest) }}
+
+// decodeBatch decodes a batch request body into req, reusing the
+// backing array of its query list: one JSON object with no unknown
+// fields, followed by nothing but JSON whitespace.
+func decodeBatch(body []byte, req *BatchRequest) error {
+	// encoding/json decodes into the elements already in the backing
+	// array and keeps every field the body omits: start from zeros.
+	clear(req.Queries[:cap(req.Queries)])
+	req.Queries = req.Queries[:0]
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, err
+	if err := dec.Decode(req); err != nil {
+		return err
 	}
 	off := dec.InputOffset()
 	if rest := bytes.TrimLeft(body[off:], " \t\r\n"); len(rest) > 0 {
-		return req, fmt.Errorf("unexpected data after the JSON object at offset %d", len(body)-len(rest))
+		return fmt.Errorf("unexpected data after the JSON object at offset %d", len(body)-len(rest))
 	}
-	return req, nil
+	return nil
 }
 
 // handleBatch fans a list of queries out over the worker pool and
 // reports per-query results. The body is read into a pooled buffer and
-// decoded from it. Each worker encodes its items into its own pooled
-// buffer (a cached plan body is used as it is), and the answer is
-// assembled around those bytes into one pooled buffer and written in
-// one Write.
+// decoded from it into a pooled query list, which goes back once the
+// answer is written unless it holds more than MaxBatch queries. Each
+// worker encodes its items into its own pooled buffer (a cached plan
+// body is used as it is), and the answer is assembled around those
+// bytes into one pooled buffer and written in one Write.
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	in := batchBodies.Get()
 	defer batchBodies.Put(in)
@@ -955,9 +964,14 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		in.Grow(int(n) + bytes.MinRead) // ReadFrom's EOF probe fits too
 	}
 	_, err := in.ReadFrom(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	var req BatchRequest
+	req := batchRequests.Get().(*BatchRequest)
+	defer func() {
+		if cap(req.Queries) <= s.cfg.MaxBatch {
+			batchRequests.Put(req)
+		}
+	}()
 	if err == nil {
-		req, err = decodeBatch(in.Bytes())
+		err = decodeBatch(in.Bytes(), req)
 	}
 	if err != nil {
 		telemetry.WriteJSONError(w, http.StatusBadRequest, "invalid batch body: "+err.Error())

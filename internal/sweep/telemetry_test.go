@@ -39,9 +39,9 @@ func TestSweepCellLatencyAndTraces(t *testing.T) {
 		t.Errorf("cell latency sum = %g, want > 0", stats.CellLatency.Sum)
 	}
 
-	traces := tracer.Traces()
 	var cellTraces int
-	for _, tr := range traces {
+	for _, ref := range tracer.Refs() {
+		tr := ref.Snapshot()
 		if tr.Name != "sweep.cell" {
 			continue
 		}

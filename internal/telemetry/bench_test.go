@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 )
@@ -40,6 +41,36 @@ func BenchmarkTracedRequest(b *testing.B) {
 		geom.End()
 		eval.End()
 		root.SetInt("status", 200)
+		root.End()
+	}
+}
+
+// BenchmarkTracedBatchTrace is the sampled cost of a 64-item batch:
+// a root, a fan-out span, and 64 children with two attributes each,
+// started by two goroutines as the batch workers start them.
+func BenchmarkTracedBatchTrace(b *testing.B) {
+	tr := New(Config{SampleRate: 1})
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ctx2, root := tr.StartRequest(ctx, "/v1/batch", "")
+		ctx3, fan := StartSpan(ctx2, "batch.fanout")
+		fan.SetInt("queries", 64)
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 32; j++ {
+					_, eval := StartSpan(ctx3, "eval")
+					eval.SetStr("op", "searchtimes")
+					eval.SetBool("cache_hit", true)
+					eval.End()
+				}
+			}()
+		}
+		wg.Wait()
+		fan.End()
 		root.End()
 	}
 }

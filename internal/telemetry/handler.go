@@ -102,29 +102,27 @@ func TracesHandler(t *Tracer) http.HandlerFunc {
 		if order == "" {
 			order = "recent"
 		}
-		traces := t.Traces()
-		total := len(traces)
+		// Sort and cut on the roots; render only the traces returned.
+		refs := t.Refs()
 		switch order {
 		case "recent":
-			sort.Slice(traces, func(i, j int) bool { return traces[i].Start.After(traces[j].Start) })
+			sort.Slice(refs, func(i, j int) bool { return refs[i].Start.After(refs[j].Start) })
 		case "slowest":
-			sort.Slice(traces, func(i, j int) bool {
-				if traces[i].DurationSeconds != traces[j].DurationSeconds {
-					return traces[i].DurationSeconds > traces[j].DurationSeconds
+			sort.Slice(refs, func(i, j int) bool {
+				if refs[i].Duration != refs[j].Duration {
+					return refs[i].Duration > refs[j].Duration
 				}
-				return traces[i].Start.After(traces[j].Start)
+				return refs[i].Start.After(refs[j].Start)
 			})
 		default:
 			WriteJSONError(w, http.StatusBadRequest, `parameter sort must be "recent" or "slowest"`)
 			return
 		}
-		if len(traces) > n {
-			traces = traces[:n]
-		}
-		if traces == nil {
-			traces = []TraceSnapshot{}
+		traces := make([]TraceSnapshot, min(n, len(refs)))
+		for i := range traces {
+			traces[i] = refs[i].Snapshot()
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(TracesResponse{Count: total, Sort: order, Traces: traces})
+		json.NewEncoder(w).Encode(TracesResponse{Count: len(refs), Sort: order, Traces: traces})
 	}
 }

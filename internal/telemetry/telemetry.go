@@ -8,14 +8,17 @@
 // through StartRequest, but an unsampled request gets a nil *Span back
 // and every Span method is nil-receiver safe, so the untraced fast path
 // performs zero heap allocations (benchmarked and regression-gated).
-// All cost — span structs, attribute boxing, the per-trace mutex — is
-// paid only on the sampled path.
+// The sampled path records spans and typed attributes into storage the
+// trace owns, a few appends per stage; the wire-format tree is built
+// only when /debug/traces reads it.
 package telemetry
 
 import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,6 +45,13 @@ const (
 	// maxSpansPerTrace caps the spans of one trace; further StartSpan
 	// calls on that trace return nil and are counted as dropped.
 	maxSpansPerTrace = 512
+	// A trace holds its first inlineSpans spans itself, enough for a
+	// GET request's root and stages; a larger one takes further spans
+	// in chunks of spanChunk. A span holds inlineAttrs attributes
+	// itself; more move to a slice of their own.
+	inlineSpans = 4
+	spanChunk   = 16
+	inlineAttrs = 3
 )
 
 // Tracer samples requests and collects their completed traces. Safe
@@ -49,7 +59,7 @@ const (
 type Tracer struct {
 	every    uint64 // sample every n-th request; 0 disables
 	maxSpans int    // maxSpansPerTrace; tests change it
-	ring     *StripedRing[TraceSnapshot]
+	ring     *StripedRing[TraceRef]
 
 	counter      atomic.Uint64
 	started      atomic.Int64
@@ -74,7 +84,7 @@ func New(cfg Config) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{every: every, maxSpans: maxSpansPerTrace, ring: NewStripedRing[TraceSnapshot](capacity)}
+	return &Tracer{every: every, maxSpans: maxSpansPerTrace, ring: NewStripedRing[TraceRef](capacity)}
 }
 
 // TracerStats are the tracer's own counters, exported on /metrics.
@@ -114,37 +124,95 @@ func (t *Tracer) Stats() TracerStats {
 	}
 }
 
-// Attr is one key/value annotation on a span.
-type Attr struct {
-	Key   string
-	Value any
+// attr is one key/value annotation on a span, stored without boxing:
+// a string in str, anything else in num's 8 bytes, as kind says.
+type attr struct {
+	key, str string
+	kind     byte
+	num      uint64
 }
 
-// activeTrace is the shared mutable state of one in-flight trace. One
-// mutex guards the whole span tree: spans of one request may be
-// created and annotated from concurrent goroutines (the batch
-// fan-out), and contention is bounded by the request itself.
+const (
+	kindStr = iota
+	kindInt
+	kindFloat
+	kindBool
+)
+
+// value is the attribute as a snapshot's attrs map holds it.
+func (a attr) value() any {
+	switch a.kind {
+	case kindInt:
+		return int64(a.num)
+	case kindFloat:
+		return math.Float64frombits(a.num)
+	case kindBool:
+		return a.num != 0
+	}
+	return a.str
+}
+
+// activeTrace is the shared state of one trace. One mutex guards the
+// whole span tree: spans of one request may be created and annotated
+// from concurrent goroutines (the batch fan-out), and contention is
+// bounded by the request itself. Once the root ends the tree is
+// frozen: every later StartSpan, Set* and End on the trace is a no-op,
+// so readers render it without the lock.
 type activeTrace struct {
 	tracer *Tracer
 	id     string
+	start  time.Time // the root's start; spans record offsets from it
 
 	mu       sync.Mutex
 	root     *Span
+	free     []Span // spans not yet handed out; a chunk never moves
 	spans    int
 	dropped  int
 	finished bool
+	inline   [inlineSpans]Span
+}
+
+// newSpanLocked hands out the trace's next span, whose context wraps
+// parent; callers hold t.mu.
+func (t *activeTrace) newSpanLocked(parent context.Context, name string) *Span {
+	if len(t.free) == 0 {
+		t.free = make([]Span, spanChunk)
+	}
+	s := &t.free[0]
+	t.free = t.free[1:]
+	s.t, s.name, s.ctx, s.attrs = t, name, spanCtx{parent, s}, s.inline[:0]
+	t.spans++
+	return s
 }
 
 // Span is one timed stage of a traced request. The zero of the API is
 // the nil span: every method is a no-op on nil, which is what the
 // untraced fast path receives.
 type Span struct {
-	t        *activeTrace
-	name     string
-	start    time.Time
-	dur      time.Duration
-	attrs    []Attr
-	children []*Span
+	t     *activeTrace
+	ctx   spanCtx
+	name  string
+	off   time.Duration // start, from the trace's start
+	dur   time.Duration // 0 while running
+	child *Span         // the latest child; earlier ones follow by next
+	next  *Span         // the sibling started just before this one
+	// attrs starts on inline and moves to the heap past inlineAttrs.
+	attrs  []attr
+	inline [inlineAttrs]attr
+}
+
+// spanCtx is the context a span hands its callee: the caller's context
+// carrying the span, without a context.WithValue per span.
+type spanCtx struct {
+	context.Context
+	span *Span
+}
+
+func (c *spanCtx) Value(key any) any {
+	if key == (ctxKey{}) {
+		return c.span
+	}
+	return c.Context.Value(key)
 }
 
 // ctxKey carries the current *Span through a context.
@@ -172,16 +240,16 @@ func (t *Tracer) StartRequest(ctx context.Context, name, traceparent string) (co
 	if !ok {
 		id = newTraceID()
 	}
-	tr := &activeTrace{tracer: t, id: id}
-	root := &Span{t: tr, name: name, start: time.Now()}
-	tr.root = root
-	tr.spans = 1
-	return context.WithValue(ctx, ctxKey{}, root), root
+	tr := &activeTrace{tracer: t, id: id, start: time.Now()}
+	tr.free = tr.inline[:]
+	tr.root = tr.newSpanLocked(ctx, name) // not yet shared: no lock needed
+	return &tr.root.ctx, tr.root
 }
 
 // StartSpan begins a child of the span carried by ctx. When ctx holds
 // no span (the request was not sampled, or the caller is outside a
-// request), it returns ctx unchanged and nil without allocating.
+// request) or the trace has completed, it returns ctx unchanged and
+// nil without allocating.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent, _ := ctx.Value(ctxKey{}).(*Span)
 	if parent == nil {
@@ -189,17 +257,21 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	}
 	t := parent.t
 	t.mu.Lock()
+	if t.finished {
+		t.mu.Unlock()
+		return ctx, nil
+	}
 	if t.spans >= t.tracer.maxSpans {
 		t.dropped++
 		t.mu.Unlock()
 		t.tracer.spansDropped.Add(1)
 		return ctx, nil
 	}
-	child := &Span{t: t, name: name, start: time.Now()}
-	parent.children = append(parent.children, child)
-	t.spans++
+	child := t.newSpanLocked(ctx, name)
+	child.off = time.Since(t.start)
+	child.next, parent.child = parent.child, child
 	t.mu.Unlock()
-	return context.WithValue(ctx, ctxKey{}, child), child
+	return &child.ctx, child
 }
 
 // SpanFrom returns the span carried by ctx, or nil when the request
@@ -239,72 +311,73 @@ func Traceparent(ctx context.Context) string {
 }
 
 // SetStr annotates the span with a string attribute.
-func (s *Span) SetStr(key, v string) {
-	if s == nil {
-		return
-	}
-	s.add(Attr{Key: key, Value: v})
-}
+func (s *Span) SetStr(key, v string) { s.add(attr{key: key, str: v, kind: kindStr}) }
 
 // SetInt annotates the span with an integer attribute.
-func (s *Span) SetInt(key string, v int64) {
-	if s == nil {
-		return
-	}
-	s.add(Attr{Key: key, Value: v})
-}
+func (s *Span) SetInt(key string, v int64) { s.add(attr{key: key, kind: kindInt, num: uint64(v)}) }
 
 // SetFloat annotates the span with a float attribute.
 func (s *Span) SetFloat(key string, v float64) {
-	if s == nil {
-		return
-	}
-	s.add(Attr{Key: key, Value: v})
+	s.add(attr{key: key, kind: kindFloat, num: math.Float64bits(v)})
 }
 
 // SetBool annotates the span with a boolean attribute.
 func (s *Span) SetBool(key string, v bool) {
+	a := attr{key: key, kind: kindBool}
+	if v {
+		a.num = 1
+	}
+	s.add(a)
+}
+
+func (s *Span) add(a attr) {
 	if s == nil {
 		return
 	}
-	s.add(Attr{Key: key, Value: v})
+	t := s.t
+	t.mu.Lock()
+	if !t.finished {
+		s.attrs = append(s.attrs, a)
+	}
+	t.mu.Unlock()
 }
 
-func (s *Span) add(a Attr) {
-	s.t.mu.Lock()
-	s.attrs = append(s.attrs, a)
-	s.t.mu.Unlock()
-}
-
-// End finishes the span. Ending the root span completes the trace:
-// its immutable snapshot is pushed into the tracer's ring buffer, so
-// /debug/traces never touches live spans. End is idempotent; ending a
-// nil span is a no-op.
+// End finishes the span. Ending the root span completes the trace and
+// pushes it into the tracer's ring buffer; from then on the trace is
+// immutable, and /debug/traces renders it when read. End is
+// idempotent; ending a nil span is a no-op.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	t := s.t
 	t.mu.Lock()
-	if s.dur == 0 {
-		if s.dur = time.Since(s.start); s.dur <= 0 {
-			s.dur = 1 // clock granularity floor keeps End idempotent
-		}
+	if t.finished {
+		t.mu.Unlock()
+		return
 	}
-	completing := t.root == s && !t.finished
-	var snap TraceSnapshot
-	if completing {
-		t.finished = true
-		snap = t.snapshotLocked()
+	if s.dur == 0 { // a floor of 1ns keeps End idempotent
+		s.dur = max(time.Since(t.start)-s.off, 1)
 	}
+	t.finished = s == t.root
+	completing, dropped := t.finished, t.dropped
 	t.mu.Unlock()
 	if completing {
-		t.tracer.ring.Add(snap)
+		t.tracer.ring.Add(TraceRef{ID: t.id, Start: t.start, Duration: s.dur, trace: t})
 		t.tracer.finished.Add(1)
-		if snap.DroppedSpans > 0 {
+		if dropped > 0 {
 			t.tracer.truncated.Add(1)
 		}
 	}
+}
+
+// TraceRef is one completed trace in the ring: the identity and
+// timing of its root, read without rendering the span tree.
+type TraceRef struct {
+	ID       string
+	Start    time.Time
+	Duration time.Duration
+	trace    *activeTrace
 }
 
 // TraceSnapshot is one completed trace in wire format.
@@ -328,54 +401,49 @@ type SpanSnapshot struct {
 	Children           []SpanSnapshot `json:"children,omitempty"`
 }
 
-// snapshotLocked freezes the trace; callers hold t.mu.
-func (t *activeTrace) snapshotLocked() TraceSnapshot {
-	rootEnd := t.root.start.Add(t.root.dur)
+// Snapshot renders the trace in wire format. The trace completed
+// before it entered the ring, so it is read without the lock.
+func (r TraceRef) Snapshot() TraceSnapshot {
+	t := r.trace
 	return TraceSnapshot{
 		TraceID:         t.id,
 		Name:            t.root.name,
-		Start:           t.root.start,
+		Start:           t.start,
 		DurationSeconds: t.root.dur.Seconds(),
 		SpanCount:       t.spans,
 		DroppedSpans:    t.dropped,
-		Root:            t.root.snapshotLocked(t.root.start, rootEnd),
+		Root:            t.root.snapshot(t.root.dur),
 	}
 }
 
-// snapshotLocked freezes one span subtree; callers hold the trace
-// mutex. A child still running when the root ends is truncated at the
-// root's end time.
-func (s *Span) snapshotLocked(traceStart, rootEnd time.Time) SpanSnapshot {
+// snapshot renders one span subtree of a completed trace. A child
+// still running when the root ended is truncated at the root's end.
+func (s *Span) snapshot(rootDur time.Duration) SpanSnapshot {
 	dur := s.dur
 	if dur == 0 {
-		if dur = rootEnd.Sub(s.start); dur < 0 {
-			dur = 0
-		}
+		dur = max(rootDur-s.off, 0)
 	}
 	out := SpanSnapshot{
 		Name:               s.name,
-		StartOffsetSeconds: s.start.Sub(traceStart).Seconds(),
+		StartOffsetSeconds: s.off.Seconds(),
 		DurationSeconds:    dur.Seconds(),
 	}
 	if len(s.attrs) > 0 {
 		out.Attrs = make(map[string]any, len(s.attrs))
 		for _, a := range s.attrs {
-			out.Attrs[a.Key] = a.Value
+			out.Attrs[a.key] = a.value()
 		}
 	}
-	if len(s.children) > 0 {
-		out.Children = make([]SpanSnapshot, len(s.children))
-		for i, c := range s.children {
-			out.Children[i] = c.snapshotLocked(traceStart, rootEnd)
-		}
+	for c := s.child; c != nil; c = c.next {
+		out.Children = append(out.Children, c.snapshot(rootDur))
 	}
+	slices.Reverse(out.Children) // the list runs newest first
 	return out
 }
 
-// Traces returns every retained completed trace, oldest first within
-// each stripe (use the Start field to order globally). A nil tracer
-// returns nil.
-func (t *Tracer) Traces() []TraceSnapshot {
+// Refs returns every retained completed trace, oldest first within
+// each stripe (use Start to order globally). A nil tracer returns nil.
+func (t *Tracer) Refs() []TraceRef {
 	if t == nil {
 		return nil
 	}
@@ -392,7 +460,9 @@ func newTraceID() string {
 		copy(b[:], "telemetry-fallb")
 		b[15] = 1
 	}
-	return hex.EncodeToString(b[:])
+	var id [32]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // parseTraceparent extracts the trace ID and flags from a W3C

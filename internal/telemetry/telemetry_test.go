@@ -9,6 +9,16 @@ import (
 	"time"
 )
 
+// Traces renders every retained trace, oldest first within each
+// stripe. A nil tracer returns nil.
+func (t *Tracer) Traces() []TraceSnapshot {
+	var out []TraceSnapshot
+	for _, ref := range t.Refs() {
+		out = append(out, ref.Snapshot())
+	}
+	return out
+}
+
 func TestSpanTreeAndSnapshot(t *testing.T) {
 	tr := New(Config{SampleRate: 1})
 	ctx, root := tr.StartRequest(context.Background(), "/v1/plan", "")
