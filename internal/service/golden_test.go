@@ -14,8 +14,9 @@ import (
 // Byzantine one with and without an explicit vote threshold), /v1/plan
 // at the default horizon (implicit and spelled out) and at explicit
 // ones, a few rejected queries, and one mixed batch. The batch comes
-// last, so its plan items embed answers for keys the GETs already
-// cached, next to one key it builds itself.
+// after the GETs, so its plan items embed answers for keys the GETs
+// already cached, next to one key it builds itself. Target lists are
+// pinned in the forms the answer echoes and in the forms it formats.
 var goldenRequests = []struct{ method, target, body string }{
 	{"GET", "/v1/plan?n=3&f=1", ""},
 	{"GET", "/v1/plan?n=3&f=1&horizon=50", ""},
@@ -37,6 +38,13 @@ var goldenRequests = []struct{ method, target, body string }{
 	{"GET", "/v1/searchtime?n=5&f=1&x=7&model=byzantine&votes=3", ""},
 	{"GET", "/v1/searchtimes?n=5&f=2&xs=1,-2,3.5,40", ""},
 	{"GET", "/v1/searchtimes?n=5&f=1&xs=1,-2,3.5&model=byzantine&votes=3", ""},
+	// Targets whose tokens are not the form encoding/json writes, so
+	// the answer formats them; then canonical and non-canonical tokens
+	// mixed; then tokens at the edges of the plain-decimal form.
+	{"GET", "/v1/searchtimes?n=5&f=2&xs=1.50,%2B2,1e3,0x1p3,007,%203,12345678901234567890,2.000", ""},
+	{"GET", "/v1/searchtimes?n=5&f=2&xs=1,2.50,-3,1e2,40", ""},
+	{"GET", "/v1/searchtimes?n=3&f=1&mindist=0.0000001&xs=0.000001,-0.000001,0.0000001,0.123456789012345,-123456789012345,100000000000000000000,1234567890123456", ""},
+	{"GET", "/v1/searchtimes?n=3&f=1&mindist=0.0000001&xs=0.000001,-0.000001,0.123456789012345,-123456789012345,999999999999999", ""},
 	{"GET", "/v1/timeline?n=3&f=1&x=2&faulty=0", ""},
 	{"GET", "/v1/timeline?n=5&f=1&x=7&model=byzantine&liars=0&tmax=500", ""},
 	{"GET", "/v1/timeline?n=5&f=1&x=-3&model=byzantine&votes=3", ""},
@@ -53,6 +61,13 @@ var goldenRequests = []struct{ method, target, body string }{
 		`{"op":"timeline","n":3,"f":1,"x":2,"faulty":[0]},` +
 		`{"op":"lowerbound","n":5,"f":2},` +
 		`{"op":"plan","n":2,"f":2}]}`},
+	// Target lists that are formatted, not echoed, and target lists
+	// that the batch decoder rejects.
+	{"POST", "/v1/batch", `{"queries":[{"op":"searchtimes","n":5,"f":2,"xs":[1.0, 1E3,` + "\n\t" + `-2.50 , 4]}]}`},
+	{"POST", "/v1/batch", `{"queries":[{"op":"searchtimes","n":5,"f":2,"xs":[1,"2"]}]}`},
+	{"POST", "/v1/batch", `{"queries":[{"op":"searchtimes","n":5,"f":2,"xs":{}}]}`},
+	{"POST", "/v1/batch", `{"queries":[{"op":"searchtimes","n":5,"f":2,"xs":[1e400]}]}`},
+	{"POST", "/v1/batch", `{"queries":[{"op":"searchtimes","n":5,"f":2,"xs":null}]}`},
 }
 
 // TestResponsesGolden pins the status, Content-Type and body of every
