@@ -26,13 +26,14 @@ race:
 # observation, the event journal live and nil), the router relaying a
 # 40 KB and a 120 KB answer, and the service handler with the daemon's
 # default request deadline (hot and cold /v1/plan, a hot
-# /v1/searchtime, a 64-query batch of small plans and one shaped like
-# perfbench's curve-batch). The root package's -bench
+# /v1/searchtime, a 1,000-target /v1/searchtimes GET and a 64-query
+# batch shaped like perfbench's curve-batch, and a 64-query batch of
+# small plans). The root package's -bench
 # regex keeps its paper-experiment benchmarks out. Writes the
 # machine-readable report to BENCH.json.
 bench:
 	{ $(GO) test -run '^$$' -bench . -benchmem ./internal/telemetry ./internal/telemetry/journal ./internal/compiled ./internal/sim ./internal/cluster && \
-	  $(GO) test -run '^$$' -bench '^Benchmark(ServicePlanHot|ServicePlanCold|ServiceSearchTimeHot|Batch|BatchWide)$$' -benchmem . ; } | tee /dev/stderr \
+	  $(GO) test -run '^$$' -bench '^Benchmark(ServicePlanHot|ServicePlanCold|ServiceSearchTimeHot|ServiceSearchTimesWide|Batch|BatchWide)$$' -benchmem . ; } | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH.json
 
 # Fail when any benchmark in BENCH.json allocates more than 2x its
@@ -100,7 +101,8 @@ bench-paper:
 # k-th-visit selection against its partial-selection oracle, the
 # phase-table answer of self-similar plans against the scan, the
 # expected-time series at miss probability 0 against the worst case,
-# the GET endpoints' query-string parser, the batch body against its
+# the GET endpoints' query-string parser, the canonical-token rule for
+# echoed targets against encoding/json, the batch body against its
 # struct encoding, and the two inbound peer decoders replication and
 # gossip feed (a pushed replica checkpoint, a gossip POST).
 fuzz:
@@ -111,6 +113,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSelfSimilarKth -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzExpectedMatchesWorstCase -fuzztime 30s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 30s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzCanonicalFloat -fuzztime 30s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzBatch -fuzztime 30s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzReplicaCheckpoint -fuzztime 30s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzGossipHandler -fuzztime 30s ./internal/membership

@@ -52,7 +52,8 @@ func reencodeBatch(body []byte) ([]byte, BatchResponse, error) {
 // panic, and must answer the same bytes again after a batch that sets
 // every optional field. A 200 must declare its exact length, re-encode
 // byte for byte through BatchResponse, and count one error per
-// ok=false item.
+// ok=false item; each ok searchtimes item must be the struct encoding
+// of its targets decoded as a []float64 (checkSearchTimesAnswer).
 // Inputs whose queries ask for more than 64 robots or 1,000 targets
 // are skipped, so every input stays cheap.
 func FuzzBatch(f *testing.F) {
@@ -69,11 +70,23 @@ func FuzzBatch(f *testing.F) {
 	f.Add([]byte(`{"queries":[{"op":"lowerbound","n":5,"f":2}]} garbage`))
 	f.Add([]byte(`{"queries":[{"op":"lowerbound","n":5,"f":2}]}{"queries":[]}`))
 	f.Add([]byte(`{"queries":[{"op":"lowerbound","n":5,"f":2}]}` + "\n"))
+	// Echoed, formatted and byzantine target lists.
+	f.Add([]byte(`{"queries":[{"op":"searchtimes","n":5,"f":2,"xs":[1.5,-2,0.000001,123456789012345]},` +
+		`{"op":"searchtimes","n":5,"f":2,"xs":[1,2.50,-3]},{"op":"searchtimes","n":5,"f":1,"model":"byzantine","xs":[7]}]}`))
 	h := newTestService(f, Config{}).Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req BatchRequest
-		if json.Unmarshal(body, &req) == nil {
-			for _, q := range req.Queries {
+		// The queries as a []float64 field decodes them: the oracle's
+		// targets, and the cost filter.
+		var plain struct {
+			Queries []struct {
+				Op string    `json:"op"`
+				N  int       `json:"n"`
+				Xs []float64 `json:"xs"`
+			} `json:"queries"`
+		}
+		decoded := json.Unmarshal(body, &plain) == nil
+		if decoded {
+			for _, q := range plain.Queries {
 				if q.N > 64 || len(q.Xs) > 1000 {
 					t.Skip("query too expensive for a fuzz input")
 				}
@@ -107,6 +120,14 @@ func FuzzBatch(f *testing.F) {
 		}
 		if resp.Errors != failed {
 			t.Fatalf("errors = %d, but %d items have ok=false", resp.Errors, failed)
+		}
+		if !decoded || len(plain.Queries) != len(resp.Results) {
+			t.Fatalf("a 200 for a body the []float64 decode gives %d queries: %s", len(plain.Queries), body)
+		}
+		for i, it := range resp.Results {
+			if it.OK && plain.Queries[i].Op == OpSearchTimes {
+				checkSearchTimesAnswer(t, plain.Queries[i].Xs, it.Result.(json.RawMessage))
+			}
 		}
 	})
 }

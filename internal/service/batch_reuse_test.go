@@ -41,32 +41,44 @@ func postBatch(h http.Handler, body string) *httptest.ResponseRecorder {
 	return w
 }
 
+// echoedBatch lists targets in the form an answer echoes, and
+// formattedBatch other targets in forms an answer must format, so an
+// echo kept from the first would show in the second's answer.
+const (
+	echoedBatch    = `{"queries":[{"op":"searchtimes","n":4,"f":1,"xs":[1.5,-2,30]}]}`
+	formattedBatch = `{"queries":[{"op":"searchtimes","n":4,"f":1,"xs":[2.50,-3.0,4e1]}]}`
+)
+
 // TestBatchReuseLeavesNoStaleFields decodes a batch that omits every
 // optional field into a query list that held one setting them all, and
-// requires the queries and the answer a fresh decode and a fresh
+// a batch of formatted targets into one that held echoed targets, and
+// requires the queries and the answers a fresh decode and a fresh
 // service give.
 func TestBatchReuseLeavesNoStaleFields(t *testing.T) {
-	var reused, fresh BatchRequest
-	if err := decodeBatch([]byte(staleBatch), &reused); err != nil {
-		t.Fatal(err)
-	}
-	if err := decodeBatch([]byte(bareBatch), &reused); err != nil {
-		t.Fatal(err)
-	}
-	if err := decodeBatch([]byte(bareBatch), &fresh); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(reused, fresh) {
-		t.Errorf("reused decode kept stale fields:\n got %+v\nwant %+v", reused.Queries, fresh.Queries)
-	}
+	for _, pair := range [][2]string{{staleBatch, bareBatch}, {echoedBatch, formattedBatch}} {
+		first, second := pair[0], pair[1]
+		var reused, fresh BatchRequest
+		if err := decodeBatch([]byte(first), &reused); err != nil {
+			t.Fatal(err)
+		}
+		if err := decodeBatch([]byte(second), &reused); err != nil {
+			t.Fatal(err)
+		}
+		if err := decodeBatch([]byte(second), &fresh); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(reused, fresh) {
+			t.Errorf("reused decode kept stale fields:\n got %+v\nwant %+v", reused.Queries, fresh.Queries)
+		}
 
-	h := newTestService(t, Config{}).Handler()
-	if w := postBatch(h, staleBatch); w.Code != http.StatusOK {
-		t.Fatalf("stale batch: %d %s", w.Code, w.Body)
-	}
-	got := postBatch(h, bareBatch)
-	want := postBatch(newTestService(t, Config{}).Handler(), bareBatch)
-	if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-		t.Errorf("answer after a stale batch:\n got %d %s\nwant %d %s", got.Code, got.Body, want.Code, want.Body)
+		h := newTestService(t, Config{}).Handler()
+		if w := postBatch(h, first); w.Code != http.StatusOK {
+			t.Fatalf("first batch: %d %s", w.Code, w.Body)
+		}
+		got := postBatch(h, second)
+		want := postBatch(newTestService(t, Config{}).Handler(), second)
+		if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("answer after another batch:\n got %d %s\nwant %d %s", got.Code, got.Body, want.Code, want.Body)
+		}
 	}
 }

@@ -63,11 +63,11 @@ type Query struct {
 	X        float64 `json:"x,omitempty"`
 	// Xs is the target list of a searchtimes query, evaluated in one
 	// pass through the compiled kernel.
-	Xs      []float64 `json:"xs,omitempty"`
-	K       int       `json:"k,omitempty"` // 0 means the worst-case detection rank
-	Faulty  []int     `json:"faulty"`      // nil means the adversarial worst case
-	Tmax    float64   `json:"tmax,omitempty"`
-	Horizon float64   `json:"horizon,omitempty"`
+	Xs      targetList `json:"xs"`
+	K       int        `json:"k,omitempty"` // 0 means the worst-case detection rank
+	Faulty  []int      `json:"faulty"`      // nil means the adversarial worst case
+	Tmax    float64    `json:"tmax,omitempty"`
+	Horizon float64    `json:"horizon,omitempty"`
 	// Model selects the fault model ("" or "crash" for the paper's
 	// model, "byzantine" for the voting detection rule) and Votes an
 	// explicit Byzantine vote threshold (0 means the default f+1).
@@ -170,17 +170,18 @@ type SearchTimeResult struct {
 
 // SearchTimesResult answers a searchtimes query: one worst-case
 // detection time per target, evaluated in a single pass through the
-// compiled kernel. Times[i] is null when the plan cannot guarantee
-// detection at Xs[i].
+// compiled kernel. Times[i] is written as null when the plan cannot
+// guarantee detection at the i-th target. The answer writes itself
+// (appendJSON), so encoding/json never sees it.
 type SearchTimesResult struct {
-	N             int        `json:"n"`
-	F             int        `json:"f"`
-	Strategy      string     `json:"strategy"`
-	Model         string     `json:"model,omitempty"`
-	DetectionRank int        `json:"detection_rank,omitempty"`
-	Xs            []float64  `json:"xs"`
-	Times         []*float64 `json:"times"`
-	Detected      int        `json:"detected"`
+	N             int
+	F             int
+	Strategy      string
+	Model         string // omitted when ""
+	DetectionRank int    // omitted when 0
+	Xs            targetList
+	Times         []float64
+	Detected      int
 }
 
 // EventResult is one timeline entry in wire format.
@@ -248,13 +249,13 @@ func (q *Query) normalize() error {
 		return badRequest("x must be a finite number, got %g", q.X)
 	}
 	if q.Op == OpSearchTimes {
-		if len(q.Xs) == 0 {
+		if q.Xs.len() == 0 {
 			return badRequest("searchtimes requires a non-empty xs list")
 		}
-		if len(q.Xs) > maxBatchTargets {
-			return badRequest("xs lists %d targets, the limit is %d", len(q.Xs), maxBatchTargets)
+		if n := q.Xs.len(); n > maxBatchTargets {
+			return badRequest("xs lists %d targets, the limit is %d", n, maxBatchTargets)
 		}
-		for i, x := range q.Xs {
+		for i, x := range q.Xs.vals {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				return badRequest("xs[%d] must be a finite number, got %g", i, x)
 			}
@@ -563,7 +564,7 @@ func (s *Service) evalSearchTimes(ctx context.Context, q Query) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	times, err := plan.Searcher.SearchTimesContext(ctx, q.Xs)
+	times, err := plan.Searcher.SearchTimesContext(ctx, q.Xs.vals)
 	if err != nil {
 		return nil, err
 	}
@@ -572,17 +573,14 @@ func (s *Service) evalSearchTimes(ctx context.Context, q Query) (any, error) {
 		F:        q.F,
 		Strategy: plan.Searcher.Strategy(),
 		Xs:       q.Xs,
-		Times:    make([]*float64, len(times)),
+		Times:    times,
 	}
 	if m := plan.Searcher.FaultModel(); m != "crash" {
 		res.Model = m
 		res.DetectionRank = plan.Searcher.DetectionRank()
 	}
-	// Each finite time points into times itself, so the answer holds no
-	// per-target allocation.
-	for i, t := range times {
+	for _, t := range times {
 		if !math.IsNaN(t) && !math.IsInf(t, 0) {
-			res.Times[i] = &times[i]
 			res.Detected++
 		}
 	}
@@ -741,7 +739,7 @@ func parseQuery(op string, v url.Values) (Query, error) {
 		}
 	}
 	if raw := v.Get("xs"); raw != "" {
-		if q.Xs, err = parseFloatList(raw, "target position"); err != nil {
+		if q.Xs, err = parseTargets(raw); err != nil {
 			return q, err
 		}
 	}
@@ -750,11 +748,11 @@ func parseQuery(op string, v url.Values) (Query, error) {
 		return q, err
 	}
 	if raw := v.Get("speeds"); raw != "" {
-		if q.Speeds, err = parseFloatList(raw, "speed"); err != nil {
+		if q.Speeds, _, err = parseFloatList(raw, "speed"); err != nil {
 			return q, err
 		}
 	}
-	if op == OpSearchTimes && len(q.Xs) == 0 {
+	if op == OpSearchTimes && q.Xs.len() == 0 {
 		return q, badRequest("parameter xs is required for %s", op)
 	}
 	return q, nil
@@ -790,19 +788,23 @@ func floatParam(v url.Values, name string, def float64) (float64, error) {
 }
 
 // parseFloatList parses "1.5,-2,40" into a float list; noun names the
-// entries in the rejection message.
-func parseFloatList(raw, noun string) ([]float64, error) {
-	out := make([]float64, 0, strings.Count(raw, ",")+1)
+// entries in the rejection message. canon reports whether every entry
+// is canonical, in which case raw is the list's JSON encoding less its
+// brackets.
+func parseFloatList(raw, noun string) (out []float64, canon bool, err error) {
+	out = make([]float64, 0, strings.Count(raw, ",")+1)
+	canon = true
 	for rest, more := raw, true; more; {
 		var p string
 		p, rest, more = strings.Cut(rest, ",")
 		x, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
-			return nil, badRequest("invalid %s %q", noun, p)
+			return nil, false, badRequest("invalid %s %q", noun, p)
 		}
+		canon = canon && canonical(p, x)
 		out = append(out, x)
 	}
-	return out, nil
+	return out, canon, nil
 }
 
 // parseIndexList parses "0,2,5" into an index list.
@@ -836,9 +838,10 @@ var (
 
 // writeJSON writes v as a JSON answer with the given status. An
 // already encoded json.RawMessage is written as it is; any other value
-// is encoded into a pooled buffer by json.Encoder, which writes
-// json.Marshal's bytes and a newline, and written in one Write. Encode
-// errors turn into a 500 (they indicate a server bug, not bad input).
+// is encoded into a pooled buffer by encodeResult, which writes
+// json.Marshal's bytes, followed by a newline as json.Encoder ends an
+// answer, and written in one Write. Encode errors turn into a 500
+// (they indicate a server bug, not bad input).
 func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
 	if data, ok := v.(json.RawMessage); ok {
 		writeParts(w, status, data, newline)
@@ -846,10 +849,11 @@ func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 	buf := answerBufs.Get()
 	defer answerBufs.Put(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if err := encodeResult(buf, v); err != nil {
 		s.encodeFailed(w, err)
 		return
 	}
+	buf.Write(newline)
 	writeParts(w, status, buf.Bytes())
 }
 
@@ -1018,10 +1022,9 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			bufs[wk] = buf
 		}
 		start := buf.Len()
-		if err := json.NewEncoder(buf).Encode(v); err != nil {
+		if err := encodeResult(buf, v); err != nil {
 			return err
 		}
-		buf.Truncate(buf.Len() - 1) // Encode's newline
 		items[i].w, items[i].start, items[i].end = wk, start, buf.Len()
 		return nil
 	})

@@ -9,8 +9,13 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"linesearch/internal/service"
@@ -166,5 +171,33 @@ func BenchmarkBatchWide(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		post()
+	}
+}
+
+// BenchmarkServiceSearchTimesWide measures a 1,000-target searchtimes
+// GET on the warm A(41,21) plan, its targets drawn as perfbench's
+// curve-batch draws them (3 decimals, |x| from 1 to 1000, sorted):
+// parse, cache hit, kernel and an answer of two 1,000-entry lists.
+func BenchmarkServiceSearchTimesWide(b *testing.B) {
+	h := newBenchService(b, 8)
+	rng := rand.New(rand.NewPCG(7, 7))
+	xs := make([]float64, 1000)
+	for i := range xs {
+		xs[i] = math.Round((1+999*rng.Float64())*1000) / 1000
+		if rng.IntN(2) == 0 {
+			xs[i] = -xs[i]
+		}
+	}
+	slices.Sort(xs)
+	toks := make([]string, len(xs))
+	for i, x := range xs {
+		toks[i] = strconv.FormatFloat(x, 'f', -1, 64)
+	}
+	target := "/v1/searchtimes?n=41&f=21&xs=" + strings.Join(toks, ",")
+	serveBench(b, h, httptest.NewRequest(http.MethodGet, target, nil))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveBench(b, h, httptest.NewRequest(http.MethodGet, target, nil))
 	}
 }
