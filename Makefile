@@ -27,13 +27,14 @@ race:
 # 40 KB and a 120 KB answer, and the service handler with the daemon's
 # default request deadline (hot and cold /v1/plan, a hot
 # /v1/searchtime, a 1,000-target /v1/searchtimes GET and a 64-query
-# batch shaped like perfbench's curve-batch, and a 64-query batch of
-# small plans). The root package's -bench
+# batch shaped like perfbench's curve-batch, a 64-query batch of small
+# plans, and a replay of perfbench build-cold's cold GETs with the
+# daemon's cache size and trace sampling). The root package's -bench
 # regex keeps its paper-experiment benchmarks out. Writes the
 # machine-readable report to BENCH.json.
 bench:
 	{ $(GO) test -run '^$$' -bench . -benchmem ./internal/telemetry ./internal/telemetry/journal ./internal/compiled ./internal/sim ./internal/cluster && \
-	  $(GO) test -run '^$$' -bench '^Benchmark(ServicePlanHot|ServicePlanCold|ServiceSearchTimeHot|ServiceSearchTimesWide|Batch|BatchWide)$$' -benchmem . ; } | tee /dev/stderr \
+	  $(GO) test -run '^$$' -bench '^Benchmark(ServicePlanHot|ServicePlanCold|ServiceSearchTimeHot|ServiceSearchTimesWide|ServiceBuildCold|Batch|BatchWide)$$' -benchmem . ; } | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH.json
 
 # Fail when any benchmark in BENCH.json allocates more than 2x its
@@ -97,8 +98,9 @@ bench-paper:
 
 # Short fuzzing smoke: the public SearchTime entry point, the zig-zag
 # tail's closed-form first visit against the segment walk, the
-# Byzantine vote-rule kernel against the exact engine, the kernel's
-# k-th-visit selection against its partial-selection oracle, the
+# kernel's power-table tail turns against the kernel that stored every
+# turn, the Byzantine vote-rule kernel against the exact engine, the
+# kernel's k-th-visit selection against its partial-selection oracle, the
 # phase-table answer of self-similar plans against the scan, the
 # expected-time series at miss probability 0 against the worst case,
 # the GET endpoints' query-string parser, the canonical-token rule for
@@ -108,6 +110,7 @@ bench-paper:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSearchTime -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzZigZagFirstVisit -fuzztime 30s ./internal/trajectory
+	$(GO) test -run '^$$' -fuzz FuzzImplicitTail -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzByzantineVote -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzSelectKth -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzSelfSimilarKth -fuzztime 30s ./internal/compiled

@@ -1,20 +1,26 @@
 // Package compiled is the hot-path evaluation kernel: it flattens a
-// sim.Plan's trajectories into flat turning-time/position arrays once,
-// then answers first-visit queries by binary search and k-th-distinct
-// -visit queries with a zero-allocation introselect in a fixed buffer —
-// no per-query []Visit slice, O(n) expected and O(n log n) worst case.
+// sim.Plan's trajectories into corner arrays once, then answers
+// first-visit queries by binary search and k-th-distinct-visit queries
+// with a zero-allocation introselect in a fixed buffer — no per-query
+// []Visit slice, O(n) expected and O(n log n) worst case.
 //
 // The flattening exploits the structure Theorem 3 gives every schedule
-// in this repository: turning points form a geometric sequence inside
-// the cone C_beta, so a finite corner array covers an exponentially
-// large target range. A plan's corners live in one arena of four flat
-// arrays (times, positions and the running coverage envelope, i.e.
-// cumulative min/max position), counted before the one allocation; each
-// robot is a view into it plus its trajectory's tail. The envelope is
-// monotone in the corner index, so "which segment first reaches x" is a
-// binary search. Past the corners every robot answers through its
-// tail's closed-form FirstVisit (none for a robot that halts), so
-// compiled answers are defined for every input the simulator accepts.
+// in this repository: a zig-zag tail turns at |x_k| = |x_0|·kappa^k
+// inside its cone C_beta (Lemma 1), so a few dozen turns cover an
+// exponentially large target range, and every robot in one cone turns
+// by the same powers. A plan's arena is one allocation, counted before
+// it is made. It holds each robot's finite part (start-up legs and the
+// tail's anchor) as corners with their running coverage envelope, and
+// one power table kappa^k per cone, shared by every robot zig-zagging
+// in it. A robot is a view of its corners plus its tail; its zig-zag
+// turns up to coverageFactor anchor distances count as corners too, and
+// are derived from the table with ZigZag.TurningPoint's arithmetic when
+// a query reaches them. The envelope is monotone in the corner index,
+// so "which segment first reaches x" is a binary search, over the
+// stored corners or over every other turn. Past the corners every robot
+// answers through its tail's closed-form FirstVisit (none for a robot
+// that halts), so compiled answers are defined for every input the
+// simulator accepts.
 //
 // All crossing times are computed with the same arithmetic as
 // internal/sim (identical segment endpoints, identical interpolation),
@@ -45,31 +51,48 @@ import (
 	"linesearch/internal/trajectory"
 )
 
-// Compilation bounds: a zig-zag's turning points are materialised until
-// its envelope covers |x| <= coverageFactor*|anchor| on both sides, far
-// beyond the service's query horizon, or it has maxCorners corners (a
-// guard for cones whose expansion factor is barely above 1). Targets
-// beyond a robot's envelope, capped or not, are answered by its tail.
+// Compilation bounds: a zig-zag's turning points count as corners
+// until its envelope covers |x| <= coverageFactor*|anchor| on both
+// sides, far beyond the service's query horizon, or it has maxCorners
+// corners (a guard for cones whose expansion factor is barely above 1).
+// Targets beyond a robot's envelope, capped or not, are answered by its
+// tail.
 const (
 	coverageFactor = 1e8
 	maxCorners     = 4096
 )
 
-// robot is one robot's view of its plan's corner arena plus the tail
-// that answers targets beyond the corners. Robots sharing a source
+// robot is one robot's view of its plan's arena plus the tail that
+// answers targets beyond its corners. Robots sharing a source
 // trajectory (the doubling baseline) share one view.
+//
+// A robot's corners are its finite part's, stored, then for a zig-zag
+// tail its turning points k = 1..turns past the anchor, derived from
+// its cone's power table when a query reaches them. Corner indices run
+// over both: the anchor, the last stored corner, is index stored()-1
+// and turn k is index stored()-1+k.
 type robot struct {
-	// times and pos are the trajectory's corner points (finite legs
-	// followed by materialised tail turning points); times never
-	// decrease and motion between consecutive corners is uniform.
-	times []float64
-	pos   []float64
-	// cumMin and cumMax are the running coverage envelope:
-	// cumMin[i] = min(pos[0..i]), cumMax[i] = max(pos[0..i]). cumMin is
-	// nonincreasing and cumMax nondecreasing, which makes "first corner
-	// index whose envelope contains x" binary-searchable.
-	cumMin []float64
-	cumMax []float64
+	// corners holds the finite part's corners (the first leg's start,
+	// every leg's end and the tail's anchor, as cursor.keep keeps them)
+	// as runs of four: time, position and the running coverage envelope
+	// min(pos[0..i]) and max(pos[0..i]). Times never decrease and motion
+	// between consecutive corners is uniform. Widened past the anchor by
+	// the farthest turn so far on each side, the envelope's minimum is
+	// nonincreasing and its maximum nondecreasing in the corner index,
+	// which makes "first corner index whose envelope contains x"
+	// binary-searchable.
+	corners []float64
+	// lo and hi are the envelope at the last corner, stored or derived.
+	lo, hi float64
+	// turns counts the zig-zag turning points that are corners. Turn k
+	// lies at ±mag·kappa^k, on the anchor's side for even k (flip: the
+	// anchor is negative), at time beta·|x| but no earlier than anchorT,
+	// the anchor's kept time. kappa^k is pow[k], from the power table
+	// every robot in the cone shares.
+	turns              int
+	mag, beta, anchorT float64
+	flip               bool
+	pow                []float64
 	// tail answers targets outside the envelope; nil when the robot
 	// halts, so it never visits them.
 	tail trajectory.Tail
@@ -77,7 +100,7 @@ type robot struct {
 
 // Plan is a compiled search plan: one robot view per robot plus the
 // fault model's budget and detection rank. It is safe for concurrent
-// use: the corners never change after Compile, the phase tables (see
+// use: the arena never changes after Compile, the phase tables (see
 // phase.go) are built once per rank and published atomically, and
 // per-query scratch lives in Evaluators (see eval.go).
 type Plan struct {
@@ -106,39 +129,35 @@ func Compile(p *sim.Plan) (*Plan, error) {
 
 // compile is Compile with the per-trajectory corner cap as a
 // parameter, so tests can force targets past the corners. It counts
-// every distinct trajectory's corners, allocates one arena for all of
-// them and fills it robot by robot; sim.NewPlanModel has already
-// validated every trajectory.
+// every distinct trajectory's finite corners and every cone's power
+// table, allocates one arena for all of them and fills it robot by
+// robot; sim.NewPlanModel has already validated every trajectory.
 func compile(p *sim.Plan, cornerCap int) (*Plan, error) {
 	if p == nil {
 		return nil, fmt.Errorf("compiled: nil plan")
 	}
 	trajs := p.Trajectories()
 	cp := &Plan{robots: make([]robot, len(trajs)), f: p.F(), rank: p.DetectionRank(), src: p}
-	// A trajectory's finite part is counted exactly and a zig-zag's
-	// turns are bounded by zigzagTurns, both as arena.compile keeps them.
-	size, kappa, turns := 0, 0.0, 0
+	// A trajectory's finite part is counted exactly as arena.compile
+	// keeps it. Consecutive robots in one cone share its table, so a
+	// fleet in one cone (every strategy's) holds one.
+	size, pows, kappa := 0, 0, 0.0
 	for i, tr := range trajs {
 		if i > 0 && tr == trajs[i-1] {
 			continue
 		}
 		var c cursor
 		prefix(tr, func(p geom.Point) { c.keep(p) })
+		size += c.n
 		if z, ok := tr.TailOf().(*trajectory.ZigZag); ok {
 			if k := z.Cone().ExpansionFactor(); k != kappa {
-				kappa, turns = k, zigzagTurns(k, cornerCap)
+				kappa = k
+				pows += zigzagTurns(k, cornerCap) + 1
 			}
-			c.n = min(c.n+turns, max(cornerCap, c.n))
 		}
-		size += c.n
 	}
-	buf := make([]float64, 4*size)
-	a := arena{
-		times:  buf[:0:size],
-		pos:    buf[size : size : 2*size],
-		cumMin: buf[2*size : 2*size : 3*size],
-		cumMax: buf[3*size : 3*size : 4*size],
-	}
+	buf := make([]float64, 4*size+pows)
+	a := arena{corners: buf[: 0 : 4*size], pows: buf[4*size : 4*size]}
 	for i, tr := range trajs {
 		if i > 0 && tr == trajs[i-1] {
 			cp.robots[i] = cp.robots[i-1]
@@ -199,73 +218,141 @@ func (c *cursor) keep(p geom.Point) (geom.Point, bool) {
 	return p, true
 }
 
-// zigzagTurns bounds the turning points past the anchor arena.compile
-// materialises for a zig-zag of expansion factor kappa. Turn k lies at
-// |x_0|*kappa^k, computed with the same math.Pow, and a product with
-// |x_0| never reverses a comparison with coverageFactor*|x_0|: the
-// first k with kappa^k >= coverageFactor covers one side and k+1 the
-// other. Past cornerCap the cap binds instead.
+// zigzagTurns bounds the turning points past the anchor that count as
+// corners of a zig-zag of expansion factor kappa. Turn k lies at
+// |x_0|*kappa^k, and a product with |x_0| never reverses a comparison
+// with coverageFactor*|x_0|: the first k with kappa^k >= coverageFactor
+// covers one side and k+1 the other. Past cornerCap the cap binds
+// instead, so the bound is at most cornerCap+1. kappa^k stays finite up
+// to it: it is below coverageFactor*kappa^2 and kappa < 2^53.
 func zigzagTurns(kappa float64, cornerCap int) int {
-	k := max(int(math.Log(coverageFactor)/math.Log(kappa))-1, 1)
+	k := cornerCap
+	if v := math.Log(coverageFactor) / math.Log(kappa); v < float64(cornerCap) {
+		k = max(int(v)-1, 1)
+	}
 	for k < cornerCap && math.Pow(kappa, float64(k)) < coverageFactor {
 		k++
 	}
 	return k + 1
 }
 
-// arena is a plan's four corner arrays, sized before the first corner
-// is written; each robot's view is the run of corners arena.compile
-// appended for it.
+// arena is a plan's corner runs and power tables, sized before the
+// first value is written; each robot's view is the corners
+// arena.compile appended for it and its cone's table.
 type arena struct {
-	times, pos, cumMin, cumMax []float64
+	corners, pows []float64
+	// kappa and pow are the cone and table of the last zig-zag compiled.
+	kappa float64
+	pow   []float64
 }
 
-// compile appends tr's corners to the arena and returns its view:
-// the finite part, then for a zig-zag tail its turning points until
-// the envelope covers coverageFactor times the anchor's distance on
-// both sides, stopping at cornerCap corners or where a turning point
-// leaves the float64 range.
+// compile appends tr's finite corners to the arena and returns its
+// view. A zig-zag tail's turning points count as corners until the
+// envelope covers coverageFactor times the anchor's distance on both
+// sides, stopping at cornerCap corners, where a turning point leaves
+// the float64 range, or where the cone's table ends; the tail's closed
+// form answers past them.
 func (a *arena) compile(tr *trajectory.Trajectory, cornerCap int) robot {
-	start := len(a.times)
+	start := len(a.corners)
 	var c cursor
-	add := func(p geom.Point) {
+	prefix(tr, func(p geom.Point) {
 		if p, ok := c.keep(p); ok {
-			a.times = append(a.times, p.T)
-			a.pos = append(a.pos, p.X)
-			a.cumMin = append(a.cumMin, c.lo)
-			a.cumMax = append(a.cumMax, c.hi)
+			a.corners = append(a.corners, p.T, p.X, c.lo, c.hi)
 		}
-	}
-	prefix(tr, add)
-
-	tail := tr.TailOf()
-	switch t := tail.(type) {
+	})
+	ct := robot{corners: a.corners[start:], tail: tr.TailOf()}
+	switch t := ct.tail.(type) {
 	case *trajectory.Halt:
 		// A halting robot never extends coverage beyond its anchor,
 		// which is already its last corner.
-		tail = nil
+		ct.tail = nil
 	case *trajectory.ZigZag:
-		cover := coverageFactor * math.Abs(t.Anchor().X)
-		for k := 1; c.n < cornerCap && (c.hi < cover || c.lo > -cover); k++ {
-			p := t.TurningPoint(k)
-			if math.IsInf(p.X, 0) || math.IsInf(p.T, 0) {
+		ct.mag, ct.beta, ct.flip = math.Abs(t.Anchor().X), t.Cone().Beta(), t.Anchor().X < 0
+		ct.anchorT = c.last.T
+		ct.pow = a.table(t.Cone().ExpansionFactor(), cornerCap)
+		cover := coverageFactor * ct.mag
+		for k := 1; c.n < cornerCap && (c.hi < cover || c.lo > -cover) && k < len(ct.pow); k++ {
+			x := ct.mag * ct.pow[k]
+			if math.IsInf(ct.beta*x, 0) {
 				break // beyond float64: the tail's closed form answers
 			}
-			add(p)
+			if (k%2 != 0) != ct.flip {
+				x = -x
+			}
+			if x < c.lo {
+				c.lo = x
+			}
+			if x > c.hi {
+				c.hi = x
+			}
+			c.n++
+			ct.turns++
 		}
 	}
-	return robot{
-		times:  a.times[start:],
-		pos:    a.pos[start:],
-		cumMin: a.cumMin[start:],
-		cumMax: a.cumMax[start:],
-		tail:   tail,
-	}
+	ct.lo, ct.hi = c.lo, c.hi
+	return ct
 }
 
-// covered reports whether the envelope at corner index i contains x.
+// table returns the power table of expansion factor kappa, appending a
+// new one unless the previous zig-zag's cone had the same factor. It
+// holds kappa^k for k up to zigzagTurns, computed with the same
+// math.Pow as ZigZag.TurningPoint. The powers must not fall: the
+// farthest turn on a side is then its latest, and turn times never
+// decrease. Should rounding ever put kappa^k below kappa^(k-1) (no cone
+// tested does), the table ends there and the tail answers beyond.
+func (a *arena) table(kappa float64, cornerCap int) []float64 {
+	if a.pow != nil && kappa == a.kappa {
+		return a.pow
+	}
+	n := zigzagTurns(kappa, cornerCap) + 1
+	start := len(a.pows)
+	a.pows = a.pows[:start+n]
+	pow := a.pows[start:]
+	for k := range pow {
+		if pow[k] = math.Pow(kappa, float64(k)); k > 0 && pow[k] < pow[k-1] {
+			pow = pow[:k]
+			break
+		}
+	}
+	a.kappa, a.pow = kappa, pow
+	return pow
+}
+
+// stored returns the robot's stored corner count.
+func (ct *robot) stored() int { return len(ct.corners) / 4 }
+
+// count returns the robot's corner count: its stored corners and its
+// zig-zag turns.
+func (ct *robot) count() int { return ct.stored() + ct.turns }
+
+// corner returns corner i's position and time.
+func (ct *robot) corner(i int) (x, t float64) {
+	if n := ct.stored(); i >= n {
+		return ct.turn(i - n + 1)
+	}
+	return ct.corners[4*i+1], ct.corners[4*i]
+}
+
+// turn returns zig-zag turn k with ZigZag.TurningPoint's arithmetic,
+// x = ±|x_0|·kappa^k and t = beta·|x|, the time raised to the anchor's
+// kept time as cursor.keep's clamp to the previous corner would raise
+// it (turn times never decrease, so only the anchor's can be later);
+// turn 0 is the anchor as kept.
+func (ct *robot) turn(k int) (x, t float64) {
+	x = ct.mag * ct.pow[k]
+	if t = ct.beta * x; t < ct.anchorT {
+		t = ct.anchorT
+	}
+	if (k%2 != 0) != ct.flip {
+		x = -x
+	}
+	return x, t
+}
+
+// covered reports whether the stored envelope at corner index i
+// contains x.
 func (ct *robot) covered(i int, x float64) bool {
-	return ct.cumMin[i] <= x && x <= ct.cumMax[i]
+	return ct.corners[4*i+2] <= x && x <= ct.corners[4*i+3]
 }
 
 // firstVisit returns the robot's earliest time standing on x. hint is
@@ -274,21 +361,62 @@ func (ct *robot) covered(i int, x float64) bool {
 // search to a few corners. The returned index is the new hint; ok
 // reports whether the robot ever visits x.
 func (ct *robot) firstVisit(x float64, hint int) (t float64, idx int, ok bool) {
-	last := len(ct.times) - 1
-	if !ct.covered(last, x) {
+	if !(ct.lo <= x && x <= ct.hi) {
 		if ct.tail == nil {
 			return 0, hint, false
 		}
 		t, ok := ct.tail.FirstVisit(x)
 		return t, hint, ok
 	}
+	anchor := len(ct.corners)/4 - 1
+	if lo, hi := ct.corners[4*anchor+2], ct.corners[4*anchor+3]; x < lo || x > hi {
+		// The turns cover x but the stored corners do not. Beyond the
+		// stored envelope's upper (lower) end, the envelope at turn k
+		// contains x exactly when the farthest turn so far on the
+		// positive (negative) side, which is the latest, reaches |x|.
+		// So the first covering corner is the first turn j of that
+		// side's parity with mag·kappa^j >= |x|: candidates
+		// j = first + 2m for m in [lo, hi]. A hint covers x exactly when
+		// the last candidate up to it does. x is then crossed on the way
+		// to turn j from turn j-1, on the other side (turn 0 being the
+		// anchor).
+		neg := x < lo
+		ax, first := x, 2
+		if neg {
+			ax = -x
+		}
+		if neg != ct.flip {
+			first = 1
+		}
+		side := ct.pow[first:]
+		lo, hi := 0, (ct.turns-first)>>1
+		if m := (hint - anchor - first) >> 1; uint(m) <= uint(hi) {
+			if ct.mag*side[2*m] >= ax {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if ct.mag*side[2*mid] >= ax {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		j := first + 2*lo
+		x0, t0 := ct.turn(j - 1)
+		x1, t1 := ct.turn(j)
+		return interpolate(x, x0, t0, x1, t1), anchor + j, true
+	}
 
-	// Find the minimal corner index whose envelope contains x. The
+	// Find the minimal stored corner whose envelope contains x. The
 	// predicate covered(i, x) is monotone in i, so the previous query's
 	// index splits the search: a still-covering hint bounds from above,
 	// a stale one from below.
-	lo, hi := 0, last
-	if hint >= 0 && hint <= last {
+	lo, hi := 0, anchor
+	if hint >= 0 && hint <= anchor {
 		if ct.covered(hint, x) {
 			hi = hint
 		} else {
@@ -303,16 +431,19 @@ func (ct *robot) firstVisit(x float64, hint int) (t float64, idx int, ok bool) {
 			lo = mid + 1
 		}
 	}
-
 	if lo == 0 {
 		// x is the start position itself.
-		return ct.times[0], 0, true
+		return ct.corners[0], 0, true
 	}
-	// x entered the envelope on the segment lo-1 -> lo, which therefore
-	// crosses it exactly once; interpolate with the same arithmetic as
-	// geom.Segment.FirstVisit. The displacement cannot be zero: a
-	// stationary segment never extends the envelope.
-	x0, x1 := ct.pos[lo-1], ct.pos[lo]
+	c := ct.corners[4*lo-4 : 4*lo+2]
+	return interpolate(x, c[1], c[0], c[5], c[4]), lo, true
+}
+
+// interpolate returns the time the segment from (x0, t0) to (x1, t1)
+// passes x, with the same arithmetic as geom.Segment.FirstVisit. The
+// displacement cannot be zero: a stationary segment never extends the
+// envelope.
+func interpolate(x, x0, t0, x1, t1 float64) float64 {
 	frac := (x - x0) / (x1 - x0)
-	return ct.times[lo-1] + frac*(ct.times[lo]-ct.times[lo-1]), lo, true
+	return t0 + frac*(t1-t0)
 }

@@ -223,7 +223,7 @@ func TestDifferentialCappedCompilation(t *testing.T) {
 // mixedTailPlan is a four-robot fleet with one robot per tail kind: a
 // zig-zag, a ray sweeping left, a half-line zig-zag sweeping right, and
 // a robot that walks to x = 50 and halts.
-func mixedTailPlan(t *testing.T) *sim.Plan {
+func mixedTailPlan(t testing.TB) *sim.Plan {
 	t.Helper()
 	cone := geom.MustCone(2)
 	zz, err := trajectory.NewZigZag(cone, cone.BoundaryPoint(1))

@@ -13,14 +13,14 @@ func CompileCapped(p *sim.Plan, cornerCap int) (*Plan, error) { return compile(p
 // guaranteed, mirroring sim.Plan.DetectionRank.
 func (p *Plan) DetectionRank() int { return p.rank }
 
-// Corners returns the total number of materialised corner points across
-// distinct trajectories — a memory-footprint observability hook. Robots
-// sharing a trajectory share their view of the arena.
+// Corners returns the total number of corner points across distinct
+// trajectories, stored or derived from a power table. Robots sharing a
+// trajectory share their view of the arena.
 func (p *Plan) Corners() int {
 	total := 0
 	for i := range p.robots {
-		if i == 0 || &p.robots[i].times[0] != &p.robots[i-1].times[0] {
-			total += len(p.robots[i].times)
+		if i == 0 || &p.robots[i].corners[0] != &p.robots[i-1].corners[0] {
+			total += p.robots[i].count()
 		}
 	}
 	return total
@@ -45,6 +45,17 @@ func (e *Evaluator) FirstVisit(i int, x float64) (float64, bool) {
 	e.hints[i] = idx
 	return t, ok
 }
+
+// FirstVisitAt is FirstVisit that also returns the covering corner
+// index it leaves as robot i's hint.
+func (e *Evaluator) FirstVisitAt(i int, x float64) (float64, int, bool) {
+	t, ok := e.FirstVisit(i, x)
+	return t, e.hints[i], ok
+}
+
+// NewEvaluator returns an evaluator outside the plan's pool, with no
+// hints set.
+func (p *Plan) NewEvaluator() *Evaluator { return newEvaluator(p) }
 
 // PhaseGrid describes where a self-similar plan's phase tables answer:
 // |x| in [Lo, Hi], periods of LogSigma in ln|x| starting at LogBase,

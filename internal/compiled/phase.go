@@ -109,18 +109,17 @@ func detectSymmetry(robots []robot) symmetry {
 		}
 		// Before the anchor the robot must stay strictly closer to the
 		// origin, so every |x| >= |anchor| is first reached on the
-		// zig-zag.
-		for j, t := range ct.times {
-			if t < a.T && !(math.Abs(ct.pos[j]) < math.Abs(a.X)) {
+		// zig-zag. Only stored corners can precede it: turns follow it.
+		for j := range ct.stored() {
+			if x, t := ct.corner(j); t < a.T && !(math.Abs(x) < math.Abs(a.X)) {
 				return symmetry{}
 			}
 		}
-		last := len(ct.pos) - 1
-		if !(math.Abs(a.X) > 1e-290) || math.IsInf(ct.times[last], 0) {
+		if _, t := ct.corner(ct.count() - 1); !(math.Abs(a.X) > 1e-290) || math.IsInf(t, 0) {
 			return symmetry{}
 		}
 		lo = max(lo, math.Abs(a.X))
-		hi = min(hi, ct.cumMax[last], -ct.cumMin[last])
+		hi = min(hi, ct.hi, -ct.lo)
 		u := a.X // first positive turning point
 		if u < 0 {
 			u = -kappa * u

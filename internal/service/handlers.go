@@ -117,12 +117,6 @@ func statusOf(err error) int {
 	return http.StatusBadRequest
 }
 
-// pointJSON is a space–time point in wire format.
-type pointJSON struct {
-	T float64 `json:"t"`
-	X float64 `json:"x"`
-}
-
 // PlanResult answers /v1/plan: the plan's parameters, guarantees and
 // geometry.
 type PlanResult struct {
@@ -133,17 +127,17 @@ type PlanResult struct {
 	// Model and DetectionRank describe the detection rule; both are
 	// omitted for crash plans, whose responses predate the fault-model
 	// surface and stay byte-identical.
-	Model            string        `json:"model,omitempty"`
-	Votes            int           `json:"votes,omitempty"`
-	DetectionRank    int           `json:"detection_rank,omitempty"`
-	Regime           string        `json:"regime"`
-	CompetitiveRatio float64       `json:"competitive_ratio"`
-	UpperBound       *float64      `json:"upper_bound"`
-	LowerBound       *float64      `json:"lower_bound"`
-	Beta             *float64      `json:"beta,omitempty"`
-	Expansion        *float64      `json:"expansion,omitempty"`
-	Horizon          float64       `json:"horizon"`
-	TurningPoints    [][]pointJSON `json:"turning_points"`
+	Model            string               `json:"model,omitempty"`
+	Votes            int                  `json:"votes,omitempty"`
+	DetectionRank    int                  `json:"detection_rank,omitempty"`
+	Regime           string               `json:"regime"`
+	CompetitiveRatio float64              `json:"competitive_ratio"`
+	UpperBound       *float64             `json:"upper_bound"`
+	LowerBound       *float64             `json:"lower_bound"`
+	Beta             *float64             `json:"beta,omitempty"`
+	Expansion        *float64             `json:"expansion,omitempty"`
+	Horizon          float64              `json:"horizon"`
+	TurningPoints    [][]linesearch.Point `json:"turning_points"`
 }
 
 // SearchTimeResult answers /v1/searchtime. Time and Ratio are null when
@@ -467,15 +461,8 @@ func planResult(ctx context.Context, q Query, plan *Plan) (PlanResult, error) {
 		geom.End()
 		return PlanResult{}, err
 	}
-	robots := make([][]pointJSON, len(pts))
 	for i, ps := range pts {
-		if len(ps) > maxTurningPoints {
-			ps = ps[:maxTurningPoints]
-		}
-		robots[i] = make([]pointJSON, len(ps))
-		for j, p := range ps {
-			robots[i][j] = pointJSON{T: p.T, X: p.X}
-		}
+		pts[i] = ps[:min(len(ps), maxTurningPoints)]
 	}
 	// A byzantine plan's schedule is the crash base at the effective
 	// budget rank-1, so the pair-level closed forms apply there.
@@ -484,7 +471,7 @@ func planResult(ctx context.Context, q Query, plan *Plan) (PlanResult, error) {
 		boundsF = plan.Searcher.DetectionRank() - 1
 	}
 	bounds, err := linesearch.Bounds(q.N, boundsF)
-	geom.SetInt("robots", int64(len(robots)))
+	geom.SetInt("robots", int64(len(pts)))
 	geom.End()
 	if err != nil {
 		return PlanResult{}, err
@@ -501,7 +488,7 @@ func planResult(ctx context.Context, q Query, plan *Plan) (PlanResult, error) {
 		Beta:             finitePtr(bounds.Beta),
 		Expansion:        finitePtr(bounds.Expansion),
 		Horizon:          horizon,
-		TurningPoints:    robots,
+		TurningPoints:    pts,
 	}
 	if m := plan.Searcher.FaultModel(); m != "crash" {
 		res.Model = m

@@ -306,10 +306,11 @@ func (s *Searcher) Positions(t float64) ([]float64, error) {
 }
 
 // Point is a space–time point on a robot's trajectory: position X on
-// the line at time T.
+// the line at time T. It encodes as {"t":T,"x":X}, the service's wire
+// form.
 type Point struct {
-	T float64
-	X float64
+	T float64 `json:"t"`
+	X float64 `json:"x"`
 }
 
 // TurningPoints returns, for every robot, the corner points of its

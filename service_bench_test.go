@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"linesearch/internal/service"
+	"linesearch/internal/telemetry"
 )
 
 // newBenchService builds the handler with the daemon's default request
@@ -199,5 +200,50 @@ func BenchmarkServiceSearchTimesWide(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serveBench(b, h, httptest.NewRequest(http.MethodGet, target, nil))
+	}
+}
+
+// BenchmarkServiceBuildCold replays perfbench build-cold's request
+// shape through the handler configured as linesearchd's defaults (128
+// cached plans, one request in ten traced): n from 3 to 400 on a
+// Pareto tail (median 15), f in the proportional regime and one of 400
+// mindists, so nearly every request builds a plan and evicts one, in a
+// mix of 45% plan, 45% searchtime and 10% lowerbound GETs.
+func BenchmarkServiceBuildCold(b *testing.B) {
+	h := service.New(service.Config{
+		CacheSize: 128,
+		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Tracer:    telemetry.New(telemetry.Config{SampleRate: 0.1, Capacity: 256}),
+	}).Handler()
+	rng := rand.New(rand.NewPCG(11, 11))
+	targets := make([]string, 4096)
+	for i := range targets {
+		n := 3 + int(12*(1/(1-rng.Float64())-1))
+		if n > 400 || n < 3 {
+			n = 400
+		}
+		f := n/2 + rng.IntN(n-n/2)
+		mindist := math.Round((0.25+0.01*float64(rng.IntN(400)))*100) / 100
+		key := fmt.Sprintf("n=%d&f=%d", n, f)
+		if mindist != 1 {
+			key += "&mindist=" + strconv.FormatFloat(mindist, 'f', -1, 64)
+		}
+		switch u := rng.Float64(); {
+		case u < 0.45:
+			targets[i] = "/v1/plan?" + key
+		case u < 0.9:
+			x := math.Round(mindist*(1+99*rng.Float64())*1000) / 1000
+			if rng.IntN(2) == 0 {
+				x = -x
+			}
+			targets[i] = "/v1/searchtime?" + key + "&x=" + strconv.FormatFloat(x, 'f', -1, 64)
+		default:
+			targets[i] = fmt.Sprintf("/v1/lowerbound?n=%d&f=%d", n, f)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveBench(b, h, httptest.NewRequest(http.MethodGet, targets[i%len(targets)], nil))
 	}
 }
