@@ -31,6 +31,20 @@ var goldenRequests = []struct{ method, target, body string }{
 	{"GET", "/v1/plan?n=5&f=1&model=byzantine&votes=3&horizon=30", ""},
 	{"GET", "/v1/plan?n=2&f=2", ""},
 	{"GET", "/v1/plan?n=3&f=1&bogus=1", ""},
+	// Plans of every tail kind and cone shape; one cut at 256 points
+	// per robot; horizons at the 1e5*mindist cap and just past it;
+	// points in e notation; and points past float64's range, which
+	// encoding/json refuses (a 500).
+	{"GET", "/v1/plan?n=7&f=3&strategy=uniform:1.5", ""},
+	{"GET", "/v1/plan?n=5&f=2&strategy=cone:2.5", ""},
+	{"GET", "/v1/plan?n=6&f=1&strategy=twogroup", ""},
+	{"GET", "/v1/plan?n=5&f=2&strategy=pfaulty", ""},
+	{"GET", "/v1/plan?n=2&f=1&strategy=cone:100&horizon=100000", ""},
+	{"GET", "/v1/plan?n=3&f=1&horizon=100000", ""},
+	{"GET", "/v1/plan?n=3&f=1&horizon=100000.00000000001", ""},
+	{"GET", "/v1/plan?n=3&f=1&mindist=0.0000001", ""},
+	{"GET", "/v1/plan?n=2&f=1&strategy=cone:1.000001&mindist=1e300&horizon=1e305", ""},
+	{"GET", "/v1/plan?n=3&f=1&strategy=cone:1.0001&mindist=1e300&horizon=1e305", ""},
 	{"GET", "/v1/searchtime?n=3&f=1&x=7.5", ""},
 	{"GET", "/v1/searchtime?n=7&f=3&x=-12.25&k=2", ""},
 	{"GET", "/v1/searchtime?n=3&f=1&x=7.5&objective=expected&p=0.25", ""},
@@ -61,6 +75,20 @@ var goldenRequests = []struct{ method, target, body string }{
 		`{"op":"timeline","n":3,"f":1,"x":2,"faulty":[0]},` +
 		`{"op":"lowerbound","n":5,"f":2},` +
 		`{"op":"plan","n":2,"f":2}]}`},
+	// The plan pins above as batch items, the first pass building what
+	// the GETs left uncached; then a batch whose plan cannot be encoded.
+	{"POST", "/v1/batch", `{"queries":[` +
+		`{"op":"plan","n":7,"f":3,"strategy":"uniform:1.5"},` +
+		`{"op":"plan","n":5,"f":2,"strategy":"cone:2.5"},` +
+		`{"op":"plan","n":6,"f":1,"strategy":"twogroup"},` +
+		`{"op":"plan","n":5,"f":2,"strategy":"pfaulty"},` +
+		`{"op":"plan","n":2,"f":1,"strategy":"cone:100","horizon":100000},` +
+		`{"op":"plan","n":3,"f":1,"horizon":100000},` +
+		`{"op":"plan","n":3,"f":1,"horizon":100000.00000000001},` +
+		`{"op":"plan","n":3,"f":1,"mindist":1e-7},` +
+		`{"op":"plan","n":3,"f":1,"mindist":1e-7,"horizon":5e-6},` +
+		`{"op":"plan","n":2,"f":1,"strategy":"cone:1.000001","mindist":1e300,"horizon":1e305}]}`},
+	{"POST", "/v1/batch", `{"queries":[{"op":"plan","n":3,"f":1,"strategy":"cone:1.0001","mindist":1e300,"horizon":1e305}]}`},
 	// Target lists that are formatted, not echoed, and target lists
 	// that the batch decoder rejects.
 	{"POST", "/v1/batch", `{"queries":[{"op":"searchtimes","n":5,"f":2,"xs":[1.0, 1E3,` + "\n\t" + `-2.50 , 4]}]}`},
