@@ -25,16 +25,16 @@ race:
 # and traced requests, traceparent parsing and propagation, histogram
 # observation, the event journal live and nil), the router relaying a
 # 40 KB and a 120 KB answer, and the service handler with the daemon's
-# default request deadline (hot and cold /v1/plan, a hot
-# /v1/searchtime, a 1,000-target /v1/searchtimes GET and a 64-query
-# batch shaped like perfbench's curve-batch, a 64-query batch of small
-# plans, and a replay of perfbench build-cold's cold GETs with the
-# daemon's cache size and trace sampling). The root package's -bench
-# regex keeps its paper-experiment benchmarks out. Writes the
+# default request deadline (hot and cold /v1/plan, a cold /v1/plan on
+# A(1001,500), a hot /v1/searchtime, a 1,000-target /v1/searchtimes GET
+# and a 64-query batch shaped like perfbench's curve-batch, a 64-query
+# batch of small plans, and a replay of perfbench build-cold's cold GETs
+# with the daemon's cache size and trace sampling). The root package's
+# -bench regex keeps its paper-experiment benchmarks out. Writes the
 # machine-readable report to BENCH.json.
 bench:
 	{ $(GO) test -run '^$$' -bench . -benchmem ./internal/telemetry ./internal/telemetry/journal ./internal/compiled ./internal/sim ./internal/cluster && \
-	  $(GO) test -run '^$$' -bench '^Benchmark(ServicePlanHot|ServicePlanCold|ServiceSearchTimeHot|ServiceSearchTimesWide|ServiceBuildCold|Batch|BatchWide)$$' -benchmem . ; } | tee /dev/stderr \
+	  $(GO) test -run '^$$' -bench '^Benchmark(ServicePlanHot|ServicePlanCold|ServicePlanWide|ServiceSearchTimeHot|ServiceSearchTimesWide|ServiceBuildCold|Batch|BatchWide)$$' -benchmem . ; } | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH.json
 
 # Fail when any benchmark in BENCH.json allocates more than 2x its
@@ -96,7 +96,10 @@ obs-smoke:
 bench-paper:
 	$(GO) test -bench . -benchmem .
 
-# Short fuzzing smoke: the public SearchTime entry point, the zig-zag
+# Short fuzzing smoke: the public SearchTime entry point, plan answers
+# (the kernel's turning-point walk against the segment walk over the
+# sim trajectories, and the written answer against encoding/json), the
+# zig-zag
 # tail's closed-form first visit against the segment walk, the
 # kernel's power-table tail turns against the kernel that stored every
 # turn, the Byzantine vote-rule kernel against the exact engine, the
@@ -109,6 +112,7 @@ bench-paper:
 # gossip feed (a pushed replica checkpoint, a gossip POST).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSearchTime -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz FuzzPlanBody -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzZigZagFirstVisit -fuzztime 30s ./internal/trajectory
 	$(GO) test -run '^$$' -fuzz FuzzImplicitTail -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzByzantineVote -fuzztime 30s ./internal/compiled

@@ -28,6 +28,11 @@
 // covered targets; the differential test in this package enforces
 // agreement to 1e-9 across randomized plans.
 //
+// The same arena answers a plan's geometry: Walk lists a robot's
+// turning points up to a horizon, its stored corners and then its turns
+// from the power table, exactly as the walk over the trajectory's
+// motion segments lists them, and stops at a caller's limit.
+//
 // Proportional and cone plans (and the Byzantine rule over them) are
 // self-similar: scaling space and time by sigma = kappa^(2/n) maps
 // robot i onto robot i+1, so the k-th visitor of x is named by x's
@@ -92,7 +97,11 @@ type robot struct {
 	turns              int
 	mag, beta, anchorT float64
 	flip               bool
-	pow                []float64
+	// halt marks a trajectory that ends in a trajectory.Halt (tail is
+	// then nil), and exact one whose stored corners are exactly its
+	// start and leg ends (see listsLegs); both shape the corner walk.
+	halt, exact bool
+	pow         []float64
 	// tail answers targets outside the envelope; nil when the robot
 	// halts, so it never visits them.
 	tail trajectory.Tail
@@ -110,8 +119,11 @@ type Plan struct {
 	// detection rule fires: f+1 in the crash model, f+votes under the
 	// Byzantine voting rule. The kernel's selection path is identical
 	// either way — only k changes.
-	rank  int
-	src   *sim.Plan
+	rank int
+	src  *sim.Plan
+	// trajs are the source trajectories, which the corner walk lists
+	// for robots whose stored corners are not exact.
+	trajs []*trajectory.Trajectory
 	evals evaluatorPool
 	// sym is the fleet's self-similarity, detected at compile time;
 	// table is the phase table of rank, otherRanks (allocated on first
@@ -137,7 +149,7 @@ func compile(p *sim.Plan, cornerCap int) (*Plan, error) {
 		return nil, fmt.Errorf("compiled: nil plan")
 	}
 	trajs := p.Trajectories()
-	cp := &Plan{robots: make([]robot, len(trajs)), f: p.F(), rank: p.DetectionRank(), src: p}
+	cp := &Plan{robots: make([]robot, len(trajs)), f: p.F(), rank: p.DetectionRank(), src: p, trajs: trajs}
 	// A trajectory's finite part is counted exactly as arena.compile
 	// keeps it. Consecutive robots in one cone share its table, so a
 	// fleet in one cone (every strategy's) holds one.
@@ -260,12 +272,12 @@ func (a *arena) compile(tr *trajectory.Trajectory, cornerCap int) robot {
 			a.corners = append(a.corners, p.T, p.X, c.lo, c.hi)
 		}
 	})
-	ct := robot{corners: a.corners[start:], tail: tr.TailOf()}
+	ct := robot{corners: a.corners[start:], tail: tr.TailOf(), exact: listsLegs(tr)}
 	switch t := ct.tail.(type) {
 	case *trajectory.Halt:
 		// A halting robot never extends coverage beyond its anchor,
 		// which is already its last corner.
-		ct.tail = nil
+		ct.tail, ct.halt = nil, true
 	case *trajectory.ZigZag:
 		ct.mag, ct.beta, ct.flip = math.Abs(t.Anchor().X), t.Cone().Beta(), t.Anchor().X < 0
 		ct.anchorT = c.last.T
@@ -333,16 +345,22 @@ func (ct *robot) corner(i int) (x, t float64) {
 	return ct.corners[4*i+1], ct.corners[4*i]
 }
 
-// turn returns zig-zag turn k with ZigZag.TurningPoint's arithmetic,
-// x = ±|x_0|·kappa^k and t = beta·|x|, the time raised to the anchor's
-// kept time as cursor.keep's clamp to the previous corner would raise
-// it (turn times never decrease, so only the anchor's can be later);
-// turn 0 is the anchor as kept.
+// turn returns zig-zag turn k as turnAt does, the time raised to the
+// anchor's kept time as cursor.keep's clamp to the previous corner
+// would raise it (turn times never decrease, so only the anchor's can
+// be later); turn 0 is the anchor as kept.
 func (ct *robot) turn(k int) (x, t float64) {
-	x = ct.mag * ct.pow[k]
-	if t = ct.beta * x; t < ct.anchorT {
+	if x, t = ct.turnAt(k); t < ct.anchorT {
 		t = ct.anchorT
 	}
+	return x, t
+}
+
+// turnAt returns zig-zag turn k with ZigZag.TurningPoint's arithmetic,
+// x = ±|x_0|·kappa^k and t = beta·|x|.
+func (ct *robot) turnAt(k int) (x, t float64) {
+	x = ct.mag * ct.pow[k]
+	t = ct.beta * x
 	if (k%2 != 0) != ct.flip {
 		x = -x
 	}

@@ -3,8 +3,10 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -384,6 +386,44 @@ func TestPlanBodyStoredOnFirstHit(t *testing.T) {
 	third := get("/v1/plan?n=3&f=1&horizon=50")
 	if second != first || third != first || string(stored)+"\n" != first {
 		t.Errorf("answers differ:\nmiss   %s\nhit    %s\nstored %s\nexplicit default %s", first, second, stored, third)
+	}
+}
+
+// TestPlanBodyConcurrentFirstHits: after a miss, a herd of GETs and
+// batch items asks for the same default-horizon plan at once, so many
+// first hits write the answer and store it on the entry while others
+// read the stored bytes. Every answer must be the miss's bytes.
+func TestPlanBodyConcurrentFirstHits(t *testing.T) {
+	h := newTestService(t, Config{}).Handler()
+	const target = "/v1/plan?n=41&f=21"
+	miss := doRaw(h, "GET", target)
+	if miss.Code != http.StatusOK {
+		t.Fatalf("miss: %d %s", miss.Code, miss.Body)
+	}
+	want := miss.Body.String()
+	wantItem := `{"results":[{"ok":true,"result":` + strings.TrimSuffix(want, "\n") + `}],"errors":0}` + "\n"
+	const herd = 32
+	var wg sync.WaitGroup
+	errs := make(chan error, herd)
+	for i := range herd {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				if w := doRaw(h, "GET", target); w.Code != http.StatusOK || w.Body.String() != want {
+					errs <- fmt.Errorf("GET %d: %d %.200s", i, w.Code, w.Body)
+				}
+				return
+			}
+			if w := postBatch(h, `{"queries":[{"op":"plan","n":41,"f":21}]}`); w.Code != http.StatusOK || w.Body.String() != wantItem {
+				errs <- fmt.Errorf("batch %d: %d %.200s", i, w.Code, w.Body)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -118,26 +118,30 @@ func statusOf(err error) int {
 }
 
 // PlanResult answers /v1/plan: the plan's parameters, guarantees and
-// geometry.
+// geometry. The answer writes itself (appendJSON), so encoding/json
+// never sees it: its turning points, at most maxTurningPoints per
+// robot, are walked from the plan's compiled kernel straight into the
+// answer, and no point list is built.
 type PlanResult struct {
-	N        int     `json:"n"`
-	F        int     `json:"f"`
-	Strategy string  `json:"strategy"`
-	MinDist  float64 `json:"mindist"`
-	// Model and DetectionRank describe the detection rule; both are
-	// omitted for crash plans, whose responses predate the fault-model
-	// surface and stay byte-identical.
-	Model            string               `json:"model,omitempty"`
-	Votes            int                  `json:"votes,omitempty"`
-	DetectionRank    int                  `json:"detection_rank,omitempty"`
-	Regime           string               `json:"regime"`
-	CompetitiveRatio float64              `json:"competitive_ratio"`
-	UpperBound       *float64             `json:"upper_bound"`
-	LowerBound       *float64             `json:"lower_bound"`
-	Beta             *float64             `json:"beta,omitempty"`
-	Expansion        *float64             `json:"expansion,omitempty"`
-	Horizon          float64              `json:"horizon"`
-	TurningPoints    [][]linesearch.Point `json:"turning_points"`
+	N        int
+	F        int
+	Strategy string
+	MinDist  float64
+	// Model, Votes and DetectionRank describe the detection rule; each is
+	// omitted when "" or 0, as for crash plans, whose responses predate
+	// the fault-model surface and stay byte-identical.
+	Model            string
+	Votes            int
+	DetectionRank    int
+	Regime           string
+	CompetitiveRatio float64
+	UpperBound       float64 // null when not finite
+	LowerBound       float64 // null when not finite
+	Beta             float64 // omitted when not finite
+	Expansion        float64 // omitted when not finite
+	Horizon          float64
+	// searcher walks the turning points up to Horizon.
+	searcher *linesearch.Searcher
 }
 
 // SearchTimeResult answers /v1/searchtime. Time and Ratio are null when
@@ -420,8 +424,9 @@ func (s *Service) plan(ctx context.Context, q Query) (*Plan, error) {
 
 // evalPlan answers a plan query. The default-horizon answer depends on
 // the cache key alone, so the entry keeps its encoding: the first hit
-// stores it and later hits (GET or batch item) return the stored bytes
-// as a json.RawMessage without re-deriving geometry and bounds.
+// stores the bytes appendJSON writes, and later hits (GET or batch
+// item) return the stored bytes as a json.RawMessage without deriving
+// geometry and bounds again.
 func (s *Service) evalPlan(ctx context.Context, q Query) (any, error) {
 	e, hit, err := s.entry(ctx, q)
 	if err != nil {
@@ -440,30 +445,24 @@ func (s *Service) evalPlan(ctx context.Context, q Query) (any, error) {
 	if !defaultHorizon || !hit {
 		return res, nil
 	}
-	body, err := json.Marshal(res)
-	if err != nil {
+	buf := answerBufs.Get()
+	defer answerBufs.Put(buf)
+	if err := encodeResult(buf, res); err != nil {
 		return nil, err
 	}
+	body := bytes.Clone(buf.Bytes())
 	e.body.Store(&body)
 	return json.RawMessage(body), nil
 }
 
-// planResult derives a plan answer: the turning-point geometry up to
-// q's horizon and the pair-level closed-form bounds.
+// planResult derives a plan answer: the pair-level closed-form bounds,
+// and the horizon its turning points are walked to when it is written.
 func planResult(ctx context.Context, q Query, plan *Plan) (PlanResult, error) {
 	horizon := q.Horizon
 	if horizon == 0 {
 		horizon = 50 * q.MinDist
 	}
 	_, geom := telemetry.StartSpan(ctx, "plan.geometry")
-	pts, err := plan.Searcher.TurningPoints(horizon)
-	if err != nil {
-		geom.End()
-		return PlanResult{}, err
-	}
-	for i, ps := range pts {
-		pts[i] = ps[:min(len(ps), maxTurningPoints)]
-	}
 	// A byzantine plan's schedule is the crash base at the effective
 	// budget rank-1, so the pair-level closed forms apply there.
 	boundsF := q.F
@@ -471,7 +470,7 @@ func planResult(ctx context.Context, q Query, plan *Plan) (PlanResult, error) {
 		boundsF = plan.Searcher.DetectionRank() - 1
 	}
 	bounds, err := linesearch.Bounds(q.N, boundsF)
-	geom.SetInt("robots", int64(len(pts)))
+	geom.SetInt("robots", int64(q.N))
 	geom.End()
 	if err != nil {
 		return PlanResult{}, err
@@ -483,12 +482,12 @@ func planResult(ctx context.Context, q Query, plan *Plan) (PlanResult, error) {
 		MinDist:          q.MinDist,
 		Regime:           bounds.Regime,
 		CompetitiveRatio: plan.CR,
-		UpperBound:       finitePtr(bounds.Upper),
-		LowerBound:       finitePtr(bounds.Lower),
-		Beta:             finitePtr(bounds.Beta),
-		Expansion:        finitePtr(bounds.Expansion),
+		UpperBound:       bounds.Upper,
+		LowerBound:       bounds.Lower,
+		Beta:             bounds.Beta,
+		Expansion:        bounds.Expansion,
 		Horizon:          horizon,
-		TurningPoints:    pts,
+		searcher:         plan.Searcher,
 	}
 	if m := plan.Searcher.FaultModel(); m != "crash" {
 		res.Model = m

@@ -311,6 +311,25 @@ func TestMalformedParameters(t *testing.T) {
 	}
 }
 
+// TestConeSlopeLimit checks that a cone slope too flat for the zig-zag
+// tail to count its turns is a 400 that names the limit, on every
+// endpoint that builds a plan, instead of a plan that reports reachable
+// targets as never visited.
+func TestConeSlopeLimit(t *testing.T) {
+	h := newTestService(t, Config{}).Handler()
+	for _, target := range []string{
+		"/v1/plan?n=5&f=2&strategy=cone:1e15",
+		"/v1/searchtime?n=5&f=2&strategy=cone:1e15&x=1e12",
+		"/v1/searchtimes?n=5&f=2&strategy=uniform:1e15&xs=1,1e12",
+	} {
+		code, body := doReq(t, h, "GET", target, "")
+		msg, _ := body["error"].(string)
+		if code != http.StatusBadRequest || !strings.Contains(msg, "cone slope must not exceed 6.19") {
+			t.Errorf("GET %s: %d %v, want a 400 naming the slope limit", target, code, body)
+		}
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	h := newTestService(t, Config{}).Handler()
 	for _, tt := range []struct{ method, target string }{

@@ -1,10 +1,8 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
-	"strconv"
 	"strings"
 )
 
@@ -138,108 +136,4 @@ func canonical(tok string, x float64) bool {
 		digits = len(strings.TrimLeft(frac, "0"))
 	}
 	return digits <= 15
-}
-
-// jsonAppender is a result that writes its own JSON encoding: the
-// bytes json.Marshal would write for its wire shape.
-type jsonAppender interface {
-	appendJSON(dst []byte) []byte
-}
-
-// encodeResult writes v's JSON encoding, without a newline, to buf. A
-// jsonAppender writes its own; anything else goes through json.Encoder.
-func encodeResult(buf *bytes.Buffer, v any) error {
-	if a, ok := v.(jsonAppender); ok {
-		buf.Write(a.appendJSON(buf.AvailableBuffer()))
-		return nil
-	}
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		return err
-	}
-	buf.Truncate(buf.Len() - 1) // Encode's newline
-	return nil
-}
-
-// appendJSON writes the answer as json.Marshal writes the struct
-// {N int `json:"n"`; F int `json:"f"`; Strategy string `json:"strategy"`;
-// Model string `json:"model,omitempty"`; DetectionRank int
-// `json:"detection_rank,omitempty"`; Xs []float64 `json:"xs"`;
-// Times []*float64 `json:"times"`; Detected int `json:"detected"`},
-// with a null time for each non-finite one. The targets are the
-// client's own text when it is canonical; only the times are
-// formatted.
-func (r SearchTimesResult) appendJSON(b []byte) []byte {
-	b = append(b, `{"n":`...)
-	b = strconv.AppendInt(b, int64(r.N), 10)
-	b = append(b, `,"f":`...)
-	b = strconv.AppendInt(b, int64(r.F), 10)
-	b = append(b, `,"strategy":`...)
-	b = appendString(b, r.Strategy)
-	if r.Model != "" {
-		b = append(b, `,"model":`...)
-		b = appendString(b, r.Model)
-	}
-	if r.DetectionRank != 0 {
-		b = append(b, `,"detection_rank":`...)
-		b = strconv.AppendInt(b, int64(r.DetectionRank), 10)
-	}
-	b = append(b, `,"xs":[`...)
-	if r.Xs.echo != "" {
-		b = append(b, r.Xs.echo...)
-	} else {
-		for i, x := range r.Xs.vals {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendFloat(b, x)
-		}
-	}
-	b = append(b, `],"times":[`...)
-	for i, t := range r.Times {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendFloat(b, t)
-	}
-	b = append(b, `],"detected":`...)
-	b = strconv.AppendInt(b, int64(r.Detected), 10)
-	return append(b, '}')
-}
-
-// appendFloat appends x as encoding/json writes a float64, and null
-// for NaN and the infinities, which JSON cannot represent: the
-// shortest round-trip decimal, in plain notation unless |x| < 1e-6 or
-// |x| >= 1e21, with a two-digit negative exponent cut to one digit.
-func appendFloat(b []byte, x float64) []byte {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return append(b, "null"...)
-	}
-	format := byte('f')
-	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, x, format, -1, 64)
-	if format == 'e' {
-		// e-09 becomes e-9.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// appendString appends s as encoding/json writes a string. Strategy
-// and model names are plain ASCII and are copied; a string with a
-// byte encoding/json escapes goes through json.Marshal.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			enc, _ := json.Marshal(s) // a string always encodes
-			return append(b, enc...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }

@@ -86,7 +86,17 @@ func Parse(name string) (Strategy, error) {
 	return nil, fmt.Errorf("strategy: unknown strategy %q (known: %s, cone:<beta>, uniform:<beta>, byzantine[@votes][:base], pfaulty[:p[:gamma]])", name, strings.Join(names, ", "))
 }
 
-// parseBeta parses a cone slope argument and enforces beta > 1.
+// maxConeSlope bounds a cone slope. ZigZag.FirstVisit names the turn
+// that first reaches a target from ln(|x|/|x_0|)/ln kappa, capped at
+// 2^52 turns, and a target beyond the cap is reported as never
+// reached. Two positive float64 magnitudes lie within a factor e^1455
+// of each other, and ln kappa = ln((beta+1)/(beta-1)) > 2/beta, so a
+// slope up to 2^53/1455 (about 6.19e12) keeps every estimate below
+// the cap.
+const maxConeSlope = (1 << 53) / 1455.0
+
+// parseBeta parses a cone slope argument and enforces
+// 1 < beta <= maxConeSlope.
 func parseBeta(s string) (float64, error) {
 	beta, err := strconv.ParseFloat(s, 64)
 	if err != nil {
@@ -94,6 +104,9 @@ func parseBeta(s string) (float64, error) {
 	}
 	if math.IsInf(beta, 0) || !(beta > 1) {
 		return 0, fmt.Errorf("strategy: cone slope must be finite and exceed 1, got %v", beta)
+	}
+	if beta > maxConeSlope {
+		return 0, fmt.Errorf("strategy: cone slope must not exceed %g, where a zig-zag's turns can still be counted, got %v", maxConeSlope, beta)
 	}
 	return beta, nil
 }

@@ -82,6 +82,9 @@ func TestParseMalformed(t *testing.T) {
 		{"negative slope", "cone:-3", []string{"cone slope must be finite and exceed 1", "got -3"}},
 		{"uniform empty slope", "uniform:", []string{`invalid cone slope ""`}},
 		{"uniform bad slope", "uniform:0.9", []string{"cone slope must be finite and exceed 1", "got 0.9"}},
+		{"slope past the limit", "cone:1e15", []string{"cone slope must not exceed 6.19", "got 1e+15"}},
+		{"uniform slope past the limit", "uniform:6.2e12", []string{"cone slope must not exceed 6.19", "got 6.2e+12"}},
+		{"byzantine base slope past the limit", "byzantine:cone:1e15", []string{"cone slope must not exceed 6.19"}},
 		{"unknown name", "zigzag", []string{`unknown strategy "zigzag"`, "cone:<beta>"}},
 		{"empty name", "", []string{`unknown strategy ""`}},
 		{"case sensitive", "Cone:2.5", []string{`unknown strategy "Cone:2.5"`}},

@@ -113,7 +113,7 @@ func (h *HalfZigZag) firstReaching(d float64) int {
 	for k > 0 && h.excursion(k-1) >= d {
 		k--
 	}
-	for i := 0; i < maxTailSegments; i++ {
+	for i := 0; i < MaxTailSegments; i++ {
 		if h.excursion(k) >= d {
 			return k
 		}
@@ -140,7 +140,7 @@ func (h *HalfZigZag) PositionAt(t float64) (float64, error) {
 			k--
 		}
 	}
-	for i := 0; i < maxTailSegments; i++ {
+	for i := 0; i < MaxTailSegments; i++ {
 		if t <= h.departTime(k+1) {
 			out := h.segment(2 * k)
 			if t <= out.To.T {
@@ -180,7 +180,7 @@ func (h *HalfZigZag) VisitsUntil(x, tmax float64) []float64 {
 		var out []float64
 		for k := 0; ; k++ {
 			t := h.departTime(k)
-			if t > tmax || k >= maxTailSegments {
+			if t > tmax || k >= MaxTailSegments {
 				break
 			}
 			out = append(out, t)
@@ -188,7 +188,7 @@ func (h *HalfZigZag) VisitsUntil(x, tmax float64) []float64 {
 		return out
 	}
 	var out []float64
-	for k := h.firstReaching(d); k < maxTailSegments; k++ {
+	for k := h.firstReaching(d); k < MaxTailSegments; k++ {
 		depart := h.departTime(k)
 		up := depart + d
 		if up > tmax {
@@ -205,7 +205,7 @@ func (h *HalfZigZag) VisitsUntil(x, tmax float64) []float64 {
 // SegmentsUntil implements Tail.
 func (h *HalfZigZag) SegmentsUntil(tmax float64) []geom.Segment {
 	var out []geom.Segment
-	for i := 0; i < 2*maxTailSegments; i++ {
+	for i := 0; i < 2*MaxTailSegments; i++ {
 		s := h.segment(i)
 		if s.From.T > tmax {
 			break

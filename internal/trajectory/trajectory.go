@@ -22,10 +22,10 @@ import (
 // the tail anchor meet exactly.
 const contiguityTol = 1e-9
 
-// maxTailSegments bounds tail enumeration as a guard against runaway
+// MaxTailSegments bounds tail enumeration as a guard against runaway
 // loops on malformed queries; geometric growth means real queries need
 // only O(log |x|) segments.
-const maxTailSegments = 100000
+const MaxTailSegments = 100000
 
 // Tail is an infinite continuation of a trajectory. Implementations are
 // ZigZag (cone-bounded search) and Ray (one-way sweep).

@@ -109,7 +109,7 @@ func (z *ZigZag) segmentIndexAt(t float64) (int, error) {
 	for k > 0 && z.segment(k).From.T > t {
 		k--
 	}
-	for i := 0; i < maxTailSegments; i++ {
+	for i := 0; i < MaxTailSegments; i++ {
 		if t <= z.segment(k).To.T {
 			return k, nil
 		}
@@ -147,7 +147,7 @@ func (z *ZigZag) FirstVisit(x float64) (float64, bool) {
 	}
 	k0 := max(j-3, 0)
 	from := z.TurningPoint(k0)
-	for k := k0; k < k0+maxTailSegments; k++ {
+	for k := k0; k < k0+MaxTailSegments; k++ {
 		s := geom.Segment{From: from, To: z.TurningPoint(k + 1)}
 		if math.IsInf(s.To.X, 0) || math.IsInf(s.To.T, 0) {
 			// The next turn lies beyond the float64 range: the robot
@@ -175,7 +175,7 @@ func (z *ZigZag) FirstVisit(x float64) (float64, bool) {
 // VisitsUntil implements Tail.
 func (z *ZigZag) VisitsUntil(x, tmax float64) []float64 {
 	var out []float64
-	for k := 0; k < maxTailSegments; k++ {
+	for k := 0; k < MaxTailSegments; k++ {
 		s := z.segment(k)
 		if s.From.T > tmax {
 			break
@@ -190,7 +190,7 @@ func (z *ZigZag) VisitsUntil(x, tmax float64) []float64 {
 // SegmentsUntil implements Tail.
 func (z *ZigZag) SegmentsUntil(tmax float64) []geom.Segment {
 	var out []geom.Segment
-	for k := 0; k < maxTailSegments; k++ {
+	for k := 0; k < MaxTailSegments; k++ {
 		s := z.segment(k)
 		if s.From.T > tmax {
 			break

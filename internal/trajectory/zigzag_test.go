@@ -207,9 +207,9 @@ func TestZigZagFirstVisitAlwaysExists(t *testing.T) {
 
 // walkFirstVisit is the segment-by-segment walk from k = 0, the oracle
 // of ZigZag.FirstVisit, which starts the same walk next to the answer.
-// done is false when it gave up after maxTailSegments segments.
+// done is false when it gave up after MaxTailSegments segments.
 func walkFirstVisit(z *ZigZag, x float64) (t float64, ok, done bool) {
-	for k := 0; k < maxTailSegments; k++ {
+	for k := 0; k < MaxTailSegments; k++ {
 		s := z.segment(k)
 		if math.IsInf(s.To.X, 0) || math.IsInf(s.To.T, 0) {
 			dir := math.Copysign(1, s.To.X-s.From.X)

@@ -52,12 +52,14 @@ import (
 // immutable and safe for concurrent use.
 //
 // At construction the plan is compiled (internal/compiled): every
-// trajectory is flattened into binary-searchable turning-point arrays,
-// and all visit-time queries — SearchTime, KthVisitTime, SearchTimes,
-// MeasureCR — run through that allocation-free kernel. The exact
-// closed-form engine (internal/sim) evaluates event timelines, fault
-// analysis and the expected-time series, and remains the reference for
-// the differential tests.
+// trajectory's finite part is flattened into binary-searchable corner
+// arrays, and its zig-zag turns come from one power table per cone.
+// All visit-time queries — SearchTime, KthVisitTime, SearchTimes,
+// MeasureCR — and the plan's geometry — TurningPoints and
+// WalkTurningPoints — run through that allocation-free kernel. The
+// exact closed-form engine (internal/sim) evaluates event timelines,
+// positions, fault analysis and the expected-time series, and remains
+// the reference for the differential tests.
 type Searcher struct {
 	n, f        int
 	minDistance float64
@@ -317,27 +319,53 @@ type Point struct {
 // trajectory with start time at most tmax (finite, >= 0): the start
 // point followed by every junction between motion segments. The last
 // point of each robot may lie slightly beyond tmax because the segment
-// it terminates starts before the horizon.
+// it terminates starts before the horizon. It collects
+// WalkTurningPoints into one allocation for all robots.
 func (s *Searcher) TurningPoints(tmax float64) ([][]Point, error) {
-	if math.IsNaN(tmax) || math.IsInf(tmax, 0) || tmax < 0 {
-		return nil, fmt.Errorf("linesearch: horizon must be finite and non-negative, got %g", tmax)
+	if err := checkHorizon(tmax); err != nil {
+		return nil, err
 	}
+	total := 0
+	for i := range s.n {
+		s.kernel.Walk(i, tmax, 0, func(float64, float64) bool { total++; return true })
+	}
+	flat := make([]Point, 0, total)
 	out := make([][]Point, s.n)
-	for i, tr := range s.plan.Trajectories() {
-		segs := tr.SegmentsUntil(tmax)
-		if len(segs) == 0 {
-			start := tr.Start()
-			out[i] = []Point{{T: start.T, X: start.X}}
-			continue
-		}
-		pts := make([]Point, 0, len(segs)+1)
-		pts = append(pts, Point{T: segs[0].From.T, X: segs[0].From.X})
-		for _, seg := range segs {
-			pts = append(pts, Point{T: seg.To.T, X: seg.To.X})
-		}
-		out[i] = pts
+	for i := range out {
+		start := len(flat)
+		s.kernel.Walk(i, tmax, 0, func(t, x float64) bool {
+			flat = append(flat, Point{T: t, X: x})
+			return true
+		})
+		out[i] = flat[start:len(flat):len(flat)]
 	}
 	return out, nil
+}
+
+// WalkTurningPoints calls yield with robot i's turning points up to
+// tmax, in order, as TurningPoints lists them, but at most limit of
+// them (all when limit <= 0) and none after yield returns false. The
+// points come straight from the compiled kernel, so walking a plan
+// allocates nothing. It returns an error for a robot index out of range
+// or a horizon TurningPoints rejects.
+func (s *Searcher) WalkTurningPoints(i int, tmax float64, limit int, yield func(Point) bool) error {
+	if i < 0 || i >= s.n {
+		return fmt.Errorf("linesearch: robot index %d out of range [0, %d)", i, s.n)
+	}
+	if err := checkHorizon(tmax); err != nil {
+		return err
+	}
+	s.kernel.Walk(i, tmax, limit, func(t, x float64) bool { return yield(Point{T: t, X: x}) })
+	return nil
+}
+
+// checkHorizon rejects a turning-point horizon that is not finite and
+// non-negative.
+func checkHorizon(tmax float64) error {
+	if math.IsNaN(tmax) || math.IsInf(tmax, 0) || tmax < 0 {
+		return fmt.Errorf("linesearch: horizon must be finite and non-negative, got %g", tmax)
+	}
+	return nil
 }
 
 // DetectionTime returns the time a target at x is found when the robots

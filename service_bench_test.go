@@ -70,6 +70,21 @@ func BenchmarkServicePlanHot(b *testing.B) {
 	}
 }
 
+// BenchmarkServicePlanWide measures a cold /v1/plan on a wide fleet,
+// A(1001, 500): building the plan, then walking and writing 1001
+// robots' turning points. MinDist varies per iteration so every
+// request misses.
+func BenchmarkServicePlanWide(b *testing.B) {
+	h := newBenchService(b, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		mindist := 1 + float64(i%1000)/1000
+		req := httptest.NewRequest(http.MethodGet,
+			fmt.Sprintf("/v1/plan?n=1001&f=500&mindist=%g", mindist), nil)
+		serveBench(b, h, req)
+	}
+}
+
 // BenchmarkServiceSearchTimeHot measures one worst-case searchtime
 // query on a cached plan: parse, cache hit, kernel, encode.
 func BenchmarkServiceSearchTimeHot(b *testing.B) {
