@@ -12,8 +12,7 @@ import (
 // lists them (trajectory.Trajectory.SegmentsUntil): the start point,
 // then the end of every segment that starts at or before tmax, so the
 // last point may lie past tmax. It emits at most limit points (all
-// when limit <= 0) and none after emit returns false, and reports
-// whether emit accepted every point it was given.
+// when limit <= 0) and none after emit returns false.
 //
 // The points come from the arena: the stored corners, then a zig-zag's
 // turns from its cone's power table, then turns the table does not
@@ -21,8 +20,8 @@ import (
 // arithmetic where the kernel's differs: a turn's time is beta·|x|, not
 // raised to the anchor's kept time, and a robot whose stored corners
 // cursor.keep clamped or dropped lists its trajectory's legs instead.
-func (p *Plan) Walk(i int, tmax float64, limit int, emit func(t, x float64) bool) bool {
-	w := walk{tmax: tmax, left: limit, emit: emit, ok: true}
+func (p *Plan) Walk(i int, tmax float64, limit int, emit func(t, x float64) bool) {
+	w := walk{tmax: tmax, left: limit, emit: emit}
 	if limit <= 0 {
 		w.left = -1
 	}
@@ -34,7 +33,7 @@ func (p *Plan) Walk(i int, tmax float64, limit int, emit func(t, x float64) bool
 		if w.stored(c) {
 			w.tail(ct, c[len(c)-3], c[len(c)-4])
 		}
-		return w.ok
+		return
 	}
 	tr := p.trajs[i]
 	if w.legs(tr) {
@@ -44,7 +43,6 @@ func (p *Plan) Walk(i int, tmax float64, limit int, emit func(t, x float64) bool
 		}
 		w.tail(ct, a.X, a.T)
 	}
-	return w.ok
 }
 
 // listsLegs reports whether the corners cursor.keep keeps of tr are
@@ -74,18 +72,12 @@ type walk struct {
 	// limit.
 	left int
 	emit func(t, x float64) bool
-	// ok is false once emit has refused a point.
-	ok bool
 }
 
 // put emits one point and reports whether the walk goes on.
 func (w *walk) put(t, x float64) bool {
-	if !w.emit(t, x) {
-		w.ok = false
-		return false
-	}
 	w.left--
-	return w.left != 0
+	return w.emit(t, x) && w.left != 0
 }
 
 // stored walks an exact robot's stored corners (runs of four): corner 0
