@@ -45,6 +45,9 @@ var goldenRequests = []struct{ method, target, body string }{
 	{"GET", "/v1/plan?n=3&f=1&mindist=0.0000001", ""},
 	{"GET", "/v1/plan?n=2&f=1&strategy=cone:1.000001&mindist=1e300&horizon=1e305", ""},
 	{"GET", "/v1/plan?n=3&f=1&strategy=cone:1.0001&mindist=1e300&horizon=1e305", ""},
+	// A mindist whose default horizon, 50*mindist, overflows: the
+	// client's input is refused (a 400), on the miss and on the hit.
+	{"GET", "/v1/plan?n=3&f=1&mindist=1e307", ""},
 	{"GET", "/v1/searchtime?n=3&f=1&x=7.5", ""},
 	{"GET", "/v1/searchtime?n=7&f=3&x=-12.25&k=2", ""},
 	{"GET", "/v1/searchtime?n=3&f=1&x=7.5&objective=expected&p=0.25", ""},
@@ -89,6 +92,9 @@ var goldenRequests = []struct{ method, target, body string }{
 		`{"op":"plan","n":3,"f":1,"mindist":1e-7,"horizon":5e-6},` +
 		`{"op":"plan","n":2,"f":1,"strategy":"cone:1.000001","mindist":1e300,"horizon":1e305}]}`},
 	{"POST", "/v1/batch", `{"queries":[{"op":"plan","n":3,"f":1,"strategy":"cone:1.0001","mindist":1e300,"horizon":1e305}]}`},
+	// The overflowing default horizon as batch items: the GET's key,
+	// and a key the first pass builds.
+	{"POST", "/v1/batch", `{"queries":[{"op":"plan","n":3,"f":1,"mindist":1e307},{"op":"plan","n":3,"f":1,"mindist":4e306},{"op":"plan","n":3,"f":1}]}`},
 	// Target lists that are formatted, not echoed, and target lists
 	// that the batch decoder rejects.
 	{"POST", "/v1/batch", `{"queries":[{"op":"searchtimes","n":5,"f":2,"xs":[1.0, 1E3,` + "\n\t" + `-2.50 , 4]}]}`},
