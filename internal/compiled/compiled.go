@@ -28,10 +28,11 @@
 // covered targets; the differential test in this package enforces
 // agreement to 1e-9 across randomized plans.
 //
-// The same arena answers a plan's geometry: Walk lists a robot's
-// turning points up to a horizon, its stored corners and then its turns
-// from the power table, exactly as the walk over the trajectory's
-// motion segments lists them, and stops at a caller's limit.
+// The same power tables answer a plan's geometry: Walk lists a robot's
+// turning points up to a horizon, its start-up legs and then its
+// zig-zag turns from the table, exactly as the walk over the
+// trajectory's motion segments lists them, and stops at a caller's
+// limit.
 //
 // Proportional and cone plans (and the Byzantine rule over them) are
 // self-similar: scaling space and time by sigma = kappa^(2/n) maps
@@ -97,11 +98,7 @@ type robot struct {
 	turns              int
 	mag, beta, anchorT float64
 	flip               bool
-	// halt marks a trajectory that ends in a trajectory.Halt (tail is
-	// then nil), and exact one whose stored corners are exactly its
-	// start and leg ends (see listsLegs); both shape the corner walk.
-	halt, exact bool
-	pow         []float64
+	pow                []float64
 	// tail answers targets outside the envelope; nil when the robot
 	// halts, so it never visits them.
 	tail trajectory.Tail
@@ -121,8 +118,8 @@ type Plan struct {
 	// either way — only k changes.
 	rank int
 	src  *sim.Plan
-	// trajs are the source trajectories, which the corner walk lists
-	// for robots whose stored corners are not exact.
+	// trajs are the source trajectories, whose legs and tails the
+	// corner walk lists.
 	trajs []*trajectory.Trajectory
 	evals evaluatorPool
 	// sym is the fleet's self-similarity, detected at compile time;
@@ -272,12 +269,12 @@ func (a *arena) compile(tr *trajectory.Trajectory, cornerCap int) robot {
 			a.corners = append(a.corners, p.T, p.X, c.lo, c.hi)
 		}
 	})
-	ct := robot{corners: a.corners[start:], tail: tr.TailOf(), exact: listsLegs(tr)}
+	ct := robot{corners: a.corners[start:], tail: tr.TailOf()}
 	switch t := ct.tail.(type) {
 	case *trajectory.Halt:
 		// A halting robot never extends coverage beyond its anchor,
 		// which is already its last corner.
-		ct.tail, ct.halt = nil, true
+		ct.tail = nil
 	case *trajectory.ZigZag:
 		ct.mag, ct.beta, ct.flip = math.Abs(t.Anchor().X), t.Cone().Beta(), t.Anchor().X < 0
 		ct.anchorT = c.last.T

@@ -1,9 +1,6 @@
 package compiled
 
 import (
-	"math"
-
-	"linesearch/internal/geom"
 	"linesearch/internal/trajectory"
 )
 
@@ -14,55 +11,21 @@ import (
 // last point may lie past tmax. It emits at most limit points (all
 // when limit <= 0) and none after emit returns false.
 //
-// The points come from the arena: the stored corners, then a zig-zag's
-// turns from its cone's power table, then turns the table does not
-// hold from the tail itself. The walk reproduces the segment walk's
+// The start-up legs are listed as the trajectory holds them; a zig-zag
+// tail's turns come from its cone's power table, then, past the table,
+// from the tail itself. The walk reproduces the segment walk's
 // arithmetic where the kernel's differs: a turn's time is beta·|x|, not
-// raised to the anchor's kept time, and a robot whose stored corners
-// cursor.keep clamped or dropped lists its trajectory's legs instead.
+// raised to the anchor's kept time, and no corner is clamped or
+// dropped as cursor.keep does.
 func (p *Plan) Walk(i int, tmax float64, limit int, emit func(t, x float64) bool) {
 	w := walk{tmax: tmax, left: limit, emit: emit}
 	if limit <= 0 {
 		w.left = -1
 	}
-	ct := &p.robots[i]
-	if ct.exact {
-		c := ct.corners
-		// The tail's anchor is the last stored corner: it repeats the
-		// last leg's end, or there are no legs.
-		if w.stored(c) {
-			w.tail(ct, c[len(c)-3], c[len(c)-4])
-		}
-		return
-	}
 	tr := p.trajs[i]
 	if w.legs(tr) {
-		var a geom.Point
-		if tail := tr.TailOf(); tail != nil {
-			a = tail.Anchor()
-		}
-		w.tail(ct, a.X, a.T)
+		w.tail(&p.robots[i], tr.TailOf())
 	}
-}
-
-// listsLegs reports whether the corners cursor.keep keeps of tr are
-// exactly the start and leg ends the segment walk lists: every leg
-// starts, bit for bit, where the previous one ends and moves forward in
-// time to a new point (so keep neither clamps nor drops its end), and a
-// tail is anchored exactly at the last leg's end (so keep drops it).
-func listsLegs(tr *trajectory.Trajectory) bool {
-	same := func(a, b geom.Point) bool {
-		return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.T) == math.Float64bits(b.T)
-	}
-	n := tr.NumLegs()
-	for i := range n {
-		leg := tr.Leg(i)
-		if leg.To == leg.From || leg.To.T < leg.From.T || (i > 0 && !same(leg.From, tr.Leg(i-1).To)) {
-			return false
-		}
-	}
-	tail := tr.TailOf()
-	return tail == nil || n == 0 || same(tail.Anchor(), tr.Leg(n-1).To)
 }
 
 // walk is one robot's corner walk in progress.
@@ -80,24 +43,8 @@ func (w *walk) put(t, x float64) bool {
 	return w.emit(t, x) && w.left != 0
 }
 
-// stored walks an exact robot's stored corners (runs of four): corner 0
-// starts the first leg, and corner j > 0 ends the leg that starts at
-// corner j-1, listed while that start lies within the horizon. It
-// reports whether the walk goes on past the last corner.
-func (w *walk) stored(c []float64) bool {
-	if !w.put(c[0], c[1]) {
-		return false
-	}
-	for j := 4; j < len(c); j += 4 {
-		if c[j-4] > w.tmax || !w.put(c[j], c[j+1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// legs walks tr's start and leg ends as stored does, for a robot whose
-// stored corners are not exactly those.
+// legs walks tr's start, then the end of each leg that starts within
+// the horizon. It reports whether the walk goes on past the last leg.
 func (w *walk) legs(tr *trajectory.Trajectory) bool {
 	s := tr.Start()
 	if !w.put(s.T, s.X) {
@@ -112,22 +59,23 @@ func (w *walk) legs(tr *trajectory.Trajectory) bool {
 	return true
 }
 
-// tail walks the robot's tail from its anchor (ax, at). Segment k of a
-// zig-zag runs from turn k to turn k+1 (turn 0 is the anchor) and is
-// listed while turn k lies within the horizon, for at most
-// trajectory.MaxTailSegments segments; its turns come from the power
-// table while the robot has them, then from ZigZag.TurningPoint, which
-// also splits kappa^k where it overflows. A ray or a halt is one
-// segment up to the horizon, listed when its anchor lies before it;
-// any other tail lists its own segments.
-func (w *walk) tail(ct *robot, ax, at float64) {
-	switch t := ct.tail.(type) {
+// tail walks the robot's tail. Segment k of a zig-zag runs from turn k
+// to turn k+1 (turn 0 is the anchor) and is listed while turn k lies
+// within the horizon, for at most trajectory.MaxTailSegments segments;
+// its turns come from the power table while the robot has them, then
+// from ZigZag.TurningPoint, which also splits kappa^k where it
+// overflows. A ray or a halt is one segment up to the horizon, listed
+// when its anchor lies before it; any other tail lists its own
+// segments.
+func (w *walk) tail(ct *robot, tail trajectory.Tail) {
+	switch t := tail.(type) {
 	case nil:
-		if ct.halt && w.tmax > at {
-			w.put(w.tmax, ax)
+	case *trajectory.Halt:
+		if a := t.Anchor(); w.tmax > a.T {
+			w.put(w.tmax, a.X)
 		}
 	case *trajectory.ZigZag:
-		for k, from := 1, at; k <= trajectory.MaxTailSegments && from <= w.tmax; k++ {
+		for k, from := 1, t.Anchor().T; k <= trajectory.MaxTailSegments && from <= w.tmax; k++ {
 			var x, tk float64
 			if k <= ct.turns {
 				x, tk = ct.turnAt(k)
@@ -141,7 +89,7 @@ func (w *walk) tail(ct *robot, ax, at float64) {
 			from = tk
 		}
 	case *trajectory.Ray:
-		if w.tmax > at {
+		if w.tmax > t.Anchor().T {
 			x, _ := t.PositionAt(w.tmax)
 			w.put(w.tmax, x)
 		}
