@@ -155,6 +155,10 @@ type cacheEntry struct {
 	key  PlanKey
 	plan *Plan
 	body atomic.Pointer[[]byte]
+	// bodyLen is the length of the default-horizon plan answer a miss
+	// wrote, which the first hit's buffer grows to before it stores
+	// body.
+	bodyLen atomic.Int64
 }
 
 // inflightBuild tracks one in-progress plan construction. entry is

@@ -348,13 +348,17 @@ func (c *PlanCache) Get(key PlanKey) (*Plan, error) {
 func TestPlanBodyStoredOnFirstHit(t *testing.T) {
 	svc := newTestService(t, Config{})
 	h := svc.Handler()
-	body := func() []byte {
+	entry := func() *cacheEntry {
 		t.Helper()
 		e, _, err := svc.cache.get(context.Background(), PlanKey{N: 3, F: 1, MinDist: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b := e.body.Load(); b != nil {
+		return e
+	}
+	body := func() []byte {
+		t.Helper()
+		if b := entry().body.Load(); b != nil {
 			return *b
 		}
 		return nil
@@ -377,6 +381,11 @@ func TestPlanBodyStoredOnFirstHit(t *testing.T) {
 	get("/v1/plan?n=3&f=1&horizon=20")
 	if b := body(); b != nil {
 		t.Fatalf("an explicit horizon stored a body: %s", b)
+	}
+	// The miss recorded its answer's length (without the newline) for
+	// the first hit's buffer; the explicit horizon left it alone.
+	if got, want := entry().bodyLen.Load(), int64(len(first)-1); got != want {
+		t.Errorf("recorded answer length %d, want the miss's %d", got, want)
 	}
 	second := get("/v1/plan?n=3&f=1")
 	stored := body()

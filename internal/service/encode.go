@@ -2,11 +2,13 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"strconv"
 
 	"linesearch"
+	"linesearch/internal/telemetry"
 )
 
 // jsonAppender is a result that appends its own JSON encoding to a
@@ -18,8 +20,17 @@ type jsonAppender interface {
 
 // encodeResult writes v's JSON encoding, without a newline, to buf. A
 // jsonAppender writes its own; anything else goes through json.Encoder.
-func encodeResult(buf *bytes.Buffer, v any) error {
-	if a, ok := v.(jsonAppender); ok {
+// A plan answer's turning points are walked while it is written, so
+// its encoding is ctx's plan.geometry stage.
+func encodeResult(ctx context.Context, buf *bytes.Buffer, v any) error {
+	switch a := v.(type) {
+	case PlanResult:
+		_, span := telemetry.StartSpan(ctx, "plan.geometry")
+		span.SetInt("robots", int64(a.N))
+		err := a.appendJSON(buf)
+		span.End()
+		return err
+	case jsonAppender:
 		return a.appendJSON(buf)
 	}
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
@@ -106,6 +117,9 @@ func (r PlanResult) appendJSON(buf *bytes.Buffer) error {
 		return err
 	}
 	buf.Write(append(b, "]}"...))
+	if r.written != nil {
+		r.written.Store(int64(buf.Len() - start))
+	}
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"linesearch"
 	"linesearch/internal/bufpool"
@@ -142,6 +143,9 @@ type PlanResult struct {
 	Horizon          float64
 	// searcher walks the turning points up to Horizon.
 	searcher *linesearch.Searcher
+	// written, when set, receives the length of the answer appendJSON
+	// writes.
+	written *atomic.Int64
 }
 
 // SearchTimeResult answers /v1/searchtime. Time and Ratio are null when
@@ -426,7 +430,9 @@ func (s *Service) plan(ctx context.Context, q Query) (*Plan, error) {
 // the cache key alone, so the entry keeps its encoding: the first hit
 // stores the bytes appendJSON writes, and later hits (GET or batch
 // item) return the stored bytes as a json.RawMessage without deriving
-// geometry and bounds again.
+// geometry and bounds again. The miss before it records the answer's
+// length, so the first hit grows its buffer once, however large the
+// answer.
 func (s *Service) evalPlan(ctx context.Context, q Query) (any, error) {
 	e, hit, err := s.entry(ctx, q)
 	if err != nil {
@@ -438,16 +444,23 @@ func (s *Service) evalPlan(ctx context.Context, q Query) (any, error) {
 			return json.RawMessage(*body), nil
 		}
 	}
-	res, err := planResult(ctx, q, e.plan)
+	res, err := planResult(q, e.plan)
 	if err != nil {
 		return nil, err
 	}
-	if !defaultHorizon || !hit {
+	if !hit {
+		if defaultHorizon {
+			res.written = &e.bodyLen
+		}
+		return res, nil
+	}
+	if !defaultHorizon {
 		return res, nil
 	}
 	buf := answerBufs.Get()
 	defer answerBufs.Put(buf)
-	if err := encodeResult(buf, res); err != nil {
+	buf.Grow(int(e.bodyLen.Load()))
+	if err := encodeResult(ctx, buf, res); err != nil {
 		return nil, err
 	}
 	body := bytes.Clone(buf.Bytes())
@@ -456,13 +469,18 @@ func (s *Service) evalPlan(ctx context.Context, q Query) (any, error) {
 }
 
 // planResult derives a plan answer: the pair-level closed-form bounds,
-// and the horizon its turning points are walked to when it is written.
-func planResult(ctx context.Context, q Query, plan *Plan) (PlanResult, error) {
+// and the horizon its turning points are walked to when it is written
+// (encodeResult, under the span plan.geometry).
+func planResult(q Query, plan *Plan) (PlanResult, error) {
 	horizon := q.Horizon
 	if horizon == 0 {
 		horizon = 50 * q.MinDist
 	}
-	_, geom := telemetry.StartSpan(ctx, "plan.geometry")
+	if math.IsInf(horizon, 0) {
+		// 50*mindist overflows for mindist past ~3.6e306: refused as
+		// Searcher.TurningPoints refuses such a horizon.
+		return PlanResult{}, badRequest("linesearch: horizon must be finite and non-negative, got %g", horizon)
+	}
 	// A byzantine plan's schedule is the crash base at the effective
 	// budget rank-1, so the pair-level closed forms apply there.
 	boundsF := q.F
@@ -470,8 +488,6 @@ func planResult(ctx context.Context, q Query, plan *Plan) (PlanResult, error) {
 		boundsF = plan.Searcher.DetectionRank() - 1
 	}
 	bounds, err := linesearch.Bounds(q.N, boundsF)
-	geom.SetInt("robots", int64(q.N))
-	geom.End()
 	if err != nil {
 		return PlanResult{}, err
 	}
@@ -824,18 +840,18 @@ var (
 
 // writeJSON writes v as a JSON answer with the given status. An
 // already encoded json.RawMessage is written as it is; any other value
-// is encoded into a pooled buffer by encodeResult, which writes
-// json.Marshal's bytes, followed by a newline as json.Encoder ends an
-// answer, and written in one Write. Encode errors turn into a 500
-// (they indicate a server bug, not bad input).
-func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
+// is encoded into a pooled buffer by encodeResult, under ctx's span,
+// which writes json.Marshal's bytes, followed by a newline as
+// json.Encoder ends an answer, and written in one Write. Encode errors
+// turn into a 500 (they indicate a server bug, not bad input).
+func (s *Service) writeJSON(ctx context.Context, w http.ResponseWriter, status int, v any) {
 	if data, ok := v.(json.RawMessage); ok {
 		writeParts(w, status, data, newline)
 		return
 	}
 	buf := answerBufs.Get()
 	defer answerBufs.Put(buf)
-	if err := encodeResult(buf, v); err != nil {
+	if err := encodeResult(ctx, buf, v); err != nil {
 		s.encodeFailed(w, err)
 		return
 	}
@@ -881,7 +897,7 @@ func (s *Service) handleQuery(op string) http.HandlerFunc {
 			telemetry.WriteJSONError(w, statusOf(err), err.Error())
 			return
 		}
-		s.writeJSON(w, http.StatusOK, res)
+		s.writeJSON(r.Context(), w, http.StatusOK, res)
 	}
 }
 
@@ -1008,7 +1024,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			bufs[wk] = buf
 		}
 		start := buf.Len()
-		if err := encodeResult(buf, v); err != nil {
+		if err := encodeResult(ctx, buf, v); err != nil {
 			return err
 		}
 		items[i].w, items[i].start, items[i].end = wk, start, buf.Len()
@@ -1072,7 +1088,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writePrometheus(w, snap)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, snap)
+	s.writeJSON(r.Context(), w, http.StatusOK, snap)
 }
 
 // resilience snapshots the admission-control and fault-injection
@@ -1094,5 +1110,5 @@ func (s *Service) resilience() ResilienceStats {
 
 // handleHealthz is the liveness probe.
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.writeJSON(r.Context(), w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -73,7 +73,7 @@ func (s *Service) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		telemetry.WriteJSONError(w, http.StatusBadRequest, "checkpoint rejected: "+err.Error())
 		return
 	}
-	s.writeJSON(w, http.StatusOK, s.cfg.Replicas.Stats())
+	s.writeJSON(r.Context(), w, http.StatusOK, s.cfg.Replicas.Stats())
 }
 
 // handleReplicaGet serves a checkpoint for anti-entropy repair. The
@@ -105,7 +105,7 @@ func (s *Service) handleReplicaGet(w http.ResponseWriter, r *http.Request) {
 		telemetry.WriteJSONError(w, http.StatusNotFound, "no checkpoint for job "+id)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, cp)
+	s.writeJSON(r.Context(), w, http.StatusOK, cp)
 }
 
 // handleReplicaDigest summarizes every checkpoint this backend holds,
@@ -114,7 +114,7 @@ func (s *Service) handleReplicaDigest(w http.ResponseWriter, r *http.Request) {
 	if !s.replicasEnabled(w) {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, ReplicaDigestResponse{
+	s.writeJSON(r.Context(), w, http.StatusOK, ReplicaDigestResponse{
 		Home:    sweep.ScanCheckpoints(s.sweeps.Dir()),
 		Replica: s.cfg.Replicas.Digest(),
 	})

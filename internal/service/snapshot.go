@@ -169,7 +169,7 @@ func (s *Service) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = v
 	}
-	s.writeJSON(w, http.StatusOK, s.cache.Export(limit))
+	s.writeJSON(r.Context(), w, http.StatusOK, s.cache.Export(limit))
 }
 
 // handleCacheImport serves PUT /v1/cache/snapshot: validate the
@@ -205,7 +205,7 @@ func (s *Service) handleCacheImport(w http.ResponseWriter, r *http.Request) {
 	telemetry.SpanFrom(r.Context()).SetInt("warmed", int64(stats.Warmed))
 	s.journal.Record(r.Context(), journal.SnapshotImport, "",
 		fmt.Sprintf("%d entries, %d warmed", len(snap.Entries), stats.Warmed))
-	s.writeJSON(w, http.StatusOK, stats)
+	s.writeJSON(r.Context(), w, http.StatusOK, stats)
 }
 
 // rejectSnapshot answers an invalid import, quarantining the payload

@@ -63,7 +63,7 @@ func (s *Service) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := job.Status()
-	s.writeJSON(w, http.StatusAccepted, SweepSubmitResponse{Status: st, Resumed: st.ResumedCells > 0})
+	s.writeJSON(r.Context(), w, http.StatusAccepted, SweepSubmitResponse{Status: st, Resumed: st.ResumedCells > 0})
 }
 
 // handleSweepList reports every job's status in submission order.
@@ -72,7 +72,7 @@ func (s *Service) handleSweepList(w http.ResponseWriter, r *http.Request) {
 	if list == nil {
 		list = []sweep.Status{}
 	}
-	s.writeJSON(w, http.StatusOK, SweepListResponse{Sweeps: list})
+	s.writeJSON(r.Context(), w, http.StatusOK, SweepListResponse{Sweeps: list})
 }
 
 // sweepByID resolves the {id} path value, writing a 404 on a miss.
@@ -92,7 +92,7 @@ func (s *Service) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, job.Status())
+	s.writeJSON(r.Context(), w, http.StatusOK, job.Status())
 }
 
 // handleSweepResult serves a finished job's dataset. Unfinished jobs
@@ -135,7 +135,7 @@ func (s *Service) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 			resp.CellErrors = append(resp.CellErrors, c)
 		}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(r.Context(), w, http.StatusOK, resp)
 }
 
 // handleSweepCancel requests cooperative cancellation. Cancelling an
@@ -146,5 +146,5 @@ func (s *Service) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job.Cancel()
-	s.writeJSON(w, http.StatusOK, job.Status())
+	s.writeJSON(r.Context(), w, http.StatusOK, job.Status())
 }

@@ -75,7 +75,8 @@ func finiteOrNil(v float64) *float64 {
 // WalkTurningPoints. The /v1/plan answer, on a miss and on a hit, must
 // then be json.Marshal's encoding of the struct holding the cut
 // points, or fail exactly where json.Marshal fails: a 500, or the 400
-// a default-horizon hit has always answered an encoding error with.
+// a default-horizon hit has always answered an encoding error with. A
+// default horizon that overflows is refused with a 400.
 // Uniform plans on slopes over 1000 are skipped, so every input stays
 // cheap.
 func FuzzPlanBody(f *testing.F) {
@@ -88,6 +89,7 @@ func FuzzPlanBody(f *testing.F) {
 		{0, 0, 3, 1, 0, 1, 0},
 		{0, 0, 7, 3, 0, 1, 100000},
 		{0, 0, 5, 2, 0, 1e-7, 0},
+		{0, 0, 3, 1, 0, 1e307, 0},
 		{0, 0, 5, 1, 1, 1, 30},
 		{2, 0, 4, 1, 0, 1, 0},
 		{3, 0, 6, 1, 0, 1, 0},
@@ -150,11 +152,19 @@ func FuzzPlanBody(f *testing.F) {
 		if tmax == 0 {
 			tmax = 50 * mindist
 		}
-		oracle := s.SimTurningPoints(tmax)
 		got, err := s.TurningPoints(tmax)
 		if err != nil {
-			t.Fatal(err)
+			// 50*mindist overflowed: the service refuses the plan with
+			// TurningPoints' error, a 400 on the miss and on the hit.
+			wantErr := fmt.Sprintf("{\"error\":%q}", err.Error())
+			for pass := 1; pass <= 2; pass++ {
+				if w := get(); w.Code != http.StatusBadRequest || strings.TrimSpace(w.Body.String()) != wantErr {
+					t.Fatalf("%s pass %d: TurningPoints fails (%v), the service answers %d %s", target, pass, err, w.Code, w.Body)
+				}
+			}
+			return
 		}
+		oracle := s.SimTurningPoints(tmax)
 		for i := range oracle {
 			if !samePoints(got[i], oracle[i]) {
 				t.Fatalf("%s: robot %d's TurningPoints differ from the segment walk:\n got %v\nwant %v", target, i, got[i], oracle[i])
