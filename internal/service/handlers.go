@@ -448,13 +448,11 @@ func (s *Service) evalPlan(ctx context.Context, q Query) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !hit {
-		if defaultHorizon {
-			res.written = &e.bodyLen
-		}
+	if !defaultHorizon {
 		return res, nil
 	}
-	if !defaultHorizon {
+	if !hit {
+		res.written = &e.bodyLen
 		return res, nil
 	}
 	buf := answerBufs.Get()
@@ -840,7 +838,7 @@ var (
 
 // writeJSON writes v as a JSON answer with the given status. An
 // already encoded json.RawMessage is written as it is; any other value
-// is encoded into a pooled buffer by encodeResult, under ctx's span,
+// is encoded into a pooled buffer by encodeResult (traced under ctx),
 // which writes json.Marshal's bytes, followed by a newline as
 // json.Encoder ends an answer, and written in one Write. Encode errors
 // turn into a 500 (they indicate a server bug, not bad input).
