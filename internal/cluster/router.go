@@ -270,7 +270,7 @@ func routingPolicy(req *http.Request) (key string, retryable bool) {
 	case p == "/v1/cache/snapshot":
 		return "", req.Method == http.MethodGet
 	default:
-		return service.PlanKeyOf(req.URL.Query()).Hash(), req.Method == http.MethodGet
+		return service.PlanKeyOf(req.URL.RawQuery).Hash(), req.Method == http.MethodGet
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -49,17 +49,33 @@ func (k PlanKey) String() string {
 }
 
 // Hash returns the content hash of the key: the hex SHA-256 of its
-// canonical JSON encoding. It is the sharding key — the router's
-// consistent-hash ring places every plan by this value, so the same
-// tuple always lands on the same backend regardless of which process
-// computes the hash.
+// canonical JSON encoding, the bytes json.Marshal writes for it. It is
+// the sharding key — the router's consistent-hash ring places every
+// plan by this value, so the same tuple always lands on the same
+// backend regardless of which process computes the hash. (A non-finite
+// MinDist, which json.Marshal refuses and no cache key holds, is
+// written as null.)
 func (k PlanKey) Hash() string {
-	blob, err := json.Marshal(k)
-	if err != nil {
-		// PlanKey is plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("service: marshal plan key: %v", err))
+	var arr [128]byte
+	b := append(arr[:0], `{"n":`...)
+	b = strconv.AppendInt(b, int64(k.N), 10)
+	b = append(b, `,"f":`...)
+	b = strconv.AppendInt(b, int64(k.F), 10)
+	if k.Strategy != "" {
+		b = append(b, `,"strategy":`...)
+		b = appendString(b, k.Strategy)
 	}
-	sum := sha256.Sum256(blob)
+	b = append(b, `,"mindist":`...)
+	b = appendFloat(b, k.MinDist)
+	if k.Model != "" {
+		b = append(b, `,"model":`...)
+		b = appendString(b, k.Model)
+	}
+	if k.Votes != 0 {
+		b = append(b, `,"votes":`...)
+		b = strconv.AppendInt(b, int64(k.Votes), 10)
+	}
+	sum := sha256.Sum256(append(b, '}'))
 	return hex.EncodeToString(sum[:])
 }
 

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -356,27 +357,62 @@ func (q Query) key() PlanKey {
 		Model: q.Model, Votes: q.Votes}
 }
 
-// PlanKeyOf returns the plan-cache key a GET with URL parameters v is
-// cached under, so a router's ring key and every backend's cache key
-// agree. It parses only the key's parameters, with the GET parser's
-// rules and the cache's defaults; a target list is never parsed. An
-// invalid value keeps its zero: the backend answers such a request
-// with a 400, and all a ring key needs is determinism.
-func PlanKeyOf(v url.Values) PlanKey {
-	q := Query{Strategy: v.Get("strategy"), Model: v.Get("model")}
-	q.N, _ = intParam(v, "n", 0)
-	q.F, _ = intParam(v, "f", -1)
-	q.MinDist, _ = floatParam(v, "mindist", 1)
-	q.Votes, _ = intParam(v, "votes", 0)
+// PlanKeyOf returns the plan-cache key a GET with raw query string
+// rawQuery is cached under, so a router's ring key and every backend's
+// cache key agree. It reads only the key's parameters, with
+// url.ParseQuery's pair rules (pairs split on '&'; a pair holding ';'
+// or a bad escape is skipped; a repeated parameter's first value
+// counts), then the GET parser's rules and the cache's defaults. Other
+// pairs, such as a long target list, are not unescaped. An invalid
+// value keeps its zero: the backend answers such a request with a 400,
+// and all a ring key needs is determinism.
+func PlanKeyOf(rawQuery string) PlanKey {
+	names := [...]string{"n", "f", "mindist", "strategy", "model", "votes"}
+	var vals [len(names)]string
+	var seen [len(names)]bool
+	for rest := rawQuery; rest != ""; {
+		var pair string
+		pair, rest, _ = strings.Cut(rest, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		name, val, _ := strings.Cut(pair, "=")
+		name, err := queryUnescape(name)
+		if err != nil {
+			continue
+		}
+		i := slices.Index(names[:], name)
+		if i < 0 || seen[i] {
+			continue
+		}
+		if vals[i], err = queryUnescape(val); err == nil {
+			seen[i] = true
+		}
+	}
+	q := Query{Strategy: vals[3], Model: vals[4]}
+	q.N, _ = intValue(vals[0], "n", 0)
+	q.F, _ = intValue(vals[1], "f", -1)
+	q.MinDist, _ = floatValue(vals[2], "mindist", 1)
+	q.Votes, _ = intValue(vals[5], "votes", 0)
 	q.keyDefaults()
 	return q.key()
+}
+
+// queryUnescape is url.QueryUnescape, without its call for the text
+// most query strings hold, which has nothing to unescape.
+func queryUnescape(s string) (string, error) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, nil
+	}
+	return url.QueryUnescape(s)
 }
 
 // eval answers one query. It is the single evaluation path shared by
 // the GET endpoints and the batch fan-out. A sampled request gets an
 // "eval" stage span annotated with the op and cache outcome; untraced
-// requests pay nothing for the hooks.
-func (s *Service) eval(ctx context.Context, q Query) (any, error) {
+// requests pay nothing for the hooks. A searchtimes answer's times are
+// written into sc when it is not nil (see scratch).
+func (s *Service) eval(ctx context.Context, q Query, sc *scratch) (any, error) {
 	if err := q.normalize(); err != nil {
 		return nil, err
 	}
@@ -385,7 +421,7 @@ func (s *Service) eval(ctx context.Context, q Query) (any, error) {
 	}
 	ctx, span := telemetry.StartSpan(ctx, "eval")
 	span.SetStr("op", q.Op)
-	res, err := s.evalOp(ctx, q)
+	res, err := s.evalOp(ctx, q, sc)
 	if err != nil {
 		span.SetStr("error", err.Error())
 	}
@@ -393,14 +429,14 @@ func (s *Service) eval(ctx context.Context, q Query) (any, error) {
 	return res, err
 }
 
-func (s *Service) evalOp(ctx context.Context, q Query) (any, error) {
+func (s *Service) evalOp(ctx context.Context, q Query, sc *scratch) (any, error) {
 	switch q.Op {
 	case OpPlan:
 		return s.evalPlan(ctx, q)
 	case OpSearchTime:
 		return s.evalSearchTime(ctx, q)
 	case OpSearchTimes:
-		return s.evalSearchTimes(ctx, q)
+		return s.evalSearchTimes(ctx, q, sc)
 	case OpTimeline:
 		return s.evalTimeline(ctx, q)
 	case OpLowerBound:
@@ -559,14 +595,21 @@ func (s *Service) evalSearchTime(ctx context.Context, q Query) (any, error) {
 	return res, nil
 }
 
-func (s *Service) evalSearchTimes(ctx context.Context, q Query) (any, error) {
+func (s *Service) evalSearchTimes(ctx context.Context, q Query, sc *scratch) (any, error) {
 	plan, err := s.plan(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	times, err := plan.Searcher.SearchTimesContext(ctx, q.Xs.vals)
+	var dst []float64
+	if sc != nil {
+		dst = sc.times
+	}
+	times, err := plan.Searcher.SearchTimesInto(ctx, q.Xs.vals, dst)
 	if err != nil {
 		return nil, err
+	}
+	if sc != nil {
+		sc.times = times
 	}
 	res := SearchTimesResult{
 		N:        q.N,
@@ -682,8 +725,9 @@ var paramSpec = map[string]map[string]bool{
 	OpLowerBound:  {"n": true, "f": true},
 }
 
-// parseQuery builds a Query for op from URL parameters.
-func parseQuery(op string, v url.Values) (Query, error) {
+// parseQuery builds a Query for op from URL parameters. A target list
+// is parsed into sc's targets when sc is not nil (see scratch).
+func parseQuery(op string, v url.Values, sc *scratch) (Query, error) {
 	q := Query{Op: op}
 	allowed := paramSpec[op]
 	for name := range v {
@@ -739,8 +783,15 @@ func parseQuery(op string, v url.Values) (Query, error) {
 		}
 	}
 	if raw := v.Get("xs"); raw != "" {
-		if q.Xs, err = parseTargets(raw); err != nil {
+		var dst []float64
+		if sc != nil {
+			dst = sc.xs
+		}
+		if q.Xs, err = parseTargets(raw, dst); err != nil {
 			return q, err
+		}
+		if sc != nil && q.Xs.vals != nil {
+			sc.xs = q.Xs.vals
 		}
 	}
 	q.Objective = v.Get("objective")
@@ -748,7 +799,7 @@ func parseQuery(op string, v url.Values) (Query, error) {
 		return q, err
 	}
 	if raw := v.Get("speeds"); raw != "" {
-		if q.Speeds, _, err = parseFloatList(raw, "speed"); err != nil {
+		if q.Speeds, _, err = parseFloatList(raw, "speed", nil); err != nil {
 			return q, err
 		}
 	}
@@ -760,7 +811,11 @@ func parseQuery(op string, v url.Values) (Query, error) {
 
 // intParam parses an optional integer parameter.
 func intParam(v url.Values, name string, def int) (int, error) {
-	raw := v.Get(name)
+	return intValue(v.Get(name), name, def)
+}
+
+// intValue parses the value raw of an optional integer parameter.
+func intValue(raw, name string, def int) (int, error) {
 	if raw == "" {
 		return def, nil
 	}
@@ -773,7 +828,12 @@ func intParam(v url.Values, name string, def int) (int, error) {
 
 // floatParam parses an optional finite float parameter.
 func floatParam(v url.Values, name string, def float64) (float64, error) {
-	raw := v.Get(name)
+	return floatValue(v.Get(name), name, def)
+}
+
+// floatValue parses the value raw of an optional finite float
+// parameter.
+func floatValue(raw, name string, def float64) (float64, error) {
 	if raw == "" {
 		return def, nil
 	}
@@ -787,12 +847,12 @@ func floatParam(v url.Values, name string, def float64) (float64, error) {
 	return f, nil
 }
 
-// parseFloatList parses "1.5,-2,40" into a float list; noun names the
-// entries in the rejection message. canon reports whether every entry
-// is canonical, in which case raw is the list's JSON encoding less its
-// brackets.
-func parseFloatList(raw, noun string) (out []float64, canon bool, err error) {
-	out = make([]float64, 0, strings.Count(raw, ",")+1)
+// parseFloatList parses "1.5,-2,40" into a float list, written into
+// dst's backing array when it has room; noun names the entries in the
+// rejection message. canon reports whether every entry is canonical,
+// in which case raw is the list's JSON encoding less its brackets.
+func parseFloatList(raw, noun string, dst []float64) (out []float64, canon bool, err error) {
+	out = slices.Grow(dst[:0], strings.Count(raw, ",")+1)
 	canon = true
 	for rest, more := raw, true; more; {
 		var p string
@@ -835,6 +895,16 @@ var (
 	batchItemBufs bufpool.Pool // one per batch worker: its items' encodings
 	envelopeBufs  bufpool.Pool // whole batch answers
 )
+
+// scratch holds the float slices a searchtimes evaluation reuses: the
+// targets a GET parses (xs) and the times the kernel writes (times). A
+// SearchTimesResult holds both, so a scratch goes back to scratches
+// only once the answer holding them is written. A batch worker keeps
+// one for all its items and writes each item's answer before
+// evaluating the next; batch targets live in the BatchRequest.
+type scratch struct{ xs, times []float64 }
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // writeJSON writes v as a JSON answer with the given status. An
 // already encoded json.RawMessage is written as it is; any other value
@@ -882,15 +952,22 @@ func writeParts(w http.ResponseWriter, status int, parts ...[]byte) {
 	}
 }
 
-// handleQuery serves one GET endpoint backed by eval.
+// handleQuery serves one GET endpoint backed by eval. A searchtimes
+// GET parses its targets and evaluates its times into a pooled
+// scratch, which goes back once the answer is written.
 func (s *Service) handleQuery(op string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		q, err := parseQuery(op, r.URL.Query())
+		var sc *scratch
+		if op == OpSearchTimes {
+			sc = scratches.Get().(*scratch)
+			defer scratches.Put(sc)
+		}
+		q, err := parseQuery(op, r.URL.Query(), sc)
 		if err != nil {
 			telemetry.WriteJSONError(w, statusOf(err), err.Error())
 			return
 		}
-		res, err := s.eval(r.Context(), q)
+		res, err := s.eval(r.Context(), q, sc)
 		if err != nil {
 			telemetry.WriteJSONError(w, statusOf(err), err.Error())
 			return
@@ -902,6 +979,19 @@ func (s *Service) handleQuery(op string) http.HandlerFunc {
 // BatchRequest is the POST /v1/batch payload.
 type BatchRequest struct {
 	Queries []Query `json:"queries"`
+	// targets holds the target values of every searchtimes query that
+	// scanBatch decoded, each query's carved out in turn.
+	targets []float64
+}
+
+// reset empties the request for a new body, keeping its backing arrays.
+// encoding/json decodes into the elements already in the query list's
+// backing array and keeps every field a body omits: they start from
+// zeros.
+func (r *BatchRequest) reset() {
+	clear(r.Queries[:cap(r.Queries)])
+	r.Queries = r.Queries[:0]
+	r.targets = r.targets[:0]
 }
 
 // maxBatchBody caps a batch request body.
@@ -934,14 +1024,23 @@ var (
 // batchRequests recycles decoded batch requests and their query lists.
 var batchRequests = sync.Pool{New: func() any { return new(BatchRequest) }}
 
-// decodeBatch decodes a batch request body into req, reusing the
-// backing array of its query list: one JSON object with no unknown
-// fields, followed by nothing but JSON whitespace.
+// decodeBatch decodes a batch request body into req, reusing its
+// backing arrays: one JSON object with no unknown fields, followed by
+// nothing but JSON whitespace. scanBatch reads the bodies clients
+// usually send in one pass; anything else goes to decodeBatchJSON,
+// which alone decides what is accepted and words every rejection.
 func decodeBatch(body []byte, req *BatchRequest) error {
-	// encoding/json decodes into the elements already in the backing
-	// array and keeps every field the body omits: start from zeros.
-	clear(req.Queries[:cap(req.Queries)])
-	req.Queries = req.Queries[:0]
+	req.reset()
+	if scanBatch(body, req) {
+		return nil
+	}
+	return decodeBatchJSON(body, req)
+}
+
+// decodeBatchJSON decodes a batch request body into req through
+// encoding/json: the specification scanBatch's subset must agree with.
+func decodeBatchJSON(body []byte, req *BatchRequest) error {
+	req.reset()
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
@@ -956,11 +1055,12 @@ func decodeBatch(body []byte, req *BatchRequest) error {
 
 // handleBatch fans a list of queries out over the worker pool and
 // reports per-query results. The body is read into a pooled buffer and
-// decoded from it into a pooled query list, which goes back once the
-// answer is written unless it holds more than MaxBatch queries. Each
-// worker encodes its items into its own pooled buffer (a cached plan
-// body is used as it is), and the answer is assembled around those
-// bytes into one pooled buffer and written in one Write.
+// decoded from it into a pooled request, which goes back once the
+// answer is written unless it holds more than MaxBatch queries or more
+// than maxBatchTargets targets. Each worker evaluates into its own
+// pooled scratch and encodes its items into its own pooled buffer (a
+// cached plan body is used as it is), and the answer is assembled
+// around those bytes into one pooled buffer and written in one Write.
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	in := batchBodies.Get()
 	defer batchBodies.Put(in)
@@ -970,7 +1070,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	_, err := in.ReadFrom(http.MaxBytesReader(w, r.Body, maxBatchBody))
 	req := batchRequests.Get().(*BatchRequest)
 	defer func() {
-		if cap(req.Queries) <= s.cfg.MaxBatch {
+		if cap(req.Queries) <= s.cfg.MaxBatch && cap(req.targets) <= maxBatchTargets {
 			batchRequests.Put(req)
 		}
 	}()
@@ -996,16 +1096,25 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	span.SetInt("queries", int64(len(req.Queries)))
 	workers := min(s.cfg.BatchWorkers, len(req.Queries))
 	span.SetInt("workers", int64(workers))
-	// Worker wk alone touches bufs[wk] until ForEach returns.
+	// Worker wk alone touches bufs[wk] and scs[wk] until ForEach
+	// returns; it writes each item's answer before its next eval reuses
+	// scs[wk].
 	bufs := make([]*bytes.Buffer, workers)
+	scs := make([]*scratch, workers)
 	defer func() {
-		for _, b := range bufs {
+		for wk, b := range bufs {
 			batchItemBufs.Put(b)
+			if scs[wk] != nil {
+				scratches.Put(scs[wk])
+			}
 		}
 	}()
 	err = numeric.ForEach(ctx, len(req.Queries), workers, func(wk, i int) error {
+		if scs[wk] == nil {
+			scs[wk] = scratches.Get().(*scratch)
+		}
 		var v any
-		res, err := s.eval(ctx, req.Queries[i])
+		res, err := s.eval(ctx, req.Queries[i], scs[wk])
 		if err != nil {
 			v = err.Error()
 		} else {

@@ -79,7 +79,7 @@ func FuzzParseQuery(f *testing.F) {
 		// The handlers read parameters as r.URL.Query() does, which
 		// drops malformed pairs instead of failing.
 		v := (&url.URL{RawQuery: raw}).Query()
-		q, err := parseQuery(op, v)
+		q, err := parseQuery(op, v, nil)
 		if err != nil {
 			var ae *apiError
 			if !errors.As(err, &ae) || ae.status != http.StatusBadRequest {
@@ -93,7 +93,7 @@ func FuzzParseQuery(f *testing.F) {
 			checkEcho(t, q.Xs)
 		}
 
-		back, err := parseQuery(op, encodeQuery(q))
+		back, err := parseQuery(op, encodeQuery(q), nil)
 		if err != nil {
 			t.Fatalf("re-encoded %+v (%s) is rejected: %v", q, encodeQuery(q).Encode(), err)
 		}

@@ -30,13 +30,14 @@ func (t targetList) len() int {
 
 // parseTargets parses a comma-separated target list, "1.5,-2,40": a
 // GET's xs parameter, or the text of a batch query's xs array between
-// its brackets. A list longer than maxBatchTargets is counted, not
-// parsed.
-func parseTargets(raw string) (targetList, error) {
+// its brackets. The values are written into dst's backing array when
+// it has room for them. A list longer than maxBatchTargets is counted,
+// not parsed.
+func parseTargets(raw string, dst []float64) (targetList, error) {
 	if n := strings.Count(raw, ",") + 1; n > maxBatchTargets {
 		return targetList{over: n}, nil
 	}
-	vals, canon, err := parseFloatList(raw, "target position")
+	vals, canon, err := parseFloatList(raw, "target position", dst)
 	if err != nil {
 		return targetList{}, err
 	}
@@ -62,7 +63,7 @@ func (t *targetList) UnmarshalJSON(data []byte) error {
 	// only. A number out of float64's range fails parseTargets, and the
 	// []float64 decode below reports it.
 	if len(data) >= 2 && data[0] == '[' && numberBytesOnly(data[1:len(data)-1]) {
-		if list, err := parseTargets(string(data[1 : len(data)-1])); err == nil {
+		if list, err := parseTargets(string(data[1:len(data)-1]), nil); err == nil {
 			*t = list
 			return nil
 		}

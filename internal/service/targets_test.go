@@ -200,7 +200,7 @@ func TestTargetListEcho(t *testing.T) {
 		{"1, 2", ""},
 		{"1,2.50", ""},
 	} {
-		xs, err := parseTargets(tt.raw)
+		xs, err := parseTargets(tt.raw, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -154,7 +154,7 @@ func (s *Searcher) SearchTime(x float64) (float64, error) {
 // the same domain checks as SearchTime; the first invalid target fails
 // the batch.
 func (s *Searcher) SearchTimes(xs []float64) ([]float64, error) {
-	return s.SearchTimesContext(context.Background(), xs)
+	return s.SearchTimesInto(context.Background(), xs, nil)
 }
 
 // SearchTimesContext is SearchTimes that returns ctx.Err() once ctx is
@@ -162,12 +162,20 @@ func (s *Searcher) SearchTimes(xs []float64) ([]float64, error) {
 // telemetry trace. An untraced context adds no allocations or locking
 // over SearchTimes.
 func (s *Searcher) SearchTimesContext(ctx context.Context, xs []float64) ([]float64, error) {
+	return s.SearchTimesInto(ctx, xs, nil)
+}
+
+// SearchTimesInto is SearchTimesContext that writes the times into
+// dst's backing array, growing it only when its capacity is below
+// len(xs), and returns the slice that holds them. A caller that keeps
+// one dst across calls evaluates without allocating.
+func (s *Searcher) SearchTimesInto(ctx context.Context, xs, dst []float64) ([]float64, error) {
 	for _, x := range xs {
 		if err := s.checkTarget(x); err != nil {
 			return nil, err
 		}
 	}
-	return s.kernel.EvalManyCtx(ctx, xs, nil)
+	return s.kernel.EvalManyCtx(ctx, xs, dst)
 }
 
 // KthVisitTime returns the time at which the k-th distinct robot first
