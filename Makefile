@@ -29,13 +29,15 @@ race:
 # A(1001,500), a hot /v1/searchtime, a 1,000-target /v1/searchtimes GET
 # and a 64-query batch shaped like perfbench's curve-batch, a 64-query
 # batch of small plans, and a replay of perfbench build-cold's cold GETs
-# with the daemon's cache size and trace sampling), and the decoding of
-# a curve-batch-shaped batch body on its own. The root package's
+# with the daemon's cache size and trace sampling), and, on their own,
+# the decoding of a curve-batch-shaped batch body, the writing of 1,024
+# curve-batch search times and the reading of a 1,000-target
+# curve-batch list. The root package's
 # -bench regex keeps its paper-experiment benchmarks out. Writes the
 # machine-readable report to BENCH.json.
 bench:
 	{ $(GO) test -run '^$$' -bench . -benchmem ./internal/telemetry ./internal/telemetry/journal ./internal/compiled ./internal/sim ./internal/cluster && \
-	  $(GO) test -run '^$$' -bench '^BenchmarkDecodeBatch$$' -benchmem ./internal/service && \
+	  $(GO) test -run '^$$' -bench '^Benchmark(DecodeBatch|AppendFloat|ParseTargets)$$' -benchmem ./internal/service && \
 	  $(GO) test -run '^$$' -bench '^Benchmark(ServicePlanHot|ServicePlanCold|ServicePlanWide|ServiceSearchTimeHot|ServiceSearchTimesWide|ServiceBuildCold|Batch|BatchWide)$$' -benchmem . ; } | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH.json
 
@@ -109,28 +111,30 @@ bench-paper:
 # phase-table answer of self-similar plans against the scan, the
 # expected-time series at miss probability 0 against the worst case,
 # the GET endpoints' query-string parser, the canonical-token rule for
-# echoed targets against encoding/json, the batch body against its
-# struct encoding, the one-pass batch decoder against encoding/json,
+# echoed targets and the float writer against encoding/json, the
+# target-list reader against strconv.ParseFloat, the batch body against
+# its struct encoding, the one-pass batch decoder against encoding/json,
 # the router's plan key read from a raw query string against
 # url.ParseQuery and json.Marshal, and the two inbound peer decoders
 # replication and gossip feed (a pushed replica checkpoint, a gossip
 # POST).
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzSearchTime -fuzztime 30s .
-	$(GO) test -run '^$$' -fuzz FuzzPlanBody -fuzztime 30s .
-	$(GO) test -run '^$$' -fuzz FuzzZigZagFirstVisit -fuzztime 30s ./internal/trajectory
-	$(GO) test -run '^$$' -fuzz FuzzImplicitTail -fuzztime 30s ./internal/compiled
-	$(GO) test -run '^$$' -fuzz FuzzByzantineVote -fuzztime 30s ./internal/compiled
-	$(GO) test -run '^$$' -fuzz FuzzSelectKth -fuzztime 30s ./internal/compiled
-	$(GO) test -run '^$$' -fuzz FuzzSelfSimilarKth -fuzztime 30s ./internal/compiled
-	$(GO) test -run '^$$' -fuzz FuzzExpectedMatchesWorstCase -fuzztime 30s ./internal/sim
-	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 30s ./internal/service
-	$(GO) test -run '^$$' -fuzz FuzzCanonicalFloat -fuzztime 30s ./internal/service
-	$(GO) test -run '^$$' -fuzz FuzzBatch -fuzztime 30s ./internal/service
-	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 30s ./internal/service
-	$(GO) test -run '^$$' -fuzz FuzzRouteKey -fuzztime 30s ./internal/service
-	$(GO) test -run '^$$' -fuzz FuzzReplicaCheckpoint -fuzztime 30s ./internal/sweep
-	$(GO) test -run '^$$' -fuzz FuzzGossipHandler -fuzztime 30s ./internal/membership
+	$(GO) test -run '^$$' -fuzz FuzzSearchTime -fuzztime 30s -fuzzminimizetime 5s .
+	$(GO) test -run '^$$' -fuzz FuzzPlanBody -fuzztime 30s -fuzzminimizetime 5s .
+	$(GO) test -run '^$$' -fuzz FuzzZigZagFirstVisit -fuzztime 30s -fuzzminimizetime 5s ./internal/trajectory
+	$(GO) test -run '^$$' -fuzz FuzzImplicitTail -fuzztime 30s -fuzzminimizetime 5s ./internal/compiled
+	$(GO) test -run '^$$' -fuzz FuzzByzantineVote -fuzztime 30s -fuzzminimizetime 5s ./internal/compiled
+	$(GO) test -run '^$$' -fuzz FuzzSelectKth -fuzztime 30s -fuzzminimizetime 5s ./internal/compiled
+	$(GO) test -run '^$$' -fuzz FuzzSelfSimilarKth -fuzztime 30s -fuzzminimizetime 5s ./internal/compiled
+	$(GO) test -run '^$$' -fuzz FuzzExpectedMatchesWorstCase -fuzztime 30s -fuzzminimizetime 5s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 30s -fuzzminimizetime 5s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzCanonicalFloat -fuzztime 30s -fuzzminimizetime 5s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzParseTargets -fuzztime 30s -fuzzminimizetime 5s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzBatch -fuzztime 30s -fuzzminimizetime 5s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 30s -fuzzminimizetime 5s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzRouteKey -fuzztime 30s -fuzzminimizetime 5s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzReplicaCheckpoint -fuzztime 30s -fuzzminimizetime 5s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz FuzzGossipHandler -fuzztime 30s -fuzzminimizetime 5s ./internal/membership
 
 # Regenerate every table and figure as text on stdout.
 repro:

@@ -53,7 +53,9 @@ func reencodeBatch(body []byte) ([]byte, BatchResponse, error) {
 // every optional field. A 200 must declare its exact length, re-encode
 // byte for byte through BatchResponse, and count one error per
 // ok=false item; each ok searchtimes item must be the struct encoding
-// of its targets decoded as a []float64 (checkSearchTimesAnswer).
+// of its targets decoded as a []float64 (checkSearchTimesAnswer), and
+// each ok searchtime and lowerbound item the encoding of its
+// searchTimeShape or lowerBoundShape.
 // Inputs whose queries ask for more than 64 robots or 1,000 targets
 // are skipped, so every input stays cheap.
 func FuzzBatch(f *testing.F) {
@@ -66,6 +68,8 @@ func FuzzBatch(f *testing.F) {
 	// strings carry <, >, & and quotes that encoding/json escapes.
 	f.Add([]byte(`{"queries":[{"op":"plan","n":3,"f":1,"strategy":"a<b>&\"c\""},{"op":"lowerbound","n":5,"f":2}]}`))
 	f.Add([]byte(`{"queries":[{"op":"searchtimes","n":5,"f":2,"xs":[1,-2,1e300]},{"op":"bogus"}]}`))
+	f.Add([]byte(`{"queries":[{"op":"searchtime","n":3,"f":1,"x":1e-7,"mindist":1e-8},{"op":"searchtime","n":3,"f":1,"x":2,` +
+		`"objective":"expected","p":0.5,"speeds":[1,2,0.5]},{"op":"lowerbound","n":2,"f":2},{"op":"lowerbound","n":9,"f":4}]}`))
 	// A body is one object: trailing data is a 400, a newline is not.
 	f.Add([]byte(`{"queries":[{"op":"lowerbound","n":5,"f":2}]} garbage`))
 	f.Add([]byte(`{"queries":[{"op":"lowerbound","n":5,"f":2}]}{"queries":[]}`))
@@ -125,8 +129,16 @@ func FuzzBatch(f *testing.F) {
 			t.Fatalf("a 200 for a body the []float64 decode gives %d queries: %s", len(plain.Queries), body)
 		}
 		for i, it := range resp.Results {
-			if it.OK && plain.Queries[i].Op == OpSearchTimes {
-				checkSearchTimesAnswer(t, plain.Queries[i].Xs, it.Result.(json.RawMessage))
+			if !it.OK {
+				continue
+			}
+			switch raw := it.Result.(json.RawMessage); plain.Queries[i].Op {
+			case OpSearchTimes:
+				checkSearchTimesAnswer(t, plain.Queries[i].Xs, raw)
+			case OpSearchTime:
+				checkShape[searchTimeShape](t, raw)
+			case OpLowerBound:
+				checkShape[lowerBoundShape](t, raw)
 			}
 		}
 	})

@@ -19,7 +19,9 @@ type jsonAppender interface {
 }
 
 // encodeResult writes v's JSON encoding, without a newline, to buf. A
-// jsonAppender writes its own; anything else goes through json.Encoder.
+// jsonAppender writes its own, and a string (a batch item's error) is
+// written as a JSON string; anything else, a timeline answer, goes
+// through json.Encoder.
 // A plan answer's turning points are walked while it is written, so
 // its encoding is ctx's plan.geometry stage.
 func encodeResult(ctx context.Context, buf *bytes.Buffer, v any) error {
@@ -32,11 +34,84 @@ func encodeResult(ctx context.Context, buf *bytes.Buffer, v any) error {
 		return err
 	case jsonAppender:
 		return a.appendJSON(buf)
+	case string:
+		buf.Write(appendString(buf.AvailableBuffer(), a))
+		return nil
 	}
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		return err
 	}
 	buf.Truncate(buf.Len() - 1) // Encode's newline
+	return nil
+}
+
+// appendJSON writes the answer as json.Marshal writes the struct
+// {N int `json:"n"`; F int `json:"f"`; Strategy string `json:"strategy"`;
+// Model string `json:"model,omitempty"`; DetectionRank int
+// `json:"detection_rank,omitempty"`; X float64 `json:"x"`; K int
+// `json:"k"`; Objective string `json:"objective,omitempty"`; P float64
+// `json:"p,omitempty"`; Speeds []float64 `json:"speeds,omitempty"`;
+// Time, Ratio *float64 `json:"time"`, `json:"ratio"`; Detected bool
+// `json:"detected"`}, with nil pointers for a non-finite time or ratio,
+// and fails where that encoding fails: at the first non-finite plain
+// number, in field order.
+func (r SearchTimeResult) appendJSON(buf *bytes.Buffer) error {
+	var err error
+	b := appendPlanKey(buf.AvailableBuffer(), r.N, r.F, r.Strategy)
+	b = appendModel(b, r.Model, r.DetectionRank)
+	b = append(b, `,"x":`...)
+	if b, err = appendNumber(b, r.X); err != nil {
+		return err
+	}
+	b = append(b, `,"k":`...)
+	b = strconv.AppendInt(b, int64(r.K), 10)
+	if r.Objective != "" {
+		b = append(b, `,"objective":`...)
+		b = appendString(b, r.Objective)
+	}
+	if r.P != 0 {
+		b = append(b, `,"p":`...)
+		if b, err = appendNumber(b, r.P); err != nil {
+			return err
+		}
+	}
+	if len(r.Speeds) > 0 {
+		b = append(b, `,"speeds":[`...)
+		for i, v := range r.Speeds {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = appendNumber(b, v); err != nil {
+				return err
+			}
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"time":`...)
+	b = appendFloat(b, r.Time)
+	b = append(b, `,"ratio":`...)
+	b = appendFloat(b, r.Ratio)
+	b = append(b, `,"detected":`...)
+	b = strconv.AppendBool(b, r.Detected)
+	buf.Write(append(b, '}'))
+	return nil
+}
+
+// appendJSON writes the answer as json.Marshal writes the struct
+// {N int `json:"n"`; F int `json:"f"`; Regime string `json:"regime"`;
+// UpperBound, LowerBound *float64 `json:"upper_bound"`,
+// `json:"lower_bound"`; Beta, Expansion *float64 `json:"beta,omitempty"`,
+// `json:"expansion,omitempty"`}, with nil pointers for non-finite
+// values.
+func (r LowerBoundResult) appendJSON(buf *bytes.Buffer) error {
+	b := append(buf.AvailableBuffer(), `{"n":`...)
+	b = strconv.AppendInt(b, int64(r.N), 10)
+	b = append(b, `,"f":`...)
+	b = strconv.AppendInt(b, int64(r.F), 10)
+	b = append(b, `,"regime":`...)
+	b = appendString(b, r.Regime)
+	b = appendBounds(b, r.UpperBound, r.LowerBound, r.Beta, r.Expansion)
+	buf.Write(append(b, '}'))
 	return nil
 }
 
@@ -49,20 +124,8 @@ func encodeResult(ctx context.Context, buf *bytes.Buffer, v any) error {
 // client's own text when it is canonical; only the times are
 // formatted.
 func (r SearchTimesResult) appendJSON(buf *bytes.Buffer) error {
-	b := append(buf.AvailableBuffer(), `{"n":`...)
-	b = strconv.AppendInt(b, int64(r.N), 10)
-	b = append(b, `,"f":`...)
-	b = strconv.AppendInt(b, int64(r.F), 10)
-	b = append(b, `,"strategy":`...)
-	b = appendString(b, r.Strategy)
-	if r.Model != "" {
-		b = append(b, `,"model":`...)
-		b = appendString(b, r.Model)
-	}
-	if r.DetectionRank != 0 {
-		b = append(b, `,"detection_rank":`...)
-		b = strconv.AppendInt(b, int64(r.DetectionRank), 10)
-	}
+	b := appendPlanKey(buf.AvailableBuffer(), r.N, r.F, r.Strategy)
+	b = appendModel(b, r.Model, r.DetectionRank)
 	b = append(b, `,"xs":[`...)
 	if r.Xs.echo != "" {
 		b = append(b, r.Xs.echo...)
@@ -85,6 +148,49 @@ func (r SearchTimesResult) appendJSON(buf *bytes.Buffer) error {
 	b = strconv.AppendInt(b, int64(r.Detected), 10)
 	buf.Write(append(b, '}'))
 	return nil
+}
+
+// appendPlanKey opens an answer with its n, f and strategy fields.
+func appendPlanKey(b []byte, n, f int, strategy string) []byte {
+	b = append(b, `{"n":`...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, `,"f":`...)
+	b = strconv.AppendInt(b, int64(f), 10)
+	b = append(b, `,"strategy":`...)
+	return appendString(b, strategy)
+}
+
+// appendModel appends the model and detection_rank fields, each omitted
+// when "" or 0.
+func appendModel(b []byte, model string, rank int) []byte {
+	if model != "" {
+		b = append(b, `,"model":`...)
+		b = appendString(b, model)
+	}
+	if rank != 0 {
+		b = append(b, `,"detection_rank":`...)
+		b = strconv.AppendInt(b, int64(rank), 10)
+	}
+	return b
+}
+
+// appendBounds appends the pair-level bounds: upper_bound and
+// lower_bound, null when not finite, then beta and expansion, omitted
+// when not finite.
+func appendBounds(b []byte, upper, lower, beta, expansion float64) []byte {
+	b = append(b, `,"upper_bound":`...)
+	b = appendFloat(b, upper)
+	b = append(b, `,"lower_bound":`...)
+	b = appendFloat(b, lower)
+	if finite(beta) {
+		b = append(b, `,"beta":`...)
+		b = appendFloat(b, beta)
+	}
+	if finite(expansion) {
+		b = append(b, `,"expansion":`...)
+		b = appendFloat(b, expansion)
+	}
+	return b
 }
 
 // appendJSON writes the answer as json.Marshal writes the struct
@@ -127,12 +233,7 @@ func (r PlanResult) appendJSON(buf *bytes.Buffer) error {
 // points, and the opening of their list.
 func (r PlanResult) appendHead(b []byte) ([]byte, error) {
 	var err error
-	b = append(b, `{"n":`...)
-	b = strconv.AppendInt(b, int64(r.N), 10)
-	b = append(b, `,"f":`...)
-	b = strconv.AppendInt(b, int64(r.F), 10)
-	b = append(b, `,"strategy":`...)
-	b = appendString(b, r.Strategy)
+	b = appendPlanKey(b, r.N, r.F, r.Strategy)
 	b = append(b, `,"mindist":`...)
 	if b, err = appendNumber(b, r.MinDist); err != nil {
 		return nil, err
@@ -155,18 +256,7 @@ func (r PlanResult) appendHead(b []byte) ([]byte, error) {
 	if b, err = appendNumber(b, r.CompetitiveRatio); err != nil {
 		return nil, err
 	}
-	b = append(b, `,"upper_bound":`...)
-	b = appendFloat(b, r.UpperBound)
-	b = append(b, `,"lower_bound":`...)
-	b = appendFloat(b, r.LowerBound)
-	if finite(r.Beta) {
-		b = append(b, `,"beta":`...)
-		b = appendFloat(b, r.Beta)
-	}
-	if finite(r.Expansion) {
-		b = append(b, `,"expansion":`...)
-		b = appendFloat(b, r.Expansion)
-	}
+	b = appendBounds(b, r.UpperBound, r.LowerBound, r.Beta, r.Expansion)
 	b = append(b, `,"horizon":`...)
 	if b, err = appendNumber(b, r.Horizon); err != nil {
 		return nil, err
@@ -213,29 +303,6 @@ func appendNumber(b []byte, x float64) ([]byte, error) {
 		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(x, 'g', -1, 64)}
 	}
 	return appendFloat(b, x), nil
-}
-
-// appendFloat appends x as encoding/json writes a float64, and null
-// for NaN and the infinities, which JSON cannot represent: the
-// shortest round-trip decimal, in plain notation unless |x| < 1e-6 or
-// |x| >= 1e21, with a two-digit negative exponent cut to one digit.
-func appendFloat(b []byte, x float64) []byte {
-	if !finite(x) {
-		return append(b, "null"...)
-	}
-	format := byte('f')
-	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, x, format, -1, 64)
-	if format == 'e' {
-		// e-09 becomes e-9.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 // appendString appends s as encoding/json writes a string. Strategy

@@ -154,21 +154,22 @@ type PlanResult struct {
 // Under objective=expected, Time is the expected detection time over
 // the per-visit miss coins, null when the expectation diverges; the
 // Objective, P and Speeds fields echo the request and are omitted for
-// the deterministic default, whose responses stay byte-identical.
+// the deterministic default, whose responses stay byte-identical. The
+// answer writes itself (appendJSON), so encoding/json never sees it.
 type SearchTimeResult struct {
-	N             int       `json:"n"`
-	F             int       `json:"f"`
-	Strategy      string    `json:"strategy"`
-	Model         string    `json:"model,omitempty"`
-	DetectionRank int       `json:"detection_rank,omitempty"`
-	X             float64   `json:"x"`
-	K             int       `json:"k"`
-	Objective     string    `json:"objective,omitempty"`
-	P             float64   `json:"p,omitempty"`
-	Speeds        []float64 `json:"speeds,omitempty"`
-	Time          *float64  `json:"time"`
-	Ratio         *float64  `json:"ratio"`
-	Detected      bool      `json:"detected"`
+	N             int
+	F             int
+	Strategy      string
+	Model         string // omitted when ""
+	DetectionRank int    // omitted when 0
+	X             float64
+	K             int
+	Objective     string    // omitted when ""
+	P             float64   // omitted when 0
+	Speeds        []float64 // omitted when empty
+	Time          float64   // null when not finite
+	Ratio         float64   // null when not finite
+	Detected      bool
 }
 
 // SearchTimesResult answers a searchtimes query: one worst-case
@@ -212,24 +213,15 @@ type TimelineResult struct {
 }
 
 // LowerBoundResult answers /v1/lowerbound: the pair-level closed forms,
-// no plan construction needed.
+// no plan construction needed. The answer writes itself (appendJSON).
 type LowerBoundResult struct {
-	N          int      `json:"n"`
-	F          int      `json:"f"`
-	Regime     string   `json:"regime"`
-	UpperBound *float64 `json:"upper_bound"`
-	LowerBound *float64 `json:"lower_bound"`
-	Beta       *float64 `json:"beta,omitempty"`
-	Expansion  *float64 `json:"expansion,omitempty"`
-}
-
-// finitePtr returns a pointer to v, or nil when v is NaN or infinite —
-// encoding/json cannot represent non-finite values, so they become null.
-func finitePtr(v float64) *float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil
-	}
-	return &v
+	N          int
+	F          int
+	Regime     string
+	UpperBound float64 // null when not finite
+	LowerBound float64 // null when not finite
+	Beta       float64 // omitted when not finite
+	Expansion  float64 // omitted when not finite
 }
 
 // normalize fills defaults and rejects out-of-domain values that the
@@ -582,15 +574,14 @@ func (s *Service) evalSearchTime(ctx context.Context, q Query) (any, error) {
 		Objective: q.Objective,
 		P:         q.P,
 		Speeds:    q.Speeds,
-		Detected:  !math.IsInf(t, 1),
+		// An undetected target's +Inf makes both null.
+		Time:     t,
+		Ratio:    t / math.Abs(q.X),
+		Detected: !math.IsInf(t, 1),
 	}
 	if m := plan.Searcher.FaultModel(); m != "crash" {
 		res.Model = m
 		res.DetectionRank = rank
-	}
-	if res.Detected {
-		res.Time = finitePtr(t)
-		res.Ratio = finitePtr(t / math.Abs(q.X))
 	}
 	return res, nil
 }
@@ -690,7 +681,9 @@ func (s *Service) evalTimeline(ctx context.Context, q Query) (any, error) {
 		res.Events[i] = EventResult{T: e.T, Robot: e.Robot, Kind: e.Kind, X: e.X}
 		if e.Kind == "detect" && !res.Detected {
 			res.Detected = true
-			res.DetectionTime = finitePtr(e.T)
+			if t := e.T; finite(t) {
+				res.DetectionTime = &t
+			}
 		}
 	}
 	return res, nil
@@ -705,10 +698,10 @@ func (s *Service) evalLowerBound(q Query) (any, error) {
 		N:          q.N,
 		F:          q.F,
 		Regime:     bounds.Regime,
-		UpperBound: finitePtr(bounds.Upper),
-		LowerBound: finitePtr(bounds.Lower),
-		Beta:       finitePtr(bounds.Beta),
-		Expansion:  finitePtr(bounds.Expansion),
+		UpperBound: bounds.Upper,
+		LowerBound: bounds.Lower,
+		Beta:       bounds.Beta,
+		Expansion:  bounds.Expansion,
 	}, nil
 }
 
@@ -729,14 +722,20 @@ var paramSpec = map[string]map[string]bool{
 // is parsed into sc's targets when sc is not nil (see scratch).
 func parseQuery(op string, v url.Values, sc *scratch) (Query, error) {
 	q := Query{Op: op}
+	// Of the names that are unknown or given more than once, the first
+	// in sorted order is named, so one query always gets one answer.
 	allowed := paramSpec[op]
-	for name := range v {
-		if !allowed[name] {
-			return q, badRequest("unknown parameter %q for %s", name, op)
+	bad, found := "", false
+	for name, vals := range v {
+		if (!allowed[name] || len(vals) > 1) && (!found || name < bad) {
+			bad, found = name, true
 		}
-		if len(v[name]) > 1 {
-			return q, badRequest("parameter %q given %d times", name, len(v[name]))
+	}
+	if found {
+		if !allowed[bad] {
+			return q, badRequest("unknown parameter %q for %s", bad, op)
 		}
+		return q, badRequest("parameter %q given %d times", bad, len(v[bad]))
 	}
 
 	var err error
@@ -799,7 +798,7 @@ func parseQuery(op string, v url.Values, sc *scratch) (Query, error) {
 		return q, err
 	}
 	if raw := v.Get("speeds"); raw != "" {
-		if q.Speeds, _, err = parseFloatList(raw, "speed", nil); err != nil {
+		if q.Speeds, _, err = readFloats(raw, "speed", nil); err != nil {
 			return q, err
 		}
 	}
@@ -845,26 +844,6 @@ func floatValue(raw, name string, def float64) (float64, error) {
 		return 0, badRequest("parameter %q must be finite, got %q", name, raw)
 	}
 	return f, nil
-}
-
-// parseFloatList parses "1.5,-2,40" into a float list, written into
-// dst's backing array when it has room; noun names the entries in the
-// rejection message. canon reports whether every entry is canonical,
-// in which case raw is the list's JSON encoding less its brackets.
-func parseFloatList(raw, noun string, dst []float64) (out []float64, canon bool, err error) {
-	out = slices.Grow(dst[:0], strings.Count(raw, ",")+1)
-	canon = true
-	for rest, more := raw, true; more; {
-		var p string
-		p, rest, more = strings.Cut(rest, ",")
-		x, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, false, badRequest("invalid %s %q", noun, p)
-		}
-		canon = canon && canonical(p, x)
-		out = append(out, x)
-	}
-	return out, canon, nil
 }
 
 // parseIndexList parses "0,2,5" into an index list.

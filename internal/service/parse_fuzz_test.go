@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -38,21 +39,23 @@ func encodeQuery(q Query) url.Values {
 			v.Set(name, value)
 		}
 	}
+	// A float differs from its default when its bits do, so -0 is kept.
+	differs := func(x, def float64) bool { return math.Float64bits(x) != math.Float64bits(def) }
 	set("strategy", q.Strategy != "", q.Strategy)
-	set("mindist", q.MinDist != 1, float(q.MinDist))
-	set("x", q.X != 0 || q.Op == OpSearchTime || q.Op == OpTimeline, float(q.X))
+	set("mindist", differs(q.MinDist, 1), float(q.MinDist))
+	set("x", differs(q.X, 0) || q.Op == OpSearchTime || q.Op == OpTimeline, float(q.X))
 	set("xs", q.Xs.vals != nil, floats(q.Xs.vals))
 	// A list too long to parse round-trips as its commas alone.
 	set("xs", q.Xs.over > 0, strings.Repeat(",", max(q.Xs.over-1, 0)))
 	set("k", q.K != 0, strconv.Itoa(q.K))
 	set("faulty", q.Faulty != nil, ints(q.Faulty))
-	set("tmax", q.Tmax != 0, float(q.Tmax))
-	set("horizon", q.Horizon != 0, float(q.Horizon))
+	set("tmax", differs(q.Tmax, 0), float(q.Tmax))
+	set("horizon", differs(q.Horizon, 0), float(q.Horizon))
 	set("model", q.Model != "", q.Model)
 	set("votes", q.Votes != 0, strconv.Itoa(q.Votes))
 	set("liars", q.Liars != nil, ints(q.Liars))
 	set("objective", q.Objective != "", q.Objective)
-	set("p", q.P != 0, float(q.P))
+	set("p", differs(q.P, 0), float(q.P))
 	set("speeds", q.Speeds != nil, floats(q.Speeds))
 	return v
 }
@@ -105,4 +108,25 @@ func FuzzParseQuery(f *testing.F) {
 			t.Fatalf("round trip of %q changed the query:\n got %s\nwant %s", raw, got, want)
 		}
 	})
+}
+
+// TestParseQueryNamesFirstBadParameter parses queries with several
+// unknown or repeated names, 100 times each: every parse names the
+// first of them in sorted order, whatever order the map gives.
+func TestParseQueryNamesFirstBadParameter(t *testing.T) {
+	for _, tt := range []struct{ op, raw, want string }{
+		{OpPlan, "n=3&f=1&aa=1&zz=2&x=1&x=2", `unknown parameter "aa" for plan`},
+		{OpSearchTime, "n=3&f=1&zz=2&x=1&x=2&y=3", `parameter "x" given 2 times`},
+		{OpLowerBound, "n=3&n=4&f=1&f=2&x=1", `parameter "f" given 2 times`},
+	} {
+		v, err := url.ParseQuery(tt.raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 100 {
+			if _, err := parseQuery(tt.op, v, nil); err == nil || err.Error() != tt.want {
+				t.Fatalf("parseQuery(%s, %q) = %v, want %q", tt.op, tt.raw, err, tt.want)
+			}
+		}
+	}
 }

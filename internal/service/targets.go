@@ -2,13 +2,14 @@ package service
 
 import (
 	"encoding/json"
-	"math"
+	"slices"
+	"strconv"
 	"strings"
 )
 
 // targetList is the target list of a searchtimes query. It keeps the
 // parsed values and, when every token the client sent is canonical
-// (see canonical), the list's text without its brackets: that text is
+// (see readCanonical), the list's text without its brackets: that text is
 // then exactly what encoding/json writes for the values, and an answer
 // echoes it instead of formatting them again.
 type targetList struct {
@@ -34,10 +35,11 @@ func (t targetList) len() int {
 // it has room for them. A list longer than maxBatchTargets is counted,
 // not parsed.
 func parseTargets(raw string, dst []float64) (targetList, error) {
-	if n := strings.Count(raw, ",") + 1; n > maxBatchTargets {
+	n := strings.Count(raw, ",") + 1
+	if n > maxBatchTargets {
 		return targetList{over: n}, nil
 	}
-	vals, canon, err := parseFloatList(raw, "target position", dst)
+	vals, canon, err := readFloats(raw, "target position", slices.Grow(dst[:0], n))
 	if err != nil {
 		return targetList{}, err
 	}
@@ -46,6 +48,103 @@ func parseTargets(raw string, dst []float64) (targetList, error) {
 		t.echo = raw
 	}
 	return t, nil
+}
+
+// readFloats appends the values of the comma-separated list raw to out,
+// and reports whether every token is canonical: the text encoding/json
+// writes for its value, so that raw is the list's JSON encoding less
+// its brackets. A canonical token is read in one pass (readCanonical);
+// any other is trimmed of spaces and parsed by strconv.ParseFloat,
+// whose refusal is the 400, noun naming the entries.
+func readFloats(raw, noun string, out []float64) ([]float64, bool, error) {
+	canon := true
+	for i := 0; ; i++ {
+		x, end, ok := readCanonical(raw, i)
+		if !ok {
+			end = strings.IndexByte(raw[i:], ',')
+			if end < 0 {
+				end = len(raw)
+			} else {
+				end += i
+			}
+			var err error
+			if x, err = strconv.ParseFloat(strings.TrimSpace(raw[i:end]), 64); err != nil {
+				return nil, false, badRequest("invalid %s %q", noun, raw[i:end])
+			}
+			canon = false
+		}
+		out = append(out, x)
+		if end == len(raw) {
+			return out, canon, nil
+		}
+		i = end
+	}
+}
+
+// exactPow10 holds the powers of ten a float64 represents exactly.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// readCanonical reads the token of s that starts at i and ends at the
+// next comma or at the end of s, and returns its value and end when it
+// is canonical, the text encoding/json writes for its value. The rule
+// is syntactic and may refuse a token that would match; such a token
+// is formatted instead. A canonical token is
+//   - an optional '-', then an integer part that is 0 or has no
+//     leading zero, then optionally '.' and a fraction that does not
+//     end in 0, with no exponent and no other byte;
+//   - of at most 15 significant digits (integer zeros count), so that
+//     no other decimal of at most as many digits parses as its value,
+//     and it is the shortest decimal that does;
+//   - of a value that is 0 or 1e-6 <= |x| < 1e21, where encoding/json
+//     writes that shortest decimal in plain notation.
+//
+// Its digits, less the point, are then an integer m < 10^15 and its
+// fraction a count d of digits, at most 20; float64(m) and 10^d are
+// exact, and so their correctly rounded quotient is the value
+// strconv.ParseFloat reads.
+func readCanonical(s string, i int) (x float64, end int, ok bool) {
+	neg := i < len(s) && s[i] == '-'
+	if neg {
+		i++
+	}
+	var m uint64
+	digits := 0 // significant digits, from the first nonzero one
+	switch {
+	case i < len(s) && s[i] == '0':
+		i++
+	case i < len(s) && '1' <= s[i] && s[i] <= '9':
+		for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+			m = 10*m + uint64(s[i]-'0')
+			digits++
+		}
+	default:
+		return 0, 0, false
+	}
+	frac := 0
+	if i < len(s) && s[i] == '.' {
+		for i++; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+			m = 10*m + uint64(s[i]-'0')
+			frac++
+			if m != 0 {
+				digits++
+			}
+		}
+		if frac == 0 || s[i-1] == '0' {
+			return 0, 0, false
+		}
+	}
+	if i < len(s) && s[i] != ',' || digits > 15 || frac >= len(exactPow10) {
+		return 0, 0, false
+	}
+	x = float64(m) / exactPow10[frac]
+	if x != 0 && x < 1e-6 {
+		return 0, 0, false
+	}
+	if neg {
+		x = -x
+	}
+	return x, i, true
 }
 
 // UnmarshalJSON decodes a batch item's xs. A JSON array of numbers is
@@ -87,54 +186,4 @@ func numberBytesOnly(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// canonical reports whether tok, which parses as x, is exactly the
-// text encoding/json writes for x. The check is syntactic and may
-// refuse a token that would match; such a token is formatted instead.
-// tok must be
-//   - an optional '-', then an integer part that is 0 or has no
-//     leading zero, then optionally '.' and a fraction that does not
-//     end in 0, with no exponent and no other byte;
-//   - at most 15 significant digits (integer zeros count), so that no
-//     other decimal of at most as many digits parses as x, and tok is
-//     the shortest decimal that does;
-//   - and x is 0 or 1e-6 <= |x| < 1e21, where encoding/json writes
-//     that shortest decimal in plain notation.
-func canonical(tok string, x float64) bool {
-	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		return false
-	}
-	i := 0
-	if i < len(tok) && tok[i] == '-' {
-		i++
-	}
-	intStart := i
-	for i < len(tok) && '0' <= tok[i] && tok[i] <= '9' {
-		i++
-	}
-	intPart := tok[intStart:i]
-	if intPart == "" || (intPart[0] == '0' && len(intPart) > 1) {
-		return false
-	}
-	frac := ""
-	if i < len(tok) && tok[i] == '.' {
-		i++
-		fracStart := i
-		for i < len(tok) && '0' <= tok[i] && tok[i] <= '9' {
-			i++
-		}
-		frac = tok[fracStart:i]
-		if frac == "" || frac[len(frac)-1] == '0' {
-			return false
-		}
-	}
-	if i != len(tok) {
-		return false
-	}
-	digits := len(intPart) + len(frac)
-	if intPart == "0" {
-		digits = len(strings.TrimLeft(frac, "0"))
-	}
-	return digits <= 15
 }

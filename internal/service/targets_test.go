@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,6 +27,54 @@ type searchTimesShape struct {
 	Xs            []float64  `json:"xs"`
 	Times         []*float64 `json:"times"`
 	Detected      int        `json:"detected"`
+}
+
+// searchTimeShape and lowerBoundShape are the structs encoding/json
+// rendered searchtime and lowerbound answers from before the answers
+// wrote themselves: a non-finite time, ratio or bound was a nil
+// pointer.
+type searchTimeShape struct {
+	N             int       `json:"n"`
+	F             int       `json:"f"`
+	Strategy      string    `json:"strategy"`
+	Model         string    `json:"model,omitempty"`
+	DetectionRank int       `json:"detection_rank,omitempty"`
+	X             float64   `json:"x"`
+	K             int       `json:"k"`
+	Objective     string    `json:"objective,omitempty"`
+	P             float64   `json:"p,omitempty"`
+	Speeds        []float64 `json:"speeds,omitempty"`
+	Time          *float64  `json:"time"`
+	Ratio         *float64  `json:"ratio"`
+	Detected      bool      `json:"detected"`
+}
+
+type lowerBoundShape struct {
+	N          int      `json:"n"`
+	F          int      `json:"f"`
+	Regime     string   `json:"regime"`
+	UpperBound *float64 `json:"upper_bound"`
+	LowerBound *float64 `json:"lower_bound"`
+	Beta       *float64 `json:"beta,omitempty"`
+	Expansion  *float64 `json:"expansion,omitempty"`
+}
+
+// checkShape requires an answer to be the bytes json.Marshal writes
+// for the T it decodes into: so a field out of place or a number in
+// another form fails.
+func checkShape[T any](t *testing.T, got []byte) {
+	t.Helper()
+	var s T
+	if err := json.Unmarshal(got, &s); err != nil {
+		t.Fatalf("answer does not decode into %T: %v\n%s", s, err, got)
+	}
+	want, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("answer differs from its %T encoding:\n got %s\nwant %s", s, got, want)
+	}
 }
 
 // checkSearchTimesAnswer requires a searchtimes answer to be the bytes
@@ -90,6 +139,9 @@ func TestCanonical(t *testing.T) {
 		if got := canonical(tt.tok, x); got != tt.want {
 			t.Errorf("canonical(%q) = %v, want %v", tt.tok, got, tt.want)
 		}
+		if _, _, got := readCanonical(tt.tok, 0); got != tt.want {
+			t.Errorf("readCanonical(%q) accepts: %v, want %v", tt.tok, got, tt.want)
+		}
 		if tt.want {
 			if b, _ := json.Marshal(x); string(b) != tt.tok {
 				t.Errorf("canonical token %q, json.Marshal writes %s", tt.tok, b)
@@ -98,24 +150,114 @@ func TestCanonical(t *testing.T) {
 	}
 }
 
-// FuzzCanonicalFloat holds the canonical-token rule to encoding/json:
-// whenever it accepts a token, json.Marshal of the token's value writes
-// exactly that token. The inputs are arbitrary tokens and, from
-// arbitrary float64 bits, json.Marshal's rendering and each of its
+// canonical reports whether tok, which parses as x, is exactly the
+// text encoding/json writes for x, by the rule readCanonical applies in
+// one pass: tok must be
+//   - an optional '-', then an integer part that is 0 or has no
+//     leading zero, then optionally '.' and a fraction that does not
+//     end in 0, with no exponent and no other byte;
+//   - at most 15 significant digits (integer zeros count);
+//   - and x is 0 or 1e-6 <= |x| < 1e21.
+func canonical(tok string, x float64) bool {
+	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		return false
+	}
+	i := 0
+	if i < len(tok) && tok[i] == '-' {
+		i++
+	}
+	intStart := i
+	for i < len(tok) && '0' <= tok[i] && tok[i] <= '9' {
+		i++
+	}
+	intPart := tok[intStart:i]
+	if intPart == "" || (intPart[0] == '0' && len(intPart) > 1) {
+		return false
+	}
+	frac := ""
+	if i < len(tok) && tok[i] == '.' {
+		i++
+		fracStart := i
+		for i < len(tok) && '0' <= tok[i] && tok[i] <= '9' {
+			i++
+		}
+		frac = tok[fracStart:i]
+		if frac == "" || frac[len(frac)-1] == '0' {
+			return false
+		}
+	}
+	if i != len(tok) {
+		return false
+	}
+	digits := len(intPart) + len(frac)
+	if intPart == "0" {
+		digits = len(strings.TrimLeft(frac, "0"))
+	}
+	return digits <= 15
+}
+
+// parseFloatList is the target-list parser readFloats replaced: every
+// token trimmed and parsed by strconv.ParseFloat, then held to
+// canonical.
+func parseFloatList(raw, noun string, dst []float64) (out []float64, canon bool, err error) {
+	out = slices.Grow(dst[:0], strings.Count(raw, ",")+1)
+	canon = true
+	for rest, more := raw, true; more; {
+		var p string
+		p, rest, more = strings.Cut(rest, ",")
+		x, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return nil, false, badRequest("invalid %s %q", noun, p)
+		}
+		canon = canon && canonical(p, x)
+		out = append(out, x)
+	}
+	return out, canon, nil
+}
+
+// parseTargetsRef is parseTargets on parseFloatList: the oracle
+// FuzzParseTargets holds parseTargets to.
+func parseTargetsRef(raw string) (targetList, error) {
+	if n := strings.Count(raw, ",") + 1; n > maxBatchTargets {
+		return targetList{over: n}, nil
+	}
+	vals, canon, err := parseFloatList(raw, "target position", nil)
+	if err != nil {
+		return targetList{}, err
+	}
+	t := targetList{vals: vals}
+	if canon {
+		t.echo = raw
+	}
+	return t, nil
+}
+
+// FuzzCanonicalFloat holds the canonical-token rule to encoding/json,
+// and the float writer to it too. Whenever canonical accepts a token,
+// json.Marshal of the token's value writes exactly that token, and
+// readCanonical accepts exactly the tokens canonical does, with
+// strconv.ParseFloat's value; and appendFloat writes json.Marshal's
+// bytes for every finite float64. The inputs are arbitrary tokens and,
+// from arbitrary float64 bits, json.Marshal's rendering and each of its
 // prefixes, which puts tokens of every length next to the 15-digit and
 // the 1e-6 and 1e21 edges.
 func FuzzCanonicalFloat(f *testing.F) {
 	for _, tok := range []string{"0", "-0", "1.5", "1.50", "123.456", "0.000001",
-		"0.0000001", "123456789012345", "1234567890123456", "1e21", "007"} {
+		"0.0000001", "123456789012345", "1234567890123456", "1e21", "007", " 1", "1,5"} {
 		f.Add(tok, uint64(0))
 	}
 	for _, x := range []float64{1e-6, 1e21, math.Nextafter(1e21, 0), math.Nextafter(1e-6, 1),
-		0.1, 1.0 / 3, -123.456, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		0.1, 1.0 / 3, -123.456, math.MaxFloat64, math.SmallestNonzeroFloat64, 8e-323, 1e23} {
 		f.Add("", math.Float64bits(x))
 	}
 	check := func(t *testing.T, tok string) {
 		x, err := strconv.ParseFloat(tok, 64)
-		if err != nil || !canonical(tok, x) {
+		want := err == nil && canonical(tok, x)
+		got, end, ok := readCanonical(tok, 0)
+		if ok != want || ok && (end != len(tok) || math.Float64bits(got) != math.Float64bits(x)) {
+			t.Fatalf("readCanonical(%q) = %v, %d, %v; canonical says %v, strconv.ParseFloat %v", tok, got, end, ok, want, x)
+		}
+		if !want {
 			return
 		}
 		if b, err := json.Marshal(x); err != nil || string(b) != tok {
@@ -123,7 +265,9 @@ func FuzzCanonicalFloat(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, tok string, u uint64) {
-		check(t, tok)
+		if !strings.Contains(tok, ",") {
+			check(t, tok)
+		}
 		x := math.Float64frombits(u)
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return
@@ -132,10 +276,78 @@ func FuzzCanonicalFloat(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := appendFloat(nil, x); !bytes.Equal(got, b) {
+			t.Fatalf("appendFloat(%v) = %s, json.Marshal writes %s", x, got, b)
+		}
 		for n := 1; n <= len(b); n++ {
 			check(t, string(b[:n]))
 		}
 	})
+}
+
+// FuzzParseTargets holds parseTargets to parseTargetsRef, the
+// strconv.ParseFloat parser it replaced, on arbitrary lists. The seeds
+// are the tokens at the edges of the canonical rule: too many
+// significant digits, a trailing fraction zero, spaces, signs,
+// exponents, empty tokens and values at 1e-6.
+func FuzzParseTargets(f *testing.F) {
+	for _, raw := range []string{
+		"1,-2,3.5,40", "123456789012345", "1234567890123456", "0.1234567890123456",
+		"-0.000000000000001", "1.50", " 1", "1 ", "1, 2", "+1", "-0", "0", "00", "-",
+		"", ",", "1,,2", "1.", ".5", "1e3", "0.000001", "0.0000009", "0.00000000000000000000001",
+		"99999999999999.9", "100000000000000", "NaN", "Inf", "1e400", "0x1p3", "1_000",
+		"0.1,0.2,0.3", "9007199254740993", "-0.000001,0.0000010", "1,,x",
+	} {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		got, gotErr := parseTargets(raw, nil)
+		want, wantErr := parseTargetsRef(raw)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("parseTargets(%q): error %v, want %v", raw, gotErr, wantErr)
+		}
+		if got.echo != want.echo || got.over != want.over || len(got.vals) != len(want.vals) {
+			t.Fatalf("parseTargets(%q) = %+v, want %+v", raw, got, want)
+		}
+		for i, x := range got.vals {
+			if math.Float64bits(x) != math.Float64bits(want.vals[i]) {
+				t.Fatalf("parseTargets(%q): value %d is %v, want %v", raw, i, x, want.vals[i])
+			}
+		}
+	})
+}
+
+// BenchmarkParseTargets parses a 1,000-target list drawn as perfbench's
+// curve-batch draws one (3 decimals, |x| from 1 to 1000, sorted).
+func BenchmarkParseTargets(b *testing.B) {
+	raw := strings.Join(curveTargets(1000), ",")
+	dst := make([]float64, 0, 1000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		xs, err := parseTargets(raw, dst)
+		if err != nil || xs.echo == "" {
+			b.Fatal(xs, err)
+		}
+	}
+}
+
+// curveTargets returns n targets drawn as perfbench's curve-batch draws
+// a searchtimes list, as the tokens it sends.
+func curveTargets(n int) []string {
+	rng := rand.New(rand.NewPCG(7, 7))
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = math.Round((1+999*rng.Float64())*1000) / 1000
+		if rng.IntN(2) == 0 {
+			xs[i] = -xs[i]
+		}
+	}
+	slices.Sort(xs)
+	toks := make([]string, n)
+	for i, x := range xs {
+		toks[i] = strconv.FormatFloat(x, 'f', -1, 64)
+	}
+	return toks
 }
 
 // TestTargetListDecodesLikeFloatSlice decodes each xs value into a
