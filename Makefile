@@ -25,11 +25,11 @@ race:
 # and traced requests, traceparent parsing and propagation, histogram
 # observation, the event journal live and nil), the router relaying a
 # 40 KB and a 120 KB answer, and the service handler with the daemon's
-# default request deadline (hot and cold /v1/plan, a cold /v1/plan on
+# default request deadline and trace sampling (hot and cold /v1/plan, a cold /v1/plan on
 # A(1001,500), a hot /v1/searchtime, a 1,000-target /v1/searchtimes GET
 # and a 64-query batch shaped like perfbench's curve-batch, a 64-query
 # batch of small plans, and a replay of perfbench build-cold's cold GETs
-# with the daemon's cache size and trace sampling), and, on their own,
+# with the daemon's cache size), and, on their own,
 # the decoding of a curve-batch-shaped batch body, the writing of 1,024
 # curve-batch search times and the reading of a 1,000-target
 # curve-batch list. The root package's

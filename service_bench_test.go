@@ -23,12 +23,14 @@ import (
 )
 
 // newBenchService builds the handler with the daemon's default request
-// deadline, so the benchmarks measure the path linesearchd serves.
+// deadline and trace sampling (one request in ten, a 256-trace ring),
+// so the benchmarks measure the path linesearchd serves.
 func newBenchService(b *testing.B, cacheSize int) http.Handler {
 	b.Helper()
 	svc := service.New(service.Config{
 		CacheSize: cacheSize,
 		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Tracer:    telemetry.New(telemetry.Config{SampleRate: 0.1, Capacity: 256}),
 	})
 	return svc.Handler()
 }
@@ -225,11 +227,7 @@ func BenchmarkServiceSearchTimesWide(b *testing.B) {
 // mindists, so nearly every request builds a plan and evicts one, in a
 // mix of 45% plan, 45% searchtime and 10% lowerbound GETs.
 func BenchmarkServiceBuildCold(b *testing.B) {
-	h := service.New(service.Config{
-		CacheSize: 128,
-		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
-		Tracer:    telemetry.New(telemetry.Config{SampleRate: 0.1, Capacity: 256}),
-	}).Handler()
+	h := newBenchService(b, 128)
 	rng := rand.New(rand.NewPCG(11, 11))
 	targets := make([]string, 4096)
 	for i := range targets {
