@@ -103,10 +103,10 @@ bench-paper:
 # Short fuzzing smoke: the public SearchTime entry point, plan answers
 # (the kernel's turning-point walk against the segment walk over the
 # sim trajectories, and the written answer against encoding/json), the
-# zig-zag
-# tail's closed-form first visit against the segment walk, the
+# zig-zag tail's closed-form first visit against the segment walk, the
 # kernel's power-table tail turns against the kernel that stored every
-# turn, the Byzantine vote-rule kernel against the exact engine, the
+# turn, a zig-zag schedule compiled from its closed form against the
+# compiled sim plan of its trajectories, the Byzantine vote-rule kernel against the exact engine, the
 # kernel's k-th-visit selection against its partial-selection oracle, the
 # phase-table answer of self-similar plans against the scan, the
 # expected-time series at miss probability 0 against the worst case,
@@ -123,6 +123,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPlanBody -fuzztime 30s -fuzzminimizetime 5s .
 	$(GO) test -run '^$$' -fuzz FuzzZigZagFirstVisit -fuzztime 30s -fuzzminimizetime 5s ./internal/trajectory
 	$(GO) test -run '^$$' -fuzz FuzzImplicitTail -fuzztime 30s -fuzzminimizetime 5s ./internal/compiled
+	$(GO) test -run '^$$' -fuzz FuzzCompileFromSchedule -fuzztime 30s -fuzzminimizetime 5s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzByzantineVote -fuzztime 30s -fuzzminimizetime 5s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzSelectKth -fuzztime 30s -fuzzminimizetime 5s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzSelfSimilarKth -fuzztime 30s -fuzzminimizetime 5s ./internal/compiled

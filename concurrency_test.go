@@ -1,6 +1,7 @@
 package linesearch
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -49,5 +50,136 @@ func TestSearcherConcurrentUse(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// lazyAnswers are a Searcher's answers to the questions the exact
+// engine's plan answers, which a scheduled Searcher builds on first use.
+type lazyAnswers struct {
+	Detect, Speeds, Expected float64
+	ExpectedErr              string
+	Worst                    []int
+	Timeline                 []Event
+	Positions                []float64
+}
+
+// askLazy asks s each question of lazyAnswers once, starting with
+// question first, so concurrent callers reach the plan's first build
+// through different questions.
+func askLazy(s *Searcher, first int) (lazyAnswers, error) {
+	var a lazyAnswers
+	questions := []func() error{
+		func() (err error) { a.Detect, err = s.DetectionTime(-7.25, []int{0}); return err },
+		func() error { a.Worst = s.WorstFaultSet(3.5); return nil },
+		func() (err error) {
+			speeds := make([]float64, s.N())
+			for i := range speeds {
+				speeds[i] = 1 + float64(i)/8
+			}
+			a.Speeds, err = s.SearchTimeWithSpeeds(11, speeds)
+			return err
+		},
+		func() error {
+			var err error
+			if a.Expected, err = s.ExpectedSearchTime(-4, 0.25, nil); err != nil {
+				a.ExpectedErr = err.Error()
+			}
+			return nil
+		},
+		func() (err error) { a.Timeline, err = s.Timeline(2.5, []int{1}, 60); return err },
+		func() (err error) { a.Positions, err = s.Positions(9.5); return err },
+	}
+	for i := range questions {
+		if err := questions[(first+i)%len(questions)](); err != nil {
+			return a, err
+		}
+	}
+	return a, nil
+}
+
+// TestLazyPlanConcurrentFirstUse has 8 goroutines ask one freshly built
+// scheduled Searcher every question its exact-engine plan answers at
+// the same moment, each starting with a different one, and checks
+// every answer against a Searcher whose plan was built before any
+// question. Run it under -race.
+func TestLazyPlanConcurrentFirstUse(t *testing.T) {
+	for _, tc := range []struct {
+		n, f int
+		opts []Option
+	}{
+		{5, 2, nil},
+		{7, 3, []Option{WithStrategy("cone:2.5"), WithMinDistance(0.5)}},
+		{9, 2, []Option{WithFaultModel("byzantine")}},
+	} {
+		ref, err := NewSearcher(tc.n, tc.f, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.testPlan()
+		want, err := askLazy(ref, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSearcher(tc.n, tc.f, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		got := make([]lazyAnswers, 8)
+		errs := make([]error, len(got))
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[g], errs[g] = askLazy(s, g)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g := range got {
+			if errs[g] != nil {
+				t.Fatalf("%s(%d, %d) goroutine %d: %v", s.Strategy(), tc.n, tc.f, g, errs[g])
+			}
+			if !reflect.DeepEqual(got[g], want) {
+				t.Errorf("%s(%d, %d) goroutine %d: %+v, want %+v", s.Strategy(), tc.n, tc.f, g, got[g], want)
+			}
+		}
+	}
+}
+
+// TestScheduledSearcherBuildsNoPlan checks that the kernel alone
+// answers the questions a proportional Searcher is asked on the
+// service's hot path: no exact-engine plan is built for them.
+func TestScheduledSearcherBuildsNoPlan(t *testing.T) {
+	for _, opts := range [][]Option{
+		nil,
+		{WithStrategy("cone:3"), WithMinDistance(2)},
+		{WithFaultModel("byzantine"), WithStrategy("proportional")},
+	} {
+		s, err := NewSearcher(5, 2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SearchTime(7.5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SearchTimes([]float64{-3, 2.5, 40}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.KthVisitTime(-9, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.TurningPoints(100); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CompetitiveRatio(); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _ = s.FaultModel(), s.Votes(), s.DetectionRank()
+		if s.plan != nil {
+			t.Errorf("%s: answering from the kernel built a sim.Plan", s.Strategy())
+		}
 	}
 }

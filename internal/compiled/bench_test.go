@@ -69,6 +69,24 @@ func BenchmarkCompileCold(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileScheduleCold measures the build a Searcher does for a
+// zig-zag schedule, on the plans of BenchmarkCompileCold: every robot's
+// closed form (sim.Schedule), then the arena compiled straight from it,
+// with no trajectory built. Its allocations do not grow with n either.
+func BenchmarkCompileScheduleCold(b *testing.B) {
+	for _, n := range []int{5, 101, 1001} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s, m, ok, err := sim.Schedule(strategy.Proportional{}, n, n/2)
+				if err != nil || !ok {
+					b.Fatal(ok, err)
+				}
+				compiled.CompileSchedule(s, m)
+			}
+		})
+	}
+}
+
 // BenchmarkSearchTimeHot measures one steady-state worst-case query
 // through a held evaluator.
 func BenchmarkSearchTimeHot(b *testing.B) {
@@ -198,11 +216,11 @@ func BenchmarkSimBatch(b *testing.B) {
 // BenchmarkSweepCellCompiled measures one sweep grid cell's CR search
 // through the compiled kernel (the internal/sweep evaluation path).
 func BenchmarkSweepCellCompiled(b *testing.B) {
-	_, cp := benchPlan(b)
+	plan, cp := benchPlan(b)
 	opts := sim.CROptions{GridPoints: 256, Parallelism: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.CR(opts); err != nil {
+		if _, err := cp.CR(plan, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -52,7 +52,9 @@ import (
 	"math"
 	"sync/atomic"
 
+	"linesearch/internal/fault"
 	"linesearch/internal/geom"
+	"linesearch/internal/schedule"
 	"linesearch/internal/sim"
 	"linesearch/internal/trajectory"
 )
@@ -117,10 +119,11 @@ type Plan struct {
 	// Byzantine voting rule. The kernel's selection path is identical
 	// either way — only k changes.
 	rank int
-	src  *sim.Plan
-	// trajs are the source trajectories, whose legs and tails the
-	// corner walk lists.
+	// The robots' source, whose legs and tails the arena and the corner
+	// walk read: the trajectories of a compiled sim.Plan, or else the
+	// zig-zag schedule in closed form.
 	trajs []*trajectory.Trajectory
+	sched *schedule.Schedule
 	evals evaluatorPool
 	// sym is the fleet's self-similarity, detected at compile time;
 	// table is the phase table of rank, otherRanks (allocated on first
@@ -137,28 +140,49 @@ func Compile(p *sim.Plan) (*Plan, error) {
 }
 
 // compile is Compile with the per-trajectory corner cap as a
-// parameter, so tests can force targets past the corners. It counts
-// every distinct trajectory's finite corners and every cone's power
-// table, allocates one arena for all of them and fills it robot by
-// robot; sim.NewPlanModel has already validated every trajectory.
+// parameter, so tests can force targets past the corners.
+// sim.NewPlanModel has already validated every trajectory.
 func compile(p *sim.Plan, cornerCap int) (*Plan, error) {
 	if p == nil {
 		return nil, fmt.Errorf("compiled: nil plan")
 	}
 	trajs := p.Trajectories()
-	cp := &Plan{robots: make([]robot, len(trajs)), f: p.F(), rank: p.DetectionRank(), src: p, trajs: trajs}
-	// A trajectory's finite part is counted exactly as arena.compile
-	// keeps it. Consecutive robots in one cone share its table, so a
-	// fleet in one cone (every strategy's) holds one.
+	cp := &Plan{robots: make([]robot, len(trajs)), f: p.F(), rank: p.DetectionRank(), trajs: trajs}
+	return cp.build(cornerCap), nil
+}
+
+// CompileSchedule compiles the plan of schedule s under fault model m
+// straight from its robots' closed forms, with no trajectory built: it
+// is Compile of the sim.Plan of s's trajectories under m, bit for bit.
+// sim.Schedule returns s and m for the strategies that have them.
+func CompileSchedule(s *schedule.Schedule, m fault.Model) *Plan {
+	return compileSchedule(s, m, maxCorners)
+}
+
+// compileSchedule is CompileSchedule with a corner cap, as compile.
+func compileSchedule(s *schedule.Schedule, m fault.Model, cornerCap int) *Plan {
+	cp := &Plan{robots: make([]robot, s.N()), f: m.F, rank: m.DetectionRank(), sched: s}
+	return cp.build(cornerCap)
+}
+
+// build fills cp's robots from its source. It counts every distinct
+// source's finite corners and every cone's power table, allocates one
+// arena for all of them and fills it robot by robot.
+func (cp *Plan) build(cornerCap int) *Plan {
+	// A finite part is counted exactly as arena.compile keeps it.
+	// Consecutive robots in one cone share its table, so a fleet in one
+	// cone (every strategy's) holds one.
+	var legBuf [2]geom.Segment
 	size, pows, kappa := 0, 0, 0.0
-	for i, tr := range trajs {
-		if i > 0 && tr == trajs[i-1] {
+	for i := range cp.robots {
+		if cp.shares(i) {
 			continue
 		}
+		legs, tail := cp.source(i, &legBuf)
 		var c cursor
-		prefix(tr, func(p geom.Point) { c.keep(p) })
+		prefix(legs, tail, func(p geom.Point) { c.keep(p) })
 		size += c.n
-		if z, ok := tr.TailOf().(*trajectory.ZigZag); ok {
+		if z, ok := tail.(*trajectory.ZigZag); ok {
 			if k := z.Cone().ExpansionFactor(); k != kappa {
 				kappa = k
 				pows += zigzagTurns(k, cornerCap) + 1
@@ -167,28 +191,47 @@ func compile(p *sim.Plan, cornerCap int) (*Plan, error) {
 	}
 	buf := make([]float64, 4*size+pows)
 	a := arena{corners: buf[: 0 : 4*size], pows: buf[4*size : 4*size]}
-	for i, tr := range trajs {
-		if i > 0 && tr == trajs[i-1] {
+	for i := range cp.robots {
+		if cp.shares(i) {
 			cp.robots[i] = cp.robots[i-1]
 			continue
 		}
-		cp.robots[i] = a.compile(tr, cornerCap)
+		legs, tail := cp.source(i, &legBuf)
+		cp.robots[i] = a.compile(legs, tail, cornerCap)
 	}
 	cp.evals.plan = cp
 	cp.sym = detectSymmetry(cp.robots)
-	return cp, nil
+	return cp
 }
 
-// prefix calls add with each corner of tr's finite part: the first
-// leg's start, every leg's end and the tail's anchor.
-func prefix(tr *trajectory.Trajectory, add func(geom.Point)) {
-	if tr.NumLegs() > 0 {
-		add(tr.Leg(0).From)
-		for i := range tr.NumLegs() {
-			add(tr.Leg(i).To)
+// shares reports whether robot i shares robot i-1's source trajectory
+// (the doubling baseline's robots do), and so its view.
+func (cp *Plan) shares(i int) bool {
+	return cp.trajs != nil && i > 0 && cp.trajs[i] == cp.trajs[i-1]
+}
+
+// source returns robot i's start-up legs, as its trajectory holds them
+// or, for a schedule, as the closed form gives them (appended to buf),
+// and its tail.
+func (cp *Plan) source(i int, buf *[2]geom.Segment) ([]geom.Segment, trajectory.Tail) {
+	if cp.trajs != nil {
+		tr := cp.trajs[i]
+		return tr.Legs(), tr.TailOf()
+	}
+	rb := cp.sched.Robot(i)
+	return rb.AppendLegs(buf[:0]), &rb.Tail
+}
+
+// prefix calls add with each corner of a finite part: the first leg's
+// start, every leg's end and the tail's anchor.
+func prefix(legs []geom.Segment, tail trajectory.Tail, add func(geom.Point)) {
+	if len(legs) > 0 {
+		add(legs[0].From)
+		for _, leg := range legs {
+			add(leg.To)
 		}
 	}
-	if tail := tr.TailOf(); tail != nil {
+	if tail != nil {
 		add(tail.Anchor())
 	}
 }
@@ -255,21 +298,21 @@ type arena struct {
 	pow   []float64
 }
 
-// compile appends tr's finite corners to the arena and returns its
-// view. A zig-zag tail's turning points count as corners until the
-// envelope covers coverageFactor times the anchor's distance on both
-// sides, stopping at cornerCap corners, where a turning point leaves
-// the float64 range, or where the cone's table ends; the tail's closed
-// form answers past them.
-func (a *arena) compile(tr *trajectory.Trajectory, cornerCap int) robot {
+// compile appends the finite corners of a robot's legs and tail to the
+// arena and returns its view. A zig-zag tail's turning points count as
+// corners until the envelope covers coverageFactor times the anchor's
+// distance on both sides, stopping at cornerCap corners, where a
+// turning point leaves the float64 range, or where the cone's table
+// ends; the tail's closed form answers past them.
+func (a *arena) compile(legs []geom.Segment, tail trajectory.Tail, cornerCap int) robot {
 	start := len(a.corners)
 	var c cursor
-	prefix(tr, func(p geom.Point) {
+	prefix(legs, tail, func(p geom.Point) {
 		if p, ok := c.keep(p); ok {
 			a.corners = append(a.corners, p.T, p.X, c.lo, c.hi)
 		}
 	})
-	ct := robot{corners: a.corners[start:], tail: tr.TailOf()}
+	ct := robot{corners: a.corners[start:], tail: tail}
 	switch t := ct.tail.(type) {
 	case *trajectory.Halt:
 		// A halting robot never extends coverage beyond its anchor,

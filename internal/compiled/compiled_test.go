@@ -299,7 +299,7 @@ func TestCRMatchesSim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cp.CR(opts)
+		got, err := cp.CR(plan, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestCRMatchesSim(t *testing.T) {
 			t.Errorf("%s(%d,%d): compiled CR %+v != sim %+v", tc.st.Name(), tc.n, tc.f, got, want)
 		}
 		// Single-worker evaluation must agree with the parallel default.
-		seq, err := cp.CR(sim.CROptions{GridPoints: 512, Parallelism: 1})
+		seq, err := cp.CR(plan, sim.CROptions{GridPoints: 512, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,11 +318,11 @@ func TestCRMatchesSim(t *testing.T) {
 }
 
 func TestCRRejectsBadOptions(t *testing.T) {
-	_, cp := compilePair(t, strategy.Proportional{}, 3, 1)
-	if _, err := cp.CR(sim.CROptions{XMin: -1}); err == nil {
+	plan, cp := compilePair(t, strategy.Proportional{}, 3, 1)
+	if _, err := cp.CR(plan, sim.CROptions{XMin: -1}); err == nil {
 		t.Error("negative XMin accepted")
 	}
-	if _, err := cp.CR(sim.CROptions{XMin: 10, XMax: 5}); err == nil {
+	if _, err := cp.CR(plan, sim.CROptions{XMin: 10, XMax: 5}); err == nil {
 		t.Error("inverted range accepted")
 	}
 }

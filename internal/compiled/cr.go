@@ -8,8 +8,9 @@ import (
 	"linesearch/internal/sim"
 )
 
-// CR measures the plan's empirical competitive ratio over the sim
-// plan's CRCandidates: the supremum of SearchTime(x)/|x|, the first
+// CR measures the plan's empirical competitive ratio over the
+// CRCandidates of src, the sim.Plan it compiles (or whose schedule it
+// was compiled from): the supremum of SearchTime(x)/|x|, the first
 // candidate attaining it being the witness. It evaluates every
 // candidate through the compiled kernel, one evaluator (and thus zero
 // allocations) per worker instead of a fresh []Visit and sort per
@@ -17,9 +18,9 @@ import (
 // MeasureCR and the paper experiments. The tests pin it to the same
 // search over sim.Plan.SearchTime (EmpiricalCR in internal/sim's
 // tests, simCR in this package's).
-func (p *Plan) CR(opts sim.CROptions) (sim.CRResult, error) {
+func (p *Plan) CR(src *sim.Plan, opts sim.CROptions) (sim.CRResult, error) {
 	opts = opts.WithDefaults()
-	candidates, err := p.src.CRCandidates(opts)
+	candidates, err := src.CRCandidates(opts)
 	if err != nil {
 		return sim.CRResult{}, err
 	}

@@ -33,7 +33,7 @@ func compileOracleRobot(tr *trajectory.Trajectory, cornerCap int) oracleRobot {
 			o.cumMax = append(o.cumMax, c.hi)
 		}
 	}
-	prefix(tr, add)
+	prefix(tr.Legs(), tr.TailOf(), add)
 
 	o.tail = tr.TailOf()
 	switch t := o.tail.(type) {

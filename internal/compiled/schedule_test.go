@@ -1,0 +1,177 @@
+package compiled
+
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"testing"
+
+	"linesearch/internal/schedule"
+	"linesearch/internal/sim"
+	"linesearch/internal/strategy"
+)
+
+// walkLimit cuts the corner walks the schedule fuzzer compares.
+const walkLimit = 256
+
+// FuzzCompileFromSchedule checks that a zig-zag schedule compiled from
+// its closed form (sim.Schedule, then CompileSchedule) is the plan
+// Compile makes of sim.FromStrategy's trajectories, bit for bit: every
+// robot's stored corners and envelope, turn count, tail parameters and
+// power table, the tail itself and the detected symmetry, and the
+// same corner walk, cut at walkLimit points. Both paths must refuse
+// the same keys with the same error. Inputs: proportional, cone at a
+// fuzzed slope, or the Byzantine rule over either or over the pair's
+// recommendation; n <= 64; any f up to 64; mindist from 1e-300 to
+// 1e307 (10^lg); the waiting or the slow start-up.
+func FuzzCompileFromSchedule(fz *testing.F) {
+	for _, s := range []struct {
+		kind        uint8
+		slope       float64
+		byz         bool
+		votes, n, f uint8
+		lg          float64
+		slow        bool
+	}{
+		{0, 0, false, 0, 3, 1, 0, false},
+		{0, 0, false, 0, 64, 40, -300, false},
+		{0, 0, false, 0, 41, 21, 307, false},
+		{0, 0, false, 0, 5, 2, 0, true},
+		{1, 2.5, false, 0, 7, 3, 0.5, false},
+		{1, 1 + 1e-15, false, 0, 4, 2, -12, false},
+		{1, 6.19e12, false, 0, 9, 4, 300, true},
+		{1, 6.19e12, false, 0, 9, 4, 0, true},
+		{1, 3, true, 2, 9, 3, 0, false},
+		{0, 0, true, 0, 9, 2, 1, false},
+		{2, 0, true, 0, 20, 3, 0, false},
+		{2, 0, true, 1, 5, 2, 0, true},
+		{0, 0, false, 0, 2, 2, 0, false},
+		{0, 0, false, 0, 5, 0, 0, false},
+	} {
+		fz.Add(s.kind, s.slope, s.byz, s.votes, s.n, s.f, s.lg, s.slow)
+	}
+	fz.Fuzz(func(t *testing.T, kind uint8, slope float64, byz bool, votes, nb, fb uint8, lg float64, slow bool) {
+		n, f := max(int(nb)%65, 1), int(fb)%65
+		if math.IsNaN(lg) {
+			lg = 0
+		}
+		dmin := math.Pow(10, min(max(lg, -300), 307))
+		var base strategy.Strategy
+		switch kind % 3 {
+		case 0:
+			base = strategy.Proportional{}
+		case 1:
+			st, err := strategy.Parse("cone:" + strconv.FormatFloat(slope, 'g', -1, 64))
+			if err != nil {
+				return // not a cone slope the strategy accepts
+			}
+			base = st
+		}
+		var st strategy.Strategy = base
+		if byz || base == nil {
+			st = strategy.Byzantine{Votes: int(votes) % 4, Base: base}
+		}
+		st = strategy.WithMinDistance(st, dmin)
+
+		sched, model, ok, err := sim.Schedule(st, n, f)
+		plan, perr := sim.FromStrategy(st, n, f)
+		if fmt.Sprint(err) != fmt.Sprint(perr) {
+			t.Fatalf("%s(%d, %d): schedule error %v, sim error %v", st.Name(), n, f, err, perr)
+		}
+		if err != nil {
+			return
+		}
+		if !ok {
+			// Only the Byzantine rule over a pair recommendation that is
+			// no zig-zag (the two-group sweep) has no closed form.
+			if base != nil {
+				t.Fatalf("%s(%d, %d): no schedule", st.Name(), n, f)
+			}
+			return
+		}
+		if slow {
+			// The strategies start with the wait; the slow start-up is
+			// compared on the same schedule built with the other style.
+			sched, err = schedule.NewStyled(n, model.DetectionRank()-1, sched.Beta(), dmin, schedule.StartupSlow)
+			if err != nil {
+				return
+			}
+			if plan, err = sim.NewPlanModel(sched.Trajectories(), model); err != nil {
+				t.Fatalf("slow %s(%d, %d): %v", st.Name(), n, f, err)
+			}
+		}
+		want, err := Compile(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := CompileSchedule(sched, model)
+		if err := samePlan(got, want); err != nil {
+			t.Fatalf("%s(%d, %d) mindist %g slow %v: %v", st.Name(), n, f, dmin, slow, err)
+		}
+	})
+}
+
+// samePlan reports the first difference between two compiled plans:
+// their budgets, any robot's view of the arena and its tail, the
+// detected symmetry, or any robot's corner walk up to walkLimit points.
+func samePlan(got, want *Plan) error {
+	if got.f != want.f || got.rank != want.rank || len(got.robots) != len(want.robots) {
+		return fmt.Errorf("f %d rank %d n %d, want f %d rank %d n %d",
+			got.f, got.rank, len(got.robots), want.f, want.rank, len(want.robots))
+	}
+	for i := range got.robots {
+		if err := sameRobot(&got.robots[i], &want.robots[i]); err != nil {
+			return fmt.Errorf("robot %d: %w", i, err)
+		}
+		if g, w := walkPoints(got, i), walkPoints(want, i); !sameFloats(g, w) {
+			return fmt.Errorf("robot %d walks %v, want %v", i, g, w)
+		}
+	}
+	if g, w := fmt.Sprintf("%#v", got.sym), fmt.Sprintf("%#v", want.sym); g != w {
+		return fmt.Errorf("symmetry %s, want %s", g, w)
+	}
+	return nil
+}
+
+// sameRobot reports the first difference between two robot views.
+func sameRobot(g, w *robot) error {
+	switch {
+	case !sameFloats(g.corners, w.corners):
+		return fmt.Errorf("corners %v, want %v", g.corners, w.corners)
+	case !sameFloats(g.pow, w.pow):
+		return fmt.Errorf("power table %v, want %v", g.pow, w.pow)
+	case !sameFloats([]float64{g.lo, g.hi, g.mag, g.beta, g.anchorT}, []float64{w.lo, w.hi, w.mag, w.beta, w.anchorT}),
+		g.turns != w.turns, g.flip != w.flip:
+		return fmt.Errorf("lo %g hi %g mag %g beta %g anchorT %g turns %d flip %v, want %g %g %g %g %g %d %v",
+			g.lo, g.hi, g.mag, g.beta, g.anchorT, g.turns, g.flip,
+			w.lo, w.hi, w.mag, w.beta, w.anchorT, w.turns, w.flip)
+	}
+	if gs, ws := fmt.Sprintf("%T %+v", g.tail, g.tail), fmt.Sprintf("%T %+v", w.tail, w.tail); gs != ws {
+		return fmt.Errorf("tail %s, want %s", gs, ws)
+	}
+	return nil
+}
+
+// walkPoints lists robot i's corner walk without a horizon, cut at
+// walkLimit points, as (t, x) pairs.
+func walkPoints(p *Plan, i int) []float64 {
+	var out []float64
+	p.Walk(i, math.MaxFloat64, walkLimit, func(t, x float64) bool {
+		out = append(out, t, x)
+		return true
+	})
+	return out
+}
+
+// sameFloats reports whether a and b hold the same float64 bits.
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}

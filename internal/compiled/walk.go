@@ -1,6 +1,7 @@
 package compiled
 
 import (
+	"linesearch/internal/geom"
 	"linesearch/internal/trajectory"
 )
 
@@ -11,9 +12,10 @@ import (
 // last point may lie past tmax. It emits at most limit points (all
 // when limit <= 0) and none after emit returns false.
 //
-// The start-up legs are listed as the trajectory holds them; a zig-zag
-// tail's turns come from its cone's power table, then, past the table,
-// from the tail itself. The walk reproduces the segment walk's
+// The start-up legs are listed unclamped, as the trajectory holds them
+// or the schedule's closed form gives them; a zig-zag tail's turns come
+// from its cone's power table, then, past the table, from the tail
+// itself. The walk reproduces the segment walk's
 // arithmetic where the kernel's differs: a turn's time is beta·|x|, not
 // raised to the anchor's kept time, and no corner is clamped or
 // dropped as cursor.keep does.
@@ -22,9 +24,10 @@ func (p *Plan) Walk(i int, tmax float64, limit int, emit func(t, x float64) bool
 	if limit <= 0 {
 		w.left = -1
 	}
-	tr := p.trajs[i]
-	if w.legs(tr) {
-		w.tail(&p.robots[i], tr.TailOf())
+	var buf [2]geom.Segment
+	legs, tail := p.source(i, &buf)
+	if w.legs(legs, tail) {
+		w.tail(&p.robots[i], tail)
 	}
 }
 
@@ -43,15 +46,20 @@ func (w *walk) put(t, x float64) bool {
 	return w.emit(t, x) && w.left != 0
 }
 
-// legs walks tr's start, then the end of each leg that starts within
-// the horizon. It reports whether the walk goes on past the last leg.
-func (w *walk) legs(tr *trajectory.Trajectory) bool {
-	s := tr.Start()
+// legs walks a robot's start (its first leg's, or without legs its
+// tail's anchor), then the end of each leg that starts within the
+// horizon. It reports whether the walk goes on past the last leg.
+func (w *walk) legs(legs []geom.Segment, tail trajectory.Tail) bool {
+	var s geom.Point
+	if len(legs) > 0 {
+		s = legs[0].From
+	} else {
+		s = tail.Anchor()
+	}
 	if !w.put(s.T, s.X) {
 		return false
 	}
-	for i := range tr.NumLegs() {
-		leg := tr.Leg(i)
+	for _, leg := range legs {
 		if leg.From.T > w.tmax || !w.put(leg.To.T, leg.To.X) {
 			return false
 		}

@@ -26,5 +26,5 @@ func kernelCR(plan *sim.Plan, opts sim.CROptions) (sim.CRResult, error) {
 	if err != nil {
 		return sim.CRResult{}, fmt.Errorf("compiling plan: %w", err)
 	}
-	return kernel.CR(opts)
+	return kernel.CR(plan, opts)
 }

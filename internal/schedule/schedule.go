@@ -15,16 +15,16 @@ import (
 	"linesearch/internal/trajectory"
 )
 
-// Schedule is a realised proportional schedule: one trajectory per
-// robot, all zig-zagging in the same cone.
+// Schedule is a realised proportional schedule: one zig-zag robot in
+// closed form per robot, all in the same cone.
 type Schedule struct {
-	n, f  int
-	beta  float64
-	r     float64
-	dmin  float64
-	style StartupStyle
-	cone  geom.Cone
-	trajs []*trajectory.Trajectory
+	n, f   int
+	beta   float64
+	r      float64
+	dmin   float64
+	style  StartupStyle
+	cone   geom.Cone
+	robots []Robot
 }
 
 // New constructs the proportional schedule algorithm for n robots and f
@@ -95,13 +95,11 @@ func NewStyled(n, f int, beta, dmin float64, style StartupStyle) (*Schedule, err
 		return nil, err
 	}
 	s := &Schedule{n: n, f: f, beta: beta, r: r, dmin: dmin, cone: cone, style: style}
-	s.trajs = make([]*trajectory.Trajectory, 0, n)
-	for i := 0; i < n; i++ {
-		tr, err := s.robotTrajectory(i)
-		if err != nil {
+	s.robots = make([]Robot, n)
+	for i := range s.robots {
+		if err := s.robot(i); err != nil {
 			return nil, fmt.Errorf("schedule: robot %d: %w", i, err)
 		}
-		s.trajs = append(s.trajs, tr)
 	}
 	return s, nil
 }
@@ -116,19 +114,84 @@ func NewOptimal(n, f int) (*Schedule, error) {
 	return New(n, f, beta)
 }
 
-// robotTrajectory builds robot a_i's trajectory: the backward extension
-// of Definition 4 to the first turning point tau'_i with |tau'_i| below
-// the minimal target distance (tau'_0 = dmin for robot a_0 itself), a
-// waiting leg at the origin, a unit-speed leg to the anchor, and the
-// infinite zig-zag tail.
-func (s *Schedule) robotTrajectory(i int) (*trajectory.Trajectory, error) {
+// robot sets robot a_i's closed form: its designated turning point
+// dmin·r^i extended backward (Definition 4) to the first turning point
+// tau'_i with |tau'_i| below the minimal target distance (tau'_0 = dmin
+// for robot a_0 itself). It returns the error building the robot's
+// trajectory would return.
+func (s *Schedule) robot(i int) error {
 	designated := s.dmin * math.Pow(s.r, float64(i))
 	threshold := s.dmin
 	if i == 0 {
 		// Robot a_0 anchors exactly at dmin rather than below it.
 		threshold = math.Nextafter(s.dmin, math.Inf(1))
 	}
-	return RobotFromTurningPointStyled(s.cone, designated, threshold, s.style)
+	rb, err := NewRobot(s.cone, designated, threshold, s.style)
+	if err != nil {
+		return err
+	}
+	s.robots[i] = rb
+	return s.robots[i].Check()
+}
+
+// Robot is one zig-zag robot in closed form (Definition 4): the tail it
+// zig-zags on from its anchor, the first turning point of its cone, and
+// the start-up style of its prefix from the origin to that anchor. Its
+// trajectory and the compiled kernel's view of it both derive from
+// these alone.
+type Robot struct {
+	Tail  trajectory.ZigZag
+	Style StartupStyle
+}
+
+// NewRobot returns the robot of a zig-zag schedule in the given cone
+// whose designated positive turning point is extended backward inside
+// the cone (Definition 4) until its magnitude drops strictly below
+// threshold. It refuses what RobotFromTurningPointStyled refuses before
+// the trajectory is assembled, with the same errors; Check reports the
+// rest.
+func NewRobot(cone geom.Cone, designated, threshold float64, style StartupStyle) (Robot, error) {
+	if !(designated > 0) || math.IsInf(designated, 1) {
+		return Robot{}, fmt.Errorf("schedule: designated turning point must be positive and finite, got %g", designated)
+	}
+	if !(threshold > 0) || math.IsInf(threshold, 1) {
+		return Robot{}, fmt.Errorf("schedule: backward-extension threshold must be positive and finite, got %g", threshold)
+	}
+	anchor := cone.BoundaryPoint(designated)
+	for math.Abs(anchor.X) >= threshold {
+		anchor = cone.PrevTurn(anchor)
+	}
+	if style != StartupWait && style != StartupSlow {
+		return Robot{}, fmt.Errorf("schedule: unknown startup style %d", int(style))
+	}
+	tail, err := trajectory.MakeZigZag(cone, anchor)
+	if err != nil {
+		return Robot{}, err
+	}
+	return Robot{Tail: tail, Style: style}, nil
+}
+
+// AppendLegs appends the robot's start-up legs, from the origin to its
+// anchor, to dst: the waiting or the slow prefix, by its style.
+func (rb *Robot) AppendLegs(dst []geom.Segment) []geom.Segment {
+	x := rb.Tail.Anchor().X
+	if rb.Style == StartupSlow {
+		return appendSlowStartLegs(dst, rb.Tail.Cone(), x)
+	}
+	return appendStartupLegs(dst, rb.Tail.Cone(), x)
+}
+
+// Check returns the error Trajectory would return, without building
+// the trajectory.
+func (rb *Robot) Check() error {
+	var buf [2]geom.Segment
+	return trajectory.Check(rb.AppendLegs(buf[:0]), &rb.Tail)
+}
+
+// Trajectory builds the robot's trajectory: its start-up legs, then its
+// zig-zag tail, which the trajectory shares with rb.
+func (rb *Robot) Trajectory() (*trajectory.Trajectory, error) {
+	return trajectory.New(rb.AppendLegs(nil), &rb.Tail)
 }
 
 // RobotFromTurningPoint builds a full robot trajectory for a zig-zag
@@ -145,59 +208,39 @@ func RobotFromTurningPoint(cone geom.Cone, designated, threshold float64) (*traj
 // RobotFromTurningPointStyled is RobotFromTurningPoint with an explicit
 // startup style for the prefix from the origin to the anchor.
 func RobotFromTurningPointStyled(cone geom.Cone, designated, threshold float64, style StartupStyle) (*trajectory.Trajectory, error) {
-	if !(designated > 0) || math.IsInf(designated, 1) {
-		return nil, fmt.Errorf("schedule: designated turning point must be positive and finite, got %g", designated)
-	}
-	if !(threshold > 0) || math.IsInf(threshold, 1) {
-		return nil, fmt.Errorf("schedule: backward-extension threshold must be positive and finite, got %g", threshold)
-	}
-	anchor := cone.BoundaryPoint(designated)
-	for math.Abs(anchor.X) >= threshold {
-		anchor = cone.PrevTurn(anchor)
-	}
-	var legs []geom.Segment
-	switch style {
-	case StartupWait:
-		legs = StartupLegs(cone, anchor.X)
-	case StartupSlow:
-		legs = SlowStartLegs(cone, anchor.X)
-	default:
-		return nil, fmt.Errorf("schedule: unknown startup style %d", int(style))
-	}
-	tail, err := trajectory.NewZigZag(cone, anchor)
+	rb, err := NewRobot(cone, designated, threshold, style)
 	if err != nil {
 		return nil, err
 	}
-	return trajectory.New(legs, tail)
+	return rb.Trajectory()
 }
 
-// StartupLegs returns the Definition-4 prefix for a robot whose first
-// cone turning point is at position x: wait at the origin until
-// (beta-1)*|x|, then move at unit speed to reach x exactly when the cone
-// boundary passes over it (time beta*|x|).
-func StartupLegs(cone geom.Cone, x float64) []geom.Segment {
+// appendStartupLegs appends the Definition-4 prefix for a robot whose
+// first cone turning point is at position x to dst: wait at the origin
+// until (beta-1)*|x|, then move at unit speed to reach x exactly when
+// the cone boundary passes over it (time beta*|x|).
+func appendStartupLegs(dst []geom.Segment, cone geom.Cone, x float64) []geom.Segment {
 	depart := (cone.Beta() - 1) * math.Abs(x)
 	origin := geom.Point{X: 0, T: 0}
 	departure := geom.Point{X: 0, T: depart}
 	arrival := cone.BoundaryPoint(x)
 	if depart == 0 {
-		return []geom.Segment{{From: origin, To: arrival}}
+		return append(dst, geom.Segment{From: origin, To: arrival})
 	}
-	return []geom.Segment{
-		{From: origin, To: departure},
-		{From: departure, To: arrival},
-	}
+	return append(dst,
+		geom.Segment{From: origin, To: departure},
+		geom.Segment{From: departure, To: arrival})
 }
 
-// SlowStartLegs is the alternative prefix the paper's Section 1 alludes
-// to ("start at different times or move at different speeds"): instead
+// appendSlowStartLegs appends the alternative prefix the paper's
+// Section 1 alludes to ("start at different times or move at different speeds"): instead
 // of waiting at the origin, the robot departs immediately at the reduced
 // constant speed 1/beta, reaching its first turning point x at the same
 // instant beta*|x| as the waiting prefix. From the cone boundary onward
 // the two realisations are identical, so the competitive ratio is
 // unchanged; only the motion before the first turning point differs.
-func SlowStartLegs(cone geom.Cone, x float64) []geom.Segment {
-	return []geom.Segment{{From: geom.Point{X: 0, T: 0}, To: cone.BoundaryPoint(x)}}
+func appendSlowStartLegs(dst []geom.Segment, cone geom.Cone, x float64) []geom.Segment {
+	return append(dst, geom.Segment{From: geom.Point{X: 0, T: 0}, To: cone.BoundaryPoint(x)})
 }
 
 // Beta returns the cone slope.
@@ -209,8 +252,25 @@ func (s *Schedule) Ratio() float64 { return s.r }
 // Cone returns the confining cone C_beta.
 func (s *Schedule) Cone() geom.Cone { return s.cone }
 
-// Trajectories returns the robots' trajectories, indexed by robot.
-// The slice is a copy; the trajectories themselves are immutable.
+// N returns the number of robots.
+func (s *Schedule) N() int { return s.n }
+
+// Robot returns robot i's closed form, 0 <= i < N(). The robot is the
+// schedule's own; callers must not modify it.
+func (s *Schedule) Robot(i int) *Robot { return &s.robots[i] }
+
+// Trajectories builds the robots' trajectories, indexed by robot. Each
+// trajectory shares its zig-zag tail with the schedule's robot.
 func (s *Schedule) Trajectories() []*trajectory.Trajectory {
-	return append([]*trajectory.Trajectory(nil), s.trajs...)
+	trajs := make([]*trajectory.Trajectory, len(s.robots))
+	for i := range s.robots {
+		tr, err := s.robots[i].Trajectory()
+		if err != nil {
+			// NewStyled checked every robot with Robot.Check, which
+			// returns Trajectory's error.
+			panic(fmt.Sprintf("schedule: robot %d: %v", i, err))
+		}
+		trajs[i] = tr
+	}
+	return trajs
 }

@@ -249,7 +249,7 @@ func TestTurningPointPanicsOnNegativeIndex(t *testing.T) {
 
 func TestStartupLegs(t *testing.T) {
 	cone := geom.MustCone(3)
-	legs := StartupLegs(cone, -0.5)
+	legs := appendStartupLegs(nil, cone, -0.5)
 	if len(legs) != 2 {
 		t.Fatalf("got %d legs, want 2", len(legs))
 	}
@@ -271,7 +271,7 @@ func TestStartupLegsZeroWait(t *testing.T) {
 	// A degenerate cone slope cannot happen (beta > 1), but x = 0 yields
 	// a single no-op leg; guard the branch.
 	cone := geom.MustCone(2)
-	legs := StartupLegs(cone, 0)
+	legs := appendStartupLegs(nil, cone, 0)
 	if len(legs) != 1 {
 		t.Fatalf("got %d legs, want 1", len(legs))
 	}

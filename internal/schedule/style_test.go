@@ -81,10 +81,10 @@ func TestSlowStartMovesAtReducedSpeed(t *testing.T) {
 		}
 	}
 	// Single prefix leg: no waiting.
-	if n := tr.NumLegs(); n != 1 {
+	if n := len(tr.Legs()); n != 1 {
 		t.Fatalf("slow start has %d prefix legs, want 1", n)
 	}
-	if v := tr.Leg(0).Speed(); v >= 1 {
+	if v := tr.Legs()[0].Speed(); v >= 1 {
 		t.Errorf("slow start speed %v, want < 1", v)
 	}
 }

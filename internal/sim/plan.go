@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"linesearch/internal/fault"
+	"linesearch/internal/schedule"
 	"linesearch/internal/strategy"
 	"linesearch/internal/trajectory"
 )
@@ -64,17 +65,54 @@ type Modeller interface {
 }
 
 // FromStrategy builds the plan produced by st for (n, f) under the
-// strategy's fault model (crash unless the strategy declares one).
+// strategy's fault model, ModelOf(st, n, f).
 func FromStrategy(st strategy.Strategy, n, f int) (*Plan, error) {
 	trajs, err := st.Build(n, f)
 	if err != nil {
-		return nil, fmt.Errorf("sim: building %s(%d, %d): %w", st.Name(), n, f, err)
+		return nil, buildError(st, n, f, err)
 	}
-	model := fault.CrashModel(f)
+	return NewPlanModel(trajs, ModelOf(st, n, f))
+}
+
+// ModelOf returns the fault model plans of st for (n, f) are evaluated
+// under: the strategy's own when it declares one (Modeller), the crash
+// model at budget f otherwise.
+func ModelOf(st strategy.Strategy, n, f int) fault.Model {
 	if m, ok := st.(Modeller); ok {
-		model = m.FaultModel(n, f)
+		return m.FaultModel(n, f)
 	}
-	return NewPlanModel(trajs, model)
+	return fault.CrashModel(f)
+}
+
+// Schedule returns the zig-zag schedule in closed form and the fault
+// model FromStrategy would build st's plan for (n, f) from, without
+// building its trajectories. It refuses what FromStrategy refuses, with
+// the same error. ok is false, with a nil error, when st's plan for the
+// pair is not such a schedule (see strategy.Scheduler); FromStrategy
+// builds it then.
+func Schedule(st strategy.Strategy, n, f int) (s *schedule.Schedule, m fault.Model, ok bool, err error) {
+	sc, ok := st.(strategy.Scheduler)
+	if !ok {
+		return nil, m, false, nil
+	}
+	if s, ok, err = sc.Schedule(n, f); err != nil {
+		return nil, m, false, buildError(st, n, f, err)
+	}
+	if !ok {
+		return nil, m, false, nil
+	}
+	// NewPlanModel's other checks hold for every schedule: it has at
+	// least one robot, and none is nil or invalid.
+	m = ModelOf(st, n, f)
+	if err := m.Validate(s.N()); err != nil {
+		return nil, m, false, fmt.Errorf("sim: %w", err)
+	}
+	return s, m, true, nil
+}
+
+// buildError wraps the error st's builder returned for (n, f).
+func buildError(st strategy.Strategy, n, f int, err error) error {
+	return fmt.Errorf("sim: building %s(%d, %d): %w", st.Name(), n, f, err)
 }
 
 // N returns the number of robots.

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"linesearch/internal/fault"
+	"linesearch/internal/schedule"
 	"linesearch/internal/trajectory"
 )
 
@@ -30,7 +31,10 @@ type Byzantine struct {
 	MinDistance float64
 }
 
-var _ Strategy = Byzantine{}
+var (
+	_ Strategy  = Byzantine{}
+	_ Scheduler = Byzantine{}
+)
 
 // Name implements Strategy. The name round-trips through Parse:
 // "byzantine", "byzantine@3", "byzantine:doubling", "byzantine@3:cone:2.5".
@@ -102,6 +106,23 @@ func (b Byzantine) Build(n, f int) ([]*trajectory.Trajectory, error) {
 		return nil, err
 	}
 	return st.Build(n, fEff)
+}
+
+// Schedule implements Scheduler: the base's schedule at the effective
+// budget, when the base has one.
+func (b Byzantine) Schedule(n, f int) (*schedule.Schedule, bool, error) {
+	_, fEff, err := b.model(n, f)
+	if err != nil {
+		return nil, true, err
+	}
+	st, err := b.base(n, fEff)
+	if err != nil {
+		return nil, true, err
+	}
+	if sc, ok := st.(Scheduler); ok {
+		return sc.Schedule(n, fEff)
+	}
+	return nil, false, nil
 }
 
 // AnalyticCR implements Strategy: the base's closed form at the

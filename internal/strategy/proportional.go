@@ -27,13 +27,26 @@ func (Proportional) Description() string {
 	return "A(n,f): proportional schedule at the optimal cone slope beta* (Theorem 1)"
 }
 
+var _ Scheduler = Proportional{}
+
 // Build implements Strategy.
 func (p Proportional) Build(n, f int) ([]*trajectory.Trajectory, error) {
+	return trajectories(p.Schedule(n, f))
+}
+
+// Schedule implements Scheduler.
+func (p Proportional) Schedule(n, f int) (*schedule.Schedule, bool, error) {
 	beta, err := analysis.OptimalBeta(n, f)
 	if err != nil {
-		return nil, err
+		return nil, true, err
 	}
 	s, err := schedule.NewScaled(n, f, beta, minDistance(p.MinDistance))
+	return s, true, err
+}
+
+// trajectories returns the trajectories of a Schedule result, or its
+// error.
+func trajectories(s *schedule.Schedule, _ bool, err error) ([]*trajectory.Trajectory, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -82,13 +95,17 @@ func (c Cone) Description() string {
 	return fmt.Sprintf("proportional schedule with explicit cone slope beta = %g", c.Beta)
 }
 
+var _ Scheduler = Cone{}
+
 // Build implements Strategy.
 func (c Cone) Build(n, f int) ([]*trajectory.Trajectory, error) {
+	return trajectories(c.Schedule(n, f))
+}
+
+// Schedule implements Scheduler.
+func (c Cone) Schedule(n, f int) (*schedule.Schedule, bool, error) {
 	s, err := schedule.NewScaled(n, f, c.Beta, minDistance(c.MinDistance))
-	if err != nil {
-		return nil, err
-	}
-	return s.Trajectories(), nil
+	return s, true, err
 }
 
 // AnalyticCR implements Strategy: the Lemma 5 value at this beta.

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"linesearch/internal/analysis"
+	"linesearch/internal/schedule"
 	"linesearch/internal/trajectory"
 )
 
@@ -29,6 +30,16 @@ type Strategy interface {
 	// AnalyticCR returns the closed-form competitive ratio when one is
 	// known, with ok = false otherwise.
 	AnalyticCR(n, f int) (cr float64, ok bool)
+}
+
+// Scheduler is the optional extension of strategies whose plans are
+// zig-zag schedules in closed form (internal/schedule), which the
+// compiled kernel builds from without trajectories. Schedule returns
+// the schedule Build would realise for (n, f), or Build's error; ok is
+// false, with a nil error, when the strategy's plan for the pair is
+// not such a schedule.
+type Scheduler interface {
+	Schedule(n, f int) (s *schedule.Schedule, ok bool, err error)
 }
 
 // Registry returns the built-in strategies, sorted by name.

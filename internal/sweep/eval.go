@@ -170,7 +170,7 @@ func EvalCell(ctx context.Context, p CellParams) Cell {
 	}
 	_, crSpan := telemetry.StartSpan(ctx, "cell.cr")
 	crSpan.SetInt("grid_points", int64(p.GridPoints))
-	res, err := kernel.CR(sim.CROptions{
+	res, err := kernel.CR(plan, sim.CROptions{
 		XMin:       p.XMin,
 		XMax:       p.XMax,
 		GridPoints: p.GridPoints,

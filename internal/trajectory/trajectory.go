@@ -77,11 +77,15 @@ func Must(legs []geom.Segment, tail Tail) *Trajectory {
 }
 
 // Validate checks the trajectory's kinematic and structural invariants.
-func (tr *Trajectory) Validate() error {
-	if len(tr.legs) == 0 && tr.tail == nil {
+func (tr *Trajectory) Validate() error { return Check(tr.legs, tr.tail) }
+
+// Check returns the error New would return for legs and tail, without
+// building the trajectory.
+func Check(legs []geom.Segment, tail Tail) error {
+	if len(legs) == 0 && tail == nil {
 		return errors.New("trajectory: empty (no legs, no tail)")
 	}
-	for i, leg := range tr.legs {
+	for i, leg := range legs {
 		if err := leg.Validate(); err != nil {
 			return fmt.Errorf("leg %d: %w", i, err)
 		}
@@ -91,19 +95,19 @@ func (tr *Trajectory) Validate() error {
 			}
 			continue
 		}
-		prev := tr.legs[i-1].To
+		prev := legs[i-1].To
 		if math.Abs(prev.X-leg.From.X) > contiguityTol || math.Abs(prev.T-leg.From.T) > contiguityTol {
 			return fmt.Errorf("leg %d start %v does not continue leg %d end %v", i, leg.From, i-1, prev)
 		}
 	}
-	if tr.tail != nil {
-		if err := tr.tail.Validate(); err != nil {
+	if tail != nil {
+		if err := tail.Validate(); err != nil {
 			return fmt.Errorf("tail: %w", err)
 		}
-		a := tr.tail.Anchor()
+		a := tail.Anchor()
 		var end geom.Point
-		if len(tr.legs) > 0 {
-			end = tr.legs[len(tr.legs)-1].To
+		if len(legs) > 0 {
+			end = legs[len(legs)-1].To
 		} else {
 			end = a // tail-only trajectory anchors itself
 		}
@@ -125,11 +129,9 @@ func (tr *Trajectory) Start() geom.Point {
 	return tr.tail.Anchor()
 }
 
-// NumLegs returns the number of finite prefix legs.
-func (tr *Trajectory) NumLegs() int { return len(tr.legs) }
-
-// Leg returns the i-th finite prefix leg, 0 <= i < NumLegs().
-func (tr *Trajectory) Leg(i int) geom.Segment { return tr.legs[i] }
+// Legs returns the finite prefix legs. The slice is the trajectory's
+// own, capped at its length; callers must not modify its elements.
+func (tr *Trajectory) Legs() []geom.Segment { return tr.legs[:len(tr.legs):len(tr.legs)] }
 
 // TailOf returns the trajectory's infinite tail, or nil for a finite
 // trajectory.

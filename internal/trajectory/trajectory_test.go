@@ -211,7 +211,7 @@ func TestSegmentsUntilContiguousAndValid(t *testing.T) {
 	}
 }
 
-// TestLegReadsOwnCopy checks NumLegs and Leg read the legs New was
+// TestLegReadsOwnCopy checks Legs reads the legs New was
 // given, and that New keeps its own copy of them.
 func TestLegReadsOwnCopy(t *testing.T) {
 	legs := []geom.Segment{
@@ -220,14 +220,14 @@ func TestLegReadsOwnCopy(t *testing.T) {
 	}
 	tr := Must(legs, nil)
 	legs[0].To.X = 99
-	if tr.NumLegs() != 2 {
-		t.Fatalf("NumLegs() = %d, want 2", tr.NumLegs())
+	if n := len(tr.Legs()); n != 2 {
+		t.Fatalf("len(Legs()) = %d, want 2", n)
 	}
-	if got := tr.Leg(0).To.X; got != 1 {
-		t.Errorf("Leg(0).To.X = %v after the caller's slice changed, want 1", got)
+	if got := tr.Legs()[0].To.X; got != 1 {
+		t.Errorf("Legs()[0].To.X = %v after the caller's slice changed, want 1", got)
 	}
-	if got := tr.Leg(1); got != legs[1] {
-		t.Errorf("Leg(1) = %v, want %v", got, legs[1])
+	if got := tr.Legs()[1]; got != legs[1] {
+		t.Errorf("Legs()[1] = %v, want %v", got, legs[1])
 	}
 }
 

@@ -23,16 +23,26 @@ var _ Tail = (*ZigZag)(nil)
 // rounding) at a nonzero position: the apex is a fixed point of the
 // turning map and admits no motion.
 func NewZigZag(cone geom.Cone, anchor geom.Point) (*ZigZag, error) {
+	z, err := MakeZigZag(cone, anchor)
+	if err != nil {
+		return nil, err
+	}
+	return &z, nil
+}
+
+// MakeZigZag is NewZigZag returning the tail by value, so a caller
+// holding many tails can keep them in one slice.
+func MakeZigZag(cone geom.Cone, anchor geom.Point) (ZigZag, error) {
 	if anchor.X == 0 {
-		return nil, fmt.Errorf("trajectory: zig-zag cannot anchor at the cone apex %v", anchor)
+		return ZigZag{}, fmt.Errorf("trajectory: zig-zag cannot anchor at the cone apex %v", anchor)
 	}
 	if !cone.OnBoundary(anchor, 1e-9) {
-		return nil, fmt.Errorf("trajectory: zig-zag anchor %v not on boundary of C_%g", anchor, cone.Beta())
+		return ZigZag{}, fmt.Errorf("trajectory: zig-zag anchor %v not on boundary of C_%g", anchor, cone.Beta())
 	}
 	// Snap the anchor time exactly onto the boundary so downstream
 	// closed forms see a consistent state.
 	anchor.T = cone.BoundaryTime(anchor.X)
-	return &ZigZag{cone: cone, anchor: anchor}, nil
+	return ZigZag{cone: cone, anchor: anchor}, nil
 }
 
 // Anchor implements Tail.

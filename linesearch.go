@@ -37,6 +37,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync"
 
 	"linesearch/internal/adversary"
 	"linesearch/internal/analysis"
@@ -52,20 +53,28 @@ import (
 // immutable and safe for concurrent use.
 //
 // At construction the plan is compiled (internal/compiled): every
-// trajectory's finite part is flattened into binary-searchable corner
+// robot's finite part is flattened into binary-searchable corner
 // arrays, and its zig-zag turns come from one power table per cone.
-// All visit-time queries — SearchTime, KthVisitTime, SearchTimes,
-// MeasureCR — and the plan's geometry — TurningPoints and
+// Zig-zag schedules (proportional, cone:<beta> and the Byzantine rule
+// over either) compile straight from their closed form, with no
+// trajectory built. All visit-time queries — SearchTime, KthVisitTime,
+// SearchTimes, MeasureCR — and the plan's geometry — TurningPoints and
 // WalkTurningPoints — run through that allocation-free kernel. The
 // exact closed-form engine (internal/sim) evaluates event timelines,
-// positions, fault analysis and the expected-time series, and remains
-// the reference for the differential tests.
+// positions, speeds, fault analysis, the expected-time series and the
+// measured CR's candidates, and remains the reference for the
+// differential tests; a Searcher builds its sim.Plan on the first such
+// question.
 type Searcher struct {
 	n, f        int
 	minDistance float64
 	st          strategy.Strategy
-	plan        *sim.Plan
+	model       fault.Model
 	kernel      *compiled.Plan
+	// plan is the exact engine's plan, built once by simPlan.
+	planOnce sync.Once
+	plan     *sim.Plan
+	planErr  error
 }
 
 // New returns the paper's recommended searcher for (n, f): the two-group
@@ -95,15 +104,36 @@ func NewWithStrategy(name string, n, f int) (*Searcher, error) {
 }
 
 func newSearcher(st strategy.Strategy, n, f int) (*Searcher, error) {
+	s := &Searcher{n: n, f: f, minDistance: 1, st: st}
+	sched, model, ok, err := sim.Schedule(st, n, f)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		s.model, s.kernel = model, compiled.CompileSchedule(sched, model)
+		return s, nil
+	}
 	plan, err := sim.FromStrategy(st, n, f)
 	if err != nil {
 		return nil, err
 	}
-	kernel, err := compiled.Compile(plan)
-	if err != nil {
+	if s.kernel, err = compiled.Compile(plan); err != nil {
 		return nil, fmt.Errorf("linesearch: compiling %s(%d, %d): %w", st.Name(), n, f, err)
 	}
-	return &Searcher{n: n, f: f, minDistance: 1, st: st, plan: plan, kernel: kernel}, nil
+	s.model, s.plan = plan.Model(), plan
+	s.planOnce.Do(func() {})
+	return s, nil
+}
+
+// simPlan returns the plan of the exact engine, building it on first
+// use. The build cannot fail where the kernel's succeeded (both refuse
+// the same strategies and pairs), but a failure is returned, not
+// hidden.
+func (s *Searcher) simPlan() (*sim.Plan, error) {
+	s.planOnce.Do(func() {
+		s.plan, s.planErr = sim.FromStrategy(s.st, s.n, s.f)
+	})
+	return s.plan, s.planErr
 }
 
 // N returns the number of robots.
@@ -118,16 +148,16 @@ func (s *Searcher) Strategy() string { return s.st.Name() }
 // FaultModel returns the fault model the plan detects under: "crash"
 // (the paper's model) or "byzantine" (silent or lying faulty robots,
 // detection by vote).
-func (s *Searcher) FaultModel() string { return s.plan.Model().Kind.String() }
+func (s *Searcher) FaultModel() string { return s.model.Kind.String() }
 
 // Votes returns the number of distinct truthful confirmations the
 // plan's detection rule waits for: 1 in the crash model, f+1 under the
 // Byzantine model unless an explicit threshold was configured.
-func (s *Searcher) Votes() int { return s.plan.Model().VotesRequired() }
+func (s *Searcher) Votes() int { return s.model.VotesRequired() }
 
 // DetectionRank returns the distinct-visitor rank detection fires at:
 // f + Votes(). SearchTime(x) equals KthVisitTime(x, DetectionRank()).
-func (s *Searcher) DetectionRank() int { return s.plan.DetectionRank() }
+func (s *Searcher) DetectionRank() int { return s.model.DetectionRank() }
 
 // MinDistance returns the minimal target distance the searcher was
 // built for (1 unless configured with WithMinDistance).
@@ -204,11 +234,15 @@ func (s *Searcher) SearchTimeWithSpeeds(x float64, speeds []float64) (float64, e
 	if err != nil {
 		return 0, err
 	}
+	plan, err := s.simPlan()
+	if err != nil {
+		return 0, err
+	}
 	// The k-th distinct visit is the k-th order statistic of the
 	// per-robot first-visit times; speed only rescales each robot's
 	// clock, so the statistic survives the scaling directly.
-	visits := s.plan.FirstVisitsAtSpeeds(x, sp)
-	rank := s.plan.DetectionRank()
+	visits := plan.FirstVisitsAtSpeeds(x, sp)
+	rank := s.model.DetectionRank()
 	if len(visits) < rank {
 		return math.Inf(1), nil
 	}
@@ -238,14 +272,18 @@ func (s *Searcher) ExpectedSearchTime(x, p float64, speeds []float64) (float64, 
 	if err != nil {
 		return 0, err
 	}
-	m := s.plan.Model()
+	m := s.model
 	if m.VotesRequired() > 1 {
 		return 0, fmt.Errorf("linesearch: the expected-time objective requires the crash detection rule, not %s voting", m.Kind)
 	}
 	if p == 0 && m.Kind == fault.ModelPFaulty {
 		p = m.P
 	}
-	return s.plan.ExpectedSearchTime(x, p, sp)
+	plan, err := s.simPlan()
+	if err != nil {
+		return 0, err
+	}
+	return plan.ExpectedSearchTime(x, p, sp)
 }
 
 // ExpectedCompetitiveRatio returns the asymptotic expected competitive
@@ -304,8 +342,12 @@ func (s *Searcher) Positions(t float64) ([]float64, error) {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return nil, fmt.Errorf("linesearch: time must be finite, got %g", t)
 	}
+	plan, err := s.simPlan()
+	if err != nil {
+		return nil, err
+	}
 	out := make([]float64, s.n)
-	for i, tr := range s.plan.Trajectories() {
+	for i, tr := range plan.Trajectories() {
 		x, err := tr.PositionAt(t)
 		if err != nil {
 			return nil, fmt.Errorf("linesearch: robot %d at t=%g: %w", i, t, err)
@@ -387,17 +429,27 @@ func (s *Searcher) DetectionTime(x float64, faulty []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.plan.DetectionTime(x, set)
+	plan, err := s.simPlan()
+	if err != nil {
+		return 0, err
+	}
+	return plan.DetectionTime(x, set)
 }
 
 // WorstFaultSet returns the indices of the robots an adversary would
 // corrupt against a target at x: the f earliest distinct visitors.
 // Under the Byzantine model the adversary's corrupted robots stay
 // silent at the target — lying elsewhere never delays detection
-// further (see TimelineFaults for explicit liar placement).
+// further (see TimelineFaults for explicit liar placement). It panics
+// should the plan that answers it fail to build, which the kernel's
+// successful build rules out.
 func (s *Searcher) WorstFaultSet(x float64) []int {
+	plan, err := s.simPlan()
+	if err != nil {
+		panic(err)
+	}
 	var out []int
-	for i, k := range s.plan.WorstFaultAssignment(x) {
+	for i, k := range plan.WorstFaultAssignment(x) {
 		if k.Faulty() {
 			out = append(out, i)
 		}
@@ -422,7 +474,11 @@ func (s *Searcher) CompetitiveRatio() (float64, error) {
 // MinDistance <= |x| <= 1e4 * MinDistance. It returns the supremum and a
 // witness target position.
 func (s *Searcher) MeasureCR() (sup, witness float64, err error) {
-	res, err := s.kernel.CR(sim.CROptions{XMin: s.minDistance})
+	plan, err := s.simPlan()
+	if err != nil {
+		return 0, 0, err
+	}
+	res, err := s.kernel.CR(plan, sim.CROptions{XMin: s.minDistance})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -471,7 +527,7 @@ func (s *Searcher) TimelineFaults(x float64, silent, liars []int, tmax float64) 
 	if err := s.checkTimeline(x, tmax); err != nil {
 		return nil, err
 	}
-	m := s.plan.Model()
+	m := s.model
 	if len(liars) > 0 && !m.Admits(fault.ByzantineLiar) {
 		return nil, fmt.Errorf("linesearch: lying robots need the byzantine fault model, plan uses %s", m)
 	}
@@ -502,7 +558,11 @@ func (s *Searcher) checkTimeline(x, tmax float64) error {
 // timeline runs the plan's event-log reconstruction and converts its
 // events to the public form.
 func (s *Searcher) timeline(x float64, set fault.Set, tmax float64) ([]Event, error) {
-	events, err := s.plan.Timeline(x, set, tmax)
+	plan, err := s.simPlan()
+	if err != nil {
+		return nil, err
+	}
+	events, err := plan.Timeline(x, set, tmax)
 	if err != nil {
 		return nil, err
 	}
@@ -579,7 +639,7 @@ func (s *Searcher) trial(seed int64, idx int) (float64, error) {
 	if rng.Intn(2) == 0 {
 		x = -x
 	}
-	m := s.plan.Model()
+	m := s.model
 	set := make(fault.Set, s.n)
 	for _, i := range rng.Perm(s.n)[:m.F] {
 		kind := m.WorstKind()
@@ -588,7 +648,11 @@ func (s *Searcher) trial(seed int64, idx int) (float64, error) {
 		}
 		set[i] = kind
 	}
-	detect, err := s.plan.DetectionTime(x, set)
+	plan, err := s.simPlan()
+	if err != nil {
+		return 0, err
+	}
+	detect, err := plan.DetectionTime(x, set)
 	if err != nil {
 		return 0, err
 	}
@@ -600,7 +664,11 @@ func (s *Searcher) trial(seed int64, idx int) (float64, error) {
 // plan suffers on the adversarial target ladder (always >= alpha when
 // n < 2f+2). It errors for plans outside the theorem's hypothesis.
 func (s *Searcher) VerifyLowerBound() (alpha, ratio float64, err error) {
-	res, err := adversary.VerifyTheorem2(s.plan)
+	plan, err := s.simPlan()
+	if err != nil {
+		return 0, 0, err
+	}
+	res, err := adversary.VerifyTheorem2(plan)
 	if err != nil {
 		return res.Alpha, res.Ratio, err
 	}
@@ -618,7 +686,7 @@ const (
 // the plan's worst faulty kind and every other robot is reliable.
 func (s *Searcher) faultSet(faulty []int) (fault.Set, error) {
 	set := make(fault.Set, s.n)
-	if err := s.markFaulty(set, faulty, s.plan.Model().WorstKind(), errDuplicateFaulty); err != nil {
+	if err := s.markFaulty(set, faulty, s.model.WorstKind(), errDuplicateFaulty); err != nil {
 		return nil, err
 	}
 	return set, nil
