@@ -17,7 +17,8 @@ race:
 	$(GO) test -race ./...
 
 # Allocation-gated micro benchmarks: the compiled kernel (cold compile
-# at n = 5/101/1001, hot eval, hot eval on wide plans n = 101/1001/10001,
+# at n = 5/101/1001, from a sim.Plan and straight from a zig-zag
+# schedule's closed form, hot eval, hot eval on wide plans n = 101/1001/10001,
 # one target far past every robot's corners on A(1001,1000), batch sizes
 # 1/100/10000, perfbench curve-batch's six plans with their phase
 # tables built, the Byzantine vote rule, one sweep cell) with its sim

@@ -115,7 +115,7 @@ func TestLazyPlanConcurrentFirstUse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.testPlan()
+		ref.simPlan()
 		want, err := askLazy(ref, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,17 @@
 // Package compiled is the hot-path evaluation kernel: it flattens a
-// sim.Plan's trajectories into corner arrays once, then answers
-// first-visit queries by binary search and k-th-distinct-visit queries
-// with a zero-allocation introselect in a fixed buffer — no per-query
-// []Visit slice, O(n) expected and O(n log n) worst case.
+// search plan into corner arrays once, then answers first-visit queries
+// by binary search and k-th-distinct-visit queries with a
+// zero-allocation introselect in a fixed buffer — no per-query []Visit
+// slice, O(n) expected and O(n log n) worst case.
+//
+// A plan has one of two sources. Compile reads a sim.Plan's
+// trajectories, whatever the strategy. CompileSchedule reads a zig-zag
+// schedule (internal/schedule: the proportional and cone fleets, and
+// the Byzantine rule over either) straight from its robots' closed
+// forms, with no trajectory built: each robot's start-up legs and
+// zig-zag tail come from schedule.Robot, whose arithmetic the
+// trajectory builder shares. Both sources fill the arena through the
+// same cursor, so the two kernels of one schedule are bit-identical.
 //
 // The flattening exploits the structure Theorem 3 gives every schedule
 // in this repository: a zig-zag tail turns at |x_k| = |x_0|·kappa^k
@@ -156,13 +165,8 @@ func compile(p *sim.Plan, cornerCap int) (*Plan, error) {
 // is Compile of the sim.Plan of s's trajectories under m, bit for bit.
 // sim.Schedule returns s and m for the strategies that have them.
 func CompileSchedule(s *schedule.Schedule, m fault.Model) *Plan {
-	return compileSchedule(s, m, maxCorners)
-}
-
-// compileSchedule is CompileSchedule with a corner cap, as compile.
-func compileSchedule(s *schedule.Schedule, m fault.Model, cornerCap int) *Plan {
 	cp := &Plan{robots: make([]robot, s.N()), f: m.F, rank: m.DetectionRank(), sched: s}
-	return cp.build(cornerCap)
+	return cp.build(maxCorners)
 }
 
 // build fills cp's robots from its source. It counts every distinct

@@ -126,31 +126,32 @@ func (s *Schedule) robot(i int) error {
 		// Robot a_0 anchors exactly at dmin rather than below it.
 		threshold = math.Nextafter(s.dmin, math.Inf(1))
 	}
-	rb, err := NewRobot(s.cone, designated, threshold, s.style)
+	rb, err := newRobot(s.cone, designated, threshold, s.style)
 	if err != nil {
 		return err
 	}
 	s.robots[i] = rb
-	return s.robots[i].Check()
+	return s.robots[i].check()
 }
 
-// Robot is one zig-zag robot in closed form (Definition 4): the tail it
-// zig-zags on from its anchor, the first turning point of its cone, and
-// the start-up style of its prefix from the origin to that anchor. Its
-// trajectory and the compiled kernel's view of it both derive from
-// these alone.
+// Robot is one zig-zag robot in closed form (Definition 4): its zig-zag
+// tail, which holds its cone and its anchor (its first turning point on
+// the cone's boundary), and the style of its start-up from the origin
+// to that anchor. Its trajectory and the compiled kernel's view of it
+// both derive from these alone.
 type Robot struct {
 	Tail  trajectory.ZigZag
-	Style StartupStyle
+	style StartupStyle
 }
 
-// NewRobot returns the robot of a zig-zag schedule in the given cone
+// newRobot returns the robot of a zig-zag schedule in the given cone
 // whose designated positive turning point is extended backward inside
 // the cone (Definition 4) until its magnitude drops strictly below
-// threshold. It refuses what RobotFromTurningPointStyled refuses before
-// the trajectory is assembled, with the same errors; Check reports the
-// rest.
-func NewRobot(cone geom.Cone, designated, threshold float64, style StartupStyle) (Robot, error) {
+// threshold. It refuses a designated point or threshold that is not
+// positive and finite, an unknown style and an anchor no zig-zag can
+// start from; check reports what else the robot's trajectory would
+// refuse.
+func newRobot(cone geom.Cone, designated, threshold float64, style StartupStyle) (Robot, error) {
 	if !(designated > 0) || math.IsInf(designated, 1) {
 		return Robot{}, fmt.Errorf("schedule: designated turning point must be positive and finite, got %g", designated)
 	}
@@ -168,51 +169,44 @@ func NewRobot(cone geom.Cone, designated, threshold float64, style StartupStyle)
 	if err != nil {
 		return Robot{}, err
 	}
-	return Robot{Tail: tail, Style: style}, nil
+	return Robot{Tail: tail, style: style}, nil
 }
 
 // AppendLegs appends the robot's start-up legs, from the origin to its
 // anchor, to dst: the waiting or the slow prefix, by its style.
 func (rb *Robot) AppendLegs(dst []geom.Segment) []geom.Segment {
 	x := rb.Tail.Anchor().X
-	if rb.Style == StartupSlow {
+	if rb.style == StartupSlow {
 		return appendSlowStartLegs(dst, rb.Tail.Cone(), x)
 	}
 	return appendStartupLegs(dst, rb.Tail.Cone(), x)
 }
 
-// Check returns the error Trajectory would return, without building
-// the trajectory.
-func (rb *Robot) Check() error {
+// check returns the error build would return, without building the
+// trajectory.
+func (rb *Robot) check() error {
 	var buf [2]geom.Segment
 	return trajectory.Check(rb.AppendLegs(buf[:0]), &rb.Tail)
 }
 
-// Trajectory builds the robot's trajectory: its start-up legs, then its
+// build builds the robot's trajectory: its start-up legs, then its
 // zig-zag tail, which the trajectory shares with rb.
-func (rb *Robot) Trajectory() (*trajectory.Trajectory, error) {
+func (rb *Robot) build() (*trajectory.Trajectory, error) {
 	return trajectory.New(rb.AppendLegs(nil), &rb.Tail)
 }
 
 // RobotFromTurningPoint builds a full robot trajectory for a zig-zag
-// schedule in the given cone: the robot's designated positive turning
-// point is extended backward inside the cone (Definition 4) until its
-// magnitude drops strictly below threshold; the robot then waits at the
-// origin, travels at unit speed to that anchor, and zig-zags forever.
-// Non-proportional schedules (the spacing ablation) reuse this builder
-// with their own designated turning points.
+// schedule in the given cone: the robot of newRobot with the waiting
+// start-up, which waits at the origin, travels at unit speed to its
+// anchor, and zig-zags forever. Non-proportional schedules (the spacing
+// ablation) reuse this builder with their own designated turning
+// points.
 func RobotFromTurningPoint(cone geom.Cone, designated, threshold float64) (*trajectory.Trajectory, error) {
-	return RobotFromTurningPointStyled(cone, designated, threshold, StartupWait)
-}
-
-// RobotFromTurningPointStyled is RobotFromTurningPoint with an explicit
-// startup style for the prefix from the origin to the anchor.
-func RobotFromTurningPointStyled(cone geom.Cone, designated, threshold float64, style StartupStyle) (*trajectory.Trajectory, error) {
-	rb, err := NewRobot(cone, designated, threshold, style)
+	rb, err := newRobot(cone, designated, threshold, StartupWait)
 	if err != nil {
 		return nil, err
 	}
-	return rb.Trajectory()
+	return rb.build()
 }
 
 // appendStartupLegs appends the Definition-4 prefix for a robot whose
@@ -264,10 +258,10 @@ func (s *Schedule) Robot(i int) *Robot { return &s.robots[i] }
 func (s *Schedule) Trajectories() []*trajectory.Trajectory {
 	trajs := make([]*trajectory.Trajectory, len(s.robots))
 	for i := range s.robots {
-		tr, err := s.robots[i].Trajectory()
+		tr, err := s.robots[i].build()
 		if err != nil {
-			// NewStyled checked every robot with Robot.Check, which
-			// returns Trajectory's error.
+			// NewStyled checked every robot with Robot.check, which
+			// returns build's error.
 			panic(fmt.Sprintf("schedule: robot %d: %v", i, err))
 		}
 		trajs[i] = tr

@@ -65,19 +65,19 @@ type Modeller interface {
 }
 
 // FromStrategy builds the plan produced by st for (n, f) under the
-// strategy's fault model, ModelOf(st, n, f).
+// strategy's fault model, modelOf(st, n, f).
 func FromStrategy(st strategy.Strategy, n, f int) (*Plan, error) {
 	trajs, err := st.Build(n, f)
 	if err != nil {
 		return nil, buildError(st, n, f, err)
 	}
-	return NewPlanModel(trajs, ModelOf(st, n, f))
+	return NewPlanModel(trajs, modelOf(st, n, f))
 }
 
-// ModelOf returns the fault model plans of st for (n, f) are evaluated
+// modelOf returns the fault model plans of st for (n, f) are evaluated
 // under: the strategy's own when it declares one (Modeller), the crash
 // model at budget f otherwise.
-func ModelOf(st strategy.Strategy, n, f int) fault.Model {
+func modelOf(st strategy.Strategy, n, f int) fault.Model {
 	if m, ok := st.(Modeller); ok {
 		return m.FaultModel(n, f)
 	}
@@ -103,7 +103,7 @@ func Schedule(st strategy.Strategy, n, f int) (s *schedule.Schedule, m fault.Mod
 	}
 	// NewPlanModel's other checks hold for every schedule: it has at
 	// least one robot, and none is nil or invalid.
-	m = ModelOf(st, n, f)
+	m = modelOf(st, n, f)
 	if err := m.Validate(s.N()); err != nil {
 		return nil, m, false, fmt.Errorf("sim: %w", err)
 	}

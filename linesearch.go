@@ -120,20 +120,24 @@ func newSearcher(st strategy.Strategy, n, f int) (*Searcher, error) {
 	if s.kernel, err = compiled.Compile(plan); err != nil {
 		return nil, fmt.Errorf("linesearch: compiling %s(%d, %d): %w", st.Name(), n, f, err)
 	}
+	// The exact engine's plan is built already: spend the once on it.
 	s.model, s.plan = plan.Model(), plan
 	s.planOnce.Do(func() {})
 	return s, nil
 }
 
 // simPlan returns the plan of the exact engine, building it on first
-// use. The build cannot fail where the kernel's succeeded (both refuse
-// the same strategies and pairs), but a failure is returned, not
-// hidden.
-func (s *Searcher) simPlan() (*sim.Plan, error) {
+// use. Its build refuses exactly what the kernel's build refused
+// (FuzzCompileFromSchedule holds the two to it), so only a bug can
+// make it fail.
+func (s *Searcher) simPlan() *sim.Plan {
 	s.planOnce.Do(func() {
 		s.plan, s.planErr = sim.FromStrategy(s.st, s.n, s.f)
 	})
-	return s.plan, s.planErr
+	if s.planErr != nil {
+		panic(fmt.Sprintf("linesearch: the kernel compiled but the exact engine refused the plan: %v", s.planErr))
+	}
+	return s.plan
 }
 
 // N returns the number of robots.
@@ -234,14 +238,10 @@ func (s *Searcher) SearchTimeWithSpeeds(x float64, speeds []float64) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	plan, err := s.simPlan()
-	if err != nil {
-		return 0, err
-	}
 	// The k-th distinct visit is the k-th order statistic of the
 	// per-robot first-visit times; speed only rescales each robot's
 	// clock, so the statistic survives the scaling directly.
-	visits := plan.FirstVisitsAtSpeeds(x, sp)
+	visits := s.simPlan().FirstVisitsAtSpeeds(x, sp)
 	rank := s.model.DetectionRank()
 	if len(visits) < rank {
 		return math.Inf(1), nil
@@ -279,11 +279,7 @@ func (s *Searcher) ExpectedSearchTime(x, p float64, speeds []float64) (float64, 
 	if p == 0 && m.Kind == fault.ModelPFaulty {
 		p = m.P
 	}
-	plan, err := s.simPlan()
-	if err != nil {
-		return 0, err
-	}
-	return plan.ExpectedSearchTime(x, p, sp)
+	return s.simPlan().ExpectedSearchTime(x, p, sp)
 }
 
 // ExpectedCompetitiveRatio returns the asymptotic expected competitive
@@ -342,12 +338,8 @@ func (s *Searcher) Positions(t float64) ([]float64, error) {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return nil, fmt.Errorf("linesearch: time must be finite, got %g", t)
 	}
-	plan, err := s.simPlan()
-	if err != nil {
-		return nil, err
-	}
 	out := make([]float64, s.n)
-	for i, tr := range plan.Trajectories() {
+	for i, tr := range s.simPlan().Trajectories() {
 		x, err := tr.PositionAt(t)
 		if err != nil {
 			return nil, fmt.Errorf("linesearch: robot %d at t=%g: %w", i, t, err)
@@ -429,27 +421,17 @@ func (s *Searcher) DetectionTime(x float64, faulty []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	plan, err := s.simPlan()
-	if err != nil {
-		return 0, err
-	}
-	return plan.DetectionTime(x, set)
+	return s.simPlan().DetectionTime(x, set)
 }
 
 // WorstFaultSet returns the indices of the robots an adversary would
 // corrupt against a target at x: the f earliest distinct visitors.
 // Under the Byzantine model the adversary's corrupted robots stay
 // silent at the target — lying elsewhere never delays detection
-// further (see TimelineFaults for explicit liar placement). It panics
-// should the plan that answers it fail to build, which the kernel's
-// successful build rules out.
+// further (see TimelineFaults for explicit liar placement).
 func (s *Searcher) WorstFaultSet(x float64) []int {
-	plan, err := s.simPlan()
-	if err != nil {
-		panic(err)
-	}
 	var out []int
-	for i, k := range plan.WorstFaultAssignment(x) {
+	for i, k := range s.simPlan().WorstFaultAssignment(x) {
 		if k.Faulty() {
 			out = append(out, i)
 		}
@@ -474,11 +456,7 @@ func (s *Searcher) CompetitiveRatio() (float64, error) {
 // MinDistance <= |x| <= 1e4 * MinDistance. It returns the supremum and a
 // witness target position.
 func (s *Searcher) MeasureCR() (sup, witness float64, err error) {
-	plan, err := s.simPlan()
-	if err != nil {
-		return 0, 0, err
-	}
-	res, err := s.kernel.CR(plan, sim.CROptions{XMin: s.minDistance})
+	res, err := s.kernel.CR(s.simPlan(), sim.CROptions{XMin: s.minDistance})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -558,11 +536,7 @@ func (s *Searcher) checkTimeline(x, tmax float64) error {
 // timeline runs the plan's event-log reconstruction and converts its
 // events to the public form.
 func (s *Searcher) timeline(x float64, set fault.Set, tmax float64) ([]Event, error) {
-	plan, err := s.simPlan()
-	if err != nil {
-		return nil, err
-	}
-	events, err := plan.Timeline(x, set, tmax)
+	events, err := s.simPlan().Timeline(x, set, tmax)
 	if err != nil {
 		return nil, err
 	}
@@ -648,11 +622,7 @@ func (s *Searcher) trial(seed int64, idx int) (float64, error) {
 		}
 		set[i] = kind
 	}
-	plan, err := s.simPlan()
-	if err != nil {
-		return 0, err
-	}
-	detect, err := plan.DetectionTime(x, set)
+	detect, err := s.simPlan().DetectionTime(x, set)
 	if err != nil {
 		return 0, err
 	}
@@ -664,11 +634,7 @@ func (s *Searcher) trial(seed int64, idx int) (float64, error) {
 // plan suffers on the adversarial target ladder (always >= alpha when
 // n < 2f+2). It errors for plans outside the theorem's hypothesis.
 func (s *Searcher) VerifyLowerBound() (alpha, ratio float64, err error) {
-	plan, err := s.simPlan()
-	if err != nil {
-		return 0, 0, err
-	}
-	res, err := adversary.VerifyTheorem2(plan)
+	res, err := adversary.VerifyTheorem2(s.simPlan())
 	if err != nil {
 		return res.Alpha, res.Ratio, err
 	}

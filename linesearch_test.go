@@ -508,7 +508,7 @@ func FuzzSearchTime(fz *testing.F) {
 		if !math.IsInf(got, 1) && got < math.Abs(x)-1e-9 {
 			t.Errorf("SearchTime(%g) = %v beats the unit-speed bound %v", x, got, math.Abs(x))
 		}
-		want := s.testPlan().SearchTime(x)
+		want := s.simPlan().SearchTime(x)
 		if math.IsInf(got, 1) != math.IsInf(want, 1) {
 			t.Fatalf("SearchTime(%g): kernel %v, sim %v", x, got, want)
 		}

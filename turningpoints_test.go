@@ -1,24 +1,12 @@
 package linesearch
 
-import "linesearch/internal/sim"
-
-// testPlan returns the searcher's exact-engine plan, building it on
-// first use as the questions that need it do.
-func (s *Searcher) testPlan() *sim.Plan {
-	p, err := s.simPlan()
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // SimTurningPoints is the oracle of TurningPoints and WalkTurningPoints:
 // the walk over every trajectory's motion segments in the plan's exact
 // engine (internal/sim), listed as the first segment's start and every
 // segment's end, or the start alone when no segment starts by tmax.
 func (s *Searcher) SimTurningPoints(tmax float64) [][]Point {
 	out := make([][]Point, s.n)
-	for i, tr := range s.testPlan().Trajectories() {
+	for i, tr := range s.simPlan().Trajectories() {
 		segs := tr.SegmentsUntil(tmax)
 		if len(segs) == 0 {
 			start := tr.Start()
