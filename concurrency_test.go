@@ -150,13 +150,16 @@ func TestLazyPlanConcurrentFirstUse(t *testing.T) {
 }
 
 // TestScheduledSearcherBuildsNoPlan checks that the kernel alone
-// answers the questions a proportional Searcher is asked on the
-// service's hot path: no exact-engine plan is built for them.
+// answers the questions a scheduled Searcher is asked on the service's
+// hot path, its measured competitive ratio and the Theorem 2 game: no
+// exact-engine plan is built for them.
 func TestScheduledSearcherBuildsNoPlan(t *testing.T) {
 	for _, opts := range [][]Option{
 		nil,
 		{WithStrategy("cone:3"), WithMinDistance(2)},
 		{WithFaultModel("byzantine"), WithStrategy("proportional")},
+		{WithStrategy("uniform:1.5")},
+		{WithStrategy("uniform:100"), WithMinDistance(1e-7)},
 	} {
 		s, err := NewSearcher(5, 2, opts...)
 		if err != nil {
@@ -176,6 +179,14 @@ func TestScheduledSearcherBuildsNoPlan(t *testing.T) {
 		}
 		if _, err := s.CompetitiveRatio(); err != nil {
 			t.Fatal(err)
+		}
+		if _, _, err := s.MeasureCR(); err != nil {
+			t.Fatal(err)
+		}
+		if s.FaultModel() == "crash" {
+			if _, _, err := s.VerifyLowerBound(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		_, _, _ = s.FaultModel(), s.Votes(), s.DetectionRank()
 		if s.plan != nil {

@@ -13,7 +13,6 @@ import (
 	"linesearch/internal/analysis"
 	"linesearch/internal/compiled"
 	"linesearch/internal/fault"
-	"linesearch/internal/sim"
 	"linesearch/internal/trajectory"
 )
 
@@ -168,30 +167,25 @@ type GameResult struct {
 // Play runs the adversary against the plan: it evaluates the worst-case
 // search ratio at every ladder target and returns the maximum. For any
 // plan with n < 2f+2 robots, Theorem 2 guarantees Ratio >= Alpha.
-func Play(p *sim.Plan) (GameResult, error) {
+func Play(p *compiled.Plan) (GameResult, error) {
 	ladder, err := NewLadder(p.N())
 	if err != nil {
 		return GameResult{}, err
 	}
-	return PlayLadder(p, ladder)
+	return PlayLadder(p, ladder), nil
 }
 
 // PlayLadder is Play with an explicit ladder, allowing weaker alphas or
-// cross-checks against other n. The plan is evaluated through the
-// compiled kernel, the production search-time evaluator.
-func PlayLadder(p *sim.Plan, ladder Ladder) (GameResult, error) {
-	kernel, err := compiled.Compile(p)
-	if err != nil {
-		return GameResult{}, fmt.Errorf("adversary: compiling plan: %w", err)
-	}
+// cross-checks against other n.
+func PlayLadder(p *compiled.Plan, ladder Ladder) GameResult {
 	res := GameResult{Alpha: ladder.Alpha, Ratio: math.Inf(-1)}
 	for _, x := range ladder.Targets() {
-		if ratio := kernel.SearchTime(x) / math.Abs(x); ratio > res.Ratio {
+		if ratio := p.SearchTime(x) / math.Abs(x); ratio > res.Ratio {
 			res.Ratio = ratio
 			res.Target = x
 		}
 	}
-	return res, nil
+	return res
 }
 
 // VerifyTheorem2 plays the adversary against the plan and returns an
@@ -201,12 +195,13 @@ func PlayLadder(p *sim.Plan, ladder Ladder) (GameResult, error) {
 // is governed by the reduction to a crash plan at budget rank-1, which
 // can be verified directly). Plans with n >= 2f+2 robots are outside
 // the theorem's hypothesis and are rejected too.
-func VerifyTheorem2(p *sim.Plan) (GameResult, error) {
-	if m := p.Model(); m.Kind != fault.ModelCrash {
+func VerifyTheorem2(p *compiled.Plan) (GameResult, error) {
+	m := p.Model()
+	if m.Kind != fault.ModelCrash {
 		return GameResult{}, fmt.Errorf("adversary: Theorem 2 is a crash-model bound, plan uses %s", m)
 	}
-	if p.N() >= 2*p.F()+2 {
-		return GameResult{}, fmt.Errorf("adversary: Theorem 2 needs n < 2f+2, got n=%d, f=%d", p.N(), p.F())
+	if p.N() >= 2*m.F+2 {
+		return GameResult{}, fmt.Errorf("adversary: Theorem 2 needs n < 2f+2, got n=%d, f=%d", p.N(), m.F)
 	}
 	res, err := Play(p)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"linesearch/internal/analysis"
+	"linesearch/internal/compiled"
 	"linesearch/internal/geom"
 	"linesearch/internal/numeric"
 	"linesearch/internal/sim"
@@ -16,6 +17,15 @@ import (
 func mustPlan(t *testing.T, st strategy.Strategy, n, f int) *sim.Plan {
 	t.Helper()
 	p, err := sim.FromStrategy(st, n, f)
+	if err != nil {
+		t.Fatalf("FromStrategy(%s, %d, %d): %v", st.Name(), n, f, err)
+	}
+	return p
+}
+
+func mustKernel(t *testing.T, st strategy.Strategy, n, f int) *compiled.Plan {
+	t.Helper()
+	p, err := compiled.FromStrategy(st, n, f)
 	if err != nil {
 		t.Fatalf("FromStrategy(%s, %d, %d): %v", st.Name(), n, f, err)
 	}
@@ -237,8 +247,7 @@ func TestClassString(t *testing.T) {
 func TestTheorem2HoldsForProportional(t *testing.T) {
 	for _, pair := range [][2]int{{2, 1}, {3, 1}, {3, 2}, {4, 2}, {5, 2}, {5, 3}, {11, 5}} {
 		n, f := pair[0], pair[1]
-		p := mustPlan(t, strategy.Proportional{}, n, f)
-		res, err := VerifyTheorem2(p)
+		res, err := VerifyTheorem2(mustKernel(t, strategy.Proportional{}, n, f))
 		if err != nil {
 			t.Errorf("(%d,%d): %v", n, f, err)
 			continue
@@ -261,8 +270,7 @@ func TestTheorem2HoldsForProportional(t *testing.T) {
 // TestTheorem2HoldsForDoubling: the baseline must also respect the
 // lower bound (it suffers ratio up to 9 >> alpha).
 func TestTheorem2HoldsForDoubling(t *testing.T) {
-	p := mustPlan(t, strategy.Doubling{}, 3, 1)
-	res, err := VerifyTheorem2(p)
+	res, err := VerifyTheorem2(mustKernel(t, strategy.Doubling{}, 3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,19 +280,17 @@ func TestTheorem2HoldsForDoubling(t *testing.T) {
 }
 
 func TestVerifyTheorem2RejectsTrivialRegime(t *testing.T) {
-	p := mustPlan(t, strategy.TwoGroup{}, 6, 2)
-	if _, err := VerifyTheorem2(p); err == nil {
+	if _, err := VerifyTheorem2(mustKernel(t, strategy.TwoGroup{}, 6, 2)); err == nil {
 		t.Error("trivial-regime plan accepted (outside theorem hypothesis)")
 	}
 }
 
 func TestPlayReportsWitness(t *testing.T) {
-	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	res, err := Play(p)
+	res, err := Play(mustKernel(t, strategy.Proportional{}, 3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio, err := p.Ratio(res.Target)
+	ratio, err := mustPlan(t, strategy.Proportional{}, 3, 1).Ratio(res.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

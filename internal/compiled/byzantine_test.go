@@ -48,8 +48,8 @@ func TestDifferentialByzantineVote(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %s(%d,%d): %v", name, n, f, err)
 		}
-		if cp.DetectionRank() != plan.DetectionRank() {
-			t.Fatalf("%s: compiled rank %d, sim rank %d", name, cp.DetectionRank(), plan.DetectionRank())
+		if cp.Model().DetectionRank() != plan.Model().DetectionRank() {
+			t.Fatalf("%s: compiled rank %d, sim rank %d", name, cp.Model().DetectionRank(), plan.Model().DetectionRank())
 		}
 
 		for i := 0; i < targetsPerPlan; i++ {
@@ -71,7 +71,7 @@ func TestDifferentialByzantineVote(t *testing.T) {
 				// worst case at budget rank-1.
 				tmax := 1.1*tSim + 1
 				w := stepWorld(t, plan, tmax)
-				tStep, err := w.searchTime(x, plan.DetectionRank()-1, tmax)
+				tStep, err := w.searchTime(x, plan.Model().DetectionRank()-1, tmax)
 				if err != nil {
 					t.Fatalf("%s: stepsim: %v", label, err)
 				}

@@ -6,12 +6,15 @@
 //
 // A plan has one of two sources. Compile reads a sim.Plan's
 // trajectories, whatever the strategy. CompileSchedule reads a zig-zag
-// schedule (internal/schedule: the proportional and cone fleets, and
-// the Byzantine rule over either) straight from its robots' closed
-// forms, with no trajectory built: each robot's start-up legs and
-// zig-zag tail come from schedule.Robot, whose arithmetic the
-// trajectory builder shares. Both sources fill the arena through the
-// same cursor, so the two kernels of one schedule are bit-identical.
+// schedule (internal/schedule: the proportional, cone and uniform
+// fleets, and the Byzantine rule over any of them) straight from its
+// robots' closed forms, with no trajectory built: each robot's
+// start-up legs and zig-zag tail come from schedule.Robot, whose
+// arithmetic the trajectory builder shares. Both sources fill the arena
+// through the same cursor, so the two kernels of one schedule are
+// bit-identical. FromStrategy, the build every production caller uses,
+// takes the schedule when the strategy has one and the sim.Plan
+// otherwise.
 //
 // The flattening exploits the structure Theorem 3 gives every schedule
 // in this repository: a zig-zag tail turns at |x_k| = |x_0|·kappa^k
@@ -41,7 +44,9 @@
 // turning points up to a horizon, its start-up legs and then its
 // zig-zag turns from the table, exactly as the walk over the
 // trajectory's motion segments lists them, and stops at a caller's
-// limit.
+// limit. CR measures the competitive ratio just past those turning
+// points (cr.go), so no question that needs only first visits reads a
+// sim.Plan.
 //
 // Proportional and cone plans (and the Byzantine rule over them) are
 // self-similar: scaling space and time by sigma = kappa^(2/n) maps
@@ -65,6 +70,7 @@ import (
 	"linesearch/internal/geom"
 	"linesearch/internal/schedule"
 	"linesearch/internal/sim"
+	"linesearch/internal/strategy"
 	"linesearch/internal/trajectory"
 )
 
@@ -116,18 +122,17 @@ type robot struct {
 }
 
 // Plan is a compiled search plan: one robot view per robot plus the
-// fault model's budget and detection rank. It is safe for concurrent
-// use: the arena never changes after Compile, the phase tables (see
-// phase.go) are built once per rank and published atomically, and
-// per-query scratch lives in Evaluators (see eval.go).
+// fault model. It is safe for concurrent use: the arena never changes
+// after it is built, the phase tables (see phase.go) are built once per
+// rank and published atomically, and per-query scratch lives in
+// Evaluators (see eval.go).
 type Plan struct {
 	robots []robot
-	f      int
-	// rank is the distinct-visitor rank at which the source plan's
+	// model's detection rank is the distinct-visitor rank at which the
 	// detection rule fires: f+1 in the crash model, f+votes under the
 	// Byzantine voting rule. The kernel's selection path is identical
 	// either way — only k changes.
-	rank int
+	model fault.Model
 	// The robots' source, whose legs and tails the arena and the corner
 	// walk read: the trajectories of a compiled sim.Plan, or else the
 	// zig-zag schedule in closed form.
@@ -140,6 +145,25 @@ type Plan struct {
 	sym        symmetry
 	table      rankTable
 	otherRanks atomic.Pointer[[]rankTable]
+}
+
+// FromStrategy builds the kernel of st's plan for (n, f) under the
+// strategy's fault model, with sim.FromStrategy's refusals: from the
+// closed form when the plan is a zig-zag schedule (sim.Schedule), else
+// from the sim.Plan's trajectories.
+func FromStrategy(st strategy.Strategy, n, f int) (*Plan, error) {
+	sched, m, ok, err := sim.Schedule(st, n, f)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		return CompileSchedule(sched, m), nil
+	}
+	p, err := sim.FromStrategy(st, n, f)
+	if err != nil {
+		return nil, err
+	}
+	return Compile(p)
 }
 
 // Compile flattens every trajectory of p into the binary-searchable
@@ -156,7 +180,7 @@ func compile(p *sim.Plan, cornerCap int) (*Plan, error) {
 		return nil, fmt.Errorf("compiled: nil plan")
 	}
 	trajs := p.Trajectories()
-	cp := &Plan{robots: make([]robot, len(trajs)), f: p.F(), rank: p.DetectionRank(), trajs: trajs}
+	cp := &Plan{robots: make([]robot, len(trajs)), model: p.Model(), trajs: trajs}
 	return cp.build(cornerCap), nil
 }
 
@@ -165,7 +189,7 @@ func compile(p *sim.Plan, cornerCap int) (*Plan, error) {
 // is Compile of the sim.Plan of s's trajectories under m, bit for bit.
 // sim.Schedule returns s and m for the strategies that have them.
 func CompileSchedule(s *schedule.Schedule, m fault.Model) *Plan {
-	cp := &Plan{robots: make([]robot, s.N()), f: m.F, rank: m.DetectionRank(), sched: s}
+	cp := &Plan{robots: make([]robot, s.N()), model: m, sched: s}
 	return cp.build(maxCorners)
 }
 
@@ -207,6 +231,12 @@ func (cp *Plan) build(cornerCap int) *Plan {
 	cp.sym = detectSymmetry(cp.robots)
 	return cp
 }
+
+// N returns the number of robots.
+func (cp *Plan) N() int { return len(cp.robots) }
+
+// Model returns the plan's fault model.
+func (cp *Plan) Model() fault.Model { return cp.model }
 
 // shares reports whether robot i shares robot i-1's source trajectory
 // (the doubling baseline's robots do), and so its view.

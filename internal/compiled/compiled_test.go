@@ -263,70 +263,6 @@ func TestEvalManyCtxStopsWhenCancelled(t *testing.T) {
 	}
 }
 
-// simCR is the reference competitive-ratio search: every candidate of
-// plan.CRCandidates evaluated through the exact sim.Plan.SearchTime, the
-// first candidate attaining the supremum being the witness.
-func simCR(plan *sim.Plan, opts sim.CROptions) (sim.CRResult, error) {
-	candidates, err := plan.CRCandidates(opts)
-	if err != nil {
-		return sim.CRResult{}, err
-	}
-	res := sim.CRResult{Sup: math.Inf(-1), Candidates: len(candidates)}
-	for _, x := range candidates {
-		if r := plan.SearchTime(x) / math.Abs(x); r > res.Sup {
-			res.Sup, res.ArgX = r, x
-		}
-	}
-	return res, nil
-}
-
-// TestCRMatchesSim checks that the compiled competitive-ratio search
-// reproduces the reference search exactly: same supremum, same witness,
-// same candidate count.
-func TestCRMatchesSim(t *testing.T) {
-	for _, tc := range []struct {
-		st   strategy.Strategy
-		n, f int
-	}{
-		{strategy.Proportional{}, 3, 1},
-		{strategy.Doubling{}, 4, 2},
-		{strategy.TwoGroup{}, 6, 2},
-		{strategy.UniformCone{Beta: 3}, 3, 1},
-	} {
-		plan, cp := compilePair(t, tc.st, tc.n, tc.f)
-		opts := sim.CROptions{GridPoints: 512}
-		want, err := simCR(plan, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cp.CR(plan, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("%s(%d,%d): compiled CR %+v != sim %+v", tc.st.Name(), tc.n, tc.f, got, want)
-		}
-		// Single-worker evaluation must agree with the parallel default.
-		seq, err := cp.CR(plan, sim.CROptions{GridPoints: 512, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq != want {
-			t.Errorf("%s(%d,%d): sequential compiled CR %+v != sim %+v", tc.st.Name(), tc.n, tc.f, seq, want)
-		}
-	}
-}
-
-func TestCRRejectsBadOptions(t *testing.T) {
-	plan, cp := compilePair(t, strategy.Proportional{}, 3, 1)
-	if _, err := cp.CR(plan, sim.CROptions{XMin: -1}); err == nil {
-		t.Error("negative XMin accepted")
-	}
-	if _, err := cp.CR(plan, sim.CROptions{XMin: 10, XMax: 5}); err == nil {
-		t.Error("inverted range accepted")
-	}
-}
-
 // TestSharedTrajectoriesCompileOnce checks the doubling baseline (all
 // robots share one trajectory) is deduplicated in the compiled form.
 func TestSharedTrajectoriesCompileOnce(t *testing.T) {

@@ -2,27 +2,133 @@ package compiled
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"runtime"
 
 	"linesearch/internal/numeric"
-	"linesearch/internal/sim"
 )
 
-// CR measures the plan's empirical competitive ratio over the
-// CRCandidates of src, the sim.Plan it compiles (or whose schedule it
-// was compiled from): the supremum of SearchTime(x)/|x|, the first
-// candidate attaining it being the witness. It evaluates every
-// candidate through the compiled kernel, one evaluator (and thus zero
-// allocations) per worker instead of a fresh []Visit and sort per
-// target. It is the one production CR evaluator: sweep cells,
-// MeasureCR and the paper experiments. The tests pin it to the same
-// search over sim.Plan.SearchTime (EmpiricalCR in internal/sim's
-// tests, simCR in this package's).
-func (p *Plan) CR(src *sim.Plan, opts sim.CROptions) (sim.CRResult, error) {
+// CROptions tunes the empirical competitive-ratio search. The zero value
+// selects sensible defaults via (*CROptions).WithDefaults.
+type CROptions struct {
+	// XMin is the minimal target distance (the normalisation of the
+	// competitive ratio). Default 1, matching the paper's assumption.
+	XMin float64
+	// XMax bounds the searched target range [XMin, XMax] on both half
+	// lines. It should cover several expansion periods of the plan.
+	// Default 1e4 * XMin.
+	XMax float64
+	// GridPoints is the number of geometrically spaced safety samples
+	// per half line, in addition to the turning-point candidates where
+	// the supremum is actually attained (Lemma 3). Default 2048.
+	GridPoints int
+	// Eps is the relative offset used to probe just beyond a turning
+	// point, where the ratio function K has its one-sided suprema.
+	// Default 1e-9.
+	Eps float64
+	// Parallelism is the number of worker goroutines evaluating
+	// candidates. Default GOMAXPROCS. The result is deterministic and
+	// independent of the worker count.
+	Parallelism int
+}
+
+// WithDefaults fills zero-valued fields with the documented defaults.
+func (o CROptions) WithDefaults() CROptions {
+	if o.XMin == 0 {
+		o.XMin = 1
+	}
+	if o.XMax == 0 {
+		o.XMax = 1e4 * o.XMin
+	}
+	if o.GridPoints == 0 {
+		o.GridPoints = 2048
+	}
+	if o.Eps == 0 {
+		o.Eps = 1e-9
+	}
+	if o.Parallelism == 0 {
+		o.Parallelism = runtime.GOMAXPROCS(0)
+	}
+	return o
+}
+
+// validate checks the options. Its texts are the ones the search has
+// always reported (sweep cells record them), hence the "sim:" prefix.
+func (o CROptions) validate() error {
+	if !(o.XMin > 0) {
+		return fmt.Errorf("sim: CROptions.XMin must be positive, got %g", o.XMin)
+	}
+	if o.XMax <= o.XMin {
+		return fmt.Errorf("sim: CROptions.XMax (%g) must exceed XMin (%g)", o.XMax, o.XMin)
+	}
+	if o.GridPoints < 2 {
+		return fmt.Errorf("sim: CROptions.GridPoints must be >= 2, got %d", o.GridPoints)
+	}
+	if o.Eps <= 0 || o.Eps >= 1 {
+		return fmt.Errorf("sim: CROptions.Eps must be in (0, 1), got %g", o.Eps)
+	}
+	if o.Parallelism < 1 {
+		return fmt.Errorf("sim: CROptions.Parallelism must be >= 1, got %d", o.Parallelism)
+	}
+	return nil
+}
+
+// CRResult is the outcome of an empirical competitive-ratio search.
+type CRResult struct {
+	// Sup is the largest observed ratio SearchTime(x)/|x|.
+	Sup float64
+	// ArgX is a target position witnessing Sup.
+	ArgX float64
+	// Candidates is the number of target positions evaluated.
+	Candidates int
+}
+
+// crTimeFactor bounds the turning times the candidate walk lists: a
+// corner at position x is reached no later than its cone or turning
+// time, within a constant factor of |x| for every strategy here, and
+// crTimeFactor·XMax covers all of them with a wide margin.
+const crTimeFactor = 20
+
+// CR measures the plan's empirical competitive ratio: the supremum of
+// SearchTime(x)/|x| over XMin <= |x| <= XMax, the first candidate
+// attaining it being the witness. By Lemma 3 the ratio decreases
+// between turning points and jumps up just past them, so the
+// candidates are every robot's corners in range (Walk up to
+// crTimeFactor·XMax), each probed at x·(1+Eps), then a geometric
+// safety grid on both half lines. Every candidate is evaluated through
+// the kernel, one evaluator (and thus zero allocations) per worker.
+// It is the one production CR evaluator: MeasureCR, sweep cells and
+// the paper experiments. The tests pin it bit for bit to the same
+// search over sim trajectories and sim.Plan.SearchTime.
+func (p *Plan) CR(opts CROptions) (CRResult, error) {
 	opts = opts.WithDefaults()
-	candidates, err := src.CRCandidates(opts)
-	if err != nil {
-		return sim.CRResult{}, err
+	if err := opts.validate(); err != nil {
+		return CRResult{}, err
+	}
+	inRange := func(x float64) bool {
+		a := math.Abs(x)
+		return a >= opts.XMin && a <= opts.XMax
+	}
+	var candidates []float64
+	for i := range p.robots {
+		p.Walk(i, crTimeFactor*opts.XMax, 0, func(_, x float64) bool {
+			if probe := x * (1 + opts.Eps); inRange(x) && inRange(probe) {
+				candidates = append(candidates, probe)
+			}
+			return true
+		})
+	}
+	for _, x := range numeric.Logspace(opts.XMin, opts.XMax, opts.GridPoints) {
+		if inRange(x) {
+			candidates = append(candidates, x)
+		}
+		if inRange(-x) {
+			candidates = append(candidates, -x)
+		}
+	}
+	if len(candidates) == 0 {
+		return CRResult{}, fmt.Errorf("sim: no evaluable targets in [%g, %g]", opts.XMin, opts.XMax)
 	}
 
 	ratios := make([]float64, len(candidates))
@@ -39,7 +145,7 @@ func (p *Plan) CR(src *sim.Plan, opts sim.CROptions) (sim.CRResult, error) {
 		p.evals.put(e)
 	}
 
-	res := sim.CRResult{Sup: math.Inf(-1), Candidates: len(candidates)}
+	res := CRResult{Sup: math.Inf(-1), Candidates: len(candidates)}
 	for i, r := range ratios {
 		if r > res.Sup {
 			res.Sup = r

@@ -30,6 +30,9 @@ type Evaluator struct {
 	// period and shift cache the last phase-table query's period m and
 	// m mod n, sparing sorted targets an integer division each.
 	period, shift int
+	// rank is the plan's detection rank, cached so that SearchTime
+	// stays small enough to inline.
+	rank int
 }
 
 // evaluatorPool recycles Evaluators so the Plan-level methods stay
@@ -53,6 +56,7 @@ func newEvaluator(p *Plan) *Evaluator {
 		plan:  p,
 		buf:   make([]float64, len(p.robots)),
 		hints: make([]int, len(p.robots)),
+		rank:  p.model.DetectionRank(),
 	}
 	for i := range e.hints {
 		e.hints[i] = -1
@@ -76,7 +80,7 @@ func (e *Evaluator) KthDistinctVisit(x float64, k int) (float64, error) {
 // the first visit of the DetectionRank-th distinct robot ((f+1)-st in
 // the crash model, (f+votes)-th under the Byzantine voting rule), +Inf
 // if fewer robots ever visit. Matches sim.Plan.SearchTime.
-func (e *Evaluator) SearchTime(x float64) float64 { return e.kth(x, e.plan.rank) }
+func (e *Evaluator) SearchTime(x float64) float64 { return e.kth(x, e.rank) }
 
 // kth returns the k-th distinct first-visit time at x, +Inf if fewer
 // than k robots visit. A self-similar plan answers from rank k's phase

@@ -9,10 +9,6 @@ import "linesearch/internal/sim"
 // trajectory, so targets beyond the capped envelope reach the tails.
 func CompileCapped(p *sim.Plan, cornerCap int) (*Plan, error) { return compile(p, cornerCap) }
 
-// DetectionRank returns the distinct-visitor rank at which detection is
-// guaranteed, mirroring sim.Plan.DetectionRank.
-func (p *Plan) DetectionRank() int { return p.rank }
-
 // Corners returns the total number of corner points across distinct
 // trajectories, stored or derived from a power table. Robots sharing a
 // trajectory share their view of the arena.

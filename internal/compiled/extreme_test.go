@@ -49,7 +49,7 @@ func TestExtremeInputsNeverNaN(t *testing.T) {
 			}
 			e := cp.Evaluator()
 			defer e.Release()
-			ranks := []int{1, cp.DetectionRank(), c.n}
+			ranks := []int{1, cp.Model().DetectionRank(), c.n}
 			for _, k := range ranks {
 				e.BuildTable(k)
 				for _, x := range xs {

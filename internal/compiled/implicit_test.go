@@ -160,7 +160,7 @@ func checkImplicitTail(t *testing.T, c implicitCase, r int, seed uint64, shuffle
 				t.Fatalf("%s x=%v k=%d: KthDistinctVisit %v (%v), oracle %v", c.name, x, k, got, err, want)
 			}
 		}
-		if got, want := e.SearchTime(x), kth(cp.DetectionRank()); !same(got, want) {
+		if got, want := e.SearchTime(x), kth(cp.Model().DetectionRank()); !same(got, want) {
 			t.Fatalf("%s x=%v: SearchTime %v, oracle %v", c.name, x, got, want)
 		}
 	}
@@ -200,7 +200,7 @@ func TestImplicitTailConcurrent(t *testing.T) {
 	o := compiled.NewOracle(c.plan, c.cap)
 	want := make([]float64, len(xs))
 	for i, x := range xs {
-		want[i] = o.Visits(x)[cp.DetectionRank()-1]
+		want[i] = o.Visits(x)[cp.Model().DetectionRank()-1]
 	}
 	var wg sync.WaitGroup
 	for g := range 4 {

@@ -226,7 +226,7 @@ type rankTable struct {
 // tableSlot returns rank k's table slot, allocating the per-rank slots
 // on the first query at a rank other than the plan's detection rank.
 func (p *Plan) tableSlot(k int) *rankTable {
-	if k == p.rank {
+	if k == p.model.DetectionRank() {
 		return &p.table
 	}
 	slots := p.otherRanks.Load()

@@ -200,7 +200,7 @@ func TestSelfSimilarBitIdentical(t *testing.T) {
 				}
 			} else {
 				rng := rand.New(rand.NewPCG(uint64(c.n), 1))
-				ranks = append(ranks, 1, cp.DetectionRank(), c.n)
+				ranks = append(ranks, 1, cp.Model().DetectionRank(), c.n)
 				for range 64 {
 					ranks = append(ranks, 1+rng.IntN(c.n))
 				}
@@ -212,7 +212,7 @@ func TestSelfSimilarBitIdentical(t *testing.T) {
 				sorted := make([][]float64, len(xs))
 				for i, x := range xs {
 					sorted[i] = firstVisits(t, e, c.n, x, nil)
-					if got, want := sorted[i][cp.DetectionRank()-1], e.ScanKth(x, cp.DetectionRank()); math.Float64bits(got) != math.Float64bits(want) {
+					if got, want := sorted[i][cp.Model().DetectionRank()-1], e.ScanKth(x, cp.Model().DetectionRank()); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("x=%v: sorted first visits give %v, the scan %v", x, got, want)
 					}
 				}
@@ -285,11 +285,11 @@ func TestPhaseTableServesSearchTime(t *testing.T) {
 	xs := benchTargets(512)
 	dst := make([]float64, len(xs))
 	dst = e.EvalMany(xs, dst)
-	if !cp.HasTable(cp.DetectionRank()) {
+	if !cp.HasTable(cp.Model().DetectionRank()) {
 		t.Fatal("no table after 512 scanned targets")
 	}
 	for i, x := range xs {
-		if want := e.ScanKth(x, cp.DetectionRank()); math.Float64bits(dst[i]) != math.Float64bits(want) {
+		if want := e.ScanKth(x, cp.Model().DetectionRank()); math.Float64bits(dst[i]) != math.Float64bits(want) {
 			t.Fatalf("x=%v: EvalMany %v, scan %v", x, dst[i], want)
 		}
 	}
@@ -308,7 +308,7 @@ func TestPhaseTableConcurrentBuild(t *testing.T) {
 	oracle := cp.Evaluator()
 	want := make([][2]float64, len(xs))
 	for i, x := range xs {
-		want[i] = [2]float64{oracle.ScanKth(x, cp.DetectionRank()), oracle.ScanKth(x, 3)}
+		want[i] = [2]float64{oracle.ScanKth(x, cp.Model().DetectionRank()), oracle.ScanKth(x, 3)}
 	}
 	oracle.Release()
 	var wg sync.WaitGroup
@@ -330,7 +330,7 @@ func TestPhaseTableConcurrentBuild(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if !cp.HasTable(cp.DetectionRank()) || !cp.HasTable(3) {
+	if !cp.HasTable(cp.Model().DetectionRank()) || !cp.HasTable(3) {
 		t.Fatal("the queries built no table")
 	}
 }

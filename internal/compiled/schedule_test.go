@@ -20,10 +20,11 @@ const walkLimit = 256
 // robot's stored corners and envelope, turn count, tail parameters and
 // power table, the tail itself and the detected symmetry, and the
 // same corner walk, cut at walkLimit points. Both paths must refuse
-// the same keys with the same error. Inputs: proportional, cone at a
-// fuzzed slope, or the Byzantine rule over either or over the pair's
+// the same keys with the same error. Inputs: proportional, cone or
+// uniform at a fuzzed slope (every slope strategy.Parse accepts), or
+// the Byzantine rule over any of them or over the pair's
 // recommendation; n <= 64; any f up to 64; mindist from 1e-300 to
-// 1e307 (10^lg); the waiting or the slow start-up.
+// 1e307 (10^lg); the waiting or, but for uniform, the slow start-up.
 func FuzzCompileFromSchedule(fz *testing.F) {
 	for _, s := range []struct {
 		kind        uint8
@@ -47,6 +48,13 @@ func FuzzCompileFromSchedule(fz *testing.F) {
 		{2, 0, true, 1, 5, 2, 0, true},
 		{0, 0, false, 0, 2, 2, 0, false},
 		{0, 0, false, 0, 5, 0, 0, false},
+		{3, 1.5, false, 0, 3, 1, 0, false},
+		{3, 100, false, 0, 8, 5, 0, false},
+		{3, 1.002, false, 0, 64, 40, -7, false},
+		{3, 1 + 1e-15, false, 0, 9, 4, 306, false},
+		{3, 6.19e12, true, 2, 9, 3, 300, false},
+		{3, 2, true, 2, 5, 1, 307, false},
+		{3, 1.5, false, 0, 4, 1, 0, false},
 	} {
 		fz.Add(s.kind, s.slope, s.byz, s.votes, s.n, s.f, s.lg, s.slow)
 	}
@@ -57,13 +65,17 @@ func FuzzCompileFromSchedule(fz *testing.F) {
 		}
 		dmin := math.Pow(10, min(max(lg, -300), 307))
 		var base strategy.Strategy
-		switch kind % 3 {
+		switch kind % 4 {
 		case 0:
 			base = strategy.Proportional{}
-		case 1:
-			st, err := strategy.Parse("cone:" + strconv.FormatFloat(slope, 'g', -1, 64))
+		case 1, 3:
+			family := "cone:"
+			if kind%4 == 3 {
+				family = "uniform:"
+			}
+			st, err := strategy.Parse(family + strconv.FormatFloat(slope, 'g', -1, 64))
 			if err != nil {
-				return // not a cone slope the strategy accepts
+				return // not a slope the strategy accepts
 			}
 			base = st
 		}
@@ -89,7 +101,7 @@ func FuzzCompileFromSchedule(fz *testing.F) {
 			}
 			return
 		}
-		if slow {
+		if _, uniform := base.(strategy.UniformCone); slow && !uniform {
 			// The strategies start with the wait; the slow start-up is
 			// compared on the same schedule built with the other style.
 			sched, err = schedule.NewStyled(n, model.DetectionRank()-1, sched.Beta(), dmin, schedule.StartupSlow)
@@ -112,12 +124,11 @@ func FuzzCompileFromSchedule(fz *testing.F) {
 }
 
 // samePlan reports the first difference between two compiled plans:
-// their budgets, any robot's view of the arena and its tail, the
+// their fault models, any robot's view of the arena and its tail, the
 // detected symmetry, or any robot's corner walk up to walkLimit points.
 func samePlan(got, want *Plan) error {
-	if got.f != want.f || got.rank != want.rank || len(got.robots) != len(want.robots) {
-		return fmt.Errorf("f %d rank %d n %d, want f %d rank %d n %d",
-			got.f, got.rank, len(got.robots), want.f, want.rank, len(want.robots))
+	if got.model != want.model || len(got.robots) != len(want.robots) {
+		return fmt.Errorf("model %v n %d, want model %v n %d", got.model, len(got.robots), want.model, len(want.robots))
 	}
 	for i := range got.robots {
 		if err := sameRobot(&got.robots[i], &want.robots[i]); err != nil {

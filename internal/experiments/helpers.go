@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"linesearch/internal/adversary"
 	"linesearch/internal/compiled"
 	"linesearch/internal/sim"
@@ -12,19 +10,30 @@ import (
 // ladderGame builds the paper's algorithm A(n, f) and plays the
 // Theorem 2 adversary against it.
 func ladderGame(n, f int) (adversary.GameResult, error) {
-	plan, err := sim.FromStrategy(strategy.Proportional{}, n, f)
+	kernel, err := compiled.FromStrategy(strategy.Proportional{}, n, f)
 	if err != nil {
 		return adversary.GameResult{}, err
 	}
-	return adversary.Play(plan)
+	return adversary.Play(kernel)
 }
 
-// kernelCR measures a plan's empirical competitive ratio through the
-// compiled kernel, the evaluator the API and the sweeps use.
-func kernelCR(plan *sim.Plan, opts sim.CROptions) (sim.CRResult, error) {
+// strategyCR builds the kernel of st's plan for (n, f) and measures its
+// empirical competitive ratio, as the API and the sweeps do.
+func strategyCR(st strategy.Strategy, n, f int, opts compiled.CROptions) (compiled.CRResult, error) {
+	kernel, err := compiled.FromStrategy(st, n, f)
+	if err != nil {
+		return compiled.CRResult{}, err
+	}
+	return kernel.CR(opts)
+}
+
+// kernelCR measures the empirical competitive ratio of a plan only the
+// exact engine derives (another fault budget, turn costs) through its
+// compiled kernel.
+func kernelCR(plan *sim.Plan, opts compiled.CROptions) (compiled.CRResult, error) {
 	kernel, err := compiled.Compile(plan)
 	if err != nil {
-		return sim.CRResult{}, fmt.Errorf("compiling plan: %w", err)
+		return compiled.CRResult{}, err
 	}
-	return kernel.CR(plan, opts)
+	return kernel.CR(opts)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"linesearch/internal/analysis"
+	"linesearch/internal/compiled"
 	"linesearch/internal/sim"
 	"linesearch/internal/strategy"
 	"linesearch/internal/table"
@@ -46,7 +47,7 @@ func KVisit() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := kernelCR(plan, sim.CROptions{XMax: 2000})
+		res, err := kernelCR(plan, compiled.CROptions{XMax: 2000})
 		if err != nil {
 			return nil, err
 		}

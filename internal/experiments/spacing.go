@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"linesearch/internal/analysis"
-	"linesearch/internal/sim"
+	"linesearch/internal/compiled"
 	"linesearch/internal/strategy"
 	"linesearch/internal/table"
 	"linesearch/internal/trace"
@@ -68,11 +68,7 @@ func Spacing() (*Result, error) {
 // measureCR builds the strategy's plan and measures its competitive
 // ratio empirically.
 func measureCR(st strategy.Strategy, n, f int) (float64, error) {
-	plan, err := sim.FromStrategy(st, n, f)
-	if err != nil {
-		return 0, err
-	}
-	res, err := kernelCR(plan, sim.CROptions{XMax: 2000})
+	res, err := strategyCR(st, n, f, compiled.CROptions{XMax: 2000})
 	if err != nil {
 		return 0, err
 	}

@@ -6,7 +6,7 @@ import (
 	"strings"
 
 	"linesearch/internal/analysis"
-	"linesearch/internal/sim"
+	"linesearch/internal/compiled"
 	"linesearch/internal/strategy"
 	"linesearch/internal/table"
 	"linesearch/internal/trace"
@@ -113,15 +113,11 @@ func Verify() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := sim.FromStrategy(st, n, f)
-		if err != nil {
-			return nil, err
-		}
 		analytic, ok := st.AnalyticCR(n, f)
 		if !ok {
 			return nil, fmt.Errorf("no closed form for (%d, %d)", n, f)
 		}
-		res, err := kernelCR(plan, sim.CROptions{XMax: 2000})
+		res, err := strategyCR(st, n, f, compiled.CROptions{XMax: 2000})
 		if err != nil {
 			return nil, err
 		}
@@ -178,11 +174,7 @@ func BetaSweep() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := sim.FromStrategy(strategy.Cone{Beta: beta}, n, f)
-			if err != nil {
-				return nil, err
-			}
-			res, err := kernelCR(plan, sim.CROptions{XMax: 500})
+			res, err := strategyCR(strategy.Cone{Beta: beta}, n, f, compiled.CROptions{XMax: 500})
 			if err != nil {
 				return nil, err
 			}

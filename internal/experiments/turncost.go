@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"linesearch/internal/analysis"
+	"linesearch/internal/compiled"
 	"linesearch/internal/sim"
 	"linesearch/internal/strategy"
 	"linesearch/internal/table"
@@ -66,7 +67,7 @@ func TurnCost() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := kernelCR(derived, sim.CROptions{XMax: xmax, GridPoints: 512})
+			res, err := kernelCR(derived, compiled.CROptions{XMax: xmax, GridPoints: 512})
 			if err != nil {
 				return nil, err
 			}

@@ -95,11 +95,27 @@ func NewStyled(n, f int, beta, dmin float64, style StartupStyle) (*Schedule, err
 		return nil, err
 	}
 	s := &Schedule{n: n, f: f, beta: beta, r: r, dmin: dmin, cone: cone, style: style}
-	s.robots = make([]Robot, n)
-	for i := range s.robots {
-		if err := s.robot(i); err != nil {
-			return nil, fmt.Errorf("schedule: robot %d: %w", i, err)
-		}
+	if err := s.place(func(i int) float64 { return dmin * math.Pow(r, float64(i)) }); err != nil {
+		return nil, fmt.Errorf("schedule: %w", err)
+	}
+	return s, nil
+}
+
+// NewUniform is the spacing ablation's schedule: n robots in the cone
+// with the waiting start-up whose designated turning points
+// dmin·(1 + i·(kappa²−1)/n) are spaced evenly across one expansion
+// period [dmin, dmin·kappa²) instead of geometrically. Its merged
+// turning points are not proportional, so it has no ratio (Ratio
+// returns 0). It validates neither the pair nor dmin; an error names
+// the robot that cannot be built ("robot i: …") and the caller adds its
+// own prefix.
+func NewUniform(n, f int, cone geom.Cone, dmin float64) (*Schedule, error) {
+	beta := cone.Beta()
+	kappa := (beta + 1) / (beta - 1)
+	period := kappa * kappa
+	s := &Schedule{n: n, f: f, beta: beta, dmin: dmin, cone: cone, style: StartupWait}
+	if err := s.place(func(i int) float64 { return dmin * (1 + float64(i)*(period-1)/float64(n)) }); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -114,24 +130,29 @@ func NewOptimal(n, f int) (*Schedule, error) {
 	return New(n, f, beta)
 }
 
-// robot sets robot a_i's closed form: its designated turning point
-// dmin·r^i extended backward (Definition 4) to the first turning point
-// tau'_i with |tau'_i| below the minimal target distance (tau'_0 = dmin
-// for robot a_0 itself). It returns the error building the robot's
-// trajectory would return.
-func (s *Schedule) robot(i int) error {
-	designated := s.dmin * math.Pow(s.r, float64(i))
-	threshold := s.dmin
-	if i == 0 {
-		// Robot a_0 anchors exactly at dmin rather than below it.
-		threshold = math.Nextafter(s.dmin, math.Inf(1))
+// place sets every robot's closed form: robot a_i's designated turning
+// point designated(i) extended backward (Definition 4) to the first
+// turning point tau'_i with |tau'_i| below the minimal target distance
+// (tau'_0 = dmin for robot a_0 itself). It returns the error building
+// the first robot that cannot be built would return, naming the robot.
+func (s *Schedule) place(designated func(i int) float64) error {
+	s.robots = make([]Robot, s.n)
+	for i := range s.robots {
+		threshold := s.dmin
+		if i == 0 {
+			// Robot a_0 anchors exactly at dmin rather than below it.
+			threshold = math.Nextafter(s.dmin, math.Inf(1))
+		}
+		rb, err := newRobot(s.cone, designated(i), threshold, s.style)
+		if err == nil {
+			s.robots[i] = rb
+			err = s.robots[i].check()
+		}
+		if err != nil {
+			return fmt.Errorf("robot %d: %w", i, err)
+		}
 	}
-	rb, err := newRobot(s.cone, designated, threshold, s.style)
-	if err != nil {
-		return err
-	}
-	s.robots[i] = rb
-	return s.robots[i].check()
+	return nil
 }
 
 // Robot is one zig-zag robot in closed form (Definition 4): its zig-zag
@@ -190,23 +211,11 @@ func (rb *Robot) check() error {
 }
 
 // build builds the robot's trajectory: its start-up legs, then its
-// zig-zag tail, which the trajectory shares with rb.
+// zig-zag tail, which the trajectory shares with rb. trajectory.New
+// copies the legs, so they are appended to a stack buffer.
 func (rb *Robot) build() (*trajectory.Trajectory, error) {
-	return trajectory.New(rb.AppendLegs(nil), &rb.Tail)
-}
-
-// RobotFromTurningPoint builds a full robot trajectory for a zig-zag
-// schedule in the given cone: the robot of newRobot with the waiting
-// start-up, which waits at the origin, travels at unit speed to its
-// anchor, and zig-zags forever. Non-proportional schedules (the spacing
-// ablation) reuse this builder with their own designated turning
-// points.
-func RobotFromTurningPoint(cone geom.Cone, designated, threshold float64) (*trajectory.Trajectory, error) {
-	rb, err := newRobot(cone, designated, threshold, StartupWait)
-	if err != nil {
-		return nil, err
-	}
-	return rb.build()
+	var buf [2]geom.Segment
+	return trajectory.New(rb.AppendLegs(buf[:0]), &rb.Tail)
 }
 
 // appendStartupLegs appends the Definition-4 prefix for a robot whose
@@ -240,7 +249,8 @@ func appendSlowStartLegs(dst []geom.Segment, cone geom.Cone, x float64) []geom.S
 // Beta returns the cone slope.
 func (s *Schedule) Beta() float64 { return s.beta }
 
-// Ratio returns the proportionality ratio r of Lemma 2.
+// Ratio returns the proportionality ratio r of Lemma 2, 0 for the
+// uniform spacing.
 func (s *Schedule) Ratio() float64 { return s.r }
 
 // Cone returns the confining cone C_beta.

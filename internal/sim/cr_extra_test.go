@@ -1,10 +1,11 @@
-package sim
+package sim_test
 
 import (
 	"math"
 	"testing"
 
 	"linesearch/internal/analysis"
+	"linesearch/internal/compiled"
 	"linesearch/internal/numeric"
 	"linesearch/internal/strategy"
 )
@@ -13,9 +14,9 @@ import (
 // including the witness, must not depend on the worker count.
 func TestEmpiricalCRDeterministicAcrossParallelism(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 5, 3)
-	var base CRResult
+	var base compiled.CRResult
 	for i, workers := range []int{1, 2, 3, 8, 64} {
-		res, err := p.EmpiricalCR(CROptions{Parallelism: workers})
+		res, err := empiricalCR(p, compiled.CROptions{Parallelism: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -31,7 +32,7 @@ func TestEmpiricalCRDeterministicAcrossParallelism(t *testing.T) {
 
 func TestEmpiricalCRParallelismValidation(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	if _, err := p.EmpiricalCR(CROptions{Parallelism: -2}); err == nil {
+	if _, err := empiricalCR(p, compiled.CROptions{Parallelism: -2}); err == nil {
 		t.Error("negative parallelism accepted")
 	}
 }
@@ -45,7 +46,7 @@ func TestEmpiricalCRScaledPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.EmpiricalCR(CROptions{XMin: dmin, XMax: dmin * 1000})
+	res, err := empiricalCR(p, compiled.CROptions{XMin: dmin, XMax: dmin * 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +60,10 @@ func TestEmpiricalCRScaledPlan(t *testing.T) {
 
 func TestEmpiricalCRXMinValidation(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	if _, err := p.EmpiricalCR(CROptions{XMin: -1, XMax: 10}); err == nil {
+	if _, err := empiricalCR(p, compiled.CROptions{XMin: -1, XMax: 10}); err == nil {
 		t.Error("negative XMin accepted")
 	}
-	if _, err := p.EmpiricalCR(CROptions{XMin: 5, XMax: 5}); err == nil {
+	if _, err := empiricalCR(p, compiled.CROptions{XMin: 5, XMax: 5}); err == nil {
 		t.Error("XMax == XMin accepted")
 	}
 }
@@ -72,9 +73,9 @@ func TestEmpiricalCRXMinValidation(t *testing.T) {
 // the search window covers.
 func TestEmpiricalCRStableAcrossWindow(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	var base CRResult
+	var base compiled.CRResult
 	for i, xmax := range []float64{100, 1000, 1e4, 1e5} {
-		res, err := p.EmpiricalCR(CROptions{XMax: xmax})
+		res, err := empiricalCR(p, compiled.CROptions{XMax: xmax})
 		if err != nil {
 			t.Fatalf("xmax=%v: %v", xmax, err)
 		}

@@ -1,14 +1,39 @@
-package sim
+package sim_test
 
 import (
-	"context"
 	"math"
 	"testing"
 
 	"linesearch/internal/analysis"
+	"linesearch/internal/compiled"
 	"linesearch/internal/numeric"
+	"linesearch/internal/sim"
 	"linesearch/internal/strategy"
 )
+
+// The competitive ratio is measured by the compiled kernel alone;
+// internal/compiled's TestCRMatchesSim pins it bit for bit to the
+// search over this package's trajectories and SearchTime. These tests
+// hold the measurement of the exact engine's plans to the paper.
+
+func mustPlan(t *testing.T, st strategy.Strategy, n, f int) *sim.Plan {
+	t.Helper()
+	p, err := sim.FromStrategy(st, n, f)
+	if err != nil {
+		t.Fatalf("FromStrategy(%s, %d, %d): %v", st.Name(), n, f, err)
+	}
+	return p
+}
+
+// empiricalCR measures p's competitive ratio over targets with
+// XMin <= |x| <= XMax through its compiled kernel.
+func empiricalCR(p *sim.Plan, opts compiled.CROptions) (compiled.CRResult, error) {
+	cp, err := compiled.Compile(p)
+	if err != nil {
+		return compiled.CRResult{}, err
+	}
+	return cp.CR(opts)
+}
 
 // TestEmpiricalCRMatchesTheorem1 is experiment E6: for every
 // proportional pair of Table 1, the measured competitive ratio of the
@@ -22,7 +47,7 @@ func TestEmpiricalCRMatchesTheorem1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.EmpiricalCR(CROptions{XMax: 2000})
+		res, err := empiricalCR(p, compiled.CROptions{XMax: 2000})
 		if err != nil {
 			t.Fatalf("(%d,%d): EmpiricalCR: %v", n, f, err)
 		}
@@ -41,7 +66,7 @@ func TestEmpiricalCRNeverExceedsTheorem1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.EmpiricalCR(CROptions{XMax: 1e5, GridPoints: 8192})
+	res, err := empiricalCR(p, compiled.CROptions{XMax: 1e5, GridPoints: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +80,7 @@ func TestEmpiricalCRNeverExceedsTheorem1(t *testing.T) {
 
 func TestEmpiricalCRTwoGroupIsOne(t *testing.T) {
 	p := mustPlan(t, strategy.TwoGroup{}, 6, 2)
-	res, err := p.EmpiricalCR(CROptions{XMax: 100})
+	res, err := empiricalCR(p, compiled.CROptions{XMax: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +92,7 @@ func TestEmpiricalCRTwoGroupIsOne(t *testing.T) {
 func TestEmpiricalCRDoublingIsNine(t *testing.T) {
 	for _, pair := range [][2]int{{1, 0}, {3, 1}, {5, 3}} {
 		p := mustPlan(t, strategy.Doubling{}, pair[0], pair[1])
-		res, err := p.EmpiricalCR(CROptions{XMax: 1e4})
+		res, err := empiricalCR(p, compiled.CROptions{XMax: 1e4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +109,11 @@ func TestProportionalBeatsDoubling(t *testing.T) {
 		n, f := pair[0], pair[1]
 		prop := mustPlan(t, strategy.Proportional{}, n, f)
 		dbl := mustPlan(t, strategy.Doubling{}, n, f)
-		propRes, err := prop.EmpiricalCR(CROptions{})
+		propRes, err := empiricalCR(prop, compiled.CROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dblRes, err := dbl.EmpiricalCR(CROptions{})
+		dblRes, err := empiricalCR(dbl, compiled.CROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +131,7 @@ func TestSuboptimalBetaIsWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := mustPlan(t, strategy.Proportional{}, n, f).EmpiricalCR(CROptions{})
+	best, err := empiricalCR(mustPlan(t, strategy.Proportional{}, n, f), compiled.CROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +140,7 @@ func TestSuboptimalBetaIsWorse(t *testing.T) {
 	}
 	for _, beta := range []float64{1.2, 1.4, 2, 3, 10} {
 		p := mustPlan(t, strategy.Cone{Beta: beta}, n, f)
-		res, err := p.EmpiricalCR(CROptions{})
+		res, err := empiricalCR(p, compiled.CROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,20 +160,20 @@ func TestSuboptimalBetaIsWorse(t *testing.T) {
 
 func TestEmpiricalCROptionsValidation(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	if _, err := p.EmpiricalCR(CROptions{XMax: 0.5}); err == nil {
+	if _, err := empiricalCR(p, compiled.CROptions{XMax: 0.5}); err == nil {
 		t.Error("XMax <= 1 accepted")
 	}
-	if _, err := p.EmpiricalCR(CROptions{GridPoints: 1}); err == nil {
+	if _, err := empiricalCR(p, compiled.CROptions{GridPoints: 1}); err == nil {
 		t.Error("GridPoints < 2 accepted")
 	}
-	if _, err := p.EmpiricalCR(CROptions{Eps: 2}); err == nil {
+	if _, err := empiricalCR(p, compiled.CROptions{Eps: 2}); err == nil {
 		t.Error("Eps >= 1 accepted")
 	}
 }
 
 func TestEmpiricalCRReportsWitness(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	res, err := p.EmpiricalCR(CROptions{})
+	res, err := empiricalCR(p, compiled.CROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,36 +212,21 @@ func TestRatioDecreasesBetweenTurningPoints(t *testing.T) {
 	}
 }
 
-// EmpiricalCR measures the plan's competitive ratio over targets with
-// XMin <= |x| <= XMax by direct evaluation. By Lemma 3 the ratio
-// function is decreasing between turning points and jumps upward just
-// past them, so the supremum is attained in the right-limit at turning
-// points; the search therefore evaluates just beyond every trajectory
-// corner on both half lines, plus a geometric safety grid. Candidates
-// are evaluated by a worker pool (CROptions.Parallelism); the result is
-// deterministic: the first candidate in generation order achieving the
-// supremum is the witness. This is the test oracle for
-// compiled.Plan.CR, which every production caller uses.
-func (p *Plan) EmpiricalCR(opts CROptions) (CRResult, error) {
-	opts = opts.WithDefaults()
-	candidates, err := p.CRCandidates(opts)
+func TestWithTurnCostEmpiricalCRExceedsBase(t *testing.T) {
+	p := mustPlan(t, strategy.Proportional{}, 3, 1)
+	base, err := empiricalCR(p, compiled.CROptions{XMax: 200})
 	if err != nil {
-		return CRResult{}, err
+		t.Fatal(err)
 	}
-
-	ratios := make([]float64, len(candidates))
-	// Evaluating a candidate cannot fail, so ForEach returns nil.
-	_ = numeric.ForEach(context.Background(), len(candidates), opts.Parallelism, func(_, i int) error {
-		ratios[i] = p.SearchTime(candidates[i]) / math.Abs(candidates[i])
-		return nil
-	})
-
-	res := CRResult{Sup: math.Inf(-1), Candidates: len(candidates)}
-	for i, r := range ratios {
-		if r > res.Sup {
-			res.Sup = r
-			res.ArgX = candidates[i]
-		}
+	derived, err := p.WithTurnCost(2, 4e4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return res, nil
+	costly, err := empiricalCR(derived, compiled.CROptions{XMax: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if costly.Sup <= base.Sup {
+		t.Errorf("turn-cost CR %v not above base %v", costly.Sup, base.Sup)
+	}
 }

@@ -4,12 +4,12 @@
 // DetectionRank-th distinct robot — the adversary makes the earliest
 // visitors faulty, and Byzantine detection additionally waits for
 // enough truthful confirmations to outvote possible liars), detection
-// times under concrete fault assignments, the competitive-ratio
-// candidate targets, full event timelines including false claims, and
-// the exact expected detection time under per-visit detection failures
-// (the p-faulty model of arXiv:2002.07797). Production measures the
-// competitive ratio through internal/compiled over this package's
-// CRCandidates; the direct EmpiricalCR reference lives in the tests.
+// times under concrete fault assignments, full event timelines
+// including false claims, and the exact expected detection time under
+// per-visit detection failures (the p-faulty model of arXiv:2002.07797).
+// The competitive ratio is measured by internal/compiled alone, over
+// the kernel's own corner walk; the search over this package's
+// trajectories and SearchTime is its test oracle.
 //
 // Nothing here is time-stepped; every quantity comes from the
 // trajectories' closed-form visit queries, so results are exact up to
@@ -124,11 +124,6 @@ func (p *Plan) F() int { return p.model.F }
 // Model returns the plan's fault model.
 func (p *Plan) Model() fault.Model { return p.model }
 
-// DetectionRank returns the distinct-visitor rank at which detection is
-// guaranteed in the worst case: f+1 in the crash model, f + votes in
-// the Byzantine model (2f+1 at the default threshold).
-func (p *Plan) DetectionRank() int { return p.model.DetectionRank() }
-
 // Trajectories returns the robots' trajectories, indexed by robot.
 func (p *Plan) Trajectories() []*trajectory.Trajectory {
 	return append([]*trajectory.Trajectory(nil), p.trajs...)
@@ -194,7 +189,7 @@ func sortVisits(visits []Visit) {
 
 // KthDistinctVisit returns the time of the k-th distinct robot's first
 // visit to x (+Inf if fewer than k robots ever visit). SearchTime(x) is
-// KthDistinctVisit(x, DetectionRank()).
+// KthDistinctVisit(x, Model().DetectionRank()).
 func (p *Plan) KthDistinctVisit(x float64, k int) (float64, error) {
 	// Validate k before any trajectory queries: an out-of-range k must
 	// not pay for (or be masked by) n first-visit computations.
@@ -279,4 +274,26 @@ func (p *Plan) Ratio(x float64) (float64, error) {
 		return 0, fmt.Errorf("sim: ratio undefined at the origin")
 	}
 	return p.SearchTime(x) / math.Abs(x), nil
+}
+
+// VisitorsBy returns how many distinct robots have visited position x
+// by time t (inclusive). The target at x is guaranteed found by time t
+// exactly when this count reaches f+1 — the set of such (x, t) pairs is
+// the "tower" region of Figure 4.
+func (p *Plan) VisitorsBy(x, t float64) int {
+	count := 0
+	for _, tr := range p.trajs {
+		if ft, ok := tr.FirstVisit(x); ok && ft <= t {
+			count++
+		}
+	}
+	return count
+}
+
+// Covered reports whether a target at x is guaranteed detected by time
+// t under any fault assignment the plan's model allows: the distinct
+// visitor count must reach the detection rank (f+1 crash, f+votes
+// Byzantine).
+func (p *Plan) Covered(x, t float64) bool {
+	return p.VisitorsBy(x, t) >= p.model.DetectionRank()
 }

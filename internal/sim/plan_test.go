@@ -22,6 +22,23 @@ func mustPlan(t *testing.T, st strategy.Strategy, n, f int) *Plan {
 	return p
 }
 
+// TestFromStrategyAllocs pins the allocations of building A(1001, 500)
+// from trajectories: per robot its trajectory and the legs
+// trajectory.New copies (the start-up legs are appended to a stack
+// buffer), then the schedule, its robots, the trajectory slice, the
+// plan and the plan's copy of that slice.
+func TestFromStrategyAllocs(t *testing.T) {
+	const n = 1001
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := FromStrategy(strategy.Proportional{}, n, n/2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(2*n + 5); allocs != want {
+		t.Errorf("FromStrategy(proportional, %d, %d) allocates %v times, want %v", n, n/2, allocs, want)
+	}
+}
+
 func TestNewPlanValidation(t *testing.T) {
 	if _, err := NewPlanModel(nil, fault.CrashModel(0)); err == nil {
 		t.Error("empty plan accepted")

@@ -12,7 +12,7 @@ import (
 // cost time units at each direction reversal — the turn-cost model of
 // Demaine, Fekete and Gal ("Online searching with turn cost", cited as
 // [19] in the paper), applied to parallel faulty search. All existing
-// queries (SearchTime, CRCandidates, Timeline, ...) work on the derived
+// queries (SearchTime, Timeline, ...) work on the derived
 // plan unchanged.
 //
 // Because the pauses break the self-similar structure of the analytic

@@ -74,25 +74,6 @@ func TestWithTurnCostMonotoneInCost(t *testing.T) {
 	}
 }
 
-func TestWithTurnCostEmpiricalCRExceedsBase(t *testing.T) {
-	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	base, err := p.EmpiricalCR(CROptions{XMax: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	derived, err := p.WithTurnCost(2, 4e4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	costly, err := derived.EmpiricalCR(CROptions{XMax: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if costly.Sup <= base.Sup {
-		t.Errorf("turn-cost CR %v not above base %v", costly.Sup, base.Sup)
-	}
-}
-
 func TestTurnsBefore(t *testing.T) {
 	p := mustPlan(t, strategy.Doubling{}, 1, 0)
 	// Doubling robot turns at t = 3 (x=1), 6 (x=-2), 12 (x=4), 24 (x=-8).

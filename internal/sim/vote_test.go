@@ -31,7 +31,7 @@ func TestByzantineSearchTimeIsRankVisit(t *testing.T) {
 	// distinct visit — the crash plan over the same trajectories at
 	// budget 2.
 	p := byzantinePlan(t, strategy.Proportional{}, 5, 2, 1)
-	if got := p.DetectionRank(); got != 3 {
+	if got := p.Model().DetectionRank(); got != 3 {
 		t.Fatalf("DetectionRank = %d, want 3", got)
 	}
 	crash, err := NewPlanModel(p.Trajectories(), fault.CrashModel(2))
@@ -248,7 +248,7 @@ func TestFromStrategyUsesModeller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Model().Kind != fault.ModelByzantine || p.F() != 1 || p.DetectionRank() != 3 {
+	if p.Model().Kind != fault.ModelByzantine || p.F() != 1 || p.Model().DetectionRank() != 3 {
 		t.Errorf("FromStrategy(byzantine, 5, 1) model = %s", p.Model())
 	}
 	// And the reduction holds end to end: the Byzantine plan's worst
@@ -270,7 +270,7 @@ func TestWithFaultBudgetPreservesModelFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Model().Kind != fault.ModelByzantine || q.F() != 1 || q.DetectionRank() != 3 {
+	if q.Model().Kind != fault.ModelByzantine || q.F() != 1 || q.Model().DetectionRank() != 3 {
 		t.Errorf("WithFaultBudget drifted: %s", q.Model())
 	}
 }

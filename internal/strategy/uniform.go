@@ -2,7 +2,6 @@ package strategy
 
 import (
 	"fmt"
-	"math"
 
 	"linesearch/internal/analysis"
 	"linesearch/internal/geom"
@@ -36,37 +35,32 @@ func (u UniformCone) Description() string {
 	return fmt.Sprintf("ablation: uniformly spaced turning points in cone C_%g (not proportional)", u.Beta)
 }
 
+var _ Scheduler = UniformCone{}
+
 // Build implements Strategy.
 func (u UniformCone) Build(n, f int) ([]*trajectory.Trajectory, error) {
+	return trajectories(u.Schedule(n, f))
+}
+
+// Schedule implements Scheduler: schedule.NewUniform's robots, which
+// start like a proportional schedule's and differ only in their
+// designated turning points.
+func (u UniformCone) Schedule(n, f int) (*schedule.Schedule, bool, error) {
 	if err := analysis.ValidateProportional(n, f); err != nil {
-		return nil, err
+		return nil, true, err
 	}
 	if !(u.Beta > 1) {
-		return nil, fmt.Errorf("strategy: uniform cone requires beta > 1, got %g", u.Beta)
+		return nil, true, fmt.Errorf("strategy: uniform cone requires beta > 1, got %g", u.Beta)
 	}
-	dmin := minDistance(u.MinDistance)
-	kappa := (u.Beta + 1) / (u.Beta - 1)
-	period := kappa * kappa
 	cone, err := geom.NewCone(u.Beta)
 	if err != nil {
-		return nil, err
+		return nil, true, err
 	}
-	trajs := make([]*trajectory.Trajectory, 0, n)
-	for i := 0; i < n; i++ {
-		// Designated turning points dmin * (1 + i*(kappa^2-1)/n) sit in
-		// [dmin, dmin*kappa^2): one per robot per period, evenly spaced.
-		designated := dmin * (1 + float64(i)*(period-1)/float64(n))
-		threshold := dmin
-		if i == 0 {
-			threshold = math.Nextafter(dmin, math.Inf(1))
-		}
-		tr, err := schedule.RobotFromTurningPoint(cone, designated, threshold)
-		if err != nil {
-			return nil, fmt.Errorf("strategy: uniform robot %d: %w", i, err)
-		}
-		trajs = append(trajs, tr)
+	s, err := schedule.NewUniform(n, f, cone, minDistance(u.MinDistance))
+	if err != nil {
+		return nil, true, fmt.Errorf("strategy: uniform %w", err)
 	}
-	return trajs, nil
+	return s, true, nil
 }
 
 // AnalyticCR implements Strategy: no closed form is known for the

@@ -137,12 +137,11 @@ func (c *Cell) stampAxes(p CellParams) {
 	}
 }
 
-// EvalCell is the production evaluator: resolve the strategy, realise
-// its plan, compile it, measure the empirical competitive ratio over
-// the spec's target range through the compiled kernel (identical
-// candidates and result as the direct search over sim.Plan.SearchTime,
-// no per-target allocation), and cross-check against the strategy's
-// closed form.
+// EvalCell is the production evaluator: resolve the strategy, build
+// its kernel, measure the empirical competitive ratio over the spec's
+// target range through it (no per-target allocation), and cross-check
+// against the strategy's closed form. Only a cell with an expected-time
+// part builds the exact engine's sim.Plan.
 func EvalCell(ctx context.Context, p CellParams) Cell {
 	if err := faultpoint.Hit(fpSweepEval); err != nil {
 		return failedCell(p, err)
@@ -154,13 +153,9 @@ func EvalCell(ctx context.Context, p CellParams) Cell {
 		return failedCell(p, err)
 	}
 	planSpan.SetStr("resolved", st.Name())
-	plan, err := sim.FromStrategy(st, p.N, p.F)
 	planSpan.End()
-	if err != nil {
-		return failedCell(p, err)
-	}
 	_, compileSpan := telemetry.StartSpan(ctx, "cell.compile")
-	kernel, err := compiled.Compile(plan)
+	kernel, err := compiled.FromStrategy(st, p.N, p.F)
 	compileSpan.End()
 	if err != nil {
 		return failedCell(p, err)
@@ -170,7 +165,7 @@ func EvalCell(ctx context.Context, p CellParams) Cell {
 	}
 	_, crSpan := telemetry.StartSpan(ctx, "cell.cr")
 	crSpan.SetInt("grid_points", int64(p.GridPoints))
-	res, err := kernel.CR(plan, sim.CROptions{
+	res, err := kernel.CR(compiled.CROptions{
 		XMin:       p.XMin,
 		XMax:       p.XMax,
 		GridPoints: p.GridPoints,
@@ -197,7 +192,7 @@ func EvalCell(ctx context.Context, p CellParams) Cell {
 		Candidates: res.Candidates,
 	}
 	if p.FaultModel != "" {
-		cell.DetectionRank = plan.DetectionRank()
+		cell.DetectionRank = kernel.Model().DetectionRank()
 	}
 	if !math.IsNaN(res.Sup) && !math.IsInf(res.Sup, 0) {
 		cell.EmpiricalCR = &res.Sup
@@ -210,7 +205,11 @@ func EvalCell(ctx context.Context, p CellParams) Cell {
 		}
 	}
 	cell.stampAxes(p)
-	if p.HasP || len(p.Speeds) > 0 || plan.Model().Kind == fault.ModelPFaulty {
+	if p.HasP || len(p.Speeds) > 0 || kernel.Model().Kind == fault.ModelPFaulty {
+		plan, err := sim.FromStrategy(st, p.N, p.F)
+		if err != nil {
+			return failedCell(p, err)
+		}
 		if err := evalExpected(ctx, plan, p, &cell); err != nil {
 			return failedCell(p, err)
 		}

@@ -55,21 +55,20 @@ import (
 // At construction the plan is compiled (internal/compiled): every
 // robot's finite part is flattened into binary-searchable corner
 // arrays, and its zig-zag turns come from one power table per cone.
-// Zig-zag schedules (proportional, cone:<beta> and the Byzantine rule
-// over either) compile straight from their closed form, with no
-// trajectory built. All visit-time queries — SearchTime, KthVisitTime,
-// SearchTimes, MeasureCR — and the plan's geometry — TurningPoints and
-// WalkTurningPoints — run through that allocation-free kernel. The
-// exact closed-form engine (internal/sim) evaluates event timelines,
-// positions, speeds, fault analysis, the expected-time series and the
-// measured CR's candidates, and remains the reference for the
-// differential tests; a Searcher builds its sim.Plan on the first such
-// question.
+// Zig-zag schedules (proportional, cone:<beta>, uniform:<beta> and the
+// Byzantine rule over any of them) compile straight from their closed
+// form, with no trajectory built. All visit-time queries — SearchTime,
+// KthVisitTime, SearchTimes, MeasureCR, VerifyLowerBound — and the
+// plan's geometry — TurningPoints and WalkTurningPoints — run through
+// that allocation-free kernel. The exact closed-form engine
+// (internal/sim) evaluates event timelines, positions, speeds, fault
+// analysis and the expected-time series, and remains the reference for
+// the differential tests; a Searcher builds its sim.Plan on the first
+// such question.
 type Searcher struct {
 	n, f        int
 	minDistance float64
 	st          strategy.Strategy
-	model       fault.Model
 	kernel      *compiled.Plan
 	// plan is the exact engine's plan, built once by simPlan.
 	planOnce sync.Once
@@ -104,26 +103,11 @@ func NewWithStrategy(name string, n, f int) (*Searcher, error) {
 }
 
 func newSearcher(st strategy.Strategy, n, f int) (*Searcher, error) {
-	s := &Searcher{n: n, f: f, minDistance: 1, st: st}
-	sched, model, ok, err := sim.Schedule(st, n, f)
+	kernel, err := compiled.FromStrategy(st, n, f)
 	if err != nil {
 		return nil, err
 	}
-	if ok {
-		s.model, s.kernel = model, compiled.CompileSchedule(sched, model)
-		return s, nil
-	}
-	plan, err := sim.FromStrategy(st, n, f)
-	if err != nil {
-		return nil, err
-	}
-	if s.kernel, err = compiled.Compile(plan); err != nil {
-		return nil, fmt.Errorf("linesearch: compiling %s(%d, %d): %w", st.Name(), n, f, err)
-	}
-	// The exact engine's plan is built already: spend the once on it.
-	s.model, s.plan = plan.Model(), plan
-	s.planOnce.Do(func() {})
-	return s, nil
+	return &Searcher{n: n, f: f, minDistance: 1, st: st, kernel: kernel}, nil
 }
 
 // simPlan returns the plan of the exact engine, building it on first
@@ -152,16 +136,16 @@ func (s *Searcher) Strategy() string { return s.st.Name() }
 // FaultModel returns the fault model the plan detects under: "crash"
 // (the paper's model) or "byzantine" (silent or lying faulty robots,
 // detection by vote).
-func (s *Searcher) FaultModel() string { return s.model.Kind.String() }
+func (s *Searcher) FaultModel() string { return s.kernel.Model().Kind.String() }
 
 // Votes returns the number of distinct truthful confirmations the
 // plan's detection rule waits for: 1 in the crash model, f+1 under the
 // Byzantine model unless an explicit threshold was configured.
-func (s *Searcher) Votes() int { return s.model.VotesRequired() }
+func (s *Searcher) Votes() int { return s.kernel.Model().VotesRequired() }
 
 // DetectionRank returns the distinct-visitor rank detection fires at:
 // f + Votes(). SearchTime(x) equals KthVisitTime(x, DetectionRank()).
-func (s *Searcher) DetectionRank() int { return s.model.DetectionRank() }
+func (s *Searcher) DetectionRank() int { return s.kernel.Model().DetectionRank() }
 
 // MinDistance returns the minimal target distance the searcher was
 // built for (1 unless configured with WithMinDistance).
@@ -242,7 +226,7 @@ func (s *Searcher) SearchTimeWithSpeeds(x float64, speeds []float64) (float64, e
 	// per-robot first-visit times; speed only rescales each robot's
 	// clock, so the statistic survives the scaling directly.
 	visits := s.simPlan().FirstVisitsAtSpeeds(x, sp)
-	rank := s.model.DetectionRank()
+	rank := s.kernel.Model().DetectionRank()
 	if len(visits) < rank {
 		return math.Inf(1), nil
 	}
@@ -272,7 +256,7 @@ func (s *Searcher) ExpectedSearchTime(x, p float64, speeds []float64) (float64, 
 	if err != nil {
 		return 0, err
 	}
-	m := s.model
+	m := s.kernel.Model()
 	if m.VotesRequired() > 1 {
 		return 0, fmt.Errorf("linesearch: the expected-time objective requires the crash detection rule, not %s voting", m.Kind)
 	}
@@ -451,12 +435,12 @@ func (s *Searcher) CompetitiveRatio() (float64, error) {
 }
 
 // MeasureCR measures the competitive ratio empirically by evaluating the
-// worst-case ratio at every trajectory turning point (where the supremum
+// worst-case ratio just past every turning point (where the supremum
 // is attained) plus a dense grid, over targets with
 // MinDistance <= |x| <= 1e4 * MinDistance. It returns the supremum and a
 // witness target position.
 func (s *Searcher) MeasureCR() (sup, witness float64, err error) {
-	res, err := s.kernel.CR(s.simPlan(), sim.CROptions{XMin: s.minDistance})
+	res, err := s.kernel.CR(compiled.CROptions{XMin: s.minDistance})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -505,7 +489,7 @@ func (s *Searcher) TimelineFaults(x float64, silent, liars []int, tmax float64) 
 	if err := s.checkTimeline(x, tmax); err != nil {
 		return nil, err
 	}
-	m := s.model
+	m := s.kernel.Model()
 	if len(liars) > 0 && !m.Admits(fault.ByzantineLiar) {
 		return nil, fmt.Errorf("linesearch: lying robots need the byzantine fault model, plan uses %s", m)
 	}
@@ -613,7 +597,7 @@ func (s *Searcher) trial(seed int64, idx int) (float64, error) {
 	if rng.Intn(2) == 0 {
 		x = -x
 	}
-	m := s.model
+	m := s.kernel.Model()
 	set := make(fault.Set, s.n)
 	for _, i := range rng.Perm(s.n)[:m.F] {
 		kind := m.WorstKind()
@@ -634,11 +618,8 @@ func (s *Searcher) trial(seed int64, idx int) (float64, error) {
 // plan suffers on the adversarial target ladder (always >= alpha when
 // n < 2f+2). It errors for plans outside the theorem's hypothesis.
 func (s *Searcher) VerifyLowerBound() (alpha, ratio float64, err error) {
-	res, err := adversary.VerifyTheorem2(s.simPlan())
-	if err != nil {
-		return res.Alpha, res.Ratio, err
-	}
-	return res.Alpha, res.Ratio, nil
+	res, err := adversary.VerifyTheorem2(s.kernel)
+	return res.Alpha, res.Ratio, err
 }
 
 // Formats of the error for a robot index listed twice: once in a
@@ -652,7 +633,7 @@ const (
 // the plan's worst faulty kind and every other robot is reliable.
 func (s *Searcher) faultSet(faulty []int) (fault.Set, error) {
 	set := make(fault.Set, s.n)
-	if err := s.markFaulty(set, faulty, s.model.WorstKind(), errDuplicateFaulty); err != nil {
+	if err := s.markFaulty(set, faulty, s.kernel.Model().WorstKind(), errDuplicateFaulty); err != nil {
 		return nil, err
 	}
 	return set, nil
