@@ -11,7 +11,8 @@ import (
 )
 
 // goldenRequests covers every GET op under both fault models (the
-// Byzantine one with and without an explicit vote threshold), /v1/plan
+// Byzantine one with and without an explicit vote threshold), searchtime
+// at non-unit speeds, /v1/plan
 // at the default horizon (implicit and spelled out) and at explicit
 // ones, a few rejected queries, and one mixed batch. The batch comes
 // after the GETs, so its plan items embed answers for keys the GETs
@@ -53,6 +54,12 @@ var goldenRequests = []struct{ method, target, body string }{
 	{"GET", "/v1/searchtime?n=3&f=1&x=7.5&objective=expected&p=0.25", ""},
 	{"GET", "/v1/searchtime?n=5&f=1&x=7&model=byzantine", ""},
 	{"GET", "/v1/searchtime?n=5&f=1&x=7&model=byzantine&votes=3", ""},
+	// Speeds: one broadcast entry, a full vector that reorders the
+	// arrivals (robot 2 overtakes robot 1), and a vector on a fleet
+	// whose first visits tie.
+	{"GET", "/v1/searchtime?n=3&f=1&x=7.5&speeds=2", ""},
+	{"GET", "/v1/searchtime?n=3&f=1&x=7.5&speeds=1,0.25,4", ""},
+	{"GET", "/v1/searchtime?n=4&f=1&strategy=twogroup&x=-3&speeds=0.5,4,2,2", ""},
 	{"GET", "/v1/searchtimes?n=5&f=2&xs=1,-2,3.5,40", ""},
 	{"GET", "/v1/searchtimes?n=5&f=1&xs=1,-2,3.5&model=byzantine&votes=3", ""},
 	// Targets whose tokens are not the form encoding/json writes, so
@@ -65,6 +72,10 @@ var goldenRequests = []struct{ method, target, body string }{
 	{"GET", "/v1/timeline?n=3&f=1&x=2&faulty=0", ""},
 	{"GET", "/v1/timeline?n=5&f=1&x=7&model=byzantine&liars=0&tmax=500", ""},
 	{"GET", "/v1/timeline?n=5&f=1&x=-3&model=byzantine&votes=3", ""},
+	// The adversary's default fault set on crash fleets whose first
+	// visits tie: the earliest visitor of lowest index is corrupted.
+	{"GET", "/v1/timeline?n=4&f=1&strategy=twogroup&x=3", ""},
+	{"GET", "/v1/timeline?n=4&f=1&strategy=doubling&x=3", ""},
 	{"GET", "/v1/lowerbound?n=5&f=2", ""},
 	{"GET", "/v1/lowerbound?n=11&f=5", ""},
 	{"GET", "/v1/lowerbound?n=2&f=2", ""},
