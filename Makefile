@@ -101,7 +101,10 @@ obs-smoke:
 bench-paper:
 	$(GO) test -bench . -benchmem .
 
-# Short fuzzing smoke: the public SearchTime entry point, plan answers
+# Short fuzzing smoke: the public SearchTime entry point, the fault
+# questions the kernel's first visits answer (detection under a fault
+# list, the adversary's fault set, a fleet at other speeds, positions)
+# against their oracles over the exact engine, plan answers
 # (the kernel's turning-point walk against the segment walk over the
 # sim trajectories, and the written answer against encoding/json), the
 # zig-zag tail's closed-form first visit against the segment walk, the
@@ -121,6 +124,7 @@ bench-paper:
 # POST).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSearchTime -fuzztime 30s -fuzzminimizetime 5s .
+	$(GO) test -run '^$$' -fuzz FuzzFaultQuestions -fuzztime 30s -fuzzminimizetime 5s .
 	$(GO) test -run '^$$' -fuzz FuzzPlanBody -fuzztime 30s -fuzzminimizetime 5s .
 	$(GO) test -run '^$$' -fuzz FuzzZigZagFirstVisit -fuzztime 30s -fuzzminimizetime 5s ./internal/trajectory
 	$(GO) test -run '^$$' -fuzz FuzzImplicitTail -fuzztime 30s -fuzzminimizetime 5s ./internal/compiled

@@ -54,13 +54,13 @@ func TestSearcherConcurrentUse(t *testing.T) {
 }
 
 // lazyAnswers are a Searcher's answers to the questions the exact
-// engine's plan answers, which a scheduled Searcher builds on first use.
+// engine's plan answers, which a Searcher builds on first use: the
+// expected-time series and the event timelines.
 type lazyAnswers struct {
-	Detect, Speeds, Expected float64
-	ExpectedErr              string
-	Worst                    []int
-	Timeline                 []Event
-	Positions                []float64
+	Expected    float64
+	ExpectedErr string
+	Timeline    []Event
+	Faults      []Event
 }
 
 // askLazy asks s each question of lazyAnswers once, starting with
@@ -69,16 +69,6 @@ type lazyAnswers struct {
 func askLazy(s *Searcher, first int) (lazyAnswers, error) {
 	var a lazyAnswers
 	questions := []func() error{
-		func() (err error) { a.Detect, err = s.DetectionTime(-7.25, []int{0}); return err },
-		func() error { a.Worst = s.WorstFaultSet(3.5); return nil },
-		func() (err error) {
-			speeds := make([]float64, s.N())
-			for i := range speeds {
-				speeds[i] = 1 + float64(i)/8
-			}
-			a.Speeds, err = s.SearchTimeWithSpeeds(11, speeds)
-			return err
-		},
 		func() error {
 			var err error
 			if a.Expected, err = s.ExpectedSearchTime(-4, 0.25, nil); err != nil {
@@ -87,7 +77,7 @@ func askLazy(s *Searcher, first int) (lazyAnswers, error) {
 			return nil
 		},
 		func() (err error) { a.Timeline, err = s.Timeline(2.5, []int{1}, 60); return err },
-		func() (err error) { a.Positions, err = s.Positions(9.5); return err },
+		func() (err error) { a.Faults, err = s.TimelineFaults(-7.25, []int{0}, nil, 80); return err },
 	}
 	for i := range questions {
 		if err := questions[(first+i)%len(questions)](); err != nil {
@@ -150,18 +140,29 @@ func TestLazyPlanConcurrentFirstUse(t *testing.T) {
 }
 
 // TestScheduledSearcherBuildsNoPlan checks that the kernel alone
-// answers the questions a scheduled Searcher is asked on the service's
-// hot path, its measured competitive ratio and the Theorem 2 game: no
-// exact-engine plan is built for them.
+// answers every question but the timelines and the expected-time
+// series: the service's hot path, the measured competitive ratio, the
+// Theorem 2 game, and the fault questions read from the kernel's first
+// visits (detection under a fault list, the adversary's fault set, a
+// fleet at other speeds, Monte Carlo trials and positions), whether the
+// kernel compiles from a schedule's closed form or from the
+// trajectories of twogroup, doubling and pfaulty. No exact-engine plan
+// is built for them.
 func TestScheduledSearcherBuildsNoPlan(t *testing.T) {
-	for _, opts := range [][]Option{
-		nil,
-		{WithStrategy("cone:3"), WithMinDistance(2)},
-		{WithFaultModel("byzantine"), WithStrategy("proportional")},
-		{WithStrategy("uniform:1.5")},
-		{WithStrategy("uniform:100"), WithMinDistance(1e-7)},
+	for _, tc := range []struct {
+		n, f int
+		opts []Option
+	}{
+		{5, 2, nil},
+		{5, 2, []Option{WithStrategy("cone:3"), WithMinDistance(2)}},
+		{5, 2, []Option{WithFaultModel("byzantine"), WithStrategy("proportional")}},
+		{5, 2, []Option{WithStrategy("uniform:1.5")}},
+		{5, 2, []Option{WithStrategy("uniform:100"), WithMinDistance(1e-7)}},
+		{6, 2, []Option{WithStrategy("twogroup")}},
+		{5, 2, []Option{WithStrategy("doubling")}},
+		{5, 2, []Option{WithStrategy("pfaulty")}},
 	} {
-		s, err := NewSearcher(5, 2, opts...)
+		s, err := NewSearcher(tc.n, tc.f, tc.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,14 +184,30 @@ func TestScheduledSearcherBuildsNoPlan(t *testing.T) {
 		if _, _, err := s.MeasureCR(); err != nil {
 			t.Fatal(err)
 		}
-		if s.FaultModel() == "crash" {
+		if s.FaultModel() == "crash" && s.Strategy() != "twogroup" && s.Strategy() != "pfaulty" {
 			if _, _, err := s.VerifyLowerBound(); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if _, err := s.DetectionTime(-7.25, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+		_ = s.WorstFaultSet(3.5)
+		if _, err := s.SearchTimeWithSpeeds(11, []float64{1, 1.125, 1.25, 1.375, 1.5, 1.625}[:s.N()]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SearchTimeWithSpeeds(11, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.MonteCarlo(20, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Positions(9.5); err != nil {
+			t.Fatal(err)
+		}
 		_, _, _ = s.FaultModel(), s.Votes(), s.DetectionRank()
 		if s.plan != nil {
-			t.Errorf("%s: answering from the kernel built a sim.Plan", s.Strategy())
+			t.Errorf("%s(%d, %d): answering from the kernel built a sim.Plan", s.Strategy(), tc.n, tc.f)
 		}
 	}
 }

@@ -62,6 +62,10 @@ func (o CROptions) validate() error {
 	if o.XMax <= o.XMin {
 		return fmt.Errorf("sim: CROptions.XMax (%g) must exceed XMin (%g)", o.XMax, o.XMin)
 	}
+	if math.IsInf(o.XMax, 1) {
+		// 1e4·XMin overflows past XMin ≈ 1.8e304; a search to +Inf takes minutes.
+		return fmt.Errorf("sim: CROptions.XMax must be finite, got %g", o.XMax)
+	}
 	if o.GridPoints < 2 {
 		return fmt.Errorf("sim: CROptions.GridPoints must be >= 2, got %d", o.GridPoints)
 	}

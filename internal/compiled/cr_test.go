@@ -143,6 +143,7 @@ func TestCRRejectsBadOptions(t *testing.T) {
 		{compiled.CROptions{Eps: 2}, "sim: CROptions.Eps must be in (0, 1), got 2"},
 		{compiled.CROptions{Parallelism: -2}, "sim: CROptions.Parallelism must be >= 1, got -2"},
 		{compiled.CROptions{XMax: math.NaN()}, "sim: no evaluable targets in [1, NaN]"},
+		{compiled.CROptions{XMin: 7e307}, "sim: CROptions.XMax must be finite, got +Inf"},
 	} {
 		if _, err := cp.CR(c.opts); fmt.Sprint(err) != c.want {
 			t.Errorf("CR(%+v) error %v, want %s", c.opts, err, c.want)

@@ -64,9 +64,11 @@ func stepWorld(t *testing.T, plan *sim.Plan, tmax float64) *stepEngine {
 // compiled kernel, the exact closed-form engine (internal/sim) and the
 // independent discrete-time engine (stepsim_test.go) must agree to
 // 1e-9. Every k of KthDistinctVisit is cross-checked between compiled
-// and sim as well, and so is sim.Plan.DetectionTime: under a random
-// crash set against stepsim's earliest reliable visitor, and under the
-// worst-case assignment against the compiled search time.
+// and sim as well. Plan.FirstVisits must return every robot's sim
+// first visit bit for bit, and the detection time read from it must
+// agree under a random crash set with stepsim's earliest reliable
+// visitor, and under sim's worst-case assignment (the f earliest
+// visitors crash) with the compiled search time.
 func TestDifferentialCompiledSimStepsim(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	// Crash sets draw from their own stream so the case sequence above
@@ -104,6 +106,31 @@ func TestDifferentialCompiledSimStepsim(t *testing.T) {
 
 			tSim := plan.SearchTime(x)
 			tCompiled := cp.SearchTime(x)
+			firsts := cp.FirstVisits(x, nil)
+			want := make([]float64, n)
+			for r := range want {
+				want[r] = math.Inf(1)
+			}
+			simVisits := plan.FirstVisits(x)
+			for _, v := range simVisits {
+				want[v.Robot] = v.T
+			}
+			for r := range want {
+				if math.Float64bits(firsts[r]) != math.Float64bits(want[r]) {
+					t.Fatalf("%s robot %d: FirstVisits %v vs sim %v", label, r, firsts[r], want[r])
+				}
+			}
+			// earliestReliable is the detection time under a crash set:
+			// the first visit of a robot outside it.
+			earliestReliable := func(set fault.Set) float64 {
+				first := math.Inf(1)
+				for r, ft := range firsts {
+					if set[r] == fault.Reliable {
+						first = math.Min(first, ft)
+					}
+				}
+				return first
+			}
 			if e := relErr(tSim, tCompiled); e > diffTol {
 				t.Fatalf("%s: compiled %v vs sim %v (rel err %g)", label, tCompiled, tSim, e)
 			}
@@ -138,10 +165,7 @@ func TestDifferentialCompiledSimStepsim(t *testing.T) {
 				for _, r := range setRng.Perm(n)[:f] {
 					set[r] = fault.Crash
 				}
-				tDet, err := plan.DetectionTime(x, set)
-				if err != nil {
-					t.Fatalf("%s: DetectionTime: %v", label, err)
-				}
+				tDet := earliestReliable(set)
 				tStepDet := math.Inf(1)
 				for _, v := range w.firstVisits(x, tmax) {
 					if set[v.Robot] == fault.Reliable {
@@ -153,10 +177,11 @@ func TestDifferentialCompiledSimStepsim(t *testing.T) {
 					t.Fatalf("%s crashed %v: DetectionTime %v vs stepsim %v (rel err %g)", label, set, tDet, tStepDet, e)
 				}
 			}
-			worst, err := plan.DetectionTime(x, plan.WorstFaultAssignment(x))
-			if err != nil {
-				t.Fatalf("%s: DetectionTime: %v", label, err)
+			worstSet := make(fault.Set, n)
+			for _, v := range simVisits[:min(f, len(simVisits))] {
+				worstSet[v.Robot] = fault.Crash
 			}
+			worst := earliestReliable(worstSet)
 			if e := relErr(worst, tCompiled); e > diffTol {
 				t.Fatalf("%s: worst-case DetectionTime %v vs compiled %v (rel err %g)", label, worst, tCompiled, e)
 			}

@@ -214,6 +214,24 @@ func (p *Plan) KthDistinctVisit(x float64, k int) (float64, error) {
 	return t, err
 }
 
+// FirstVisits writes robot i's first-visit time at x to dst[i] (dst is
+// grown if needed), +Inf when the robot never visits x or its time
+// overflows, and returns dst: the times SearchTime selects from.
+func (p *Plan) FirstVisits(x float64, dst []float64) []float64 {
+	e := p.evals.get()
+	dst = slices.Grow(dst[:0], len(p.robots))[:len(p.robots)]
+	for i := range p.robots {
+		t, idx, ok := p.robots[i].firstVisit(x, e.hints[i])
+		e.hints[i] = idx
+		if !ok {
+			t = math.Inf(1)
+		}
+		dst[i] = t
+	}
+	p.evals.put(e)
+	return dst
+}
+
 // EvalMany is the concurrency-safe convenience form of
 // Evaluator.EvalMany.
 func (p *Plan) EvalMany(xs []float64, dst []float64) []float64 {

@@ -31,6 +31,13 @@ func (p *Plan) Walk(i int, tmax float64, limit int, emit func(t, x float64) bool
 	}
 }
 
+// Position returns robot i's position at time t from the legs and tail Walk reads.
+func (p *Plan) Position(i int, t float64) (float64, error) {
+	var buf [2]geom.Segment
+	legs, tail := p.source(i, &buf)
+	return trajectory.PositionAt(legs, tail, t)
+}
+
 // walk is one robot's corner walk in progress.
 type walk struct {
 	tmax float64

@@ -15,7 +15,7 @@ import (
 func segmentWalk(tr *trajectory.Trajectory, tmax float64) []geom.Point {
 	segs := tr.SegmentsUntil(tmax)
 	if len(segs) == 0 {
-		return []geom.Point{tr.Start()}
+		return []geom.Point{start(tr)}
 	}
 	pts := make([]geom.Point, 0, len(segs)+1)
 	pts = append(pts, segs[0].From)
@@ -48,17 +48,26 @@ func sameBits(a, b []geom.Point) bool {
 	return true
 }
 
+// start returns tr's first point: its first leg's start, or without
+// legs its tail's anchor.
+func start(tr *trajectory.Trajectory) geom.Point {
+	if legs := tr.Legs(); len(legs) > 0 {
+		return legs[0].From
+	}
+	return tr.TailOf().Anchor()
+}
+
 // walkHorizons returns horizons that probe robot tr's walk: 0, its
 // start time, its start time scaled far up (where a cone whose
 // expansion factor is near 1 reaches trajectory.MaxTailSegments), and
 // 40 of the turning times among its first 2,000 corners, each with its
 // ±1-ulp neighbours.
 func walkHorizons(tr *trajectory.Trajectory) []float64 {
-	start := tr.Start().T
-	far := 1e6 * (start + 1)
+	t0 := start(tr).T
+	far := 1e6 * (t0 + 1)
 	pts := segmentWalk(tr, far)
 	pts = pts[:min(len(pts), 2000)]
-	hs := []float64{0, start, far}
+	hs := []float64{0, t0, far}
 	step := max(len(pts)/40, 1)
 	for i := 0; i < len(pts); i += step {
 		t := pts[i].T

@@ -172,9 +172,14 @@ func Figure4() (*Result, error) {
 
 	// The tower region itself: the set of space–time points (x, t) at
 	// which at least f+1 = 2 distinct robots have already visited x —
-	// the bold outline of the paper's figure.
+	// the bold outline of the paper's figure. The (f+1)-st first visit
+	// is the kernel's search time.
+	kernel, err := compiled.Compile(plan)
+	if err != nil {
+		return nil, err
+	}
 	tower, err := plot.Region(func(x, tt float64) bool {
-		return plan.Covered(x, tt)
+		return kernel.SearchTime(x) <= tt
 	}, -8, 8, 0, tmax, plot.Options{
 		Title:  "tower: points already seen by >= f+1 = 2 robots",
 		Height: 24,
@@ -185,10 +190,6 @@ func Figure4() (*Result, error) {
 
 	// The tower profile: K(x) over two expansion periods.
 	xs := numeric.Linspace(1, s.Ratio()*s.Ratio()*s.Ratio(), 400)
-	kernel, err := compiled.Compile(plan)
-	if err != nil {
-		return nil, err
-	}
 	ks := kernel.EvalMany(xs, nil)
 	for i, x := range xs {
 		ks[i] /= math.Abs(x)

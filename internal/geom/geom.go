@@ -83,7 +83,8 @@ func (s Segment) PositionAt(t float64) (float64, error) {
 // FirstVisit returns the time in [From.T, To.T] at which the segment
 // passes through position x, with ok false when it never does. A
 // uniform-motion segment crosses x at most once unless it is stationary
-// at x, in which case the arrival time From.T is reported.
+// at x, in which case the arrival time From.T is reported. x must lie
+// between the endpoints exactly, as the compiled kernel's coverage test.
 func (s Segment) FirstVisit(x float64) (t float64, ok bool) {
 	disp := s.Displacement()
 	if disp == 0 {
@@ -92,9 +93,9 @@ func (s Segment) FirstVisit(x float64) (t float64, ok bool) {
 		}
 		return 0, false
 	}
-	frac := (x - s.From.X) / disp
-	if frac < 0 || frac > 1 {
+	if x < min(s.From.X, s.To.X) || x > max(s.From.X, s.To.X) {
 		return 0, false
 	}
+	frac := (x - s.From.X) / disp
 	return s.From.T + frac*s.Duration(), true
 }

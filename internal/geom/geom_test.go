@@ -109,6 +109,12 @@ func TestSegmentFirstVisit(t *testing.T) {
 			t.Errorf("FirstVisit(%v) = %v, %v; want %v, %v", tt.x, got, ok, tt.want, tt.ok)
 		}
 	}
+	// A target one rounding past the end is not visited, although the
+	// rounded fraction of the way to it is 1.
+	turn := Segment{From: Point{X: 1.6666666666666665, T: 3.333333333333333}, To: Point{X: -4.999999999999999, T: 9.999999999999998}}
+	if got, ok := turn.FirstVisit(-5); ok {
+		t.Errorf("FirstVisit(-5) past the turn at %v = %v, want none", turn.To.X, got)
+	}
 }
 
 func TestSegmentFirstVisitStationary(t *testing.T) {

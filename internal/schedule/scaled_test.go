@@ -50,11 +50,11 @@ func TestScaledScheduleIsExactDilation(t *testing.T) {
 		bt := base.Trajectories()[i]
 		st := scaled.Trajectories()[i]
 		for _, tt := range numeric.Linspace(0, 200, 101) {
-			want, err := bt.PositionAt(tt)
+			want, err := trajectory.PositionAt(bt.Legs(), bt.TailOf(), tt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := st.PositionAt(c * tt)
+			got, err := trajectory.PositionAt(st.Legs(), st.TailOf(), c*tt)
 			if err != nil {
 				t.Fatal(err)
 			}

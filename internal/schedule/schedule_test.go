@@ -286,7 +286,7 @@ func TestAllRobotsInsideConeAfterBeta(t *testing.T) {
 		cone := s.Cone()
 		for i, tr := range s.Trajectories() {
 			for _, tt := range numeric.Linspace(s.Beta(), 50*s.Beta(), 200) {
-				x, err := tr.PositionAt(tt)
+				x, err := trajectory.PositionAt(tr.Legs(), tr.TailOf(), tt)
 				if err != nil {
 					t.Fatalf("(%d,%d) robot %d PositionAt(%v): %v", p[0], p[1], i, tt, err)
 				}
@@ -302,8 +302,10 @@ func TestAllRobotsInsideConeAfterBeta(t *testing.T) {
 func TestTrajectoriesStartAtOrigin(t *testing.T) {
 	s := mustOptimal(t, 41, 20)
 	for i, tr := range s.Trajectories() {
-		if start := tr.Start(); start.X != 0 || start.T != 0 {
-			t.Errorf("robot %d starts at %v, want origin at time 0", i, start)
+		// Every start time is >= 0, so only a start at time 0 has a
+		// position at time 0.
+		if x, err := trajectory.PositionAt(tr.Legs(), tr.TailOf(), 0); err != nil || x != 0 {
+			t.Errorf("robot %d at time 0: %v, %v; want the origin", i, x, err)
 		}
 	}
 }

@@ -45,11 +45,11 @@ func TestSlowStartMatchesWaitFromTheBoundary(t *testing.T) {
 			t.Fatalf("robot %d: anchors differ: %v vs %v", i, got, wt.TailOf().Anchor())
 		}
 		for _, tt := range numeric.Linspace(anchorTime, anchorTime+50, 64) {
-			a, err := wt.PositionAt(tt)
+			a, err := trajectory.PositionAt(wt.Legs(), wt.TailOf(), tt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := st.PositionAt(tt)
+			b, err := trajectory.PositionAt(st.Legs(), st.TailOf(), tt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func TestSlowStartMovesAtReducedSpeed(t *testing.T) {
 	tr := s.Trajectories()[0] // anchors at +1, time beta
 	for _, frac := range []float64{0.25, 0.5, 0.75} {
 		tt := frac * beta
-		x, err := tr.PositionAt(tt)
+		x, err := trajectory.PositionAt(tr.Legs(), tr.TailOf(), tt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"linesearch/internal/analysis"
 	"linesearch/internal/compiled"
 	"linesearch/internal/numeric"
+	"linesearch/internal/sim"
 	"linesearch/internal/strategy"
 )
 
@@ -89,11 +90,36 @@ func TestEmpiricalCRStableAcrossWindow(t *testing.T) {
 	}
 }
 
+// visitorsBy is the oracle of the Figure 4 "tower": how many distinct
+// robots have visited x by time t (inclusive).
+func visitorsBy(p *sim.Plan, x, t float64) int {
+	count := 0
+	for _, v := range p.FirstVisits(x) {
+		if v.T <= t {
+			count++
+		}
+	}
+	return count
+}
+
+// coveredBy returns the tower as Figure 4 draws it: a target at x is
+// guaranteed detected by time t when the kernel's search time, the
+// (f+1)-st first visit, is at most t.
+func coveredBy(t *testing.T, p *sim.Plan) func(x, tt float64) bool {
+	t.Helper()
+	kernel, err := compiled.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(x, tt float64) bool { return kernel.SearchTime(x) <= tt }
+}
+
 // TestVisitorsByTower checks the Figure 4 "tower": the count of distinct
 // visitors of x by time t is nondecreasing in t, and crossing f+1 is
-// exactly when Covered flips.
+// exactly when the tower covers x.
 func TestVisitorsByTower(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
+	covered := coveredBy(t, p)
 	x := 2.0
 	visits := p.FirstVisits(x)
 	if len(visits) != 3 {
@@ -101,23 +127,26 @@ func TestVisitorsByTower(t *testing.T) {
 	}
 	prev := 0
 	for _, probe := range []float64{0, visits[0].T - 1e-9, visits[0].T, visits[1].T, visits[2].T, visits[2].T * 2} {
-		got := p.VisitorsBy(x, probe)
+		got := visitorsBy(p, x, probe)
 		if got < prev {
 			t.Errorf("VisitorsBy(%v, %v) = %d decreased from %d", x, probe, got, prev)
 		}
+		if covered(x, probe) != (got >= 2) {
+			t.Errorf("tower at (%v, %v) is %v with %d visitors", x, probe, covered(x, probe), got)
+		}
 		prev = got
 	}
-	if p.VisitorsBy(x, visits[0].T-1e-6) != 0 {
+	if visitorsBy(p, x, visits[0].T-1e-6) != 0 {
 		t.Error("visitors counted before the first visit")
 	}
-	if p.VisitorsBy(x, visits[2].T) != 3 {
+	if visitorsBy(p, x, visits[2].T) != 3 {
 		t.Error("not all visitors counted at the last first-visit")
 	}
-	// Covered flips exactly at the (f+1)-st = 2nd distinct visit.
-	if p.Covered(x, visits[1].T-1e-6) {
+	// The tower covers x exactly from the (f+1)-st = 2nd distinct visit.
+	if covered(x, visits[1].T-1e-6) {
 		t.Error("covered before the (f+1)-st visit")
 	}
-	if !p.Covered(x, visits[1].T) {
+	if !covered(x, visits[1].T) {
 		t.Error("not covered at the (f+1)-st visit")
 	}
 	// Consistency with SearchTime.
@@ -130,14 +159,15 @@ func TestVisitorsByTower(t *testing.T) {
 // tower contains every point above its boundary).
 func TestCoveredRegionIsUpwardClosed(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 5, 2)
+	covered := coveredBy(t, p)
 	for _, x := range []float64{1.3, -2.8, 7.7} {
 		st := p.SearchTime(x)
 		for _, dt := range []float64{0, 0.1, 3, 1000} {
-			if !p.Covered(x, st+dt) {
+			if !covered(x, st+dt) {
 				t.Errorf("x=%v not covered at t=%v >= search time %v", x, st+dt, st)
 			}
 		}
-		if p.Covered(x, st*0.999999-1e-9) {
+		if covered(x, st*0.999999-1e-9) {
 			t.Errorf("x=%v covered strictly before its search time %v", x, st)
 		}
 	}

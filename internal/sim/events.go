@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"linesearch/internal/fault"
@@ -119,23 +118,18 @@ func (p *Plan) Timeline(x float64, set fault.Set, tmax float64) ([]Event, error)
 		}
 	}
 
-	detect, err := p.DetectionTime(x, set)
-	if err != nil {
-		return nil, err
-	}
-	if !math.IsInf(detect, 1) && detect <= tmax {
-		// Identify the detecting robot: the reliable visitor whose claim
-		// completes the vote (the first one in the crash model).
-		votes := p.model.VotesRequired()
-		for _, v := range p.FirstVisits(x) {
-			if !set[v.Robot].Confirms() {
-				continue
+	// Detection is the claim that completes the vote: the VotesRequired-th
+	// first visit by a robot that confirms (the first in the crash model).
+	votes := p.model.VotesRequired()
+	for _, v := range p.FirstVisits(x) {
+		if !set[v.Robot].Confirms() {
+			continue
+		}
+		if votes--; votes == 0 {
+			if v.T <= tmax {
+				events = append(events, Event{T: v.T, Robot: v.Robot, Kind: EventDetect, X: x})
 			}
-			votes--
-			if votes == 0 {
-				events = append(events, Event{T: detect, Robot: v.Robot, Kind: EventDetect, X: x})
-				break
-			}
+			break
 		}
 	}
 

@@ -13,7 +13,7 @@ import (
 func TestTimelineBasicStructure(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
 	x := 2.0
-	faulty := p.WorstFaultAssignment(x)
+	faulty := worstFaultAssignment(p, x)
 	events, err := p.Timeline(x, faulty, 100)
 	if err != nil {
 		t.Fatalf("Timeline: %v", err)
@@ -60,8 +60,8 @@ func TestTimelineBasicStructure(t *testing.T) {
 func TestTimelineDetectMatchesDetectionTime(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
 	x := -1.7
-	faulty := p.WorstFaultAssignment(x)
-	want, err := p.DetectionTime(x, faulty)
+	faulty := worstFaultAssignment(p, x)
+	want, err := detectionTime(p, x, faulty)
 	if err != nil {
 		t.Fatal(err)
 	}

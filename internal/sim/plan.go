@@ -3,13 +3,12 @@
 // per-target visit times, the worst-case search time (the visit of the
 // DetectionRank-th distinct robot — the adversary makes the earliest
 // visitors faulty, and Byzantine detection additionally waits for
-// enough truthful confirmations to outvote possible liars), detection
-// times under concrete fault assignments, full event timelines
-// including false claims, and the exact expected detection time under
-// per-visit detection failures (the p-faulty model of arXiv:2002.07797).
-// The competitive ratio is measured by internal/compiled alone, over
-// the kernel's own corner walk; the search over this package's
-// trajectories and SearchTime is its test oracle.
+// enough truthful confirmations to outvote possible liars), event
+// timelines, and the exact expected detection time under per-visit
+// detection failures (the p-faulty model of arXiv:2002.07797). Every
+// other question (the competitive ratio, detection under given faults,
+// speeds, positions) is answered by internal/compiled alone, from the
+// kernel's corner walk and first visits; this package is its oracle.
 //
 // Nothing here is time-stepped; every quantity comes from the
 // trajectories' closed-form visit queries, so results are exact up to
@@ -227,46 +226,6 @@ func (p *Plan) SearchTime(x float64) float64 {
 	return visits[rank-1].T
 }
 
-// WorstFaultAssignment returns the adversary's optimal fault assignment
-// against a target at x: the f distinct earliest visitors, assigned the
-// model's worst kind (crash, or Byzantine silence — a liar delays the
-// vote exactly as much, but silence is canonical). The returned set has
-// length n with exactly min(f, visitors) faulty entries.
-func (p *Plan) WorstFaultAssignment(x float64) fault.Set {
-	set := make(fault.Set, len(p.trajs))
-	worst := p.model.WorstKind()
-	visits := p.FirstVisits(x)
-	for i := 0; i < len(visits) && i < p.model.F; i++ {
-		set[visits[i].Robot] = worst
-	}
-	return set
-}
-
-// DetectionTime returns the time a target at x is found given a
-// concrete fault assignment, under the plan's detection rule: the
-// VotesRequired-th first visit by a reliable robot (1 vote in the crash
-// model — the first announcement is trustworthy; f+1 by default in the
-// Byzantine model — enough truthful claims to outvote any set of
-// liars). Faulty robots never help: crash and Byzantine-silent robots
-// say nothing, and liars never truthfully confirm. +Inf means the
-// assignment starves the rule below its threshold. len(set) must equal
-// n.
-func (p *Plan) DetectionTime(x float64, set fault.Set) (float64, error) {
-	if len(set) != len(p.trajs) {
-		return 0, fmt.Errorf("sim: fault assignment has %d entries for %d robots", len(set), len(p.trajs))
-	}
-	votes := p.model.VotesRequired()
-	for _, v := range p.FirstVisits(x) {
-		if set[v.Robot].Confirms() {
-			votes--
-			if votes == 0 {
-				return v.T, nil
-			}
-		}
-	}
-	return math.Inf(1), nil
-}
-
 // Ratio returns SearchTime(x) / |x|, the quantity whose supremum over
 // |x| >= 1 is the competitive ratio. x must be nonzero.
 func (p *Plan) Ratio(x float64) (float64, error) {
@@ -274,26 +233,4 @@ func (p *Plan) Ratio(x float64) (float64, error) {
 		return 0, fmt.Errorf("sim: ratio undefined at the origin")
 	}
 	return p.SearchTime(x) / math.Abs(x), nil
-}
-
-// VisitorsBy returns how many distinct robots have visited position x
-// by time t (inclusive). The target at x is guaranteed found by time t
-// exactly when this count reaches f+1 — the set of such (x, t) pairs is
-// the "tower" region of Figure 4.
-func (p *Plan) VisitorsBy(x, t float64) int {
-	count := 0
-	for _, tr := range p.trajs {
-		if ft, ok := tr.FirstVisit(x); ok && ft <= t {
-			count++
-		}
-	}
-	return count
-}
-
-// Covered reports whether a target at x is guaranteed detected by time
-// t under any fault assignment the plan's model allows: the distinct
-// visitor count must reach the detection rank (f+1 crash, f+votes
-// Byzantine).
-func (p *Plan) Covered(x, t float64) bool {
-	return p.VisitorsBy(x, t) >= p.model.DetectionRank()
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,6 +13,38 @@ import (
 	"linesearch/internal/strategy"
 	"linesearch/internal/trajectory"
 )
+
+// detectionTime is the oracle of the detection rule under a concrete
+// fault assignment: the VotesRequired-th first visit by a robot that
+// confirms (1 vote in the crash model, f+1 by default in the Byzantine
+// model), +Inf when fewer confirming robots ever visit x. len(set) must
+// equal n.
+func detectionTime(p *Plan, x float64, set fault.Set) (float64, error) {
+	if len(set) != p.N() {
+		return 0, fmt.Errorf("sim: fault assignment has %d entries for %d robots", len(set), p.N())
+	}
+	votes := p.Model().VotesRequired()
+	for _, v := range p.FirstVisits(x) {
+		if set[v.Robot].Confirms() {
+			if votes--; votes == 0 {
+				return v.T, nil
+			}
+		}
+	}
+	return math.Inf(1), nil
+}
+
+// worstFaultAssignment is the oracle of the adversary's fault set
+// against a target at x: the f distinct earliest visitors (ties broken
+// by robot index), assigned the model's worst kind.
+func worstFaultAssignment(p *Plan, x float64) fault.Set {
+	set := make(fault.Set, p.N())
+	visits := p.FirstVisits(x)
+	for i := 0; i < len(visits) && i < p.F(); i++ {
+		set[visits[i].Robot] = p.Model().WorstKind()
+	}
+	return set
+}
 
 func mustPlan(t *testing.T, st strategy.Strategy, n, f int) *Plan {
 	t.Helper()
@@ -128,7 +161,7 @@ func TestSearchTimeInfiniteWhenUndetectable(t *testing.T) {
 func TestWorstFaultSetMatchesSearchTime(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 5, 2)
 	for _, x := range []float64{1, -1.5, 3.7, -42, 500} {
-		faulty := p.WorstFaultAssignment(x)
+		faulty := worstFaultAssignment(p, x)
 		count := 0
 		for _, k := range faulty {
 			if k == fault.Crash {
@@ -138,7 +171,7 @@ func TestWorstFaultSetMatchesSearchTime(t *testing.T) {
 		if count != 2 {
 			t.Errorf("x=%v: worst fault set has %d faults, want 2", x, count)
 		}
-		detect, err := p.DetectionTime(x, faulty)
+		detect, err := detectionTime(p, x, faulty)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +193,7 @@ func TestRandomFaultsNeverWorseThanAdversary(t *testing.T) {
 		for _, i := range rng.Perm(5)[:3] {
 			faulty[i] = fault.Crash
 		}
-		detect, err := p.DetectionTime(x, faulty)
+		detect, err := detectionTime(p, x, faulty)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +206,7 @@ func TestRandomFaultsNeverWorseThanAdversary(t *testing.T) {
 func TestDetectionTimeNoFaults(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
 	visits := p.FirstVisits(2.5)
-	detect, err := p.DetectionTime(2.5, make(fault.Set, 3))
+	detect, err := detectionTime(p, 2.5, make(fault.Set, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +224,7 @@ func TestDetectionTimeAllVisitorsFaulty(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only robot 0 reaches x = 3; make it faulty.
-	detect, err := p.DetectionTime(3, fault.Set{fault.Crash, fault.Reliable})
+	detect, err := detectionTime(p, 3, fault.Set{fault.Crash, fault.Reliable})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +235,11 @@ func TestDetectionTimeAllVisitorsFaulty(t *testing.T) {
 
 func TestDetectionTimeRejectsBadFaultVector(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	if _, err := p.DetectionTime(1, fault.Set{fault.Crash}); err == nil {
+	if _, err := detectionTime(p, 1, fault.Set{fault.Crash}); err == nil {
 		t.Error("short fault vector accepted")
+	}
+	if _, err := p.Timeline(1, fault.Set{fault.Crash}, 10); err == nil {
+		t.Error("Timeline accepted a short fault vector")
 	}
 }
 

@@ -76,7 +76,7 @@ func TestVoteRuleMatchesExhaustiveAdversary(t *testing.T) {
 			worst := math.Inf(-1)
 			var argSet fault.Set
 			for _, set := range sets {
-				detect, err := p.DetectionTime(x, set)
+				detect, err := detectionTime(p, x, set)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -90,7 +90,7 @@ func TestVoteRuleMatchesExhaustiveAdversary(t *testing.T) {
 					tc.n, tc.f, x, got, worst, argSet)
 			}
 			// The canonical worst assignment must attain the supremum too.
-			detect, err := p.DetectionTime(x, p.WorstFaultAssignment(x))
+			detect, err := detectionTime(p, x, worstFaultAssignment(p, x))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestCrashVoteRuleMatchesExhaustiveAdversary(t *testing.T) {
 	for _, x := range []float64{1, -3.2, 17} {
 		worst := math.Inf(-1)
 		for _, set := range sets {
-			detect, err := p.DetectionTime(x, set)
+			detect, err := detectionTime(p, x, set)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,18 +131,18 @@ func TestByzantineLiarsCannotAccelerateDetection(t *testing.T) {
 	// target.
 	p := byzantinePlan(t, strategy.Proportional{}, 5, 2, 1)
 	for _, x := range []float64{2, -7.5} {
-		silent := p.WorstFaultAssignment(x)
+		silent := worstFaultAssignment(p, x)
 		liars := silent.Clone()
 		for i, k := range liars {
 			if k == fault.ByzantineSilent {
 				liars[i] = fault.ByzantineLiar
 			}
 		}
-		a, err := p.DetectionTime(x, silent)
+		a, err := detectionTime(p, x, silent)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := p.DetectionTime(x, liars)
+		b, err := detectionTime(p, x, liars)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestByzantineTimelineShowsLies(t *testing.T) {
 	liar := visits[1].Robot
 	set[liar] = fault.ByzantineLiar
 
-	detect, err := p.DetectionTime(x, set)
+	detect, err := detectionTime(p, x, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestByzantineTimelineShowsLies(t *testing.T) {
 
 func TestCrashTimelineHasNoClaimEvents(t *testing.T) {
 	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	events, err := p.Timeline(2, p.WorstFaultAssignment(2), 100)
+	events, err := p.Timeline(2, worstFaultAssignment(p, 2), 100)
 	if err != nil {
 		t.Fatal(err)
 	}

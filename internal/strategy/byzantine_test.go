@@ -5,6 +5,7 @@ import (
 
 	"linesearch/internal/fault"
 	"linesearch/internal/numeric"
+	"linesearch/internal/trajectory"
 )
 
 func TestParseByzantine(t *testing.T) {
@@ -65,11 +66,11 @@ func TestByzantineBuildReducesToCrashBase(t *testing.T) {
 	}
 	for i := range got {
 		for _, tt := range []float64{0, 1, 3.7, 12, 55} {
-			pg, err := got[i].PositionAt(tt)
+			pg, err := trajectory.PositionAt(got[i].Legs(), got[i].TailOf(), tt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pw, err := want[i].PositionAt(tt)
+			pw, err := trajectory.PositionAt(want[i].Legs(), want[i].TailOf(), tt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,11 +122,11 @@ func TestByzantineMinDistanceForwarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range scaled {
-		pg, err := scaled[i].PositionAt(10)
+		pg, err := trajectory.PositionAt(scaled[i].Legs(), scaled[i].TailOf(), 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pw, err := want[i].PositionAt(10)
+		pw, err := trajectory.PositionAt(want[i].Legs(), want[i].TailOf(), 10)
 		if err != nil {
 			t.Fatal(err)
 		}

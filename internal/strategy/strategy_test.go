@@ -187,7 +187,7 @@ func TestConeStrategy(t *testing.T) {
 func rayDirection(t *testing.T, tr *trajectory.Trajectory) trajectory.Direction {
 	t.Helper()
 	a := tr.TailOf().Anchor()
-	x, err := tr.PositionAt(a.T + 1)
+	x, err := trajectory.PositionAt(tr.Legs(), tr.TailOf(), a.T+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +258,12 @@ func TestDoublingBuild(t *testing.T) {
 	}
 	// All robots share the same motion.
 	for _, tt := range []float64{0, 1, 5, 20} {
-		p0, err := trajs[0].PositionAt(tt)
+		p0, err := trajectory.PositionAt(trajs[0].Legs(), trajs[0].TailOf(), tt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 1; i < 3; i++ {
-			pi, err := trajs[i].PositionAt(tt)
+			pi, err := trajectory.PositionAt(trajs[i].Legs(), trajs[i].TailOf(), tt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -72,6 +72,9 @@ func (h *HalfZigZag) excursion(k int) float64 {
 // anchor.T + 2*|first|*(gamma^k - 1)/(gamma - 1), the cumulative cost of
 // the k completed round trips before it.
 func (h *HalfZigZag) departTime(k int) float64 {
+	if k == 0 {
+		return h.anchor.T // the sum below is 0, but NaN once 2*|first| overflows
+	}
 	return h.anchor.T + 2*math.Abs(h.first)*(math.Pow(h.gamma, float64(k))-1)/(h.gamma-1)
 }
 

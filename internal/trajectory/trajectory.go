@@ -121,14 +121,6 @@ func Check(legs []geom.Segment, tail Tail) error {
 	return nil
 }
 
-// Start returns the trajectory's initial space–time point.
-func (tr *Trajectory) Start() geom.Point {
-	if len(tr.legs) > 0 {
-		return tr.legs[0].From
-	}
-	return tr.tail.Anchor()
-}
-
 // Legs returns the finite prefix legs. The slice is the trajectory's
 // own, capped at its length; callers must not modify its elements.
 func (tr *Trajectory) Legs() []geom.Segment { return tr.legs[:len(tr.legs):len(tr.legs)] }
@@ -137,24 +129,30 @@ func (tr *Trajectory) Legs() []geom.Segment { return tr.legs[:len(tr.legs):len(t
 // trajectory.
 func (tr *Trajectory) TailOf() Tail { return tr.tail }
 
-// PositionAt returns the robot's position at time t. For t before the
-// trajectory's start an error is returned; for a finite trajectory and
-// t beyond the final leg, the robot is considered halted at its final
+// PositionAt returns the position at time t of a robot that runs legs
+// and then tail (nil when it halts at the final leg's end), the parts
+// of a trajectory as Legs and TailOf return them. For t before the
+// start an error is returned; a halted robot stays at its final
 // position.
-func (tr *Trajectory) PositionAt(t float64) (float64, error) {
-	start := tr.Start()
+func PositionAt(legs []geom.Segment, tail Tail, t float64) (float64, error) {
+	var start geom.Point
+	if len(legs) > 0 {
+		start = legs[0].From
+	} else {
+		start = tail.Anchor()
+	}
 	if t < start.T {
 		return 0, fmt.Errorf("trajectory: time %g precedes start %g", t, start.T)
 	}
-	if len(tr.legs) > 0 && t <= tr.legs[len(tr.legs)-1].To.T {
+	if len(legs) > 0 && t <= legs[len(legs)-1].To.T {
 		// Binary search for the first leg ending at or after t.
-		i := sort.Search(len(tr.legs), func(i int) bool { return tr.legs[i].To.T >= t })
-		return tr.legs[i].PositionAt(t)
+		i := sort.Search(len(legs), func(i int) bool { return legs[i].To.T >= t })
+		return legs[i].PositionAt(t)
 	}
-	if tr.tail != nil {
-		return tr.tail.PositionAt(t)
+	if tail != nil {
+		return tail.PositionAt(t)
 	}
-	return tr.legs[len(tr.legs)-1].To.X, nil
+	return legs[len(legs)-1].To.X, nil
 }
 
 // FirstVisit returns the earliest time the robot stands on position x,

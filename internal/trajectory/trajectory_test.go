@@ -68,7 +68,7 @@ func TestTrajectoryWithStartupAndZigZag(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 
-	if got := tr.Start(); got != (geom.Point{X: 0, T: 0}) {
+	if got := tr.legs[0].From; got != (geom.Point{X: 0, T: 0}) {
 		t.Errorf("Start = %v, want origin", got)
 	}
 
@@ -84,7 +84,7 @@ func TestTrajectoryWithStartupAndZigZag(t *testing.T) {
 		{6, -2}, // first turn
 	}
 	for _, tt := range tests {
-		got, err := tr.PositionAt(tt.t)
+		got, err := PositionAt(tr.Legs(), tr.TailOf(), tt.t)
 		if err != nil {
 			t.Fatalf("PositionAt(%v): %v", tt.t, err)
 		}
@@ -122,7 +122,7 @@ func TestTrajectoryFirstVisitPrefersLegs(t *testing.T) {
 func TestFiniteTrajectoryHalts(t *testing.T) {
 	legs := []geom.Segment{{From: geom.Point{X: 0, T: 0}, To: geom.Point{X: 4, T: 4}}}
 	tr := Must(legs, nil)
-	got, err := tr.PositionAt(100)
+	got, err := PositionAt(tr.Legs(), tr.TailOf(), 100)
 	if err != nil || got != 4 {
 		t.Errorf("PositionAt(100) = %v, %v; want 4, nil", got, err)
 	}
@@ -141,7 +141,7 @@ func TestHaltTailExtendsFiniteTrajectory(t *testing.T) {
 		t.Fatalf("NewHalt: %v", err)
 	}
 	tr := Must(legs, tail)
-	if got, _ := tr.PositionAt(1e6); got != 4 {
+	if got, _ := PositionAt(tr.Legs(), tr.TailOf(), 1e6); got != 4 {
 		t.Errorf("PositionAt(1e6) = %v, want 4", got)
 	}
 	vs := tr.VisitsUntil(4, 100)
@@ -234,7 +234,7 @@ func TestLegReadsOwnCopy(t *testing.T) {
 func TestRayTrajectory(t *testing.T) {
 	tail := MustRay(geom.Point{X: 0, T: 0}, Right)
 	tr := Must(nil, tail)
-	if got, _ := tr.PositionAt(7); got != 7 {
+	if got, _ := PositionAt(tr.Legs(), tr.TailOf(), 7); got != 7 {
 		t.Errorf("PositionAt(7) = %v, want 7", got)
 	}
 	if v, ok := tr.FirstVisit(3); !ok || v != 3 {

@@ -111,7 +111,11 @@ func (z *ZigZag) segmentIndexAt(t float64) (int, error) {
 	kappa := z.cone.ExpansionFactor()
 	k := 0
 	if t > t0 && t0 > 0 {
-		k = int(math.Log(t/t0)/math.Log(kappa)) - 1
+		ratio := math.Log(t / t0)
+		if math.IsInf(ratio, 1) {
+			ratio = math.Log(t) - math.Log(t0) // t/t0 overflows: int(+Inf) would not
+		}
+		k = int(ratio/math.Log(kappa)) - 1
 		if k < 0 {
 			k = 0
 		}

@@ -31,11 +31,13 @@
 package linesearch
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -59,12 +61,13 @@ import (
 // Byzantine rule over any of them) compile straight from their closed
 // form, with no trajectory built. All visit-time queries — SearchTime,
 // KthVisitTime, SearchTimes, MeasureCR, VerifyLowerBound — and the
-// plan's geometry — TurningPoints and WalkTurningPoints — run through
-// that allocation-free kernel. The exact closed-form engine
-// (internal/sim) evaluates event timelines, positions, speeds, fault
-// analysis and the expected-time series, and remains the reference for
-// the differential tests; a Searcher builds its sim.Plan on the first
-// such question.
+// plan's geometry — TurningPoints, WalkTurningPoints and Positions —
+// run through that kernel, and so do the fault questions, which read
+// the order of the robots' first visits from it: DetectionTime,
+// WorstFaultSet, SearchTimeWithSpeeds and MonteCarlo. The exact
+// closed-form engine (internal/sim) evaluates event timelines and the
+// expected-time series, and remains the reference for the differential
+// tests; a Searcher builds its sim.Plan on the first such question.
 type Searcher struct {
 	n, f        int
 	minDistance float64
@@ -225,12 +228,21 @@ func (s *Searcher) SearchTimeWithSpeeds(x float64, speeds []float64) (float64, e
 	// The k-th distinct visit is the k-th order statistic of the
 	// per-robot first-visit times; speed only rescales each robot's
 	// clock, so the statistic survives the scaling directly.
-	visits := s.simPlan().FirstVisitsAtSpeeds(x, sp)
-	rank := s.kernel.Model().DetectionRank()
-	if len(visits) < rank {
-		return math.Inf(1), nil
+	times := s.kernel.FirstVisits(x, nil)
+	for i := range times {
+		times[i] /= sp[i]
 	}
-	return visits[rank-1].T, nil
+	return kthSmallest(times, s.DetectionRank()), nil
+}
+
+// kthSmallest returns the k-th smallest of ts (1-based), reordering ts,
+// or +Inf when ts is shorter; a robot that never visits x has time +Inf.
+func kthSmallest(ts []float64, k int) float64 {
+	if len(ts) < k {
+		return math.Inf(1)
+	}
+	slices.Sort(ts)
+	return ts[k-1]
 }
 
 // ExpectedSearchTime returns the expected time to find a target at x
@@ -323,8 +335,8 @@ func (s *Searcher) Positions(t float64) ([]float64, error) {
 		return nil, fmt.Errorf("linesearch: time must be finite, got %g", t)
 	}
 	out := make([]float64, s.n)
-	for i, tr := range s.simPlan().Trajectories() {
-		x, err := tr.PositionAt(t)
+	for i := range out {
+		x, err := s.kernel.Position(i, t)
 		if err != nil {
 			return nil, fmt.Errorf("linesearch: robot %d at t=%g: %w", i, t, err)
 		}
@@ -405,21 +417,46 @@ func (s *Searcher) DetectionTime(x float64, faulty []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.simPlan().DetectionTime(x, set)
+	return s.detectionTime(x, set), nil
+}
+
+// detectionTime returns the time a target at x is found under the fault
+// assignment set: the Votes()-th first visit by a robot that confirms
+// (no faulty kind does), +Inf when fewer confirming robots visit x.
+func (s *Searcher) detectionTime(x float64, set fault.Set) float64 {
+	times := s.kernel.FirstVisits(x, nil)
+	confirm := times[:0]
+	for i, t := range times {
+		if set[i].Confirms() {
+			confirm = append(confirm, t)
+		}
+	}
+	return kthSmallest(confirm, s.Votes())
 }
 
 // WorstFaultSet returns the indices of the robots an adversary would
-// corrupt against a target at x: the f earliest distinct visitors.
+// corrupt against a target at x, in increasing order: the f earliest
+// distinct visitors, ties broken by robot index. A robot whose first
+// visit lies beyond float64's time range is no visitor.
 // Under the Byzantine model the adversary's corrupted robots stay
 // silent at the target — lying elsewhere never delays detection
 // further (see TimelineFaults for explicit liar placement).
 func (s *Searcher) WorstFaultSet(x float64) []int {
+	times := s.kernel.FirstVisits(x, nil)
+	order := make([]int, s.n)
+	for i := range order {
+		order[i] = i
+	}
+	// A stable sort keeps tied robots in index order; non-visitors (+Inf)
+	// come last.
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(times[a], times[b]) })
 	var out []int
-	for i, k := range s.simPlan().WorstFaultAssignment(x) {
-		if k.Faulty() {
+	for _, i := range order[:s.kernel.Model().F] {
+		if !math.IsInf(times[i], 1) {
 			out = append(out, i)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -561,14 +598,11 @@ func (s *Searcher) MonteCarlo(trials int, seed int64) (Stats, error) {
 		return Stats{}, fmt.Errorf("linesearch: Monte-Carlo trials must be positive, got %d", trials)
 	}
 	ratios := make([]float64, trials)
-	err := numeric.ForEach(context.Background(), trials, runtime.GOMAXPROCS(0), func(_, i int) error {
-		r, err := s.trial(seed, i)
-		ratios[i] = r
-		return err
+	// No trial fails and the context never ends, so ForEach returns nil.
+	_ = numeric.ForEach(context.Background(), trials, runtime.GOMAXPROCS(0), func(_, i int) error {
+		ratios[i] = s.trial(seed, i)
+		return nil
 	})
-	if err != nil {
-		return Stats{}, err
-	}
 	st := Stats{Trials: trials, Min: math.Inf(1), Max: math.Inf(-1)}
 	var sum numeric.KahanSum
 	for _, r := range ratios {
@@ -590,7 +624,7 @@ func (s *Searcher) MonteCarlo(trials int, seed int64) (Stats, error) {
 // coin between silence and lying (the detection rule treats both the
 // same). Crash-model trials draw no coin, so their random stream is
 // the same as before the Byzantine model existed.
-func (s *Searcher) trial(seed int64, idx int) (float64, error) {
+func (s *Searcher) trial(seed int64, idx int) float64 {
 	rng := rand.New(rand.NewSource(seed ^ (int64(idx+1) * mcSeedMix)))
 	logMin, logMax := math.Log(mcXMin), math.Log(mcXMax)
 	x := math.Exp(logMin + rng.Float64()*(logMax-logMin))
@@ -606,11 +640,7 @@ func (s *Searcher) trial(seed int64, idx int) (float64, error) {
 		}
 		set[i] = kind
 	}
-	detect, err := s.simPlan().DetectionTime(x, set)
-	if err != nil {
-		return 0, err
-	}
-	return detect / math.Abs(x), nil
+	return s.detectionTime(x, set) / math.Abs(x)
 }
 
 // VerifyLowerBound plays the Theorem 2 adversary against this plan and

@@ -101,11 +101,16 @@ func FuzzPlanBody(f *testing.F) {
 		{7, 1.000001, 2, 1, 0, 1e300, 1e305},
 		{7, 1.0001, 3, 1, 0, 1e300, 1e305},
 		{8, 1.5, 7, 3, 0, 1, 0},
+		// A minimal distance whose default CR range, 1e4*mindist,
+		// overflows: the search is refused instead of running for minutes.
+		{4, 57, 12, 3, 1, 7e307, 39},
 	} {
 		f.Add(s.kind, s.beta, s.n, s.f, s.model, s.mindist, s.hrzn)
 	}
-	h := service.New(service.Config{CacheSize: 8, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}).Handler()
 	f.Fuzz(func(t *testing.T, kind uint8, beta float64, nb, fb, model uint8, mindist, horizon float64) {
+		// A service of its own, so pass 1 is a miss even when an earlier
+		// input (another beta of a strategy without one) cached the key.
+		h := service.New(service.Config{CacheSize: 8, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}).Handler()
 		name := planStrategies[int(kind)%len(planStrategies)]
 		if strings.HasSuffix(name, ":") {
 			name += strconv.FormatFloat(beta, 'g', -1, 64)
@@ -148,6 +153,18 @@ func FuzzPlanBody(f *testing.F) {
 			}
 			return
 		}
+		// The service's plan, as its builder derives it: the ratio
+		// first, then the turning points.
+		cr, ok := s.ExpectedCompetitiveRatio()
+		if !ok {
+			cr, err = s.CompetitiveRatio()
+		}
+		if err != nil || math.IsNaN(cr) || math.IsInf(cr, 0) {
+			if w := get(); w.Code != http.StatusBadRequest {
+				t.Fatalf("%s: no plan (%v, cr %v), the service answers %d %s", target, err, cr, w.Code, w.Body)
+			}
+			return
+		}
 		tmax := horizon
 		if tmax == 0 {
 			tmax = 50 * mindist
@@ -182,19 +199,14 @@ func FuzzPlanBody(f *testing.F) {
 			}
 		}
 
-		// The service's plan, as its builder derives it.
-		cr, ok := s.ExpectedCompetitiveRatio()
-		if !ok {
-			cr, err = s.CompetitiveRatio()
-		}
 		boundsF := fc
 		if s.FaultModel() == "byzantine" {
 			boundsF = s.DetectionRank() - 1
 		}
 		bounds, boundsErr := linesearch.Bounds(n, boundsF)
-		if err != nil || boundsErr != nil || math.IsNaN(cr) || math.IsInf(cr, 0) {
+		if boundsErr != nil {
 			if w := get(); w.Code != http.StatusBadRequest {
-				t.Fatalf("%s: no plan answer (%v, %v, cr %v), the service answers %d %s", target, err, boundsErr, cr, w.Code, w.Body)
+				t.Fatalf("%s: no plan answer (%v), the service answers %d %s", target, boundsErr, w.Code, w.Body)
 			}
 			return
 		}

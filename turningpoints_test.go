@@ -1,5 +1,7 @@
 package linesearch
 
+import "linesearch/internal/geom"
+
 // SimTurningPoints is the oracle of TurningPoints and WalkTurningPoints:
 // the walk over every trajectory's motion segments in the plan's exact
 // engine (internal/sim), listed as the first segment's start and every
@@ -9,7 +11,14 @@ func (s *Searcher) SimTurningPoints(tmax float64) [][]Point {
 	for i, tr := range s.simPlan().Trajectories() {
 		segs := tr.SegmentsUntil(tmax)
 		if len(segs) == 0 {
-			start := tr.Start()
+			// The start: the first leg's, or without legs the tail's
+			// anchor.
+			var start geom.Point
+			if legs := tr.Legs(); len(legs) > 0 {
+				start = legs[0].From
+			} else {
+				start = tr.TailOf().Anchor()
+			}
 			out[i] = []Point{{T: start.T, X: start.X}}
 			continue
 		}
