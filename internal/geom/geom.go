@@ -84,7 +84,7 @@ func (s Segment) PositionAt(t float64) (float64, error) {
 // passes through position x, with ok false when it never does. A
 // uniform-motion segment crosses x at most once unless it is stationary
 // at x, in which case the arrival time From.T is reported. x must lie
-// between the endpoints exactly, as the compiled kernel's coverage test.
+// between the endpoints exactly, like the compiled kernel's coverage test.
 func (s Segment) FirstVisit(x float64) (t float64, ok bool) {
 	disp := s.Displacement()
 	if disp == 0 {
