@@ -36,13 +36,11 @@ func oracleDetectionTime(s *Searcher, x float64, faulty []int) (float64, error) 
 }
 
 // oracleWorstFaultSet is WorstFaultSet: the f earliest visitors, ties
-// broken by robot index, in index order (nil when there are none). A
-// robot whose first visit lies past float64's range (a target near
-// ±MaxFloat64) is no visitor: it never reaches x in finite time.
+// broken by robot index, in index order (nil when there are none).
 func oracleWorstFaultSet(s *Searcher, x float64) []int {
 	var out []int
 	for _, v := range s.simPlan().FirstVisits(x) {
-		if len(out) < s.kernel.Model().F && !math.IsInf(v.T, 1) {
+		if len(out) < s.kernel.Model().F {
 			out = append(out, v.Robot)
 		}
 	}

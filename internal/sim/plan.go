@@ -134,12 +134,13 @@ type Visit struct {
 	T     float64
 }
 
-// FirstVisits returns, for each robot that ever visits x, its first
-// visit, sorted by time (ties broken by robot index for determinism).
+// FirstVisits returns, for each robot that visits x in finite time (a
+// first visit past float64's range is none, as in the compiled kernel),
+// its first visit, sorted by time (ties broken by robot index).
 func (p *Plan) FirstVisits(x float64) []Visit {
 	visits := make([]Visit, 0, len(p.trajs))
 	for i, tr := range p.trajs {
-		if t, ok := tr.FirstVisit(x); ok {
+		if t, ok := tr.FirstVisit(x); ok && !math.IsInf(t, 1) {
 			visits = append(visits, Visit{Robot: i, T: t})
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -155,6 +156,34 @@ func TestSearchTimeInfiniteWhenUndetectable(t *testing.T) {
 	// x = 3 is visited by both copies, so even with one fault it is found.
 	if got := p.SearchTime(3); math.IsInf(got, 1) {
 		t.Error("SearchTime(3) infinite despite two visitors")
+	}
+}
+
+// TestFirstVisitsDropsOverflowingVisits pins the visitor list at a
+// target near MaxFloat64: proportional (2,1) reaches x = 1e308 only at a
+// time past float64's range, so FirstVisits lists no visitor there, the
+// search time is +Inf and the adversary corrupts no robot, as in the
+// compiled kernel.
+func TestFirstVisitsDropsOverflowingVisits(t *testing.T) {
+	const x = 1e308
+	p := mustPlan(t, strategy.Proportional{}, 2, 1)
+	overflowing := 0
+	for _, tr := range p.Trajectories() {
+		if tv, ok := tr.FirstVisit(x); ok && math.IsInf(tv, 1) {
+			overflowing++
+		}
+	}
+	if overflowing == 0 {
+		t.Fatalf("no robot's first visit to %g overflows; the case is not exercised", x)
+	}
+	if visits := p.FirstVisits(x); len(visits) != 0 {
+		t.Errorf("FirstVisits(%g) = %v, want no visitor", x, visits)
+	}
+	if got := p.SearchTime(x); !math.IsInf(got, 1) {
+		t.Errorf("SearchTime(%g) = %v, want +Inf", x, got)
+	}
+	if set := worstFaultAssignment(p, x); !slices.Equal(set, make(fault.Set, 2)) {
+		t.Errorf("worst fault set at %g = %v, want no faulty robot", x, set)
 	}
 }
 

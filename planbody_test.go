@@ -156,21 +156,26 @@ func FuzzPlanBody(f *testing.F) {
 		// The service's plan, as its builder derives it: the ratio
 		// first, then the turning points.
 		cr, ok := s.ExpectedCompetitiveRatio()
+		var crErr error
 		if !ok {
-			cr, err = s.CompetitiveRatio()
+			cr, crErr = s.CompetitiveRatio()
 		}
-		if err != nil || math.IsNaN(cr) || math.IsInf(cr, 0) {
+		noRatio := func() {
 			if w := get(); w.Code != http.StatusBadRequest {
-				t.Fatalf("%s: no plan (%v, cr %v), the service answers %d %s", target, err, cr, w.Code, w.Body)
+				t.Fatalf("%s: no ratio (%v, cr %v), the service answers %d %s", target, crErr, cr, w.Code, w.Body)
 			}
-			return
 		}
+		ratioFails := crErr != nil || math.IsNaN(cr) || math.IsInf(cr, 0)
 		tmax := horizon
 		if tmax == 0 {
 			tmax = 50 * mindist
 		}
 		got, err := s.TurningPoints(tmax)
 		if err != nil {
+			if ratioFails {
+				noRatio()
+				return
+			}
 			// 50*mindist overflowed: the service refuses the plan with
 			// TurningPoints' error, a 400 on the miss and on the hit.
 			wantErr := fmt.Sprintf("{\"error\":%q}", err.Error())
@@ -199,6 +204,10 @@ func FuzzPlanBody(f *testing.F) {
 			}
 		}
 
+		if ratioFails {
+			noRatio()
+			return
+		}
 		boundsF := fc
 		if s.FaultModel() == "byzantine" {
 			boundsF = s.DetectionRank() - 1
