@@ -52,6 +52,16 @@ var goldenRequests = []struct{ method, target, body string }{
 	{"GET", "/v1/searchtime?n=3&f=1&x=7.5", ""},
 	{"GET", "/v1/searchtime?n=7&f=3&x=-12.25&k=2", ""},
 	{"GET", "/v1/searchtime?n=3&f=1&x=7.5&objective=expected&p=0.25", ""},
+	// The expected series at a broadcast speed and at a full vector that
+	// reorders the arrivals (so the crash set changes), on pfaulty at
+	// the family's own p (p=0), on a doubling fleet whose visits tie,
+	// and at a target on robot 1's turning point, whose twin contact
+	// counts once.
+	{"GET", "/v1/searchtime?n=3&f=1&x=7.5&objective=expected&p=0.25&speeds=2", ""},
+	{"GET", "/v1/searchtime?n=3&f=1&x=7.5&objective=expected&p=0.25&speeds=1,0.25,4", ""},
+	{"GET", "/v1/searchtime?n=5&f=2&strategy=pfaulty&x=9&objective=expected&p=0", ""},
+	{"GET", "/v1/searchtime?n=4&f=1&strategy=doubling&x=3&objective=expected&p=0.25", ""},
+	{"GET", "/v1/searchtime?n=3&f=1&x=2.5198420997897464&objective=expected&p=0.25", ""},
 	{"GET", "/v1/searchtime?n=5&f=1&x=7&model=byzantine", ""},
 	{"GET", "/v1/searchtime?n=5&f=1&x=7&model=byzantine&votes=3", ""},
 	// Speeds: one broadcast entry, a full vector that reorders the
@@ -76,6 +86,12 @@ var goldenRequests = []struct{ method, target, body string }{
 	// visits tie: the earliest visitor of lowest index is corrupted.
 	{"GET", "/v1/timeline?n=4&f=1&strategy=twogroup&x=3", ""},
 	{"GET", "/v1/timeline?n=4&f=1&strategy=doubling&x=3", ""},
+	// Timelines on a wide fleet, on pfaulty's half-line zig-zag tails,
+	// on a uniform cone, and at a horizon that cuts robots mid-leg.
+	{"GET", "/v1/timeline?n=33&f=16&x=7", ""},
+	{"GET", "/v1/timeline?n=5&f=2&strategy=pfaulty&x=9", ""},
+	{"GET", "/v1/timeline?n=7&f=3&strategy=uniform:1.5&x=-5", ""},
+	{"GET", "/v1/timeline?n=3&f=1&x=2&faulty=0&tmax=13.7", ""},
 	{"GET", "/v1/lowerbound?n=5&f=2", ""},
 	{"GET", "/v1/lowerbound?n=11&f=5", ""},
 	{"GET", "/v1/lowerbound?n=2&f=2", ""},
@@ -103,6 +119,20 @@ var goldenRequests = []struct{ method, target, body string }{
 		`{"op":"plan","n":3,"f":1,"mindist":1e-7,"horizon":5e-6},` +
 		`{"op":"plan","n":2,"f":1,"strategy":"cone:1.000001","mindist":1e300,"horizon":1e305}]}`},
 	{"POST", "/v1/batch", `{"queries":[{"op":"plan","n":3,"f":1,"strategy":"cone:1.0001","mindist":1e300,"horizon":1e305}]}`},
+	// Timelines and expected times as batch items: the GETs' keys and
+	// keys the first pass builds, a liar, a cut horizon and a reordering
+	// speed vector.
+	{"POST", "/v1/batch", `{"queries":[` +
+		`{"op":"timeline","n":5,"f":2,"strategy":"pfaulty","x":9},` +
+		`{"op":"timeline","n":7,"f":3,"strategy":"uniform:1.5","x":-5,"tmax":40},` +
+		`{"op":"timeline","n":7,"f":2,"x":-7,"model":"byzantine","liars":[3],"faulty":[1],"tmax":300},` +
+		`{"op":"timeline","n":5,"f":1,"x":-7,"model":"byzantine","liars":[3],"faulty":[1],"tmax":300},` +
+		`{"op":"timeline","n":9,"f":2,"model":"byzantine","x":4.5,"liars":[0,8]},` +
+		`{"op":"timeline","n":6,"f":2,"strategy":"doubling","x":-4,"tmax":21.5},` +
+		`{"op":"searchtime","n":3,"f":1,"x":-7.5,"objective":"expected","p":0.25,"speeds":[1,0.25,4]},` +
+		`{"op":"searchtime","n":5,"f":2,"strategy":"pfaulty","x":9,"objective":"expected"},` +
+		`{"op":"searchtime","n":4,"f":1,"strategy":"doubling","x":4,"objective":"expected","p":0.5,"speeds":[2]},` +
+		`{"op":"searchtime","n":6,"f":2,"strategy":"twogroup","x":-3,"objective":"expected","p":0.1,"speeds":[0.5,4,2,2,1,1]}]}`},
 	// The overflowing default horizon as batch items: the GET's key,
 	// and a key the first pass builds.
 	{"POST", "/v1/batch", `{"queries":[{"op":"plan","n":3,"f":1,"mindist":1e307},{"op":"plan","n":3,"f":1,"mindist":4e306},{"op":"plan","n":3,"f":1}]}`},
