@@ -110,7 +110,9 @@ bench-paper:
 # zig-zag tail's closed-form first visit against the segment walk, the
 # kernel's power-table tail turns against the kernel that stored every
 # turn, a zig-zag schedule compiled from its closed form against the
-# compiled sim plan of its trajectories, the Byzantine vote-rule kernel against the exact engine, the
+# compiled sim plan of its trajectories (its corners and walks, and its
+# timelines and expected-time series), the Byzantine vote-rule kernel
+# against the exact engine, the
 # kernel's k-th-visit selection against its partial-selection oracle, the
 # phase-table answer of self-similar plans against the scan, the
 # expected-time series at miss probability 0 against the worst case,
@@ -132,7 +134,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzByzantineVote -fuzztime 30s -fuzzminimizetime 5s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzSelectKth -fuzztime 30s -fuzzminimizetime 5s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzSelfSimilarKth -fuzztime 30s -fuzzminimizetime 5s ./internal/compiled
-	$(GO) test -run '^$$' -fuzz FuzzExpectedMatchesWorstCase -fuzztime 30s -fuzzminimizetime 5s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzExpectedMatchesWorstCase -fuzztime 30s -fuzzminimizetime 5s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 30s -fuzzminimizetime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalFloat -fuzztime 30s -fuzzminimizetime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzParseTargets -fuzztime 30s -fuzzminimizetime 5s ./internal/service

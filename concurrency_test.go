@@ -1,7 +1,12 @@
 package linesearch
 
 import (
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -53,21 +58,21 @@ func TestSearcherConcurrentUse(t *testing.T) {
 	}
 }
 
-// lazyAnswers are a Searcher's answers to the questions the exact
-// engine's plan answers, which a Searcher builds on first use: the
-// expected-time series and the event timelines.
-type lazyAnswers struct {
+// firstUseAnswers are a Searcher's answers to the questions that
+// follow robots past their first visits: the expected-time series and
+// the event timelines.
+type firstUseAnswers struct {
 	Expected    float64
 	ExpectedErr string
 	Timeline    []Event
 	Faults      []Event
 }
 
-// askLazy asks s each question of lazyAnswers once, starting with
-// question first, so concurrent callers reach the plan's first build
-// through different questions.
-func askLazy(s *Searcher, first int) (lazyAnswers, error) {
-	var a lazyAnswers
+// askFirstUse asks s each question of firstUseAnswers once, starting
+// with question first, so concurrent callers reach the kernel's first
+// use through different questions.
+func askFirstUse(s *Searcher, first int) (firstUseAnswers, error) {
+	var a firstUseAnswers
 	questions := []func() error{
 		func() error {
 			var err error
@@ -87,12 +92,12 @@ func askLazy(s *Searcher, first int) (lazyAnswers, error) {
 	return a, nil
 }
 
-// TestLazyPlanConcurrentFirstUse has 8 goroutines ask one freshly built
-// scheduled Searcher every question its exact-engine plan answers at
-// the same moment, each starting with a different one, and checks
-// every answer against a Searcher whose plan was built before any
-// question. Run it under -race.
-func TestLazyPlanConcurrentFirstUse(t *testing.T) {
+// TestSeriesAndTimelineConcurrentFirstUse has 8 goroutines ask one
+// freshly built scheduled Searcher the expected-time and timeline
+// questions at the same moment, each starting with a different one,
+// and checks every answer against a Searcher asked them one at a time.
+// Run it under -race.
+func TestSeriesAndTimelineConcurrentFirstUse(t *testing.T) {
 	for _, tc := range []struct {
 		n, f int
 		opts []Option
@@ -105,8 +110,7 @@ func TestLazyPlanConcurrentFirstUse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.simPlan()
-		want, err := askLazy(ref, 0)
+		want, err := askFirstUse(ref, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +119,7 @@ func TestLazyPlanConcurrentFirstUse(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := make(chan struct{})
-		got := make([]lazyAnswers, 8)
+		got := make([]firstUseAnswers, 8)
 		errs := make([]error, len(got))
 		var wg sync.WaitGroup
 		for g := range got {
@@ -123,7 +127,7 @@ func TestLazyPlanConcurrentFirstUse(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				got[g], errs[g] = askLazy(s, g)
+				got[g], errs[g] = askFirstUse(s, g)
 			}()
 		}
 		close(start)
@@ -139,15 +143,15 @@ func TestLazyPlanConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// TestScheduledSearcherBuildsNoPlan checks that the kernel alone
-// answers every question but the timelines and the expected-time
-// series: the service's hot path, the measured competitive ratio, the
-// Theorem 2 game, and the fault questions read from the kernel's first
-// visits (detection under a fault list, the adversary's fault set, a
-// fleet at other speeds, Monte Carlo trials and positions), whether the
-// kernel compiles from a schedule's closed form or from the
-// trajectories of twogroup, doubling and pfaulty. No exact-engine plan
-// is built for them.
+// TestScheduledSearcherBuildsNoPlan asks every public question of
+// Searchers whose kernel compiles from a schedule's closed form or from
+// the trajectories of twogroup, doubling and pfaulty: the service's hot
+// path, the measured competitive ratio, the Theorem 2 game, the fault
+// questions read from the kernel's first visits (detection under a
+// fault list, the adversary's fault set, a fleet at other speeds, Monte
+// Carlo trials and positions), the expected-time series and the
+// timelines. The kernel answers them all: TestProductionImportsNoSim
+// checks that the code asking them cannot build an exact-engine plan.
 func TestScheduledSearcherBuildsNoPlan(t *testing.T) {
 	for _, tc := range []struct {
 		n, f int
@@ -205,9 +209,50 @@ func TestScheduledSearcherBuildsNoPlan(t *testing.T) {
 		if _, err := s.Positions(9.5); err != nil {
 			t.Fatal(err)
 		}
+		if s.Votes() == 1 {
+			if _, err := s.ExpectedSearchTime(-6, 0.25, []float64{1.5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Timeline(4.5, s.WorstFaultSet(4.5), 60); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.TimelineFaults(-7.25, []int{0}, nil, 80); err != nil {
+			t.Fatal(err)
+		}
 		_, _, _ = s.FaultModel(), s.Votes(), s.DetectionRank()
-		if s.plan != nil {
-			t.Errorf("%s(%d, %d): answering from the kernel built a sim.Plan", s.Strategy(), tc.n, tc.f)
+	}
+}
+
+// TestProductionImportsNoSim checks that no non-test file of the root
+// package or of internal/sweep imports internal/sim: every question a
+// Searcher or a sweep cell answers runs on the compiled kernel, and the
+// exact engine is only the tests' oracle.
+func TestProductionImportsNoSim(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{".", "internal/sweep"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); path == "linesearch/internal/sim" {
+					t.Errorf("%s imports %s", name, path)
+				}
+			}
+			checked++
+		}
+		if checked == 0 {
+			t.Errorf("no non-test Go file in %s", dir)
 		}
 	}
 }

@@ -1,13 +1,27 @@
 package linesearch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"testing"
 
+	"linesearch/internal/sim"
 	"linesearch/internal/trajectory"
 )
+
+// simPlan builds the exact engine's plan of s's strategy, the oracle
+// of the questions the kernel answers. Its build refuses exactly what
+// the kernel's build refused (FuzzCompileFromSchedule holds the two to
+// it), so a refusal here is a bug.
+func (s *Searcher) simPlan() *sim.Plan {
+	p, err := sim.FromStrategy(s.st, s.n, s.f)
+	if err != nil {
+		panic(fmt.Sprintf("the kernel compiled but the exact engine refused the plan: %v", err))
+	}
+	return p
+}
 
 // The oracles of the fault questions a Searcher answers from the
 // kernel's first visits: each validates its input as the Searcher does
@@ -59,7 +73,11 @@ func oracleSearchTimeWithSpeeds(s *Searcher, x float64, speeds []float64) (float
 	if err != nil {
 		return 0, err
 	}
-	visits := s.simPlan().FirstVisitsAtSpeeds(x, sp)
+	visits := s.simPlan().FirstVisits(x)
+	for i := range visits {
+		visits[i].T /= sp[visits[i].Robot]
+	}
+	slices.SortFunc(visits, func(a, b sim.Visit) int { return cmp.Compare(a.T, b.T) })
 	if rank := s.DetectionRank(); len(visits) >= rank {
 		return visits[rank-1].T, nil
 	}

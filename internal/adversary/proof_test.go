@@ -77,7 +77,7 @@ type LadderAnalysis struct {
 // uncovered; the adversary places the target at an endpoint of that
 // level that fewer than f+1 robots reach in time.
 func AnalyzeLadder(p *sim.Plan) (*LadderAnalysis, error) {
-	ladder, err := NewLadder(p.N())
+	ladder, err := NewLadder(len(p.Trajectories()))
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func AnalyzeLadder(p *sim.Plan) (*LadderAnalysis, error) {
 				minus++
 			}
 		}
-		report.Covered = plus > p.F() && minus > p.F()
+		report.Covered = plus > p.Model().F && minus > p.Model().F
 		if !report.Covered && analysis.UncoveredLevel == -1 {
 			analysis.UncoveredLevel = len(analysis.Levels)
 		}

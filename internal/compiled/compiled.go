@@ -45,8 +45,12 @@
 // zig-zag turns from the table, exactly as the walk over the
 // trajectory's motion segments lists them, and stops at a caller's
 // limit. CR measures the competitive ratio just past those turning
-// points (cr.go), so no question that needs only first visits reads a
-// sim.Plan.
+// points (cr.go). The questions that follow a robot past its first
+// visit read the legs and tail Walk reads, with trajectory's function
+// forms of VisitsUntil and SegmentsUntil: the event timeline
+// (events.go) and the p-faulty expected-time series (expected.go). So
+// no question reads a sim.Plan; one built from trajectories is only a
+// source.
 //
 // Proportional and cone plans (and the Byzantine rule over them) are
 // self-similar: scaling space and time by sigma = kappa^(2/n) maps

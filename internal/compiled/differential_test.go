@@ -44,7 +44,7 @@ func resolveStrategy(name string, n, f int) (strategy.Strategy, error) {
 // corners up to tmax.
 func stepWorld(t *testing.T, plan *sim.Plan, tmax float64) *stepEngine {
 	t.Helper()
-	robots := make([]*stepRobot, 0, plan.N())
+	robots := make([]*stepRobot, 0, len(plan.Trajectories()))
 	for i, tr := range plan.Trajectories() {
 		r, err := newStepRobot(cornersUntil(tr, tmax))
 		if err != nil {
@@ -234,7 +234,7 @@ func TestDifferentialCappedCompilation(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				x = -x
 			}
-			for k := 1; k <= plan.N(); k++ {
+			for k := 1; k <= cp.N(); k++ {
 				want, _ := plan.KthDistinctVisit(x, k)
 				got, _ := cp.KthDistinctVisit(x, k)
 				if e := relErr(want, got); e > diffTol {

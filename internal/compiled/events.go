@@ -1,10 +1,13 @@
-package sim
+package compiled
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"linesearch/internal/fault"
+	"linesearch/internal/geom"
+	"linesearch/internal/trajectory"
 )
 
 // EventKind classifies timeline events.
@@ -69,7 +72,9 @@ func (e Event) String() string {
 // target at x under a concrete fault assignment, up to time tmax:
 // starts, turns, target visits, claims (truthful and, for Byzantine
 // liars, false) and the detection event once the plan's detection rule
-// accepts the target within tmax.
+// accepts the target within tmax. Each robot's motion is read from the
+// legs and tail Walk reads; its first visits, which the claims and the
+// detection event stand on, are FirstVisits'.
 //
 // Claim events appear only under Byzantine models, where announcements
 // are votes: each reliable robot claims at its first visit to x, and
@@ -78,17 +83,21 @@ func (e Event) String() string {
 // mirror position -x at the liar's first visit there (the most
 // confusable false target). len(set) must equal n.
 func (p *Plan) Timeline(x float64, set fault.Set, tmax float64) ([]Event, error) {
-	if len(set) != len(p.trajs) {
-		return nil, fmt.Errorf("sim: fault assignment has %d entries for %d robots", len(set), len(p.trajs))
+	if len(set) != len(p.robots) {
+		return nil, fmt.Errorf("compiled: fault assignment has %d entries for %d robots", len(set), len(p.robots))
 	}
-	if tmax <= 0 {
-		return nil, fmt.Errorf("sim: tmax must be positive, got %g", tmax)
+	if !(tmax > 0) || math.IsInf(tmax, 1) {
+		return nil, fmt.Errorf("compiled: tmax must be positive and finite, got %g", tmax)
 	}
 
 	byzantine := p.model.Kind == fault.ModelByzantine
+	first := p.FirstVisits(x, nil)
+	var mirror []float64
 	var events []Event
-	for i, tr := range p.trajs {
-		segs := tr.SegmentsUntil(tmax)
+	var buf [2]geom.Segment
+	for i := range p.robots {
+		legs, tail := p.source(i, &buf)
+		segs := trajectory.SegmentsUntil(legs, tail, tmax)
 		moved := false
 		for j, s := range segs {
 			if !moved && s.Displacement() != 0 {
@@ -96,11 +105,11 @@ func (p *Plan) Timeline(x float64, set fault.Set, tmax float64) ([]Event, error)
 				moved = true
 			}
 			// A corner is a junction where the direction changes.
-			if j > 0 && s.From.T <= tmax && isCorner(segs[j-1].Displacement(), s.Displacement()) {
+			if j > 0 && s.From.T <= tmax && segs[j-1].Reverses(s) {
 				events = append(events, Event{T: s.From.T, Robot: i, Kind: EventTurn, X: s.From.X})
 			}
 		}
-		for _, vt := range tr.VisitsUntil(x, tmax) {
+		for _, vt := range trajectory.VisitsUntil(legs, tail, x, tmax) {
 			events = append(events, Event{T: vt, Robot: i, Kind: EventVisit, X: x})
 		}
 		if !byzantine {
@@ -108,11 +117,14 @@ func (p *Plan) Timeline(x float64, set fault.Set, tmax float64) ([]Event, error)
 		}
 		switch {
 		case set[i].Confirms():
-			if t, ok := tr.FirstVisit(x); ok && t <= tmax {
+			if t := first[i]; t <= tmax {
 				events = append(events, Event{T: t, Robot: i, Kind: EventClaim, X: x})
 			}
 		case set[i] == fault.ByzantineLiar:
-			if t, ok := tr.FirstVisit(-x); ok && t <= tmax {
+			if mirror == nil {
+				mirror = p.FirstVisits(-x, nil)
+			}
+			if t := mirror[i]; t <= tmax {
 				events = append(events, Event{T: t, Robot: i, Kind: EventFalseClaim, X: -x})
 			}
 		}
@@ -121,7 +133,7 @@ func (p *Plan) Timeline(x float64, set fault.Set, tmax float64) ([]Event, error)
 	// Detection is the claim that completes the vote: the VotesRequired-th
 	// first visit by a robot that confirms (the first in the crash model).
 	votes := p.model.VotesRequired()
-	for _, v := range p.FirstVisits(x) {
+	for _, v := range arrivals(first, nil) {
 		if !set[v.Robot].Confirms() {
 			continue
 		}
@@ -143,10 +155,4 @@ func (p *Plan) Timeline(x float64, set fault.Set, tmax float64) ([]Event, error)
 		return events[a].Kind < events[b].Kind
 	})
 	return events, nil
-}
-
-// isCorner reports whether consecutive displacements constitute a
-// direction reversal (ignoring waiting legs, which have displacement 0).
-func isCorner(prev, next float64) bool {
-	return prev*next < 0
 }

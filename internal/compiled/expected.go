@@ -1,9 +1,12 @@
-package sim
+package compiled
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
+	"linesearch/internal/geom"
 	"linesearch/internal/numeric"
 	"linesearch/internal/trajectory"
 )
@@ -46,31 +49,36 @@ const (
 )
 
 // robotSpec is one robot that can confirm the target: its unit-speed
-// trajectory, the speed it runs that trajectory at (all times divided
-// by speed), and its per-visit miss probability in [0, 1). miss 0 is
-// a reliable robot, which confirms at its first visit. Crashed robots
-// have no spec.
+// start-up legs and tail as Plan.source returns them, its unit-speed
+// first visit of the target (+Inf for none, as FirstVisits lists it),
+// the speed it runs them at (all times divided by speed), and its
+// per-visit miss probability in [0, 1). miss 0 is a reliable robot,
+// which confirms at its first visit. Crashed robots have no spec.
 type robotSpec struct {
-	traj  *trajectory.Trajectory
+	legs  []geom.Segment
+	tail  trajectory.Tail
+	first float64
 	speed float64
 	miss  float64
+	// buf holds the legs of a robot of a schedule.
+	buf [2]geom.Segment
 }
 
 // ExpectedSearchTime is the expected time to find a target at x when
 // every robot misses each visit of x independently with probability
 // miss (0 makes detection certain), after the adversary has crashed
-// outright the f robots that arrive at x first. speeds follows the
-// public API: nil means unit speeds, a single entry broadcasts to the
-// whole fleet, otherwise there is one entry per robot. The crash set
-// is chosen at those speeds, so a slow early visitor can escape it.
-// The result is exact; +Inf means the expectation diverges or
-// detection is not almost sure.
+// outright the f robots that arrive at x first (Arrivals). speeds
+// follows the public API: nil means unit speeds, a single entry
+// broadcasts to the whole fleet, otherwise there is one entry per
+// robot. The crash set is chosen at those speeds, so a slow early
+// visitor can escape it. The result is exact; +Inf means the
+// expectation diverges or detection is not almost sure.
 func (p *Plan) ExpectedSearchTime(x, miss float64, speeds []float64) (float64, error) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return 0, fmt.Errorf("sim: target %g must be finite", x)
+		return 0, fmt.Errorf("compiled: target %g must be finite", x)
 	}
 	if !(miss >= 0 && miss < 1) {
-		return 0, fmt.Errorf("sim: miss probability %v outside [0, 1)", miss)
+		return 0, fmt.Errorf("compiled: miss probability %v outside [0, 1)", miss)
 	}
 	n := p.N()
 	switch len(speeds) {
@@ -84,35 +92,80 @@ func (p *Plan) ExpectedSearchTime(x, miss float64, speeds []float64) (float64, e
 		}
 	case n:
 	default:
-		return 0, fmt.Errorf("sim: speed vector has %d entries for %d robots", len(speeds), n)
+		return 0, fmt.Errorf("compiled: speed vector has %d entries for %d robots", len(speeds), n)
 	}
 	for i, s := range speeds {
 		if math.IsNaN(s) || math.IsInf(s, 0) || s <= 0 {
-			return 0, fmt.Errorf("sim: robot %d speed %g must be positive and finite", i, s)
+			return 0, fmt.Errorf("compiled: robot %d speed %g must be positive and finite", i, s)
 		}
 	}
+	first := p.FirstVisits(x, nil)
 	crashed := make([]bool, n)
-	arrivals := p.FirstVisitsAtSpeeds(x, speeds)
-	for _, v := range arrivals[:min(p.F(), len(arrivals))] {
+	arrived := arrivals(first, speeds)
+	for _, v := range arrived[:min(p.model.F, len(arrived))] {
 		crashed[v.Robot] = true
 	}
 	specs := make([]robotSpec, 0, n)
-	for i, tr := range p.trajs {
+	for i := range n {
 		if crashed[i] {
 			continue
 		}
-		s := robotSpec{traj: tr, speed: 1, miss: miss}
+		specs = append(specs, robotSpec{first: first[i], speed: 1, miss: miss})
+		s := &specs[len(specs)-1]
+		s.legs, s.tail = p.source(i, &s.buf)
 		if speeds != nil {
 			s.speed = speeds[i]
 		}
-		specs = append(specs, s)
 	}
 	return expectedDetectionTime(specs, x), nil
 }
 
+// Visit records one robot's first arrival at a queried position.
+type Visit struct {
+	Robot int
+	T     float64
+}
+
+// Arrivals returns the robots that visit x, each with its first-visit
+// time at speeds, sorted by that time, ties broken by robot index. A
+// robot whose unit-speed first visit lies past float64's range visits
+// x no more than one that never reaches it (FirstVisits lists both as
+// +Inf). speeds is nil for unit speeds or holds one entry per robot, by
+// which its robot's time is divided; at a uniform speed scaling cannot
+// reorder arrivals, so they keep the unit-speed order. The f earliest
+// arrivals are the robots the worst-case adversary corrupts.
+func (p *Plan) Arrivals(x float64, speeds []float64) []Visit {
+	return arrivals(p.FirstVisits(x, nil), speeds)
+}
+
+// arrivals is Arrivals over the unit-speed first visits ts.
+func arrivals(ts, speeds []float64) []Visit {
+	visits := make([]Visit, 0, len(ts))
+	for i, t := range ts {
+		if !math.IsInf(t, 1) {
+			visits = append(visits, Visit{Robot: i, T: t})
+		}
+	}
+	// The visits are in robot order, so a stable sort by time breaks
+	// ties by index. A uniform speed sorts the unit-speed times, so the
+	// ties its rounding may make keep their order.
+	byTime := func(a, b Visit) int { return cmp.Compare(a.T, b.T) }
+	uniform := !slices.ContainsFunc(speeds, func(s float64) bool { return s != speeds[0] })
+	if uniform {
+		slices.SortStableFunc(visits, byTime)
+	}
+	for i := 0; speeds != nil && i < len(visits); i++ {
+		visits[i].T /= speeds[visits[i].Robot]
+	}
+	if !uniform {
+		slices.SortStableFunc(visits, byTime)
+	}
+	return visits
+}
+
 // oppCursor walks one robot's confirmation opportunities in time order.
 type oppCursor struct {
-	spec robotSpec
+	spec *robotSpec
 	// next opportunity (wall time) and its success probability; valid
 	// when ok.
 	t    float64
@@ -134,11 +187,10 @@ func (c *oppCursor) advance() {
 			return // single opportunity, already consumed
 		}
 		c.vi = 1
-		base, ok := c.spec.traj.FirstVisit(c.x)
-		if !ok {
+		if math.IsInf(c.spec.first, 1) {
 			return
 		}
-		c.t = base / c.spec.speed
+		c.t = c.spec.first / c.spec.speed
 		c.prob = 1
 		c.ok = true
 		return
@@ -167,26 +219,25 @@ func (c *oppCursor) extend() bool {
 	if c.horizon >= visitHorizonMax {
 		return false
 	}
-	if c.spec.traj.TailOf() == nil {
+	if c.spec.tail == nil {
 		c.horizon = visitHorizonMax
-		c.visits = c.spec.traj.VisitsUntil(c.x, math.Inf(1))
+		c.visits = trajectory.VisitsUntil(c.spec.legs, nil, c.x, math.Inf(1))
 		return c.vi < len(c.visits)
 	}
 	for c.horizon < visitHorizonMax {
 		if c.horizon == 0 {
-			first, ok := c.spec.traj.FirstVisit(c.x)
-			if !ok {
+			if math.IsInf(c.spec.first, 1) {
 				c.horizon = visitHorizonMax
 				return false
 			}
-			c.horizon = math.Max(first*2, 16)
+			c.horizon = math.Max(c.spec.first*2, 16)
 		} else {
 			c.horizon *= 2
 		}
 		if c.horizon > visitHorizonMax {
 			c.horizon = visitHorizonMax
 		}
-		all := c.spec.traj.VisitsUntil(c.x, c.horizon)
+		all := trajectory.VisitsUntil(c.spec.legs, c.spec.tail, c.x, c.horizon)
 		if len(all) > len(c.visits) {
 			c.visits = all
 			if c.vi < len(c.visits) {
@@ -203,8 +254,8 @@ func (c *oppCursor) extend() bool {
 // diverges.
 func expectedDetectionTime(robots []robotSpec, x float64) float64 {
 	cursors := make([]*oppCursor, 0, len(robots))
-	for _, r := range robots {
-		c := &oppCursor{spec: r, x: x, lastVisit: math.Inf(-1)}
+	for i := range robots {
+		c := &oppCursor{spec: &robots[i], x: x, lastVisit: math.Inf(-1)}
 		c.advance()
 		if c.ok {
 			cursors = append(cursors, c)

@@ -1,4 +1,4 @@
-package sim_test
+package compiled_test
 
 import (
 	"math"
@@ -72,7 +72,7 @@ func FuzzExpectedMatchesWorstCase(fz *testing.F) {
 		if err != nil {
 			t.Fatalf("Compile: %v", err)
 		}
-		got, err := plan.ExpectedSearchTime(x, 0, nil)
+		got, err := cp.ExpectedSearchTime(x, 0, nil)
 		if err != nil {
 			t.Fatalf("ExpectedSearchTime: %v", err)
 		}
@@ -95,7 +95,7 @@ func FuzzExpectedMatchesWorstCase(fz *testing.F) {
 				speeds[i] = 0.25 * math.Pow(16, rng.Float64()) // log-uniform in [0.25, 4)
 			}
 		}
-		got, err = plan.ExpectedSearchTime(x, 0, speeds)
+		got, err = cp.ExpectedSearchTime(x, 0, speeds)
 		if err != nil {
 			t.Fatalf("ExpectedSearchTime at speeds %v: %v", speeds, err)
 		}

@@ -1,4 +1,4 @@
-package sim
+package compiled
 
 import (
 	"math"
@@ -22,6 +22,23 @@ func halfLineTraj(t testing.TB, b, gamma float64) *trajectory.Trajectory {
 	return tr
 }
 
+// halfLineSpec is the half-line sweep with base excursion b and growth
+// gamma as the series reads a robot of a compiled plan, at target x,
+// speed and miss probability miss.
+func halfLineSpec(t testing.TB, b, gamma, x, speed, miss float64) robotSpec {
+	t.Helper()
+	_, p := compileFleet(t, []*trajectory.Trajectory{halfLineTraj(t, b, gamma)}, fault.CrashModel(0))
+	return planSpec(p, 0, x, speed, miss)
+}
+
+// planSpec returns robot i of p as the series reads it at target x,
+// at speed and with miss probability miss.
+func planSpec(p *Plan, i int, x, speed, miss float64) robotSpec {
+	s := robotSpec{first: p.FirstVisits(x, nil)[i], speed: speed, miss: miss}
+	s.legs, s.tail = p.source(i, &s.buf)
+	return s
+}
+
 // sampleHorizon bounds the visit stream the Monte Carlo oracle walks.
 // On the gamma = 2 sweeps sampled here it holds ~60 visits, so a trial
 // runs out only if every one of them misses.
@@ -36,7 +53,7 @@ func sampleDetection(t *testing.T, robots []robotSpec, x float64, trials int, se
 	streams := make([][]float64, len(robots))
 	for i, r := range robots {
 		last := math.Inf(-1)
-		for _, v := range r.traj.VisitsUntil(x, sampleHorizon) {
+		for _, v := range trajectory.VisitsUntil(r.legs, r.tail, x, sampleHorizon) {
 			if v-last > visitDedupeTol {
 				streams[i] = append(streams[i], v)
 				last = v
@@ -69,7 +86,7 @@ func sampleDetection(t *testing.T, robots []robotSpec, x float64, trials int, se
 func TestExpectedReliableIsFirstVisit(t *testing.T) {
 	tr := halfLineTraj(t, 1, 2)
 	fv, _ := tr.FirstVisit(3.3)
-	got := expectedDetectionTime([]robotSpec{{traj: tr, speed: 1}}, 3.3)
+	got := expectedDetectionTime([]robotSpec{halfLineSpec(t, 1, 2, 3.3, 1, 0)}, 3.3)
 	if math.Abs(got-fv) > 1e-12*fv {
 		t.Errorf("E[T] = %g, want first visit %g", got, fv)
 	}
@@ -94,8 +111,7 @@ func TestExpectedMatchesClosedFormSingleRobot(t *testing.T) {
 		{1, 1.5, 0.7, 2.6},
 		{0.5, 4, 0.3, 100},
 	} {
-		tr := halfLineTraj(t, c.b, c.gamma)
-		got := expectedDetectionTime([]robotSpec{{traj: tr, speed: 1, miss: c.p}}, c.x)
+		got := expectedDetectionTime([]robotSpec{halfLineSpec(t, c.b, c.gamma, c.x, 1, c.p)}, c.x)
 		P, g := c.p, c.gamma
 		R := P * P * g
 		K := 1
@@ -115,25 +131,23 @@ func TestExpectedMatchesClosedFormSingleRobot(t *testing.T) {
 func TestExpectedDivergesWhenRAtLeastOne(t *testing.T) {
 	// gamma=2, p=0.75: R = 0.5625*2 = 1.125 >= 1 — the expectation is
 	// infinite even though detection is almost sure.
-	tr := halfLineTraj(t, 1, 2)
-	if got := expectedDetectionTime([]robotSpec{{traj: tr, speed: 1, miss: 0.75}}, 3); !math.IsInf(got, 1) {
+	if got := expectedDetectionTime([]robotSpec{halfLineSpec(t, 1, 2, 3, 1, 0.75)}, 3); !math.IsInf(got, 1) {
 		t.Errorf("E[T] = %g for p^2*gamma = 1.125, want +Inf", got)
 	}
 }
 
 func TestExpectedMixedFleetBelowSoloPFaulty(t *testing.T) {
-	tr := halfLineTraj(t, 1, 2)
-	solo := expectedDetectionTime([]robotSpec{{traj: tr, speed: 1, miss: 0.5}}, 5)
+	solo := expectedDetectionTime([]robotSpec{halfLineSpec(t, 1, 2, 5, 1, 0.5)}, 5)
 	duo := expectedDetectionTime([]robotSpec{
-		{traj: tr, speed: 1, miss: 0.5},
-		{traj: tr, speed: 1, miss: 0.5},
+		halfLineSpec(t, 1, 2, 5, 1, 0.5),
+		halfLineSpec(t, 1, 2, 5, 1, 0.5),
 	}, 5)
 	if !(duo < solo) {
 		t.Errorf("two robots E[T]=%g not below one robot's %g", duo, solo)
 	}
 	// Two identical p-robots visiting simultaneously behave like one
 	// robot with p^2 per collective visit.
-	squared := expectedDetectionTime([]robotSpec{{traj: tr, speed: 1, miss: 0.25}}, 5)
+	squared := expectedDetectionTime([]robotSpec{halfLineSpec(t, 1, 2, 5, 1, 0.25)}, 5)
 	if math.Abs(duo-squared) > 1e-9*squared {
 		t.Errorf("duo E[T]=%g, p^2 solo E[T]=%g — should coincide", duo, squared)
 	}
@@ -142,7 +156,7 @@ func TestExpectedMixedFleetBelowSoloPFaulty(t *testing.T) {
 func TestExpectedUnreachableAndStarved(t *testing.T) {
 	tr := halfLineTraj(t, 1, 2)
 	// Behind the base: never visited.
-	if got := expectedDetectionTime([]robotSpec{{traj: tr, speed: 1}}, -2); !math.IsInf(got, 1) {
+	if got := expectedDetectionTime([]robotSpec{halfLineSpec(t, 1, 2, -2, 1, 0)}, -2); !math.IsInf(got, 1) {
 		t.Errorf("unreachable target E[T] = %g, want +Inf", got)
 	}
 	// The only visitor crashes: nobody confirms.
@@ -150,10 +164,7 @@ func TestExpectedUnreachableAndStarved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewPlanModel([]*trajectory.Trajectory{tr, left}, fault.CrashModel(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, plan := compileFleet(t, []*trajectory.Trajectory{tr, left}, fault.CrashModel(1))
 	got, err := plan.ExpectedSearchTime(2, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -163,11 +174,27 @@ func TestExpectedUnreachableAndStarved(t *testing.T) {
 	}
 }
 
-func TestExpectedRejectsUnsupportedRegimes(t *testing.T) {
-	plan, err := NewPlanModel([]*trajectory.Trajectory{halfLineTraj(t, 1, 2), halfLineTraj(t, 1, 3)}, fault.CrashModel(1))
-	if err != nil {
-		t.Fatal(err)
+// TestExpectedOverflowingFirstVisitIsNone: a first visit past
+// float64's range is no visit, as FirstVisits lists it, so at miss
+// probability 0 the series is the worst-case search time, +Inf, and not
+// the NaN an opportunity at time +Inf once summed to.
+func TestExpectedOverflowingFirstVisitIsNone(t *testing.T) {
+	_, p := compileSim(t, strategy.Proportional{}, 3, 1)
+	for _, x := range []float64{1e308, -1e308} {
+		for _, speeds := range [][]float64{nil, {2}, {1, 0.25, 4}} {
+			got, err := p.ExpectedSearchTime(x, 0, speeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !math.IsInf(got, 1) {
+				t.Errorf("x=%g speeds %v: E[T] = %v, want +Inf", x, speeds, got)
+			}
+		}
 	}
+}
+
+func TestExpectedRejectsUnsupportedRegimes(t *testing.T) {
+	_, plan := compileFleet(t, []*trajectory.Trajectory{halfLineTraj(t, 1, 2), halfLineTraj(t, 1, 3)}, fault.CrashModel(1))
 	for _, c := range []struct {
 		name    string
 		x, miss float64
@@ -195,21 +222,21 @@ func TestExpectedRejectsUnsupportedRegimes(t *testing.T) {
 func TestExpectedCrossValidatesMonteCarlo(t *testing.T) {
 	for _, c := range []struct {
 		name  string
-		specs func(tr *trajectory.Trajectory) []robotSpec
+		specs func(x float64) []robotSpec
 		x     float64
 	}{
-		{"solo p=0.5", func(tr *trajectory.Trajectory) []robotSpec {
-			return []robotSpec{{traj: tr, speed: 1, miss: 0.5}}
+		{"solo p=0.5", func(x float64) []robotSpec {
+			return []robotSpec{halfLineSpec(t, 1, 2, x, 1, 0.5)}
 		}, 3.7},
-		{"duo p=0.6 mixed speeds", func(tr *trajectory.Trajectory) []robotSpec {
+		{"duo p=0.6 mixed speeds", func(x float64) []robotSpec {
 			return []robotSpec{
-				{traj: tr, speed: 1, miss: 0.6},
-				{traj: tr, speed: 2, miss: 0.6},
+				halfLineSpec(t, 1, 2, x, 1, 0.6),
+				halfLineSpec(t, 1, 2, x, 2, 0.6),
 			}
 		}, 7.2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			specs := c.specs(halfLineTraj(t, 1, 2))
+			specs := c.specs(c.x)
 			want := expectedDetectionTime(specs, c.x)
 			mean, stdErr := sampleDetection(t, specs, c.x, 20000, 1)
 			// 5 standard errors: a ~1-in-2M false-failure rate.
@@ -232,18 +259,14 @@ func TestPFaultyStrategyMatchesCollectiveCoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := FromStrategy(st, n, f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, plan := compileSim(t, st, n, f)
 	fleet, err := plan.ExpectedSearchTime(x, plan.Model().P, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tr := plan.Trajectories()[0]
 	pEff := st.(strategy.PFaultySearch).EffectiveP(n, f)
-	solo := expectedDetectionTime([]robotSpec{{traj: tr, speed: 1, miss: pEff}}, x)
+	solo := expectedDetectionTime([]robotSpec{planSpec(plan, 0, x, 1, pEff)}, x)
 	if math.Abs(fleet-solo) > 1e-9*solo {
 		t.Errorf("fleet E[T]=%g, collective-coin solo E[T]=%g — should coincide", fleet, solo)
 	}
@@ -251,8 +274,8 @@ func TestPFaultyStrategyMatchesCollectiveCoin(t *testing.T) {
 	// The robots move together, so the crash lands on robot 0 and the
 	// sampler flips the coins of the other two.
 	var survivors []robotSpec
-	for _, tr := range plan.Trajectories()[f:] {
-		survivors = append(survivors, robotSpec{traj: tr, speed: 1, miss: plan.Model().P})
+	for i := f; i < n; i++ {
+		survivors = append(survivors, planSpec(plan, i, x, 1, plan.Model().P))
 	}
 	mean, stdErr := sampleDetection(t, survivors, x, 20000, 11)
 	if diff := math.Abs(mean - fleet); diff > 5*stdErr {
@@ -264,10 +287,9 @@ func TestPFaultyStrategyMatchesCollectiveCoin(t *testing.T) {
 // BenchmarkExpectedDetectionTime sums the analytic series for a mixed
 // fleet near (but safely inside) the convergence boundary.
 func BenchmarkExpectedDetectionTime(b *testing.B) {
-	tr := halfLineTraj(b, 1, 2)
 	specs := []robotSpec{
-		{traj: tr, speed: 1, miss: 0.6},
-		{traj: tr, speed: 2, miss: 0.4},
+		halfLineSpec(b, 1, 2, 33, 1, 0.6),
+		halfLineSpec(b, 1, 2, 33, 2, 0.4),
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

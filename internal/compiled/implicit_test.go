@@ -115,7 +115,7 @@ func checkImplicitTail(t *testing.T, c implicitCase, r int, seed uint64, shuffle
 		t.Fatal(err)
 	}
 	o := compiled.NewOracle(c.plan, c.cap)
-	n := c.plan.N()
+	n := len(c.plan.Trajectories())
 	scale := 1.0
 	if tail := c.plan.Trajectories()[r].TailOf(); tail != nil && tail.Anchor().X != 0 {
 		scale = math.Abs(tail.Anchor().X)
@@ -171,7 +171,7 @@ func checkImplicitTail(t *testing.T, c implicitCase, r int, seed uint64, shuffle
 // every plan in both orders.
 func FuzzImplicitTail(fz *testing.F) {
 	for p, c := range implicitPlans(fz) {
-		for r := range c.plan.N() {
+		for r := range len(c.plan.Trajectories()) {
 			fz.Add(uint8(p), uint16(r), uint64(p*1000+r), false)
 			fz.Add(uint8(p), uint16(r), uint64(p*1000+r), true)
 		}
@@ -179,7 +179,7 @@ func FuzzImplicitTail(fz *testing.F) {
 	fz.Fuzz(func(t *testing.T, pb uint8, rb uint16, seed uint64, shuffle bool) {
 		cases := implicitPlans(t)
 		c := cases[int(pb)%len(cases)]
-		checkImplicitTail(t, c, int(rb)%c.plan.N(), seed, shuffle)
+		checkImplicitTail(t, c, int(rb)%len(c.plan.Trajectories()), seed, shuffle)
 	})
 }
 

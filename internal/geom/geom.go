@@ -36,6 +36,11 @@ func (s Segment) Duration() float64 { return s.To.T - s.From.T }
 // Displacement returns the signed position change along the segment.
 func (s Segment) Displacement() float64 { return s.To.X - s.From.X }
 
+// Reverses reports whether next, the segment that follows s, moves
+// against s's direction: a corner. A waiting segment (displacement 0)
+// reverses nothing.
+func (s Segment) Reverses(next Segment) bool { return s.Displacement()*next.Displacement() < 0 }
+
 // Speed returns |displacement| / duration, or 0 for an instantaneous
 // segment (which is only valid when the displacement is also 0).
 func (s Segment) Speed() float64 {

@@ -60,8 +60,8 @@ func TestWithFaultBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("f=%d: %v", f, err)
 		}
-		if q.F() != f || q.N() != 5 {
-			t.Errorf("f=%d: got N=%d F=%d", f, q.N(), q.F())
+		if q.model.F != f || len(q.trajs) != 5 {
+			t.Errorf("f=%d: got N=%d F=%d", f, len(q.trajs), q.model.F)
 		}
 		want, err := p.KthDistinctVisit(2.2, f+1)
 		if err != nil {

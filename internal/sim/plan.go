@@ -1,14 +1,16 @@
 // Package sim evaluates search plans exactly: given the trajectories of
 // n robots and a fault model (crash or Byzantine, budget f), it computes
-// per-target visit times, the worst-case search time (the visit of the
-// DetectionRank-th distinct robot — the adversary makes the earliest
+// per-target first visits and the worst-case search time (the visit of
+// the DetectionRank-th distinct robot — the adversary makes the earliest
 // visitors faulty, and Byzantine detection additionally waits for
-// enough truthful confirmations to outvote possible liars), event
-// timelines, and the exact expected detection time under per-visit
-// detection failures (the p-faulty model of arXiv:2002.07797). Every
-// other question (the competitive ratio, detection under given faults,
-// speeds, positions) is answered by internal/compiled alone, from the
-// kernel's corner walk and first visits; this package is its oracle.
+// enough truthful confirmations to outvote possible liars). It builds
+// the plans internal/compiled compiles from trajectories, and a
+// strategy's closed-form schedule where it has one. Every question a
+// caller asks (the competitive ratio, detection under given faults,
+// speeds, positions, event timelines and the expected detection time
+// under per-visit detection failures) is answered by internal/compiled
+// alone, from the kernel's corner walk, first visits and each robot's
+// legs and tail; this package is its oracle.
 //
 // Nothing here is time-stepped; every quantity comes from the
 // trajectories' closed-form visit queries, so results are exact up to
@@ -16,9 +18,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"linesearch/internal/fault"
 	"linesearch/internal/schedule"
@@ -114,12 +117,6 @@ func buildError(st strategy.Strategy, n, f int, err error) error {
 	return fmt.Errorf("sim: building %s(%d, %d): %w", st.Name(), n, f, err)
 }
 
-// N returns the number of robots.
-func (p *Plan) N() int { return len(p.trajs) }
-
-// F returns the fault budget.
-func (p *Plan) F() int { return p.model.F }
-
 // Model returns the plan's fault model.
 func (p *Plan) Model() fault.Model { return p.model }
 
@@ -144,47 +141,10 @@ func (p *Plan) FirstVisits(x float64) []Visit {
 			visits = append(visits, Visit{Robot: i, T: t})
 		}
 	}
-	sortVisits(visits)
+	// The visits are in robot order, so a stable sort by time breaks
+	// ties by robot index.
+	slices.SortStableFunc(visits, func(a, b Visit) int { return cmp.Compare(a.T, b.T) })
 	return visits
-}
-
-// FirstVisitsAtSpeeds is FirstVisits for a fleet in which robot i runs
-// its trajectory at speeds[i] times unit speed (nil means unit speeds):
-// each first-visit time is divided by its robot's speed, and the visits
-// are sorted by that scaled time, ties broken by robot index. At a
-// uniform speed scaling cannot reorder arrivals, so the order is
-// exactly FirstVisits'. speeds must be nil or have one entry per robot.
-func (p *Plan) FirstVisitsAtSpeeds(x float64, speeds []float64) []Visit {
-	visits := p.FirstVisits(x)
-	if speeds == nil {
-		return visits
-	}
-	uniform := true
-	for _, v := range speeds {
-		uniform = uniform && v == speeds[0]
-	}
-	for i := range visits {
-		visits[i].T /= speeds[visits[i].Robot]
-	}
-	if !uniform {
-		sortVisits(visits)
-	}
-	return visits
-}
-
-// sortVisits orders visits by time, ties broken by robot index.
-func sortVisits(visits []Visit) {
-	if len(visits) < 2 {
-		// Nothing to order (in particular every n == 1 plan): skip the
-		// sort and its closure allocation.
-		return
-	}
-	sort.Slice(visits, func(a, b int) bool {
-		if visits[a].T != visits[b].T {
-			return visits[a].T < visits[b].T
-		}
-		return visits[a].Robot < visits[b].Robot
-	})
 }
 
 // KthDistinctVisit returns the time of the k-th distinct robot's first

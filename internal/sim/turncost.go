@@ -50,7 +50,7 @@ func delayAtTurns(tr *trajectory.Trajectory, cost, horizon float64) (*trajectory
 	delay := 0.0
 	legs := make([]geom.Segment, 0, 2*len(segs))
 	for i, s := range segs {
-		if i > 0 && cost > 0 && isCorner(segs[i-1].Displacement(), s.Displacement()) {
+		if i > 0 && cost > 0 && segs[i-1].Reverses(s) {
 			// Pause at the corner before continuing.
 			at := geom.Point{X: s.From.X, T: s.From.T + delay}
 			delay += cost

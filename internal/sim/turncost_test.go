@@ -128,7 +128,7 @@ func (p *Plan) TurnsBefore(robot int, t float64) (int, error) {
 	segs := p.trajs[robot].SegmentsUntil(t)
 	turns := 0
 	for i := 1; i < len(segs); i++ {
-		if segs[i].From.T < t && isCorner(segs[i-1].Displacement(), segs[i].Displacement()) {
+		if segs[i].From.T < t && segs[i-1].Reverses(segs[i]) {
 			turns++
 		}
 	}

@@ -152,81 +152,6 @@ func TestByzantineLiarsCannotAccelerateDetection(t *testing.T) {
 	}
 }
 
-func TestByzantineTimelineShowsLies(t *testing.T) {
-	p := byzantinePlan(t, strategy.Proportional{}, 5, 2, 1)
-	x := 3.0
-	// Assignment: earliest visitor silent, second-earliest a liar.
-	visits := p.FirstVisits(x)
-	set := make(fault.Set, p.N())
-	set[visits[0].Robot] = fault.ByzantineSilent
-	liar := visits[1].Robot
-	set[liar] = fault.ByzantineLiar
-
-	detect, err := detectionTime(p, x, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, err := p.Timeline(x, set, detect+20)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var claims, falseClaims, detects int
-	var detectT float64
-	claimedBy := map[int]bool{}
-	for _, e := range events {
-		switch e.Kind {
-		case EventClaim:
-			claims++
-			claimedBy[e.Robot] = true
-			if e.X != x {
-				t.Errorf("claim at %v, want %v", e.X, x)
-			}
-			if set[e.Robot].Faulty() {
-				t.Errorf("faulty robot %d issued a truthful claim", e.Robot)
-			}
-		case EventFalseClaim:
-			falseClaims++
-			if e.Robot != liar {
-				t.Errorf("false claim by robot %d, want liar %d", e.Robot, liar)
-			}
-			if e.X != -x {
-				t.Errorf("false claim at %v, want mirror %v", e.X, -x)
-			}
-		case EventDetect:
-			detects++
-			detectT = e.T
-		}
-	}
-	if detects != 1 {
-		t.Fatalf("%d detect events, want 1", detects)
-	}
-	if !numeric.AlmostEqual(detectT, detect, 1e-12) {
-		t.Errorf("detect at %v, want %v", detectT, detect)
-	}
-	// The vote needs 2 truthful claims before (or at) detection; the
-	// timeline horizon extends past it, so at least 2 claims appear.
-	if claims < 2 {
-		t.Errorf("%d truthful claims, want >= 2", claims)
-	}
-	if falseClaims != 1 {
-		t.Errorf("%d false claims, want 1 (liar visits the mirror)", falseClaims)
-	}
-}
-
-func TestCrashTimelineHasNoClaimEvents(t *testing.T) {
-	p := mustPlan(t, strategy.Proportional{}, 3, 1)
-	events, err := p.Timeline(2, worstFaultAssignment(p, 2), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range events {
-		if e.Kind == EventClaim || e.Kind == EventFalseClaim {
-			t.Fatalf("crash timeline contains %v event", e.Kind)
-		}
-	}
-}
-
 func TestNewPlanModelRejectsInfeasibleModels(t *testing.T) {
 	trajs, err := strategy.Proportional{}.Build(3, 2)
 	if err != nil {
@@ -248,7 +173,7 @@ func TestFromStrategyUsesModeller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Model().Kind != fault.ModelByzantine || p.F() != 1 || p.Model().DetectionRank() != 3 {
+	if p.Model().Kind != fault.ModelByzantine || p.model.F != 1 || p.Model().DetectionRank() != 3 {
 		t.Errorf("FromStrategy(byzantine, 5, 1) model = %s", p.Model())
 	}
 	// And the reduction holds end to end: the Byzantine plan's worst
@@ -270,7 +195,7 @@ func TestWithFaultBudgetPreservesModelFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Model().Kind != fault.ModelByzantine || q.F() != 1 || q.Model().DetectionRank() != 3 {
+	if q.Model().Kind != fault.ModelByzantine || q.model.F != 1 || q.Model().DetectionRank() != 3 {
 		t.Errorf("WithFaultBudget drifted: %s", q.Model())
 	}
 }

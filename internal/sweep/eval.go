@@ -9,7 +9,6 @@ import (
 	"linesearch/internal/compiled"
 	"linesearch/internal/fault"
 	"linesearch/internal/faultpoint"
-	"linesearch/internal/sim"
 	"linesearch/internal/strategy"
 	"linesearch/internal/telemetry"
 )
@@ -62,8 +61,9 @@ type Cell struct {
 	Speeds  []float64 `json:"speeds,omitempty"`
 	SpeedID int       `json:"speed_id,omitempty"`
 	// ExpectedRatio is the stochastic objective: sup E[T(x)]/x over the
-	// candidate targets, evaluated through sim's exact expected-time
-	// series with the worst-case crash assignment per target. ExpectedArgX
+	// candidate targets, evaluated through the kernel's exact
+	// expected-time series with the worst-case crash assignment per
+	// target. ExpectedArgX
 	// witnesses the supremum; Diverged marks cells whose expectation is
 	// infinite somewhere in the target range.
 	ExpectedRatio *float64 `json:"expected_ratio,omitempty"`
@@ -140,8 +140,8 @@ func (c *Cell) stampAxes(p CellParams) {
 // EvalCell is the production evaluator: resolve the strategy, build
 // its kernel, measure the empirical competitive ratio over the spec's
 // target range through it (no per-target allocation), and cross-check
-// against the strategy's closed form. Only a cell with an expected-time
-// part builds the exact engine's sim.Plan.
+// against the strategy's closed form. A cell with an expected-time part
+// sums the series on the same kernel.
 func EvalCell(ctx context.Context, p CellParams) Cell {
 	if err := faultpoint.Hit(fpSweepEval); err != nil {
 		return failedCell(p, err)
@@ -206,11 +206,7 @@ func EvalCell(ctx context.Context, p CellParams) Cell {
 	}
 	cell.stampAxes(p)
 	if p.HasP || len(p.Speeds) > 0 || kernel.Model().Kind == fault.ModelPFaulty {
-		plan, err := sim.FromStrategy(st, p.N, p.F)
-		if err != nil {
-			return failedCell(p, err)
-		}
-		if err := evalExpected(ctx, plan, p, &cell); err != nil {
+		if err := evalExpected(ctx, kernel, p, &cell); err != nil {
 			return failedCell(p, err)
 		}
 	}
@@ -220,9 +216,10 @@ func EvalCell(ctx context.Context, p CellParams) Cell {
 // evalExpected adds the stochastic objective to a cell: the supremum of
 // E[T(x)]/|x| over the candidate targets, each evaluated exactly as
 // the public API's ExpectedSearchTime evaluates it
-// (sim.Plan.ExpectedSearchTime: the f earliest arrivals at the cell's
-// speeds crash, every other robot misses each visit with the cell's p).
-func evalExpected(ctx context.Context, plan *sim.Plan, p CellParams, cell *Cell) error {
+// (compiled.Plan.ExpectedSearchTime: the f earliest arrivals at the
+// cell's speeds crash, every other robot misses each visit with the
+// cell's p).
+func evalExpected(ctx context.Context, plan *compiled.Plan, p CellParams, cell *Cell) error {
 	_, span := telemetry.StartSpan(ctx, "cell.expected")
 	defer span.End()
 	miss := missProbability(plan, p)
@@ -254,7 +251,7 @@ func evalExpected(ctx context.Context, plan *sim.Plan, p CellParams, cell *Cell)
 // missProbability returns a cell's per-visit miss probability: the
 // p-axis entry when the spec has one, else the plan's own p under the
 // pfaulty fault model, else 0.
-func missProbability(plan *sim.Plan, p CellParams) float64 {
+func missProbability(plan *compiled.Plan, p CellParams) float64 {
 	if p.HasP {
 		return p.P
 	}
@@ -267,18 +264,11 @@ func missProbability(plan *sim.Plan, p CellParams) float64 {
 // expectedTargets returns the stochastic objective's candidate grid:
 // GridPoints log-spaced targets per half-line, skipping half-lines the
 // plan never covers (the pfaulty family searches only to the right).
-func expectedTargets(plan *sim.Plan, p CellParams) []float64 {
+func expectedTargets(plan *compiled.Plan, p CellParams) []float64 {
 	logSpan := math.Log(p.XMax / p.XMin)
 	var out []float64
 	for _, sign := range []float64{1, -1} {
-		covered := false
-		for _, tr := range plan.Trajectories() {
-			if _, ok := tr.FirstVisit(sign * p.XMin); ok {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		if len(plan.Arrivals(sign*p.XMin, nil)) == 0 {
 			continue
 		}
 		for i := 0; i < p.GridPoints; i++ {

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"linesearch"
-	"linesearch/internal/sim"
+	"linesearch/internal/compiled"
 )
 
 // TestExpectedObjectiveMatchesPublicAPI: a sweep cell's stochastic
@@ -40,7 +40,7 @@ func TestExpectedObjectiveMatchesPublicAPI(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := sim.FromStrategy(st, p.N, p.F)
+			plan, err := compiled.FromStrategy(st, p.N, p.F)
 			if err != nil {
 				t.Fatal(err)
 			}

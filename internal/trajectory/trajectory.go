@@ -169,12 +169,14 @@ func (tr *Trajectory) FirstVisit(x float64) (float64, bool) {
 	return 0, false
 }
 
-// VisitsUntil returns every time <= tmax at which the robot stands on x,
-// in ascending order. Contact instants shared by two adjacent legs (a
-// turning point at x) are reported once.
-func (tr *Trajectory) VisitsUntil(x, tmax float64) []float64 {
+// VisitsUntil returns every time <= tmax at which a robot that runs
+// legs and then tail (nil when it halts), the parts of a trajectory as
+// Legs and TailOf return them, stands on x, in ascending order. Contact
+// instants shared by two adjacent legs (a turning point at x) are
+// reported once.
+func VisitsUntil(legs []geom.Segment, tail Tail, x, tmax float64) []float64 {
 	var out []float64
-	for _, leg := range tr.legs {
+	for _, leg := range legs {
 		if leg.From.T > tmax {
 			break
 		}
@@ -182,8 +184,8 @@ func (tr *Trajectory) VisitsUntil(x, tmax float64) []float64 {
 			out = append(out, v)
 		}
 	}
-	if tr.tail != nil {
-		out = append(out, tr.tail.VisitsUntil(x, tmax)...)
+	if tail != nil {
+		out = append(out, tail.VisitsUntil(x, tmax)...)
 	}
 	return dedupeAscending(out)
 }
@@ -191,15 +193,22 @@ func (tr *Trajectory) VisitsUntil(x, tmax float64) []float64 {
 // SegmentsUntil returns the trajectory's motion segments with start time
 // <= tmax: the finite legs followed by tail segments.
 func (tr *Trajectory) SegmentsUntil(tmax float64) []geom.Segment {
+	return SegmentsUntil(tr.legs, tr.tail, tmax)
+}
+
+// SegmentsUntil returns the motion segments with start time <= tmax of
+// a robot that runs legs and then tail (nil when it halts): the legs
+// followed by tail segments.
+func SegmentsUntil(legs []geom.Segment, tail Tail, tmax float64) []geom.Segment {
 	var out []geom.Segment
-	for _, leg := range tr.legs {
+	for _, leg := range legs {
 		if leg.From.T > tmax {
 			return out
 		}
 		out = append(out, leg)
 	}
-	if tr.tail != nil {
-		out = append(out, tr.tail.SegmentsUntil(tmax)...)
+	if tail != nil {
+		out = append(out, tail.SegmentsUntil(tmax)...)
 	}
 	return out
 }

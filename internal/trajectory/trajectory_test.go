@@ -144,7 +144,7 @@ func TestHaltTailExtendsFiniteTrajectory(t *testing.T) {
 	if got, _ := PositionAt(tr.Legs(), tr.TailOf(), 1e6); got != 4 {
 		t.Errorf("PositionAt(1e6) = %v, want 4", got)
 	}
-	vs := tr.VisitsUntil(4, 100)
+	vs := VisitsUntil(tr.Legs(), tr.TailOf(), 4, 100)
 	if len(vs) != 1 || vs[0] != 4 {
 		t.Errorf("VisitsUntil(4, 100) = %v, want [4]", vs)
 	}
@@ -162,7 +162,7 @@ func TestVisitsUntilDedupesLegJunction(t *testing.T) {
 		{From: geom.Point{X: 2, T: 2}, To: geom.Point{X: -1, T: 5}},
 	}
 	tr := Must(legs, nil)
-	vs := tr.VisitsUntil(2, 10)
+	vs := VisitsUntil(tr.Legs(), tr.TailOf(), 2, 10)
 	if len(vs) != 1 || vs[0] != 2 {
 		t.Errorf("VisitsUntil(2, 10) = %v, want [2]", vs)
 	}
@@ -181,7 +181,7 @@ func TestFirstVisitMatchesMinVisit(t *testing.T) {
 		if !ok {
 			return false // this trajectory eventually visits everything
 		}
-		vs := tr.VisitsUntil(x, first+1)
+		vs := VisitsUntil(tr.Legs(), tr.TailOf(), x, first+1)
 		return len(vs) > 0 && numeric.AlmostEqual(vs[0], first, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {

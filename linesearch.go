@@ -31,7 +31,6 @@
 package linesearch
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -39,14 +38,12 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"linesearch/internal/adversary"
 	"linesearch/internal/analysis"
 	"linesearch/internal/compiled"
 	"linesearch/internal/fault"
 	"linesearch/internal/numeric"
-	"linesearch/internal/sim"
 	"linesearch/internal/strategy"
 )
 
@@ -64,19 +61,17 @@ import (
 // plan's geometry — TurningPoints, WalkTurningPoints and Positions —
 // run through that kernel, and so do the fault questions, which read
 // the order of the robots' first visits from it: DetectionTime,
-// WorstFaultSet, SearchTimeWithSpeeds and MonteCarlo. The exact
-// closed-form engine (internal/sim) evaluates event timelines and the
-// expected-time series, and remains the reference for the differential
-// tests; a Searcher builds its sim.Plan on the first such question.
+// WorstFaultSet, SearchTimeWithSpeeds and MonteCarlo. So do the
+// questions that follow a robot past its first visit, the
+// expected-time series (ExpectedSearchTime) and the event timelines
+// (Timeline, TimelineFaults): the kernel reads each robot's legs and
+// tail as its corner walk does. The exact closed-form engine
+// (internal/sim) is only the reference of the differential tests.
 type Searcher struct {
 	n, f        int
 	minDistance float64
 	st          strategy.Strategy
 	kernel      *compiled.Plan
-	// plan is the exact engine's plan, built once by simPlan.
-	planOnce sync.Once
-	plan     *sim.Plan
-	planErr  error
 }
 
 // New returns the paper's recommended searcher for (n, f): the two-group
@@ -111,20 +106,6 @@ func newSearcher(st strategy.Strategy, n, f int) (*Searcher, error) {
 		return nil, err
 	}
 	return &Searcher{n: n, f: f, minDistance: 1, st: st, kernel: kernel}, nil
-}
-
-// simPlan returns the plan of the exact engine, building it on first
-// use. Its build refuses exactly what the kernel's build refused
-// (FuzzCompileFromSchedule holds the two to it), so only a bug can
-// make it fail.
-func (s *Searcher) simPlan() *sim.Plan {
-	s.planOnce.Do(func() {
-		s.plan, s.planErr = sim.FromStrategy(s.st, s.n, s.f)
-	})
-	if s.planErr != nil {
-		panic(fmt.Sprintf("linesearch: the kernel compiled but the exact engine refused the plan: %v", s.planErr))
-	}
-	return s.plan
 }
 
 // N returns the number of robots.
@@ -275,7 +256,7 @@ func (s *Searcher) ExpectedSearchTime(x, p float64, speeds []float64) (float64, 
 	if p == 0 && m.Kind == fault.ModelPFaulty {
 		p = m.P
 	}
-	return s.simPlan().ExpectedSearchTime(x, p, sp)
+	return s.kernel.ExpectedSearchTime(x, p, sp)
 }
 
 // ExpectedCompetitiveRatio returns the asymptotic expected competitive
@@ -442,19 +423,10 @@ func (s *Searcher) detectionTime(x float64, set fault.Set) float64 {
 // silent at the target — lying elsewhere never delays detection
 // further (see TimelineFaults for explicit liar placement).
 func (s *Searcher) WorstFaultSet(x float64) []int {
-	times := s.kernel.FirstVisits(x, nil)
-	order := make([]int, s.n)
-	for i := range order {
-		order[i] = i
-	}
-	// A stable sort keeps tied robots in index order; non-visitors (+Inf)
-	// come last.
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(times[a], times[b]) })
+	arrivals := s.kernel.Arrivals(x, nil)
 	var out []int
-	for _, i := range order[:s.kernel.Model().F] {
-		if !math.IsInf(times[i], 1) {
-			out = append(out, i)
-		}
+	for _, v := range arrivals[:min(s.kernel.Model().F, len(arrivals))] {
+		out = append(out, v.Robot)
 	}
 	slices.Sort(out)
 	return out
@@ -557,7 +529,7 @@ func (s *Searcher) checkTimeline(x, tmax float64) error {
 // timeline runs the plan's event-log reconstruction and converts its
 // events to the public form.
 func (s *Searcher) timeline(x float64, set fault.Set, tmax float64) ([]Event, error) {
-	events, err := s.simPlan().Timeline(x, set, tmax)
+	events, err := s.kernel.Timeline(x, set, tmax)
 	if err != nil {
 		return nil, err
 	}
